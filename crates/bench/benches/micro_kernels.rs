@@ -22,7 +22,7 @@ use std::time::Instant;
 use verdict_bench::kernel::{
     self, median_secs, par_filter_mask, par_grouped_sum, par_sum_avg, synthetic_columns, REPS, ROWS,
 };
-use verdict_core::{SampleType, VerdictConfig, VerdictContext, VerdictSession};
+use verdict_core::{VerdictConfig, VerdictContext, VerdictResponse, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder, ThreadPool};
 use verdict_server::{VerdictClient, VerdictServer};
 
@@ -56,9 +56,11 @@ fn serving_context(cache_capacity: usize) -> Arc<VerdictContext> {
     let conn: Arc<dyn Backend> = Arc::new(engine);
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = cache_capacity;
-    let ctx = VerdictContext::new(conn, config);
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
-    Arc::new(ctx)
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    VerdictSession::new(Arc::clone(&ctx))
+        .execute("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales")
+        .unwrap();
+    ctx
 }
 
 /// (uncached_secs, cached_secs): median latency of the dashboard repeat with
@@ -203,10 +205,11 @@ fn stream_context() -> Arc<VerdictContext> {
     let conn: Arc<dyn Backend> = Arc::new(engine);
     let mut config = VerdictConfig::for_testing();
     config.io_budget = 1.0; // a full-table scramble needs a full budget
-    let ctx = VerdictContext::new(conn, config);
-    ctx.create_sample_with_ratio("big_sales", SampleType::Uniform, 1.0)
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    VerdictSession::new(Arc::clone(&ctx))
+        .execute("CREATE SCRAMBLE verdict_sample_big_sales_uniform FROM big_sales RATIO 1.0")
         .unwrap();
-    Arc::new(ctx)
+    ctx
 }
 
 struct StreamBench {
@@ -327,6 +330,9 @@ fn bench_store() -> StoreBench {
         .build()
         .unwrap();
 
+    let key = "verdict_sample_sales_uniform";
+    let store_scramble_ddl = format!("CREATE SCRAMBLE {key} FROM sales RATIO {STORE_RATIO}");
+
     // Rebuild path: a fresh engine + base table, CREATE SCRAMBLE through
     // the middleware (shuffle + subsample column), nothing persisted.
     let rebuild_secs = {
@@ -335,10 +341,9 @@ fn bench_store() -> StoreBench {
         let conn: Arc<dyn Backend> = Arc::new(engine);
         let mut config = VerdictConfig::for_testing();
         config.io_budget = 1.0;
-        let ctx = VerdictContext::new(conn, config);
+        let mut session = VerdictSession::new(Arc::new(VerdictContext::new(conn, config)));
         let t0 = Instant::now();
-        ctx.create_sample_with_ratio("sales", SampleType::Uniform, STORE_RATIO)
-            .unwrap();
+        session.execute(&store_scramble_ddl).unwrap();
         t0.elapsed().as_secs_f64()
     };
 
@@ -355,12 +360,14 @@ fn bench_store() -> StoreBench {
         let mut config = VerdictConfig::for_testing();
         config.io_budget = 1.0;
         let ctx = VerdictContext::with_store(conn, config, Arc::clone(&store)).unwrap();
-        let meta = ctx
-            .create_sample_with_ratio("sales", SampleType::Uniform, STORE_RATIO)
+        let built = VerdictSession::new(Arc::new(ctx))
+            .execute(&store_scramble_ddl)
             .unwrap();
-        meta.sample_rows
+        match built {
+            VerdictResponse::ScramblesCreated(metas) => metas[0].sample_rows,
+            other => panic!("expected a scramble, got {}", other.kind()),
+        }
     };
-    let key = "verdict_sample_sales_uniform";
 
     // Cold start: reopen the directory and materialise the scramble — the
     // work a restarted server does instead of the rebuild above.

@@ -13,10 +13,10 @@
 //!    paper observed for tq-5, tq-7, tq-12, iq-14, iq-15, which is exactly
 //!    where VerdictDB wins).
 
-use crate::error::{VerdictError, VerdictResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use verdict_core::{VerdictError, VerdictResult};
 use verdict_engine::{Backend, Table};
 use verdict_sql::ast::{Expr, ObjectName, Statement, TableFactor};
 use verdict_sql::printer::print_statement;

@@ -8,17 +8,18 @@
 //! roughly what factor, where the crossovers fall — are what the paper's
 //! conclusions rest on and are preserved at any scale.
 
+pub mod integrated;
 pub mod kernel;
 
+use integrated::{IntegratedAqp, IntegratedSample};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict_core::estimate::{
     bootstrap_interval, clt_interval, default_subsample_size, sql_baselines,
     traditional_subsampling_interval, variational_subsampling_interval,
 };
-use verdict_core::integrated::{IntegratedAqp, IntegratedSample};
-use verdict_core::sample::SampleType;
-use verdict_core::{VerdictConfig, VerdictContext};
+use verdict_core::sample::{SampleType, SAMPLE_TABLE_PREFIX};
+use verdict_core::{VerdictConfig, VerdictContext, VerdictResponse, VerdictResult, VerdictSession};
 use verdict_data::{
     instacart_queries, tpch_queries, InstacartGenerator, SyntheticGenerator, TpchGenerator,
 };
@@ -40,8 +41,31 @@ pub struct SpeedupRow {
     pub fell_back: bool,
 }
 
+/// Builds one scramble through the SQL DDL, under the name the default
+/// sampling policy derives for it.
+fn create_scramble(
+    session: &mut VerdictSession,
+    table: &str,
+    method: &str,
+    on: &[&str],
+) -> VerdictResult<VerdictResponse> {
+    let mut name = format!("{SAMPLE_TABLE_PREFIX}_{table}_{method}");
+    let mut clause = String::new();
+    if !on.is_empty() {
+        name = format!("{name}_{}", on.join("_"));
+        clause = format!(" ON {}", on.join(", "));
+    }
+    session.execute(&format!(
+        "CREATE SCRAMBLE {name} FROM {table} METHOD {method}{clause}"
+    ))
+}
+
 /// Builds a fully-sampled workload context shared by the speedup experiments.
-pub fn workload_context(insta_scale: f64, tpch_scale: f64, sampling_ratio: f64) -> VerdictContext {
+pub fn workload_context(
+    insta_scale: f64,
+    tpch_scale: f64,
+    sampling_ratio: f64,
+) -> Arc<VerdictContext> {
     let engine = Arc::new(Engine::with_seed(20180610));
     InstacartGenerator::new(insta_scale).register(&engine);
     TpchGenerator::new(tpch_scale).register(&engine);
@@ -51,46 +75,21 @@ pub fn workload_context(insta_scale: f64, tpch_scale: f64, sampling_ratio: f64) 
     config.sampling_ratio = sampling_ratio;
     config.io_budget = (sampling_ratio * 2.5).min(0.5);
     config.seed = Some(4);
-    let ctx = VerdictContext::new(conn, config);
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    let mut session = VerdictSession::new(Arc::clone(&ctx));
     for table in ["order_products", "lineitem", "tpch_orders", "orders"] {
-        let _ = ctx.create_sample(table, SampleType::Uniform);
+        let _ = create_scramble(&mut session, table, "uniform", &[]);
     }
-    let _ = ctx.create_sample(
-        "orders",
-        SampleType::Hashed {
-            columns: vec!["order_id".into()],
-        },
-    );
-    let _ = ctx.create_sample(
-        "order_products",
-        SampleType::Hashed {
-            columns: vec!["order_id".into()],
-        },
-    );
-    let _ = ctx.create_sample(
-        "lineitem",
-        SampleType::Hashed {
-            columns: vec!["l_orderkey".into()],
-        },
-    );
-    let _ = ctx.create_sample(
-        "tpch_orders",
-        SampleType::Hashed {
-            columns: vec!["o_orderkey".into()],
-        },
-    );
-    let _ = ctx.create_sample(
-        "lineitem",
-        SampleType::Stratified {
-            columns: vec!["l_returnflag".into(), "l_linestatus".into()],
-        },
-    );
-    let _ = ctx.create_sample(
-        "orders",
-        SampleType::Stratified {
-            columns: vec!["city".into()],
-        },
-    );
+    for (table, method, on) in [
+        ("orders", "hashed", &["order_id"][..]),
+        ("order_products", "hashed", &["order_id"]),
+        ("lineitem", "hashed", &["l_orderkey"]),
+        ("tpch_orders", "hashed", &["o_orderkey"]),
+        ("lineitem", "stratified", &["l_returnflag", "l_linestatus"]),
+        ("orders", "stratified", &["city"]),
+    ] {
+        let _ = create_scramble(&mut session, table, method, on);
+    }
     ctx
 }
 
@@ -196,8 +195,13 @@ pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
         config.sampling_ratio = (0.02 / scale).min(0.5);
         config.io_budget = (config.sampling_ratio * 2.5).min(0.6);
         config.seed = Some(9);
-        let ctx = VerdictContext::new(conn, config);
-        let _ = ctx.create_sample("lineitem", SampleType::Uniform);
+        let ctx = Arc::new(VerdictContext::new(conn, config));
+        let _ = create_scramble(
+            &mut VerdictSession::new(Arc::clone(&ctx)),
+            "lineitem",
+            "uniform",
+            &[],
+        );
         let exact = ctx.execute_exact(sql).unwrap();
         let approx = ctx.execute(sql).unwrap();
         let profile = EngineProfile::redshift();
@@ -513,7 +517,7 @@ pub fn preparation_time(scale: f64) -> Vec<(String, Duration)> {
     let conn: Arc<dyn Backend> = engine.clone();
     let mut config = VerdictConfig::default();
     config.min_table_rows = 10_000;
-    let ctx = VerdictContext::new(conn, config);
+    let mut session = VerdictSession::new(Arc::new(VerdictContext::new(conn, config)));
 
     // baseline: "data transfer" modelled as a full copy of the fact table
     let t0 = Instant::now();
@@ -523,18 +527,11 @@ pub fn preparation_time(scale: f64) -> Vec<(String, Duration)> {
     let copy_time = t0.elapsed();
 
     let t1 = Instant::now();
-    ctx.create_sample("order_products", SampleType::Uniform)
-        .unwrap();
+    create_scramble(&mut session, "order_products", "uniform", &[]).unwrap();
     let uniform_time = t1.elapsed();
 
     let t2 = Instant::now();
-    ctx.create_sample(
-        "orders",
-        SampleType::Stratified {
-            columns: vec!["city".into()],
-        },
-    )
-    .unwrap();
+    create_scramble(&mut session, "orders", "stratified", &["city"]).unwrap();
     let stratified_time = t2.elapsed();
 
     vec![

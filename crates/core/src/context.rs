@@ -1,38 +1,38 @@
-//! [`VerdictContext`] — the user-facing entry point of the middleware.
+//! [`VerdictContext`] — the shared state of the middleware.
 //!
 //! A context wraps a driver-level [`Backend`] to the underlying database
-//! (paper Figure 1a) and exposes the two stages of the workflow (Figure 2):
+//! (paper Figure 1a) and holds what every session shares: the sample
+//! registry, the answer cache, the observability registry and (optionally)
+//! the persistent scramble store.  It carries the two stages of the
+//! workflow (Figure 2):
 //!
-//! * **sample preparation** — [`VerdictContext::create_sample`] /
-//!   [`VerdictContext::create_recommended_samples`] build sample tables with
+//! * **sample preparation** — the implementations behind the scramble DDL
+//!   (`CREATE SCRAMBLE[S]` / `REFRESH SCRAMBLES` / `DROP SCRAMBLE[S]`, issued
+//!   through a [`crate::session::VerdictSession`]) build sample tables with
 //!   plain `CREATE TABLE … AS SELECT` statements and record their metadata;
-//! * **query processing** — [`VerdictContext::execute`] parses the incoming
-//!   query, plans which samples to use, rewrites the query, has the
-//!   underlying database execute the rewritten SQL, and assembles the
-//!   approximate answer plus error estimates.  Unsupported queries and
+//! * **query processing** — [`VerdictContext::run_statement`] (see
+//!   [`crate::pipeline`]) plans which samples to use, rewrites the query,
+//!   has the underlying database execute the rewritten SQL, and assembles
+//!   the approximate answer plus error estimates.  Unsupported queries and
 //!   queries for which no sampled plan fits the I/O budget are transparently
 //!   passed through to the underlying database.
 
-use crate::answer::{assemble, ColumnErrorSummary};
+use crate::answer::ColumnErrorSummary;
 use crate::backend::{BackendStats, DialectBackend, InstrumentedBackend};
 use crate::cache::{AnswerCache, CacheStats};
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
 use crate::meta::MetaStore;
-use crate::obs::{Obs, QueryTrace, TraceBuilder};
-use crate::planner::{PlanningContext, SamplePlanner};
-use crate::rewrite::{analyze_query, rewrite, QueryAnalysis, RewriteOutput};
+use crate::obs::Obs;
+use crate::pipeline::Route;
 use crate::sample::builder::build_sample_sql;
 use crate::sample::maintenance::{append_sql, staleness, Staleness};
 use crate::sample::policy::{default_policy, ColumnCardinality};
 use crate::sample::{SampleMeta, SampleType};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use verdict_engine::{Backend, Table, TableBuilder};
-use verdict_sql::ast::Statement;
-use verdict_sql::dialect::{Dialect, GenericDialect};
-use verdict_sql::printer::print_statement;
+use std::time::Duration;
+use verdict_engine::{Backend, Table};
+use verdict_sql::dialect::Dialect;
 
 /// The approximate (or exact, after fallback) answer to one query.
 #[derive(Debug, Clone)]
@@ -105,24 +105,24 @@ pub struct VerdictContext {
     /// The active backend, wrapped in routing instrumentation.  Kept as a
     /// type-erased `Arc<dyn Backend>` so [`Self::connection`] can hand out
     /// the trait object directly.
-    conn: Arc<dyn Backend>,
+    pub(crate) conn: Arc<dyn Backend>,
     /// The same allocation as `conn`, concretely typed so the routing
     /// counters can be read back for `SHOW STATS`.
-    instrumented: Arc<InstrumentedBackend>,
+    pub(crate) instrumented: Arc<InstrumentedBackend>,
     config: VerdictConfig,
-    meta: MetaStore,
-    cache: AnswerCache,
+    pub(crate) meta: MetaStore,
+    pub(crate) cache: AnswerCache,
     pub(crate) streams: StreamCounters,
     /// Optional persistent scramble store ([`Self::with_store`]).  When
     /// present, every scramble build/refresh/drop writes through to disk and
     /// the context reloads persisted scrambles plus their metadata on
     /// construction (cold-start serving).
-    store: Option<Arc<verdict_store::Store>>,
+    pub(crate) store: Option<Arc<verdict_store::Store>>,
     /// Always-on observability registry: per-stage / per-class latency
     /// histograms, statement counters, and the ring of recent query traces
     /// (see [`crate::obs`]).  Served by `EXPLAIN ANALYZE`, `SHOW PROFILE`,
     /// and `SHOW METRICS`.
-    obs: Obs,
+    pub(crate) obs: Obs,
 }
 
 /// Key of the store blob holding the serialized sample-metadata registry.
@@ -307,26 +307,6 @@ impl VerdictContext {
     // Sample preparation (offline stage)
     // ------------------------------------------------------------------
 
-    /// Creates one sample table of the given type over `base_table` using the
-    /// configured default sampling ratio.
-    pub fn create_sample(
-        &self,
-        base_table: &str,
-        sample_type: SampleType,
-    ) -> VerdictResult<SampleMeta> {
-        self.create_sample_with_ratio(base_table, sample_type, self.config.sampling_ratio)
-    }
-
-    /// Creates one sample table with an explicit sampling parameter τ.
-    pub fn create_sample_with_ratio(
-        &self,
-        base_table: &str,
-        sample_type: SampleType,
-        ratio: f64,
-    ) -> VerdictResult<SampleMeta> {
-        self.create_sample_named(None, base_table, sample_type, ratio, &self.config)
-    }
-
     /// Creates one sample (scramble) table, optionally under a caller-chosen
     /// name (`CREATE SCRAMBLE <name> FROM …`), with an explicit configuration
     /// (sessions pass their per-statement resolved config).
@@ -336,7 +316,7 @@ impl VerdictContext {
     /// name that collides with an existing table that is *not* a registered
     /// scramble (e.g. a base table) is rejected — replace semantics must
     /// never be able to destroy user data.
-    pub fn create_sample_named(
+    pub(crate) fn create_sample_named(
         &self,
         name: Option<&str>,
         base_table: &str,
@@ -399,16 +379,10 @@ impl VerdictContext {
         Ok(meta)
     }
 
-    /// Applies the default sampling policy (Appendix F): inspects column
-    /// cardinalities and builds a uniform sample plus hashed/stratified
-    /// samples for high-/low-cardinality columns.
-    pub fn create_recommended_samples(&self, base_table: &str) -> VerdictResult<Vec<SampleMeta>> {
-        self.create_recommended_samples_with(base_table, &self.config)
-    }
-
-    /// [`Self::create_recommended_samples`] with an explicit configuration
-    /// (sessions pass their per-statement resolved config).
-    pub fn create_recommended_samples_with(
+    /// Applies the default sampling policy (Appendix F) — `CREATE SCRAMBLES
+    /// <table>`: inspects column cardinalities and builds a uniform sample
+    /// plus hashed/stratified samples for high-/low-cardinality columns.
+    pub(crate) fn create_recommended_samples_with(
         &self,
         base_table: &str,
         config: &VerdictConfig,
@@ -465,7 +439,7 @@ impl VerdictContext {
     /// skipped.  This makes a retried `REFRESH` after a partial mid-loop
     /// failure idempotent — the samples that succeeded on the first attempt
     /// are not double-appended on the retry.
-    pub fn refresh_samples_after_append(
+    pub(crate) fn refresh_samples_after_append(
         &self,
         base_table: &str,
         batch_table: &str,
@@ -520,26 +494,8 @@ impl VerdictContext {
         Ok(refreshed)
     }
 
-    /// Reports whether samples of a base table are stale with respect to its
-    /// current row count.
-    pub fn sample_staleness(
-        &self,
-        base_table: &str,
-    ) -> VerdictResult<Vec<(SampleMeta, Staleness)>> {
-        let current = self.conn.table_row_count(base_table)?;
-        Ok(self
-            .meta
-            .samples_for(base_table)
-            .into_iter()
-            .map(|m| {
-                let s = staleness(&m, current);
-                (m, s)
-            })
-            .collect())
-    }
-
     /// Drops every sample table built for `base_table` and forgets its metadata.
-    pub fn drop_samples(&self, base_table: &str) -> VerdictResult<usize> {
+    pub(crate) fn drop_samples(&self, base_table: &str) -> VerdictResult<usize> {
         let samples = self.meta.remove_for(base_table);
         let mut dropped = 0usize;
         for meta in samples {
@@ -555,7 +511,7 @@ impl VerdictContext {
 
     /// Drops a single scramble by its (sample-table) name, returning whether
     /// one existed.  With `if_exists` a missing scramble is not an error.
-    pub fn drop_sample_named(&self, name: &str, if_exists: bool) -> VerdictResult<bool> {
+    pub(crate) fn drop_sample_named(&self, name: &str, if_exists: bool) -> VerdictResult<bool> {
         match self.meta.remove_sample(name) {
             Some(meta) => {
                 self.conn.execute(&format!(
@@ -575,7 +531,7 @@ impl VerdictContext {
     /// Rebuilds every sample of `base_table` from the current base data,
     /// keeping each sample's name, type, and ratio (a batchless
     /// `REFRESH SCRAMBLES` statement).  Returns the number of samples rebuilt.
-    pub fn rebuild_samples(
+    pub(crate) fn rebuild_samples(
         &self,
         base_table: &str,
         config: &VerdictConfig,
@@ -599,10 +555,12 @@ impl VerdictContext {
     }
 
     // ------------------------------------------------------------------
-    // Query processing (online stage)
+    // Query processing (online stage) — see [`crate::pipeline`]
     // ------------------------------------------------------------------
 
-    /// Executes a query approximately when possible, exactly otherwise.
+    /// Executes a statement approximately when possible, exactly otherwise
+    /// (a string convenience over [`Self::run_statement`] under the base
+    /// configuration).
     ///
     /// When the answer cache is enabled (a nonzero
     /// [`VerdictConfig::answer_cache_capacity`]) and an identical query
@@ -612,630 +570,98 @@ impl VerdictContext {
     /// returned without touching the underlying database, with
     /// [`VerdictAnswer::cached`] set.
     pub fn execute(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
-        self.execute_with_config(sql, &self.config)
-    }
-
-    /// [`Self::execute`] with an explicit per-statement configuration.
-    ///
-    /// This is the execution entry point used by
-    /// [`crate::session::VerdictSession`]: the session resolves its
-    /// [`crate::session::QueryOptions`] against the base configuration and
-    /// passes the result here, so per-query accuracy/caching overrides never
-    /// mutate shared state.  Answers computed under different
-    /// answer-affecting settings use distinct cache keys (see
-    /// [`VerdictConfig::cache_fingerprint`]).
-    pub fn execute_with_config(
-        &self,
-        sql: &str,
-        config: &VerdictConfig,
-    ) -> VerdictResult<VerdictAnswer> {
         let stmt = verdict_sql::parse_statement(sql)?;
-        self.execute_statement_with_config(&stmt, sql, config)
-    }
-
-    /// [`Self::execute_with_config`] over an already-parsed statement
-    /// (`sql` must be the statement's source text, used for passthrough).
-    pub fn execute_statement_with_config(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-    ) -> VerdictResult<VerdictAnswer> {
-        self.execute_statement_traced(stmt, sql, config, "none")
+        let route = Route::of(&stmt, false).unwrap_or(Route::Approximate);
+        self.run_statement(&stmt, sql, &self.config, route, "none")
             .map(|(answer, _)| answer)
     }
 
-    /// [`Self::execute_statement_with_config`], additionally returning the
-    /// finished [`QueryTrace`] (already folded into the observability
-    /// registry).  `shed_tier` is the admission tier label recorded in the
-    /// trace (`"none"` outside the serving layer).  This is the execution
-    /// entry point behind `EXPLAIN ANALYZE`.
-    pub fn execute_statement_traced(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-        shed_tier: &'static str,
-    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
-        let mut tb = TraceBuilder::new();
-        let backend_before = self.instrumented.queries_routed();
-        let pages_before = self.store.as_ref().map_or(0, |s| s.stats().pages_read);
-        tb.begin("canonicalize");
-        let cache_key = self.cache_key(stmt, config);
-        tb.begin("cache_probe");
-        if let Some(key) = &cache_key {
-            if let Some(mut answer) = self.cache.lookup(key, |t| self.conn.data_version(t)) {
-                tb.note("hit".into());
-                answer.cached = true;
-                let trace = self.finish_trace(
-                    tb,
-                    stmt,
-                    sql,
-                    config,
-                    &mut answer,
-                    shed_tier,
-                    backend_before,
-                    pages_before,
-                );
-                return Ok((answer, trace));
-            }
-            tb.note("miss".into());
-        } else {
-            tb.note("uncacheable".into());
-        }
-        let mut answer = self.execute_and_insert(stmt, sql, config, cache_key, &mut tb)?;
-        let trace = self.finish_trace(
-            tb,
-            stmt,
-            sql,
-            config,
-            &mut answer,
-            shed_tier,
-            backend_before,
-            pages_before,
-        );
-        Ok((answer, trace))
-    }
-
-    /// The traced sibling of [`Self::execute_exact`]: runs `sql` exactly on
-    /// the base tables while recording a trace classified by `class_stmt`
-    /// (sessions pass the `BYPASS` wrapper or the bypassed statement, so the
-    /// trace lands in the `bypass` / original class histogram).
-    pub fn execute_exact_traced(
-        &self,
-        class_stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-        shed_tier: &'static str,
-    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
-        let mut tb = TraceBuilder::new();
-        let backend_before = self.instrumented.queries_routed();
-        let pages_before = self.store.as_ref().map_or(0, |s| s.stats().pages_read);
-        tb.begin("passthrough");
-        let mut answer = self.passthrough(sql, tb.started())?;
-        let trace = self.finish_trace(
-            tb,
-            class_stmt,
-            sql,
-            config,
-            &mut answer,
-            shed_tier,
-            backend_before,
-            pages_before,
-        );
-        Ok((answer, trace))
-    }
-
-    /// Records a one-span trace for a statement executed outside the query
-    /// pipeline (scramble DDL, `SET`, `SHOW …`): the session times the
-    /// statement and reports it here, so control statements appear in the
-    /// class histograms and the recent-trace ring alongside queries.
-    pub fn observe_control(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        total: Duration,
-        config: &VerdictConfig,
-        shed_tier: &'static str,
-    ) -> QueryTrace {
-        let slow = config.slow_query_ms > 0 && total >= Duration::from_millis(config.slow_query_ms);
-        self.obs.observe(QueryTrace {
-            seq: 0,
-            class: statement_class(stmt),
-            sql: sql.to_string(),
-            total,
-            spans: vec![crate::obs::SpanRecord {
-                stage: "control",
-                start: Duration::ZERO,
-                duration: total,
-                detail: String::new(),
-            }],
-            cached: false,
-            exact: true,
-            shed_tier,
-            backend_queries: 0,
-            store_pages_read: 0,
-            rows_returned: 0,
-            rows_scanned: 0,
-            slow,
-        })
-    }
-
-    /// Closes the trace, attributes the backend/store work done since the
-    /// statement started, folds the trace into the observability registry,
-    /// and stamps the answer's `elapsed` with the trace total (so span
-    /// durations and the reported wall time agree).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_trace(
-        &self,
-        tb: TraceBuilder,
-        stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-        answer: &mut VerdictAnswer,
-        shed_tier: &'static str,
-        backend_before: u64,
-        pages_before: u64,
-    ) -> QueryTrace {
-        let (total, spans) = tb.finish();
-        answer.elapsed = total;
-        let class = match statement_class(stmt) {
-            "query" if answer.cached => "query_cached",
-            c => c,
-        };
-        let backend_queries = self.instrumented.queries_routed() - backend_before;
-        let pages_read = self
-            .store
-            .as_ref()
-            .map_or(0, |s| s.stats().pages_read)
-            .saturating_sub(pages_before);
-        let slow = config.slow_query_ms > 0 && total >= Duration::from_millis(config.slow_query_ms);
-        self.obs.observe(QueryTrace {
-            seq: 0,
-            class,
-            sql: sql.to_string(),
-            total,
-            spans,
-            cached: answer.cached,
-            exact: answer.exact,
-            shed_tier,
-            backend_queries,
-            store_pages_read: pages_read,
-            rows_returned: answer.table.num_rows() as u64,
-            rows_scanned: answer.rows_scanned,
-            slow,
-        })
-    }
-
-    /// Executes a statement **without consulting the cache**, while still
-    /// inserting the freshly computed answer (streams and `STREAM`'s
-    /// final-frame alias use this: a stream must observe current data, but
-    /// its completed answer is exactly what a one-shot `SELECT` would have
-    /// produced, so the next identical `SELECT` may reuse it).  The stage
-    /// spans still feed the stage histograms; no ring trace is recorded —
-    /// streams report through their own counters.
-    pub(crate) fn execute_skip_cache_read(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-    ) -> VerdictResult<VerdictAnswer> {
-        let mut tb = TraceBuilder::new();
-        tb.begin("canonicalize");
-        let cache_key = self.cache_key(stmt, config);
-        let answer = self.execute_and_insert(stmt, sql, config, cache_key, &mut tb)?;
-        let (_, spans) = tb.finish();
-        for span in &spans {
-            self.obs.record_stage(span.stage, span.duration);
-        }
-        Ok(answer)
-    }
-
-    fn execute_and_insert(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        config: &VerdictConfig,
-        cache_key: Option<String>,
-        tb: &mut TraceBuilder,
-    ) -> VerdictResult<VerdictAnswer> {
-        // Snapshot dependency versions BEFORE executing: if a concurrent
-        // write lands mid-execution, the entry is stored under the
-        // pre-write versions and fails revalidation, instead of a
-        // post-execution snapshot masking the write and caching a stale
-        // answer under the new version.
-        let pre_versions = match &cache_key {
-            Some(_) => self.snapshot_versions(stmt),
-            None => None,
-        };
-        let answer = self.execute_parsed(stmt, sql, tb, config)?;
-        if let (Some(key), Some(snapshot)) = (cache_key, pre_versions) {
-            if let Some(versions) = Self::dependency_versions(&snapshot, stmt, &answer) {
-                tb.begin("cache_insert");
-                self.cache.insert(key, versions, answer.clone());
-            }
-        }
-        Ok(answer)
-    }
-
-    fn execute_parsed(
-        &self,
-        stmt: &Statement,
-        sql: &str,
-        tb: &mut TraceBuilder,
-        config: &VerdictConfig,
-    ) -> VerdictResult<VerdictAnswer> {
-        let query = match stmt {
-            Statement::Query(q) => q.as_ref().clone(),
-            _ => return self.passthrough_spanned(sql, tb, "control"),
-        };
-
-        // Analyse; unsupported queries are passed through unchanged (§2.2).
-        tb.begin("analyze");
-        let analysis = match analyze_query(&query) {
-            Ok(a) => a,
-            Err(VerdictError::Unsupported(_)) | Err(VerdictError::NoSampleAvailable(_)) => {
-                return self.passthrough_spanned(sql, tb, "passthrough")
-            }
-            Err(e) => return Err(e),
-        };
-
-        // Plan sample usage.
-        tb.begin("plan");
-        let mut row_counts: HashMap<String, u64> = HashMap::new();
-        for t in &analysis.tables {
-            let rows = match self.conn.table_row_count(&t.table) {
-                Ok(r) => r,
-                Err(_) => return self.passthrough_spanned(sql, tb, "passthrough"),
-            };
-            row_counts.insert(t.table.to_ascii_lowercase(), rows);
-        }
-        let planner = SamplePlanner::new(&self.meta, config);
-        let plan = planner.plan(
-            &analysis.table_refs(&row_counts),
-            &PlanningContext {
-                group_columns: analysis.group_column_names(),
-                distinct_columns: analysis.distinct_column_names(),
-                io_budget: config.io_budget,
-            },
-        );
-        if !plan.uses_samples() {
-            return self.passthrough_spanned(sql, tb, "passthrough");
-        }
-        tb.note(format!(
-            "{} sample(s), io_cost {}",
-            plan.choices.iter().filter(|c| c.sample.is_some()).count(),
-            plan.io_cost
-        ));
-
-        tb.begin("rewrite");
-        let rewritten = match rewrite(&analysis, &plan, config) {
-            Ok(r) => r,
-            Err(VerdictError::Unsupported(_)) | Err(VerdictError::NoSampleAvailable(_)) => {
-                return self.passthrough_spanned(sql, tb, "passthrough")
-            }
-            Err(e) => return Err(e),
-        };
-
-        match self.run_rewritten(&analysis, &rewritten, sql, tb, config)? {
-            Some(answer) => Ok(answer),
-            None => self.passthrough_spanned(sql, tb, "passthrough"),
-        }
-    }
-
-    /// Executes the original query exactly on the base tables.
+    /// Executes the original statement exactly on the base tables.
     pub fn execute_exact(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
-        self.passthrough(sql, Instant::now())
-    }
-
-    fn run_rewritten(
-        &self,
-        analysis: &QueryAnalysis,
-        rewritten: &RewriteOutput,
-        original_sql: &str,
-        tb: &mut TraceBuilder,
-        config: &VerdictConfig,
-    ) -> VerdictResult<Option<VerdictAnswer>> {
-        let mut sqls = Vec::new();
-        let mut rows_scanned = 0u64;
-
-        let mut mean_result = None;
-        if let Some(stmt) = &rewritten.mean_query {
-            tb.begin_with("backend_exec", "mean query".into());
-            let sql = print_statement(stmt, self.dialect());
-            let result = self.conn.execute(&sql)?;
-            rows_scanned += result.stats.rows_scanned;
-            sqls.push(sql);
-            mean_result = Some(result.table);
-        }
-
-        // Feasibility: if subsample cells are too thin (high-cardinality
-        // grouping), AQP will not produce useful estimates — fall back to the
-        // exact query, as the paper does for tq-3, tq-8, tq-15.
-        if let Some(table) = &mean_result {
-            if !mean_result_feasible(analysis, table, config) {
-                return Ok(None);
-            }
-        }
-
-        let mut distinct_result = None;
-        if let Some((stmt, _)) = &rewritten.distinct_query {
-            tb.begin_with("backend_exec", "distinct query".into());
-            let sql = print_statement(stmt, self.dialect());
-            let result = self.conn.execute(&sql)?;
-            rows_scanned += result.stats.rows_scanned;
-            sqls.push(sql);
-            distinct_result = Some(result.table);
-        }
-
-        let mut extreme_result = None;
-        if let Some(stmt) = &rewritten.extreme_query {
-            tb.begin_with("backend_exec", "extreme query".into());
-            let sql = print_statement(stmt, self.dialect());
-            let result = self.conn.execute(&sql)?;
-            rows_scanned += result.stats.rows_scanned;
-            sqls.push(sql);
-            extreme_result = Some(result.table);
-        }
-
-        tb.begin("assemble");
-        let assembled = assemble(
-            rewritten,
-            mean_result.as_ref(),
-            distinct_result.as_ref(),
-            extreme_result.as_ref(),
-            config,
-        )?;
-
-        // High-level Accuracy Contract: rerun exactly when the estimated
-        // error violates the configured accuracy requirement (§2.4).
-        if let Some(max_rel) = config.max_relative_error {
-            let worst = assembled
-                .errors
-                .iter()
-                .map(|e| e.max_relative_error)
-                .fold(0.0, f64::max);
-            if worst > max_rel {
-                tb.begin_with(
-                    "rerun",
-                    format!("estimated error {worst:.4} > target {max_rel:.4}"),
-                );
-                let mut exact = self.passthrough(original_sql, tb.started())?;
-                exact.rewritten_sql.splice(0..0, sqls);
-                return Ok(Some(exact));
-            }
-        }
-
-        let used_samples: Vec<String> = rewritten
-            .plan
-            .choices
-            .iter()
-            .filter_map(|c| c.sample.as_ref().map(|s| s.sample_table.clone()))
-            .collect();
-        tb.note(format!("samples: {}", used_samples.join(", ")));
-
-        Ok(Some(VerdictAnswer {
-            table: assembled.table,
-            exact: false,
-            cached: false,
-            errors: assembled.errors,
-            rewritten_sql: sqls,
-            elapsed: tb.elapsed(),
-            rows_scanned,
-            used_samples,
-        }))
-    }
-
-    /// [`Self::passthrough`] under an open trace span: the exact execution is
-    /// recorded as one `stage` span (`"passthrough"` for AQP fallbacks,
-    /// `"control"` for non-query statements).
-    fn passthrough_spanned(
-        &self,
-        sql: &str,
-        tb: &mut TraceBuilder,
-        stage: &'static str,
-    ) -> VerdictResult<VerdictAnswer> {
-        tb.begin(stage);
-        self.passthrough(sql, tb.started())
-    }
-
-    pub(crate) fn passthrough(&self, sql: &str, start: Instant) -> VerdictResult<VerdictAnswer> {
-        let result = self.conn.execute(sql)?;
-        Ok(VerdictAnswer {
-            table: result.table,
-            exact: true,
-            cached: false,
-            errors: Vec::new(),
-            rewritten_sql: vec![sql.to_string()],
-            elapsed: start.elapsed(),
-            rows_scanned: result.stats.rows_scanned,
-            used_samples: Vec::new(),
-        })
+        let stmt = verdict_sql::parse_statement(sql)?;
+        self.run_statement(&stmt, sql, &self.config, Route::Exact, "none")
+            .map(|(answer, _)| answer)
     }
 
     // ------------------------------------------------------------------
-    // Observability surface (EXPLAIN / SHOW METRICS)
+    // Observability surface (SHOW METRICS)
     // ------------------------------------------------------------------
 
-    /// `EXPLAIN <statement>`: describes how the statement *would* execute —
-    /// sample plan, rewritten SQL, cacheability — without executing it.
-    /// Returns a two-column `(item, value)` table.
-    pub fn explain_statement(
-        &self,
-        stmt: &Statement,
-        config: &VerdictConfig,
-    ) -> VerdictResult<Table> {
-        let mut rows: Vec<(String, String)> = Vec::new();
-        // Unwrap execution-mode wrappers so the plan describes the query the
-        // wrapper would run.
-        let (mode, query) = match stmt {
-            Statement::Query(q) => ("query", q.as_ref().clone()),
-            Statement::Stream(q) => ("stream", q.as_ref().clone()),
-            Statement::Bypass(inner) => {
-                rows.push(("statement".into(), "bypass".into()));
-                rows.push(("plan".into(), "exact (bypass)".into()));
-                rows.push(("sql".into(), print_statement(inner, self.dialect())));
-                return explain_table(rows);
-            }
-            other => {
-                rows.push(("statement".into(), statement_class(other).into()));
-                rows.push(("plan".into(), "passthrough to backend".into()));
-                return explain_table(rows);
-            }
-        };
-        rows.push(("statement".into(), mode.into()));
-        rows.push((
-            "cacheable".into(),
-            if self
-                .cache_key(&Statement::Query(Box::new(query.clone())), config)
-                .is_some()
-            {
-                "yes"
-            } else {
-                "no"
-            }
-            .into(),
-        ));
-        let analysis = match analyze_query(&query) {
-            Ok(a) => a,
-            Err(VerdictError::Unsupported(msg)) | Err(VerdictError::NoSampleAvailable(msg)) => {
-                rows.push(("plan".into(), "exact passthrough".into()));
-                rows.push(("reason".into(), msg));
-                return explain_table(rows);
-            }
-            Err(e) => return Err(e),
-        };
-        let mut row_counts: HashMap<String, u64> = HashMap::new();
-        for t in &analysis.tables {
-            match self.conn.table_row_count(&t.table) {
-                Ok(r) => {
-                    row_counts.insert(t.table.to_ascii_lowercase(), r);
-                }
-                Err(e) => {
-                    rows.push(("plan".into(), "exact passthrough".into()));
-                    rows.push(("reason".into(), format!("row count for {}: {e}", t.table)));
-                    return explain_table(rows);
-                }
-            }
+    /// Every middleware counter and gauge as `(section, stat, value)` — the
+    /// one list behind both `SHOW STATS` (these rows, sorted) and `SHOW
+    /// METRICS` (as `verdict_<stat>[_total]` series).
+    pub(crate) fn stat_rows(&self) -> Vec<(&'static str, String, u64)> {
+        let cache = self.cache_stats();
+        let streams = self.stream_stats();
+        let backend = self.backend_stats();
+        let mut rows: Vec<(&'static str, String, u64)> = vec![
+            (
+                "cache",
+                "cache_capacity".into(),
+                self.cache.capacity() as u64,
+            ),
+            ("cache", "cache_entries".into(), self.cache.len() as u64),
+            ("cache", "cache_evictions".into(), cache.evictions),
+            ("cache", "cache_hits".into(), cache.hits),
+            ("cache", "cache_insertions".into(), cache.insertions),
+            ("cache", "cache_invalidations".into(), cache.invalidations),
+            ("cache", "cache_misses".into(), cache.misses),
+            ("streams", "stream_early_stops".into(), streams.early_stops),
+            ("streams", "stream_fallbacks".into(), streams.fallbacks),
+            ("streams", "stream_frames".into(), streams.frames),
+            ("streams", "streams_completed".into(), streams.completed),
+            ("streams", "streams_started".into(), streams.started),
+            // Per-backend routing counters: which backend answered, how many
+            // statements it was handed, and how often a missing capability
+            // forced a degraded (but correct) path.
+            ("backend", "backend_queries".into(), backend.queries_routed),
+            (
+                "backend",
+                "backend_scan_fallbacks".into(),
+                backend.scan_fallbacks,
+            ),
+            (
+                "backend",
+                "backend_version_fallbacks".into(),
+                backend.version_fallbacks,
+            ),
+            ("backend", "scrambles".into(), self.meta.len() as u64),
+        ];
+        for (k, v) in &backend.extra {
+            rows.push(("backend", format!("backend_{k}"), *v));
         }
-        let planner = SamplePlanner::new(&self.meta, config);
-        let plan = planner.plan(
-            &analysis.table_refs(&row_counts),
-            &PlanningContext {
-                group_columns: analysis.group_column_names(),
-                distinct_columns: analysis.distinct_column_names(),
-                io_budget: config.io_budget,
-            },
-        );
-        for choice in &plan.choices {
-            let what = match &choice.sample {
-                Some(s) => format!(
-                    "scramble {} (ratio {}, rows {})",
-                    s.sample_table, s.ratio, s.sample_rows
-                ),
-                None => format!("base table (rows {})", choice.table_ref.rows),
-            };
-            rows.push((format!("table {}", choice.table_ref.table), what));
+        // Persistent-store activity, present only when the context was
+        // opened over a data directory.
+        if let Some(store) = self.store_stats() {
+            rows.push(("store", "store_checkpoints".into(), store.checkpoints));
+            rows.push(("store", "store_pages_read".into(), store.pages_read));
+            rows.push(("store", "store_pages_written".into(), store.pages_written));
+            rows.push(("store", "store_recoveries".into(), store.recoveries));
+            rows.push(("store", "store_wal_records".into(), store.wal_records));
+            rows.push(("store", "store_wal_syncs".into(), store.wal_syncs));
         }
-        if !plan.uses_samples() {
-            rows.push(("plan".into(), "exact passthrough".into()));
-            rows.push((
-                "reason".into(),
-                "no registered scramble fits the I/O budget".into(),
-            ));
-            return explain_table(rows);
-        }
-        rows.push(("plan".into(), "approximate".into()));
-        rows.push(("io_cost".into(), plan.io_cost.to_string()));
-        match rewrite(&analysis, &plan, config) {
-            Ok(rewritten) => {
-                let mut i = 0usize;
-                let mut push_sql = |rows: &mut Vec<(String, String)>, stmt: &Statement| {
-                    rows.push((
-                        format!("rewritten[{i}]"),
-                        print_statement(stmt, self.dialect()),
-                    ));
-                    i += 1;
-                };
-                if let Some(s) = &rewritten.mean_query {
-                    push_sql(&mut rows, s);
-                }
-                if let Some((s, _)) = &rewritten.distinct_query {
-                    push_sql(&mut rows, s);
-                }
-                if let Some(s) = &rewritten.extreme_query {
-                    push_sql(&mut rows, s);
-                }
-            }
-            Err(VerdictError::Unsupported(msg)) | Err(VerdictError::NoSampleAvailable(msg)) => {
-                rows.push(("plan".into(), "exact passthrough".into()));
-                rows.push(("reason".into(), msg));
-            }
-            Err(e) => return Err(e),
-        }
-        explain_table(rows)
+        rows
     }
 
     /// Renders the full metrics exposition (`SHOW METRICS`):
-    /// observability-registry counters and histograms plus cache, backend,
-    /// stream, and store counters, in Prometheus text format.  Serving-layer
-    /// gauges (queue depth, sessions) are appended by the server on top.
+    /// observability-registry counters and histograms plus the
+    /// `stat_rows` cache, backend, stream, and store series, in
+    /// Prometheus text format.  Serving-layer gauges (queue depth, sessions)
+    /// are appended by the server on top.
     pub fn metrics_text(&self) -> String {
-        let cache = self.cache_stats();
-        let backend = self.backend_stats();
-        let streams = self.stream_stats();
-        let mut counters: Vec<(String, u64)> = vec![
-            ("verdict_cache_hits_total".into(), cache.hits),
-            ("verdict_cache_misses_total".into(), cache.misses),
-            ("verdict_cache_insertions_total".into(), cache.insertions),
-            (
-                "verdict_cache_invalidations_total".into(),
-                cache.invalidations,
-            ),
-            ("verdict_cache_evictions_total".into(), cache.evictions),
-            (
-                "verdict_backend_queries_total".into(),
-                backend.queries_routed,
-            ),
-            (
-                "verdict_backend_version_fallbacks_total".into(),
-                backend.version_fallbacks,
-            ),
-            (
-                "verdict_backend_scan_fallbacks_total".into(),
-                backend.scan_fallbacks,
-            ),
-            ("verdict_streams_started_total".into(), streams.started),
-            ("verdict_stream_frames_total".into(), streams.frames),
-            (
-                "verdict_stream_early_stops_total".into(),
-                streams.early_stops,
-            ),
-            ("verdict_streams_completed_total".into(), streams.completed),
-            ("verdict_stream_fallbacks_total".into(), streams.fallbacks),
-        ];
-        for (k, v) in &backend.extra {
-            counters.push((format!("verdict_backend_{k}_total"), *v));
-        }
-        if let Some(store) = self.store_stats() {
-            counters.push(("verdict_store_pages_read_total".into(), store.pages_read));
-            counters.push((
-                "verdict_store_pages_written_total".into(),
-                store.pages_written,
-            ));
-            counters.push(("verdict_store_wal_records_total".into(), store.wal_records));
-            counters.push(("verdict_store_wal_syncs_total".into(), store.wal_syncs));
-            counters.push(("verdict_store_recoveries_total".into(), store.recoveries));
-            counters.push(("verdict_store_checkpoints_total".into(), store.checkpoints));
-        }
-        let gauges: Vec<(String, u64)> = vec![
-            ("verdict_scrambles".into(), self.meta.len() as u64),
-            ("verdict_cache_entries".into(), self.cache.len() as u64),
-            (
-                "verdict_cache_capacity".into(),
-                self.cache.capacity() as u64,
-            ),
-        ];
+        const GAUGES: [&str; 3] = ["cache_capacity", "cache_entries", "scrambles"];
+        let (gauges, counters): (Vec<_>, Vec<_>) = self
+            .stat_rows()
+            .into_iter()
+            .partition(|(_, stat, _)| GAUGES.contains(&stat.as_str()));
+        let gauges: Vec<(String, u64)> = gauges
+            .into_iter()
+            .map(|(_, stat, v)| (format!("verdict_{stat}"), v))
+            .collect();
+        let counters: Vec<(String, u64)> = counters
+            .into_iter()
+            .map(|(_, stat, v)| (format!("verdict_{stat}_total"), v))
+            .collect();
         self.obs.render_prometheus(&counters, &gauges)
     }
 
@@ -1272,115 +698,6 @@ impl VerdictContext {
         }
     }
 
-    /// The canonical cache key for a statement, or `None` when the statement
-    /// must not be cached: the cache is disabled (globally, or for this
-    /// statement by a per-session cache policy), the statement is not a
-    /// `SELECT`, or it calls a nondeterministic function (`rand()`) anywhere
-    /// — including inside scalar / `IN` / `EXISTS` subqueries — whose repeats
-    /// must produce fresh draws.
-    ///
-    /// The key is the backend's identity, the canonical SQL text, and a
-    /// fingerprint of every answer-affecting configuration knob: two
-    /// sessions running the same query under different accuracy settings
-    /// (confidence, target error, error columns, …) produce observably
-    /// different answers, so they must not share a cache entry — and an
-    /// answer computed against one backend must never be replayed against
-    /// another, even if both can see tables with the same names.
-    pub(crate) fn cache_key(&self, stmt: &Statement, config: &VerdictConfig) -> Option<String> {
-        if !self.cache.enabled() || config.answer_cache_capacity == 0 {
-            return None;
-        }
-        let query = match stmt {
-            Statement::Query(q) => q.as_ref(),
-            _ => return None,
-        };
-        if Self::contains_rand(query) {
-            return None;
-        }
-        let canon = verdict_sql::canonical_statement(stmt);
-        Some(format!(
-            "{}\u{1f}{}\u{1f}{}",
-            self.conn.identity(),
-            print_statement(&canon, &GenericDialect),
-            config.cache_fingerprint()
-        ))
-    }
-
-    /// True when the query calls `rand()`/`random()` anywhere, recursing into
-    /// predicate subqueries (which `walk_query` deliberately does not — the
-    /// analyzer relies on that to keep subquery aggregates out of the outer
-    /// query's classification).
-    fn contains_rand(query: &verdict_sql::ast::Query) -> bool {
-        use verdict_sql::ast::Expr;
-        let mut found = false;
-        let mut subqueries = Vec::new();
-        verdict_sql::visitor::walk_query(query, &mut |e| match e {
-            Expr::Function(f)
-                if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random") =>
-            {
-                found = true;
-            }
-            Expr::ScalarSubquery(q)
-            | Expr::InSubquery { subquery: q, .. }
-            | Expr::Exists { subquery: q, .. } => subqueries.push((**q).clone()),
-            _ => {}
-        });
-        found || subqueries.iter().any(Self::contains_rand)
-    }
-
-    /// Pre-execution data versions of everything this statement *could*
-    /// depend on: every referenced base table plus every sample currently
-    /// registered for those tables (the plan's choices are a subset).
-    /// Returns `None` when the connection cannot report versions — such an
-    /// answer is never cached, because its invalidation could not be detected.
-    pub(crate) fn snapshot_versions(&self, stmt: &Statement) -> Option<HashMap<String, u64>> {
-        let query = match stmt {
-            Statement::Query(q) => q.as_ref(),
-            _ => return None,
-        };
-        let mut snapshot = HashMap::new();
-        for name in verdict_sql::visitor::collect_base_tables(query) {
-            let base = name.key();
-            for meta in self.meta.samples_for(&base) {
-                let sample = meta.sample_table.to_ascii_lowercase();
-                snapshot.insert(sample.clone(), self.conn.data_version(&sample)?);
-            }
-            snapshot.insert(base.clone(), self.conn.data_version(&base)?);
-        }
-        Some(snapshot)
-    }
-
-    /// The `(table, data version)` pairs a computed answer depends on — every
-    /// base table the query references plus every sample table the plan
-    /// actually used — resolved against the pre-execution snapshot.  Returns
-    /// `None` when a used sample is missing from the snapshot (registered
-    /// mid-flight by another session): its pre-execution version is unknown,
-    /// so the answer cannot be safely cached.
-    pub(crate) fn dependency_versions(
-        snapshot: &HashMap<String, u64>,
-        stmt: &Statement,
-        answer: &VerdictAnswer,
-    ) -> Option<Vec<(String, u64)>> {
-        let query = match stmt {
-            Statement::Query(q) => q.as_ref(),
-            _ => return None,
-        };
-        let mut tables: Vec<String> = verdict_sql::visitor::collect_base_tables(query)
-            .iter()
-            .map(|n| n.key())
-            .collect();
-        for s in &answer.used_samples {
-            let key = s.to_ascii_lowercase();
-            if !tables.contains(&key) {
-                tables.push(key);
-            }
-        }
-        tables
-            .into_iter()
-            .map(|t| snapshot.get(&t).map(|v| (t, *v)))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
@@ -1415,78 +732,4 @@ impl VerdictContext {
         let result = self.conn.execute(&sql)?;
         Ok(result.table.value(0, 0).as_i64().unwrap_or(0) as u64)
     }
-}
-
-/// The statement class used as the `class` label on latency histograms and
-/// ring traces (one of [`crate::obs::CLASSES`]).  `EXPLAIN` wrappers classify
-/// as `"explain"`; the cached-vs-computed split (`"query_cached"`) is applied
-/// at trace-finish time, not here.
-pub fn statement_class(stmt: &Statement) -> &'static str {
-    match stmt {
-        Statement::Query(_) => "query",
-        Statement::Bypass(_) => "bypass",
-        Statement::Stream(_) => "stream",
-        Statement::Explain { .. } => "explain",
-        Statement::SetOption { .. } => "set",
-        Statement::ShowScrambles
-        | Statement::ShowStats
-        | Statement::ShowProfile { .. }
-        | Statement::ShowMetrics => "show",
-        Statement::CreateTableAs { .. }
-        | Statement::DropTable { .. }
-        | Statement::InsertIntoSelect { .. }
-        | Statement::CreateScramble { .. }
-        | Statement::CreateScrambles { .. }
-        | Statement::DropScramble { .. }
-        | Statement::DropScrambles { .. }
-        | Statement::RefreshScrambles { .. } => "ddl",
-    }
-}
-
-/// Builds the two-column `(item, value)` table returned by `EXPLAIN`.
-fn explain_table(rows: Vec<(String, String)>) -> VerdictResult<Table> {
-    TableBuilder::new()
-        .str_column("item", rows.iter().map(|(k, _)| k.clone()).collect())
-        .str_column("value", rows.into_iter().map(|(_, v)| v).collect())
-        .build()
-        .map_err(|e| VerdictError::Answer(format!("EXPLAIN table construction failed: {e}")))
-}
-
-/// The AQP feasibility test over a computed mean-query result: grouped
-/// queries whose subsample cells average fewer than
-/// [`VerdictConfig::min_rows_per_group`] rows produce useless estimates, so
-/// the caller should answer exactly instead (the paper's behaviour for tq-3,
-/// tq-8, tq-15).  Shared by the one-shot path and the progressive stream's
-/// final frame, so both fall back under exactly the same condition.
-pub(crate) fn mean_result_feasible(
-    analysis: &crate::rewrite::QueryAnalysis,
-    table: &Table,
-    config: &VerdictConfig,
-) -> bool {
-    if analysis.group_by.is_empty() {
-        return true;
-    }
-    let Some(idx) = table.schema.index_of(crate::rewrite::columns::SUB_SIZE) else {
-        return true;
-    };
-    let total: f64 = table.columns[idx].iter().filter_map(|v| v.as_f64()).sum();
-    // Distinct output groups = distinct combinations of the verdict_g*
-    // columns in the per-(group, sid) result.
-    let group_idxs: Vec<usize> = (0..analysis.group_by.len())
-        .filter_map(|i| {
-            table
-                .schema
-                .index_of(&format!("{}{i}", crate::rewrite::columns::GROUP_PREFIX))
-        })
-        .collect();
-    let mut groups = std::collections::HashSet::new();
-    for row in 0..table.num_rows() {
-        let key: Vec<verdict_engine::KeyValue> = group_idxs
-            .iter()
-            .map(|&c| verdict_engine::KeyValue::from_value(&table.value_at(row, c)))
-            .collect();
-        groups.insert(key);
-    }
-    let rows_per_group = total / groups.len().max(1) as f64;
-    rows_per_group >= config.min_rows_per_group
 }

@@ -18,15 +18,14 @@
 //! | AQP rewriting with variational subsampling, joins, nested queries (§4, §5) | [`rewrite`], [`flatten`] |
 //! | Answer rewriting: estimates + confidence intervals | [`answer`] |
 //! | Error-estimation baselines (bootstrap, subsampling, CLT) | [`estimate`] |
-//! | Tightly-integrated AQP baseline (SnappyData stand-in, §6.3) | [`integrated`] |
-//! | User interface / knobs (§2.4) | [`config`], [`context`] |
+//! | User interface / knobs (§2.4) | [`config`], [`session`] |
+//! | The statement pipeline (plan → execute → finish) | [`pipeline`], [`context`], [`progress`] |
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use std::sync::Arc;
-//! use verdict_core::{VerdictConfig, VerdictContext};
-//! use verdict_core::sample::SampleType;
+//! use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
 //! use verdict_engine::{Backend, Engine, TableBuilder};
 //!
 //! // The "underlying database": here the in-memory engine, but anything that
@@ -43,13 +42,18 @@
 //! engine.register_table("orders", table);
 //!
 //! let conn: Arc<dyn Backend> = Arc::new(engine);
-//! let ctx = VerdictContext::new(conn, VerdictConfig::for_testing());
+//! let ctx = Arc::new(VerdictContext::new(conn, VerdictConfig::for_testing()));
+//! let mut session = VerdictSession::new(ctx);
 //!
-//! // Offline: build a 1% uniform sample.
-//! ctx.create_sample("orders", SampleType::Uniform).unwrap();
+//! // Offline: build a 1% uniform scramble — plain SQL, like everything else.
+//! session.execute("CREATE SCRAMBLE orders_scramble FROM orders").unwrap();
 //!
-//! // Online: the query is answered from the sample, with error estimates.
-//! let answer = ctx.execute("SELECT city, avg(price) AS ap FROM orders GROUP BY city ORDER BY city").unwrap();
+//! // Online: the query is answered from the scramble, with error estimates.
+//! let answer = session
+//!     .execute("SELECT city, avg(price) AS ap FROM orders GROUP BY city ORDER BY city")
+//!     .unwrap()
+//!     .into_answer()
+//!     .unwrap();
 //! assert!(!answer.exact);
 //! assert_eq!(answer.table.num_rows(), 10);
 //! ```
@@ -64,9 +68,9 @@ pub mod context;
 pub mod error;
 pub mod estimate;
 pub mod flatten;
-pub mod integrated;
 pub mod meta;
 pub mod obs;
+pub mod pipeline;
 pub mod planner;
 pub mod progress;
 pub mod rewrite;
@@ -79,9 +83,10 @@ pub use answer::{AggEstimate, ColumnErrorSummary};
 pub use backend::{BackendStats, DialectBackend};
 pub use cache::{AnswerCache, CacheStats};
 pub use config::VerdictConfig;
-pub use context::{statement_class, StreamStats, VerdictAnswer, VerdictContext};
+pub use context::{StreamStats, VerdictAnswer, VerdictContext};
 pub use error::{VerdictError, VerdictResult};
 pub use obs::{Histogram, Obs, QueryTrace, SpanRecord, TraceBuilder, TraceRing};
+pub use pipeline::{statement_class, Route};
 pub use progress::{ProgressFrame, ProgressStream};
 pub use sample::{SampleMeta, SampleType};
 pub use session::{QueryOptions, VerdictResponse, VerdictSession};

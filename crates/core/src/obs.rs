@@ -281,12 +281,6 @@ impl TraceBuilder {
         self.open = Some((stage, detail, now));
     }
 
-    /// The instant the trace clock started (useful as the `start` argument of
-    /// legacy code paths that time themselves against a single `Instant`).
-    pub fn started(&self) -> Instant {
-        self.start
-    }
-
     /// Replaces the detail annotation of the currently open span.
     pub fn note(&mut self, detail: String) {
         if let Some((_, d, _)) = self.open.as_mut() {
@@ -431,12 +425,6 @@ impl Obs {
     /// The ring of recent traces.
     pub fn ring(&self) -> &TraceRing {
         &self.ring
-    }
-
-    /// Records one stage duration without a full trace (used by progressive
-    /// streams, whose frames outlive a single statement execution).
-    pub fn record_stage(&self, stage: &str, d: Duration) {
-        self.stage_hist[stage_index(stage)].record(d);
     }
 
     /// Folds a finished trace into the histograms and the ring, assigning

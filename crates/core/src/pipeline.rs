@@ -1,0 +1,732 @@
+//! The statement pipeline: one plan → execute → finish driver.
+//!
+//! The paper describes one flow — intercept a query, rewrite it, run it on
+//! the backend, turn the result set into an answer plus error bounds, fall
+//! back to the exact query when that cannot work.  This module is that flow,
+//! written once, as plain functions over typed stages:
+//!
+//! ```text
+//! canonicalize → cache_probe → analyze → plan → rewrite → backend_exec → assemble → finish
+//! ```
+//!
+//! Every statement kind is the same stages stopped at a different point:
+//!
+//! | statement | stages |
+//! |---|---|
+//! | `SELECT` | all of them ([`VerdictContext::run_statement`], [`Route::Approximate`]) |
+//! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
+//! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
+//! | `STREAM`, single frame | as `SELECT`, minus `cache_probe` ([`Route::ApproximateSkipCacheRead`]) |
+//! | `STREAM`, progressive | `canonicalize → analyze → plan → rewrite`, then one `stream_frame` (block scan + assemble) per frame; the final frame runs `finish` |
+//! | `EXPLAIN <stmt>` | `canonicalize → analyze → plan → rewrite`, then stops and describes the `Planned` value |
+//! | `EXPLAIN ANALYZE <stmt>` | whatever `<stmt>` runs; the finished trace is the answer |
+//!
+//! The cache read/insert policy is one value ([`Route`], derived by
+//! [`Route::of`]); the fallback policy is one function (`finish`); the trace
+//! is opened, closed and observed in one place each (`open_trace` /
+//! `close_trace`).
+
+use crate::answer::assemble;
+use crate::config::VerdictConfig;
+use crate::context::{VerdictAnswer, VerdictContext};
+use crate::error::{VerdictError, VerdictResult};
+use crate::obs::{QueryTrace, TraceBuilder};
+use crate::planner::{PlanningContext, SamplePlan, SamplePlanner};
+use crate::rewrite::{analyze_query, rewrite, QueryAnalysis, RewriteOutput};
+use std::collections::HashMap;
+use std::time::Duration;
+use verdict_engine::{QueryResult, Table, TableBuilder};
+use verdict_sql::ast::{Query, Statement};
+use verdict_sql::dialect::GenericDialect;
+use verdict_sql::printer::{print_query, print_statement};
+
+/// How a statement travels through the pipeline: whether it is approximated
+/// and what it may do with the answer cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Approximate when possible; probe the answer cache first and insert
+    /// the computed answer.
+    Approximate,
+    /// As [`Route::Approximate`] but never *read* the cache: a stream must
+    /// observe current data.  Its completed answer is exactly what a
+    /// one-shot `SELECT` would have produced, so it is still inserted and
+    /// the next identical `SELECT` may reuse it.
+    ApproximateSkipCacheRead,
+    /// Run the statement as written on the base tables; the cache is
+    /// neither read nor written.
+    Exact,
+}
+
+impl Route {
+    /// The route a statement takes (`bypass` is the session-wide `SET bypass
+    /// = on`), or `None` for statements that never enter the pipeline
+    /// (`EXPLAIN`, scramble DDL, `SET`, `SHOW …`).
+    pub fn of(stmt: &Statement, bypass: bool) -> Option<Route> {
+        let route = match stmt {
+            Statement::Bypass(_) => Route::Exact,
+            Statement::Stream(_) => Route::ApproximateSkipCacheRead,
+            Statement::Query(_)
+            | Statement::CreateTableAs { .. }
+            | Statement::DropTable { .. }
+            | Statement::InsertIntoSelect { .. } => Route::Approximate,
+            _ => return None,
+        };
+        Some(if bypass { Route::Exact } else { route })
+    }
+}
+
+/// The outcome of planning one query.
+pub(crate) enum Planned {
+    /// A sampled plan exists.  The [`RewriteOutput`] carries the analysis
+    /// and the sample plan it was produced under.
+    Approximate(Box<RewriteOutput>),
+    /// The query must be answered exactly on the base tables.
+    Exact {
+        /// Why (shown by `EXPLAIN`, and as the `passthrough` span's detail).
+        reason: String,
+        /// The all-base-table plan, when planning got that far.
+        plan: Option<SamplePlan>,
+    },
+}
+
+/// One rewritten statement as sent — its SQL text and the backend's result:
+/// the mean query run through SQL or snapshotted from a progressive block
+/// scan, or a side (distinct / extreme) query.
+pub(crate) type SampleResult = (String, QueryResult);
+
+/// The right to insert a statement's answer into the cache: its key plus
+/// the data versions, snapshotted **before** execution, of everything it
+/// could depend on.
+pub(crate) struct CacheTicket {
+    key: String,
+    base_tables: Vec<String>,
+    snapshot: HashMap<String, u64>,
+}
+
+/// A statement trace in progress, with the counters needed to attribute
+/// backend and store work to it when it closes.
+pub(crate) struct OpenTrace {
+    pub(crate) tb: TraceBuilder,
+    backend_before: u64,
+    pages_before: u64,
+}
+
+impl VerdictContext {
+    // ------------------------------------------------------------------
+    // The driver
+    // ------------------------------------------------------------------
+
+    /// Runs one pipeline statement along `route` and returns its answer with
+    /// the finished [`QueryTrace`] (already folded into the observability
+    /// registry).  `sql` must be the statement's source text; `shed_tier` is
+    /// the admission tier label recorded in the trace (`"none"` outside the
+    /// serving layer).
+    ///
+    /// The `BYPASS` / `STREAM` wrappers classify the trace; what runs is the
+    /// statement they wrap.  This is the one execution entry point behind
+    /// [`crate::session::VerdictSession`], `EXPLAIN ANALYZE` included.
+    pub fn run_statement(
+        &self,
+        stmt: &Statement,
+        sql: &str,
+        config: &VerdictConfig,
+        route: Route,
+        shed_tier: &'static str,
+    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
+        let class = statement_class(stmt);
+        let (query, inner) = match stmt {
+            Statement::Bypass(inner) => (None, Some(print_statement(inner, self.dialect()))),
+            Statement::Stream(q) => (Some(q.as_ref()), Some(print_query(q, self.dialect()))),
+            Statement::Query(q) => (Some(q.as_ref()), None),
+            _ => (None, None),
+        };
+        let sql = inner.as_deref().unwrap_or(sql);
+        self.run_as(class, query, sql, config, route, shed_tier)
+    }
+
+    /// The driver: runs `sql` — `query`, when the statement is one and can
+    /// therefore be approximated — under a trace of the given class.
+    pub(crate) fn run_as(
+        &self,
+        class: &'static str,
+        query: Option<&Query>,
+        sql: &str,
+        config: &VerdictConfig,
+        route: Route,
+        shed_tier: &'static str,
+    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
+        let mut open = self.open_trace();
+        let mut answer = self.drive(query, sql, config, route, &mut open.tb)?;
+        let trace = self.close_trace(open, class, sql, config, shed_tier, Some(&mut answer));
+        Ok((answer, trace))
+    }
+
+    fn drive(
+        &self,
+        query: Option<&Query>,
+        sql: &str,
+        config: &VerdictConfig,
+        route: Route,
+        tb: &mut TraceBuilder,
+    ) -> VerdictResult<VerdictAnswer> {
+        if route == Route::Exact {
+            tb.begin("passthrough");
+            return self.passthrough(sql);
+        }
+        tb.begin("canonicalize");
+        let key = query.and_then(|q| self.cache_key(q, config));
+        if route == Route::Approximate {
+            tb.begin("cache_probe");
+            match &key {
+                Some(k) => match self.cache.lookup(k, |t| self.conn.data_version(t)) {
+                    Some(mut hit) => {
+                        tb.note("hit".into());
+                        hit.cached = true;
+                        return Ok(hit);
+                    }
+                    None => tb.note("miss".into()),
+                },
+                None => tb.note("uncacheable".into()),
+            }
+        }
+        let Some(query) = query else {
+            // DDL / DML: nothing to approximate, passed through as written.
+            tb.begin("control");
+            return self.passthrough(sql);
+        };
+        let ticket = key.and_then(|k| self.cache_ticket(k, query));
+        match self.plan_query(query, config, tb)? {
+            Planned::Exact { reason, .. } => {
+                tb.begin_with("passthrough", reason);
+                let answer = self.passthrough(sql)?;
+                self.cache_insert(ticket, &answer, tb);
+                Ok(answer)
+            }
+            Planned::Approximate(rewritten) => {
+                let mean = match &rewritten.mean_query {
+                    Some(q) => Some(self.backend_exec(q, "mean query", tb)?),
+                    None => None,
+                };
+                self.finish(sql, &rewritten, mean, ticket, tb, config)
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Stages
+    // ------------------------------------------------------------------
+
+    /// `analyze → plan → rewrite`: decides how a query will be answered.
+    /// Queries outside the supported class, and queries for which no sampled
+    /// plan fits the I/O budget, plan as [`Planned::Exact`] (§2.2) — only
+    /// genuine failures are errors.
+    pub(crate) fn plan_query(
+        &self,
+        query: &Query,
+        config: &VerdictConfig,
+        tb: &mut TraceBuilder,
+    ) -> VerdictResult<Planned> {
+        let unsupported = |e: VerdictError, plan: Option<SamplePlan>| match e {
+            VerdictError::Unsupported(reason) | VerdictError::NoSampleAvailable(reason) => {
+                Ok(Planned::Exact { reason, plan })
+            }
+            e => Err(e),
+        };
+        tb.begin("analyze");
+        let analysis = match analyze_query(query) {
+            Ok(a) => a,
+            Err(e) => return unsupported(e, None),
+        };
+
+        tb.begin("plan");
+        let mut row_counts: HashMap<String, u64> = HashMap::new();
+        for t in &analysis.tables {
+            match self.conn.table_row_count(&t.table) {
+                Ok(rows) => row_counts.insert(t.table.to_ascii_lowercase(), rows),
+                Err(e) => {
+                    return Ok(Planned::Exact {
+                        reason: format!("row count for {}: {e}", t.table),
+                        plan: None,
+                    })
+                }
+            };
+        }
+        let plan = SamplePlanner::new(&self.meta, config).plan(
+            &analysis.table_refs(&row_counts),
+            &PlanningContext {
+                group_columns: analysis.group_column_names(),
+                distinct_columns: analysis.distinct_column_names(),
+                io_budget: config.io_budget,
+            },
+        );
+        if !plan.uses_samples() {
+            return Ok(Planned::Exact {
+                reason: "no registered scramble fits the I/O budget".into(),
+                plan: Some(plan),
+            });
+        }
+        tb.note(format!(
+            "{} sample(s), io_cost {}",
+            plan.choices.iter().filter(|c| c.sample.is_some()).count(),
+            plan.io_cost
+        ));
+
+        tb.begin("rewrite");
+        match rewrite(&analysis, &plan, config) {
+            Ok(rewritten) => Ok(Planned::Approximate(Box::new(rewritten))),
+            Err(e) => unsupported(e, Some(plan)),
+        }
+    }
+
+    /// `backend_exec`: prints one rewritten statement in the backend's
+    /// dialect and runs it.
+    fn backend_exec(
+        &self,
+        stmt: &Statement,
+        label: &str,
+        tb: &mut TraceBuilder,
+    ) -> VerdictResult<SampleResult> {
+        tb.begin_with("backend_exec", label.into());
+        let sql = print_statement(stmt, self.dialect());
+        let result = self.conn.execute(&sql)?;
+        Ok((sql, result))
+    }
+
+    /// The endgame shared by a one-shot query and a completed stream's final
+    /// frame, so both turn a mean result into *the* answer under exactly the
+    /// same rules:
+    ///
+    /// * **feasibility** — grouped queries whose subsample cells are too
+    ///   thin produce useless estimates and are answered exactly instead
+    ///   (the paper's tq-3, tq-8, tq-15), before any side query is spent;
+    /// * **side queries + assembly** — count-distinct and extreme parts run,
+    ///   then the Answer Rewriter folds everything into estimates and error
+    ///   bounds;
+    /// * **High-level Accuracy Contract** (§2.4) — an estimated error above
+    ///   `max_relative_error` reruns the query exactly;
+    /// * **bookkeeping** — `rewritten_sql` lists every statement sent, in
+    ///   order (attempted sample SQL first, the exact SQL last after a
+    ///   fallback); `used_samples` is empty for exact answers;
+    /// * **cache insert** under the pre-execution `ticket`.
+    pub(crate) fn finish(
+        &self,
+        sql: &str,
+        rewritten: &RewriteOutput,
+        mean: Option<SampleResult>,
+        ticket: Option<CacheTicket>,
+        tb: &mut TraceBuilder,
+        config: &VerdictConfig,
+    ) -> VerdictResult<VerdictAnswer> {
+        let mut sqls = Vec::new();
+        let mut rows_scanned = 0u64;
+        let mut sent = |(sql, result): SampleResult| {
+            sqls.push(sql);
+            rows_scanned += result.stats.rows_scanned;
+            result.table
+        };
+        let mean = mean.map(&mut sent);
+        // `Err` names the span the exact fallback runs under, and why.
+        let sampled: Result<_, (&'static str, String)> = 'sampled: {
+            if let Some(table) = &mean {
+                if !mean_result_feasible(&rewritten.analysis, table, config) {
+                    break 'sampled Err(("passthrough", "subsample cells too thin".into()));
+                }
+            }
+            let distinct = match &rewritten.distinct_query {
+                Some((q, _)) => Some(sent(self.backend_exec(q, "distinct query", tb)?)),
+                None => None,
+            };
+            let extreme = match &rewritten.extreme_query {
+                Some(q) => Some(sent(self.backend_exec(q, "extreme query", tb)?)),
+                None => None,
+            };
+            tb.begin("assemble");
+            let assembled = assemble(
+                rewritten,
+                mean.as_ref(),
+                distinct.as_ref(),
+                extreme.as_ref(),
+                config,
+            )?;
+            let worst = assembled
+                .errors
+                .iter()
+                .map(|e| e.max_relative_error)
+                .fold(0.0, f64::max);
+            match config.max_relative_error {
+                Some(max_rel) if worst > max_rel => Err((
+                    "rerun",
+                    format!("estimated error {worst:.4} > target {max_rel:.4}"),
+                )),
+                _ => Ok(assembled),
+            }
+        };
+        let answer = match sampled {
+            Ok(assembled) => {
+                let used_samples = rewritten.plan.sample_tables();
+                tb.note(format!("samples: {}", used_samples.join(", ")));
+                VerdictAnswer {
+                    table: assembled.table,
+                    exact: false,
+                    cached: false,
+                    errors: assembled.errors,
+                    rewritten_sql: sqls,
+                    elapsed: tb.elapsed(),
+                    rows_scanned,
+                    used_samples,
+                }
+            }
+            Err((stage, why)) => {
+                tb.begin_with(stage, why);
+                let mut exact = self.passthrough(sql)?;
+                exact.rewritten_sql.splice(0..0, sqls);
+                exact
+            }
+        };
+        self.cache_insert(ticket, &answer, tb);
+        Ok(answer)
+    }
+
+    /// Executes `sql` exactly as written on the backend.  `elapsed` is
+    /// stamped when the statement's trace closes.
+    pub(crate) fn passthrough(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
+        let result = self.conn.execute(sql)?;
+        Ok(VerdictAnswer {
+            table: result.table,
+            exact: true,
+            cached: false,
+            errors: Vec::new(),
+            rewritten_sql: vec![sql.to_string()],
+            elapsed: Duration::ZERO,
+            rows_scanned: result.stats.rows_scanned,
+            used_samples: Vec::new(),
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Answer cache policy
+    // ------------------------------------------------------------------
+
+    /// The canonical cache key for a query, or `None` when it must not be
+    /// cached: the cache is disabled (globally, or for this statement by a
+    /// per-session cache policy), or the query calls a nondeterministic
+    /// function (`rand()`) anywhere — including inside scalar / `IN` /
+    /// `EXISTS` subqueries — whose repeats must produce fresh draws.
+    ///
+    /// The key is the backend's identity, the canonical SQL text, and a
+    /// fingerprint of every answer-affecting configuration knob: two
+    /// sessions running the same query under different accuracy settings
+    /// (confidence, target error, error columns, …) produce observably
+    /// different answers, so they must not share a cache entry — and an
+    /// answer computed against one backend must never be replayed against
+    /// another, even if both can see tables with the same names.
+    pub(crate) fn cache_key(&self, query: &Query, config: &VerdictConfig) -> Option<String> {
+        if !self.cache.enabled() || config.answer_cache_capacity == 0 || contains_rand(query) {
+            return None;
+        }
+        Some(format!(
+            "{}\u{1f}{}\u{1f}{}",
+            self.conn.identity(),
+            print_query(&verdict_sql::canonical_query(query), &GenericDialect),
+            config.cache_fingerprint()
+        ))
+    }
+
+    /// Snapshots the data versions of everything `query` *could* depend on —
+    /// every referenced base table plus every sample currently registered
+    /// for those tables (the plan's choices are a subset).
+    ///
+    /// Must be taken BEFORE executing (and before a block scan pins its
+    /// input): if a concurrent write lands mid-execution, the entry is
+    /// stored under the pre-write versions and fails revalidation, instead
+    /// of a post-execution snapshot masking the write and caching a stale
+    /// answer under the new version.  Returns `None` when the connection
+    /// cannot report versions — such an answer is never cached, because its
+    /// invalidation could not be detected.
+    pub(crate) fn cache_ticket(&self, key: String, query: &Query) -> Option<CacheTicket> {
+        let base_tables: Vec<String> = verdict_sql::visitor::collect_base_tables(query)
+            .iter()
+            .map(|n| n.key())
+            .collect();
+        let mut snapshot = HashMap::new();
+        for base in &base_tables {
+            for meta in self.meta.samples_for(base) {
+                let sample = meta.sample_table.to_ascii_lowercase();
+                snapshot.insert(sample.clone(), self.conn.data_version(&sample)?);
+            }
+            snapshot.insert(base.clone(), self.conn.data_version(base)?);
+        }
+        Some(CacheTicket {
+            key,
+            base_tables,
+            snapshot,
+        })
+    }
+
+    /// `cache_insert`: stores `answer` under the `(table, data version)`
+    /// pairs it depends on — every base table the query references plus
+    /// every sample table the plan actually used — resolved against the
+    /// ticket's pre-execution snapshot.  Skipped when a used sample is
+    /// missing from the snapshot (registered mid-flight by another session):
+    /// its pre-execution version is unknown, so the answer cannot be safely
+    /// cached.
+    fn cache_insert(
+        &self,
+        ticket: Option<CacheTicket>,
+        answer: &VerdictAnswer,
+        tb: &mut TraceBuilder,
+    ) {
+        let Some(mut ticket) = ticket else { return };
+        for s in &answer.used_samples {
+            let key = s.to_ascii_lowercase();
+            if !ticket.base_tables.contains(&key) {
+                ticket.base_tables.push(key);
+            }
+        }
+        let versions: Option<Vec<(String, u64)>> = ticket
+            .base_tables
+            .into_iter()
+            .map(|t| ticket.snapshot.get(&t).map(|v| (t, *v)))
+            .collect();
+        if let Some(versions) = versions {
+            tb.begin("cache_insert");
+            self.cache.insert(ticket.key, versions, answer.clone());
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Tracing
+    // ------------------------------------------------------------------
+
+    /// Starts a statement's trace clock.
+    pub(crate) fn open_trace(&self) -> OpenTrace {
+        OpenTrace {
+            tb: TraceBuilder::new(),
+            backend_before: self.instrumented.queries_routed(),
+            pages_before: self.pages_read(),
+        }
+    }
+
+    /// Closes a statement's trace, attributes the backend/store work done
+    /// since it opened, and folds it into the observability registry.  For a
+    /// statement that produced an answer, the answer's `elapsed` is stamped
+    /// with the trace total (so span durations and the reported wall time
+    /// agree) and a cache hit is classed `query_cached`; control statements
+    /// pass `None`.
+    pub(crate) fn close_trace(
+        &self,
+        open: OpenTrace,
+        class: &'static str,
+        sql: &str,
+        config: &VerdictConfig,
+        shed_tier: &'static str,
+        answer: Option<&mut VerdictAnswer>,
+    ) -> QueryTrace {
+        let (total, spans) = open.tb.finish();
+        let mut trace = QueryTrace {
+            seq: 0,
+            class,
+            sql: sql.to_string(),
+            total,
+            spans,
+            cached: false,
+            exact: true,
+            shed_tier,
+            backend_queries: self.instrumented.queries_routed() - open.backend_before,
+            store_pages_read: self.pages_read().saturating_sub(open.pages_before),
+            rows_returned: 0,
+            rows_scanned: 0,
+            slow: config.slow_query_ms > 0 && total >= Duration::from_millis(config.slow_query_ms),
+        };
+        if let Some(answer) = answer {
+            answer.elapsed = total;
+            if answer.cached && class == "query" {
+                trace.class = "query_cached";
+            }
+            trace.cached = answer.cached;
+            trace.exact = answer.exact;
+            trace.rows_returned = answer.table.num_rows() as u64;
+            trace.rows_scanned = answer.rows_scanned;
+        }
+        self.obs.observe(trace)
+    }
+
+    fn pages_read(&self) -> u64 {
+        self.store.as_ref().map_or(0, |s| s.stats().pages_read)
+    }
+
+    // ------------------------------------------------------------------
+    // EXPLAIN
+    // ------------------------------------------------------------------
+
+    /// `EXPLAIN <statement>`: the pipeline stopped after `rewrite`.
+    /// Describes how the statement *would* execute — sample plan, rewritten
+    /// SQL, cacheability — as a two-column `(item, value)` table, without
+    /// executing it.  Traced under class `explain`.
+    pub(crate) fn explain(
+        &self,
+        stmt: &Statement,
+        sql: &str,
+        config: &VerdictConfig,
+        shed_tier: &'static str,
+    ) -> VerdictResult<Table> {
+        let mut open = self.open_trace();
+        let rows = self.explain_rows(stmt, config, &mut open.tb)?;
+        self.close_trace(open, "explain", sql, config, shed_tier, None);
+        let (items, values) = rows.into_iter().unzip();
+        TableBuilder::new()
+            .str_column("item", items)
+            .str_column("value", values)
+            .build()
+            .map_err(|e| VerdictError::Answer(format!("EXPLAIN table construction failed: {e}")))
+    }
+
+    fn explain_rows(
+        &self,
+        stmt: &Statement,
+        config: &VerdictConfig,
+        tb: &mut TraceBuilder,
+    ) -> VerdictResult<Vec<(String, String)>> {
+        let mut rows: Vec<(String, String)> = Vec::new();
+        let mut row = |item: &str, value: String| rows.push((item.to_string(), value));
+        // Unwrap execution-mode wrappers so the plan describes the query the
+        // wrapper would run.
+        let query = match stmt {
+            Statement::Query(q) | Statement::Stream(q) => q.as_ref(),
+            other => {
+                tb.begin("control");
+                row("statement", statement_class(other).into());
+                match other {
+                    Statement::Bypass(inner) => {
+                        row("plan", "exact (bypass)".into());
+                        row("sql", print_statement(inner, self.dialect()));
+                    }
+                    _ => row("plan", "passthrough to backend".into()),
+                }
+                return Ok(rows);
+            }
+        };
+        row("statement", statement_class(stmt).into());
+        tb.begin("canonicalize");
+        let cacheable = self.cache_key(query, config).is_some();
+        row("cacheable", if cacheable { "yes" } else { "no" }.into());
+        let planned = self.plan_query(query, config, tb)?;
+        let plan = match &planned {
+            Planned::Approximate(rewritten) => Some(&rewritten.plan),
+            Planned::Exact { plan, .. } => plan.as_ref(),
+        };
+        for choice in plan.map_or(&[][..], |p| &p.choices) {
+            let what = match &choice.sample {
+                Some(s) => format!(
+                    "scramble {} (ratio {}, rows {})",
+                    s.sample_table, s.ratio, s.sample_rows
+                ),
+                None => format!("base table (rows {})", choice.table_ref.rows),
+            };
+            row(&format!("table {}", choice.table_ref.table), what);
+        }
+        match planned {
+            Planned::Exact { reason, .. } => {
+                row("plan", "exact passthrough".into());
+                row("reason", reason);
+            }
+            Planned::Approximate(rewritten) => {
+                row("plan", "approximate".into());
+                row("io_cost", rewritten.plan.io_cost.to_string());
+                let parts = [
+                    rewritten.mean_query.as_ref(),
+                    rewritten.distinct_query.as_ref().map(|(s, _)| s),
+                    rewritten.extreme_query.as_ref(),
+                ];
+                for (i, part) in parts.into_iter().flatten().enumerate() {
+                    row(
+                        &format!("rewritten[{i}]"),
+                        print_statement(part, self.dialect()),
+                    );
+                }
+            }
+        }
+        Ok(rows)
+    }
+}
+
+/// The statement class used as the `class` label on latency histograms and
+/// ring traces (one of [`crate::obs::CLASSES`]).  The cached-vs-computed
+/// split (`"query_cached"`) is applied when the trace closes, not here.
+pub fn statement_class(stmt: &Statement) -> &'static str {
+    match stmt {
+        Statement::Query(_) => "query",
+        Statement::Bypass(_) => "bypass",
+        Statement::Stream(_) => "stream",
+        Statement::Explain { .. } => "explain",
+        Statement::SetOption { .. } => "set",
+        Statement::ShowScrambles
+        | Statement::ShowStats
+        | Statement::ShowProfile { .. }
+        | Statement::ShowMetrics => "show",
+        Statement::CreateTableAs { .. }
+        | Statement::DropTable { .. }
+        | Statement::InsertIntoSelect { .. }
+        | Statement::CreateScramble { .. }
+        | Statement::CreateScrambles { .. }
+        | Statement::DropScramble { .. }
+        | Statement::DropScrambles { .. }
+        | Statement::RefreshScrambles { .. } => "ddl",
+    }
+}
+
+/// True when the query calls `rand()`/`random()` anywhere, recursing into
+/// predicate subqueries (which `walk_query` deliberately does not — the
+/// analyzer relies on that to keep subquery aggregates out of the outer
+/// query's classification).
+fn contains_rand(query: &Query) -> bool {
+    use verdict_sql::ast::Expr;
+    let mut found = false;
+    let mut subqueries = Vec::new();
+    verdict_sql::visitor::walk_query(query, &mut |e| match e {
+        Expr::Function(f)
+            if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random") =>
+        {
+            found = true;
+        }
+        Expr::ScalarSubquery(q)
+        | Expr::InSubquery { subquery: q, .. }
+        | Expr::Exists { subquery: q, .. } => subqueries.push((**q).clone()),
+        _ => {}
+    });
+    found || subqueries.iter().any(contains_rand)
+}
+
+/// The AQP feasibility test over a computed mean-query result: grouped
+/// queries whose subsample cells average fewer than
+/// [`VerdictConfig::min_rows_per_group`] rows produce useless estimates, so
+/// the query is answered exactly instead (the paper's behaviour for tq-3,
+/// tq-8, tq-15).
+fn mean_result_feasible(analysis: &QueryAnalysis, table: &Table, config: &VerdictConfig) -> bool {
+    if analysis.group_by.is_empty() {
+        return true;
+    }
+    let Some(idx) = table.schema.index_of(crate::rewrite::columns::SUB_SIZE) else {
+        return true;
+    };
+    let total: f64 = table.columns[idx].iter().filter_map(|v| v.as_f64()).sum();
+    // Distinct output groups = distinct combinations of the verdict_g*
+    // columns in the per-(group, sid) result.
+    let group_idxs: Vec<usize> = (0..analysis.group_by.len())
+        .filter_map(|i| {
+            table
+                .schema
+                .index_of(&format!("{}{i}", crate::rewrite::columns::GROUP_PREFIX))
+        })
+        .collect();
+    let mut groups = std::collections::HashSet::new();
+    for row in 0..table.num_rows() {
+        let key: Vec<verdict_engine::KeyValue> = group_idxs
+            .iter()
+            .map(|&c| verdict_engine::KeyValue::from_value(&table.value_at(row, c)))
+            .collect();
+        groups.insert(key);
+    }
+    let rows_per_group = total / groups.len().max(1) as f64;
+    rows_per_group >= config.min_rows_per_group
+}

@@ -89,6 +89,14 @@ impl SamplePlan {
         self.choices.iter().any(|c| c.sample.is_some())
     }
 
+    /// Names of the sample tables the plan reads, in choice order.
+    pub fn sample_tables(&self) -> Vec<String> {
+        self.choices
+            .iter()
+            .filter_map(|c| c.sample.as_ref().map(|s| s.sample_table.clone()))
+            .collect()
+    }
+
     /// The choice for a given alias, if present.
     pub fn choice_for(&self, alias: &str) -> Option<&TableChoice> {
         self.choices

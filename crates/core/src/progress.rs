@@ -3,7 +3,8 @@
 //!
 //! The paper sells AQP as "answers in seconds, not minutes"; this module
 //! turns that into a latency feature users can watch.  A [`ProgressStream`]
-//! plans a query exactly like the one-shot path (analysis → sample plan →
+//! is the statement pipeline ([`crate::pipeline`]) pulled frame by frame: it
+//! plans with the one-shot path's own `plan_query` (analysis → sample plan →
 //! variational-subsampling rewrite), then — when the shape allows — executes
 //! the rewritten mean query through the engine's resumable block-scan
 //! cursor ([`verdict_engine::BlockScan`]): each pulled frame consumes the
@@ -22,16 +23,18 @@
 //!   with the one-shot answer, bit for bit, at any engine parallelism: the
 //!   block cursor buffers exactly the one-shot executor's evaluated frame
 //!   and re-folds it through the same morsel-grid aggregation core, and the
-//!   final frame then applies the same feasibility check and High-level
-//!   Accuracy Contract (falling back to the exact answer under exactly the
-//!   same conditions a plain `SELECT` would);
+//!   final frame then runs the one-shot path's own `finish` endgame
+//!   (feasibility check, High-level Accuracy Contract, cache insert), so it
+//!   falls back to the exact answer under exactly the conditions a plain
+//!   `SELECT` would;
 //! * **early stop** — with `SET target_error = r`, the stream ends at the
 //!   first frame whose worst relative error is within `r`, skipping the
 //!   remaining blocks entirely.
 //!
 //! Queries outside the progressive class (joins, count-distinct, `min`/
 //! `max`, no usable scramble, or a connection without block scans) degrade
-//! gracefully to a single-frame stream computed by the one-shot path.
+//! gracefully to a single-frame stream computed by the one-shot driver on
+//! the stream's route (no cache read).
 //!
 //! A completed stream's final frame is inserted into the shared answer
 //! cache under the same key a plain `SELECT` would use — it *is* that
@@ -40,17 +43,15 @@
 
 use crate::answer::assemble;
 use crate::config::VerdictConfig;
-use crate::context::{mean_result_feasible, VerdictAnswer, VerdictContext};
+use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
-use crate::planner::{PlanningContext, SamplePlanner};
-use crate::rewrite::{analyze_query, rewrite, AggClass, RewriteOutput};
-use std::collections::HashMap;
+use crate::pipeline::{CacheTicket, OpenTrace, Planned, Route};
+use crate::rewrite::{AggClass, RewriteOutput};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Instant;
 use verdict_engine::BlockScan;
-use verdict_sql::ast::{Query, Statement};
-use verdict_sql::printer::print_statement;
+use verdict_sql::ast::Query;
+use verdict_sql::printer::{print_query, print_statement};
 
 /// One refinement step of a progressive query: the approximate answer (and
 /// its confidence intervals) for the scramble prefix consumed so far.
@@ -76,26 +77,28 @@ pub struct ProgressFrame {
 
 /// Internal state of a [`ProgressStream`].
 enum StreamState {
-    /// Block-by-block execution over the rewritten mean query.
-    Progressive {
-        scan: Box<dyn BlockScan>,
-        rewritten: Box<RewriteOutput>,
-        /// Printed SQL of the rewritten mean query (reported per frame).
-        mean_sql: String,
-        used_samples: Vec<String>,
-        /// Cache bookkeeping for the completed stream's final frame.
-        cache_key: Option<String>,
-        pre_versions: Option<HashMap<String, u64>>,
-    },
-    /// The query is outside the progressive class: one frame, computed by
-    /// the one-shot path (cache-read skipped so the stream observes fresh
-    /// data; the result is still inserted for future `SELECT`s).
-    Single {
-        /// Run exactly on base tables (session bypass).
-        bypass: bool,
-    },
+    Progressive(Box<Progressive>),
+    /// The query is outside the progressive class, or the session bypasses
+    /// sampling: one frame, computed by the one-shot driver along the
+    /// stream's route.
+    Single,
     /// Stream finished (or failed); no further frames.
     Done,
+}
+
+/// Block-by-block execution over the rewritten mean query: the pipeline
+/// planned at open, one `stream_frame` span per pulled frame, `finish` on
+/// the frame that completes the scan.
+struct Progressive {
+    scan: Box<dyn BlockScan>,
+    rewritten: Box<RewriteOutput>,
+    /// Printed SQL of the rewritten mean query (reported per frame).
+    mean_sql: String,
+    /// Cache bookkeeping for the completed stream's final frame.
+    ticket: Option<CacheTicket>,
+    /// The stream statement's trace, closed (and observed under class
+    /// `stream`) when the last frame is emitted.
+    trace: OpenTrace,
 }
 
 /// A pull-based progressive execution: an iterator of
@@ -105,86 +108,70 @@ enum StreamState {
 pub struct ProgressStream {
     ctx: Arc<VerdictContext>,
     cfg: VerdictConfig,
-    /// The original (inner) query statement and its printed SQL.
-    stmt: Statement,
+    /// The streamed query and its printed SQL.
+    query: Query,
     sql: String,
+    route: Route,
+    shed_tier: &'static str,
     state: StreamState,
     index: usize,
-    started: Instant,
 }
 
 impl ProgressStream {
     /// Plans a progressive execution for `query` under an already-resolved
-    /// configuration.  Never fails for *unsupported* shapes — those fall
-    /// back to a single-frame stream; errors here are planning-level
-    /// (unparseable rewrites, missing tables surface on the first frame).
+    /// configuration, along `route` ([`Route::Exact`] under session bypass).
+    /// Never fails for *unsupported* shapes — those fall back to a
+    /// single-frame stream; errors surface on the first frame.
     pub(crate) fn open(
         ctx: Arc<VerdictContext>,
         query: Query,
         cfg: VerdictConfig,
-        bypass: bool,
+        route: Route,
+        shed_tier: &'static str,
     ) -> ProgressStream {
         ctx.streams.started.fetch_add(1, Relaxed);
-        let stmt = Statement::Query(Box::new(query));
-        let sql = print_statement(&stmt, ctx.dialect());
-        let state = if bypass {
-            ctx.streams.fallbacks.fetch_add(1, Relaxed);
-            StreamState::Single { bypass: true }
-        } else {
-            match Self::plan_progressive(&ctx, &stmt, &cfg) {
-                Some(state) => state,
-                None => {
-                    ctx.streams.fallbacks.fetch_add(1, Relaxed);
-                    StreamState::Single { bypass: false }
-                }
-            }
+        let progressive = match route {
+            Route::Exact => None,
+            _ => Self::plan_progressive(&ctx, &query, &cfg),
         };
+        let state = progressive.unwrap_or_else(|| {
+            ctx.streams.fallbacks.fetch_add(1, Relaxed);
+            StreamState::Single
+        });
+        let sql = print_query(&query, ctx.dialect());
         ProgressStream {
             ctx,
             cfg,
-            stmt,
+            query,
             sql,
+            route,
+            shed_tier,
             state,
             index: 0,
-            started: Instant::now(),
         }
     }
 
-    /// Attempts the progressive plan; `None` means "fall back to one-shot".
+    /// Runs the pipeline up to `rewrite` and opens the block scan; `None`
+    /// means "answer as a single frame".
     fn plan_progressive(
         ctx: &Arc<VerdictContext>,
-        stmt: &Statement,
+        query: &Query,
         cfg: &VerdictConfig,
     ) -> Option<StreamState> {
-        let query = match stmt {
-            Statement::Query(q) => q.as_ref(),
-            _ => return None,
+        let mut trace = ctx.open_trace();
+        trace.tb.begin("canonicalize");
+        let key = ctx.cache_key(query, cfg);
+        let Ok(Planned::Approximate(rewritten)) = ctx.plan_query(query, cfg, &mut trace.tb) else {
+            return None;
         };
-        let analysis = analyze_query(query).ok()?;
         // Progressive execution covers the single-table, mean-like class;
         // count-distinct and extreme statistics would need their own side
         // queries per frame and take the one-shot path instead.
+        let analysis = &rewritten.analysis;
         if analysis.tables.len() != 1
             || analysis.has_class(AggClass::Distinct)
             || analysis.has_class(AggClass::Extreme)
         {
-            return None;
-        }
-        let mut row_counts: HashMap<String, u64> = HashMap::new();
-        for t in &analysis.tables {
-            let rows = ctx.connection().table_row_count(&t.table).ok()?;
-            row_counts.insert(t.table.to_ascii_lowercase(), rows);
-        }
-        let planner = SamplePlanner::new(ctx.meta(), cfg);
-        let plan = planner.plan(
-            &analysis.table_refs(&row_counts),
-            &PlanningContext {
-                group_columns: analysis.group_column_names(),
-                distinct_columns: analysis.distinct_column_names(),
-                io_budget: cfg.io_budget,
-            },
-        );
-        if !plan.uses_samples() {
             return None;
         }
         // Append maintenance inserts batch rows unshuffled at the sample's
@@ -193,42 +180,29 @@ impl ProgressStream {
         // data while claiming full-population coverage.  Decline and answer
         // one-shot (still correct); a batchless REFRESH rebuild restores
         // the shuffle and with it progressive execution.
-        if plan
-            .choices
-            .iter()
-            .any(|c| c.sample.as_ref().is_some_and(|s| s.appended_rows > 0))
-        {
-            return None;
-        }
-        let rewritten = rewrite(&analysis, &plan, cfg).ok()?;
-        let mean_stmt = rewritten.mean_query.as_ref()?;
-        let mean_sql = print_statement(mean_stmt, ctx.dialect());
-        // Snapshot cache-dependency versions BEFORE the scan pins its input
-        // (mirroring the one-shot path's insert-safety argument): a write
-        // landing between the snapshot and the pin leaves the completed
-        // answer stored under the pre-write versions, where revalidation
-        // drops it — the other order could serve a pre-write answer under
-        // post-write versions forever.
-        let cache_key = ctx.cache_key(stmt, cfg);
-        let pre_versions = match &cache_key {
-            Some(_) => ctx.snapshot_versions(stmt),
-            None => None,
-        };
-        let scan = ctx.connection().open_block_scan(&mean_sql)?;
-        let used_samples: Vec<String> = rewritten
+        let mut samples = rewritten
             .plan
             .choices
             .iter()
-            .filter_map(|c| c.sample.as_ref().map(|s| s.sample_table.clone()))
-            .collect();
-        Some(StreamState::Progressive {
+            .filter_map(|c| c.sample.as_ref());
+        if samples.any(|s| s.appended_rows > 0) {
+            return None;
+        }
+        let mean_sql = print_statement(rewritten.mean_query.as_ref()?, ctx.dialect());
+        // The ticket's version snapshot is taken BEFORE the scan pins its
+        // input (see `cache_ticket`): a write landing between the two leaves
+        // the completed answer stored under the pre-write versions, where
+        // revalidation drops it.
+        let ticket = key.and_then(|k| ctx.cache_ticket(k, query));
+        let scan = ctx.connection().open_block_scan(&mean_sql)?;
+        trace.tb.end();
+        Some(StreamState::Progressive(Box::new(Progressive {
             scan,
-            rewritten: Box::new(rewritten),
+            rewritten,
             mean_sql,
-            used_samples,
-            cache_key,
-            pre_versions,
-        })
+            ticket,
+            trace,
+        })))
     }
 
     /// The shared context this stream executes on.
@@ -239,7 +213,7 @@ impl ProgressStream {
     /// True when the stream executes block by block (false: single-frame
     /// fallback).
     pub fn is_progressive(&self) -> bool {
-        matches!(self.state, StreamState::Progressive { .. })
+        matches!(self.state, StreamState::Progressive(_))
     }
 
     /// Drives the stream to its end and returns the final frame (the
@@ -261,18 +235,19 @@ impl ProgressStream {
     }
 
     fn next_progressive(&mut self) -> VerdictResult<ProgressFrame> {
-        let StreamState::Progressive {
+        let StreamState::Progressive(progressive) = &mut self.state else {
+            unreachable!("next_progressive called on a non-progressive stream");
+        };
+        let Progressive {
             scan,
             rewritten,
             mean_sql,
-            used_samples,
-            cache_key,
-            pre_versions,
-        } = &mut self.state
-        else {
-            unreachable!("next_progressive called on a non-progressive stream");
-        };
+            ticket,
+            trace,
+        } = progressive.as_mut();
         self.index += 1;
+        let tb = &mut trace.tb;
+        tb.begin_with("stream_frame", format!("frame {}", self.index));
         // When a frame cap is configured and this frame reaches it, consume
         // everything left so the last emitted frame is the complete answer.
         let finish_now = self.cfg.stream_max_frames > 0 && self.index >= self.cfg.stream_max_frames;
@@ -287,73 +262,73 @@ impl ProgressStream {
         let complete = scan.done();
         let rows_seen = scan.rows_seen();
         let total_rows = scan.total_rows();
-        // A strict prefix sees each population tuple with probability
-        // p·(k/n) rather than p (the scramble is shuffled at build time, so
-        // the first k of its n rows are a uniform subsample): rescale the
-        // Horvitz–Thompson totals (count/sum) by n/k so every frame
-        // estimates the full-population answer.  Ratio and scale-free
-        // statistics need no correction, and the factor is exactly 1 on the
-        // final frame — bit-identity with the one-shot answer is untouched.
-        let mean_table = if complete || rows_seen == 0 {
-            result.table
-        } else {
-            scale_prefix_totals(
-                result.table,
+        let mut answer = if complete {
+            // The completed scan's snapshot *is* the one-shot mean result:
+            // the shared endgame turns it into the one-shot answer, exact
+            // fallbacks and cache insert included.
+            let mean = (mean_sql.clone(), result);
+            let answer = self.ctx.finish(
+                &self.sql,
                 rewritten,
-                total_rows as f64 / rows_seen as f64,
-            )
+                Some(mean),
+                ticket.take(),
+                tb,
+                &self.cfg,
+            )?;
+            self.ctx.streams.completed.fetch_add(1, Relaxed);
+            answer
+        } else {
+            // A strict prefix sees each population tuple with probability
+            // p·(k/n) rather than p (the scramble is shuffled at build time,
+            // so the first k of its n rows are a uniform subsample): rescale
+            // the Horvitz–Thompson totals (count/sum) by n/k so every frame
+            // estimates the full-population answer.  Ratio and scale-free
+            // statistics need no correction.
+            let mean_table = if rows_seen == 0 {
+                result.table
+            } else {
+                let inv_fraction = total_rows as f64 / rows_seen as f64;
+                scale_prefix_totals(result.table, rewritten, inv_fraction)
+            };
+            let assembled = assemble(rewritten, Some(&mean_table), None, None, &self.cfg)?;
+            VerdictAnswer {
+                table: assembled.table,
+                exact: false,
+                cached: false,
+                errors: assembled.errors,
+                rewritten_sql: vec![mean_sql.clone()],
+                elapsed: tb.elapsed(),
+                rows_scanned: rows_seen,
+                used_samples: rewritten.plan.sample_tables(),
+            }
         };
-        let assembled = assemble(rewritten, Some(&mean_table), None, None, &self.cfg)?;
-        let mut answer = VerdictAnswer {
-            table: assembled.table,
-            exact: false,
-            cached: false,
-            errors: assembled.errors,
-            rewritten_sql: vec![mean_sql.clone()],
-            elapsed: self.started.elapsed(),
-            rows_scanned: rows_seen,
-            used_samples: used_samples.clone(),
-        };
+        tb.end();
         // Early stop: the target error is met by a strict prefix.  Guard
         // against trivially "perfect" empty frames — no groups means no
         // error summaries, not zero error.
         let worst = answer.max_relative_error();
-        let target_met = match self.cfg.max_relative_error {
-            Some(t) => !answer.errors.is_empty() && worst.is_finite() && worst <= t,
-            None => false,
-        };
-        let early_stopped = target_met && !complete;
-        let last = complete || early_stopped;
-
-        if complete {
-            // Mirror the one-shot endgame exactly: infeasible grouping or a
-            // violated accuracy contract turns the final frame into the
-            // exact answer — precisely when a plain SELECT would have.
-            let feasible = mean_result_feasible(&rewritten.analysis, &mean_table, &self.cfg);
-            let contract_ok = match self.cfg.max_relative_error {
-                Some(t) => worst <= t,
-                None => true,
-            };
-            if !feasible || !contract_ok {
-                let mut exact = self.ctx.passthrough(&self.sql, self.started)?;
-                exact.rewritten_sql.insert(0, mean_sql.clone());
-                answer = exact;
-            }
-            // The completed answer is exactly what a one-shot SELECT would
-            // produce: make the next identical SELECT a cache hit.
-            if let (Some(key), Some(snapshot)) = (cache_key.take(), pre_versions.take()) {
-                if let Some(versions) =
-                    VerdictContext::dependency_versions(&snapshot, &self.stmt, &answer)
-                {
-                    self.ctx.cache().insert(key, versions, answer.clone());
-                }
-            }
-            self.ctx.streams.completed.fetch_add(1, Relaxed);
-        } else if early_stopped {
+        let early_stopped = !complete
+            && !answer.errors.is_empty()
+            && worst.is_finite()
+            && self.cfg.max_relative_error.is_some_and(|t| worst <= t);
+        if early_stopped {
             self.ctx.streams.early_stops.fetch_add(1, Relaxed);
         }
+        let last = complete || early_stopped;
         if last {
-            self.state = StreamState::Done;
+            let StreamState::Progressive(done) =
+                std::mem::replace(&mut self.state, StreamState::Done)
+            else {
+                unreachable!("state was matched as progressive above");
+            };
+            self.ctx.close_trace(
+                done.trace,
+                "stream",
+                &self.sql,
+                &self.cfg,
+                self.shed_tier,
+                Some(&mut answer),
+            );
         }
         self.ctx.streams.frames.fetch_add(1, Relaxed);
         Ok(ProgressFrame {
@@ -371,15 +346,17 @@ impl ProgressStream {
         })
     }
 
-    fn next_single(&mut self, bypass: bool) -> VerdictResult<ProgressFrame> {
+    fn next_single(&mut self) -> VerdictResult<ProgressFrame> {
         self.index += 1;
         self.state = StreamState::Done;
-        let answer = if bypass {
-            self.ctx.execute_exact(&self.sql)?
-        } else {
-            self.ctx
-                .execute_skip_cache_read(&self.stmt, &self.sql, &self.cfg)?
-        };
+        let (answer, _) = self.ctx.run_as(
+            "stream",
+            Some(&self.query),
+            &self.sql,
+            &self.cfg,
+            self.route,
+            self.shed_tier,
+        )?;
         self.ctx.streams.frames.fetch_add(1, Relaxed);
         let rows = answer.rows_scanned;
         Ok(ProgressFrame {
@@ -426,11 +403,8 @@ impl Iterator for ProgressStream {
     fn next(&mut self) -> Option<Self::Item> {
         let result = match &self.state {
             StreamState::Done => return None,
-            StreamState::Single { bypass } => {
-                let bypass = *bypass;
-                self.next_single(bypass)
-            }
-            StreamState::Progressive { .. } => self.next_progressive(),
+            StreamState::Single => self.next_single(),
+            StreamState::Progressive(_) => self.next_progressive(),
         };
         if result.is_err() {
             // An error ends the stream; later `next` calls return None.

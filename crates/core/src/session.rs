@@ -28,6 +28,7 @@ use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::QueryTrace;
+use crate::pipeline::{statement_class, Route};
 use crate::progress::ProgressStream;
 use crate::sample::maintenance::Staleness;
 use crate::sample::{SampleMeta, SampleType};
@@ -296,18 +297,26 @@ impl VerdictSession {
     /// `stream_max_frames` shape the frame cadence, and `bypass` degrades
     /// to a single exact frame.
     pub fn stream(&mut self, sql: &str) -> VerdictResult<ProgressStream> {
-        let stmt = verdict_sql::parse_statement(sql)?;
-        match stmt {
-            Statement::Stream(q) | Statement::Query(q) => Ok(self.open_stream(*q)),
-            _ => Err(VerdictError::Unsupported(
-                "only queries can be streamed (SELECT … or STREAM SELECT …)".into(),
-            )),
+        match verdict_sql::parse_statement(sql)? {
+            Statement::Query(q) => self.open_stream(Statement::Stream(q)),
+            stmt => self.open_stream(stmt),
         }
     }
 
-    fn open_stream(&mut self, query: verdict_sql::ast::Query) -> ProgressStream {
-        let cfg = self.effective_config();
-        ProgressStream::open(Arc::clone(&self.ctx), query, cfg, self.options.bypass)
+    fn open_stream(&mut self, stmt: Statement) -> VerdictResult<ProgressStream> {
+        let route = Route::of(&stmt, self.options.bypass);
+        let (Statement::Stream(query), Some(route)) = (stmt, route) else {
+            return Err(VerdictError::Unsupported(
+                "only queries can be streamed (SELECT … or STREAM SELECT …)".into(),
+            ));
+        };
+        Ok(ProgressStream::open(
+            Arc::clone(&self.ctx),
+            *query,
+            self.effective_config(),
+            route,
+            self.shed.label(),
+        ))
     }
 
     /// Executes a `;`-separated script, returning one response per statement.
@@ -324,72 +333,69 @@ impl VerdictSession {
 
     /// Dispatches one parsed statement; `sql` must be its source text.
     ///
-    /// Every statement is traced: queries through the context's span
-    /// pipeline, control statements (scramble DDL, `SET`, `SHOW`) as a
-    /// single `control` span — so the class histograms and the recent-trace
-    /// ring cover the full statement surface.
+    /// Every statement is traced: pipeline statements by the context's
+    /// driver ([`VerdictContext::run_statement`]), control statements
+    /// (scramble DDL, `SET`, `SHOW`) as a single `control` span — so the
+    /// class histograms and the recent-trace ring cover the full statement
+    /// surface.
     pub fn execute_statement(
         &mut self,
         stmt: &Statement,
         sql: &str,
     ) -> VerdictResult<VerdictResponse> {
         match stmt {
-            // Plain SQL: approximate when possible, exact under session
-            // bypass; DDL/DML passes through to the underlying database.
-            Statement::Query(_)
-            | Statement::CreateTableAs { .. }
-            | Statement::DropTable { .. }
-            | Statement::InsertIntoSelect { .. } => {
-                let cfg = self.effective_config();
-                let answer = if self.options.bypass {
-                    self.ctx
-                        .execute_exact_traced(stmt, sql, &cfg, self.shed.label())?
-                        .0
+            Statement::Explain { analyze, statement } => {
+                let table = if *analyze {
+                    let text = print_statement(statement, self.ctx.dialect());
+                    render_analyze(&self.run_traced(statement, &text)?.1)
                 } else {
-                    self.ctx
-                        .execute_statement_traced(stmt, sql, &cfg, self.shed.label())?
-                        .0
+                    let cfg = self.effective_config();
+                    self.ctx.explain(statement, sql, &cfg, self.shed.label())?
                 };
-                Ok(VerdictResponse::Answer(answer))
+                Ok(VerdictResponse::Explain(table))
             }
-            Statement::Bypass(inner) => {
-                let cfg = self.effective_config();
-                let text = print_statement(inner, self.ctx.dialect());
-                let (answer, _) =
-                    self.ctx
-                        .execute_exact_traced(stmt, &text, &cfg, self.shed.label())?;
-                Ok(VerdictResponse::Answer(answer))
-            }
-            Statement::Stream(q) => {
-                // Single-response alias for the streaming surface: run the
-                // progressive execution to its end and return the final
-                // frame (bit-identical to the one-shot answer when the
-                // stream completes; the early-stopped prefix answer when a
-                // target error is met first).  The cache is never read — a
-                // stream observes fresh data — but a completed answer is
-                // inserted so the next identical SELECT hits.
-                let stream = self.open_stream((**q).clone());
+            // Single-response alias for the streaming surface: run the
+            // progressive execution to its end and return the final frame
+            // (bit-identical to the one-shot answer when the stream
+            // completes; the early-stopped prefix answer when a target
+            // error is met first).
+            Statement::Stream(_) => {
+                let stream = self.open_stream(stmt.clone())?;
                 Ok(VerdictResponse::Answer(stream.final_frame()?.answer))
             }
-            Statement::Explain { analyze, statement } => self.execute_explain(*analyze, statement),
-            _ => {
-                let started = std::time::Instant::now();
-                let response = self.execute_control(stmt, sql);
-                if response.is_ok() {
-                    let cfg = self.effective_config();
-                    self.ctx
-                        .observe_control(stmt, sql, started.elapsed(), &cfg, self.shed.label());
-                }
-                response
-            }
+            _ => Ok(self.run_traced(stmt, sql)?.0),
         }
     }
 
+    /// Executes one statement to completion under a trace: pipeline
+    /// statements (plain SQL, `BYPASS`, and — for `EXPLAIN ANALYZE` — the
+    /// one-shot equivalent of `STREAM`) along their [`Route`], everything
+    /// else as a one-span `control` trace.
+    fn run_traced(
+        &mut self,
+        stmt: &Statement,
+        sql: &str,
+    ) -> VerdictResult<(VerdictResponse, QueryTrace)> {
+        let shed = self.shed.label();
+        if let Some(route) = Route::of(stmt, self.options.bypass) {
+            let cfg = self.effective_config();
+            let (answer, trace) = self.ctx.run_statement(stmt, sql, &cfg, route, shed)?;
+            return Ok((VerdictResponse::Answer(answer), trace));
+        }
+        let mut open = self.ctx.open_trace();
+        open.tb.begin("control");
+        let response = self.execute_control(stmt)?;
+        // Resolved after the statement ran: a `SET` applies to its own trace.
+        let cfg = self.effective_config();
+        let class = statement_class(stmt);
+        let trace = self.ctx.close_trace(open, class, sql, &cfg, shed, None);
+        Ok((response, trace))
+    }
+
     /// Executes the control-statement surface (scramble DDL, `SHOW`, `SET`);
-    /// queries, `BYPASS`, `STREAM`, and `EXPLAIN` are dispatched before this
-    /// is reached.
-    fn execute_control(&mut self, stmt: &Statement, sql: &str) -> VerdictResult<VerdictResponse> {
-        let _ = sql;
+    /// pipeline statements and `EXPLAIN` are dispatched before this is
+    /// reached.
+    fn execute_control(&mut self, stmt: &Statement) -> VerdictResult<VerdictResponse> {
         match stmt {
             Statement::CreateScramble {
                 name,
@@ -460,66 +466,8 @@ impl VerdictSession {
                     value: rendered,
                 })
             }
-            _ => unreachable!("query statements are dispatched before execute_control"),
+            _ => unreachable!("pipeline statements are dispatched before execute_control"),
         }
-    }
-
-    /// Executes `EXPLAIN [ANALYZE] <statement>`.  Plain `EXPLAIN` describes
-    /// the plan without executing; `ANALYZE` executes the statement under
-    /// this session's options and renders the finished trace as a span
-    /// table with end-to-end attribution rows.
-    fn execute_explain(
-        &mut self,
-        analyze: bool,
-        statement: &Statement,
-    ) -> VerdictResult<VerdictResponse> {
-        let cfg = self.effective_config();
-        if !analyze {
-            return Ok(VerdictResponse::Explain(
-                self.ctx.explain_statement(statement, &cfg)?,
-            ));
-        }
-        let text = print_statement(statement, self.ctx.dialect());
-        let trace = match statement {
-            Statement::Bypass(inner) => {
-                let inner_text = print_statement(inner, self.ctx.dialect());
-                self.ctx
-                    .execute_exact_traced(statement, &inner_text, &cfg, self.shed.label())?
-                    .1
-            }
-            Statement::Query(_)
-            | Statement::CreateTableAs { .. }
-            | Statement::DropTable { .. }
-            | Statement::InsertIntoSelect { .. } => {
-                if self.options.bypass {
-                    self.ctx
-                        .execute_exact_traced(statement, &text, &cfg, self.shed.label())?
-                        .1
-                } else {
-                    self.ctx
-                        .execute_statement_traced(statement, &text, &cfg, self.shed.label())?
-                        .1
-                }
-            }
-            Statement::Stream(q) => {
-                // A stream's final frame equals the one-shot answer, so
-                // ANALYZE runs the underlying query through the traced
-                // one-shot pipeline (skipping the cache, like a stream).
-                let qstmt = Statement::Query(q.clone());
-                self.ctx
-                    .execute_statement_traced(&qstmt, &text, &cfg, self.shed.label())?
-                    .1
-            }
-            other => {
-                // Control statements execute normally; their one-span trace
-                // is rendered just like a query trace.
-                let started = std::time::Instant::now();
-                self.execute_control(other, &text)?;
-                self.ctx
-                    .observe_control(other, &text, started.elapsed(), &cfg, self.shed.label())
-            }
-        };
-        Ok(VerdictResponse::Explain(render_analyze(&trace)))
     }
 
     /// Builds the `SHOW PROFILE [LAST n]` table from the recent-trace ring:
@@ -621,91 +569,7 @@ impl VerdictSession {
     /// section rows server-side; the ordering is pinned by a test, so
     /// dashboards can scrape positions safely.
     fn show_stats(&self) -> Table {
-        let cache = self.ctx.cache_stats();
-        let streams = self.ctx.stream_stats();
-        let backend = self.ctx.backend_stats();
-        let mut rows: Vec<(&'static str, String, i64)> = vec![
-            (
-                "cache",
-                "cache_capacity".into(),
-                self.ctx.cache().capacity() as i64,
-            ),
-            (
-                "cache",
-                "cache_entries".into(),
-                self.ctx.cache().len() as i64,
-            ),
-            ("cache", "cache_evictions".into(), cache.evictions as i64),
-            ("cache", "cache_hits".into(), cache.hits as i64),
-            ("cache", "cache_insertions".into(), cache.insertions as i64),
-            (
-                "cache",
-                "cache_invalidations".into(),
-                cache.invalidations as i64,
-            ),
-            ("cache", "cache_misses".into(), cache.misses as i64),
-            (
-                "streams",
-                "stream_early_stops".into(),
-                streams.early_stops as i64,
-            ),
-            (
-                "streams",
-                "stream_fallbacks".into(),
-                streams.fallbacks as i64,
-            ),
-            ("streams", "stream_frames".into(), streams.frames as i64),
-            (
-                "streams",
-                "streams_completed".into(),
-                streams.completed as i64,
-            ),
-            ("streams", "streams_started".into(), streams.started as i64),
-            // Per-backend routing counters: which backend answered, how many
-            // statements it was handed, and how often a missing capability
-            // forced a degraded (but correct) path.
-            (
-                "backend",
-                "backend_queries".into(),
-                backend.queries_routed as i64,
-            ),
-            (
-                "backend",
-                "backend_scan_fallbacks".into(),
-                backend.scan_fallbacks as i64,
-            ),
-            (
-                "backend",
-                "backend_version_fallbacks".into(),
-                backend.version_fallbacks as i64,
-            ),
-            ("backend", "scrambles".into(), self.ctx.meta().len() as i64),
-        ];
-        for (k, v) in &backend.extra {
-            rows.push(("backend", format!("backend_{k}"), *v as i64));
-        }
-        // Persistent-store activity, present only when the context was
-        // opened over a data directory.
-        if let Some(store) = self.ctx.store_stats() {
-            rows.push((
-                "store",
-                "store_checkpoints".into(),
-                store.checkpoints as i64,
-            ));
-            rows.push(("store", "store_pages_read".into(), store.pages_read as i64));
-            rows.push((
-                "store",
-                "store_pages_written".into(),
-                store.pages_written as i64,
-            ));
-            rows.push(("store", "store_recoveries".into(), store.recoveries as i64));
-            rows.push((
-                "store",
-                "store_wal_records".into(),
-                store.wal_records as i64,
-            ));
-            rows.push(("store", "store_wal_syncs".into(), store.wal_syncs as i64));
-        }
+        let mut rows = self.ctx.stat_rows();
         let rank = |s: &str| match s {
             "cache" => 0u8,
             "streams" => 1,
@@ -720,7 +584,7 @@ impl VerdictSession {
                 rows.iter().map(|(s, _, _)| s.to_string()).collect(),
             )
             .str_column("stat", rows.iter().map(|(_, k, _)| k.clone()).collect())
-            .int_column("value", rows.iter().map(|(_, _, v)| *v).collect())
+            .int_column("value", rows.iter().map(|(_, _, v)| *v as i64).collect())
             .build()
             .expect("stats table construction cannot fail")
     }

@@ -8,8 +8,8 @@
 //!
 //! Defaults: `--addr 127.0.0.1:6688 --dataset instacart --scale 0.05
 //! --cache 256 --seed 7`.  With samples enabled (the default) a uniform
-//! sample is built for every base table large enough to sample, so `QUERY`
-//! requests are answered approximately out of the box.
+//! sample is built for every base table large enough to sample, so queries
+//! are answered approximately out of the box.
 //!
 //! With `--data-dir DIR` (or env `VERDICT_DATA_DIR`) scrambles persist in a
 //! crash-safe on-disk store: WAL recovery runs at startup, previously built

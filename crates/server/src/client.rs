@@ -189,25 +189,6 @@ impl VerdictClient {
         self.sql(&format!("BYPASS {sql}"))
     }
 
-    /// Builds a sample table server-side.
-    ///
-    /// Deprecated alias: sends the legacy `SAMPLE` verb, which the server
-    /// rewrites into `CREATE SCRAMBLE … FROM … METHOD …`.  New code should
-    /// issue that SQL through [`Self::sql`] directly.
-    pub fn create_sample(
-        &mut self,
-        table: &str,
-        sample_type: &str,
-        columns: &[&str],
-    ) -> ClientResult<RemoteAnswer> {
-        let mut line = format!("SAMPLE {table} {sample_type}");
-        if !columns.is_empty() {
-            line.push(' ');
-            line.push_str(&columns.join(","));
-        }
-        self.request(&line)
-    }
-
     /// Folds an appended batch into every sample of a base table
     /// (`REFRESH SCRAMBLES <base> FROM <batch>`).
     pub fn refresh(&mut self, base_table: &str, batch_table: &str) -> ClientResult<RemoteAnswer> {

@@ -4,11 +4,8 @@
 //! connection's session, applies the statement's shed tier, executes, and
 //! serialises response frames through the connection's [`ConnSink`] (which
 //! backpressures against the per-connection outbound buffer — workers never
-//! touch sockets).  The SQL dispatch itself is unchanged from the
-//! thread-per-session server: `SQL <statement>` is the protocol, the pre-SQL
-//! verbs (`QUERY`, `EXACT`, `SAMPLE`, `REFRESH`, `STATS`) are deprecated
-//! aliases rewritten into SQL, `STREAM <query>` answers with a multi-frame
-//! progressive response.
+//! touch sockets).  `SQL <statement>` is the protocol; `STREAM <query>`
+//! answers with a multi-frame progressive response.
 
 use crate::protocol::{
     write_coded_error_frame, write_error_frame, write_result_frame, write_stream_done,
@@ -17,9 +14,7 @@ use crate::protocol::{
 use crate::server::{ConnSink, Shared, SinkError, Task};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-use verdict_core::{
-    SampleMeta, SampleType, ShedTier, VerdictAnswer, VerdictResponse, VerdictSession,
-};
+use verdict_core::{ShedTier, VerdictAnswer, VerdictResponse, VerdictSession};
 
 fn deadline_expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -75,10 +70,9 @@ pub(crate) fn run_task(shared: &Shared, task: &Task) {
 
 /// Dispatches one request line, appending the full response frame to `out`.
 ///
-/// `SQL <statement>` is the protocol; everything else is a deprecated alias
-/// rewritten into SQL and pushed through the same per-connection session.
-/// (`PING`/`QUIT`/`SHUTDOWN` never reach the workers — the I/O shards
-/// answer them inline.)
+/// `SQL <statement>` is the protocol: the statement runs on the
+/// per-connection session.  (`PING`/`QUIT`/`SHUTDOWN` never reach the
+/// workers — the I/O shards answer them inline.)
 fn handle_request(
     request: &str,
     shared: &Shared,
@@ -92,30 +86,6 @@ fn handle_request(
     };
     match verb.to_ascii_uppercase().as_str() {
         "SQL" => dispatch_sql(rest, shared, task, session, out),
-        // ---- deprecated aliases, kept for old clients -------------------
-        "QUERY" => dispatch_sql(rest, shared, task, session, out),
-        "EXACT" => dispatch_sql(&format!("BYPASS {rest}"), shared, task, session, out),
-        "SAMPLE" => match legacy_sample_to_sql(rest) {
-            Ok(sql) => dispatch_sql(&sql, shared, task, session, out),
-            Err(msg) => {
-                shared.count_error();
-                write_error_frame(out, msg);
-            }
-        },
-        "REFRESH" => {
-            let mut parts = rest.split_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(base), Some(batch), None) => {
-                    let sql = format!("REFRESH SCRAMBLES {base} FROM {batch}");
-                    dispatch_sql(&sql, shared, task, session, out);
-                }
-                _ => {
-                    shared.count_error();
-                    write_error_frame(out, "usage: REFRESH <base_table> <batch_table>");
-                }
-            }
-        }
-        "STATS" => dispatch_sql("SHOW STATS", shared, task, session, out),
         // A bare STREAM with no query (the with-query form streams frames).
         "STREAM" => {
             shared.count_error();
@@ -173,7 +143,7 @@ fn handle_stream(
             Ok(frame) => {
                 frames += 1;
                 let mut out = String::new();
-                write_answer_stream_frame(&frame, task.tier, &mut out);
+                write_answer_frame(&frame.answer, Some(&frame), task.tier, &mut out);
                 match sink.send(&out) {
                     Ok(()) => {}
                     Err(SinkError::Gone) => return,
@@ -199,94 +169,6 @@ fn handle_stream(
     let _ = sink.send_terminal(&out);
 }
 
-/// Annotations shared by degraded answers: the `shed=<n>` header field plus
-/// a human-readable `S degraded <tier>` extra.
-fn degraded_extra(tier: ShedTier, extras: &mut Vec<(String, String)>) {
-    if tier != ShedTier::None {
-        extras.push(("degraded".to_string(), tier.label().to_string()));
-    }
-}
-
-fn write_answer_stream_frame(
-    frame: &verdict_core::ProgressFrame,
-    tier: ShedTier,
-    out: &mut String,
-) {
-    let answer = &frame.answer;
-    let header = StreamFrameHeader {
-        base: FrameHeader {
-            rows: answer.table.num_rows(),
-            cols: answer.table.schema.fields.len(),
-            exact: answer.exact,
-            cached: answer.cached,
-            elapsed_us: answer.elapsed.as_micros() as u64,
-            rows_scanned: answer.rows_scanned,
-            degraded: tier.level(),
-        },
-        frame: frame.index,
-        rows_seen: frame.rows_seen,
-        total_rows: frame.total_rows,
-        fraction: frame.fraction,
-        last: frame.last,
-        early_stopped: frame.early_stopped,
-    };
-    let errors: Vec<(String, f64, f64)> = answer
-        .errors
-        .iter()
-        .map(|e| {
-            (
-                e.column.clone(),
-                e.mean_relative_error,
-                e.max_relative_error,
-            )
-        })
-        .collect();
-    let mut extras: Vec<(String, String)> = answer
-        .used_samples
-        .iter()
-        .map(|s| ("used_sample".to_string(), s.clone()))
-        .collect();
-    degraded_extra(tier, &mut extras);
-    write_stream_frame(out, &header, Some(&answer.table), &errors, &extras);
-}
-
-/// `SAMPLE <table> <uniform|hashed|stratified> [col,col,…]` → `CREATE
-/// SCRAMBLE` text with the same derived scramble name the old handler used.
-fn legacy_sample_to_sql(rest: &str) -> Result<String, &'static str> {
-    let mut parts = rest.split_whitespace();
-    let (table, kind) = match (parts.next(), parts.next()) {
-        (Some(t), Some(k)) => (t, k.to_ascii_lowercase()),
-        _ => return Err("usage: SAMPLE <table> <type> [columns]"),
-    };
-    let columns: Vec<String> = parts
-        .next()
-        .map(|c| c.split(',').map(|s| s.to_string()).collect())
-        .unwrap_or_default();
-    if parts.next().is_some() {
-        // A space-separated column list would silently build a sample over
-        // the wrong column set — reject instead of truncating.
-        return Err(
-            "unexpected trailing arguments; columns must be comma-separated without spaces",
-        );
-    }
-    let sample_type = match kind.as_str() {
-        "uniform" => SampleType::Uniform,
-        "hashed" if !columns.is_empty() => SampleType::Hashed {
-            columns: columns.clone(),
-        },
-        "stratified" if !columns.is_empty() => SampleType::Stratified {
-            columns: columns.clone(),
-        },
-        _ => return Err("sample type must be uniform, or hashed/stratified with columns"),
-    };
-    let name = SampleMeta::table_name_for(table, &sample_type);
-    let mut sql = format!("CREATE SCRAMBLE {name} FROM {table} METHOD {kind}");
-    if !columns.is_empty() {
-        sql.push_str(&format!(" ON {}", columns.join(", ")));
-    }
-    Ok(sql)
-}
-
 /// Runs one SQL statement through the connection's session and serialises
 /// the unified [`VerdictResponse`] into a protocol frame.
 fn dispatch_sql(
@@ -299,7 +181,7 @@ fn dispatch_sql(
     shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
     let start = Instant::now();
     match session.execute(sql) {
-        Ok(VerdictResponse::Answer(answer)) => write_answer_frame(&answer, task.tier, out),
+        Ok(VerdictResponse::Answer(answer)) => write_answer_frame(&answer, None, task.tier, out),
         Ok(response) => write_response_frame(&response, start, shared, out),
         Err(e) => {
             shared.count_error();
@@ -308,8 +190,17 @@ fn dispatch_sql(
     }
 }
 
-fn write_answer_frame(answer: &VerdictAnswer, tier: ShedTier, out: &mut String) {
-    let header = FrameHeader {
+/// Serialises an answer: a one-shot result frame, or — given the
+/// progressive `frame` it belongs to — a `FRAME …` stream frame.  Both carry
+/// the same status fields, per-aggregate `E` error summaries, and `S`
+/// extras (samples used, degradation tier).
+fn write_answer_frame(
+    answer: &VerdictAnswer,
+    frame: Option<&verdict_core::ProgressFrame>,
+    tier: ShedTier,
+    out: &mut String,
+) {
+    let base = FrameHeader {
         rows: answer.table.num_rows(),
         cols: answer.table.schema.fields.len(),
         exact: answer.exact,
@@ -334,8 +225,22 @@ fn write_answer_frame(answer: &VerdictAnswer, tier: ShedTier, out: &mut String) 
         .iter()
         .map(|s| ("used_sample".to_string(), s.clone()))
         .collect();
-    degraded_extra(tier, &mut extras);
-    write_result_frame(out, &header, Some(&answer.table), &errors, &extras);
+    if tier != ShedTier::None {
+        extras.push(("degraded".to_string(), tier.label().to_string()));
+    }
+    let Some(frame) = frame else {
+        return write_result_frame(out, &base, Some(&answer.table), &errors, &extras);
+    };
+    let header = StreamFrameHeader {
+        base,
+        frame: frame.index,
+        rows_seen: frame.rows_seen,
+        total_rows: frame.total_rows,
+        fraction: frame.fraction,
+        last: frame.last,
+        early_stopped: frame.early_stopped,
+    };
+    write_stream_frame(out, &header, Some(&answer.table), &errors, &extras);
 }
 
 /// The serving-layer `(stat, value)` rows appended to `SHOW STATS` and
@@ -402,8 +307,7 @@ fn append_serving_section(t: &verdict_engine::Table, shared: &Shared) -> verdict
 /// Serialises the non-answer [`VerdictResponse`] variants.  Tabular
 /// responses (`SHOW SCRAMBLES` / `SHOW STATS` / `EXPLAIN` / `SHOW PROFILE`)
 /// ship the table itself; `SHOW STATS` appends the `serving` section and
-/// mirrors its (stat, value) rows as `S key value` lines (the pre-SQL
-/// `STATS` format); `SHOW METRICS` appends the serving-layer gauges and
+/// mirrors its (stat, value) rows as `S key value` lines; `SHOW METRICS` appends the serving-layer gauges and
 /// counters to the core's exposition and ships it as a one-column table of
 /// text lines.
 fn write_response_frame(
@@ -423,7 +327,7 @@ fn write_response_frame(
         VerdictResponse::ScramblesCreated(metas) => {
             extras.push(("scrambles_created".to_string(), metas.len().to_string()));
             if let [meta] = metas.as_slice() {
-                // Legacy keys old SAMPLE clients read.
+                // Single-scramble shorthand keys.
                 extras.push(("sample_table".to_string(), meta.sample_table.clone()));
                 extras.push(("sample_rows".to_string(), meta.sample_rows.to_string()));
                 extras.push(("base_rows".to_string(), meta.base_rows.to_string()));

@@ -7,7 +7,7 @@
 //! [`escape_field`] / [`format_value`]).
 //!
 //! ```text
-//! request:  QUERY SELECT city, avg(price) FROM orders GROUP BY city
+//! request:  SQL SELECT city, avg(price) AS ap FROM orders GROUP BY city
 //! response: OK rows=10 cols=2 exact=0 cached=1 elapsed_us=42 rows_scanned=16234
 //!           C city<TAB>ap
 //!           T VARCHAR<TAB>DOUBLE

@@ -61,8 +61,8 @@ pub struct ServerStats {
     pub sessions_opened: AtomicU64,
     /// Sessions currently connected.
     pub sessions_active: AtomicU64,
-    /// SQL statements dispatched (including errors; `SQL` and every
-    /// deprecated alias count, `PING`/`QUIT` do not).
+    /// SQL statements dispatched (including errors; `SQL` and `STREAM`
+    /// count, `PING`/`QUIT` do not).
     pub queries_served: AtomicU64,
     /// Requests that produced an `ERR` frame (including typed `BUSY` /
     /// `DEADLINE` / `SHUTDOWN` refusals).

@@ -4,7 +4,7 @@
 //! cache serves repeats / invalidates on appends.
 
 use std::sync::Arc;
-use verdict_core::{SampleType, VerdictAnswer, VerdictConfig, VerdictContext};
+use verdict_core::{VerdictAnswer, VerdictConfig, VerdictContext, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder, Value};
 use verdict_server::{ClientError, RemoteAnswer, VerdictClient, VerdictServer};
 
@@ -33,9 +33,11 @@ fn serving_context(seed: u64, cache_capacity: usize) -> Arc<VerdictContext> {
     let conn: Arc<dyn Backend> = Arc::new(engine);
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = cache_capacity;
-    let ctx = VerdictContext::new(conn, config);
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
-    Arc::new(ctx)
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    VerdictSession::new(Arc::clone(&ctx))
+        .execute("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales")
+        .unwrap();
+    ctx
 }
 
 /// Exact variant-level equality: floats compare by bit pattern, so this is
@@ -206,7 +208,9 @@ fn sample_and_refresh_commands_round_trip() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
 
-    let built = client.create_sample("sales", "uniform", &[]).unwrap();
+    let built = client
+        .sql("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales METHOD uniform")
+        .unwrap();
     let sample_table = built.extra("sample_table").unwrap().to_string();
     assert!(sample_table.contains("sales"));
     let sample_rows: u64 = built.extra("sample_rows").unwrap().parse().unwrap();

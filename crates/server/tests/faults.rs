@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use verdict_core::{SampleType, VerdictConfig, VerdictContext};
+use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder};
 use verdict_server::{ClientError, ServerHandle, VerdictClient, VerdictServer};
 
@@ -37,9 +37,11 @@ fn serving_context(seed: u64) -> Arc<VerdictContext> {
     let conn: Arc<dyn Backend> = Arc::new(sales_engine(seed));
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = 64;
-    let ctx = VerdictContext::new(conn, config);
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
-    Arc::new(ctx)
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    VerdictSession::new(Arc::clone(&ctx))
+        .execute("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales")
+        .unwrap();
+    ctx
 }
 
 const QUERY: &str = "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";

@@ -112,7 +112,8 @@ fn canonical_object_name(name: &ObjectName) -> ObjectName {
     ObjectName(name.0.iter().map(|p| lower(p)).collect())
 }
 
-fn canonical_query(query: &Query) -> Query {
+/// [`canonical_statement`] for a bare query.
+pub fn canonical_query(query: &Query) -> Query {
     Query {
         distinct: query.distinct,
         projection: query.projection.iter().map(canonical_select_item).collect(),

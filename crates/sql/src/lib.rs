@@ -34,7 +34,7 @@ pub mod token;
 pub mod visitor;
 
 pub use ast::*;
-pub use canonical::{canonical_sql, canonical_statement};
+pub use canonical::{canonical_query, canonical_sql, canonical_statement};
 pub use dialect::{Dialect, GenericDialect, ImpalaDialect, RedshiftDialect, SparkSqlDialect};
 pub use parser::{parse_expression, parse_statement, parse_statements, ParseError};
 pub use printer::{print_expr, print_query, print_statement};

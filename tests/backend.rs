@@ -10,10 +10,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use verdictdb::core::SampleMeta;
 use verdictdb::sql::ImpalaDialect;
 use verdictdb::{
-    Backend, Engine, RemoteBackend, SampleType, ServerHandle, Table, Value, VerdictConfig,
-    VerdictContext, VerdictServer, VerdictSession,
+    Backend, Engine, RemoteBackend, ServerHandle, Table, Value, VerdictConfig, VerdictContext,
+    VerdictResponse, VerdictServer, VerdictSession,
 };
 
 mod common;
@@ -30,6 +31,16 @@ fn config() -> VerdictConfig {
     config.sampling_ratio = 0.05;
     config.io_budget = 0.12;
     config
+}
+
+/// Builds one scramble over `table` through the SQL DDL and returns its
+/// metadata (`clauses` is the `METHOD … ON …` tail, empty for uniform).
+fn create_scramble(ctx: &Arc<VerdictContext>, table: &str, clauses: &str) -> SampleMeta {
+    let ddl = format!("CREATE SCRAMBLE {table}_scramble FROM {table} {clauses}");
+    match VerdictSession::new(Arc::clone(ctx)).execute(&ddl).unwrap() {
+        VerdictResponse::ScramblesCreated(mut metas) => metas.remove(0),
+        other => panic!("expected a scramble, got {}", other.kind()),
+    }
 }
 
 /// Spawns a server over `engine` and builds a local context whose backend is
@@ -81,17 +92,8 @@ fn remote_backend_answers_are_bit_identical_to_in_process() {
         engine.clone() as Arc<dyn Backend>,
         config(),
     ));
-    local
-        .create_sample("order_products", SampleType::Uniform)
-        .unwrap();
-    local
-        .create_sample(
-            "orders",
-            SampleType::Hashed {
-                columns: vec!["order_id".into()],
-            },
-        )
-        .unwrap();
+    create_scramble(&local, "order_products", "");
+    create_scramble(&local, "orders", "METHOD hashed ON order_id");
 
     let (remote, _server) = remote_context_over(engine, &local, config());
 
@@ -126,10 +128,11 @@ fn remote_backend_answers_are_bit_identical_to_in_process() {
 #[test]
 fn remote_backend_without_data_version_never_caches_but_stays_correct() {
     let engine = seeded_engine(0.05);
-    let local = VerdictContext::new(engine.clone() as Arc<dyn Backend>, config());
-    local
-        .create_sample("order_products", SampleType::Uniform)
-        .unwrap();
+    let local = Arc::new(VerdictContext::new(
+        engine.clone() as Arc<dyn Backend>,
+        config(),
+    ));
+    create_scramble(&local, "order_products", "");
 
     let mut cached_config = config();
     cached_config.answer_cache_capacity = 64;
@@ -167,10 +170,11 @@ fn remote_backend_without_data_version_never_caches_but_stays_correct() {
 #[test]
 fn streaming_over_remote_falls_back_to_a_single_frame() {
     let engine = seeded_engine(0.05);
-    let local = VerdictContext::new(engine.clone() as Arc<dyn Backend>, config());
-    local
-        .create_sample("order_products", SampleType::Uniform)
-        .unwrap();
+    let local = Arc::new(VerdictContext::new(
+        engine.clone() as Arc<dyn Backend>,
+        config(),
+    ));
+    create_scramble(&local, "order_products", "");
     let (remote, _server) = remote_context_over(engine, &local, config());
 
     let mut session = VerdictSession::new(Arc::clone(&remote));
@@ -197,10 +201,11 @@ fn streaming_over_remote_falls_back_to_a_single_frame() {
 #[test]
 fn show_stats_reports_per_backend_counters_over_the_wire() {
     let engine = seeded_engine(0.05);
-    let local = VerdictContext::new(engine.clone() as Arc<dyn Backend>, config());
-    local
-        .create_sample("order_products", SampleType::Uniform)
-        .unwrap();
+    let local = Arc::new(VerdictContext::new(
+        engine.clone() as Arc<dyn Backend>,
+        config(),
+    ));
+    create_scramble(&local, "order_products", "");
     let (remote, _server) = remote_context_over(engine, &local, config());
 
     let mut session = VerdictSession::new(Arc::clone(&remote));
@@ -223,15 +228,13 @@ fn show_stats_reports_per_backend_counters_over_the_wire() {
 #[test]
 fn impala_dialect_builds_usable_scrambles_without_rand_in_where() {
     let engine = seeded_engine(0.05);
-    let ctx = VerdictContext::with_dialect(
+    let ctx = Arc::new(VerdictContext::with_dialect(
         engine as Arc<dyn Backend>,
         Box::new(ImpalaDialect),
         config(),
-    );
+    ));
 
-    let uniform = ctx
-        .create_sample("order_products", SampleType::Uniform)
-        .unwrap();
+    let uniform = create_scramble(&ctx, "order_products", "");
     assert!(uniform.sample_rows > 0, "empty uniform scramble");
     let ratio = uniform.sample_rows as f64 / uniform.base_rows as f64;
     assert!(
@@ -239,14 +242,7 @@ fn impala_dialect_builds_usable_scrambles_without_rand_in_where() {
         "sampling ratio {ratio:.4} far from requested 0.05"
     );
 
-    let stratified = ctx
-        .create_sample(
-            "orders",
-            SampleType::Stratified {
-                columns: vec!["city".into()],
-            },
-        )
-        .unwrap();
+    let stratified = create_scramble(&ctx, "orders", "METHOD stratified ON city");
     assert!(stratified.sample_rows > 0, "empty stratified scramble");
 
     let answer = ctx

@@ -6,9 +6,10 @@
 //! how the `SELECT *`-leaks-`verdict_rand` arity bug was caught.
 
 use std::sync::Arc;
-use verdictdb::core::sample::maintenance::Staleness;
-use verdictdb::core::SampleType;
-use verdictdb::{Backend, Engine, TableBuilder, VerdictConfig, VerdictContext};
+use verdictdb::core::{SampleMeta, SampleType};
+use verdictdb::{
+    Backend, Engine, TableBuilder, VerdictConfig, VerdictContext, VerdictResponse, VerdictSession,
+};
 
 fn sales_table(rows: usize, offset: usize) -> verdictdb::Table {
     TableBuilder::new()
@@ -29,58 +30,75 @@ fn sales_table(rows: usize, offset: usize) -> verdictdb::Table {
         .unwrap()
 }
 
-fn context_with_sales(seed: u64, cache_capacity: usize) -> (Arc<Engine>, VerdictContext) {
+fn context_with_sales(seed: u64, cache_capacity: usize) -> (Arc<Engine>, Arc<VerdictContext>) {
     let engine = Arc::new(Engine::with_seed(seed));
     engine.register_table("sales", sales_table(20_000, 0));
     let conn: Arc<dyn Backend> = engine.clone();
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = cache_capacity;
-    (engine, VerdictContext::new(conn, config))
+    (engine, Arc::new(VerdictContext::new(conn, config)))
+}
+
+/// Runs one statement through a fresh session on the shared context.
+fn sql(ctx: &Arc<VerdictContext>, statement: &str) -> VerdictResponse {
+    VerdictSession::new(Arc::clone(ctx))
+        .execute(statement)
+        .unwrap_or_else(|e| panic!("`{statement}`: {e}"))
+}
+
+/// `CREATE SCRAMBLE … FROM sales …`, returning the built scramble's metadata.
+fn create_scramble(ctx: &Arc<VerdictContext>, name: &str, clauses: &str) -> SampleMeta {
+    match sql(ctx, &format!("CREATE SCRAMBLE {name} FROM sales {clauses}")) {
+        VerdictResponse::ScramblesCreated(mut metas) => metas.remove(0),
+        other => panic!("expected a scramble, got {}", other.kind()),
+    }
+}
+
+/// `REFRESH SCRAMBLES sales FROM sales_batch`, returning the refreshed count.
+fn refresh_from_batch(ctx: &Arc<VerdictContext>) -> usize {
+    match sql(ctx, "REFRESH SCRAMBLES sales FROM sales_batch") {
+        VerdictResponse::ScramblesRefreshed(n) => n,
+        other => panic!("expected a refresh count, got {}", other.kind()),
+    }
+}
+
+/// The `status` column of `SHOW SCRAMBLES`.
+fn scramble_status(ctx: &Arc<VerdictContext>) -> Vec<String> {
+    let listing = sql(ctx, "SHOW SCRAMBLES");
+    let table = listing.table().expect("SHOW SCRAMBLES returns a table");
+    let status = table.schema.index_of("status").expect("status column");
+    (0..table.num_rows())
+        .map(|r| table.value(r, status).to_string())
+        .collect()
 }
 
 #[test]
 fn staleness_tracks_appends_and_shrinks_end_to_end() {
     let (engine, ctx) = context_with_sales(11, 0);
-    ctx.create_sample_with_ratio("sales", SampleType::Uniform, 0.2)
-        .unwrap();
+    create_scramble(&ctx, "sales_uniform", "RATIO 0.2");
 
-    let fresh = ctx.sample_staleness("sales").unwrap();
-    assert_eq!(fresh.len(), 1);
-    assert_eq!(fresh[0].1, Staleness::Fresh);
+    assert_eq!(scramble_status(&ctx), ["fresh"]);
 
     engine
         .catalog()
         .append("sales", &sales_table(5_000, 20_000))
         .unwrap();
-    let stale = ctx.sample_staleness("sales").unwrap();
-    assert_eq!(
-        stale[0].1,
-        Staleness::Stale {
-            appended_rows: 5_000
-        }
-    );
+    assert_eq!(scramble_status(&ctx), ["stale(+5000)"]);
 
     // A shrunk base table cannot be maintained incrementally.
     engine.register_table("sales", sales_table(1_000, 0));
-    let shrunk = ctx.sample_staleness("sales").unwrap();
-    assert_eq!(shrunk[0].1, Staleness::RequiresRebuild);
+    assert_eq!(scramble_status(&ctx), ["requires_rebuild"]);
 }
 
 #[test]
 fn refresh_after_append_grows_uniform_and_stratified_samples() {
     let (_engine, ctx) = context_with_sales(13, 0);
-    let uniform = ctx
-        .create_sample_with_ratio("sales", SampleType::Uniform, 0.2)
-        .unwrap();
-    let stratified = ctx
-        .create_sample_with_ratio(
-            "sales",
-            SampleType::Stratified {
-                columns: vec!["city".into()],
-            },
-            0.2,
-        )
-        .unwrap();
+    let uniform = create_scramble(&ctx, "sales_uniform", "RATIO 0.2");
+    let stratified = create_scramble(
+        &ctx,
+        "sales_stratified",
+        "METHOD stratified RATIO 0.2 ON city",
+    );
     assert!(uniform.sample_rows > 0 && stratified.sample_rows > 0);
 
     // Stage a batch (including rows for a brand-new stratum city_new), append
@@ -104,10 +122,7 @@ fn refresh_after_append_grows_uniform_and_stratified_samples() {
         .execute("INSERT INTO sales SELECT * FROM sales_batch")
         .unwrap();
 
-    let refreshed = ctx
-        .refresh_samples_after_append("sales", "sales_batch")
-        .unwrap();
-    assert_eq!(refreshed, 2);
+    assert_eq!(refresh_from_batch(&ctx), 2);
 
     for meta in ctx.meta().samples_for("sales") {
         assert_eq!(
@@ -158,8 +173,7 @@ fn refresh_after_append_grows_uniform_and_stratified_samples() {
 #[test]
 fn repeated_refresh_is_idempotent() {
     let (_engine, ctx) = context_with_sales(31, 0);
-    ctx.create_sample_with_ratio("sales", SampleType::Uniform, 0.2)
-        .unwrap();
+    create_scramble(&ctx, "sales_uniform", "RATIO 0.2");
     ctx.connection()
         .execute("CREATE TABLE sales_batch AS SELECT id + 20000 AS id, price, city FROM sales LIMIT 4000")
         .unwrap();
@@ -167,21 +181,13 @@ fn repeated_refresh_is_idempotent() {
         .execute("INSERT INTO sales SELECT * FROM sales_batch")
         .unwrap();
 
-    assert_eq!(
-        ctx.refresh_samples_after_append("sales", "sales_batch")
-            .unwrap(),
-        1
-    );
+    assert_eq!(refresh_from_batch(&ctx), 1);
     let after_first = ctx.meta().samples_for("sales")[0].clone();
 
     // A retried REFRESH (e.g. after a partial failure elsewhere) must not
     // fold the same batch in twice: the sample is already Fresh, so nothing
     // is appended and the metadata is unchanged.
-    assert_eq!(
-        ctx.refresh_samples_after_append("sales", "sales_batch")
-            .unwrap(),
-        0
-    );
+    assert_eq!(refresh_from_batch(&ctx), 0);
     let after_second = ctx.meta().samples_for("sales")[0].clone();
     assert_eq!(after_second.sample_rows, after_first.sample_rows);
     assert_eq!(after_second.base_rows, after_first.base_rows);
@@ -190,9 +196,7 @@ fn repeated_refresh_is_idempotent() {
 #[test]
 fn refresh_with_reordered_batch_columns_does_not_corrupt_the_sample() {
     let (_engine, ctx) = context_with_sales(29, 0);
-    let meta = ctx
-        .create_sample_with_ratio("sales", SampleType::Uniform, 0.3)
-        .unwrap();
+    let meta = create_scramble(&ctx, "sales_uniform", "RATIO 0.3");
 
     // Stage the batch with the SAME columns in a DIFFERENT physical order;
     // the refresh projection must follow the base table's order, not the
@@ -206,11 +210,7 @@ fn refresh_with_reordered_batch_columns_does_not_corrupt_the_sample() {
     ctx.connection()
         .execute("INSERT INTO sales SELECT id, price, city FROM sales_batch")
         .unwrap();
-    assert_eq!(
-        ctx.refresh_samples_after_append("sales", "sales_batch")
-            .unwrap(),
-        1
-    );
+    assert_eq!(refresh_from_batch(&ctx), 1);
 
     // Every city value in the refreshed sample is still a real city label.
     let r = ctx
@@ -236,7 +236,7 @@ const REPEAT_QUERY: &str = "SELECT city, avg(price) AS ap FROM sales GROUP BY ci
 #[test]
 fn cached_answer_is_bit_identical_and_append_invalidates_it() {
     let (engine, ctx) = context_with_sales(17, 32);
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
+    create_scramble(&ctx, "sales_uniform", "");
 
     let first = ctx.execute(REPEAT_QUERY).unwrap();
     assert!(!first.exact && !first.cached);
@@ -273,14 +273,14 @@ fn cached_answer_is_bit_identical_and_append_invalidates_it() {
 #[test]
 fn sample_rebuild_invalidates_cached_answers() {
     let (_engine, ctx) = context_with_sales(19, 32);
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
+    create_scramble(&ctx, "sales_uniform", "");
     let first = ctx.execute(REPEAT_QUERY).unwrap();
     assert!(!first.exact);
     assert!(ctx.execute(REPEAT_QUERY).unwrap().cached);
 
     // Rebuilding the sample bumps the sample table's data version even though
     // the base table is untouched.
-    ctx.create_sample("sales", SampleType::Uniform).unwrap();
+    create_scramble(&ctx, "sales_uniform", "");
     let recomputed = ctx.execute(REPEAT_QUERY).unwrap();
     assert!(!recomputed.cached);
     assert!(ctx.cache_stats().invalidations >= 1);

@@ -140,6 +140,88 @@ fn explain_analyze_spans_tile_wall_time_within_ten_percent() {
 }
 
 #[test]
+fn explain_analyze_stream_never_reads_the_answer_cache() {
+    let ctx = sales_context(21);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+
+    // Warm the cache with the plain SELECT; its repeat is a hit.
+    let query = "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+    s.execute(query).unwrap();
+    let repeat = s.execute(query).unwrap().into_answer().unwrap();
+    assert!(repeat.cached, "the warm-up must have populated the cache");
+    let hits_before = ctx.cache_stats().hits;
+
+    // A stream observes current data: analyzing one must recompute, not
+    // replay the cached answer, and is classed as the statement it wraps.
+    let resp = s
+        .execute(&format!("EXPLAIN ANALYZE STREAM {query}"))
+        .unwrap();
+    let by_span = analyze_map(explain_table(&resp));
+    assert_eq!(by_span["@cached"].1, "false");
+    assert_eq!(by_span["@class"].1, "stream");
+    assert!(
+        !by_span.contains_key("cache_probe"),
+        "a stream's route has no cache_probe stage: {by_span:?}"
+    );
+    assert_eq!(ctx.cache_stats().hits, hits_before, "no cache read");
+    assert!(
+        by_span["@backend_queries"].1.parse::<u64>().unwrap() >= 1,
+        "the stream's query must actually run"
+    );
+    for stage in ["canonicalize", "analyze", "plan", "rewrite", "backend_exec"] {
+        assert!(by_span.contains_key(stage), "missing `{stage}` span");
+    }
+}
+
+#[test]
+fn streams_record_frame_spans_and_one_stream_class_trace() {
+    let ctx = sales_context(22);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+    s.execute("SET stream_block_rows = 500").unwrap();
+
+    let frames = s
+        .stream("SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city")
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    assert!(frames.len() >= 3, "only {} frames", frames.len());
+
+    // One `stream_frame` stage sample per progressive frame …
+    let metrics = match s.execute("SHOW METRICS").unwrap() {
+        VerdictResponse::Metrics(text) => text,
+        other => panic!("expected a METRICS response, got {}", other.kind()),
+    };
+    let value_of = |needle: &str| -> u64 {
+        metrics
+            .lines()
+            .find(|l| l.starts_with(needle))
+            .and_then(|l| l.rsplit(' ').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("missing series {needle} in:\n{metrics}"))
+    };
+    assert_eq!(
+        value_of("verdict_stage_duration_us_count{stage=\"stream_frame\"}"),
+        frames.len() as u64
+    );
+    // … and the completed stream is one statement of class `stream`: a
+    // single ring entry, not one per frame.
+    assert_eq!(value_of("verdict_statements_total{class=\"stream\"}"), 1);
+    let traces = ctx.obs().ring().recent(usize::MAX);
+    let stream_traces: Vec<_> = traces.iter().filter(|t| t.class == "stream").collect();
+    assert_eq!(stream_traces.len(), 1);
+    let frame_spans = stream_traces[0]
+        .spans
+        .iter()
+        .filter(|sp| sp.stage == "stream_frame")
+        .count();
+    assert_eq!(frame_spans, frames.len());
+}
+
+#[test]
 fn explain_without_analyze_plans_without_executing() {
     let ctx = sales_context(12);
     let mut s = VerdictSession::new(Arc::clone(&ctx));

@@ -12,7 +12,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use verdictdb::{
-    Backend, Engine, Store, StoreHandle, VerdictConfig, VerdictContext, VerdictSession,
+    Backend, Engine, Store, StoreHandle, VerdictConfig, VerdictContext, VerdictResponse,
+    VerdictSession,
 };
 
 mod common;
@@ -180,8 +181,11 @@ fn refresh_appends_persist_across_restart() {
     // scramble and its updated metadata must both survive the restart.
     let (sample_rows_before, appended_before) = {
         let (engine, _store, ctx) = open_stack(&dir);
-        ctx.create_sample("order_products", verdictdb::core::SampleType::Uniform)
-            .expect("create sample");
+        let ctx = Arc::new(ctx);
+        let mut session = VerdictSession::new(Arc::clone(&ctx));
+        session
+            .execute("CREATE SCRAMBLE verdict_sample_order_products_uniform FROM order_products")
+            .expect("create scramble");
 
         let base = engine.catalog().get("order_products").expect("base table");
         let batch = base.take(&(0..512).collect::<Vec<usize>>());
@@ -190,10 +194,10 @@ fn refresh_appends_persist_across_restart() {
             .catalog()
             .append("order_products", &batch)
             .expect("append to base");
-        let refreshed = ctx
-            .refresh_samples_after_append("order_products", "op_batch")
+        let refreshed = session
+            .execute("REFRESH SCRAMBLES order_products FROM op_batch")
             .expect("refresh");
-        assert_eq!(refreshed, 1);
+        assert!(matches!(refreshed, VerdictResponse::ScramblesRefreshed(1)));
         let meta = &ctx.meta().all()[0];
         assert!(meta.appended_rows > 0, "refresh must mark the append");
         (meta.sample_rows, meta.appended_rows)
@@ -222,9 +226,14 @@ fn drop_sample_removes_it_durably() {
 
     {
         let (_engine, _store, ctx) = open_stack(&dir);
-        ctx.create_sample("order_products", verdictdb::core::SampleType::Uniform)
-            .expect("create sample");
-        assert_eq!(ctx.drop_samples("order_products").expect("drop"), 1);
+        let mut session = VerdictSession::new(Arc::new(ctx));
+        session
+            .execute("CREATE SCRAMBLE verdict_sample_order_products_uniform FROM order_products")
+            .expect("create scramble");
+        let dropped = session
+            .execute("DROP SCRAMBLES order_products")
+            .expect("drop");
+        assert!(matches!(dropped, VerdictResponse::ScramblesDropped(1)));
     }
 
     let (_engine, store, ctx) = open_stack(&dir);

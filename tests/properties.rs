@@ -1097,23 +1097,32 @@ fn printer_roundtrips_under_every_dialect() {
 #[test]
 fn sample_tables_shrink_with_the_requested_ratio() {
     use std::sync::Arc;
-    use verdictdb::core::sample::SampleType;
-    use verdictdb::{Backend, Engine, VerdictConfig, VerdictContext};
+    use verdictdb::{
+        Backend, Engine, VerdictConfig, VerdictContext, VerdictResponse, VerdictSession,
+    };
 
     let engine = Arc::new(Engine::with_seed(5));
     verdictdb::data::InstacartGenerator::new(0.1).register(&engine);
     let conn: Arc<dyn Backend> = engine;
     let mut config = VerdictConfig::default();
     config.min_table_rows = 1_000;
-    let ctx = VerdictContext::new(conn, config);
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    let mut session = VerdictSession::new(Arc::clone(&ctx));
 
     let base_rows = ctx.connection().table_row_count("order_products").unwrap() as f64;
     for ratio in [0.01, 0.05, 0.2] {
-        ctx.drop_samples("order_products").unwrap();
-        let meta = ctx
-            .create_sample_with_ratio("order_products", SampleType::Uniform, ratio)
+        session
+            .execute("DROP SCRAMBLES IF EXISTS order_products")
             .unwrap();
-        let actual = meta.sample_rows as f64 / base_rows;
+        let built = session
+            .execute(&format!(
+                "CREATE SCRAMBLE op_uniform FROM order_products RATIO {ratio}"
+            ))
+            .unwrap();
+        let VerdictResponse::ScramblesCreated(metas) = built else {
+            panic!("expected a scramble, got {}", built.kind());
+        };
+        let actual = metas[0].sample_rows as f64 / base_rows;
         assert!(
             (actual - ratio).abs() < ratio * 0.5 + 0.01,
             "requested ratio {ratio}, got {actual}"
@@ -1160,6 +1169,13 @@ fn streaming_stack(seed: u64, rows: usize, parallelism: usize) -> verdictdb::Ver
     session
 }
 
+/// The statement in the printer's spelling (what a stream reports as the
+/// exact SQL it fell back to).
+fn printed(sql: &str) -> String {
+    let stmt = verdictdb::sql::parse_statement(sql).unwrap();
+    verdictdb::sql::print_statement(&stmt, &verdictdb::sql::GenericDialect)
+}
+
 /// For seeded random aggregates, the streamed final frame equals the
 /// one-shot answer bit for bit at engine parallelism 1 and 4, and the
 /// interval half-widths are non-increasing in expectation across frames.
@@ -1185,6 +1201,9 @@ fn streamed_final_frame_is_bit_identical_to_one_shot_and_intervals_shrink() {
         } else {
             format!("SELECT {agg} FROM sales")
         };
+        // The stream reports the exact SQL in printed form, so ask both
+        // paths the printed spelling and `rewritten_sql` compares verbatim.
+        let query = printed(&query);
         let rows = 8_000 + rng.gen_range(0..4_000usize);
         for parallelism in [1usize, 4] {
             // Twin stacks: stream on one, one-shot on the other.
@@ -1219,6 +1238,10 @@ fn streamed_final_frame_is_bit_identical_to_one_shot_and_intervals_shrink() {
                     "seed {case} par {parallelism}: intervals must match"
                 );
             }
+            assert_eq!(last.exact, reference.exact);
+            assert_eq!(last.used_samples, reference.used_samples);
+            assert_eq!(last.used_samples, ["scr"]);
+            assert_eq!(last.rewritten_sql, reference.rewritten_sql);
             // Interval refinement: `<col>_err` half-widths (for_testing
             // keeps error columns on) shrink in expectation as the prefix
             // grows.  Individual steps may wobble; totals must not.
@@ -1248,6 +1271,49 @@ fn streamed_final_frame_is_bit_identical_to_one_shot_and_intervals_shrink() {
             }
         }
     }
+    // The shared endgame: a completed stream falls back to the exact answer
+    // under exactly the conditions a one-shot query does — thin subsample
+    // cells (a float GROUP BY key: ~one row per group) and a violated
+    // accuracy contract — and reports it identically: exact, no samples
+    // used, the attempted sample SQL first and the exact SQL last.
+    for (label, setup, query) in [
+        (
+            "infeasible cells",
+            "SET stream_block_rows = 300",
+            "SELECT v, count(*) AS c FROM sales GROUP BY v ORDER BY v",
+        ),
+        (
+            "accuracy contract",
+            "SET target_error = 0.000001",
+            "SELECT k, avg(v) AS a FROM sales GROUP BY k ORDER BY k",
+        ),
+    ] {
+        let query = printed(query);
+        let mut streamer = streaming_stack(7_100, 9_000, 1);
+        let mut oneshot = streaming_stack(7_100, 9_000, 1);
+        streamer.execute(setup).unwrap();
+        oneshot.execute(setup).unwrap();
+        let frames: Vec<_> = streamer
+            .stream(&query)
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let last = &frames.last().unwrap().answer;
+        let reference = oneshot.execute(&query).unwrap().into_answer().unwrap();
+        assert!(reference.exact, "{label}: one-shot must fall back");
+        assert!(last.exact, "{label}: final frame must fall back");
+        common::assert_tables_bit_identical(&last.table, &reference.table, label);
+        assert!(last.used_samples.is_empty() && reference.used_samples.is_empty());
+        assert_eq!(last.rewritten_sql, reference.rewritten_sql, "{label}");
+        assert_eq!(
+            last.rewritten_sql.len(),
+            2,
+            "{label}: sample SQL, then exact"
+        );
+        assert!(last.rewritten_sql[0].contains("scr"), "{label}");
+        assert_eq!(last.rewritten_sql[1], query, "{label}");
+    }
+
     assert!(
         last_widths < first_widths,
         "intervals must tighten overall: first {first_widths}, last {last_widths}"
