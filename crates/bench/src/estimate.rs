@@ -12,9 +12,9 @@
 //!   the Figure 7 runtime-overhead comparison (their cost is `O(b·n)` versus
 //!   `O(n)` for variational subsampling).
 
-use crate::stats::{normal_critical_value, quantile, stddev};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use verdict_core::stats::{normal_critical_value, quantile, stddev};
 
 /// A confidence interval around a point estimate of a population mean.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -9,7 +9,7 @@
 //! The scalar paths materialise every cell as a dynamically-typed `Value`
 //! with per-cell enum dispatch — the exact shape of the engine before the
 //! typed-columnar refactor.  The vectorized paths are the packed-mask /
-//! dictionary-key / radix-partition kernels the engine runs today.
+//! dictionary-key / hash-clustering kernels the engine runs today.
 
 use std::time::Instant;
 use verdict_engine::kernels::{self, group_rows_with};
@@ -66,8 +66,10 @@ pub fn keys_16(n: usize) -> Column {
     Column::from_i64((0..n as i64).map(|i| i % 16).collect())
 }
 
-/// ~n-distinct wide int keys: far beyond any dictionary, the shape the
-/// radix-partitioned grouping path exists for.
+/// ~n-distinct wide int keys: far beyond any dictionary, so the hash path
+/// groups them.  No benchmark workload has this shape; the row is kept so
+/// that a change adding one can tell whether a partitioned path would pay
+/// (the deleted radix path ran it in 146 ms where hash takes 376 ms).
 pub fn keys_distinct(n: usize) -> Column {
     Column::from_i64((0..n as i64).map(|i| i.wrapping_mul(104_729)).collect())
 }
@@ -162,7 +164,7 @@ pub fn vector_sum_avg(col: &Column) -> (f64, f64) {
     (sum, sum / count.max(1) as f64)
 }
 
-/// Strategy-dispatched grouping (dict / radix / hash by key shape) plus a
+/// Grouping (dict or hash, picked from the key column) plus a
 /// dense gid-indexed sum fold.
 pub fn vector_grouped_sum(keys: &Column, values: &Column, pool: &ThreadPool) -> Vec<f64> {
     let grouping = group_rows_with(std::slice::from_ref(keys), keys.len(), pool);
@@ -219,7 +221,7 @@ pub fn par_sum_avg(col: &Column, pool: &ThreadPool) -> (f64, f64) {
     (sum, sum / count.max(1) as f64)
 }
 
-/// Morsel-parallel grouped sum (strategy-dispatched grouping + per-morsel
+/// Morsel-parallel grouped sum (dict-or-hash grouping + per-morsel
 /// partial sums merged in morsel order).
 pub fn par_grouped_sum(keys: &Column, values: &Column, pool: &ThreadPool) -> Vec<f64> {
     let n = keys.len();

@@ -7,23 +7,32 @@
 //! target seconds-per-experiment on a laptop; the shapes — who wins, by
 //! roughly what factor, where the crossovers fall — are what the paper's
 //! conclusions rest on and are preserved at any scale.
+//!
+//! The models the paper compares against, which no SQL statement of the
+//! product reaches, live here too: the error-estimation baselines
+//! ([`estimate`]), the per-engine latency profiles ([`profile`]) and the
+//! tightly-integrated AQP baseline ([`integrated`]).
 
+pub mod estimate;
 pub mod integrated;
 pub mod kernel;
+pub mod profile;
 
-use integrated::{IntegratedAqp, IntegratedSample};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use verdict_core::estimate::{
+pub use profile::EngineProfile;
+
+use estimate::{
     bootstrap_interval, clt_interval, default_subsample_size, sql_baselines,
     traditional_subsampling_interval, variational_subsampling_interval,
 };
+use integrated::{IntegratedAqp, IntegratedSample};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use verdict_core::sample::{SampleType, SAMPLE_TABLE_PREFIX};
 use verdict_core::{VerdictConfig, VerdictContext, VerdictResponse, VerdictResult, VerdictSession};
 use verdict_data::{
     instacart_queries, tpch_queries, InstacartGenerator, SyntheticGenerator, TpchGenerator,
 };
-use verdict_engine::{Backend, Engine, EngineProfile, ExecStats};
+use verdict_engine::{Backend, Engine, ExecStats};
 
 /// One per-query row of the speedup/error experiments (Figures 4, 9, 10).
 #[derive(Debug, Clone)]

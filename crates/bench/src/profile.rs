@@ -19,13 +19,13 @@
 //! claiming to reproduce the absolute EC2 numbers.
 //!
 //! Since the engine executes kernels morsel-parallel
-//! ([`crate::parallel::ThreadPool`]), `measured_cpu_time` already reflects
+//! ([`verdict_engine::ThreadPool`]), `measured_cpu_time` already reflects
 //! the configured thread count; the fixed and per-row components model the
 //! *remote* engine and are unaffected by local parallelism, which keeps the
 //! modeled speedup ratios comparable across pool sizes.
 
-use crate::engine::ExecStats;
 use std::time::Duration;
+use verdict_engine::ExecStats;
 
 /// A latency model for one underlying engine.
 #[derive(Debug, Clone, Copy, PartialEq)]

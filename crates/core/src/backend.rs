@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use verdict_engine::engine::Backend;
-use verdict_engine::{BlockScan, EngineResult, GroupStrategy, QueryResult};
+use verdict_engine::{BlockScan, EngineResult, QueryResult};
 use verdict_sql::dialect::Dialect;
 
 /// Snapshot of the per-backend routing counters (surfaced by `SHOW STATS`).
@@ -104,10 +104,6 @@ impl Backend for InstrumentedBackend {
         self.inner.set_parallelism(threads);
     }
 
-    fn set_group_strategy(&self, strategy: GroupStrategy) {
-        self.inner.set_group_strategy(strategy);
-    }
-
     fn data_version(&self, table: &str) -> Option<u64> {
         let version = self.inner.data_version(table);
         if version.is_none() {
@@ -178,10 +174,6 @@ impl Backend for DialectBackend {
 
     fn set_parallelism(&self, threads: usize) {
         self.inner.set_parallelism(threads);
-    }
-
-    fn set_group_strategy(&self, strategy: GroupStrategy) {
-        self.inner.set_group_strategy(strategy);
     }
 
     fn data_version(&self, table: &str) -> Option<u64> {

@@ -52,13 +52,6 @@ pub struct VerdictConfig {
     /// Applied to the connection when the context is created; results are
     /// bit-identical at any setting — only latency changes.
     pub parallelism: Option<usize>,
-    /// GROUP BY clustering strategy hint for the underlying engine
-    /// ([`verdict_engine::GroupStrategy`]): dictionary-encoded keys, radix
-    /// partitioning, plain hash clustering, or (the default, also when
-    /// `None`) an automatic per-grouping choice.  Like [`Self::parallelism`],
-    /// every setting yields bit-identical answers — only latency changes —
-    /// and it is applied to the connection at context creation.
-    pub group_strategy: Option<verdict_engine::GroupStrategy>,
     /// Capacity (in entries) of the approximate-answer cache keyed by
     /// canonical SQL.  `0` (the default) disables caching: every `execute`
     /// call runs against the underlying database.  The serving layer turns
@@ -105,7 +98,6 @@ impl Default for VerdictConfig {
             planner_top_k: 10,
             seed: None,
             parallelism: None,
-            group_strategy: None,
             answer_cache_capacity: 0,
             stream_block_rows: verdict_engine::MORSEL_ROWS,
             stream_max_frames: 0,
@@ -135,9 +127,7 @@ impl VerdictConfig {
     /// shaping (`include_error_columns`), and fallback thresholds
     /// (`max_relative_error`, `min_rows_per_group`).  Excluded: knobs that
     /// only change *how fast* the identical answer is produced
-    /// (`parallelism`, `group_strategy` — every grouping strategy yields the
-    /// same first-appearance grouping — `answer_cache_capacity`), that only
-    /// matter at
+    /// (`parallelism`, `answer_cache_capacity`), that only matter at
     /// sample-build time (`sampling_ratio`, `stratified_*`), that only
     /// change how often progressive frames appear while leaving the final
     /// answer bit-identical (`stream_block_rows`, `stream_max_frames`), or

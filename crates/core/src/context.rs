@@ -133,13 +133,10 @@ impl VerdictContext {
     /// ([`Backend::dialect`] — the generic dialect unless the backend
     /// overrides it).
     pub fn new(conn: Arc<dyn Backend>, config: VerdictConfig) -> VerdictContext {
-        // Thread the engine speed knobs through to the backend; backends
-        // without a local execution engine ignore the hints.
+        // Thread the engine's thread-count hint through to the backend;
+        // backends without a local execution engine ignore it.
         if let Some(threads) = config.parallelism {
             conn.set_parallelism(threads);
-        }
-        if let Some(strategy) = config.group_strategy {
-            conn.set_group_strategy(strategy);
         }
         let cache = AnswerCache::new(config.answer_cache_capacity);
         let instrumented = Arc::new(InstrumentedBackend::new(conn));
@@ -284,8 +281,7 @@ impl VerdictContext {
         &self.meta
     }
 
-    /// The active backend (wrapped in routing instrumentation).  The method
-    /// keeps its pre-refactor name; `Connection` is an alias of [`Backend`].
+    /// The active backend (wrapped in routing instrumentation).
     pub fn connection(&self) -> &Arc<dyn Backend> {
         &self.conn
     }

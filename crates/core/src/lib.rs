@@ -16,8 +16,7 @@
 //! | Sample preparation (§3), probabilistic stratified samples (§3.2, Lemma 1) | [`sample`], [`stats`] |
 //! | Sample planning under an I/O budget (Appendix E) | [`planner`] |
 //! | AQP rewriting with variational subsampling, joins, nested queries (§4, §5) | [`rewrite`], [`flatten`] |
-//! | Answer rewriting: estimates + confidence intervals | [`answer`] |
-//! | Error-estimation baselines (bootstrap, subsampling, CLT) | [`estimate`] |
+//! | Answer rewriting: approximate answers + confidence intervals | [`answer`] |
 //! | User interface / knobs (§2.4) | [`config`], [`session`] |
 //! | The statement pipeline (plan → execute → finish) | [`pipeline`], [`context`], [`progress`] |
 //!
@@ -48,7 +47,7 @@
 //! // Offline: build a 1% uniform scramble — plain SQL, like everything else.
 //! session.execute("CREATE SCRAMBLE orders_scramble FROM orders").unwrap();
 //!
-//! // Online: the query is answered from the scramble, with error estimates.
+//! // Online: the query is answered from the scramble, with error bounds.
 //! let answer = session
 //!     .execute("SELECT city, avg(price) AS ap FROM orders GROUP BY city ORDER BY city")
 //!     .unwrap()
@@ -66,7 +65,6 @@ pub mod cache;
 pub mod config;
 pub mod context;
 pub mod error;
-pub mod estimate;
 pub mod flatten;
 pub mod meta;
 pub mod obs;

@@ -16,7 +16,7 @@
 //! | `SELECT` | all of them ([`VerdictContext::run_statement`], [`Route::Approximate`]) |
 //! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
 //! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
-//! | `STREAM`, single frame | as `SELECT`, minus `cache_probe` ([`Route::ApproximateSkipCacheRead`]) |
+//! | `STREAM`, single frame | as `SELECT`, minus `cache_probe` ([`Route::ApproximateSkipCacheRead`]); planned when the stream opens, run on its one pull |
 //! | `STREAM`, progressive | `canonicalize → analyze → plan → rewrite`, then one `stream_frame` (block scan + assemble) per frame; the final frame runs `finish` |
 //! | `EXPLAIN <stmt>` | `canonicalize → analyze → plan → rewrite`, then stops and describes the `Planned` value |
 //! | `EXPLAIN ANALYZE <stmt>` | whatever `<stmt>` runs; the finished trace is the answer |
@@ -141,26 +141,14 @@ impl VerdictContext {
             _ => (None, None),
         };
         let sql = inner.as_deref().unwrap_or(sql);
-        self.run_as(class, query, sql, config, route, shed_tier)
-    }
-
-    /// The driver: runs `sql` — `query`, when the statement is one and can
-    /// therefore be approximated — under a trace of the given class.
-    pub(crate) fn run_as(
-        &self,
-        class: &'static str,
-        query: Option<&Query>,
-        sql: &str,
-        config: &VerdictConfig,
-        route: Route,
-        shed_tier: &'static str,
-    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
         let mut open = self.open_trace();
         let mut answer = self.drive(query, sql, config, route, &mut open.tb)?;
         let trace = self.close_trace(open, class, sql, config, shed_tier, Some(&mut answer));
         Ok((answer, trace))
     }
 
+    /// Runs `sql` — `query`, when the statement is one and can therefore be
+    /// approximated — along `route`.
     fn drive(
         &self,
         query: Option<&Query>,
@@ -195,7 +183,22 @@ impl VerdictContext {
             return self.passthrough(sql);
         };
         let ticket = key.and_then(|k| self.cache_ticket(k, query));
-        match self.plan_query(query, config, tb)? {
+        let planned = self.plan_query(query, config, tb)?;
+        self.run_planned(planned, sql, ticket, config, tb)
+    }
+
+    /// `backend_exec → assemble → finish` for a planned query: the tail of
+    /// the one-shot driver, and all that is left to do for a stream's
+    /// single-frame fallback, which planned when it was opened.
+    pub(crate) fn run_planned(
+        &self,
+        planned: Planned,
+        sql: &str,
+        ticket: Option<CacheTicket>,
+        config: &VerdictConfig,
+        tb: &mut TraceBuilder,
+    ) -> VerdictResult<VerdictAnswer> {
+        match planned {
             Planned::Exact { reason, .. } => {
                 tb.begin_with("passthrough", reason);
                 let answer = self.passthrough(sql)?;

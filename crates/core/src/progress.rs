@@ -33,8 +33,9 @@
 //!
 //! Queries outside the progressive class (joins, count-distinct, `min`/
 //! `max`, no usable scramble, or a connection without block scans) degrade
-//! gracefully to a single-frame stream computed by the one-shot driver on
-//! the stream's route (no cache read).
+//! gracefully to a single-frame stream: the plan made at open is executed by
+//! the one-shot driver's own tail (`run_planned`) on the stream's route (no
+//! cache read), so such a stream plans — and probes row counts — once.
 //!
 //! A completed stream's final frame is inserted into the shared answer
 //! cache under the same key a plain `SELECT` would use — it *is* that
@@ -79,9 +80,9 @@ pub struct ProgressFrame {
 enum StreamState {
     Progressive(Box<Progressive>),
     /// The query is outside the progressive class, or the session bypasses
-    /// sampling: one frame, computed by the one-shot driver along the
-    /// stream's route.
-    Single,
+    /// sampling: one frame, executing what was planned at open (a planning
+    /// failure included — it surfaces on that frame).
+    Single(VerdictResult<Planned>),
     /// Stream finished (or failed); no further frames.
     Done,
 }
@@ -94,11 +95,6 @@ struct Progressive {
     rewritten: Box<RewriteOutput>,
     /// Printed SQL of the rewritten mean query (reported per frame).
     mean_sql: String,
-    /// Cache bookkeeping for the completed stream's final frame.
-    ticket: Option<CacheTicket>,
-    /// The stream statement's trace, closed (and observed under class
-    /// `stream`) when the last frame is emitted.
-    trace: OpenTrace,
 }
 
 /// A pull-based progressive execution: an iterator of
@@ -108,12 +104,15 @@ struct Progressive {
 pub struct ProgressStream {
     ctx: Arc<VerdictContext>,
     cfg: VerdictConfig,
-    /// The streamed query and its printed SQL.
-    query: Query,
+    /// The streamed query's printed SQL.
     sql: String,
-    route: Route,
     shed_tier: &'static str,
     state: StreamState,
+    /// Cache bookkeeping for the answer of a stream that runs to its end.
+    ticket: Option<CacheTicket>,
+    /// The stream statement's trace: opened with the stream, taken and
+    /// closed (observed under class `stream`) with its last frame.
+    trace: Option<OpenTrace>,
     index: usize,
 }
 
@@ -130,40 +129,73 @@ impl ProgressStream {
         shed_tier: &'static str,
     ) -> ProgressStream {
         ctx.streams.started.fetch_add(1, Relaxed);
-        let progressive = match route {
-            Route::Exact => None,
-            _ => Self::plan_progressive(&ctx, &query, &cfg),
+        let mut trace = ctx.open_trace();
+        let (planned, ticket) = if route == Route::Exact {
+            let bypass = Planned::Exact {
+                reason: String::new(),
+                plan: None,
+            };
+            (Ok(bypass), None)
+        } else {
+            trace.tb.begin("canonicalize");
+            // The ticket's version snapshot is taken BEFORE a scan pins its
+            // input (see `cache_ticket`): a write landing between the two
+            // leaves the completed answer stored under the pre-write
+            // versions, where revalidation drops it.
+            let key = ctx.cache_key(&query, &cfg);
+            let ticket = key.and_then(|k| ctx.cache_ticket(k, &query));
+            (ctx.plan_query(&query, &cfg, &mut trace.tb), ticket)
         };
-        let state = progressive.unwrap_or_else(|| {
-            ctx.streams.fallbacks.fetch_add(1, Relaxed);
-            StreamState::Single
-        });
+        let scan = match &planned {
+            Ok(Planned::Approximate(rewritten)) => Self::open_scan(&ctx, rewritten),
+            _ => None,
+        };
+        trace.tb.end();
+        let state = match (planned, scan) {
+            (Ok(Planned::Approximate(rewritten)), Some((scan, mean_sql))) => {
+                StreamState::Progressive(Box::new(Progressive {
+                    scan,
+                    rewritten,
+                    mean_sql,
+                }))
+            }
+            (planned, _) => {
+                ctx.streams.fallbacks.fetch_add(1, Relaxed);
+                StreamState::Single(planned)
+            }
+        };
         let sql = print_query(&query, ctx.dialect());
         ProgressStream {
             ctx,
             cfg,
-            query,
             sql,
-            route,
             shed_tier,
             state,
+            ticket,
+            trace: Some(trace),
             index: 0,
         }
     }
 
-    /// Runs the pipeline up to `rewrite` and opens the block scan; `None`
-    /// means "answer as a single frame".
-    fn plan_progressive(
-        ctx: &Arc<VerdictContext>,
-        query: &Query,
-        cfg: &VerdictConfig,
-    ) -> Option<StreamState> {
-        let mut trace = ctx.open_trace();
-        trace.tb.begin("canonicalize");
-        let key = ctx.cache_key(query, cfg);
-        let Ok(Planned::Approximate(rewritten)) = ctx.plan_query(query, cfg, &mut trace.tb) else {
-            return None;
-        };
+    /// Closes the stream's trace with its last frame's answer.
+    fn close_trace(&mut self, answer: &mut VerdictAnswer) {
+        let trace = self.trace.take().expect("closed once, by the last frame");
+        self.ctx.close_trace(
+            trace,
+            "stream",
+            &self.sql,
+            &self.cfg,
+            self.shed_tier,
+            Some(answer),
+        );
+    }
+
+    /// Opens the block scan over the rewritten mean query, with its printed
+    /// SQL; `None` means "answer as a single frame".
+    fn open_scan(
+        ctx: &VerdictContext,
+        rewritten: &RewriteOutput,
+    ) -> Option<(Box<dyn BlockScan>, String)> {
         // Progressive execution covers the single-table, mean-like class;
         // count-distinct and extreme statistics would need their own side
         // queries per frame and take the one-shot path instead.
@@ -189,20 +221,8 @@ impl ProgressStream {
             return None;
         }
         let mean_sql = print_statement(rewritten.mean_query.as_ref()?, ctx.dialect());
-        // The ticket's version snapshot is taken BEFORE the scan pins its
-        // input (see `cache_ticket`): a write landing between the two leaves
-        // the completed answer stored under the pre-write versions, where
-        // revalidation drops it.
-        let ticket = key.and_then(|k| ctx.cache_ticket(k, query));
         let scan = ctx.connection().open_block_scan(&mean_sql)?;
-        trace.tb.end();
-        Some(StreamState::Progressive(Box::new(Progressive {
-            scan,
-            rewritten,
-            mean_sql,
-            ticket,
-            trace,
-        })))
+        Some((scan, mean_sql))
     }
 
     /// The shared context this stream executes on.
@@ -242,11 +262,9 @@ impl ProgressStream {
             scan,
             rewritten,
             mean_sql,
-            ticket,
-            trace,
         } = progressive.as_mut();
         self.index += 1;
-        let tb = &mut trace.tb;
+        let tb = &mut self.trace.as_mut().expect("open until the last frame").tb;
         tb.begin_with("stream_frame", format!("frame {}", self.index));
         // When a frame cap is configured and this frame reaches it, consume
         // everything left so the last emitted frame is the complete answer.
@@ -271,7 +289,7 @@ impl ProgressStream {
                 &self.sql,
                 rewritten,
                 Some(mean),
-                ticket.take(),
+                self.ticket.take(),
                 tb,
                 &self.cfg,
             )?;
@@ -316,19 +334,8 @@ impl ProgressStream {
         }
         let last = complete || early_stopped;
         if last {
-            let StreamState::Progressive(done) =
-                std::mem::replace(&mut self.state, StreamState::Done)
-            else {
-                unreachable!("state was matched as progressive above");
-            };
-            self.ctx.close_trace(
-                done.trace,
-                "stream",
-                &self.sql,
-                &self.cfg,
-                self.shed_tier,
-                Some(&mut answer),
-            );
+            self.state = StreamState::Done;
+            self.close_trace(&mut answer);
         }
         self.ctx.streams.frames.fetch_add(1, Relaxed);
         Ok(ProgressFrame {
@@ -347,16 +354,16 @@ impl ProgressStream {
     }
 
     fn next_single(&mut self) -> VerdictResult<ProgressFrame> {
+        let StreamState::Single(planned) = std::mem::replace(&mut self.state, StreamState::Done)
+        else {
+            unreachable!("next_single called on a non-single stream");
+        };
         self.index += 1;
-        self.state = StreamState::Done;
-        let (answer, _) = self.ctx.run_as(
-            "stream",
-            Some(&self.query),
-            &self.sql,
-            &self.cfg,
-            self.route,
-            self.shed_tier,
-        )?;
+        let tb = &mut self.trace.as_mut().expect("open until the last frame").tb;
+        let mut answer =
+            self.ctx
+                .run_planned(planned?, &self.sql, self.ticket.take(), &self.cfg, tb)?;
+        self.close_trace(&mut answer);
         self.ctx.streams.frames.fetch_add(1, Relaxed);
         let rows = answer.rows_scanned;
         Ok(ProgressFrame {
@@ -403,7 +410,7 @@ impl Iterator for ProgressStream {
     fn next(&mut self) -> Option<Self::Item> {
         let result = match &self.state {
             StreamState::Done => return None,
-            StreamState::Single => self.next_single(),
+            StreamState::Single(_) => self.next_single(),
             StreamState::Progressive(_) => self.next_progressive(),
         };
         if result.is_err() {

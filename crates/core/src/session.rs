@@ -33,7 +33,7 @@ use crate::progress::ProgressStream;
 use crate::sample::maintenance::Staleness;
 use crate::sample::{SampleMeta, SampleType};
 use std::sync::Arc;
-use verdict_engine::{GroupStrategy, Table, TableBuilder};
+use verdict_engine::{Table, TableBuilder};
 use verdict_sql::ast::{Literal, ScrambleMethod, SetValue, Statement};
 use verdict_sql::printer::print_statement;
 
@@ -63,13 +63,6 @@ pub struct QueryOptions {
     /// pool, so per-statement isolation is not possible); `SET parallelism
     /// = default` restores the base configuration's setting.
     pub parallelism: Option<usize>,
-    /// `SET group_strategy = auto|hash|dict|radix` — GROUP BY clustering
-    /// strategy hint for the engine's grouping kernels.  Every strategy
-    /// yields bit-identical answers (same first-appearance group order);
-    /// only latency changes.  **Engine-wide, not session-scoped**, exactly
-    /// like [`Self::parallelism`]; `SET group_strategy = default` restores
-    /// the base configuration's setting.
-    pub group_strategy: Option<GroupStrategy>,
     /// `SET bypass = on|off` — when on, every query runs exactly on the
     /// base tables (a session-wide `BYPASS`).
     pub bypass: bool,
@@ -115,10 +108,9 @@ impl QueryOptions {
         if self.cache == Some(false) {
             cfg.answer_cache_capacity = 0;
         }
-        // `parallelism` and `group_strategy` are deliberately NOT folded in:
-        // the engine reads those knobs only at context construction, so the
-        // per-statement config cannot carry them — SET applies each hint to
-        // the shared pool instead.
+        // `parallelism` is deliberately NOT folded in: the engine reads it
+        // only at context construction, so the per-statement config cannot
+        // carry it — SET applies the hint to the shared pool instead.
         if let Some(e) = self.error_columns {
             cfg.include_error_columns = e;
         }
@@ -635,13 +627,7 @@ impl VerdictSession {
                 let v = if reset {
                     None
                 } else {
-                    let n = value_f64(value)?;
-                    if n < 1.0 || n.fract() != 0.0 {
-                        return Err(VerdictError::Unsupported(format!(
-                            "parallelism must be a positive integer, got {n}"
-                        )));
-                    }
-                    Some(n as usize)
+                    Some(value_uint(value, "parallelism", 1, "")? as usize)
                 };
                 self.options.parallelism = v;
                 // The hint targets the shared engine pool (engine-wide, see
@@ -655,36 +641,6 @@ impl VerdictSession {
                     self.ctx.connection().set_parallelism(n);
                 }
                 Ok(("parallelism".into(), render(self.options.parallelism)))
-            }
-            "group_strategy" => {
-                let v = if reset {
-                    None
-                } else {
-                    let word = match value {
-                        SetValue::Ident(w) => w.clone(),
-                        SetValue::Literal(Literal::String(s)) => s.clone(),
-                        other => {
-                            return Err(VerdictError::Unsupported(format!(
-                                "expected auto/hash/dict/radix, got {other}"
-                            )))
-                        }
-                    };
-                    Some(GroupStrategy::parse(&word).ok_or_else(|| {
-                        VerdictError::Unsupported(format!(
-                            "unknown group_strategy {word} (auto, hash, dict, radix)"
-                        ))
-                    })?)
-                };
-                self.options.group_strategy = v;
-                // Like parallelism, the hint targets the shared engine pool;
-                // every strategy yields bit-identical groupings, so only
-                // latency changes.  Reset restores the base configuration's
-                // setting (or Auto).
-                let effective = v
-                    .or(self.ctx.config().group_strategy)
-                    .unwrap_or(GroupStrategy::Auto);
-                self.ctx.connection().set_group_strategy(effective);
-                Ok(("group_strategy".into(), render(self.options.group_strategy)))
             }
             "bypass" => {
                 self.options.bypass = if reset { false } else { value_bool(value)? };
@@ -718,13 +674,7 @@ impl VerdictSession {
                 self.options.stream_block_rows = if reset {
                     None
                 } else {
-                    let n = value_f64(value)?;
-                    if n < 1.0 || n.fract() != 0.0 {
-                        return Err(VerdictError::Unsupported(format!(
-                            "stream_block_rows must be a positive integer, got {n}"
-                        )));
-                    }
-                    Some(n as usize)
+                    Some(value_uint(value, "stream_block_rows", 1, "")? as usize)
                 };
                 Ok((
                     "stream_block_rows".into(),
@@ -735,14 +685,7 @@ impl VerdictSession {
                 self.options.stream_max_frames = if reset {
                     None
                 } else {
-                    let n = value_f64(value)?;
-                    if n < 0.0 || n.fract() != 0.0 {
-                        return Err(VerdictError::Unsupported(format!(
-                            "stream_max_frames must be a non-negative integer \
-                             (0 = unbounded), got {n}"
-                        )));
-                    }
-                    Some(n as usize)
+                    Some(value_uint(value, "stream_max_frames", 0, " (0 = unbounded)")? as usize)
                 };
                 Ok((
                     "stream_max_frames".into(),
@@ -753,14 +696,12 @@ impl VerdictSession {
                 self.options.deadline_ms = if reset {
                     None
                 } else {
-                    let n = value_f64(value)?;
-                    if n < 1.0 || n.fract() != 0.0 {
-                        return Err(VerdictError::Unsupported(format!(
-                            "deadline_ms must be a positive integer number of \
-                             milliseconds, got {n}"
-                        )));
-                    }
-                    Some(n as u64)
+                    Some(value_uint(
+                        value,
+                        "deadline_ms",
+                        1,
+                        " number of milliseconds",
+                    )?)
                 };
                 Ok(("deadline_ms".into(), render(self.options.deadline_ms)))
             }
@@ -768,20 +709,18 @@ impl VerdictSession {
                 self.options.slow_query_ms = if reset {
                     None
                 } else {
-                    let n = value_f64(value)?;
-                    if n < 0.0 || n.fract() != 0.0 {
-                        return Err(VerdictError::Unsupported(format!(
-                            "slow_query_ms must be a non-negative integer number of \
-                             milliseconds (0 = disabled), got {n}"
-                        )));
-                    }
-                    Some(n as u64)
+                    Some(value_uint(
+                        value,
+                        "slow_query_ms",
+                        0,
+                        " number of milliseconds (0 = disabled)",
+                    )?)
                 };
                 Ok(("slow_query_ms".into(), render(self.options.slow_query_ms)))
             }
             other => Err(VerdictError::Unsupported(format!(
                 "unknown session option {other} (target_error, confidence, cache, \
-                 parallelism, group_strategy, bypass, error_columns, io_budget, \
+                 parallelism, bypass, error_columns, io_budget, \
                  sampling_ratio, stream_block_rows, stream_max_frames, deadline_ms, \
                  slow_query_ms)"
             ))),
@@ -878,6 +817,19 @@ fn value_fraction(value: &SetValue, option: &str) -> VerdictResult<f64> {
         )));
     }
     Ok(v)
+}
+
+/// A whole-number `SET` value of at least `min` (0 or 1); `unit` completes
+/// the error text after "integer" (a unit, what 0 means).
+fn value_uint(value: &SetValue, option: &str, min: u64, unit: &str) -> VerdictResult<u64> {
+    let n = value_f64(value)?;
+    if n < min as f64 || n.fract() != 0.0 {
+        let sign = if min == 0 { "non-negative" } else { "positive" };
+        return Err(VerdictError::Unsupported(format!(
+            "{option} must be a {sign} integer{unit}, got {n}"
+        )));
+    }
+    Ok(n as u64)
 }
 
 fn value_f64(value: &SetValue) -> VerdictResult<f64> {

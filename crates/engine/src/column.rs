@@ -525,14 +525,6 @@ impl Column {
         }
     }
 
-    /// The raw bool slice when the column is `Bool`-typed.
-    pub fn as_bools(&self) -> Option<&[bool]> {
-        match &self.data {
-            ColumnData::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Numeric view of row `i` (`None` for null or non-numeric types; bools
     /// count as 0/1, matching [`Value::as_f64`]).
     #[inline]

@@ -3,8 +3,7 @@
 //! VerdictDB talks to the underlying database exclusively through a SQL
 //! string interface (JDBC/ODBC in the paper).  [`Backend`] models that
 //! interface; [`Engine`] is the in-memory implementation used as the
-//! substitute for Impala / Spark SQL / Redshift.  `Connection` remains as
-//! a backward-compatible alias for the trait's pre-refactor name.
+//! substitute for Impala / Spark SQL / Redshift.
 
 use crate::catalog::Catalog;
 use crate::error::EngineResult;
@@ -92,14 +91,6 @@ pub trait Backend: Send + Sync {
         let _ = threads;
     }
 
-    /// Requests a GROUP BY clustering strategy (see
-    /// [`crate::parallel::GroupStrategy`]).  Every strategy yields identical
-    /// answers, so this is purely a latency hint; connections without a local
-    /// execution engine ignore it.
-    fn set_group_strategy(&self, strategy: crate::parallel::GroupStrategy) {
-        let _ = strategy;
-    }
-
     /// The monotonic data version of a table, advanced by every write
     /// (create, append, drop, replace), or `None` when the connection cannot
     /// track mutations.  Answer caches use this to decide whether a stored
@@ -135,9 +126,6 @@ pub trait Backend: Send + Sync {
         None
     }
 }
-
-/// Backward-compatible alias for [`Backend`]'s pre-refactor name.
-pub use self::Backend as Connection;
 
 /// The in-memory SQL engine: a catalog plus an executor per statement.
 #[derive(Clone)]
@@ -178,13 +166,6 @@ impl Engine {
         }
     }
 
-    /// Creates an engine with an explicit worker-thread count.
-    pub fn with_parallelism(threads: usize) -> Engine {
-        let engine = Engine::new();
-        engine.pool.set_parallelism(threads);
-        engine
-    }
-
     /// Creates a deterministic engine with an explicit worker-thread count.
     pub fn with_seed_and_parallelism(seed: u64, threads: usize) -> Engine {
         let engine = Engine::with_seed(seed);
@@ -195,11 +176,6 @@ impl Engine {
     /// The current worker-thread count.
     pub fn parallelism(&self) -> usize {
         self.pool.parallelism()
-    }
-
-    /// The current GROUP BY clustering strategy.
-    pub fn group_strategy(&self) -> crate::parallel::GroupStrategy {
-        self.pool.group_strategy()
     }
 
     /// Access to the underlying catalog (to register generated datasets).
@@ -290,10 +266,6 @@ impl Backend for Engine {
 
     fn set_parallelism(&self, threads: usize) {
         self.pool.set_parallelism(threads);
-    }
-
-    fn set_group_strategy(&self, strategy: crate::parallel::GroupStrategy) {
-        self.pool.set_group_strategy(strategy);
     }
 
     fn data_version(&self, table: &str) -> Option<u64> {

@@ -138,7 +138,15 @@ enum GroupAcc {
     Sum {
         sums: Vec<f64>,
         seen: Vec<bool>,
-        integral: bool,
+    },
+    /// `sum` over a non-float argument, accumulated exactly in `i64` (an
+    /// `f64` accumulator silently drops the low bits above 2^53); `None`
+    /// until a group sees a value.  An overflowing addition is remembered
+    /// here and reported by [`GroupAcc::finish`], which the fold closures
+    /// cannot do themselves.
+    SumInt {
+        sums: Vec<Option<i64>>,
+        overflowed: bool,
     },
     Avg {
         sums: Vec<f64>,
@@ -173,12 +181,17 @@ impl GroupAcc {
         match func {
             AggFunc::CountStar | AggFunc::Count => GroupAcc::Count(vec![0; groups]),
             AggFunc::CountDistinct => GroupAcc::Distinct(vec![HashSet::new(); groups]),
-            AggFunc::Sum => GroupAcc::Sum {
-                sums: vec![0.0; groups],
-                seen: vec![false; groups],
-                // a typed column is homogeneous, so "did we see a float?"
-                // reduces to the column type (bools and ints stay integral)
-                integral: !matches!(arg.map(|c| c.data_type()), Some(DataType::Float)),
+            // a typed column is homogeneous, so "did we see a float?"
+            // reduces to the column type (bools and ints stay integral)
+            AggFunc::Sum if matches!(arg.map(|c| c.data_type()), Some(DataType::Float)) => {
+                GroupAcc::Sum {
+                    sums: vec![0.0; groups],
+                    seen: vec![false; groups],
+                }
+            }
+            AggFunc::Sum => GroupAcc::SumInt {
+                sums: vec![None; groups],
+                overflowed: false,
             },
             AggFunc::Avg => GroupAcc::Avg {
                 sums: vec![0.0; groups],
@@ -242,12 +255,34 @@ impl GroupAcc {
                     }
                 }
             },
-            GroupAcc::Sum { sums, seen, .. } => {
+            GroupAcc::Sum { sums, seen } => {
                 let col = arg.expect("sum requires an argument");
                 numeric_fold_range(col, gids, range, |g, x| {
                     sums[g] += x;
                     seen[g] = true;
                 });
+            }
+            GroupAcc::SumInt { sums, overflowed } => {
+                let col = arg.expect("sum requires an argument");
+                let mut add = |g: usize, x: i64| *overflowed |= add_exact(&mut sums[g], x);
+                // Strings contribute nothing, as in `numeric_fold_range`.
+                match col.data() {
+                    ColumnData::Int64(v) => {
+                        for i in range {
+                            if col.is_valid(i) {
+                                add(gids[i], v[i]);
+                            }
+                        }
+                    }
+                    ColumnData::Bool(v) => {
+                        for i in range {
+                            if col.is_valid(i) {
+                                add(gids[i], v[i] as i64);
+                            }
+                        }
+                    }
+                    ColumnData::Float64(_) | ColumnData::Utf8(_) => {}
+                }
             }
             GroupAcc::Avg { sums, counts } => {
                 let col = arg.expect("avg requires an argument");
@@ -347,16 +382,25 @@ impl GroupAcc {
                     *x += y;
                 }
             }
-            (
-                GroupAcc::Sum { sums, seen, .. },
-                GroupAcc::Sum {
-                    sums: os, seen: ok, ..
-                },
-            ) => {
+            (GroupAcc::Sum { sums, seen }, GroupAcc::Sum { sums: os, seen: ok }) => {
                 for g in 0..sums.len() {
                     if ok[g] {
                         sums[g] += os[g];
                         seen[g] = true;
+                    }
+                }
+            }
+            (
+                GroupAcc::SumInt { sums, overflowed },
+                GroupAcc::SumInt {
+                    sums: os,
+                    overflowed: oo,
+                },
+            ) => {
+                *overflowed |= oo;
+                for (sum, other) in sums.iter_mut().zip(os) {
+                    if let Some(x) = other {
+                        *overflowed |= add_exact(sum, x);
                     }
                 }
             }
@@ -465,30 +509,24 @@ impl GroupAcc {
         }
     }
 
-    /// Finalises one output column (one slot per group).
-    fn finish(self, func: &AggFunc) -> Column {
-        match self {
+    /// Finalises one output column (one slot per group); fails when an
+    /// integral `sum` left the `i64` range.
+    fn finish(self, func: &AggFunc) -> EngineResult<Column> {
+        Ok(match self {
             GroupAcc::Count(counts) => Column::from_i64(counts),
-            GroupAcc::Sum {
-                sums,
-                seen,
-                integral,
-            } => {
-                if integral {
-                    Column::from_opt_i64(
-                        sums.iter()
-                            .zip(seen.iter())
-                            .map(|(&s, &ok)| ok.then_some(s as i64))
-                            .collect(),
-                    )
-                } else {
-                    Column::from_opt_f64(
-                        sums.iter()
-                            .zip(seen.iter())
-                            .map(|(&s, &ok)| ok.then_some(s))
-                            .collect(),
-                    )
+            GroupAcc::Sum { sums, seen } => Column::from_opt_f64(
+                sums.iter()
+                    .zip(seen.iter())
+                    .map(|(&s, &ok)| ok.then_some(s))
+                    .collect(),
+            ),
+            GroupAcc::SumInt { sums, overflowed } => {
+                if overflowed {
+                    return Err(EngineError::Execution(
+                        "integer overflow in sum: the total does not fit a 64-bit integer".into(),
+                    ));
                 }
+                Column::from_opt_i64(sums)
             }
             GroupAcc::Avg { sums, counts } => Column::from_opt_f64(
                 sums.iter()
@@ -552,7 +590,19 @@ impl GroupAcc {
                     .map(|h| h.estimate().round() as i64)
                     .collect(),
             ),
+        })
+    }
+}
+
+/// `*slot += x` in exact `i64` arithmetic, an empty slot counting as 0;
+/// true (and the slot untouched) when the total leaves the `i64` range.
+fn add_exact(slot: &mut Option<i64>, x: i64) -> bool {
+    match slot.unwrap_or(0).checked_add(x) {
+        Some(sum) => {
+            *slot = Some(sum);
+            false
         }
+        None => true,
     }
 }
 
@@ -804,7 +854,7 @@ pub fn aggregate_evaluated(
             acc.update_range(arg.as_ref(), &grouping.gids, 0..n);
             acc
         };
-        agg_columns.push(acc.finish(&item.func));
+        agg_columns.push(acc.finish(&item.func)?);
     }
 
     // Build the output schema and columns.

@@ -9,7 +9,7 @@
 
 use crate::column::{combine_validity, Bitmap, Column, ColumnData};
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::{GroupStrategy, ThreadPool};
+use crate::parallel::ThreadPool;
 use crate::selvec::SelVec;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -779,21 +779,17 @@ pub fn group_rows(cols: &[Column], n: usize) -> Grouping {
     group_rows_with(cols, n, &ThreadPool::serial())
 }
 
-/// Morsel-parallel [`group_rows`], strategy-dispatched.
+/// Morsel-parallel [`group_rows`].
 ///
-/// The pool's [`GroupStrategy`] picks the clustering algorithm; every
-/// algorithm produces the identical [`Grouping`] (same group ids, same
-/// first-appearance representatives), so the knob only changes latency:
+/// Two clustering paths produce the identical [`Grouping`] (same group ids,
+/// same first-appearance representatives), and the key columns alone pick
+/// between them:
 ///
-/// * **Hash** — morsel-local hash tables merged sequentially in morsel order.
-/// * **Dict** — key columns mapped to dense dictionary codes, no hashing at
-///   all; applies when every key column is integral with a small value range
-///   (falls back to hash otherwise).
-/// * **Radix** — rows partitioned by the top hash byte, partition-local
-///   clustering, then a first-appearance renumber pass; wins when the group
-///   count is large enough that one global hash table thrashes the cache.
-/// * **Auto** — dict when applicable, else a cardinality estimate over a
-///   hash sample of the leading rows picks radix or hash.
+/// * **Dict** (`dict_group_rows`) — key columns mapped to dense dictionary
+///   codes, no hashing at all; taken when every key column is integral with
+///   a small value range.
+/// * **Hash** (`hash_group_rows`) — morsel-local hash tables merged
+///   sequentially in morsel order; everything else.
 pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
     if cols.is_empty() {
         return Grouping {
@@ -801,23 +797,7 @@ pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping
             representatives: if n > 0 { vec![0] } else { vec![] },
         };
     }
-    match pool.group_strategy() {
-        GroupStrategy::Hash => hash_group_rows(cols, n, pool),
-        GroupStrategy::Dict => {
-            dict_group_rows(cols, n, pool).unwrap_or_else(|| hash_group_rows(cols, n, pool))
-        }
-        GroupStrategy::Radix => radix_group_rows(cols, n, pool),
-        GroupStrategy::Auto => {
-            if let Some(g) = dict_group_rows(cols, n, pool) {
-                return g;
-            }
-            if n > crate::parallel::MORSEL_ROWS && sample_looks_high_cardinality(cols, n) {
-                radix_group_rows(cols, n, pool)
-            } else {
-                hash_group_rows(cols, n, pool)
-            }
-        }
-    }
+    dict_group_rows(cols, n, pool).unwrap_or_else(|| hash_group_rows(cols, n, pool))
 }
 
 /// The hash clustering path of [`group_rows_with`].
@@ -1075,9 +1055,8 @@ impl<'a> DictView<'a> {
 }
 
 /// Renumbers arbitrary per-row codes (`< space`) into dense group ids in
-/// first-appearance order — the shared final step of the dictionary and
-/// radix paths, and the step that makes their [`Grouping`] identical to the
-/// hash path's.
+/// first-appearance order — the final step of the dictionary path, and the
+/// step that makes its [`Grouping`] identical to the hash path's.
 fn renumber_first_appearance(codes: &[u32], space: usize) -> Grouping {
     let mut remap = vec![u32::MAX; space];
     let mut gids = Vec::with_capacity(codes.len());
@@ -1094,99 +1073,6 @@ fn renumber_first_appearance(codes: &[u32], space: usize) -> Grouping {
         gids,
         representatives,
     }
-}
-
-/// Number of leading rows hashed by the Auto-strategy cardinality probe.
-const CARDINALITY_SAMPLE_ROWS: usize = 4096;
-
-/// True when a hash sample of the leading rows suggests a high-cardinality
-/// grouping (at least half the sampled rows distinct), in which case the
-/// radix path's partition-local tables beat one global hash table.
-fn sample_looks_high_cardinality(cols: &[Column], n: usize) -> bool {
-    let sample = n.min(CARDINALITY_SAMPLE_ROWS);
-    let mut hashes = vec![0xcbf29ce484222325u64; sample];
-    for c in cols {
-        c.hash_range_into(0..sample, &mut hashes);
-    }
-    let distinct: std::collections::HashSet<u64, Prehashed> = hashes.iter().copied().collect();
-    distinct.len() * 2 >= sample
-}
-
-/// Number of radix partitions (indexed by the top byte of the row hash).
-const RADIX_PARTITIONS: usize = 256;
-
-/// The radix clustering path of [`group_rows_with`] for high-cardinality
-/// keys: scatter rows into 256 partitions by the top hash byte, cluster each
-/// partition with a small cache-resident local table, then renumber in
-/// first-appearance order.
-///
-/// Equal rows share their canonical hash, hence their partition, hence their
-/// partition-local group — so the per-row codes (partition base + local id)
-/// identify groups exactly, and [`renumber_first_appearance`] restores the
-/// serial first-appearance [`Grouping`] regardless of partition order.
-fn radix_group_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
-    let hashes = par_hash_rows(cols, n, pool);
-    let part_of = |h: u64| (h >> 56) as usize;
-
-    // Counting-sort scatter of row indices by partition: three sequential
-    // passes over dense arrays (count, prefix-sum, scatter).
-    let mut starts = vec![0usize; RADIX_PARTITIONS + 1];
-    for &h in &hashes {
-        starts[part_of(h) + 1] += 1;
-    }
-    for p in 0..RADIX_PARTITIONS {
-        starts[p + 1] += starts[p];
-    }
-    let mut part_rows = vec![0usize; n];
-    let mut cursor = starts[..RADIX_PARTITIONS].to_vec();
-    for row in 0..n {
-        let p = part_of(hashes[row]);
-        part_rows[cursor[p]] = row;
-        cursor[p] += 1;
-    }
-
-    // Partition-local clustering, parallel across partitions.  Each local
-    // table holds ~1/256 of the groups, so probes stay cache-resident where
-    // a single global table would thrash.  The scatter preserved ascending
-    // row order within each partition, so local representatives are the
-    // partition's first-appearance rows.
-    let locals: Vec<(usize, Vec<u32>)> = pool.run(RADIX_PARTITIONS, |p| {
-        let rows = &part_rows[starts[p]..starts[p + 1]];
-        let mut table: PrehashedMap<Vec<u32>> = PrehashedMap::default();
-        let mut reps: Vec<usize> = Vec::new();
-        let mut local_gids = Vec::with_capacity(rows.len());
-        for &row in rows {
-            let bucket = table.entry(hashes[row]).or_default();
-            let gid = bucket
-                .iter()
-                .copied()
-                .find(|&g| rows_equal(cols, row, cols, reps[g as usize]));
-            match gid {
-                Some(g) => local_gids.push(g),
-                None => {
-                    let g = reps.len() as u32;
-                    reps.push(row);
-                    bucket.push(g);
-                    local_gids.push(g);
-                }
-            }
-        }
-        (reps.len(), local_gids)
-    });
-
-    // Per-row codes: partition base + local group id, written back through
-    // the scatter layout.
-    let mut total = 0usize;
-    let mut codes = vec![0u32; n];
-    for (p, (groups, local_gids)) in locals.iter().enumerate() {
-        let rows = &part_rows[starts[p]..starts[p + 1]];
-        for (k, &row) in rows.iter().enumerate() {
-            codes[row] = (total + local_gids[k] as usize) as u32;
-        }
-        total += groups;
-    }
-
-    renumber_first_appearance(&codes, total)
 }
 
 /// A hash index over the key columns of a build-side table, used by hash
@@ -1463,54 +1349,153 @@ mod tests {
         }
     }
 
+    /// First-appearance scalar reference for [`group_rows_with`]: rows share
+    /// a group exactly when their canonical key strings match (NULLs group
+    /// together, `-0.0` with `0.0`, every NaN with every NaN — the
+    /// [`rows_equal`] rules).
+    fn reference_grouping(cols: &[Column], n: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut first: HashMap<String, usize> = HashMap::new();
+        let mut gids = Vec::with_capacity(n);
+        let mut reps = Vec::new();
+        for row in 0..n {
+            let key: Vec<String> = cols
+                .iter()
+                .map(|c| match &c.value_at(row) {
+                    Value::Float(f) if f.is_nan() => "F:NaN".to_string(),
+                    Value::Float(f) if *f == 0.0 => "F:0".to_string(),
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            let next = first.len();
+            gids.push(*first.entry(key.join("|")).or_insert_with(|| {
+                reps.push(row);
+                next
+            }));
+        }
+        (gids, reps)
+    }
+
     #[test]
-    fn dict_radix_and_hash_groupings_are_identical() {
-        use crate::parallel::{GroupStrategy, ThreadPool, MORSEL_ROWS};
+    fn group_rows_with_matches_first_appearance_reference_on_both_paths() {
+        use crate::parallel::{ThreadPool, MORSEL_ROWS};
         let n = MORSEL_ROWS + 321;
-        // integral keys with NULLs: dictionary-eligible
-        let small = vec![Column::from_opt_i64(
-            (0..n as i64)
-                .map(|i| (i % 97 != 0).then_some(i % 13))
-                .collect(),
-        )];
-        // composite keys including a bool dimension
-        let composite = vec![
-            Column::from_opt_i64(
-                (0..n as i64)
-                    .map(|i| (i % 31 != 0).then_some(i % 7))
-                    .collect(),
-            ),
-            Column::from_bool((0..n).map(|i| i % 2 == 0).collect()),
-        ];
-        // wide-range keys: dictionary-ineligible, radix-friendly
-        let wide = vec![Column::from_i64(
-            (0..n as i64).map(|i| i * 104_729).collect(),
-        )];
-        for keys in [&small, &composite, &wide] {
-            let reference = {
-                let pool = ThreadPool::serial();
-                pool.set_group_strategy(GroupStrategy::Hash);
-                group_rows_with(keys, n, &pool)
-            };
-            for threads in [1usize, 4] {
-                for strategy in [
-                    GroupStrategy::Auto,
-                    GroupStrategy::Hash,
-                    GroupStrategy::Dict,
-                    GroupStrategy::Radix,
-                ] {
-                    let pool = ThreadPool::new(threads);
-                    pool.set_group_strategy(strategy);
-                    let g = group_rows_with(keys, n, &pool);
-                    assert_eq!(
-                        g.gids, reference.gids,
-                        "{strategy} gids at {threads} threads"
-                    );
-                    assert_eq!(
-                        g.representatives, reference.representatives,
-                        "{strategy} representatives at {threads} threads"
-                    );
+        let slots = MAX_DICT_SLOTS as i64;
+        // `n` non-NULL rows whose values span exactly `0..=max`.
+        let spanning = |n: usize, max: i64| {
+            let key = |i: i64| {
+                if i + 1 == n as i64 {
+                    max
+                } else {
+                    i % (max + 1)
                 }
+            };
+            vec![Column::from_i64((0..n as i64).map(key).collect())]
+        };
+        // (label, key columns, rows, whether the dictionary path must accept)
+        let cases: Vec<(&str, Vec<Column>, usize, bool)> = vec![
+            (
+                "nullable small ints",
+                vec![Column::from_opt_i64(
+                    (0..n as i64)
+                        .map(|i| (i % 97 != 0).then_some(i % 13))
+                        .collect(),
+                )],
+                n,
+                true,
+            ),
+            (
+                "nullable int x bool",
+                vec![
+                    Column::from_opt_i64(
+                        (0..n as i64)
+                            .map(|i| (i % 31 != 0).then_some(i % 7))
+                            .collect(),
+                    ),
+                    Column::from_bool((0..n).map(|i| i % 2 == 0).collect()),
+                ],
+                n,
+                true,
+            ),
+            // The code space is the value range plus one NULL slot.
+            (
+                "code space exactly MAX_DICT_SLOTS",
+                spanning(n, slots - 2),
+                n,
+                true,
+            ),
+            (
+                "code space one past MAX_DICT_SLOTS",
+                spanning(n, slots - 1),
+                n,
+                false,
+            ),
+            // 100 rows allow a code space of 4 * 100 + 1024 = 1424.
+            (
+                "code space exactly 4n + 1024",
+                spanning(100, 1422),
+                100,
+                true,
+            ),
+            (
+                "code space one past 4n + 1024",
+                spanning(100, 1423),
+                100,
+                false,
+            ),
+            (
+                "integral x string",
+                vec![
+                    Column::from_i64((0..n as i64).map(|i| i % 5).collect()),
+                    Column::from_str((0..n).map(|i| format!("s{}", i % 3)).collect()),
+                ],
+                n,
+                false,
+            ),
+            (
+                "nullable floats with -0.0 and NaN",
+                vec![Column::from_opt_f64(
+                    (0..n)
+                        .map(|i| {
+                            (i % 9 != 0).then_some(match i % 4 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                2 => f64::NAN,
+                                _ => (i % 11) as f64 * 0.5,
+                            })
+                        })
+                        .collect(),
+                )],
+                n,
+                false,
+            ),
+            // Every key distinct over more than two morsels: the regime the
+            // deleted radix path was written for, now hash.
+            (
+                "all-distinct wide ints",
+                vec![Column::from_i64(
+                    (0..(2 * MORSEL_ROWS + 321) as i64)
+                        .map(|i| i * 104_729)
+                        .collect(),
+                )],
+                2 * MORSEL_ROWS + 321,
+                false,
+            ),
+        ];
+        for (label, keys, rows, dict) in &cases {
+            let (ref_gids, ref_reps) = reference_grouping(keys, *rows);
+            for threads in [1usize, 4] {
+                let pool = ThreadPool::new(threads);
+                assert_eq!(
+                    dict_group_rows(keys, *rows, &pool).is_some(),
+                    *dict,
+                    "{label}: dictionary eligibility at {threads} threads"
+                );
+                let g = group_rows_with(keys, *rows, &pool);
+                assert_eq!(g.gids, ref_gids, "{label}: gids at {threads} threads");
+                assert_eq!(
+                    g.representatives, ref_reps,
+                    "{label}: representatives at {threads} threads"
+                );
             }
         }
     }

@@ -9,14 +9,10 @@
 //! requires (§2.1 of the paper): `rand()`, hash functions, window functions,
 //! `CREATE TABLE … AS SELECT`, equi-joins, grouping/aggregation, and derived
 //! tables.  Because VerdictDB interacts with the engine purely through SQL
-//! text (the [`Backend`] trait, historically named `Connection`), the
-//! middleware code paths exercised are identical to those against a
-//! production engine — and any other [`Backend`] implementation (such as the
-//! server crate's remote wire-protocol backend) can be swapped in.
-//!
-//! Per-engine latency *profiles* ([`profile::EngineProfile`]) model the fixed
-//! overhead and per-row scan cost of the paper's three engines so that the
-//! speedup experiments preserve the published shape.
+//! text (the [`Backend`] trait), the middleware code paths exercised are
+//! identical to those against a production engine — and any other
+//! [`Backend`] implementation (such as the server crate's remote
+//! wire-protocol backend) can be swapped in.
 //!
 //! ## Example
 //!
@@ -48,7 +44,6 @@ pub mod functions;
 pub mod kernels;
 pub mod parallel;
 pub mod persist;
-pub mod profile;
 pub mod schema;
 pub mod selvec;
 pub mod table;
@@ -56,12 +51,11 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use column::{Bitmap, Column, ColumnData};
-pub use engine::{Backend, Connection, Engine, ExecStats, QueryResult};
+pub use engine::{Backend, Engine, ExecStats, QueryResult};
 pub use error::{EngineError, EngineResult};
 pub use exec::progressive::{BlockScan, ProgressiveScan};
-pub use parallel::{GroupStrategy, ThreadPool, MORSEL_ROWS};
+pub use parallel::{ThreadPool, MORSEL_ROWS};
 pub use persist::{ScanSource, StoreHandle, TableSource};
-pub use profile::EngineProfile;
 pub use schema::{Field, Schema};
 pub use selvec::SelVec;
 pub use table::{Table, TableBuilder};

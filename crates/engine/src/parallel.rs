@@ -20,72 +20,7 @@
 //! [`crate::engine::Backend::set_parallelism`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-
-/// Grouping algorithm selector for GROUP BY / DISTINCT / window-partition
-/// clustering ([`crate::kernels::group_rows_with`]).
-///
-/// Every strategy produces the **identical** [`crate::kernels::Grouping`]
-/// (same group ids, same first-appearance representatives), so switching
-/// strategies never changes an answer — only latency.  That is why the knob
-/// may live on the shared pool and be flipped at runtime via `SET`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupStrategy {
-    /// Pick per grouping: dictionary keys when the key columns admit a small
-    /// dense code space, radix partitioning when a sample of the key hashes
-    /// looks high-cardinality, hash clustering otherwise.
-    #[default]
-    Auto,
-    /// Always use morsel-local hash clustering with a sequential merge.
-    Hash,
-    /// Prefer dictionary-encoded keys; falls back to hash clustering when
-    /// the key columns do not admit a dictionary.
-    Dict,
-    /// Always use radix-partitioned clustering.
-    Radix,
-}
-
-impl GroupStrategy {
-    /// Parses the `SET group_strategy` surface form.
-    pub fn parse(s: &str) -> Option<GroupStrategy> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(GroupStrategy::Auto),
-            "hash" => Some(GroupStrategy::Hash),
-            "dict" | "dictionary" => Some(GroupStrategy::Dict),
-            "radix" => Some(GroupStrategy::Radix),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> GroupStrategy {
-        match v {
-            1 => GroupStrategy::Hash,
-            2 => GroupStrategy::Dict,
-            3 => GroupStrategy::Radix,
-            _ => GroupStrategy::Auto,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            GroupStrategy::Auto => 0,
-            GroupStrategy::Hash => 1,
-            GroupStrategy::Dict => 2,
-            GroupStrategy::Radix => 3,
-        }
-    }
-}
-
-impl std::fmt::Display for GroupStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GroupStrategy::Auto => "auto",
-            GroupStrategy::Hash => "hash",
-            GroupStrategy::Dict => "dict",
-            GroupStrategy::Radix => "radix",
-        })
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows per morsel.  64K rows of an 8-byte column is 512 KiB — big enough to
 /// amortise scheduling, small enough that a handful of morsels exist at the
@@ -100,7 +35,6 @@ pub const MORSEL_ROWS: usize = 64 * 1024;
 /// back by task index (deterministic merge order).
 pub struct ThreadPool {
     threads: AtomicUsize,
-    group_strategy: AtomicU8,
 }
 
 impl ThreadPool {
@@ -108,7 +42,6 @@ impl ThreadPool {
     pub fn new(threads: usize) -> ThreadPool {
         ThreadPool {
             threads: AtomicUsize::new(threads.max(1)),
-            group_strategy: AtomicU8::new(GroupStrategy::Auto.as_u8()),
         }
     }
 
@@ -142,18 +75,6 @@ impl ThreadPool {
     /// next `run` call.
     pub fn set_parallelism(&self, threads: usize) {
         self.threads.store(threads.max(1), Ordering::Relaxed);
-    }
-
-    /// The grouping strategy kernels on this pool should use.
-    pub fn group_strategy(&self) -> GroupStrategy {
-        GroupStrategy::from_u8(self.group_strategy.load(Ordering::Relaxed))
-    }
-
-    /// Reconfigures the grouping strategy; takes effect on the next grouping.
-    /// Safe at runtime because every strategy yields identical groupings.
-    pub fn set_group_strategy(&self, strategy: GroupStrategy) {
-        self.group_strategy
-            .store(strategy.as_u8(), Ordering::Relaxed);
     }
 
     /// The morsel decomposition of `rows` rows: contiguous ranges of
@@ -226,7 +147,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("parallelism", &self.parallelism())
-            .field("group_strategy", &self.group_strategy())
             .finish()
     }
 }

@@ -292,21 +292,6 @@ impl TableBuilder {
         self
     }
 
-    /// Adds a boolean column.
-    pub fn bool_column(mut self, name: &str, values: Vec<bool>) -> Self {
-        self.fields.push(Field::new(name, DataType::Bool));
-        self.columns.push(Column::from_bool(values));
-        self
-    }
-
-    /// Adds a column of dynamically-typed values coerced to `data_type`.
-    pub fn value_column(mut self, name: &str, data_type: DataType, values: Vec<Value>) -> Self {
-        self.fields.push(Field::new(name, data_type));
-        self.columns
-            .push(Column::from_values_typed(data_type, &values));
-        self
-    }
-
     /// Adds an already-typed column.
     pub fn column(mut self, name: &str, column: Column) -> Self {
         self.fields.push(Field::new(name, column.data_type()));

@@ -40,11 +40,6 @@ impl DataType {
             _ => Str,
         }
     }
-
-    /// True when the type is numeric (int or float).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
 }
 
 /// A dynamically-typed scalar value.
@@ -218,17 +213,6 @@ impl KeyValue {
             }
             Value::Str(s) => KeyValue::Str(s.clone()),
             Value::Bool(b) => KeyValue::Bool(*b),
-        }
-    }
-
-    /// Converts the key back into a value (used to materialise group keys).
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyValue::Null => Value::Null,
-            KeyValue::Int(i) => Value::Int(*i),
-            KeyValue::Float(bits) => Value::Float(f64::from_bits(*bits)),
-            KeyValue::Str(s) => Value::Str(s.clone()),
-            KeyValue::Bool(b) => Value::Bool(*b),
         }
     }
 }

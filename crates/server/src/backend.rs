@@ -57,25 +57,20 @@ impl RemoteBackend {
         self.round_trips.load(Relaxed)
     }
 
-    /// Sends one raw statement as `BYPASS <sql>` and returns the frame.
-    fn run(&self, sql: &str) -> Result<RemoteAnswer, ClientError> {
+    /// Sends one session-level statement (`SQL <stmt>`) and returns the
+    /// frame.
+    fn send(&self, stmt: &str) -> ClientResult<RemoteAnswer> {
         self.round_trips.fetch_add(1, Relaxed);
         let mut client = self
             .client
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        client.exact(sql)
+        client.sql(stmt)
     }
 
-    /// Sends one session-level statement (`SQL <stmt>`, not `BYPASS`) and
-    /// ignores the response — used for best-effort hints like `SET`.
-    fn run_hint(&self, stmt: &str) {
-        self.round_trips.fetch_add(1, Relaxed);
-        let mut client = self
-            .client
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let _ = client.sql(stmt);
+    /// Sends one raw statement as `BYPASS <sql>` and returns the frame.
+    fn run(&self, sql: &str) -> ClientResult<RemoteAnswer> {
+        self.send(&format!("BYPASS {sql}"))
     }
 }
 
@@ -160,18 +155,8 @@ impl Backend for RemoteBackend {
     }
 
     fn set_parallelism(&self, threads: usize) {
-        self.run_hint(&format!("SET parallelism = {threads}"));
-    }
-
-    fn set_group_strategy(&self, strategy: verdict_engine::GroupStrategy) {
-        use verdict_engine::GroupStrategy::*;
-        let name = match strategy {
-            Auto => "auto",
-            Hash => "hash",
-            Dict => "dict",
-            Radix => "radix",
-        };
-        self.run_hint(&format!("SET group_strategy = {name}"));
+        // A best-effort hint: not `BYPASS`, and the response is ignored.
+        let _ = self.send(&format!("SET parallelism = {threads}"));
     }
 
     // data_version and open_block_scan keep their trait defaults (`None`):

@@ -316,20 +316,6 @@ pub enum TableFactor {
     },
 }
 
-impl TableFactor {
-    /// The alias if present, otherwise the base table name (if a base table).
-    pub fn binding_name(&self) -> Option<String> {
-        match self {
-            TableFactor::Table { name, alias } => Some(
-                alias
-                    .clone()
-                    .unwrap_or_else(|| name.base_name().to_string()),
-            ),
-            TableFactor::Derived { alias, .. } => alias.clone(),
-        }
-    }
-}
-
 /// A join clause attached to a preceding relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {

@@ -38,14 +38,6 @@ pub enum Token {
 }
 
 impl Token {
-    /// Returns the keyword/identifier text if this token is a bare word.
-    pub fn as_word(&self) -> Option<&str> {
-        match self {
-            Token::Word(w) => Some(w.as_str()),
-            _ => None,
-        }
-    }
-
     /// True when the token is the given keyword (case-insensitive).
     pub fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, Token::Word(w) if w.eq_ignore_ascii_case(kw))

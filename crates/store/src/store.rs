@@ -41,11 +41,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Records one data page read (and checksum-verified).
-    pub fn page_read(&self) {
-        self.pages_read.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` data page reads.
     pub fn pages_read(&self, n: u64) {
         self.pages_read.fetch_add(n, Ordering::Relaxed);

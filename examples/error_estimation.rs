@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example error_estimation`
 
 use std::time::Instant;
-use verdictdb::core::estimate::{
+use verdict_bench::estimate::{
     bootstrap_interval, clt_interval, default_subsample_size, sql_baselines,
     traditional_subsampling_interval, variational_subsampling_interval,
 };
@@ -28,7 +28,7 @@ fn main() {
         "method", "estimate", "95% interval", "time"
     );
 
-    let report = |name: &str, f: &dyn Fn() -> verdictdb::core::estimate::ConfidenceInterval| {
+    let report = |name: &str, f: &dyn Fn() -> verdict_bench::estimate::ConfidenceInterval| {
         let start = Instant::now();
         let ci = f();
         let elapsed = start.elapsed();

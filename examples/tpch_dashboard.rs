@@ -11,8 +11,9 @@
 //! (`VERDICT_EXAMPLE_SCALE` overrides the dataset scale, e.g. CI uses 0.02.)
 
 use std::sync::Arc;
+use verdict_bench::EngineProfile;
 use verdictdb::engine::ExecStats;
-use verdictdb::{Backend, Engine, EngineProfile, VerdictConfig, VerdictContext, VerdictSession};
+use verdictdb::{Backend, Engine, VerdictConfig, VerdictContext, VerdictSession};
 
 fn main() {
     let engine = Arc::new(Engine::with_seed(7));

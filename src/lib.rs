@@ -39,10 +39,7 @@ pub use verdict_core::{
     VerdictAnswer, VerdictConfig, VerdictContext, VerdictError, VerdictResponse, VerdictResult,
     VerdictSession,
 };
-pub use verdict_engine::{
-    Backend, Connection, Engine, EngineProfile, GroupStrategy, StoreHandle, Table, TableBuilder,
-    Value,
-};
+pub use verdict_engine::{Backend, Engine, StoreHandle, Table, TableBuilder, Value};
 pub use verdict_server::{RemoteBackend, ServerHandle, VerdictServer};
 pub use verdict_store::{Store, StoreStats};
 

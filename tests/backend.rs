@@ -8,9 +8,10 @@
 //! degrade gracefully — slower or uncached, never wrong.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use verdictdb::core::SampleMeta;
+use verdictdb::engine::{BlockScan, EngineResult, QueryResult};
 use verdictdb::sql::ImpalaDialect;
 use verdictdb::{
     Backend, Engine, RemoteBackend, ServerHandle, Table, Value, VerdictConfig, VerdictContext,
@@ -196,6 +197,79 @@ fn streaming_over_remote_falls_back_to_a_single_frame() {
         remote.backend_stats().scan_fallbacks >= 1,
         "declined block scan must be counted as a capability fallback"
     );
+}
+
+/// The in-process engine behind a `table_row_count` probe counter; every
+/// capability the planner uses is forwarded.
+struct CountingBackend {
+    inner: Arc<Engine>,
+    row_count_probes: Mutex<HashMap<String, u32>>,
+}
+
+impl Backend for CountingBackend {
+    fn execute(&self, sql: &str) -> EngineResult<QueryResult> {
+        self.inner.execute(sql)
+    }
+
+    fn table_row_count(&self, table: &str) -> EngineResult<u64> {
+        *self
+            .row_count_probes
+            .lock()
+            .unwrap()
+            .entry(table.to_ascii_lowercase())
+            .or_default() += 1;
+        self.inner.table_row_count(table)
+    }
+
+    fn table_exists(&self, table: &str) -> bool {
+        self.inner.table_exists(table)
+    }
+
+    fn data_version(&self, table: &str) -> Option<u64> {
+        self.inner.data_version(table)
+    }
+
+    fn open_block_scan(&self, sql: &str) -> Option<Box<dyn BlockScan>> {
+        self.inner.open_block_scan(sql)
+    }
+}
+
+#[test]
+fn a_single_frame_stream_plans_once() {
+    // A join is outside the progressive class, so its STREAM is answered as
+    // one frame — from the plan made when the stream opened, not from a
+    // second planning pass: one row-count probe per referenced table.
+    let backend = Arc::new(CountingBackend {
+        inner: seeded_engine(0.1),
+        row_count_probes: Mutex::new(HashMap::new()),
+    });
+    let ctx = Arc::new(VerdictContext::new(
+        backend.clone() as Arc<dyn Backend>,
+        config(),
+    ));
+    create_scramble(&ctx, "orders", "METHOD hashed ON order_id");
+    create_scramble(&ctx, "order_products", "METHOD hashed ON order_id");
+    backend.row_count_probes.lock().unwrap().clear();
+
+    let mut session = VerdictSession::new(Arc::clone(&ctx));
+    let frames: Vec<_> = session
+        .stream(
+            "STREAM SELECT count(*) AS n FROM orders o \
+             INNER JOIN order_products p ON o.order_id = p.order_id",
+        )
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    assert_eq!(frames.len(), 1, "joins stream as a single frame");
+    assert!(
+        !frames[0].answer.exact,
+        "the join must run on the scrambles"
+    );
+
+    let probes = backend.row_count_probes.lock().unwrap();
+    assert_eq!(probes.get("orders"), Some(&1), "{probes:?}");
+    assert_eq!(probes.get("order_products"), Some(&1), "{probes:?}");
+    assert_eq!(probes.len(), 2, "{probes:?}");
 }
 
 #[test]

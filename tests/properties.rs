@@ -12,7 +12,7 @@ mod common;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use verdictdb::core::estimate::{
+use verdict_bench::estimate::{
     clt_interval, default_subsample_size, variational_subsampling_interval,
 };
 use verdictdb::core::stats::{
@@ -449,13 +449,14 @@ fn packed_selection_vectors_agree_with_scalar_reference() {
 }
 
 #[test]
-fn grouping_strategies_agree_with_scalar_reference() {
+fn grouping_agrees_with_scalar_reference() {
     use verdictdb::engine::kernels::group_rows_with;
-    use verdictdb::engine::{GroupStrategy, ThreadPool};
+    use verdictdb::engine::{ThreadPool, MORSEL_ROWS};
 
     // Scalar reference: first-appearance grouping over stringified key
-    // tuples.  Every strategy (hash, dict, radix, auto) at every pool size
-    // must reproduce it exactly — gids AND representatives.
+    // tuples.  Whichever path the key columns select (dictionary or hash),
+    // at every pool size, must reproduce it exactly — gids AND
+    // representatives.
     // Canonical key part matching the engine's grouping equality
     // (`loose_eq_rows`): floats use IEEE `==` with NaNs grouped together,
     // so -0.0 keys like 0.0 and every NaN keys alike.
@@ -464,59 +465,67 @@ fn grouping_strategies_agree_with_scalar_reference() {
         Value::Float(f) if *f == 0.0 => "F:0".to_string(),
         other => format!("{other:?}"),
     };
-    let reference = |table: &Table, cols: &[usize]| {
+    let check = |label: &str, key_cols: &[Column], rows: usize| {
         let mut first: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let mut gids = Vec::new();
-        let mut reps = Vec::new();
-        for row in 0..table.num_rows() {
-            let key = cols
+        let mut ref_gids = Vec::new();
+        let mut ref_reps = Vec::new();
+        for row in 0..rows {
+            let key = key_cols
                 .iter()
-                .map(|&c| key_part(&table.value_at(row, c)))
+                .map(|c| key_part(&c.value_at(row)))
                 .collect::<Vec<_>>()
                 .join("|");
             let next = first.len();
             let gid = *first.entry(key).or_insert_with(|| {
-                reps.push(row);
+                ref_reps.push(row);
                 next
             });
-            gids.push(gid);
+            ref_gids.push(gid);
         }
-        (gids, reps)
+        for threads in [1usize, 4] {
+            let g = group_rows_with(key_cols, rows, &ThreadPool::new(threads));
+            assert_eq!(g.gids, ref_gids, "{label}, {threads} thread(s): gids");
+            assert_eq!(
+                g.representatives, ref_reps,
+                "{label}, {threads} thread(s): reps"
+            );
+        }
     };
     let sizes: Vec<(u64, usize)> = (400..406u64)
         .map(|seed| (seed, 37 + (seed as usize * 53) % 300))
-        .chain([(901u64, verdictdb::engine::MORSEL_ROWS + 211)])
+        .chain([(901u64, MORSEL_ROWS + 211)])
         .collect();
     for (seed, rows) in sizes {
         let mut rng = StdRng::seed_from_u64(seed);
         let table = random_table(&mut rng, rows);
         // Key sets: dict-eligible (nullable int + bool), dict-ineligible
-        // (float + string → hash/radix fallback), single wide int.
-        for cols in [vec![0usize, 3], vec![1, 2], vec![0]] {
+        // (float + string → hash), single int, and integral + string (the
+        // dictionary must decline the whole key, not just the string part).
+        for cols in [vec![0usize, 3], vec![1, 2], vec![0], vec![0, 2]] {
             let key_cols: Vec<Column> = cols.iter().map(|&c| table.columns[c].clone()).collect();
-            let (ref_gids, ref_reps) = reference(&table, &cols);
-            for threads in [1usize, 4] {
-                let pool = ThreadPool::new(threads);
-                for strategy in [
-                    GroupStrategy::Auto,
-                    GroupStrategy::Hash,
-                    GroupStrategy::Dict,
-                    GroupStrategy::Radix,
-                ] {
-                    pool.set_group_strategy(strategy);
-                    let g = group_rows_with(&key_cols, rows, &pool);
-                    assert_eq!(
-                        g.gids, ref_gids,
-                        "seed {seed}, cols {cols:?}, {strategy}, {threads} thread(s): gids"
-                    );
-                    assert_eq!(
-                        g.representatives, ref_reps,
-                        "seed {seed}, cols {cols:?}, {strategy}, {threads} thread(s): reps"
-                    );
-                }
-            }
+            check(&format!("seed {seed}, cols {cols:?}"), &key_cols, rows);
         }
+        // The float column with -0.0 and NaN written over some valid rows.
+        let special: Vec<Option<f64>> = (0..rows)
+            .map(|row| match (table.value_at(row, 1), row % 5) {
+                (Value::Null, _) => None,
+                (_, 0) => Some(-0.0),
+                (_, 1) => Some(f64::NAN),
+                (_, 2) => Some(0.0),
+                (v, _) => v.as_f64(),
+            })
+            .collect();
+        check(
+            &format!("seed {seed}, -0.0/NaN floats"),
+            &[Column::from_opt_f64(special)],
+            rows,
+        );
     }
+    // Every key distinct over more than two morsels: too wide for the
+    // dictionary, so the hash path carries the high-cardinality regime.
+    let rows = 2 * MORSEL_ROWS + 17;
+    let distinct = Column::from_i64((0..rows as i64).map(|i| i * 104_729 - 7).collect());
+    check("all-distinct wide ints", &[distinct], rows);
 }
 
 #[test]
@@ -562,6 +571,89 @@ fn late_materialized_progressive_filter_agrees_with_reference() {
             );
         }
     }
+}
+
+#[test]
+fn integral_sum_is_exact_above_2_pow_53_and_reports_overflow() {
+    use std::sync::Arc;
+    use verdictdb::engine::{Backend, Engine, EngineError, MORSEL_ROWS};
+    use verdictdb::{VerdictConfig, VerdictContext, VerdictSession};
+
+    // 2^53 + 1 + 1 has no f64 representation along the way: an f64
+    // accumulator answers ...992.  The three terms sit in three different
+    // morsels, so the pool-4 run also merges partial sums.
+    let rows = 2 * MORSEL_ROWS + 3;
+    let mut v = vec![0i64; rows];
+    (v[0], v[MORSEL_ROWS], v[2 * MORSEL_ROWS]) = (1 << 53, 1, 1);
+    let mut big = vec![0i64; rows];
+    (big[1], big[rows - 2]) = (i64::MAX, 1);
+    let table = TableBuilder::new()
+        .int_column("g", (0..rows as i64).map(|i| i % 2).collect())
+        .int_column("v", v)
+        .int_column("big", big)
+        .build()
+        .unwrap();
+    // The same sums within one morsel: a single fold, no merge.
+    let small = TableBuilder::new()
+        .int_column("g", vec![0, 0, 0])
+        .int_column("v", vec![1 << 53, 1, 1])
+        .int_column("big", vec![i64::MAX, 1, 0])
+        .build()
+        .unwrap();
+    const EXACT: Value = Value::Int(9_007_199_254_740_994);
+
+    for threads in [1usize, 4] {
+        let e = Engine::with_seed(7);
+        e.set_parallelism(threads);
+        e.register_table("t", table.clone());
+        e.register_table("small", small.clone());
+        for from in ["t", "small"] {
+            let sql = format!("SELECT sum(v) AS s FROM {from}");
+            let global = e.execute_sql(&sql).unwrap().table;
+            assert_eq!(global.value_at(0, 0), EXACT, "{sql}, {threads} thread(s)");
+        }
+        // Rows 0, MORSEL_ROWS and 2 * MORSEL_ROWS are all even: group 0.
+        let grouped = e
+            .execute_sql("SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY g")
+            .unwrap()
+            .table;
+        assert_eq!(grouped.value_at(0, 1), EXACT, "{threads} thread(s)");
+        assert_eq!(grouped.value_at(1, 1), Value::Int(0), "{threads} thread(s)");
+
+        let mut scan = e
+            .open_block_scan("SELECT sum(v) AS s FROM t")
+            .expect("progressive shape");
+        while !scan.done() {
+            scan.advance(MORSEL_ROWS as u64).unwrap();
+        }
+        let streamed = scan.snapshot().unwrap().table;
+        assert_eq!(streamed.value_at(0, 0), EXACT, "{threads} thread(s)");
+
+        for sql in [
+            "SELECT sum(big) AS s FROM t",
+            "SELECT sum(big) AS s FROM small",
+            "SELECT g, sum(big) AS s FROM t GROUP BY g",
+        ] {
+            match e.execute_sql(sql) {
+                Err(EngineError::Execution(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+                other => panic!("{sql} at {threads} thread(s): expected overflow, got {other:?}"),
+            }
+        }
+    }
+
+    // Through the middleware: the final (here: only) frame of a STREAM.
+    let e = Engine::with_seed(7);
+    e.register_table("t", table);
+    let ctx = VerdictContext::new(
+        Arc::new(e) as Arc<dyn Backend>,
+        VerdictConfig::for_testing(),
+    );
+    let last = VerdictSession::new(Arc::new(ctx))
+        .stream("STREAM SELECT sum(v) AS s FROM t")
+        .unwrap()
+        .final_frame()
+        .unwrap();
+    assert_eq!(last.answer.table.value_at(0, 0), EXACT);
 }
 
 #[test]

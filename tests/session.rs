@@ -14,7 +14,9 @@ use common::{assert_tables_bit_identical, values_bit_identical};
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
 use verdictdb::server::{RemoteAnswer, VerdictClient, VerdictServer};
-use verdictdb::{Backend, Engine, TableBuilder, Value, VerdictConfig, VerdictContext};
+use verdictdb::{
+    Backend, Engine, TableBuilder, Value, VerdictConfig, VerdictContext, VerdictError,
+};
 
 /// Deterministic 50k-row sales table; identical for every call with the same
 /// seed, so two separately-built stacks stay bit-identical under the same
@@ -346,8 +348,17 @@ fn session_options_are_isolated_and_cache_keys_respect_them() {
     a.execute("SET bypass = off").unwrap();
     assert!(!a.execute(Q).unwrap().into_answer().unwrap().exact);
 
-    // Unknown options fail loudly.
+    // Unknown options fail loudly — the removed engine grouping knob
+    // included — with a typed error listing the twelve options that exist.
     assert!(a.execute("SET no_such_option = 1").is_err());
+    match a.execute("SET group_strategy = hash") {
+        Err(VerdictError::Unsupported(msg)) => {
+            assert!(msg.starts_with("unknown session option group_strategy ("));
+            let names = &msg[msg.find('(').unwrap() + 1..msg.rfind(')').unwrap()];
+            assert_eq!(names.split(", ").count(), 12, "{names}");
+        }
+        other => panic!("expected the unknown-option error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -645,52 +656,6 @@ fn appended_scrambles_decline_progressive_execution_until_rebuilt() {
         s.stream(Q).unwrap().is_progressive(),
         "a rebuilt scramble streams again"
     );
-}
-
-#[test]
-fn set_group_strategy_applies_to_engine_and_preserves_answers() {
-    // The knob reaches the shared engine pool, every strategy answers a
-    // grouped query bit-identically, and nonsense values are refused.
-    let engine = Engine::with_seed(91);
-    let rows = 50_000usize;
-    let table = TableBuilder::new()
-        .int_column("id", (0..rows as i64).collect())
-        .float_column(
-            "price",
-            (0..rows).map(|i| ((i * 37) % 1000) as f64 / 10.0).collect(),
-        )
-        .str_column(
-            "city",
-            (0..rows).map(|i| format!("city_{}", i % 10)).collect(),
-        )
-        .build()
-        .unwrap();
-    engine.register_table("sales", table);
-    let probe = engine.clone();
-    let conn: Arc<dyn Backend> = Arc::new(engine);
-    let ctx = Arc::new(VerdictContext::new(conn, VerdictConfig::for_testing()));
-    let mut s = VerdictSession::new(ctx);
-    s.execute("CREATE SCRAMBLE scr FROM sales METHOD uniform RATIO 0.05")
-        .unwrap();
-
-    const Q: &str = "SELECT city, avg(price) AS ap, count(*) AS n \
-                     FROM sales GROUP BY city ORDER BY city";
-    let reference = s.execute(Q).unwrap().into_answer().unwrap();
-    for (word, expect) in [
-        ("hash", verdictdb::GroupStrategy::Hash),
-        ("dict", verdictdb::GroupStrategy::Dict),
-        ("radix", verdictdb::GroupStrategy::Radix),
-        ("auto", verdictdb::GroupStrategy::Auto),
-    ] {
-        s.execute(&format!("SET group_strategy = {word}")).unwrap();
-        assert_eq!(probe.group_strategy(), expect, "SET must reach the pool");
-        let again = s.execute(Q).unwrap().into_answer().unwrap();
-        assert_tables_bit_identical(&reference.table, &again.table, &format!("strategy {word}"));
-    }
-    s.execute("SET group_strategy = default").unwrap();
-    assert_eq!(probe.group_strategy(), verdictdb::GroupStrategy::Auto);
-    assert!(s.execute("SET group_strategy = bogus").is_err());
-    assert!(s.execute("SET group_strategy = 3").is_err());
 }
 
 #[test]
