@@ -11,9 +11,15 @@
 //! typed-columnar refactor.  The vectorized paths are the packed-mask /
 //! dictionary-key / hash-clustering kernels the engine runs today.
 
+use crate::scalar_assemble::{
+    scalar_assemble, synthetic_results, synthetic_rewrite, KeyKind, ResultShape,
+};
 use std::time::Instant;
+use verdict_core::answer::{assemble, AssembledAnswer};
+use verdict_core::rewrite::RewriteOutput;
+use verdict_core::VerdictConfig;
 use verdict_engine::kernels::{self, group_rows_with};
-use verdict_engine::{Column, ColumnData, SelVec, ThreadPool, Value};
+use verdict_engine::{Column, ColumnData, SelVec, Table, ThreadPool, Value};
 use verdict_sql::ast::BinaryOp;
 
 /// Rows per benchmarked column.
@@ -259,6 +265,65 @@ pub fn par_grouped_sum(keys: &Column, values: &Column, pool: &ThreadPool) -> Vec
 }
 
 // ---------------------------------------------------------------------------
+// Answer assembly: the scalar `Value`/`HashMap` interpreter vs the compiled,
+// columnar Answer Rewriter.
+// ---------------------------------------------------------------------------
+
+/// tq-1 (two string keys, seven aggregates) plus one ratio expression.
+const ASSEMBLE_SQL: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity) AS sum_qty, \
+     sum(l_extendedprice) AS sum_base_price, \
+     sum(l_extendedprice * (1 - l_discount)) AS sum_disc_price, \
+     avg(l_quantity) AS avg_qty, avg(l_extendedprice) AS avg_price, \
+     avg(l_discount) AS avg_disc, count(*) AS count_order, \
+     sum(l_extendedprice * (1 - l_discount)) / sum(l_extendedprice) AS kept \
+     FROM lineitem WHERE l_shipdate <= 2450 \
+     GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus";
+
+/// Assemblies per timing of the `assemble_6g_7agg` row: one assembly takes
+/// well under the gate's 1 ms noise floor, fifty do not.
+pub const ASSEMBLE_CALLS: usize = 50;
+
+/// The `assemble_6g_7agg` input: the rewritten `ASSEMBLE_SQL` and a mean
+/// result of 6 groups × 100 subsamples, no NULLs.
+pub fn assemble_input() -> (RewriteOutput, Table, VerdictConfig) {
+    let config = VerdictConfig::default();
+    let rewrite = synthetic_rewrite(ASSEMBLE_SQL, &config);
+    let shape = ResultShape {
+        groups: 6,
+        cells: 100,
+        ragged: false,
+        null_rate: 0.0,
+        zero_rate: 0.0,
+        all_null_groups: false,
+        keys: vec![KeyKind::Str, KeyKind::Str],
+        null_key_group: None,
+    };
+    let (mean, _, _) = synthetic_results(&rewrite, &shape, 1);
+    (rewrite, mean.expect("a mean-like statement"), config)
+}
+
+/// Either assembly path.
+type AssemblePath = fn(
+    &RewriteOutput,
+    Option<&Table>,
+    Option<&Table>,
+    Option<&Table>,
+    &VerdictConfig,
+) -> verdict_core::VerdictResult<AssembledAnswer>;
+
+/// [`ASSEMBLE_CALLS`] assemblies of one mean result through `path`.
+fn assemble_many(
+    path: AssemblePath,
+    (rewrite, mean, config): &(RewriteOutput, Table, VerdictConfig),
+) -> AssembledAnswer {
+    let mut last = None;
+    for _ in 0..ASSEMBLE_CALLS {
+        last = Some(path(rewrite, Some(mean), None, None, config).expect("assembly"));
+    }
+    last.expect("at least one call")
+}
+
+// ---------------------------------------------------------------------------
 // The gated rows.
 // ---------------------------------------------------------------------------
 
@@ -321,6 +386,11 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
         .sum();
     let gathered_checksum: f64 = gathered.iter().map(|c| c.sum_count_f64().0).sum();
     assert!((scalar_checksum - gathered_checksum).abs() / scalar_checksum.abs() < 1e-9);
+    let assembly = assemble_input();
+    let scalar_answer = assemble_many(scalar_assemble, &assembly);
+    let compiled_answer = assemble_many(assemble, &assembly);
+    assert_eq!(scalar_answer.table.columns, compiled_answer.table.columns);
+    assert_eq!(scalar_answer.errors, compiled_answer.errors);
 
     vec![
         KernelRow {
@@ -352,6 +422,11 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
             name: "late_mat_scan",
             scalar_secs: median_secs(|| scalar_scan_gather(&sel, &payload, SCAN_THRESHOLD)),
             vectorized_secs: median_secs(|| late_mat_scan(&sel, &payload, SCAN_THRESHOLD, &serial)),
+        },
+        KernelRow {
+            name: "assemble_6g_7agg",
+            scalar_secs: median_secs(|| assemble_many(scalar_assemble, &assembly)),
+            vectorized_secs: median_secs(|| assemble_many(assemble, &assembly)),
         },
     ]
 }
@@ -420,6 +495,18 @@ mod tests {
         let gathered = late_mat_scan(&sel, &payload, SCAN_THRESHOLD, &serial);
         assert!(!scalar_rows.is_empty());
         assert!(gathered.iter().all(|c| c.len() == scalar_rows.len()));
+    }
+
+    #[test]
+    fn scalar_and_compiled_assembly_agree_on_the_kernel_row_input() {
+        let assembly = assemble_input();
+        assert_eq!(assembly.1.num_rows(), 600);
+        let scalar = assemble_many(scalar_assemble, &assembly);
+        let compiled = assemble_many(assemble, &assembly);
+        assert_eq!(scalar.table.num_rows(), 6);
+        assert_eq!(scalar.table.num_columns(), 10);
+        assert_eq!(scalar.table.columns, compiled.table.columns);
+        assert_eq!(scalar.errors, compiled.errors);
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //! The models the paper compares against, which no SQL statement of the
 //! product reaches, live here too: the error-estimation baselines
 //! ([`estimate`]), the per-engine latency profiles ([`profile`]) and the
-//! tightly-integrated AQP baseline ([`integrated`]).
+//! tightly-integrated AQP baseline ([`integrated`]) — and so does the scalar
+//! reference the Answer Rewriter is tested against ([`scalar_assemble`]).
 
 pub mod estimate;
 pub mod integrated;
 pub mod kernel;
 pub mod profile;
+pub mod scalar_assemble;
 
 pub use profile::EngineProfile;
 

@@ -8,14 +8,34 @@
 //! (which algebraically equals the full-sample Horvitz–Thompson estimate),
 //! and the error is derived from the spread of the per-subsample estimates,
 //! scaled by `sqrt(avg(ns_i)) / sqrt(n_g)` exactly as in the paper's Query 9.
+//!
+//! Assembly is compile-once, run-columnar:
+//!
+//! * **compile** — when the rewriter builds a [`RewriteOutput`] it also
+//!   builds an `AnswerProgram`: every aggregate output expression and the
+//!   HAVING predicate with their aggregate calls resolved to dense slot
+//!   numbers and their group columns to key positions, plus the per-expression
+//!   facts assembly branches on.  A `STREAM` compiles once for all its frames;
+//! * **group** — `MeanCells` clusters the mean result's rows by the
+//!   `verdict_g*` columns with the engine's own grouping kernel, once; the
+//!   feasibility check of [`crate::pipeline`] reads the same clustering;
+//! * **evaluate** — each expression is evaluated over whole columns with the
+//!   engine's expression kernels (so HAVING has the backend's three-valued
+//!   semantics): once over the per-group point estimates, and, for the error
+//!   of a mean-like expression, once over every (group, subsample) row;
+//! * **reduce** — the per-group sums (`combine_estimates`, `stddev`, the
+//!   scaling above) walk each group's rows in result-row order, so every
+//!   floating-point sum is taken in one fixed order and an answer is a pure
+//!   function of the result tables.
 
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
 use crate::rewrite::{columns, AggClass, OutputColumn, QueryAnalysis, RewriteOutput};
 use crate::stats::{normal_critical_value, stddev, weighted_mean};
-use std::collections::HashMap;
-use verdict_engine::{Column, DataType, Field, KeyValue, Schema, Table, Value};
-use verdict_sql::ast::{BinaryOp, Expr, UnaryOp};
+use std::borrow::Cow;
+use verdict_engine::kernels::{self, group_rows};
+use verdict_engine::{Bitmap, Column, ColumnData, DataType, Field, Schema, Table, Value};
+use verdict_sql::ast::{BinaryOp, Expr, Literal, UnaryOp};
 use verdict_sql::dialect::GenericDialect;
 use verdict_sql::printer::print_expr;
 
@@ -80,154 +100,334 @@ pub struct AssembledAnswer {
     pub errors: Vec<ColumnErrorSummary>,
 }
 
-#[derive(Debug, Default, Clone)]
-struct GroupData {
-    key_values: Vec<Value>,
-    /// One entry per subsample cell: (subsample size, per-aggregate estimate).
-    cells: Vec<(f64, HashMap<usize, f64>)>,
-    distinct: HashMap<usize, AggEstimate>,
-    extreme: HashMap<usize, Value>,
+// ---------------------------------------------------------------------------
+// Compile: once per statement, ahead of the data
+// ---------------------------------------------------------------------------
+
+/// What assembly needs to know about a statement, resolved once when the
+/// statement is rewritten instead of once per result cell.
+#[derive(Debug, Clone)]
+pub(crate) struct AnswerProgram {
+    /// One entry per `analysis.aggregates[slot]`.
+    slots: Vec<Slot>,
+    /// Names of the `verdict_g<i>` result columns, one per GROUP BY expression.
+    group_columns: Vec<String>,
+    /// Parallel to `analysis.output`.
+    outputs: Vec<OutputProgram>,
+    /// `None` without a HAVING clause, and for a predicate outside the
+    /// evaluator's class, which filters nothing.
+    having: Option<SlotExpr>,
 }
 
-/// Assembles the final answer from the raw results of the rewritten parts.
-pub fn assemble(
-    rewrite: &RewriteOutput,
-    mean_result: Option<&Table>,
-    distinct_result: Option<&Table>,
-    extreme_result: Option<&Table>,
-    config: &VerdictConfig,
-) -> VerdictResult<AssembledAnswer> {
-    let analysis = &rewrite.analysis;
-    let group_count = analysis.group_by.len();
-    let mut groups: HashMap<Vec<KeyValue>, GroupData> = HashMap::new();
-    let mut group_order: Vec<Vec<KeyValue>> = Vec::new();
+#[derive(Debug, Clone)]
+enum OutputProgram {
+    /// The key of the i-th GROUP BY expression.
+    Key(usize),
+    /// An expression over aggregates; `None` when it is outside the
+    /// evaluator's class, which makes the column NULL.
+    Aggregate(Option<SlotExpr>),
+}
 
-    // --- mean-like part -----------------------------------------------------
-    if let Some(table) = mean_result {
-        let sid_idx = required_column(table, columns::SID)?;
-        let size_idx = required_column(table, columns::SUB_SIZE)?;
-        let group_idxs = group_columns(table, group_count)?;
-        let mut est_idxs: HashMap<usize, usize> = HashMap::new();
-        for spec in &analysis.aggregates {
-            if spec.class == AggClass::MeanLike {
-                let col = format!("{}{}", columns::EST_PREFIX, spec.index);
-                est_idxs.insert(spec.index, required_column(table, &col)?);
-            }
-        }
-        for row in 0..table.num_rows() {
-            let key: Vec<KeyValue> = group_idxs
-                .iter()
-                .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                .collect();
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                GroupData {
-                    key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                    ..GroupData::default()
-                }
-            });
-            let size = table.value(row, size_idx).as_f64().unwrap_or(0.0);
-            let mut cell = HashMap::new();
-            for (agg_idx, col_idx) in &est_idxs {
-                if let Some(v) = table.value(row, *col_idx).as_f64() {
-                    cell.insert(*agg_idx, v);
-                }
-            }
-            let _ = table.value(row, sid_idx); // sid itself is not needed beyond grouping
-            entry.cells.push((size, cell));
-        }
-    }
+/// One aggregate call of the statement.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The rewritten-result column carrying it.
+    column: String,
+    class: AggClass,
+    /// `count` / `sum`: the per-subsample estimates are Horvitz–Thompson
+    /// totals (see [`combine_estimates`]).
+    total: bool,
+}
 
-    // --- count-distinct part --------------------------------------------------
-    if let (Some(table), Some((_, scales))) = (distinct_result, &rewrite.distinct_query) {
-        let group_idxs = group_columns(table, group_count)?;
-        for spec in &analysis.aggregates {
-            if spec.class != AggClass::Distinct {
-                continue;
-            }
-            let col = format!("{}{}", columns::DISTINCT_PREFIX, spec.index);
-            let col_idx = required_column(table, &col)?;
-            let scale = *scales.get(&spec.index).unwrap_or(&1.0);
-            for row in 0..table.num_rows() {
-                let key: Vec<KeyValue> = group_idxs
-                    .iter()
-                    .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                    .collect();
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    group_order.push(key.clone());
-                    GroupData {
-                        key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                        ..GroupData::default()
-                    }
-                });
-                let raw = table.value(row, col_idx).as_f64().unwrap_or(0.0);
-                let estimate = raw * scale;
-                // Binomial-style error: the observed distinct count is roughly
-                // Binomial(D, 1/scale), so sd(D̂) ≈ scale * sqrt(raw * (1 - 1/scale)).
-                let error = if scale > 1.0 {
-                    normal_critical_value(config.confidence)
-                        * scale
-                        * (raw * (1.0 - 1.0 / scale)).max(0.0).sqrt()
-                } else {
-                    0.0
+/// An output expression or HAVING predicate over aggregate slots and group
+/// keys.  Expressions using anything else (a scalar function, `CASE`, a
+/// subquery, a non-group column) are outside the evaluator's class and have
+/// no `SlotExpr`.
+#[derive(Debug, Clone)]
+struct SlotExpr {
+    root: Node,
+    /// Every mentioned aggregate is mean-like: the error comes from the
+    /// spread of the expression evaluated per subsample (so ratios like
+    /// `sum(a)/sum(b)` get a proper variational error estimate).
+    all_mean_like: bool,
+    /// The expression is exactly one aggregate call, whose own error it
+    /// reports when the per-subsample spread is not available.
+    single_call: Option<usize>,
+}
+
+#[derive(Debug, Clone)]
+enum Node {
+    /// The aggregate in this slot.
+    Slot(usize),
+    /// The key of the i-th GROUP BY expression.
+    Key(usize),
+    Literal(Value),
+    Negate(Box<Node>),
+    Not(Box<Node>),
+    Binary(Box<Node>, BinaryOp, Box<Node>),
+}
+
+impl AnswerProgram {
+    /// Resolves every aggregate output expression and the HAVING predicate
+    /// of `analysis` against its aggregate set.
+    pub(crate) fn compile(analysis: &QueryAnalysis) -> AnswerProgram {
+        let slots = analysis
+            .aggregates
+            .iter()
+            .map(|spec| {
+                let prefix = match spec.class {
+                    AggClass::MeanLike => columns::EST_PREFIX,
+                    AggClass::Distinct => columns::DISTINCT_PREFIX,
+                    AggClass::Extreme => columns::EXTREME_PREFIX,
                 };
-                entry
-                    .distinct
-                    .insert(spec.index, AggEstimate { estimate, error });
-            }
-        }
-    }
-
-    // --- extreme part ---------------------------------------------------------
-    if let Some(table) = extreme_result {
-        let group_idxs = group_columns(table, group_count)?;
-        for spec in &analysis.aggregates {
-            if spec.class != AggClass::Extreme {
-                continue;
-            }
-            let col = format!("{}{}", columns::EXTREME_PREFIX, spec.index);
-            let col_idx = required_column(table, &col)?;
-            for row in 0..table.num_rows() {
-                let key: Vec<KeyValue> = group_idxs
-                    .iter()
-                    .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                    .collect();
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    group_order.push(key.clone());
-                    GroupData {
-                        key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                        ..GroupData::default()
+                Slot {
+                    column: format!("{prefix}{}", spec.index),
+                    class: spec.class,
+                    total: matches!(spec.call.name.as_str(), "count" | "sum"),
+                }
+            })
+            .collect();
+        let compiler = Compiler {
+            analysis,
+            calls: analysis
+                .aggregates
+                .iter()
+                .map(|spec| print_expr(&Expr::Function(spec.call.clone()), &GenericDialect))
+                .collect(),
+        };
+        AnswerProgram {
+            slots,
+            group_columns: (0..analysis.group_by.len())
+                .map(|i| format!("{}{i}", columns::GROUP_PREFIX))
+                .collect(),
+            outputs: analysis
+                .output
+                .iter()
+                .map(|out| match out {
+                    OutputColumn::Aggregate { expr, .. } => {
+                        OutputProgram::Aggregate(compiler.compile(expr))
                     }
-                });
-                entry
-                    .extreme
-                    .insert(spec.index, table.value(row, col_idx).clone());
-            }
+                    OutputColumn::GroupKey { index, .. } => OutputProgram::Key(*index),
+                })
+                .collect(),
+            having: analysis.having.as_ref().and_then(|h| compiler.compile(h)),
         }
     }
 
-    build_output(
-        analysis,
-        &groups,
-        &group_order,
-        config,
-        rewrite.subsample_count,
-    )
+    /// Result columns holding per-subsample `count` / `sum` totals — the
+    /// ones a stream rescales while it has seen only a prefix.
+    pub(crate) fn total_columns(&self) -> impl Iterator<Item = &str> {
+        self.slots
+            .iter()
+            .filter(|s| s.class == AggClass::MeanLike && s.total)
+            .map(|s| s.column.as_str())
+    }
 }
 
-/// How per-subsample estimates of one aggregate are combined into the group's
-/// point estimate.
-///
-/// Count and sum estimates are `b`-scaled HT totals of disjoint subsamples,
-/// so summing them and dividing by the total number of subsamples `b`
-/// recovers exactly the full-sample HT estimate (subsamples that happened to
-/// receive no tuples contribute an implicit 0).  Ratio and scale-free
-/// statistics (avg, variance, stddev, median, quantile) are combined as a
-/// subsample-size-weighted mean.
-fn combine_estimates(call_name: &str, values: &[f64], weights: &[f64], b: u64) -> f64 {
-    match call_name {
-        "count" | "sum" => values.iter().sum::<f64>() / b.max(1) as f64,
-        _ => weighted_mean(values, weights),
+struct Compiler<'a> {
+    analysis: &'a QueryAnalysis,
+    /// Printed SQL of each aggregate call: the analysis told calls apart by
+    /// this text, so matching on it finds exactly the call it registered.
+    calls: Vec<String>,
+}
+
+impl Compiler<'_> {
+    fn compile(&self, expr: &Expr) -> Option<SlotExpr> {
+        let mut slots: Vec<usize> = Vec::new();
+        let root = self.node(expr, &mut slots)?;
+        let class_of = |slot: &usize| self.analysis.aggregates[*slot].class;
+        Some(SlotExpr {
+            root,
+            all_mean_like: slots.iter().all(|s| class_of(s) == AggClass::MeanLike),
+            single_call: match slots[..] {
+                [slot] if is_single_call(expr) => Some(slot),
+                _ => None,
+            },
+        })
+    }
+
+    fn slot_of(&self, expr: &Expr) -> Option<usize> {
+        match expr {
+            Expr::Function(_) => {
+                let text = print_expr(expr, &GenericDialect);
+                self.calls.iter().position(|call| *call == text)
+            }
+            Expr::Nested(inner) => self.slot_of(inner),
+            _ => None,
+        }
+    }
+
+    fn key_of(&self, expr: &Expr) -> Option<usize> {
+        let Expr::Column { name, .. } = expr else {
+            return None;
+        };
+        self.analysis.group_by.iter().position(
+            |g| matches!(g, Expr::Column { name: gname, .. } if gname.eq_ignore_ascii_case(name)),
+        )
+    }
+
+    /// Aggregate calls and group columns are recognised at every node first;
+    /// what is left must be arithmetic, comparison or boolean logic over
+    /// them.  `slots` collects the aggregates the expression mentions.
+    fn node(&self, expr: &Expr, slots: &mut Vec<usize>) -> Option<Node> {
+        if let Some(slot) = self.slot_of(expr) {
+            if !slots.contains(&slot) {
+                slots.push(slot);
+            }
+            return Some(Node::Slot(slot));
+        }
+        if let Some(key) = self.key_of(expr) {
+            return Some(Node::Key(key));
+        }
+        Some(match expr {
+            Expr::Literal(l) => Node::Literal(match l {
+                Literal::Null => Value::Null,
+                Literal::Boolean(b) => Value::Bool(*b),
+                // estimates are doubles; integer literals join them as such
+                Literal::Integer(i) => Value::Float(*i as f64),
+                Literal::Float(f) => Value::Float(*f),
+                Literal::String(s) => Value::Str(s.clone()),
+            }),
+            Expr::Nested(e) => self.node(e, slots)?,
+            Expr::UnaryOp { op, expr } => match op {
+                UnaryOp::Minus => Node::Negate(Box::new(self.node(expr, slots)?)),
+                UnaryOp::Plus => self.node(expr, slots)?,
+                UnaryOp::Not => Node::Not(Box::new(self.node(expr, slots)?)),
+            },
+            Expr::BinaryOp { left, op, right } if *op != BinaryOp::Concat => Node::Binary(
+                Box::new(self.node(left, slots)?),
+                *op,
+                Box::new(self.node(right, slots)?),
+            ),
+            _ => return None,
+        })
+    }
+}
+
+fn is_single_call(expr: &Expr) -> bool {
+    matches!(expr, Expr::Function(_))
+        || matches!(expr, Expr::Nested(inner) if is_single_call(inner))
+}
+
+// ---------------------------------------------------------------------------
+// Evaluate: whole columns at a time
+// ---------------------------------------------------------------------------
+
+/// The columns a compiled expression reads, all `rows` long: one per
+/// aggregate slot (`None` when this frame does not carry the slot) and one
+/// per GROUP BY key.
+struct Frame<'a> {
+    slots: Vec<Option<Cow<'a, Column>>>,
+    keys: &'a [Column],
+    rows: usize,
+}
+
+/// Evaluates `node` over every row of `frame` with the engine's expression
+/// kernels: NULL operands, division by zero and three-valued logic behave as
+/// they do on the backend.  `None` when the operand types do not fit.
+fn eval<'a>(node: &Node, frame: &'a Frame<'a>) -> Option<Cow<'a, Column>> {
+    Some(match node {
+        Node::Slot(slot) => Cow::Borrowed(frame.slots[*slot].as_deref()?),
+        Node::Key(key) => Cow::Borrowed(&frame.keys[*key]),
+        Node::Literal(value) => Cow::Owned(Column::repeat(value, frame.rows)),
+        Node::Negate(inner) => Cow::Owned(kernels::negate(eval(inner, frame)?.as_ref())),
+        Node::Not(inner) => Cow::Owned(kernels::bool_not(eval(inner, frame)?.as_ref())),
+        Node::Binary(left, op, right) => {
+            let (left, right) = (eval(left, frame)?, eval(right, frame)?);
+            Cow::Owned(kernels::binary_op(&left, *op, &right).ok()?)
+        }
+    })
+}
+
+/// The numeric view of a column as a `Float64` column: floats are borrowed
+/// in place, integers and booleans are converted, strings are NULL.
+fn float_column(col: &Column) -> Cow<'_, Column> {
+    match col.data() {
+        ColumnData::Float64(_) => Cow::Borrowed(col),
+        _ => Cow::Owned(Column::from_opt_f64(
+            (0..col.len()).map(|i| col.f64_at(i)).collect(),
+        )),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Group: the mean result, clustered once
+// ---------------------------------------------------------------------------
+
+/// The mean query's result clustered into output groups.  Built once per
+/// statement (once per frame of a stream) and read by both the feasibility
+/// check and assembly.
+pub(crate) struct MeanCells<'a> {
+    table: &'a Table,
+    /// The `verdict_g*` columns.
+    keys: Cow<'a, [Column]>,
+    /// First result row of each group; groups are numbered by first
+    /// appearance.
+    representatives: Vec<usize>,
+    /// Result rows ordered by group, rows of one group in result order:
+    /// group `g` owns `rows[starts[g]..starts[g + 1]]`.
+    rows: Vec<usize>,
+    starts: Vec<usize>,
+    /// `verdict_sub_size` per result row (0 when NULL).
+    sizes: Vec<f64>,
+}
+
+impl<'a> MeanCells<'a> {
+    /// Clusters `table`, the result of `rewrite.mean_query`.
+    pub(crate) fn new(rewrite: &RewriteOutput, table: &'a Table) -> VerdictResult<MeanCells<'a>> {
+        let sizes = column(table, columns::SUB_SIZE)?;
+        let keys = key_columns(table, &rewrite.program.group_columns)?;
+        let grouping = group_rows(&keys, table.num_rows());
+        // Counting sort of the rows by group id keeps result order within a
+        // group.
+        let mut starts = vec![0usize; grouping.num_groups() + 1];
+        for &gid in &grouping.gids {
+            starts[gid + 1] += 1;
+        }
+        for g in 0..grouping.num_groups() {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0usize; table.num_rows()];
+        for (row, &gid) in grouping.gids.iter().enumerate() {
+            rows[next[gid]] = row;
+            next[gid] += 1;
+        }
+        Ok(MeanCells {
+            table,
+            keys,
+            representatives: grouping.representatives,
+            rows,
+            starts,
+            sizes: (0..table.num_rows())
+                .map(|row| sizes.f64_at(row).unwrap_or(0.0))
+                .collect(),
+        })
+    }
+
+    fn num_groups(&self) -> usize {
+        self.representatives.len()
+    }
+
+    /// The result rows of group `g` (none for a group only a side result
+    /// has).
+    fn rows_of(&self, g: usize) -> &[usize] {
+        match self.starts.get(g + 1) {
+            Some(&end) => &self.rows[self.starts[g]..end],
+            None => &[],
+        }
+    }
+
+    /// The AQP feasibility test: grouped queries whose subsample cells
+    /// average fewer than [`VerdictConfig::min_rows_per_group`] rows produce
+    /// useless estimates, so the query is answered exactly instead (the
+    /// paper's behaviour for tq-3, tq-8, tq-15).
+    pub(crate) fn feasible(&self, config: &VerdictConfig) -> bool {
+        if self.keys.is_empty() {
+            return true;
+        }
+        let total: f64 = self.sizes.iter().sum();
+        total / self.num_groups().max(1) as f64 >= config.min_rows_per_group
     }
 }
 
@@ -238,166 +438,399 @@ fn required_column(table: &Table, name: &str) -> VerdictResult<usize> {
         .ok_or_else(|| VerdictError::Answer(format!("rewritten result is missing column {name}")))
 }
 
-fn group_columns(table: &Table, group_count: usize) -> VerdictResult<Vec<usize>> {
-    (0..group_count)
-        .map(|i| required_column(table, &format!("{}{i}", columns::GROUP_PREFIX)))
-        .collect()
+fn column<'t>(table: &'t Table, name: &str) -> VerdictResult<&'t Column> {
+    Ok(&table.columns[required_column(table, name)?])
 }
 
-fn build_output(
-    analysis: &QueryAnalysis,
-    groups: &HashMap<Vec<KeyValue>, GroupData>,
-    group_order: &[Vec<KeyValue>],
-    config: &VerdictConfig,
-    subsample_count: u64,
-) -> VerdictResult<AssembledAnswer> {
-    let z = normal_critical_value(config.confidence);
-
-    // Per group, per aggregate index: point estimate and error.
-    let mut per_group: Vec<(Vec<Value>, HashMap<usize, AggEstimate>, &GroupData)> = Vec::new();
-    for key in group_order {
-        let data = &groups[key];
-        let mut estimates: HashMap<usize, AggEstimate> = HashMap::new();
-        for spec in &analysis.aggregates {
-            match spec.class {
-                AggClass::MeanLike => {
-                    let mut values = Vec::new();
-                    let mut weights = Vec::new();
-                    for (size, cell) in &data.cells {
-                        if let Some(v) = cell.get(&spec.index) {
-                            values.push(*v);
-                            weights.push(*size);
-                        }
-                    }
-                    if values.is_empty() {
-                        continue;
-                    }
-                    let estimate =
-                        combine_estimates(&spec.call.name, &values, &weights, subsample_count);
-                    let total: f64 = weights.iter().sum();
-                    let avg_size = total / weights.len() as f64;
-                    let sigma = if values.len() > 1 && total > 0.0 {
-                        stddev(&values) * avg_size.sqrt() / total.sqrt()
-                    } else {
-                        0.0
-                    };
-                    estimates.insert(
-                        spec.index,
-                        AggEstimate {
-                            estimate,
-                            error: z * sigma,
-                        },
-                    );
-                }
-                AggClass::Distinct => {
-                    if let Some(e) = data.distinct.get(&spec.index) {
-                        estimates.insert(spec.index, *e);
-                    }
-                }
-                AggClass::Extreme => {
-                    if let Some(v) = data.extreme.get(&spec.index) {
-                        estimates.insert(
-                            spec.index,
-                            AggEstimate {
-                                estimate: v.as_f64().unwrap_or(f64::NAN),
-                                error: 0.0,
-                            },
-                        );
-                    }
-                }
-            }
+/// The group-key columns of a rewritten result.  The rewriter projects the
+/// group expressions first, so they are normally one slice of the table.
+fn key_columns<'a>(table: &'a Table, names: &[String]) -> VerdictResult<Cow<'a, [Column]>> {
+    let idxs = names
+        .iter()
+        .map(|name| required_column(table, name))
+        .collect::<VerdictResult<Vec<usize>>>()?;
+    Ok(match idxs.first() {
+        Some(&first) if idxs.iter().enumerate().all(|(i, &c)| c == first + i) => {
+            Cow::Borrowed(&table.columns[first..first + idxs.len()])
         }
-        per_group.push((data.key_values.clone(), estimates, data));
-    }
+        _ => Cow::Owned(idxs.iter().map(|&c| table.columns[c].clone()).collect()),
+    })
+}
 
-    // Apply HAVING using the estimated aggregates.
-    if let Some(having) = &analysis.having {
-        per_group.retain(|(key_values, estimates, _)| {
-            evaluate_predicate(having, analysis, key_values, estimates).unwrap_or(true)
+// ---------------------------------------------------------------------------
+// Assemble
+// ---------------------------------------------------------------------------
+
+/// Assembles the final answer from the raw results of the rewritten parts.
+pub fn assemble(
+    rewrite: &RewriteOutput,
+    mean_result: Option<&Table>,
+    distinct_result: Option<&Table>,
+    extreme_result: Option<&Table>,
+    config: &VerdictConfig,
+) -> VerdictResult<AssembledAnswer> {
+    let cells = mean_result
+        .map(|table| MeanCells::new(rewrite, table))
+        .transpose()?;
+    assemble_cells(
+        rewrite,
+        cells.as_ref(),
+        distinct_result,
+        extreme_result,
+        config,
+    )
+}
+
+/// How per-subsample estimates of one aggregate are combined into the group's
+/// point estimate.
+///
+/// Count and sum estimates (`total`) are `b`-scaled HT totals of disjoint
+/// subsamples, so summing them and dividing by the total number of
+/// subsamples `b` recovers exactly the full-sample HT estimate (subsamples
+/// that happened to receive no tuples contribute an implicit 0).  Ratio and
+/// scale-free statistics (avg, variance, stddev, median, quantile) are
+/// combined as a subsample-size-weighted mean.
+fn combine_estimates(total: bool, values: &[f64], weights: &[f64], b: u64) -> f64 {
+    if total {
+        values.iter().sum::<f64>() / b.max(1) as f64
+    } else {
+        weighted_mean(values, weights)
+    }
+}
+
+/// The output groups of a statement: the mean result's groups in
+/// first-appearance order, then the groups only a side result has.
+struct Groups {
+    /// One column per GROUP BY expression, one row per group.
+    keys: Vec<Column>,
+    count: usize,
+    /// The group of each row of the count-distinct result, which like the
+    /// extreme result carries one row per group.
+    distinct: Vec<usize>,
+    /// The group of each row of the extreme result.
+    extreme: Vec<usize>,
+}
+
+fn cluster_groups(
+    program: &AnswerProgram,
+    cells: Option<&MeanCells<'_>>,
+    distinct_result: Option<&Table>,
+    extreme_result: Option<&Table>,
+) -> VerdictResult<Groups> {
+    let mean_groups = cells.map_or(0, MeanCells::num_groups);
+    let mut keys: Vec<Column> = match cells {
+        Some(c) => c.keys.iter().map(|k| k.take(&c.representatives)).collect(),
+        None => vec![Column::nulls(0); program.group_columns.len()],
+    };
+    if distinct_result.is_none() && extreme_result.is_none() {
+        return Ok(Groups {
+            keys,
+            count: mean_groups,
+            distinct: Vec::new(),
+            extreme: Vec::new(),
         });
     }
+    // Side rows find their group by one more clustering, over
+    // [mean representatives, distinct rows, extreme rows]: the mean groups
+    // keep their numbers and unseen keys are numbered after them.
+    let mut universe = mean_groups;
+    for table in [distinct_result, extreme_result].into_iter().flatten() {
+        let side_keys = key_columns(table, &program.group_columns)?;
+        for (key, side) in keys.iter_mut().zip(side_keys.iter()) {
+            key.append(side);
+        }
+        universe += table.num_rows();
+    }
+    let grouping = group_rows(&keys, universe);
+    let distinct_end = mean_groups + distinct_result.map_or(0, Table::num_rows);
+    Ok(Groups {
+        keys: keys
+            .iter()
+            .map(|k| k.take(&grouping.representatives))
+            .collect(),
+        count: grouping.num_groups(),
+        distinct: grouping.gids[mean_groups..distinct_end].to_vec(),
+        extreme: grouping.gids[distinct_end..].to_vec(),
+    })
+}
 
-    // Build the output as typed columns: group keys keep their inferred
-    // type, aggregate estimates and their `_err` companions are nullable
-    // Float64 columns built without per-cell boxing.
-    let mut fields: Vec<Field> = Vec::new();
-    let mut columns: Vec<Column> = Vec::new();
-    let mut error_summaries: Vec<ColumnErrorSummary> = Vec::new();
+/// Per-group point estimates of one aggregate slot.
+struct SlotEstimates {
+    /// `Float64`, NULL where the group has no estimate of this aggregate.
+    estimate: Column,
+    /// The aggregate's own error bound (0 where there is no estimate).
+    error: Vec<f64>,
+}
 
-    for out in &analysis.output {
-        match out {
-            OutputColumn::GroupKey { index, name } => {
-                let dt = per_group
-                    .first()
-                    .and_then(|(kv, _, _)| kv.get(*index))
-                    .and_then(|v| v.data_type())
-                    .unwrap_or(DataType::Str);
-                fields.push(Field::new(name, dt));
-                let keys: Vec<Value> = per_group
-                    .iter()
-                    .map(|(kv, _, _)| kv.get(*index).cloned().unwrap_or(Value::Null))
-                    .collect();
-                columns.push(Column::from_values_typed(dt, &keys));
-            }
-            OutputColumn::Aggregate { expr, name } => {
-                let mut values: Vec<Option<f64>> = Vec::with_capacity(per_group.len());
-                let mut errors: Vec<Option<f64>> = Vec::with_capacity(per_group.len());
-                let mut rel_errors = Vec::new();
-                for (key_values, estimates, data) in &per_group {
-                    let est =
-                        evaluate_aggregate_output(expr, analysis, key_values, estimates, data, z);
-                    match est {
-                        Some(e) => {
-                            values.push(Some(e.estimate));
-                            errors.push(Some(e.error));
-                            rel_errors.push(e.relative_error());
-                        }
-                        None => {
-                            values.push(None);
-                            errors.push(None);
-                        }
-                    }
-                }
-                fields.push(Field::new(name, DataType::Float));
-                columns.push(Column::from_opt_f64(values));
-                if config.include_error_columns {
-                    fields.push(Field::new(&format!("{name}_err"), DataType::Float));
-                    columns.push(Column::from_opt_f64(errors));
-                }
-                if !rel_errors.is_empty() {
-                    let finite: Vec<f64> = rel_errors
-                        .iter()
-                        .copied()
-                        .filter(|e| e.is_finite())
-                        .collect();
-                    let mean_relative_error = if finite.is_empty() {
-                        f64::INFINITY
-                    } else {
-                        finite.iter().sum::<f64>() / finite.len() as f64
-                    };
-                    error_summaries.push(ColumnErrorSummary {
-                        column: name.clone(),
-                        mean_relative_error,
-                        max_relative_error: rel_errors.iter().cloned().fold(0.0, f64::max),
-                    });
-                }
+impl SlotEstimates {
+    fn new(groups: usize, known: impl IntoIterator<Item = (usize, AggEstimate)>) -> SlotEstimates {
+        let mut estimate = vec![0.0f64; groups];
+        let mut error = vec![0.0f64; groups];
+        let mut valid = Bitmap::new_null(groups);
+        for (g, e) in known {
+            estimate[g] = e.estimate;
+            error[g] = e.error;
+            valid.set(g);
+        }
+        SlotEstimates {
+            estimate: Column::from_parts(ColumnData::Float64(estimate), Some(valid)),
+            error,
+        }
+    }
+}
+
+/// The frame of per-group point estimates.
+fn estimates_frame<'a>(
+    estimates: &'a [SlotEstimates],
+    keys: &'a [Column],
+    rows: usize,
+) -> Frame<'a> {
+    Frame {
+        slots: estimates
+            .iter()
+            .map(|e| Some(Cow::Borrowed(&e.estimate)))
+            .collect(),
+        keys,
+        rows,
+    }
+}
+
+/// Scratch space for one group's per-subsample values and subsample sizes.
+#[derive(Default)]
+struct Spread {
+    values: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl Spread {
+    /// Loads group `g`'s cells of `col` (a `Float64` column over the mean
+    /// result's rows) that are non-NULL and pass `keep`, in result-row
+    /// order — the order every sum over them is then taken in.
+    fn load(&mut self, cells: &MeanCells<'_>, g: usize, col: &Column, keep: impl Fn(f64) -> bool) {
+        let data = col.as_f64s().expect("a float_column view");
+        self.values.clear();
+        self.weights.clear();
+        for &row in cells.rows_of(g) {
+            if col.is_valid(row) && keep(data[row]) {
+                self.values.push(data[row]);
+                self.weights.push(cells.sizes[row]);
             }
         }
     }
 
-    let mut table = Table::new(Schema::new(fields), columns)
+    /// Half-width of the confidence interval implied by the spread of the
+    /// loaded values.
+    fn error(&self, z: f64) -> f64 {
+        let total: f64 = self.weights.iter().sum();
+        let avg_size = total / self.weights.len() as f64;
+        let sigma = if self.values.len() > 1 && total > 0.0 {
+            stddev(&self.values) * avg_size.sqrt() / total.sqrt()
+        } else {
+            0.0
+        };
+        z * sigma
+    }
+}
+
+/// [`assemble`] over an already clustered mean result.
+pub(crate) fn assemble_cells(
+    rewrite: &RewriteOutput,
+    cells: Option<&MeanCells<'_>>,
+    distinct_result: Option<&Table>,
+    extreme_result: Option<&Table>,
+    config: &VerdictConfig,
+) -> VerdictResult<AssembledAnswer> {
+    let analysis = &rewrite.analysis;
+    let program = &rewrite.program;
+    let z = normal_critical_value(config.confidence);
+    let distinct = distinct_result.zip(rewrite.distinct_query.as_ref());
+    let distinct_result = distinct.map(|(table, _)| table);
+    let groups = cluster_groups(program, cells, distinct_result, extreme_result)?;
+    let mut spread = Spread::default();
+
+    // --- per-aggregate point estimates --------------------------------------
+    // The mean-like estimate columns, read as doubles: the slots of the
+    // per-subsample frame.
+    let cell_slots: Vec<Option<Cow<'_, Column>>> = program
+        .slots
+        .iter()
+        .map(|slot| match (cells, slot.class) {
+            (Some(c), AggClass::MeanLike) => Ok(Some(float_column(column(c.table, &slot.column)?))),
+            _ => Ok(None),
+        })
+        .collect::<VerdictResult<_>>()?;
+    let mut estimates: Vec<SlotEstimates> = Vec::with_capacity(program.slots.len());
+    for ((slot, cell_slot), spec) in program
+        .slots
+        .iter()
+        .zip(&cell_slots)
+        .zip(&analysis.aggregates)
+    {
+        let mut known: Vec<(usize, AggEstimate)> = Vec::new();
+        match slot.class {
+            AggClass::MeanLike => {
+                if let (Some(c), Some(col)) = (cells, cell_slot) {
+                    for g in 0..c.num_groups() {
+                        spread.load(c, g, col, |_| true);
+                        if spread.values.is_empty() {
+                            continue;
+                        }
+                        let b = rewrite.subsample_count;
+                        let estimate =
+                            combine_estimates(slot.total, &spread.values, &spread.weights, b);
+                        let error = spread.error(z);
+                        known.push((g, AggEstimate { estimate, error }));
+                    }
+                }
+            }
+            AggClass::Distinct => {
+                if let Some((table, (_, scales))) = distinct {
+                    let col = column(table, &slot.column)?;
+                    let scale = *scales.get(&spec.index).unwrap_or(&1.0);
+                    for (row, &g) in groups.distinct.iter().enumerate() {
+                        let raw = col.f64_at(row).unwrap_or(0.0);
+                        // Binomial-style error: the observed distinct count is roughly
+                        // Binomial(D, 1/scale), so sd(D̂) ≈ scale * sqrt(raw * (1 - 1/scale)).
+                        let error = if scale > 1.0 {
+                            z * scale * (raw * (1.0 - 1.0 / scale)).max(0.0).sqrt()
+                        } else {
+                            0.0
+                        };
+                        let estimate = raw * scale;
+                        known.push((g, AggEstimate { estimate, error }));
+                    }
+                }
+            }
+            AggClass::Extreme => {
+                if let Some(table) = extreme_result {
+                    let col = column(table, &slot.column)?;
+                    for (row, &g) in groups.extreme.iter().enumerate() {
+                        let estimate = col.f64_at(row).unwrap_or(f64::NAN);
+                        let error = 0.0;
+                        known.push((g, AggEstimate { estimate, error }));
+                    }
+                }
+            }
+        }
+        estimates.push(SlotEstimates::new(groups.count, known));
+    }
+
+    // --- HAVING, on the estimated aggregates --------------------------------
+    // A group stays when the predicate is true; false and SQL NULL drop it.
+    let mut keys = groups.keys;
+    let mut selected: Vec<usize> = (0..groups.count).collect();
+    if let Some(having) = &program.having {
+        let frame = estimates_frame(&estimates, &keys, groups.count);
+        if let Some(pred) = eval(&having.root, &frame) {
+            selected.retain(|&g| pred.bool_at(g) == Some(true));
+        }
+    }
+    if selected.len() < groups.count {
+        keys = keys.iter().map(|k| k.take(&selected)).collect();
+        for e in &mut estimates {
+            e.estimate = e.estimate.take(&selected);
+            e.error = selected.iter().map(|&g| e.error[g]).collect();
+        }
+    }
+
+    // --- output columns -------------------------------------------------------
+    let group_frame = estimates_frame(&estimates, &keys, selected.len());
+    let cell_frame = cells.map(|c| Frame {
+        slots: cell_slots,
+        keys: &c.keys,
+        rows: c.table.num_rows(),
+    });
+    let mut fields: Vec<Field> = Vec::new();
+    let mut out_columns: Vec<Column> = Vec::new();
+    let mut error_summaries: Vec<ColumnErrorSummary> = Vec::new();
+    for (out, output) in analysis.output.iter().zip(&program.outputs) {
+        let name = out.name();
+        let expr = match output {
+            // Group keys keep the type the backend returned them with.
+            OutputProgram::Key(index) => {
+                fields.push(Field::new(name, keys[*index].data_type()));
+                out_columns.push(keys[*index].clone());
+                continue;
+            }
+            OutputProgram::Aggregate(expr) => expr,
+        };
+        // Point estimate: the expression over the per-aggregate point
+        // estimates (for a bare aggregate, that aggregate's).
+        let point = expr.as_ref().and_then(|e| eval(&e.root, &group_frame));
+        let point = point.as_deref().map(float_column);
+        // Error: the spread of the expression over the subsamples, when
+        // every aggregate in it has per-subsample estimates.
+        let per_cell = match (&cell_frame, expr) {
+            (Some(frame), Some(e)) if e.all_mean_like && point.is_some() => eval(&e.root, frame),
+            _ => None,
+        };
+        let per_cell = per_cell.as_deref().map(float_column);
+        let single_call = expr.as_ref().and_then(|e| e.single_call);
+        let answers: Vec<Option<AggEstimate>> = selected
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                let estimate = point.as_ref()?.f64_at(i)?;
+                // Without a spread (one usable subsample, or none), a bare
+                // aggregate reports its own error bound.
+                let mut error = single_call.map_or(0.0, |slot| estimates[slot].error[i]);
+                if let (Some(c), Some(col)) = (cells, &per_cell) {
+                    spread.load(c, g, col, |v| v.is_finite());
+                    if spread.values.len() > 1 {
+                        error = spread.error(z);
+                    }
+                }
+                Some(AggEstimate { estimate, error })
+            })
+            .collect();
+
+        fields.push(Field::new(name, DataType::Float));
+        out_columns.push(Column::from_opt_f64(
+            answers.iter().map(|a| a.map(|a| a.estimate)).collect(),
+        ));
+        if config.include_error_columns {
+            fields.push(Field::new(&format!("{name}_err"), DataType::Float));
+            out_columns.push(Column::from_opt_f64(
+                answers.iter().map(|a| a.map(|a| a.error)).collect(),
+            ));
+        }
+        let rel_errors: Vec<f64> = answers
+            .iter()
+            .flatten()
+            .map(AggEstimate::relative_error)
+            .collect();
+        if !rel_errors.is_empty() {
+            let finite: Vec<f64> = rel_errors
+                .iter()
+                .copied()
+                .filter(|e| e.is_finite())
+                .collect();
+            let mean_relative_error = if finite.is_empty() {
+                f64::INFINITY
+            } else {
+                finite.iter().sum::<f64>() / finite.len() as f64
+            };
+            error_summaries.push(ColumnErrorSummary {
+                column: name.to_string(),
+                mean_relative_error,
+                max_relative_error: rel_errors.iter().cloned().fold(0.0, f64::max),
+            });
+        }
+    }
+
+    let mut table = Table::new(Schema::new(fields), out_columns)
         .map_err(|e| VerdictError::Answer(e.to_string()))?;
 
     // ORDER BY and LIMIT, evaluated on the assembled output.
     if !analysis.order_by.is_empty() && table.num_rows() > 1 {
         let mut indices: Vec<usize> = (0..table.num_rows()).collect();
-        let keys: Vec<Option<usize>> = analysis
+        let sort_keys: Vec<Option<usize>> = analysis
             .order_by
             .iter()
             .map(|o| order_key_column(&o.expr, analysis, &table))
             .collect();
         indices.sort_by(|&a, &b| {
-            for (key, item) in keys.iter().zip(analysis.order_by.iter()) {
+            for (key, item) in sort_keys.iter().zip(analysis.order_by.iter()) {
                 if let Some(col) = key {
                     let ord = table.columns[*col].cmp_rows(a, b);
                     let ord = if item.asc { ord } else { ord.reverse() };
@@ -440,265 +873,75 @@ fn order_key_column(expr: &Expr, analysis: &QueryAnalysis, table: &Table) -> Opt
     None
 }
 
-/// Evaluates an aggregate output expression for one group.
-///
-/// When every aggregate in the expression is mean-like, the expression is
-/// evaluated per subsample and re-combined (so e.g. `sum(a)/sum(b)` gets a
-/// proper variational error estimate); otherwise it is evaluated over the
-/// point estimates, and the error is taken from the single aggregate call
-/// when the expression is exactly one call.
-fn evaluate_aggregate_output(
-    expr: &Expr,
-    analysis: &QueryAnalysis,
-    key_values: &[Value],
-    estimates: &HashMap<usize, AggEstimate>,
-    data: &GroupData,
-    z: f64,
-) -> Option<AggEstimate> {
-    let specs_in_expr: Vec<usize> = analysis
-        .aggregates
-        .iter()
-        .filter(|s| expr_contains_call(expr, &s.call))
-        .map(|s| s.index)
-        .collect();
-    let all_mean_like = specs_in_expr.iter().all(|i| {
-        analysis
-            .aggregates
-            .iter()
-            .any(|s| s.index == *i && s.class == AggClass::MeanLike)
-    });
-
-    // Point estimate: plug the per-aggregate point estimates into the
-    // expression (for a bare aggregate this is just that aggregate's estimate).
-    let lookup = |e: &Expr| -> Option<Value> {
-        for spec in &analysis.aggregates {
-            if expr_is_call(e, &spec.call) {
-                return estimates.get(&spec.index).map(|v| Value::Float(v.estimate));
-            }
-        }
-        group_value(e, analysis, key_values)
-    };
-    let value = eval_const(expr, &lookup)?.as_f64()?;
-
-    // Error: when every aggregate in the expression is mean-like, derive it
-    // from the spread of the expression evaluated per subsample (so ratios
-    // like `sum(a)/sum(b)` get a proper variational error estimate).
-    if all_mean_like && !data.cells.is_empty() {
-        let mut values = Vec::new();
-        let mut weights = Vec::new();
-        for (size, cell) in &data.cells {
-            let cell_lookup = |e: &Expr| -> Option<Value> {
-                for spec in &analysis.aggregates {
-                    if expr_is_call(e, &spec.call) {
-                        return cell.get(&spec.index).map(|v| Value::Float(*v));
-                    }
-                }
-                group_value(e, analysis, key_values)
-            };
-            if let Some(v) = eval_const(expr, &cell_lookup).and_then(|v| v.as_f64()) {
-                if v.is_finite() {
-                    values.push(v);
-                    weights.push(*size);
-                }
-            }
-        }
-        if values.len() > 1 {
-            let total: f64 = weights.iter().sum();
-            let avg_size = total / weights.len() as f64;
-            let sigma = if total > 0.0 {
-                stddev(&values) * avg_size.sqrt() / total.sqrt()
-            } else {
-                0.0
-            };
-            return Some(AggEstimate {
-                estimate: value,
-                error: z * sigma,
-            });
-        }
-    }
-
-    // Fallback error: exact when the expression is a single aggregate call.
-    let error = if specs_in_expr.len() == 1 && expr_is_single_call(expr) {
-        estimates
-            .get(&specs_in_expr[0])
-            .map(|e| e.error)
-            .unwrap_or(0.0)
-    } else {
-        0.0
-    };
-    Some(AggEstimate {
-        estimate: value,
-        error,
-    })
-}
-
-fn evaluate_predicate(
-    pred: &Expr,
-    analysis: &QueryAnalysis,
-    key_values: &[Value],
-    estimates: &HashMap<usize, AggEstimate>,
-) -> Option<bool> {
-    let lookup = |e: &Expr| -> Option<Value> {
-        for spec in &analysis.aggregates {
-            if expr_is_call(e, &spec.call) {
-                return estimates.get(&spec.index).map(|v| Value::Float(v.estimate));
-            }
-        }
-        group_value(e, analysis, key_values)
-    };
-    eval_const(pred, &lookup)?.as_bool()
-}
-
-fn group_value(e: &Expr, analysis: &QueryAnalysis, key_values: &[Value]) -> Option<Value> {
-    if let Expr::Column { name, .. } = e {
-        for (i, g) in analysis.group_by.iter().enumerate() {
-            if let Expr::Column { name: gname, .. } = g {
-                if gname.eq_ignore_ascii_case(name) {
-                    return key_values.get(i).cloned();
-                }
-            }
-        }
-    }
-    None
-}
-
-fn expr_is_call(e: &Expr, call: &verdict_sql::ast::FunctionCall) -> bool {
-    match e {
-        Expr::Function(f) => {
-            print_expr(&Expr::Function(f.clone()), &GenericDialect)
-                == print_expr(&Expr::Function(call.clone()), &GenericDialect)
-        }
-        Expr::Nested(inner) => expr_is_call(inner, call),
-        _ => false,
-    }
-}
-
-fn expr_contains_call(expr: &Expr, call: &verdict_sql::ast::FunctionCall) -> bool {
-    let mut found = false;
-    verdict_sql::visitor::walk_expr(expr, &mut |e| {
-        if expr_is_call(e, call) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn expr_is_single_call(expr: &Expr) -> bool {
-    matches!(expr, Expr::Function(_))
-        || matches!(expr, Expr::Nested(inner) if expr_is_single_call(inner))
-}
-
-/// A tiny constant-expression evaluator used to recombine aggregate estimates
-/// (e.g. `100 * sum(a) / sum(b)`) and to apply HAVING / ORDER BY on the
-/// middleware side.  The `lookup` closure is consulted at every node first,
-/// which is how aggregate calls and group columns get their values.
-pub fn eval_const(expr: &Expr, lookup: &dyn Fn(&Expr) -> Option<Value>) -> Option<Value> {
-    if let Some(v) = lookup(expr) {
-        return Some(v);
-    }
-    match expr {
-        Expr::Literal(l) => Some(match l {
-            verdict_sql::ast::Literal::Null => Value::Null,
-            verdict_sql::ast::Literal::Boolean(b) => Value::Bool(*b),
-            verdict_sql::ast::Literal::Integer(i) => Value::Float(*i as f64),
-            verdict_sql::ast::Literal::Float(f) => Value::Float(*f),
-            verdict_sql::ast::Literal::String(s) => Value::Str(s.clone()),
-        }),
-        Expr::Nested(e) => eval_const(e, lookup),
-        Expr::UnaryOp {
-            op: UnaryOp::Minus,
-            expr,
-        } => {
-            let v = eval_const(expr, lookup)?.as_f64()?;
-            Some(Value::Float(-v))
-        }
-        Expr::UnaryOp {
-            op: UnaryOp::Plus,
-            expr,
-        } => eval_const(expr, lookup),
-        Expr::UnaryOp {
-            op: UnaryOp::Not,
-            expr,
-        } => {
-            let v = eval_const(expr, lookup)?.as_bool()?;
-            Some(Value::Bool(!v))
-        }
-        Expr::BinaryOp { left, op, right } => {
-            let l = eval_const(left, lookup)?;
-            let r = eval_const(right, lookup)?;
-            match op {
-                BinaryOp::And => Some(Value::Bool(l.as_bool()? && r.as_bool()?)),
-                BinaryOp::Or => Some(Value::Bool(l.as_bool()? || r.as_bool()?)),
-                op if op.is_comparison() => {
-                    let ord = l.sql_cmp(&r)?;
-                    use std::cmp::Ordering::*;
-                    let b = match op {
-                        BinaryOp::Eq => ord == Equal,
-                        BinaryOp::NotEq => ord != Equal,
-                        BinaryOp::Lt => ord == Less,
-                        BinaryOp::LtEq => ord != Greater,
-                        BinaryOp::Gt => ord == Greater,
-                        BinaryOp::GtEq => ord != Less,
-                        _ => unreachable!(),
-                    };
-                    Some(Value::Bool(b))
-                }
-                _ => {
-                    let (x, y) = (l.as_f64()?, r.as_f64()?);
-                    let v = match op {
-                        BinaryOp::Plus => x + y,
-                        BinaryOp::Minus => x - y,
-                        BinaryOp::Multiply => x * y,
-                        BinaryOp::Divide => {
-                            if y == 0.0 {
-                                return Some(Value::Null);
-                            }
-                            x / y
-                        }
-                        BinaryOp::Modulo => {
-                            if y == 0.0 {
-                                return Some(Value::Null);
-                            }
-                            x % y
-                        }
-                        _ => return None,
-                    };
-                    Some(Value::Float(v))
-                }
-            }
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verdict_sql::parse_expression;
 
-    #[test]
-    fn const_evaluator_handles_arithmetic_and_lookup() {
-        let expr = parse_expression("100 * sum(a) / sum(b)").unwrap();
-        let lookup = |e: &Expr| -> Option<Value> {
-            match e {
-                Expr::Function(f) if f.name == "sum" => {
-                    let arg = print_expr(&f.args[0], &GenericDialect);
-                    Some(Value::Float(if arg == "a" { 30.0 } else { 60.0 }))
-                }
-                _ => None,
-            }
+    /// Compiles `sql` and evaluates its HAVING predicate (or, without one,
+    /// its first output expression) over one group whose aggregate slots
+    /// hold `slots` and whose single key holds `key`.
+    fn eval_one(sql: &str, slots: &[f64], key: Value) -> Option<Value> {
+        let Ok(verdict_sql::ast::Statement::Query(query)) = verdict_sql::parse_statement(sql)
+        else {
+            panic!("not a query: {sql}");
         };
-        let v = eval_const(&expr, &lookup).unwrap().as_f64().unwrap();
-        assert!((v - 50.0).abs() < 1e-9);
+        let analysis = crate::rewrite::analyze_query(&query).unwrap();
+        let program = AnswerProgram::compile(&analysis);
+        let expr = match (&analysis.having, &program.outputs[0]) {
+            (Some(_), _) => program.having.as_ref()?,
+            (None, OutputProgram::Aggregate(expr)) => expr.as_ref()?,
+            (None, OutputProgram::Key(_)) => panic!("no expression in {sql}"),
+        };
+        let keys = [Column::repeat(&key, 1)];
+        let frame = Frame {
+            slots: slots
+                .iter()
+                .map(|v| Some(Cow::Owned(Column::from_f64(vec![*v]))))
+                .collect(),
+            keys: &keys,
+            rows: 1,
+        };
+        eval(&expr.root, &frame).map(|col| col.value_at(0))
     }
 
     #[test]
-    fn const_evaluator_handles_comparisons() {
-        let expr = parse_expression("count(*) > 10 AND 2 + 2 = 4").unwrap();
-        let lookup = |e: &Expr| -> Option<Value> {
-            matches!(e, Expr::Function(f) if f.name == "count").then_some(Value::Float(50.0))
-        };
-        assert_eq!(eval_const(&expr, &lookup).unwrap().as_bool(), Some(true));
+    fn compiled_evaluator_handles_arithmetic_over_slots() {
+        let v = eval_one(
+            "SELECT 100 * sum(a) / sum(b) FROM t",
+            &[30.0, 60.0],
+            Value::Null,
+        );
+        assert!((v.unwrap().as_f64().unwrap() - 50.0).abs() < 1e-9);
+        // division by zero is NULL, as on the backend
+        let v = eval_one("SELECT sum(a) / sum(b) FROM t", &[30.0, 0.0], Value::Null);
+        assert_eq!(v, Some(Value::Null));
+    }
+
+    #[test]
+    fn compiled_evaluator_handles_comparisons() {
+        let sql = "SELECT count(*) FROM t HAVING count(*) > 10 AND 2 + 2 = 4";
+        assert_eq!(eval_one(sql, &[50.0], Value::Null), Some(Value::Bool(true)));
+        assert_eq!(eval_one(sql, &[5.0], Value::Null), Some(Value::Bool(false)));
+    }
+
+    #[test]
+    fn compiled_predicates_are_three_valued() {
+        let sql = "SELECT k, count(*) FROM t GROUP BY k HAVING k > 1";
+        assert_eq!(
+            eval_one(sql, &[1.0], Value::Int(2)),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(
+            eval_one(sql, &[1.0], Value::Int(1)),
+            Some(Value::Bool(false))
+        );
+        // unknown is NULL (the group is dropped), not "could not evaluate"
+        assert_eq!(eval_one(sql, &[1.0], Value::Null), Some(Value::Null));
+        let sql = "SELECT k, count(*) FROM t GROUP BY k HAVING k > 1 OR count(*) > 0";
+        assert_eq!(eval_one(sql, &[1.0], Value::Null), Some(Value::Bool(true)));
+        // an expression outside the evaluator's class has no program at all
+        let sql = "SELECT k, count(*) FROM t GROUP BY k HAVING round(count(*)) > 0";
+        assert_eq!(eval_one(sql, &[1.0], Value::Int(2)), None);
     }
 
     #[test]

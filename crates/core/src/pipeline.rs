@@ -26,13 +26,13 @@
 //! is opened, closed and observed in one place each (`open_trace` /
 //! `close_trace`).
 
-use crate::answer::assemble;
+use crate::answer::{assemble_cells, MeanCells};
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::{QueryTrace, TraceBuilder};
 use crate::planner::{PlanningContext, SamplePlan, SamplePlanner};
-use crate::rewrite::{analyze_query, rewrite, QueryAnalysis, RewriteOutput};
+use crate::rewrite::{analyze_query, rewrite, RewriteOutput};
 use std::collections::HashMap;
 use std::time::Duration;
 use verdict_engine::{QueryResult, Table, TableBuilder};
@@ -330,10 +330,14 @@ impl VerdictContext {
         let mean = mean.map(&mut sent);
         // `Err` names the span the exact fallback runs under, and why.
         let sampled: Result<_, (&'static str, String)> = 'sampled: {
-            if let Some(table) = &mean {
-                if !mean_result_feasible(&rewritten.analysis, table, config) {
-                    break 'sampled Err(("passthrough", "subsample cells too thin".into()));
-                }
+            // One clustering of the mean result serves both the
+            // feasibility check and assembly.
+            let cells = match &mean {
+                Some(table) => Some(MeanCells::new(rewritten, table)?),
+                None => None,
+            };
+            if cells.as_ref().is_some_and(|c| !c.feasible(config)) {
+                break 'sampled Err(("passthrough", "subsample cells too thin".into()));
             }
             let distinct = match &rewritten.distinct_query {
                 Some((q, _)) => Some(sent(self.backend_exec(q, "distinct query", tb)?)),
@@ -344,9 +348,9 @@ impl VerdictContext {
                 None => None,
             };
             tb.begin("assemble");
-            let assembled = assemble(
+            let assembled = assemble_cells(
                 rewritten,
-                mean.as_ref(),
+                cells.as_ref(),
                 distinct.as_ref(),
                 extreme.as_ref(),
                 config,
@@ -698,38 +702,4 @@ fn contains_rand(query: &Query) -> bool {
         _ => {}
     });
     found || subqueries.iter().any(contains_rand)
-}
-
-/// The AQP feasibility test over a computed mean-query result: grouped
-/// queries whose subsample cells average fewer than
-/// [`VerdictConfig::min_rows_per_group`] rows produce useless estimates, so
-/// the query is answered exactly instead (the paper's behaviour for tq-3,
-/// tq-8, tq-15).
-fn mean_result_feasible(analysis: &QueryAnalysis, table: &Table, config: &VerdictConfig) -> bool {
-    if analysis.group_by.is_empty() {
-        return true;
-    }
-    let Some(idx) = table.schema.index_of(crate::rewrite::columns::SUB_SIZE) else {
-        return true;
-    };
-    let total: f64 = table.columns[idx].iter().filter_map(|v| v.as_f64()).sum();
-    // Distinct output groups = distinct combinations of the verdict_g*
-    // columns in the per-(group, sid) result.
-    let group_idxs: Vec<usize> = (0..analysis.group_by.len())
-        .filter_map(|i| {
-            table
-                .schema
-                .index_of(&format!("{}{i}", crate::rewrite::columns::GROUP_PREFIX))
-        })
-        .collect();
-    let mut groups = std::collections::HashSet::new();
-    for row in 0..table.num_rows() {
-        let key: Vec<verdict_engine::KeyValue> = group_idxs
-            .iter()
-            .map(|&c| verdict_engine::KeyValue::from_value(&table.value_at(row, c)))
-            .collect();
-        groups.insert(key);
-    }
-    let rows_per_group = total / groups.len().max(1) as f64;
-    rows_per_group >= config.min_rows_per_group
 }

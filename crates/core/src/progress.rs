@@ -388,15 +388,11 @@ fn scale_prefix_totals(
     rewritten: &RewriteOutput,
     inv_fraction: f64,
 ) -> verdict_engine::Table {
-    for spec in &rewritten.analysis.aggregates {
-        if spec.class != AggClass::MeanLike || !matches!(spec.call.name.as_str(), "count" | "sum") {
-            continue;
-        }
-        let name = format!("{}{}", crate::rewrite::columns::EST_PREFIX, spec.index);
-        if let Some(idx) = table.schema.index_of(&name) {
-            let scaled: Vec<Option<f64>> = table.columns[idx]
-                .iter()
-                .map(|v| v.as_f64().map(|x| x * inv_fraction))
+    for name in rewritten.program.total_columns() {
+        if let Some(idx) = table.schema.index_of(name) {
+            let col = &table.columns[idx];
+            let scaled = (0..col.len())
+                .map(|i| col.f64_at(i).map(|x| x * inv_fraction))
                 .collect();
             table.columns[idx] = verdict_engine::Column::from_opt_f64(scaled);
         }

@@ -24,6 +24,7 @@
 //!   extreme statistics (`min`/`max`, always computed exactly on the base
 //!   tables) — mirroring the decomposition described in §2.2.
 
+use crate::answer::AnswerProgram;
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
 use crate::planner::{SamplePlan, TableRef};
@@ -179,6 +180,9 @@ pub struct RewriteOutput {
     pub extreme_query: Option<Statement>,
     /// Number of subsamples used.
     pub subsample_count: u64,
+    /// The output expressions and HAVING predicate compiled against the
+    /// aggregate set, for the answer rewriter.
+    pub(crate) program: AnswerProgram,
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +465,7 @@ pub fn rewrite(
         distinct_query,
         extreme_query,
         subsample_count: b,
+        program: AnswerProgram::compile(analysis),
     })
 }
 

@@ -291,3 +291,77 @@ fn flattened_comparison_subquery_is_answered() {
     let rel = (a - e).abs() / e;
     assert!(rel < 0.1, "relative error {rel:.4}");
 }
+
+/// A 20,000-row `sales(k, price)` with a nullable integer key — NULL for
+/// nine rows in ten, so the first group the scramble yields has a NULL key —
+/// and a 20% scramble.
+fn nullable_key_context() -> common::TestContext {
+    let rows = 20_000usize;
+    let keys = [Some(2), Some(10), Some(1)];
+    let table = verdictdb::TableBuilder::new()
+        .opt_int_column(
+            "k",
+            (0..rows)
+                .map(|i| {
+                    if i % 10 == 0 {
+                        keys[(i / 10) % 3]
+                    } else {
+                        None
+                    }
+                })
+                .collect(),
+        )
+        .float_column("price", (0..rows).map(|i| (i % 97) as f64).collect())
+        .build()
+        .unwrap();
+    let engine = Arc::new(Engine::with_seed(7));
+    engine.register_table("sales", table);
+    let mut config = VerdictConfig::for_testing();
+    config.io_budget = 0.5;
+    config.include_error_columns = false;
+    let ctx = common::context_over(engine, config);
+    VerdictSession::new(Arc::clone(&ctx.ctx))
+        .execute("CREATE SCRAMBLE sales_scramble FROM sales RATIO 0.2")
+        .unwrap();
+    ctx
+}
+
+#[test]
+fn group_keys_keep_the_backend_type_when_the_first_group_has_a_null_key() {
+    let ctx = nullable_key_context();
+    for sql in [
+        "SELECT k, avg(price) AS ap FROM sales GROUP BY k",
+        "SELECT k, avg(price) AS ap FROM sales GROUP BY k ORDER BY k",
+    ] {
+        let approx = ctx.execute(sql).unwrap();
+        let exact = ctx.execute_exact(sql).unwrap();
+        assert!(!approx.exact, "{sql} should have been approximated");
+        assert_eq!(approx.table.num_rows(), 4);
+        assert_eq!(
+            approx.table.columns[0].data_type(),
+            exact.table.columns[0].data_type(),
+            "{sql}: key column type"
+        );
+        if sql.ends_with("ORDER BY k") {
+            // numeric order — NULL, 1, 2, 10 — not the lexicographic one
+            assert_eq!(approx.table.columns[0], exact.table.columns[0], "{sql}");
+        } else {
+            assert!(
+                approx.table.value(0, 0).is_null(),
+                "the fixture should yield the NULL-key group first"
+            );
+        }
+    }
+}
+
+#[test]
+fn having_drops_a_group_whose_predicate_is_unknown() {
+    let ctx = nullable_key_context();
+    let sql = "SELECT k, count(*) AS n FROM sales GROUP BY k HAVING k > 1 ORDER BY k";
+    let approx = ctx.execute(sql).unwrap();
+    let exact = ctx.execute_exact(sql).unwrap();
+    assert!(!approx.exact);
+    // `NULL > 1` is unknown: the NULL-key group goes, exactly and approximately
+    assert_eq!(exact.table.num_rows(), 2);
+    assert_eq!(approx.table.columns[0], exact.table.columns[0]);
+}

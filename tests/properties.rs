@@ -1623,3 +1623,316 @@ fn admission_controller_holds_capacity_under_concurrent_arrivals() {
     );
     assert!(stats.peak_depth <= capacity as u64);
 }
+
+// ===========================================================================
+// Compiled, columnar answer assembly vs the scalar `Value`/`HashMap` reference
+// ===========================================================================
+
+use verdict_bench::scalar_assemble::{
+    scalar_assemble, synthetic_results, synthetic_rewrite, KeyKind, ResultShape,
+};
+use verdictdb::core::answer::{assemble, AssembledAnswer};
+use verdictdb::core::rewrite::RewriteOutput;
+use verdictdb::VerdictConfig;
+
+/// Asserts the compiled path's answer equals the reference's: same column
+/// names and types, bit-identical cells, identical error summaries.  Key
+/// column types are compared only when the answer has rows — the reference
+/// types a key column from its first group's value and an empty answer has
+/// none.
+fn assert_same_answer(reference: &AssembledAnswer, compiled: &AssembledAnswer, case: &str) {
+    let (r, c) = (&reference.table, &compiled.table);
+    let names =
+        |t: &Table| -> Vec<String> { t.schema.fields.iter().map(|f| f.name.clone()).collect() };
+    assert_eq!(names(r), names(c), "{case}: column names");
+    if r.num_rows() > 0 {
+        for (rc, cc) in r.columns.iter().zip(&c.columns) {
+            assert_eq!(rc.data_type(), cc.data_type(), "{case}: column types");
+        }
+    }
+    common::assert_tables_bit_identical(r, c, case);
+    assert_eq!(
+        reference.errors.len(),
+        compiled.errors.len(),
+        "{case}: summaries"
+    );
+    for (re, ce) in reference.errors.iter().zip(&compiled.errors) {
+        assert_eq!(re.column, ce.column, "{case}");
+        assert_eq!(
+            (
+                re.mean_relative_error.to_bits(),
+                re.max_relative_error.to_bits()
+            ),
+            (
+                ce.mean_relative_error.to_bits(),
+                ce.max_relative_error.to_bits()
+            ),
+            "{case}: summary of {}: {re:?} vs {ce:?}",
+            re.column
+        );
+    }
+}
+
+/// Runs both assembly paths over one set of results, error columns off and on.
+fn assert_paths_agree(
+    rewrite: &RewriteOutput,
+    mean: Option<&Table>,
+    distinct: Option<&Table>,
+    extreme: Option<&Table>,
+    case: &str,
+) {
+    for error_columns in [false, true] {
+        let mut config = VerdictConfig::default();
+        config.include_error_columns = error_columns;
+        let reference = scalar_assemble(rewrite, mean, distinct, extreme, &config)
+            .unwrap_or_else(|e| panic!("{case}: reference failed: {e}"));
+        let compiled = assemble(rewrite, mean, distinct, extreme, &config)
+            .unwrap_or_else(|e| panic!("{case}: compiled path failed: {e}"));
+        assert_same_answer(
+            &reference,
+            &compiled,
+            &format!("{case} err={error_columns}"),
+        );
+    }
+}
+
+#[test]
+fn compiled_assembly_matches_the_scalar_reference_on_generated_results() {
+    use KeyKind::{Float, Int, Str};
+    // (statement, key column kinds, whether a group may lack every estimate
+    // of an aggregate: a HAVING predicate over such a group is SQL NULL,
+    // where the two paths differ by design)
+    let statements: [(&str, &[KeyKind], bool); 10] = [
+        ("SELECT count(*), sum(a), avg(a) AS m FROM t", &[], true),
+        (
+            "SELECT k, sum(a) / sum(b) AS ratio, 100 * sum(a) / sum(b), count(*) FROM t GROUP BY k",
+            &[Int],
+            true,
+        ),
+        (
+            "SELECT k2, k, avg(a) AS m, stddev(a), variance(a), median(a) FROM t \
+             GROUP BY k2, k ORDER BY m DESC LIMIT 3",
+            &[Str, Int],
+            true,
+        ),
+        (
+            "SELECT f, sum(a) AS s FROM t GROUP BY f HAVING sum(a) > 70 ORDER BY s DESC LIMIT 5",
+            &[Float],
+            false,
+        ),
+        (
+            "SELECT k, count(DISTINCT u) AS d, max(a) AS mx, min(b), sum(a), max(a) - min(b) \
+             FROM t GROUP BY k ORDER BY k",
+            &[Int],
+            true,
+        ),
+        (
+            "SELECT k2, count(DISTINCT u) FROM t GROUP BY k2",
+            &[Str],
+            true,
+        ),
+        (
+            "SELECT k, sum(a) - k AS adj, -avg(a), (sum(a)), sum(a) > 75 FROM t GROUP BY k \
+             HAVING count(*) > 60 AND k >= 0 ORDER BY adj",
+            &[Int],
+            false,
+        ),
+        (
+            "SELECT k, round(sum(a)) AS r, sum(a) FROM t GROUP BY k",
+            &[Int],
+            true,
+        ),
+        (
+            "SELECT k2, f, avg(a) FROM t GROUP BY k2, f HAVING k2 <> 'g1' AND NOT f > 4",
+            &[Str, Float],
+            false,
+        ),
+        (
+            "SELECT k, sum(a) FROM t GROUP BY k HAVING round(sum(a)) > 1000 ORDER BY k DESC",
+            &[Int],
+            true,
+        ),
+    ];
+    let config = VerdictConfig::default();
+    for (sql, keys, all_null_groups) in statements {
+        let rewrite = synthetic_rewrite(sql, &config);
+        // (groups, cells, ragged, null rate, zero rate, NULL key group)
+        let shapes = [
+            (6, 100, false, 0.0, 0.0, None),
+            (7, 12, true, 0.3, 0.2, Some(3)),
+            (5, 1, false, 0.2, 0.3, None),
+            (9, 3, true, 0.6, 0.5, Some(1)),
+            (0, 4, false, 0.0, 0.0, None),
+        ];
+        for (i, (groups, cells, ragged, null_rate, zero_rate, null_key_group)) in
+            shapes.into_iter().enumerate()
+        {
+            // A NULL key makes `HAVING k …` unknown for its group.
+            let has_having = rewrite.analysis.having.is_some();
+            let shape = ResultShape {
+                groups,
+                cells,
+                ragged,
+                null_rate,
+                zero_rate,
+                all_null_groups,
+                keys: keys.to_vec(),
+                null_key_group: null_key_group.filter(|_| !has_having && !keys.is_empty()),
+            };
+            for seed in 0..4u64 {
+                let (mean, distinct, extreme) = synthetic_results(&rewrite, &shape, seed);
+                assert_paths_agree(
+                    &rewrite,
+                    mean.as_ref(),
+                    distinct.as_ref(),
+                    extreme.as_ref(),
+                    &format!("{sql} / shape {i} / seed {seed}"),
+                );
+            }
+        }
+    }
+}
+
+/// The two places the compiled path differs from the reference, both fixes.
+#[test]
+fn compiled_assembly_differs_from_the_reference_only_where_it_fixes_it() {
+    let config = VerdictConfig::default();
+    let shape = |null_key_group| ResultShape {
+        groups: 4,
+        cells: 5,
+        ragged: false,
+        null_rate: 0.0,
+        zero_rate: 0.0,
+        all_null_groups: false,
+        keys: vec![KeyKind::Int],
+        null_key_group,
+    };
+
+    // HAVING over a NULL key is unknown: the group goes, as it does exactly.
+    let rewrite = synthetic_rewrite("SELECT k, sum(a) FROM t GROUP BY k HAVING k >= 0", &config);
+    let (mean, _, _) = synthetic_results(&rewrite, &shape(Some(2)), 1);
+    let reference = scalar_assemble(&rewrite, mean.as_ref(), None, None, &config).unwrap();
+    let compiled = assemble(&rewrite, mean.as_ref(), None, None, &config).unwrap();
+    assert_eq!(
+        reference.table.num_rows(),
+        4,
+        "the reference keeps the NULL-key group"
+    );
+    assert_eq!(compiled.table.num_rows(), 3);
+    assert!((0..3).all(|r| !compiled.table.value_at(r, 0).is_null()));
+
+    // A key column keeps the result column's type even when the first group
+    // seen has a NULL key; the reference falls back to strings.
+    let rewrite = synthetic_rewrite("SELECT k, sum(a) FROM t GROUP BY k", &config);
+    let (mean, _, _) = synthetic_results(&rewrite, &shape(Some(2)), 1);
+    let mean = mean.unwrap();
+    let null_first = mean.take(&{
+        let mut rows: Vec<usize> = (0..mean.num_rows()).collect();
+        rows.swap(0, 2);
+        rows
+    });
+    assert!(null_first.value_at(0, 0).is_null());
+    let reference = scalar_assemble(&rewrite, Some(&null_first), None, None, &config).unwrap();
+    let compiled = assemble(&rewrite, Some(&null_first), None, None, &config).unwrap();
+    use verdictdb::engine::DataType;
+    assert_eq!(reference.table.columns[0].data_type(), DataType::Str);
+    assert_eq!(compiled.table.columns[0].data_type(), DataType::Int);
+    assert_eq!(compiled.table.num_rows(), 4);
+}
+
+#[test]
+fn compiled_assembly_matches_the_scalar_reference_on_the_workload() {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use verdictdb::core::planner::{PlanningContext, SamplePlanner};
+    use verdictdb::core::rewrite::{analyze_query, rewrite};
+    use verdictdb::data::{instacart_queries, tpch_queries, InstacartGenerator, TpchGenerator};
+    use verdictdb::sql::ast::Statement;
+    use verdictdb::{Backend, Engine, VerdictContext, VerdictSession};
+
+    let engine = Arc::new(Engine::with_seed(1234));
+    InstacartGenerator::new(0.05).register(&engine);
+    TpchGenerator::new(0.05).register(&engine);
+    let mut config = VerdictConfig::default();
+    config.min_table_rows = 1_000;
+    config.io_budget = 0.5;
+    config.seed = Some(7);
+    let ctx = Arc::new(VerdictContext::new(
+        engine as Arc<dyn Backend>,
+        config.clone(),
+    ));
+    let mut session = VerdictSession::new(Arc::clone(&ctx));
+    session
+        .execute_script(
+            "CREATE SCRAMBLE op_u FROM order_products RATIO 0.1;
+             CREATE SCRAMBLE li_u FROM lineitem RATIO 0.1;
+             CREATE SCRAMBLE to_u FROM tpch_orders RATIO 0.1;
+             CREATE SCRAMBLE o_u FROM orders RATIO 0.1;
+             CREATE SCRAMBLE to_h FROM tpch_orders METHOD hashed RATIO 0.1 ON o_orderkey;
+             CREATE SCRAMBLE o_h FROM orders METHOD hashed RATIO 0.1 ON order_id;
+             CREATE SCRAMBLE o_hu FROM orders METHOD hashed RATIO 0.1 ON user_id;
+             CREATE SCRAMBLE op_h FROM order_products METHOD hashed RATIO 0.1 ON order_id;
+             CREATE SCRAMBLE op_hp FROM order_products METHOD hashed RATIO 0.1 ON product_id;
+             CREATE SCRAMBLE li_h FROM lineitem METHOD hashed RATIO 0.1 ON l_orderkey;
+             CREATE SCRAMBLE li_hs FROM lineitem METHOD hashed RATIO 0.1 ON l_suppkey;",
+        )
+        .unwrap();
+
+    let queries: Vec<_> = tpch_queries()
+        .into_iter()
+        .chain(instacart_queries())
+        .collect();
+    assert_eq!(queries.len(), 33);
+    let mut compared = Vec::new();
+    for q in &queries {
+        let Ok(Statement::Query(query)) = parse_statement(&q.sql) else {
+            panic!("{} does not parse as a query", q.id);
+        };
+        let Ok(analysis) = analyze_query(&query) else {
+            continue; // outside the supported class: answered exactly
+        };
+        let rows: HashMap<String, u64> = analysis
+            .tables
+            .iter()
+            .map(|t| {
+                let n = ctx.connection().table_row_count(&t.table).unwrap();
+                (t.table.to_ascii_lowercase(), n)
+            })
+            .collect();
+        let plan = SamplePlanner::new(ctx.meta(), &config).plan(
+            &analysis.table_refs(&rows),
+            &PlanningContext {
+                group_columns: analysis.group_column_names(),
+                distinct_columns: analysis.distinct_column_names(),
+                io_budget: config.io_budget,
+            },
+        );
+        if !plan.uses_samples() {
+            continue;
+        }
+        let Ok(rewritten) = rewrite(&analysis, &plan, &config) else {
+            continue;
+        };
+        let run = |part: Option<&Statement>| {
+            part.map(|stmt| {
+                let sql = print_statement(stmt, ctx.dialect());
+                ctx.connection()
+                    .execute(&sql)
+                    .unwrap_or_else(|e| panic!("{}: {sql}: {e}", q.id))
+                    .table
+            })
+        };
+        let mean = run(rewritten.mean_query.as_ref());
+        let distinct = run(rewritten.distinct_query.as_ref().map(|(s, _)| s));
+        let extreme = run(rewritten.extreme_query.as_ref());
+        assert_paths_agree(
+            &rewritten,
+            mean.as_ref(),
+            distinct.as_ref(),
+            extreme.as_ref(),
+            q.id,
+        );
+        compared.push(q.id);
+    }
+    assert_eq!(compared.len(), 33, "only compared {compared:?}");
+}
