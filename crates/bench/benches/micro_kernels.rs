@@ -20,7 +20,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use verdict_bench::kernel::{
-    self, median_secs, par_filter_mask, par_grouped_sum, par_sum_avg, synthetic_columns, REPS, ROWS,
+    self, median_secs, par_filter_mask, par_grouped_sum, par_sum_avg, progressive_stream,
+    synthetic_columns, REPS, ROWS, STREAM_ROWS,
 };
 use verdict_core::{VerdictConfig, VerdictContext, VerdictResponse, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder, ThreadPool};
@@ -183,112 +184,6 @@ fn bench_sessions_qps(sessions: usize, requests: usize) -> f64 {
     let secs = t0.elapsed().as_secs_f64();
     handle.stop();
     (sessions * requests) as f64 / secs.max(1e-9)
-}
-
-// ---------------------------------------------------------------------------
-// Progressive streaming: time-to-first-frame and early-stop speedup over a
-// 1M-row scramble (RATIO 1.0 — the paper-faithful full-table scramble).
-// ---------------------------------------------------------------------------
-
-const STREAM_ROWS: usize = 1_000_000;
-const STREAM_QUERY: &str = "SELECT qty, avg(price) AS ap FROM big_sales GROUP BY qty";
-
-fn stream_context() -> Arc<VerdictContext> {
-    let engine = Engine::with_seed(41);
-    let (price, qty) = synthetic_columns(STREAM_ROWS);
-    let table = TableBuilder::new()
-        .column("qty", qty)
-        .column("price", price)
-        .build()
-        .unwrap();
-    engine.register_table("big_sales", table);
-    let conn: Arc<dyn Backend> = Arc::new(engine);
-    let mut config = VerdictConfig::for_testing();
-    config.io_budget = 1.0; // a full-table scramble needs a full budget
-    let ctx = Arc::new(VerdictContext::new(conn, config));
-    VerdictSession::new(Arc::clone(&ctx))
-        .execute("CREATE SCRAMBLE verdict_sample_big_sales_uniform FROM big_sales RATIO 1.0")
-        .unwrap();
-    ctx
-}
-
-struct StreamBench {
-    one_shot_secs: f64,
-    first_frame_secs: f64,
-    full_stream_secs: f64,
-    frames: usize,
-    early_stop_secs: f64,
-    early_stop_fraction: f64,
-}
-
-/// Progressive vs one-shot on the 1M-row scramble: median one-shot latency,
-/// median time to the first frame (one 64K block), a full drain, and an
-/// early-stopped drain at `target_error = 0.01`.
-fn bench_progressive_stream() -> StreamBench {
-    const STREAM_REPS: usize = 3;
-    fn median3(mut f: impl FnMut() -> f64) -> f64 {
-        let mut times: Vec<f64> = (0..STREAM_REPS).map(|_| f()).collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times[times.len() / 2]
-    }
-    let ctx = stream_context();
-
-    let one_shot_secs = median3(|| {
-        let t0 = Instant::now();
-        let answer = ctx.execute(STREAM_QUERY).unwrap();
-        assert!(!answer.exact && !answer.cached);
-        t0.elapsed().as_secs_f64()
-    });
-
-    let first_frame_secs = median3(|| {
-        let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        let t0 = Instant::now();
-        let mut stream = s.stream(STREAM_QUERY).unwrap();
-        let first = stream.next().unwrap().unwrap();
-        assert!(first.rows_seen > 0);
-        t0.elapsed().as_secs_f64()
-    });
-
-    let frames;
-    let full_stream_secs = {
-        let t0 = Instant::now();
-        let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        let drained: Vec<_> = s
-            .stream(STREAM_QUERY)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        frames = drained.len();
-        assert!((drained.last().unwrap().fraction - 1.0).abs() < 1e-12);
-        t0.elapsed().as_secs_f64()
-    };
-
-    let (early_stop_secs, early_stop_fraction) = {
-        let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        s.execute("SET target_error = 0.01").unwrap();
-        let t0 = Instant::now();
-        let drained: Vec<_> = s
-            .stream(STREAM_QUERY)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let secs = t0.elapsed().as_secs_f64();
-        let last = drained.last().unwrap();
-        assert!(last.answer.max_relative_error() <= 0.01);
-        (secs, last.fraction)
-    };
-
-    StreamBench {
-        one_shot_secs,
-        first_frame_secs,
-        full_stream_secs,
-        frames,
-        early_stop_secs,
-        early_stop_fraction,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +461,7 @@ fn main() {
 
     // Progressive streaming: time-to-first-frame and early-stop speedup on
     // a 1M-row scramble.
-    let stream = bench_progressive_stream();
+    let stream = progressive_stream();
     let first_frame_speedup = stream.one_shot_secs / stream.first_frame_secs.max(1e-12);
     let early_stop_speedup = stream.one_shot_secs / stream.early_stop_secs.max(1e-12);
     println!(
@@ -661,6 +556,7 @@ fn main() {
          \"one_shot_secs\": {:.6},\n    \
          \"time_to_first_frame_secs\": {:.6},\n    \
          \"full_stream_secs\": {:.6},\n    \
+         \"full_stream_over_one_shot\": {:.3},\n    \
          \"frames\": {},\n    \
          \"early_stop_target\": 0.01,\n    \
          \"early_stop_secs\": {:.6},\n    \
@@ -670,6 +566,7 @@ fn main() {
         stream.one_shot_secs,
         stream.first_frame_secs,
         stream.full_stream_secs,
+        stream.full_stream_secs / stream.one_shot_secs.max(1e-12),
         stream.frames,
         stream.early_stop_secs,
         stream.early_stop_fraction,

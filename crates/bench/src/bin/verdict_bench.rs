@@ -14,6 +14,12 @@
 //! verdict-bench --bench micro_kernels`).  Fresh rows absent from the
 //! baseline are reported as new and pass.
 //!
+//! The progressive stream ([`kernel::progressive_stream`]) is gated too:
+//! draining a `STREAM` frame by frame may cost at most
+//! [`STREAM_OVER_ONE_SHOT_BAR`] times answering the same query one-shot (a
+//! ratio of two fresh timings, so it needs no baseline), and the fresh
+//! time-to-first-frame is held against the snapshot's like a kernel row.
+//!
 //! On top of the relative tolerance, a regression must also exceed
 //! [`NOISE_FLOOR_SECS`] in absolute terms: for sub-millisecond kernels a
 //! 10% swing is scheduler noise, not a regression, and a gate that flakes
@@ -26,7 +32,8 @@
 //! The baseline is parsed with a purpose-built scanner for the snapshot's
 //! own line-per-entry format (this workspace has no JSON dependency); only
 //! lines carrying both a `"name"` and a `"vectorized_secs"` key are
-//! consulted, which selects exactly the gated `"kernels"` section.
+//! consulted, which selects exactly the gated `"kernels"` section — plus the
+//! one `"time_to_first_frame_secs"` line of the `"stream"` section.
 
 use verdict_bench::kernel;
 
@@ -35,6 +42,12 @@ use verdict_bench::kernel;
 /// [`kernel::ROWS`] rows — below the run-to-run jitter of medians on a
 /// shared CI runner, so only real slowdowns can clear both bars.
 const NOISE_FLOOR_SECS: f64 = 0.001;
+
+/// Bar on fresh `full_stream_secs / one_shot_secs`: a full drain does the
+/// one-shot scan's per-row work once plus one state snapshot and assembly
+/// per frame, so it stays near 1 — the buffer-and-refold executor this bar
+/// replaced sat at 3.15.
+const STREAM_OVER_ONE_SHOT_BAR: f64 = 1.3;
 
 /// Below this core count gate verdicts are advisory (exit 0 unless
 /// `--strict`): the same threshold [`kernel::warn_if_few_cpus`] warns at.
@@ -48,9 +61,9 @@ fn extract_name(line: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// Pulls the number following `"vectorized_secs":` out of one snapshot line.
-fn extract_vectorized_secs(line: &str) -> Option<f64> {
-    let rest = line.split("\"vectorized_secs\"").nth(1)?;
+/// Pulls the number following `"<key>":` out of one snapshot line.
+fn extract_number(line: &str, key: &str) -> Option<f64> {
+    let rest = line.split(&format!("\"{key}\"")).nth(1)?;
     let rest = rest.trim_start().strip_prefix(':')?.trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
@@ -61,7 +74,12 @@ fn extract_vectorized_secs(line: &str) -> Option<f64> {
 /// The `(name, vectorized_secs)` pairs of the baseline's gated section.
 fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     text.lines()
-        .filter_map(|line| Some((extract_name(line)?, extract_vectorized_secs(line)?)))
+        .filter_map(|line| {
+            Some((
+                extract_name(line)?,
+                extract_number(line, "vectorized_secs")?,
+            ))
+        })
         .collect()
 }
 
@@ -168,10 +186,52 @@ fn main() {
             println!("| {name} | (in baseline) | — | — | MISSING — stale baseline |");
         }
     }
+
+    let stream = kernel::progressive_stream();
+    let over_one_shot = stream.full_stream_secs / stream.one_shot_secs.max(1e-12);
+    if over_one_shot > STREAM_OVER_ONE_SHOT_BAR {
+        failures += 1;
+    }
+    println!(
+        "| stream: full drain / one-shot | ≤ {STREAM_OVER_ONE_SHOT_BAR:.2}x | {over_one_shot:.2}x \
+         ({} frames, {:.1} / {:.1} ms) | — | {} |",
+        stream.frames,
+        stream.full_stream_secs * 1e3,
+        stream.one_shot_secs * 1e3,
+        if over_one_shot > STREAM_OVER_ONE_SHOT_BAR {
+            "REGRESSED"
+        } else {
+            "ok"
+        }
+    );
+    let base_first_frame = text
+        .lines()
+        .find_map(|line| extract_number(line, "time_to_first_frame_secs"));
+    match base_first_frame {
+        Some(base_secs) => {
+            let delta = stream.first_frame_secs / base_secs.max(1e-12) - 1.0;
+            let regressed =
+                delta > tolerance && stream.first_frame_secs - base_secs > NOISE_FLOOR_SECS;
+            if regressed {
+                failures += 1;
+            }
+            println!(
+                "| stream: time to first frame | {:.3} | {:.3} | {:+.1}% | {} |",
+                base_secs * 1e3,
+                stream.first_frame_secs * 1e3,
+                delta * 100.0,
+                if regressed { "REGRESSED" } else { "ok" }
+            );
+        }
+        None => {
+            failures += 1;
+            println!("| stream: time to first frame | MISSING — stale baseline | — | — | — |");
+        }
+    }
     if failures > 0 {
         if kernel::cpus() < MIN_GATE_CPUS && !strict {
             eprintln!(
-                "\nverdict-bench: {failures} kernel(s) over tolerance, but this machine \
+                "\nverdict-bench: {failures} row(s) over tolerance, but this machine \
                  has {} cpu(s) (< {MIN_GATE_CPUS}) so timings are not trustworthy — \
                  ADVISORY ONLY, not failing the gate (pass --strict to override)",
                 kernel::cpus()
@@ -179,14 +239,14 @@ fn main() {
             return;
         }
         eprintln!(
-            "\nverdict-bench: {failures} kernel(s) failed the gate; if the change is \
+            "\nverdict-bench: {failures} row(s) failed the gate; if the change is \
              intentional, regenerate the baseline with `cargo bench -p verdict-bench \
              --bench micro_kernels` and commit BENCH_kernels.json"
         );
         std::process::exit(1);
     }
     println!(
-        "\nall kernels within tolerance ({:.0}% + {:.1} ms noise floor)",
+        "\nall rows within tolerance ({:.0}% + {:.1} ms noise floor)",
         tolerance * 100.0,
         NOISE_FLOOR_SECS * 1e3
     );

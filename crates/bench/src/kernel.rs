@@ -1,4 +1,5 @@
-//! Shared scalar-vs-vectorized kernel micro-benchmark rows.
+//! Shared scalar-vs-vectorized kernel micro-benchmark rows, and the
+//! progressive-stream timings ([`progressive_stream`]).
 //!
 //! Backs both the `micro_kernels` bench (which writes the committed
 //! `BENCH_kernels.json` perf snapshot) and the `verdict-bench` regression
@@ -14,12 +15,16 @@
 use crate::scalar_assemble::{
     scalar_assemble, synthetic_results, synthetic_rewrite, KeyKind, ResultShape,
 };
+use std::sync::Arc;
 use std::time::Instant;
 use verdict_core::answer::{assemble, AssembledAnswer};
 use verdict_core::rewrite::RewriteOutput;
-use verdict_core::VerdictConfig;
+use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
+use verdict_engine::approx::HyperLogLog;
 use verdict_engine::kernels::{self, group_rows_with};
-use verdict_engine::{Column, ColumnData, SelVec, Table, ThreadPool, Value};
+use verdict_engine::{
+    Backend, Column, ColumnData, Engine, SelVec, Table, TableBuilder, ThreadPool, Value,
+};
 use verdict_sql::ast::BinaryOp;
 
 /// Rows per benchmarked column.
@@ -80,6 +85,18 @@ pub fn keys_distinct(n: usize) -> Column {
     Column::from_i64((0..n as i64).map(|i| i.wrapping_mul(104_729)).collect())
 }
 
+/// 20k-distinct int keys scattered over the rows: every 64K-row morsel sees
+/// nearly every group, so a grouped sketch aggregate builds ~20k partial
+/// states per morsel — the shape whose cost is per (morsel, group), not per
+/// row.
+pub fn keys_20k(n: usize) -> Column {
+    Column::from_i64(
+        (0..n as i64)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 20_000)
+            .collect(),
+    )
+}
+
 /// A wide scan input: a float selector column plus `width` float payload
 /// columns, for the late-materialization scan benchmark.
 pub fn scan_columns(n: usize, width: usize) -> (Column, Vec<Column>) {
@@ -134,6 +151,18 @@ pub fn scalar_grouped_sum(keys: &Column, values: &Column) -> Vec<(verdict_engine
         }
     }
     map.into_iter().collect()
+}
+
+/// Per-cell `KeyValue`-hashed grouped `ndv`: one sketch per group, every
+/// value boxed; returns the sum of the per-group estimates.
+pub fn scalar_grouped_ndv(keys: &Column, values: &Column) -> i64 {
+    let mut map: std::collections::HashMap<verdict_engine::KeyValue, HyperLogLog> =
+        std::collections::HashMap::new();
+    for i in 0..keys.len() {
+        let k = verdict_engine::KeyValue::from_value(&keys.value_at(i));
+        map.entry(k).or_default().add(&values.value_at(i));
+    }
+    map.values().map(|h| h.estimate().round() as i64).sum()
 }
 
 /// Row-at-a-time scan: test the selector per row, materialise every payload
@@ -192,6 +221,17 @@ pub fn vector_grouped_sum(keys: &Column, values: &Column, pool: &ThreadPool) -> 
         }
     }
     sums
+}
+
+/// `SELECT k, ndv(v) … GROUP BY k` through the engine's aggregation core
+/// (one partial sketch per group per morsel, merged in morsel order);
+/// returns the sum of the per-group estimates.
+pub fn vector_grouped_ndv(engine: &Engine) -> i64 {
+    let result = engine
+        .execute_sql("SELECT k, ndv(v) AS d FROM t GROUP BY k")
+        .expect("grouped ndv");
+    let d = &result.table.columns[1];
+    (0..d.len()).filter_map(|i| d.value_at(i).as_i64()).sum()
 }
 
 /// Late-materialized scan: packed mask over the selector column only, then a
@@ -386,6 +426,18 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
         .sum();
     let gathered_checksum: f64 = gathered.iter().map(|c| c.sum_count_f64().0).sum();
     assert!((scalar_checksum - gathered_checksum).abs() / scalar_checksum.abs() < 1e-9);
+    let k20k = keys_20k(ROWS);
+    let ndv_engine = Engine::with_seed_and_parallelism(1, 1);
+    let ndv_table = TableBuilder::new()
+        .column("k", k20k.clone())
+        .column("v", price.clone())
+        .build()
+        .expect("ndv table");
+    ndv_engine.register_table("t", ndv_table);
+    assert_eq!(
+        scalar_grouped_ndv(&k20k, &price),
+        vector_grouped_ndv(&ndv_engine)
+    );
     let assembly = assemble_input();
     let scalar_answer = assemble_many(scalar_assemble, &assembly);
     let compiled_answer = assemble_many(assemble, &assembly);
@@ -417,6 +469,11 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
             name: "grouped_sum_1m",
             scalar_secs: median_secs(|| scalar_grouped_sum(&kwide, &price)),
             vectorized_secs: median_secs(|| vector_grouped_sum(&kwide, &price, &serial)),
+        },
+        KernelRow {
+            name: "grouped_ndv_20k",
+            scalar_secs: median_secs(|| scalar_grouped_ndv(&k20k, &price)),
+            vectorized_secs: median_secs(|| vector_grouped_ndv(&ndv_engine)),
         },
         KernelRow {
             name: "late_mat_scan",
@@ -466,6 +523,121 @@ pub fn warn_if_few_cpus() {
              parallel speedups meaningless; do not commit a BENCH_kernels.json \
              baseline produced on this machine"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Progressive streaming: time-to-first-frame, full drain and early stop over
+// a 1M-row scramble (RATIO 1.0 — the paper-faithful full-table scramble).
+// ---------------------------------------------------------------------------
+
+/// Rows of the streamed scramble.
+pub const STREAM_ROWS: usize = 1_000_000;
+const STREAM_QUERY: &str = "SELECT qty, avg(price) AS ap FROM big_sales GROUP BY qty";
+
+fn stream_context() -> Arc<VerdictContext> {
+    let engine = Engine::with_seed(41);
+    let (price, qty) = synthetic_columns(STREAM_ROWS);
+    let table = TableBuilder::new()
+        .column("qty", qty)
+        .column("price", price)
+        .build()
+        .unwrap();
+    engine.register_table("big_sales", table);
+    let conn: Arc<dyn Backend> = Arc::new(engine);
+    let mut config = VerdictConfig::for_testing();
+    config.io_budget = 1.0; // a full-table scramble needs a full budget
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    VerdictSession::new(Arc::clone(&ctx))
+        .execute("CREATE SCRAMBLE verdict_sample_big_sales_uniform FROM big_sales RATIO 1.0")
+        .unwrap();
+    ctx
+}
+
+/// The `"stream"` section of `BENCH_kernels.json`.
+pub struct StreamBench {
+    /// Median latency of the query answered one-shot from the scramble.
+    pub one_shot_secs: f64,
+    /// Median time from `STREAM` to its first frame (one 64K-row block).
+    pub first_frame_secs: f64,
+    /// Median time to drain every frame of the stream.
+    pub full_stream_secs: f64,
+    /// Frames in a full drain.
+    pub frames: usize,
+    /// Time to drain a stream that stops at `target_error = 0.01`.
+    pub early_stop_secs: f64,
+    /// Share of the scramble that stream consumed.
+    pub early_stop_fraction: f64,
+}
+
+/// Progressive vs one-shot on the 1M-row scramble: median one-shot latency,
+/// median time to the first frame (one 64K block), median full drain, and an
+/// early-stopped drain at `target_error = 0.01`.  Shared by the
+/// `micro_kernels` bench and the `verdict-bench --check` gate.
+pub fn progressive_stream() -> StreamBench {
+    const STREAM_REPS: usize = 3;
+    fn median3(mut f: impl FnMut() -> f64) -> f64 {
+        let mut times: Vec<f64> = (0..STREAM_REPS).map(|_| f()).collect();
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times[times.len() / 2]
+    }
+    let ctx = stream_context();
+
+    let one_shot_secs = median3(|| {
+        let t0 = Instant::now();
+        let answer = ctx.execute(STREAM_QUERY).unwrap();
+        assert!(!answer.exact && !answer.cached);
+        t0.elapsed().as_secs_f64()
+    });
+
+    let first_frame_secs = median3(|| {
+        let mut s = VerdictSession::new(Arc::clone(&ctx));
+        s.execute("SET cache = off").unwrap();
+        let t0 = Instant::now();
+        let mut stream = s.stream(STREAM_QUERY).unwrap();
+        let first = stream.next().unwrap().unwrap();
+        assert!(first.rows_seen > 0);
+        t0.elapsed().as_secs_f64()
+    });
+
+    let mut frames = 0;
+    let full_stream_secs = median3(|| {
+        let t0 = Instant::now();
+        let mut s = VerdictSession::new(Arc::clone(&ctx));
+        s.execute("SET cache = off").unwrap();
+        let drained: Vec<_> = s
+            .stream(STREAM_QUERY)
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        frames = drained.len();
+        assert!((drained.last().unwrap().fraction - 1.0).abs() < 1e-12);
+        t0.elapsed().as_secs_f64()
+    });
+
+    let (early_stop_secs, early_stop_fraction) = {
+        let mut s = VerdictSession::new(Arc::clone(&ctx));
+        s.execute("SET cache = off").unwrap();
+        s.execute("SET target_error = 0.01").unwrap();
+        let t0 = Instant::now();
+        let drained: Vec<_> = s
+            .stream(STREAM_QUERY)
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        let last = drained.last().unwrap();
+        assert!(last.answer.max_relative_error() <= 0.01);
+        (secs, last.fraction)
+    };
+
+    StreamBench {
+        one_shot_secs,
+        first_frame_secs,
+        full_stream_secs,
+        frames,
+        early_stop_secs,
+        early_stop_fraction,
     }
 }
 

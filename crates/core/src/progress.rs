@@ -21,8 +21,10 @@
 //!   prefix, so individual frames may wobble, but never lie);
 //! * **final-frame bit-identity** — a stream that consumes every block ends
 //!   with the one-shot answer, bit for bit, at any engine parallelism: the
-//!   block cursor buffers exactly the one-shot executor's evaluated frame
-//!   and re-folds it through the same morsel-grid aggregation core, and the
+//!   block cursor pushes each block's evaluated rows into the engine's one
+//!   running aggregation state, which folds them on the same evaluated-row
+//!   morsel grid, in the same order, as a one-shot run over those rows
+//!   (per-frame cost O(block + groups), nothing re-folded), and the
 //!   final frame then runs the one-shot path's own `finish` endgame
 //!   (feasibility check, High-level Accuracy Contract, cache insert), so it
 //!   falls back to the exact answer under exactly the conditions a plain

@@ -27,19 +27,23 @@ pub enum ShedTier {
     /// No shedding: the query runs under the session's own options.
     #[default]
     None,
-    /// Light shedding: tolerate ≥ 2% relative error, keep the I/O budget.
+    /// Light shedding: a session's error target is loosened to ≥ 2%
+    /// relative error; the I/O budget is kept.
     Light,
-    /// Heavy shedding: tolerate ≥ 5% relative error, halve the I/O budget.
+    /// Heavy shedding: error target loosened to ≥ 5%, I/O budget halved.
     Heavy,
-    /// Critical shedding (last step before refusal): tolerate ≥ 10%
-    /// relative error, quarter the I/O budget.
+    /// Critical shedding (last step before refusal): error target loosened
+    /// to ≥ 10%, I/O budget quartered.
     Critical,
 }
 
 impl ShedTier {
-    /// The tolerated-relative-error floor this tier imposes (`None` for the
-    /// unshedded tier).  A session that already tolerates *more* error than
-    /// the floor keeps its own setting — shedding never tightens a contract.
+    /// The floor this tier raises a session's `max_relative_error` to
+    /// (`None` for the unshedded tier).  A session that already tolerates
+    /// *more* error than the floor keeps its own setting, and a session with
+    /// no target at all keeps none — shedding never tightens a contract, and
+    /// never creates one: an answer over its target is re-run exactly on the
+    /// base tables, the opposite of what overload needs.
     pub fn target_error_floor(self) -> Option<f64> {
         match self {
             ShedTier::None => None,
@@ -89,15 +93,13 @@ impl ShedTier {
     }
 
     /// Folds the tier into an effective per-statement configuration:
-    /// raises the tolerated relative error to the tier's floor and scales
-    /// the I/O budget down.  Both knobs are part of the answer-cache
-    /// fingerprint, so degraded answers never pollute unshedded entries.
+    /// raises an existing relative-error target to the tier's floor (no
+    /// target stays no target) and scales the I/O budget down.  Both knobs
+    /// are part of the answer-cache fingerprint, so degraded answers never
+    /// pollute unshedded entries.
     pub fn apply(self, cfg: &mut VerdictConfig) {
         if let Some(floor) = self.target_error_floor() {
-            cfg.max_relative_error = Some(match cfg.max_relative_error {
-                Some(t) => t.max(floor),
-                None => floor,
-            });
+            cfg.max_relative_error = cfg.max_relative_error.map(|t| t.max(floor));
             // Keep at least a sliver of budget so the plan stays feasible.
             cfg.io_budget = (cfg.io_budget * self.io_budget_scale()).max(1e-4);
         }
@@ -299,9 +301,21 @@ mod tests {
         assert_eq!(cfg.max_relative_error, Some(0.5));
         assert!(cfg.io_budget <= budget);
 
+        // A tighter target is loosened to the floor...
         let mut cfg = VerdictConfig::default();
+        cfg.max_relative_error = Some(0.001);
         ShedTier::Light.apply(&mut cfg);
         assert_eq!(cfg.max_relative_error, Some(0.02));
+
+        // ...but a session without a target gets none: a target makes
+        // `pipeline::finish` re-run answers over it exactly.
+        for tier in [ShedTier::Light, ShedTier::Heavy, ShedTier::Critical] {
+            let mut cfg = VerdictConfig::default();
+            assert_eq!(cfg.max_relative_error, None);
+            tier.apply(&mut cfg);
+            assert_eq!(cfg.max_relative_error, None, "{tier:?}");
+            assert!(cfg.io_budget <= budget);
+        }
     }
 
     #[test]

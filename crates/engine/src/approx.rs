@@ -8,16 +8,36 @@
 
 use crate::functions::fnv1a_hash_value;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Number of registers = 2^P. P=12 gives a standard error of about 1.6%.
 const P: u32 = 12;
 const M: usize = 1 << P;
 
+/// A sparse sketch holds at most this many entries: at 4 bytes each that is
+/// the size of the dense register array, so a sketch never outgrows it.
+const SPARSE_MAX: usize = M / 4;
+
 /// A HyperLogLog cardinality sketch (Flajolet et al., the algorithm the paper
 /// cites for count-distinct domain partitioning baselines).
+///
+/// An empty sketch allocates nothing and a sketch that has seen few values
+/// keeps them as a short list, so a grouped aggregation can hold one sketch
+/// per group — and one partial sketch per group per morsel — without paying
+/// [`M`] bytes and an `M`-register merge for each.  The estimate depends only
+/// on the register contents, never on which form holds them.
 #[derive(Debug, Clone)]
 pub struct HyperLogLog {
-    registers: Vec<u8>,
+    registers: Registers,
+}
+
+#[derive(Debug, Clone)]
+enum Registers {
+    /// The `(register << 8) | rank` updates seen so far, as they arrived
+    /// (duplicates included); at most [`SPARSE_MAX`] of them.
+    Sparse(Vec<u32>),
+    /// One rank per register.
+    Dense(Vec<u8>),
 }
 
 impl Default for HyperLogLog {
@@ -30,7 +50,7 @@ impl HyperLogLog {
     /// Creates an empty sketch.
     pub fn new() -> Self {
         HyperLogLog {
-            registers: vec![0u8; M],
+            registers: Registers::Sparse(Vec::new()),
         }
     }
 
@@ -54,16 +74,59 @@ impl HyperLogLog {
         } else {
             rest.leading_zeros() as u8 + 1
         };
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
+        self.raise(idx, rank);
+    }
+
+    /// `register[idx] = max(register[idx], rank)`.
+    fn raise(&mut self, idx: usize, rank: u8) {
+        if let Registers::Sparse(entries) = &mut self.registers {
+            if entries.len() < SPARSE_MAX {
+                entries.push((idx as u32) << 8 | rank as u32);
+                return;
+            }
+        }
+        let registers = self.densify();
+        registers[idx] = registers[idx].max(rank);
+    }
+
+    /// The register array, materialised when the sketch is sparse.
+    fn dense(&self) -> Cow<'_, [u8]> {
+        match &self.registers {
+            Registers::Dense(registers) => Cow::Borrowed(registers),
+            Registers::Sparse(entries) => {
+                let mut registers = vec![0u8; M];
+                for e in entries {
+                    let idx = (e >> 8) as usize;
+                    registers[idx] = registers[idx].max(*e as u8);
+                }
+                Cow::Owned(registers)
+            }
+        }
+    }
+
+    /// Switches a sparse sketch to the dense form; returns the registers.
+    fn densify(&mut self) -> &mut [u8] {
+        if let Registers::Sparse(_) = self.registers {
+            self.registers = Registers::Dense(self.dense().into_owned());
+        }
+        match &mut self.registers {
+            Registers::Dense(registers) => registers,
+            Registers::Sparse(_) => unreachable!("just made dense"),
         }
     }
 
     /// Merges another sketch into this one (register-wise max).
     pub fn merge(&mut self, other: &HyperLogLog) {
-        for (a, b) in self.registers.iter_mut().zip(other.registers.iter()) {
-            if *b > *a {
-                *a = *b;
+        match &other.registers {
+            Registers::Sparse(entries) => {
+                for e in entries {
+                    self.raise((e >> 8) as usize, *e as u8);
+                }
+            }
+            Registers::Dense(theirs) => {
+                for (a, b) in self.densify().iter_mut().zip(theirs) {
+                    *a = (*a).max(*b);
+                }
             }
         }
     }
@@ -74,7 +137,7 @@ impl HyperLogLog {
         let alpha = 0.7213 / (1.0 + 1.079 / m);
         let mut sum = 0.0;
         let mut zeros = 0usize;
-        for &r in &self.registers {
+        for &r in self.dense().iter() {
             sum += 2f64.powi(-(r as i32));
             if r == 0 {
                 zeros += 1;
@@ -142,6 +205,33 @@ mod tests {
         let est = a.estimate();
         let rel = (est - 7500.0).abs() / 7500.0;
         assert!(rel < 0.05, "relative error {rel} too large after merge");
+    }
+
+    #[test]
+    fn the_estimate_does_not_depend_on_the_form_or_on_how_values_arrived() {
+        for n in [0, 10, SPARSE_MAX - 1, SPARSE_MAX, SPARSE_MAX + 1, 50_000] {
+            let mut whole = HyperLogLog::new();
+            let mut merged = HyperLogLog::new();
+            for chunk in (0..n as i64).collect::<Vec<_>>().chunks(97) {
+                let mut partial = HyperLogLog::new();
+                for &i in chunk {
+                    whole.add(&Value::Int(i));
+                    partial.add(&Value::Int(i));
+                }
+                merged.merge(&partial);
+            }
+            assert_eq!(
+                matches!(whole.registers, Registers::Sparse(_)),
+                n <= SPARSE_MAX
+            );
+            let mut dense = whole.clone();
+            dense.densify();
+            let mut into_dense = dense.clone();
+            into_dense.merge(&merged);
+            for other in [&merged, &dense, &into_dense] {
+                assert_eq!(whole.estimate().to_bits(), other.estimate().to_bits());
+            }
+        }
     }
 
     #[test]

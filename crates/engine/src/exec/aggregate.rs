@@ -1,11 +1,19 @@
-//! Vectorized hash aggregation.
+//! Vectorized hash aggregation: one running state, two callers.
 //!
 //! The executor collects the unique aggregate calls appearing in a query and
 //! evaluates their argument expressions over the input frame as typed
-//! columns.  Rows are clustered into groups with the canonical-hash grouper
-//! ([`crate::kernels::group_rows`]); every accumulator then folds the typed
-//! argument slices in one pass per aggregate — no per-cell [`Value`] boxing
-//! on the SUM/COUNT/AVG/MIN/MAX hot path that VerdictDB's rewrites lean on.
+//! columns ([`evaluate_inputs`]).  The evaluated rows go into an
+//! [`AggState`] — a group table plus one accumulator per aggregate — which
+//! is the only fold in the engine: one-shot execution pushes the whole frame
+//! and finishes ([`execute_aggregation_with`]); the progressive block scan
+//! ([`crate::exec::progressive::ProgressiveScan`]) pushes block by block and
+//! snapshots per frame.  Each 64K-row morsel of evaluated rows is clustered
+//! by the canonical-hash grouper ([`crate::kernels::group_range`]) and folded
+//! over the typed argument slices in one pass per aggregate — no per-cell
+//! [`Value`] boxing on the SUM/COUNT/AVG/MIN/MAX hot path that VerdictDB's
+//! rewrites lean on — and the per-morsel partial states merge in morsel
+//! order, so the result does not depend on the pool size or on how the rows
+//! were cut into pushes.
 //!
 //! The resulting "aggregated frame" exposes the group keys under their
 //! original column names (so later projection expressions still resolve) and
@@ -16,8 +24,9 @@ use crate::approx::HyperLogLog;
 use crate::column::{Column, ColumnData};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{eval_expr, infer_type, EvalContext};
-use crate::kernels::group_rows_with;
-use crate::parallel::ThreadPool;
+use crate::functions::fnv1a_hash_value;
+use crate::kernels::{group_range, GroupTable};
+use crate::parallel::{ThreadPool, MORSEL_ROWS};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, KeyValue, Value};
@@ -131,13 +140,16 @@ impl AggFunc {
     }
 }
 
-/// Per-group accumulator vectors for one aggregate, folded over the typed
-/// argument column in a single pass.
+/// Per-group accumulator vectors for one aggregate: one morsel's partial
+/// state, or the running state the partials merge into.
+#[derive(Clone)]
 enum GroupAcc {
     Count(Vec<i64>),
-    Sum {
+    /// `sum` over a float argument, and `avg`: the sum and the count of the
+    /// non-NULL values (a group that saw none sums to NULL, not 0).
+    SumCount {
         sums: Vec<f64>,
-        seen: Vec<bool>,
+        counts: Vec<i64>,
     },
     /// `sum` over a non-float argument, accumulated exactly in `i64` (an
     /// `f64` accumulator silently drops the low bits above 2^53); `None`
@@ -148,18 +160,12 @@ enum GroupAcc {
         sums: Vec<Option<i64>>,
         overflowed: bool,
     },
-    Avg {
-        sums: Vec<f64>,
-        counts: Vec<i64>,
-    },
     MinMaxI64 {
-        best: Vec<i64>,
-        has: Vec<bool>,
+        best: Vec<Option<i64>>,
         is_min: bool,
     },
     MinMaxF64 {
-        best: Vec<f64>,
-        has: Vec<bool>,
+        best: Vec<Option<f64>>,
         is_min: bool,
     },
     MinMaxVal {
@@ -177,37 +183,31 @@ enum GroupAcc {
 }
 
 impl GroupAcc {
-    fn new(func: &AggFunc, arg: Option<&Column>, groups: usize) -> GroupAcc {
+    /// An accumulator of `groups` untouched slots for `func` over an
+    /// argument of type `arg` (ignored by `count(*)`).
+    fn new(func: &AggFunc, arg: DataType, groups: usize) -> GroupAcc {
         match func {
             AggFunc::CountStar | AggFunc::Count => GroupAcc::Count(vec![0; groups]),
             AggFunc::CountDistinct => GroupAcc::Distinct(vec![HashSet::new(); groups]),
             // a typed column is homogeneous, so "did we see a float?"
             // reduces to the column type (bools and ints stay integral)
-            AggFunc::Sum if matches!(arg.map(|c| c.data_type()), Some(DataType::Float)) => {
-                GroupAcc::Sum {
-                    sums: vec![0.0; groups],
-                    seen: vec![false; groups],
-                }
-            }
-            AggFunc::Sum => GroupAcc::SumInt {
+            AggFunc::Sum if arg != DataType::Float => GroupAcc::SumInt {
                 sums: vec![None; groups],
                 overflowed: false,
             },
-            AggFunc::Avg => GroupAcc::Avg {
+            AggFunc::Sum | AggFunc::Avg => GroupAcc::SumCount {
                 sums: vec![0.0; groups],
                 counts: vec![0; groups],
             },
             AggFunc::Min | AggFunc::Max => {
                 let is_min = matches!(func, AggFunc::Min);
-                match arg.map(|c| c.data_type()) {
-                    Some(DataType::Int) => GroupAcc::MinMaxI64 {
-                        best: vec![0; groups],
-                        has: vec![false; groups],
+                match arg {
+                    DataType::Int => GroupAcc::MinMaxI64 {
+                        best: vec![None; groups],
                         is_min,
                     },
-                    Some(DataType::Float) => GroupAcc::MinMaxF64 {
-                        best: vec![0.0; groups],
-                        has: vec![false; groups],
+                    DataType::Float => GroupAcc::MinMaxF64 {
+                        best: vec![None; groups],
                         is_min,
                     },
                     _ => GroupAcc::MinMaxVal {
@@ -228,38 +228,55 @@ impl GroupAcc {
         }
     }
 
-    /// True when this accumulator kind supports morsel-partial evaluation
-    /// followed by [`GroupAcc::merge`].  The HLL sketch stays on the serial
-    /// path because its update recomputes a whole-column hash vector.
-    fn mergeable(func: &AggFunc) -> bool {
-        !matches!(func, AggFunc::ApproxCountDistinct)
+    /// Extends the state to `groups` slots; the new ones are untouched.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            GroupAcc::Count(counts) => counts.resize(groups, 0),
+            GroupAcc::SumCount { sums, counts } => {
+                sums.resize(groups, 0.0);
+                counts.resize(groups, 0);
+            }
+            GroupAcc::SumInt { sums, .. } => sums.resize(groups, None),
+            GroupAcc::MinMaxI64 { best, .. } => best.resize(groups, None),
+            GroupAcc::MinMaxF64 { best, .. } => best.resize(groups, None),
+            GroupAcc::MinMaxVal { best, .. } => best.resize(groups, None),
+            GroupAcc::Moments { n, mean, m2 } => {
+                n.resize(groups, 0.0);
+                mean.resize(groups, 0.0);
+                m2.resize(groups, 0.0);
+            }
+            GroupAcc::Values(per_group) => per_group.resize(groups, Vec::new()),
+            GroupAcc::Distinct(sets) => sets.resize(groups, HashSet::new()),
+            GroupAcc::Hll(sketches) => sketches.resize(groups, HyperLogLog::new()),
+        }
     }
 
     /// Folds the rows of `range` (or, for `count(*)`, just their group ids)
-    /// into the per-group states.  Calling this once with `0..n` is the
-    /// serial path; calling it per morsel and merging the partial states in
-    /// morsel order is the parallel path, and the two agree exactly.
+    /// into the per-group states; `gids[i]` is the group of row
+    /// `range.start + i`.
     fn update_range(&mut self, arg: Option<&Column>, gids: &[usize], range: Range<usize>) {
+        debug_assert_eq!(gids.len(), range.len());
+        let rows = range.zip(gids.iter().copied());
         match self {
             GroupAcc::Count(counts) => match arg {
                 None => {
-                    for i in range {
-                        counts[gids[i]] += 1;
+                    for &g in gids {
+                        counts[g] += 1;
                     }
                 }
                 Some(col) => {
-                    for i in range {
+                    for (i, g) in rows {
                         if col.is_valid(i) {
-                            counts[gids[i]] += 1;
+                            counts[g] += 1;
                         }
                     }
                 }
             },
-            GroupAcc::Sum { sums, seen } => {
-                let col = arg.expect("sum requires an argument");
-                numeric_fold_range(col, gids, range, |g, x| {
+            GroupAcc::SumCount { sums, counts } => {
+                let col = arg.expect("sum/avg requires an argument");
+                numeric_fold_range(col, rows, |g, x| {
                     sums[g] += x;
-                    seen[g] = true;
+                    counts[g] += 1;
                 });
             }
             GroupAcc::SumInt { sums, overflowed } => {
@@ -268,78 +285,54 @@ impl GroupAcc {
                 // Strings contribute nothing, as in `numeric_fold_range`.
                 match col.data() {
                     ColumnData::Int64(v) => {
-                        for i in range {
+                        for (i, g) in rows {
                             if col.is_valid(i) {
-                                add(gids[i], v[i]);
+                                add(g, v[i]);
                             }
                         }
                     }
                     ColumnData::Bool(v) => {
-                        for i in range {
+                        for (i, g) in rows {
                             if col.is_valid(i) {
-                                add(gids[i], v[i] as i64);
+                                add(g, v[i] as i64);
                             }
                         }
                     }
                     ColumnData::Float64(_) | ColumnData::Utf8(_) => {}
                 }
             }
-            GroupAcc::Avg { sums, counts } => {
-                let col = arg.expect("avg requires an argument");
-                numeric_fold_range(col, gids, range, |g, x| {
-                    sums[g] += x;
-                    counts[g] += 1;
-                });
-            }
-            GroupAcc::MinMaxI64 { best, has, is_min } => {
+            GroupAcc::MinMaxI64 { best, is_min } => {
                 let col = arg.expect("min/max requires an argument");
                 let v = col.as_i64s().expect("Int64 accumulator for Int64 column");
-                let is_min = *is_min;
-                for i in range {
-                    if !col.is_valid(i) {
-                        continue;
-                    }
-                    let (x, g) = (v[i], gids[i]);
-                    if !has[g] || (is_min && x < best[g]) || (!is_min && x > best[g]) {
-                        best[g] = x;
-                        has[g] = true;
+                for (i, g) in rows {
+                    if col.is_valid(i) {
+                        keep_extreme(&mut best[g], v[i], *is_min);
                     }
                 }
             }
-            GroupAcc::MinMaxF64 { best, has, is_min } => {
+            GroupAcc::MinMaxF64 { best, is_min } => {
                 let col = arg.expect("min/max requires an argument");
                 let v = col
                     .as_f64s()
                     .expect("Float64 accumulator for Float64 column");
-                let is_min = *is_min;
-                for i in range {
-                    if !col.is_valid(i) {
-                        continue;
-                    }
-                    let (x, g) = (v[i], gids[i]);
-                    if !has[g] || (is_min && x < best[g]) || (!is_min && x > best[g]) {
-                        best[g] = x;
-                        has[g] = true;
+                for (i, g) in rows {
+                    if col.is_valid(i) {
+                        keep_extreme(&mut best[g], v[i], *is_min);
                     }
                 }
             }
             GroupAcc::MinMaxVal { best, is_min } => {
                 let col = arg.expect("min/max requires an argument");
-                let is_min = *is_min;
-                for i in range {
+                for (i, g) in rows {
                     let v = col.value_at(i);
-                    if v.is_null() {
-                        continue;
-                    }
-                    let g = gids[i];
-                    if minmax_val_replaces(&best[g], &v, is_min) {
+                    if !v.is_null() && minmax_val_replaces(&best[g], &v, *is_min) {
                         best[g] = Some(v);
                     }
                 }
             }
             GroupAcc::Moments { n, mean, m2 } => {
                 let col = arg.expect("variance requires an argument");
-                numeric_fold_range(col, gids, range, |g, x| {
+                numeric_fold_range(col, rows, |g, x| {
                     // Welford's online algorithm
                     n[g] += 1.0;
                     let delta = x - mean[g];
@@ -349,45 +342,50 @@ impl GroupAcc {
             }
             GroupAcc::Values(per_group) => {
                 let col = arg.expect("median/quantile requires an argument");
-                numeric_fold_range(col, gids, range, |g, x| per_group[g].push(x));
+                numeric_fold_range(col, rows, |g, x| per_group[g].push(x));
             }
             GroupAcc::Distinct(sets) => {
                 let col = arg.expect("count distinct requires an argument");
-                for i in range {
+                for (i, g) in rows {
                     let v = col.value_at(i);
                     if !v.is_null() {
-                        sets[gids[i]].insert(KeyValue::from_value(&v));
+                        sets[g].insert(KeyValue::from_value(&v));
                     }
                 }
             }
             GroupAcc::Hll(sketches) => {
                 let col = arg.expect("ndv requires an argument");
-                let hashes = crate::functions::fnv_hash_column_raw(col);
-                for i in range {
-                    if let Some(h) = hashes[i] {
-                        sketches[gids[i]].add_raw_hash(h);
+                for (i, g) in rows {
+                    let v = col.value_at(i);
+                    if !v.is_null() {
+                        sketches[g].add_raw_hash(fnv1a_hash_value(&v));
                     }
                 }
             }
         }
     }
 
-    /// Merges a later morsel's partial state into this one.  Merge order is
-    /// always morsel order, which makes the combined state deterministic and
-    /// independent of the thread count.
-    fn merge(&mut self, other: GroupAcc) {
+    /// Merges a later morsel's partial state into this one: slot `l` of
+    /// `other` goes to slot `to[l]` here.  Merge order is always morsel
+    /// order, which makes the combined state deterministic and independent
+    /// of the thread count.
+    fn merge(&mut self, other: GroupAcc, to: &[usize]) {
         match (self, other) {
             (GroupAcc::Count(a), GroupAcc::Count(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
+                for (&g, y) in to.iter().zip(b) {
+                    a[g] += y;
                 }
             }
-            (GroupAcc::Sum { sums, seen }, GroupAcc::Sum { sums: os, seen: ok }) => {
-                for g in 0..sums.len() {
-                    if ok[g] {
-                        sums[g] += os[g];
-                        seen[g] = true;
-                    }
+            (
+                GroupAcc::SumCount { sums, counts },
+                GroupAcc::SumCount {
+                    sums: os,
+                    counts: oc,
+                },
+            ) => {
+                for ((&g, s), c) in to.iter().zip(os).zip(oc) {
+                    sums[g] += s;
+                    counts[g] += c;
                 }
             }
             (
@@ -398,66 +396,29 @@ impl GroupAcc {
                 },
             ) => {
                 *overflowed |= oo;
-                for (sum, other) in sums.iter_mut().zip(os) {
+                for (&g, other) in to.iter().zip(os) {
                     if let Some(x) = other {
-                        *overflowed |= add_exact(sum, x);
+                        *overflowed |= add_exact(&mut sums[g], x);
                     }
                 }
             }
-            (
-                GroupAcc::Avg { sums, counts },
-                GroupAcc::Avg {
-                    sums: os,
-                    counts: oc,
-                },
-            ) => {
-                for g in 0..sums.len() {
-                    sums[g] += os[g];
-                    counts[g] += oc[g];
+            (GroupAcc::MinMaxI64 { best, is_min }, GroupAcc::MinMaxI64 { best: ob, .. }) => {
+                for (&g, x) in to.iter().zip(ob) {
+                    x.into_iter()
+                        .for_each(|x| keep_extreme(&mut best[g], x, *is_min));
                 }
             }
-            (
-                GroupAcc::MinMaxI64 { best, has, is_min },
-                GroupAcc::MinMaxI64 {
-                    best: ob, has: oh, ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for g in 0..best.len() {
-                    if !oh[g] {
-                        continue;
-                    }
-                    let x = ob[g];
-                    if !has[g] || (is_min && x < best[g]) || (!is_min && x > best[g]) {
-                        best[g] = x;
-                        has[g] = true;
-                    }
-                }
-            }
-            (
-                GroupAcc::MinMaxF64 { best, has, is_min },
-                GroupAcc::MinMaxF64 {
-                    best: ob, has: oh, ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for g in 0..best.len() {
-                    if !oh[g] {
-                        continue;
-                    }
-                    let x = ob[g];
-                    if !has[g] || (is_min && x < best[g]) || (!is_min && x > best[g]) {
-                        best[g] = x;
-                        has[g] = true;
-                    }
+            (GroupAcc::MinMaxF64 { best, is_min }, GroupAcc::MinMaxF64 { best: ob, .. }) => {
+                for (&g, x) in to.iter().zip(ob) {
+                    x.into_iter()
+                        .for_each(|x| keep_extreme(&mut best[g], x, *is_min));
                 }
             }
             (GroupAcc::MinMaxVal { best, is_min }, GroupAcc::MinMaxVal { best: ob, .. }) => {
-                let is_min = *is_min;
-                for (slot, incoming) in best.iter_mut().zip(ob) {
+                for (&g, incoming) in to.iter().zip(ob) {
                     if let Some(v) = incoming {
-                        if minmax_val_replaces(slot, &v, is_min) {
-                            *slot = Some(v);
+                        if minmax_val_replaces(&best[g], &v, *is_min) {
+                            best[g] = Some(v);
                         }
                     }
                 }
@@ -471,38 +432,38 @@ impl GroupAcc {
                 },
             ) => {
                 // Chan et al. pairwise combination of (count, mean, M2).
-                for g in 0..n.len() {
-                    if on[g] == 0.0 {
+                for (l, &g) in to.iter().enumerate() {
+                    if on[l] == 0.0 {
                         continue;
                     }
                     if n[g] == 0.0 {
-                        n[g] = on[g];
-                        mean[g] = om[g];
-                        m2[g] = om2[g];
+                        n[g] = on[l];
+                        mean[g] = om[l];
+                        m2[g] = om2[l];
                         continue;
                     }
-                    let total = n[g] + on[g];
-                    let delta = om[g] - mean[g];
-                    m2[g] += om2[g] + delta * delta * n[g] * on[g] / total;
-                    mean[g] += delta * on[g] / total;
+                    let total = n[g] + on[l];
+                    let delta = om[l] - mean[g];
+                    m2[g] += om2[l] + delta * delta * n[g] * on[l] / total;
+                    mean[g] += delta * on[l] / total;
                     n[g] = total;
                 }
             }
             (GroupAcc::Values(a), GroupAcc::Values(b)) => {
                 // morsel order == row order, so concatenation preserves the
                 // serial value order within every group
-                for (dst, mut src) in a.iter_mut().zip(b) {
-                    dst.append(&mut src);
+                for (&g, mut src) in to.iter().zip(b) {
+                    a[g].append(&mut src);
                 }
             }
             (GroupAcc::Distinct(a), GroupAcc::Distinct(b)) => {
-                for (dst, src) in a.iter_mut().zip(b) {
-                    dst.extend(src);
+                for (&g, src) in to.iter().zip(b) {
+                    a[g].extend(src);
                 }
             }
             (GroupAcc::Hll(a), GroupAcc::Hll(b)) => {
-                for (dst, src) in a.iter_mut().zip(b) {
-                    dst.merge(&src);
+                for (&g, src) in to.iter().zip(b) {
+                    a[g].merge(&src);
                 }
             }
             _ => unreachable!("partial states of one aggregate share a variant"),
@@ -514,12 +475,15 @@ impl GroupAcc {
     fn finish(self, func: &AggFunc) -> EngineResult<Column> {
         Ok(match self {
             GroupAcc::Count(counts) => Column::from_i64(counts),
-            GroupAcc::Sum { sums, seen } => Column::from_opt_f64(
-                sums.iter()
-                    .zip(seen.iter())
-                    .map(|(&s, &ok)| ok.then_some(s))
-                    .collect(),
-            ),
+            GroupAcc::SumCount { sums, counts } => {
+                let avg = matches!(func, AggFunc::Avg);
+                Column::from_opt_f64(
+                    sums.iter()
+                        .zip(counts.iter())
+                        .map(|(&s, &c)| (c > 0).then(|| if avg { s / c as f64 } else { s }))
+                        .collect(),
+                )
+            }
             GroupAcc::SumInt { sums, overflowed } => {
                 if overflowed {
                     return Err(EngineError::Execution(
@@ -528,24 +492,8 @@ impl GroupAcc {
                 }
                 Column::from_opt_i64(sums)
             }
-            GroupAcc::Avg { sums, counts } => Column::from_opt_f64(
-                sums.iter()
-                    .zip(counts.iter())
-                    .map(|(&s, &c)| (c > 0).then(|| s / c as f64))
-                    .collect(),
-            ),
-            GroupAcc::MinMaxI64 { best, has, .. } => Column::from_opt_i64(
-                best.iter()
-                    .zip(has.iter())
-                    .map(|(&b, &ok)| ok.then_some(b))
-                    .collect(),
-            ),
-            GroupAcc::MinMaxF64 { best, has, .. } => Column::from_opt_f64(
-                best.iter()
-                    .zip(has.iter())
-                    .map(|(&b, &ok)| ok.then_some(b))
-                    .collect(),
-            ),
+            GroupAcc::MinMaxI64 { best, .. } => Column::from_opt_i64(best),
+            GroupAcc::MinMaxF64 { best, .. } => Column::from_opt_f64(best),
             GroupAcc::MinMaxVal { best, .. } => {
                 let values: Vec<Value> =
                     best.into_iter().map(|b| b.unwrap_or(Value::Null)).collect();
@@ -619,44 +567,51 @@ fn minmax_val_replaces(current: &Option<Value>, incoming: &Value, is_min: bool) 
     }
 }
 
-/// Folds the valid numeric slots of rows `range` into `f(gid, x)`,
-/// dispatching on the column type once.  String columns contribute nothing
-/// (matching `Value::as_f64`).
+/// `best = x` when `x` beats it (or nothing was seen yet): the typed MIN/MAX
+/// step, shared by the row fold and the partial-state merge.
+fn keep_extreme<T: PartialOrd + Copy>(best: &mut Option<T>, x: T, is_min: bool) {
+    if best.is_none_or(|b| if is_min { x < b } else { x > b }) {
+        *best = Some(x);
+    }
+}
+
+/// Folds the valid numeric slots of `rows` — `(row, gid)` pairs — into
+/// `f(gid, x)`, dispatching on the column type once.  String columns
+/// contribute nothing (matching `Value::as_f64`).
 fn numeric_fold_range(
     col: &Column,
-    gids: &[usize],
-    range: Range<usize>,
+    rows: impl Iterator<Item = (usize, usize)>,
     mut f: impl FnMut(usize, f64),
 ) {
     match (col.data(), col.validity()) {
         (ColumnData::Float64(v), None) => {
-            for i in range {
-                f(gids[i], v[i]);
+            for (i, g) in rows {
+                f(g, v[i]);
             }
         }
         (ColumnData::Float64(v), Some(bm)) => {
-            for i in range {
+            for (i, g) in rows {
                 if bm.get(i) {
-                    f(gids[i], v[i]);
+                    f(g, v[i]);
                 }
             }
         }
         (ColumnData::Int64(v), None) => {
-            for i in range {
-                f(gids[i], v[i] as f64);
+            for (i, g) in rows {
+                f(g, v[i] as f64);
             }
         }
         (ColumnData::Int64(v), Some(bm)) => {
-            for i in range {
+            for (i, g) in rows {
                 if bm.get(i) {
-                    f(gids[i], v[i] as f64);
+                    f(g, v[i] as f64);
                 }
             }
         }
         (ColumnData::Bool(v), _) => {
-            for i in range {
+            for (i, g) in rows {
                 if col.is_valid(i) {
-                    f(gids[i], v[i] as u64 as f64);
+                    f(g, v[i] as u64 as f64);
                 }
             }
         }
@@ -664,6 +619,7 @@ fn numeric_fold_range(
     }
 }
 
+/// Exact interpolated quantile of a group's values (`None` for no values).
 fn quantile_of_opt(mut values: Vec<f64>, q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
@@ -674,15 +630,6 @@ fn quantile_of_opt(mut values: Vec<f64>, q: f64) -> Option<f64> {
     let upper = pos.ceil() as usize;
     let frac = pos - lower as f64;
     Some(values[lower] * (1.0 - frac) + values[upper] * frac)
-}
-
-/// Exact interpolated quantile of a set of values (used by median/quantile
-/// aggregates and exposed for tests).
-pub fn quantile_of(values: Vec<f64>, q: f64) -> Value {
-    match quantile_of_opt(values, q) {
-        Some(v) => Value::Float(v),
-        None => Value::Null,
-    }
 }
 
 /// One aggregate call to compute, tracked together with the printed form of
@@ -742,20 +689,41 @@ pub struct AggregatedFrame {
     pub replacements: Vec<(Expr, Expr)>,
 }
 
-/// Executes hash aggregation of `input` grouped by `group_exprs`, computing
-/// `aggs`, on the calling thread.
-pub fn execute_aggregation(
-    input: &Table,
+/// Evaluates the group-key and aggregate-argument expressions over `frame`
+/// (`None` for `count(*)`, which has no argument).  Element-wise, so
+/// evaluating block by block and concatenating equals evaluating at once.
+pub(crate) fn evaluate_inputs(
+    frame: &Table,
     group_exprs: &[Expr],
     aggs: &[AggregateItem],
     rng: &mut dyn FnMut() -> f64,
-) -> EngineResult<AggregatedFrame> {
-    execute_aggregation_with(input, group_exprs, aggs, rng, &ThreadPool::serial())
+) -> EngineResult<(Vec<Column>, Vec<Option<Column>>)> {
+    let mut eval = |e: &Expr| eval_expr(e, &mut EvalContext { table: frame, rng });
+    let keys = group_exprs
+        .iter()
+        .map(&mut eval)
+        .collect::<EngineResult<_>>()?;
+    let args = aggs
+        .iter()
+        .map(|item| match item.func {
+            AggFunc::CountStar => Ok(None),
+            _ => {
+                let arg = item.call.args.first().ok_or_else(|| {
+                    EngineError::Execution(format!(
+                        "aggregate {} requires an argument",
+                        item.call.name
+                    ))
+                })?;
+                eval(arg).map(Some)
+            }
+        })
+        .collect::<EngineResult<_>>()?;
+    Ok((keys, args))
 }
 
-/// Morsel-parallel hash aggregation: grouping and the per-aggregate folds run
-/// one partial state per morsel across the pool; partial states merge in
-/// morsel order, so the result is bit-identical at any thread count.
+/// Morsel-parallel hash aggregation of `input` grouped by `group_exprs`:
+/// evaluate the keys and arguments, push the whole frame into a fresh
+/// [`AggState`], finish it.
 pub fn execute_aggregation_with(
     input: &Table,
     group_exprs: &[Expr],
@@ -763,155 +731,256 @@ pub fn execute_aggregation_with(
     rng: &mut dyn FnMut() -> f64,
     pool: &ThreadPool,
 ) -> EngineResult<AggregatedFrame> {
-    // Evaluate group keys and aggregate arguments over the input frame.
-    let mut key_cols: Vec<Column> = Vec::with_capacity(group_exprs.len());
-    for g in group_exprs {
-        let mut ctx = EvalContext { table: input, rng };
-        key_cols.push(eval_expr(g, &mut ctx)?);
-    }
-    let mut arg_cols: Vec<Option<Column>> = Vec::with_capacity(aggs.len());
-    for item in aggs {
-        if matches!(item.func, AggFunc::CountStar) {
-            arg_cols.push(None);
-        } else {
-            let arg = item.call.args.first().ok_or_else(|| {
-                EngineError::Execution(format!("aggregate {} requires an argument", item.call.name))
-            })?;
-            let mut ctx = EvalContext { table: input, rng };
-            arg_cols.push(Some(eval_expr(arg, &mut ctx)?));
-        }
-    }
-    aggregate_evaluated(
-        &key_cols,
-        &arg_cols,
-        group_exprs,
-        aggs,
-        &input.schema,
-        input.num_rows(),
-        pool,
-    )
+    let (keys, args) = evaluate_inputs(input, group_exprs, aggs, rng)?;
+    let mut state = AggState::new(group_exprs, aggs, &input.schema);
+    state.push(keys, args, input.num_rows(), pool);
+    state.finish(pool)
 }
 
-/// The aggregation core over **pre-evaluated** group-key and argument
-/// columns: canonical-hash grouping, one accumulator fold per aggregate, and
-/// output-frame assembly.
-///
-/// This is the single numeric path shared by the one-shot executor
-/// ([`execute_aggregation_with`], which evaluates the expressions itself) and
-/// the progressive block-scan executor
-/// ([`crate::exec::progressive::ProgressiveScan`], which buffers
-/// block-evaluated columns and snapshots the prefix).  Sharing it is what
-/// makes a progressive run's final frame bit-identical to the one-shot
-/// answer: identical input columns take identical morsel decompositions,
-/// accumulator folds, and morsel-order merges, at any pool size.
-///
-/// `input_schema` is the schema the group/argument expressions were
-/// evaluated against (used only for output-type inference); `n` is the row
-/// count of every evaluated column.
-pub fn aggregate_evaluated(
-    key_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    group_exprs: &[Expr],
-    aggs: &[AggregateItem],
-    input_schema: &crate::schema::Schema,
-    n: usize,
-    pool: &ThreadPool,
-) -> EngineResult<AggregatedFrame> {
-    let grouping = group_rows_with(key_cols, n, pool);
-    // A global aggregation over zero rows still produces one output row.
-    let global_empty = group_exprs.is_empty() && grouping.num_groups() == 0;
-    let num_groups = if global_empty {
-        1
-    } else {
-        grouping.num_groups()
-    };
+/// One aggregate of an [`AggState`]: what to compute, over which argument
+/// type, and the state merged so far.
+#[derive(Clone)]
+struct AggSlot {
+    func: AggFunc,
+    /// Type the accumulator was built for.  Until a pushed argument column
+    /// holds a non-NULL value (`informed`) this is only the statically
+    /// inferred type, and the first informative column replaces it.
+    arg_type: DataType,
+    informed: bool,
+    acc: GroupAcc,
+}
 
-    // Fold each aggregate over its typed argument column, one partial state
-    // per morsel, merged in morsel order.  High-cardinality groupings fall
-    // back to a single fold: replicating num_groups-sized accumulators per
-    // morsel would cost more memory than the fold saves in time.  Both
-    // conditions depend only on the data, never on the thread count, so a
-    // given query always takes the same numeric path.
-    let morsel_count = ThreadPool::morsels(n).len();
-    let low_cardinality = num_groups.saturating_mul(morsel_count) <= 4 * n.max(1);
-    let mut agg_columns: Vec<Column> = Vec::with_capacity(aggs.len());
-    for (item, arg) in aggs.iter().zip(arg_cols.iter()) {
-        let acc = if morsel_count > 1 && low_cardinality && GroupAcc::mergeable(&item.func) {
-            let partials = pool.run_morsels(n, |range| {
-                let mut partial = GroupAcc::new(&item.func, arg.as_ref(), num_groups);
-                partial.update_range(arg.as_ref(), &grouping.gids, range);
-                partial
+/// Everything folded so far: the groups seen and one accumulator per
+/// aggregate over them.
+#[derive(Clone, Default)]
+struct Folded {
+    table: GroupTable,
+    slots: Vec<AggSlot>,
+}
+
+impl Folded {
+    /// The only fold in the engine.  Cuts rows `0..n` of the evaluated
+    /// columns into morsels, groups and folds each morsel on its own (across
+    /// the pool when there are several), then — in morsel order — interns the
+    /// morsel's groups into the table and merges its partial states.
+    ///
+    /// Morsels are taken a bounded batch at a time, so the partial states
+    /// alive at once do not grow with `n`; the batch size changes which
+    /// partials exist together, never the order they merge in.
+    fn fold(&mut self, keys: &[Column], args: &[Option<Column>], n: usize, pool: &ThreadPool) {
+        let morsels = ThreadPool::morsels(n);
+        for batch in morsels.chunks(PARTIALS_PER_WORKER * pool.parallelism()) {
+            let slots = &self.slots;
+            let partials = pool.run(batch.len(), |i| {
+                let range = batch[i].clone();
+                let grouping = group_range(keys, range.clone());
+                let accs: Vec<GroupAcc> = slots
+                    .iter()
+                    .zip(args)
+                    .map(|(slot, arg)| {
+                        let groups = grouping.num_groups();
+                        let mut acc = GroupAcc::new(&slot.func, slot.arg_type, groups);
+                        acc.update_range(arg.as_ref(), &grouping.gids, range.clone());
+                        acc
+                    })
+                    .collect();
+                (grouping.representatives, accs)
             });
-            partials
-                .into_iter()
-                .reduce(|mut merged, partial| {
-                    merged.merge(partial);
-                    merged
-                })
-                .unwrap_or_else(|| GroupAcc::new(&item.func, arg.as_ref(), num_groups))
-        } else {
-            let mut acc = GroupAcc::new(&item.func, arg.as_ref(), num_groups);
-            acc.update_range(arg.as_ref(), &grouping.gids, 0..n);
-            acc
-        };
-        agg_columns.push(acc.finish(&item.func)?);
-    }
-
-    // Build the output schema and columns.
-    let mut fields: Vec<Field> = Vec::new();
-    let mut replacements: Vec<(Expr, Expr)> = Vec::new();
-    for (i, g) in group_exprs.iter().enumerate() {
-        let (field, reference) = match g {
-            Expr::Column { table, name } => (
-                Field {
-                    qualifier: table.as_ref().map(|t| t.to_ascii_lowercase()),
-                    name: name.to_ascii_lowercase(),
-                    data_type: infer_type(g, input_schema),
-                },
-                Expr::Column {
-                    table: table.clone(),
-                    name: name.clone(),
-                },
-            ),
-            other => {
-                let name = format!("__gk{i}");
-                (
-                    Field::new(&name, infer_type(other, input_schema)),
-                    Expr::col(name.clone()),
-                )
+            for (representatives, accs) in partials {
+                let to = self.table.intern(keys, &representatives);
+                for (slot, partial) in self.slots.iter_mut().zip(accs) {
+                    slot.acc.grow(self.table.num_groups());
+                    slot.acc.merge(partial, &to);
+                }
             }
-        };
-        fields.push(field);
-        replacements.push((g.clone(), reference));
+        }
     }
-    for item in aggs {
-        let input_type = item
-            .call
-            .args
-            .first()
-            .map(|a| infer_type(a, input_schema))
-            .unwrap_or(DataType::Int);
-        fields.push(Field::new(
-            &item.output_name,
-            item.func.output_type(input_type),
-        ));
-        replacements.push((
-            Expr::Function(item.call.clone()),
-            Expr::col(item.output_name.clone()),
-        ));
+}
+
+/// Morsel partials one [`Folded::fold`] batch keeps per pool worker: enough
+/// that the barrier between batches costs little, few enough that a long
+/// scan's transient state stays a small multiple of one morsel's.
+const PARTIALS_PER_WORKER: usize = 32;
+
+/// The running state of one grouped aggregation — the engine's single
+/// aggregation core.  [`push`](Self::push) takes evaluated key/argument
+/// rows, [`snapshot`](Self::snapshot) answers for the rows pushed so far,
+/// [`finish`](Self::finish) answers for all of them; one-shot execution is
+/// "push once, finish" and a progressive scan is "push per block, snapshot
+/// per frame".
+///
+/// **The grid rule.**  Rows are folded on the [`MORSEL_ROWS`] grid of
+/// *evaluated rows counted from the first push*: every full morsel becomes
+/// one partial state merged in morsel order, and the rows past the last
+/// full morsel (fewer than `MORSEL_ROWS`) are carried, unfolded, until
+/// later pushes complete the morsel — `snapshot`/`finish` fold them as the
+/// last, short partial.  How the rows were cut into pushes, and how many
+/// threads ran the partials, therefore never changes the sequence of folds
+/// and merges: any snapshot is bit-identical to a one-shot run over the
+/// same rows.
+///
+/// Memory is O(groups) for the moment-family accumulators plus the carried
+/// rows.  Two kinds of state keep O(rows) — the value lists of `median` /
+/// `quantile` / `approx_median` and the exact sets of `count(DISTINCT)` —
+/// and a `snapshot` clones them.
+pub struct AggState {
+    folded: Folded,
+    /// Evaluated rows past the last full morsel.
+    open_keys: Vec<Column>,
+    open_args: Vec<Option<Column>>,
+    open_rows: usize,
+    /// Output schema: group keys, then one column per aggregate.
+    schema: Schema,
+    replacements: Vec<(Expr, Expr)>,
+}
+
+impl AggState {
+    /// An empty state for `aggs` grouped by `group_exprs`; `input_schema` is
+    /// the schema the expressions will be evaluated against (used for
+    /// output-type inference only).
+    pub fn new(group_exprs: &[Expr], aggs: &[AggregateItem], input_schema: &Schema) -> AggState {
+        let mut fields: Vec<Field> = Vec::new();
+        let mut replacements: Vec<(Expr, Expr)> = Vec::new();
+        for (i, g) in group_exprs.iter().enumerate() {
+            let data_type = infer_type(g, input_schema);
+            let (field, reference) = match g {
+                Expr::Column { table, name } => (
+                    Field {
+                        qualifier: table.as_ref().map(|t| t.to_ascii_lowercase()),
+                        name: name.to_ascii_lowercase(),
+                        data_type,
+                    },
+                    g.clone(),
+                ),
+                _ => {
+                    let name = format!("__gk{i}");
+                    (Field::new(&name, data_type), Expr::col(name))
+                }
+            };
+            fields.push(field);
+            replacements.push((g.clone(), reference));
+        }
+        let open_keys: Vec<Column> = fields
+            .iter()
+            .map(|f| Column::new_empty(f.data_type))
+            .collect();
+        let mut slots = Vec::with_capacity(aggs.len());
+        let mut open_args = Vec::with_capacity(aggs.len());
+        for item in aggs {
+            let arg = match item.func {
+                AggFunc::CountStar => None,
+                _ => item.call.args.first(),
+            };
+            let arg_type = arg.map_or(DataType::Int, |a| infer_type(a, input_schema));
+            fields.push(Field::new(
+                &item.output_name,
+                item.func.output_type(arg_type),
+            ));
+            replacements.push((
+                Expr::Function(item.call.clone()),
+                Expr::col(item.output_name.clone()),
+            ));
+            open_args.push(arg.map(|_| Column::new_empty(arg_type)));
+            slots.push(AggSlot {
+                func: item.func.clone(),
+                arg_type,
+                informed: false,
+                acc: GroupAcc::new(&item.func, arg_type, 0),
+            });
+        }
+        AggState {
+            folded: Folded {
+                table: GroupTable::new(open_keys.clone()),
+                slots,
+            },
+            open_keys,
+            open_args,
+            open_rows: 0,
+            schema: Schema::new(fields),
+            replacements,
+        }
     }
 
-    // Group-key columns are a typed gather of one representative row per group.
-    let mut columns: Vec<Column> = key_cols
-        .iter()
-        .map(|c| c.take(&grouping.representatives))
-        .collect();
-    columns.extend(agg_columns);
+    /// Takes the next `n` evaluated rows (every column `n` long; `args[i]`
+    /// is `None` exactly for `count(*)`), folds every morsel they complete,
+    /// and carries the rest.
+    pub fn push(
+        &mut self,
+        mut keys: Vec<Column>,
+        mut args: Vec<Option<Column>>,
+        mut n: usize,
+        pool: &ThreadPool,
+    ) {
+        // An argument column's type picks its accumulator, and expression
+        // types can follow the values (a CASE with mixed branches, an
+        // all-NULL block): the first column holding a value decides, later
+        // ones are coerced to it — what `Column::append` does to a buffer.
+        for (slot, col) in self.folded.slots.iter_mut().zip(args.iter_mut()) {
+            let Some(col) = col else { continue };
+            let informative = col.null_count() < col.len();
+            if col.data_type() != slot.arg_type {
+                if informative && !slot.informed {
+                    slot.arg_type = col.data_type();
+                    slot.acc = GroupAcc::new(&slot.func, slot.arg_type, 0);
+                } else {
+                    *col = Column::from_values_typed(slot.arg_type, &col.to_values());
+                }
+            }
+            slot.informed |= informative;
+        }
+        if self.open_rows > 0 {
+            for (open, col) in self.open_keys.iter_mut().zip(&keys) {
+                open.append(col);
+            }
+            for (open, col) in self.open_args.iter_mut().zip(&args) {
+                if let (Some(open), Some(col)) = (open, col) {
+                    open.append(col);
+                }
+            }
+            keys = std::mem::take(&mut self.open_keys);
+            args = std::mem::take(&mut self.open_args);
+            n += self.open_rows;
+        }
+        let full = n - n % MORSEL_ROWS;
+        if full > 0 {
+            self.folded.fold(&keys, &args, full, pool);
+            let rest = |c: &Column| c.slice(full, n - full);
+            keys = keys.iter().map(rest).collect();
+            args = args.iter().map(|c| c.as_ref().map(rest)).collect();
+        }
+        (self.open_keys, self.open_args, self.open_rows) = (keys, args, n - full);
+    }
 
-    Ok(AggregatedFrame {
-        table: Table::new(Schema::new(fields), columns)?,
-        replacements,
-    })
+    /// The aggregated frame over every row pushed so far; the state is
+    /// unchanged (what was folded is cloned, then closed like `finish`).
+    pub fn snapshot(&self, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+        self.close(self.folded.clone(), pool)
+    }
+
+    /// The aggregated frame over every row pushed.
+    pub fn finish(mut self, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+        let folded = std::mem::take(&mut self.folded);
+        self.close(folded, pool)
+    }
+
+    /// Folds the carried rows as the last partial and finalises one output
+    /// column per aggregate; fails when an integral `sum` has overflowed.
+    fn close(&self, mut folded: Folded, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+        folded.fold(&self.open_keys, &self.open_args, self.open_rows, pool);
+        // A global (keyless) aggregation over zero rows still produces one
+        // output row.
+        let keyless = self.open_keys.is_empty();
+        let groups = folded.table.num_groups().max(keyless as usize);
+        let mut columns = folded.table.into_keys();
+        for mut slot in folded.slots {
+            slot.acc.grow(groups);
+            columns.push(slot.acc.finish(&slot.func)?);
+        }
+        Ok(AggregatedFrame {
+            table: Table::new(self.schema.clone(), columns)?,
+            replacements: self.replacements.clone(),
+        })
+    }
 }
 
 /// Replaces, top-down, any sub-expression structurally equal to a replacement
@@ -1051,7 +1120,7 @@ mod tests {
         let refs: Vec<&Expr> = agg_exprs.iter().collect();
         let items = collect_aggregate_calls(&refs).unwrap();
         let mut rng = seeded_uniform(1);
-        execute_aggregation(&t, &group_exprs, &items, &mut rng)
+        execute_aggregation_with(&t, &group_exprs, &items, &mut rng, &ThreadPool::serial())
             .unwrap()
             .table
     }
@@ -1129,10 +1198,11 @@ mod tests {
 
     #[test]
     fn quantile_interpolates() {
-        let v = quantile_of(vec![1.0, 2.0, 3.0, 4.0], 0.5);
-        assert_eq!(v, Value::Float(2.5));
-        let v = quantile_of(vec![1.0, 2.0, 3.0, 4.0, 5.0], 0.25);
-        assert_eq!(v, Value::Float(2.0));
+        let v = quantile_of_opt(vec![1.0, 2.0, 3.0, 4.0], 0.5);
+        assert_eq!(v, Some(2.5));
+        let v = quantile_of_opt(vec![1.0, 2.0, 3.0, 4.0, 5.0], 0.25);
+        assert_eq!(v, Some(2.0));
+        assert_eq!(quantile_of_opt(Vec::new(), 0.5), None);
     }
 
     #[test]
@@ -1165,7 +1235,7 @@ mod tests {
         let e = parse_expression("ndv(k)").unwrap();
         let items = collect_aggregate_calls(&[&e]).unwrap();
         let mut rng = seeded_uniform(1);
-        let out = execute_aggregation(&t, &[], &items, &mut rng)
+        let out = execute_aggregation_with(&t, &[], &items, &mut rng, &ThreadPool::serial())
             .unwrap()
             .table;
         let est = out.value_at(0, 0).as_i64().unwrap() as f64;
@@ -1177,6 +1247,50 @@ mod tests {
         let out = run_agg(&[], &["sum(qty)", "sum(price)"]);
         assert_eq!(out.value_at(0, 0), Value::Int(15));
         assert_eq!(out.value_at(0, 1), Value::Float(60.0));
+    }
+
+    #[test]
+    fn the_first_argument_column_holding_a_value_picks_the_accumulator() {
+        // An expression's column type can follow its values block by block
+        // (a CASE with mixed branches, an all-NULL block); `v` is declared Int.
+        let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
+        let calls = [
+            parse_expression("sum(v)").unwrap(),
+            parse_expression("min(v)").unwrap(),
+        ];
+        let items = collect_aggregate_calls(&calls.iter().collect::<Vec<_>>()).unwrap();
+        let pool = ThreadPool::serial();
+        let run = |blocks: &[&Column]| {
+            let mut state = AggState::new(&[], &items, &schema);
+            for &col in blocks {
+                let args = vec![Some(col.clone()), Some(col.clone())];
+                state.push(vec![], args, col.len(), &pool);
+            }
+            state.finish(&pool).unwrap().table
+        };
+        let nulls = Column::from_opt_str(vec![None, None]);
+        let floats = Column::from_f64(vec![1.5, 2.5]);
+        let ints = Column::from_i64(vec![1, 2]);
+
+        // An all-NULL block of whatever type decides nothing; the Float
+        // block picks float accumulators; the later Int block is coerced to
+        // them — the answer a single Float column of these values gives.
+        let mixed = run(&[&nulls, &floats, &ints]);
+        assert_eq!(mixed.row(0), vec![Value::Float(7.0), Value::Float(1.0)]);
+        let at_once =
+            Column::from_opt_f64(vec![None, None, Some(1.5), Some(2.5), Some(1.0), Some(2.0)]);
+        assert_eq!(run(&[&at_once]).row(0), mixed.row(0));
+
+        // Int first: the Float block is coerced to Int, which truncates —
+        // as appending it to an Int column does.
+        let truncated = run(&[&ints, &floats]);
+        assert_eq!(truncated.row(0), vec![Value::Int(6), Value::Int(1)]);
+
+        // No block ever holds a value: NULLs of the inferred type.
+        let never = run(&[&nulls]);
+        assert_eq!(never.row(0), vec![Value::Null, Value::Null]);
+        assert_eq!(never.columns[0].data_type(), DataType::Int);
+        assert_eq!(never.columns[1].data_type(), DataType::Int);
     }
 
     #[test]

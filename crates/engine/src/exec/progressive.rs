@@ -7,24 +7,27 @@
 //! **incrementally**: [`BlockScan::advance`] consumes the next block of base
 //! rows (scan → derived projection → filter → group-key/argument
 //! evaluation, each element-wise and therefore identical to evaluating the
-//! whole table at once), and [`BlockScan::snapshot`] folds the buffered
-//! prefix through the same morsel-parallel aggregation core the one-shot
-//! executor uses ([`crate::exec::aggregate::aggregate_evaluated`]).
+//! whole table at once) and pushes the evaluated rows into a running
+//! [`AggState`] — the same aggregation core, and the same `push`, the
+//! one-shot executor uses; [`BlockScan::snapshot`] is that state's
+//! `snapshot` plus the shared post-aggregation projection.  The scan holds
+//! no column that grows with the prefix: between calls it carries the
+//! state (O(groups) for the moment-family aggregates) and the state's open
+//! morsel (fewer than [`crate::parallel::MORSEL_ROWS`] evaluated rows).
 //!
 //! Two properties are load-bearing:
 //!
 //! * **prefix exactness** — a snapshot after `k` rows is *the* result the
 //!   one-shot executor would produce for a table holding only those `k`
 //!   rows: per-row work is element-wise (so block evaluation concatenates
-//!   losslessly) and the aggregation core re-folds the buffered prefix on
-//!   the same 64K-row morsel grid ([`crate::parallel::MORSEL_ROWS`]) it
-//!   would use for that prefix;
-//! * **final-frame bit-identity** — after the last block, the buffered
-//!   columns equal the one-shot executor's fully-evaluated filtered frame
-//!   byte for byte, and the shared aggregation core plus the shared
-//!   post-aggregation projection make the snapshot bit-identical to
+//!   losslessly) and the state folds on the morsel grid of *evaluated rows
+//!   counted from the start of the scan* (see [`AggState`]), which is the
+//!   grid a one-shot run over those rows cuts — whatever the block size
+//!   and however many rows the WHERE clause drops from each block;
+//! * **final-frame bit-identity** — the last snapshot is the `k = n` case:
+//!   the same folds and the same morsel-order merges as
 //!   [`crate::Engine::execute_sql`] on the same statement, at any pool
-//!   size.
+//!   size, followed by the shared post-aggregation projection.
 //!
 //! The scan reads rows through a [`ScanSource`]
 //! ([`crate::catalog::Catalog::scan_source`]): in-memory tables are
@@ -42,14 +45,10 @@
 //! scramble** — so this costs nothing on the AQP path.
 
 use crate::catalog::Catalog;
-use crate::column::Column;
 use crate::engine::{ExecStats, QueryResult};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::aggregate::{
-    aggregate_evaluated, collect_aggregate_calls, AggFunc, AggregateItem,
-};
+use crate::exec::aggregate::{collect_aggregate_calls, evaluate_inputs, AggState, AggregateItem};
 use crate::exec::{predicate_mask_with, project_items, replace_in_projection};
-use crate::expr::{eval_expr, EvalContext};
 use crate::parallel::ThreadPool;
 use crate::persist::ScanSource;
 use crate::schema::Schema;
@@ -89,6 +88,27 @@ pub trait BlockScan: Send {
 /// The engine's [`BlockScan`] implementation (see the [module
 /// docs](self) for the execution model and its exactness guarantees).
 pub struct ProgressiveScan {
+    /// The row-wise half: base rows in, filtered (projected) frame out.
+    frames: BlockFrames,
+    /// Outer GROUP BY expressions.
+    group_exprs: Vec<Expr>,
+    /// The aggregate calls collected from the outer projection.
+    aggs: Vec<AggregateItem>,
+    /// Outer projection (over group keys and aggregates).
+    projection: Vec<SelectItem>,
+    /// Next base row to consume.
+    pos: usize,
+    /// The running aggregation over the evaluated rows of every block
+    /// consumed so far.
+    state: AggState,
+    /// Cumulative wall-clock spent in `advance`/`snapshot`.
+    spent: Duration,
+}
+
+/// Everything below the aggregation: which table is scanned and the
+/// element-wise steps (WHERE, derived projection) between a block of its
+/// rows and the frame the group keys and arguments are evaluated over.
+struct BlockFrames {
     /// The scanned base table: an `Arc`-pinned snapshot for in-memory
     /// tables, or a block-granular disk reader for persisted ones.
     input: Arc<dyn ScanSource>,
@@ -102,33 +122,15 @@ pub struct ProgressiveScan {
     derived_alias: Option<String>,
     /// Outer WHERE, applied to the (projected) frame.
     selection: Option<Expr>,
-    /// Outer GROUP BY expressions.
-    group_exprs: Vec<Expr>,
-    /// The aggregate calls collected from the outer projection.
-    aggs: Vec<AggregateItem>,
-    /// Outer projection (over group keys and aggregates).
-    projection: Vec<SelectItem>,
-    /// Schema of the per-block frame the keys/arguments are evaluated on.
-    frame_schema: Schema,
     /// Input-column indices read by the first predicate applied to the raw
     /// scan (the inner WHERE, or the outer WHERE when no derived projection
-    /// intervenes).  When set, `block_frame` takes the **late-materialized**
+    /// intervenes).  When set, `frame` takes the **late-materialized**
     /// path: the predicate is evaluated over a thin frame holding only these
     /// columns, and full rows are gathered for the survivors alone.  `None`
     /// when there is no such predicate or a reference does not resolve; the
     /// block is then sliced wholesale.
     scan_filter_cols: Option<Vec<usize>>,
     pool: Arc<ThreadPool>,
-    /// Next base row to consume.
-    pos: usize,
-    /// Evaluated group-key columns for the filtered prefix.
-    keys_buf: Vec<Column>,
-    /// Evaluated aggregate-argument columns, parallel to `aggs`.
-    args_buf: Vec<Option<Column>>,
-    /// Rows in the buffered (filtered) prefix.
-    buffered_rows: usize,
-    /// Cumulative wall-clock spent in `advance`/`snapshot`.
-    spent: Duration,
 }
 
 /// The expression-side validation: no `rand()`, no window functions, no
@@ -271,36 +273,44 @@ impl ProgressiveScan {
             }
         });
         let scan_filter_cols = scan_pred.and_then(|p| scan_filter_columns(p, &scan_schema));
-        let mut scan = ProgressiveScan {
+        let frames = BlockFrames {
             input,
             scan_schema,
             inner_projection,
             inner_selection,
             derived_alias,
             selection: query.selection.clone(),
+            scan_filter_cols,
+            pool,
+        };
+        // A zero-row block fixes the schema the keys and arguments are
+        // evaluated against, and surfaces an expression that does not
+        // evaluate now rather than at the first `advance`.
+        let empty = frames.frame(0, 0)?;
+        let mut scan = ProgressiveScan {
+            state: AggState::new(&query.group_by, &aggs, &empty.schema),
+            frames,
             group_exprs: query.group_by.clone(),
             aggs,
             projection: query.projection.clone(),
-            frame_schema: Schema::new(Vec::new()),
-            scan_filter_cols,
-            pool,
             pos: 0,
-            keys_buf: Vec::new(),
-            args_buf: Vec::new(),
-            buffered_rows: 0,
             spent: Duration::ZERO,
         };
-        // Prime the buffers (and the frame schema) from a zero-row block:
-        // column types are decided by expressions and schemas, never by
-        // values, so every later block appends type-compatibly.
-        let empty = scan.block_frame(0, 0)?;
-        scan.frame_schema = empty.schema.clone();
-        let (keys, args) = scan.evaluate_block(&empty)?;
-        scan.keys_buf = keys;
-        scan.args_buf = args;
+        scan.push_frame(&empty)?;
         Ok(scan)
     }
 
+    /// Evaluates the group keys and aggregate arguments over a block frame
+    /// and pushes the rows into the running state.
+    fn push_frame(&mut self, frame: &Table) -> EngineResult<()> {
+        let (keys, args) = evaluate_inputs(frame, &self.group_exprs, &self.aggs, &mut no_rand())?;
+        self.state
+            .push(keys, args, frame.num_rows(), &self.frames.pool);
+        Ok(())
+    }
+}
+
+impl BlockFrames {
     /// Builds the evaluated per-block frame for the contiguous base-row
     /// range `[start, start + len)`: scan slice → inner WHERE → inner
     /// projection → alias rebinding → outer WHERE.  Every step is
@@ -313,7 +323,7 @@ impl ProgressiveScan {
     /// surviving rows alone.  `take` and `filter` select the same rows in
     /// the same order, so the frame is bit-identical to the wholesale
     /// slice-then-filter path.
-    fn block_frame(&self, start: usize, len: usize) -> EngineResult<Table> {
+    fn frame(&self, start: usize, len: usize) -> EngineResult<Table> {
         let mut rng = no_rand();
         let scan_pred = self.inner_selection.as_ref().or_else(|| {
             if self.inner_projection.is_none() {
@@ -368,36 +378,6 @@ impl ProgressiveScan {
         }
         Ok(frame)
     }
-
-    /// Evaluates the group-key and aggregate-argument columns over a block
-    /// frame.
-    fn evaluate_block(&self, frame: &Table) -> EngineResult<(Vec<Column>, Vec<Option<Column>>)> {
-        let mut rng = no_rand();
-        let mut keys = Vec::with_capacity(self.group_exprs.len());
-        for g in &self.group_exprs {
-            let mut ctx = EvalContext {
-                table: frame,
-                rng: &mut rng,
-            };
-            keys.push(eval_expr(g, &mut ctx)?);
-        }
-        let mut args = Vec::with_capacity(self.aggs.len());
-        for item in &self.aggs {
-            if matches!(item.func, AggFunc::CountStar) {
-                args.push(None);
-                continue;
-            }
-            let arg = item.call.args.first().ok_or_else(|| {
-                EngineError::Execution(format!("aggregate {} requires an argument", item.call.name))
-            })?;
-            let mut ctx = EvalContext {
-                table: frame,
-                rng: &mut rng,
-            };
-            args.push(Some(eval_expr(arg, &mut ctx)?));
-        }
-        Ok((keys, args))
-    }
 }
 
 /// Resolves the scan columns a predicate reads, for late materialization.
@@ -430,7 +410,7 @@ fn no_rand() -> impl FnMut() -> f64 {
 
 impl BlockScan for ProgressiveScan {
     fn total_rows(&self) -> u64 {
-        self.input.num_rows() as u64
+        self.frames.input.num_rows() as u64
     }
 
     fn rows_seen(&self) -> u64 {
@@ -438,30 +418,21 @@ impl BlockScan for ProgressiveScan {
     }
 
     fn done(&self) -> bool {
-        self.pos >= self.input.num_rows()
+        self.pos >= self.frames.input.num_rows()
     }
 
     fn advance(&mut self, max_rows: u64) -> EngineResult<u64> {
         let t0 = Instant::now();
-        let total = self.input.num_rows();
+        let total = self.frames.input.num_rows();
         if self.pos >= total {
             return Ok(0);
         }
         let take = (max_rows.max(1)).min((total - self.pos) as u64) as usize;
         let start = self.pos;
         self.pos += take;
-        let frame = self.block_frame(start, take)?;
+        let frame = self.frames.frame(start, take)?;
         if frame.num_rows() > 0 {
-            let (keys, args) = self.evaluate_block(&frame)?;
-            for (dst, src) in self.keys_buf.iter_mut().zip(keys.iter()) {
-                dst.append(src);
-            }
-            for (dst, src) in self.args_buf.iter_mut().zip(args.iter()) {
-                if let (Some(dst), Some(src)) = (dst.as_mut(), src.as_ref()) {
-                    dst.append(src);
-                }
-            }
-            self.buffered_rows += frame.num_rows();
+            self.push_frame(&frame)?;
         }
         self.spent += t0.elapsed();
         Ok(take as u64)
@@ -469,15 +440,7 @@ impl BlockScan for ProgressiveScan {
 
     fn snapshot(&mut self) -> EngineResult<QueryResult> {
         let t0 = Instant::now();
-        let aggregated = aggregate_evaluated(
-            &self.keys_buf,
-            &self.args_buf,
-            &self.group_exprs,
-            &self.aggs,
-            &self.frame_schema,
-            self.buffered_rows,
-            &self.pool,
-        )?;
+        let aggregated = self.state.snapshot(&self.frames.pool)?;
         let projection = replace_in_projection(self.projection.clone(), &aggregated.replacements);
         let mut rng = no_rand();
         let table = project_items(&aggregated.table, &projection, &mut rng)?;
@@ -649,21 +612,21 @@ mod tests {
         };
         // Plain scan: the outer WHERE reads price (1) and u (2).
         let scan = open("SELECT count(*) AS c FROM sales WHERE price > 1 AND u < 0.5");
-        assert_eq!(scan.scan_filter_cols, Some(vec![1, 2]));
+        assert_eq!(scan.frames.scan_filter_cols, Some(vec![1, 2]));
         // No predicate over the raw scan → wholesale slicing.
         let scan = open("SELECT k, sum(price) AS s FROM sales GROUP BY k");
-        assert_eq!(scan.scan_filter_cols, None);
+        assert_eq!(scan.frames.scan_filter_cols, None);
         // A derived projection intervenes before the outer WHERE → the
         // predicate runs on the projected frame, not the raw scan.
         let scan =
             open("SELECT count(*) AS c FROM (SELECT price * 2 AS d FROM sales) AS t WHERE t.d > 1");
-        assert_eq!(scan.scan_filter_cols, None);
+        assert_eq!(scan.frames.scan_filter_cols, None);
         // An inner WHERE is the scan predicate even under a derived wrapper.
         let scan = open(
             "SELECT count(*) AS c FROM \
              (SELECT price FROM sales WHERE u < 0.5) AS t WHERE t.price > 1",
         );
-        assert_eq!(scan.scan_filter_cols, Some(vec![2]));
+        assert_eq!(scan.frames.scan_filter_cols, Some(vec![2]));
     }
 
     #[test]

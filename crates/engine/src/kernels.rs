@@ -720,9 +720,12 @@ impl std::hash::BuildHasher for Prehashed {
 
 type PrehashedMap<V> = HashMap<u64, V, Prehashed>;
 
+/// The value every canonical row hash starts from.
+const HASH_SEED: u64 = 0xcbf29ce484222325;
+
 /// Combined canonical hash per row across the key columns.
 pub fn hash_rows(cols: &[Column], n: usize) -> Vec<u64> {
-    let mut hashes = vec![0xcbf29ce484222325u64; n];
+    let mut hashes = vec![HASH_SEED; n];
     for c in cols {
         c.hash_into(&mut hashes);
     }
@@ -737,7 +740,7 @@ pub fn par_hash_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Vec<u64> {
         return hash_rows(cols, n);
     }
     let parts = pool.run_morsels(n, |range| {
-        let mut hashes = vec![0xcbf29ce484222325u64; range.len()];
+        let mut hashes = vec![HASH_SEED; range.len()];
         for c in cols {
             c.hash_range_into(range.clone(), &mut hashes);
         }
@@ -760,7 +763,7 @@ pub fn rows_equal(a: &[Column], i: usize, b: &[Column], j: usize) -> bool {
 
 /// The result of clustering rows by key columns.
 pub struct Grouping {
-    /// Group id per input row.
+    /// Group id per clustered row, in row order.
     pub gids: Vec<usize>,
     /// One representative row index per group, in first-appearance order.
     pub representatives: Vec<usize>,
@@ -779,83 +782,24 @@ pub fn group_rows(cols: &[Column], n: usize) -> Grouping {
     group_rows_with(cols, n, &ThreadPool::serial())
 }
 
-/// Morsel-parallel [`group_rows`].
-///
-/// Two clustering paths produce the identical [`Grouping`] (same group ids,
-/// same first-appearance representatives), and the key columns alone pick
-/// between them:
-///
-/// * **Dict** (`dict_group_rows`) — key columns mapped to dense dictionary
-///   codes, no hashing at all; taken when every key column is integral with
-///   a small value range.
-/// * **Hash** (`hash_group_rows`) — morsel-local hash tables merged
-///   sequentially in morsel order; everything else.
-pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
-    if cols.is_empty() {
-        return Grouping {
-            gids: vec![0; n],
-            representatives: if n > 0 { vec![0] } else { vec![] },
-        };
-    }
-    dict_group_rows(cols, n, pool).unwrap_or_else(|| hash_group_rows(cols, n, pool))
-}
-
-/// The hash clustering path of [`group_rows_with`].
-///
-/// Each morsel builds a **local** hash table clustering its own rows; the
-/// local tables are then merged sequentially in morsel order, translating
-/// local group ids to global ones.  Because morsel 0 covers the lowest row
-/// indices and merging walks morsels in order, the global groups come out in
+/// Morsel-parallel [`group_rows`]: every morsel is clustered on its own
+/// ([`group_range`]), in parallel, and the local groups are interned into one
+/// [`GroupTable`] in morsel order.  Morsel 0 covers the lowest row indices
+/// and interning walks morsels in order, so the global groups come out in
 /// first-appearance order — exactly the serial grouping, at any thread count.
-fn hash_group_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
-    let hashes = par_hash_rows(cols, n, pool);
-    // Phase 1 (parallel): per-morsel local clustering.
-    let locals: Vec<(Vec<usize>, Vec<usize>)> = pool.run_morsels(n, |range| {
-        let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
-        let mut reps: Vec<usize> = Vec::new();
-        let mut local_gids = Vec::with_capacity(range.len());
-        for row in range {
-            let bucket = table.entry(hashes[row]).or_default();
-            let gid = bucket
-                .iter()
-                .copied()
-                .find(|&g| rows_equal(cols, row, cols, reps[g]));
-            match gid {
-                Some(g) => local_gids.push(g),
-                None => {
-                    let g = reps.len();
-                    reps.push(row);
-                    bucket.push(g);
-                    local_gids.push(g);
-                }
+pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
+    let locals = pool.run_morsels(n, |range| group_range(cols, range));
+    let mut table = GroupTable::new(cols.iter().map(|c| c.slice(0, 0)).collect());
+    let mut gids = Vec::with_capacity(n);
+    let mut representatives = Vec::new();
+    for local in locals {
+        let translate = table.intern(cols, &local.representatives);
+        for (&g, &rep) in translate.iter().zip(&local.representatives) {
+            if g == representatives.len() {
+                representatives.push(rep);
             }
         }
-        (reps, local_gids)
-    });
-    // Phase 2 (sequential, morsel order): merge local groups into global ids.
-    let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
-    let mut representatives: Vec<usize> = Vec::new();
-    let mut gids = Vec::with_capacity(n);
-    for (reps, local_gids) in locals {
-        let mut translate = Vec::with_capacity(reps.len());
-        for &rep in &reps {
-            let bucket = table.entry(hashes[rep]).or_default();
-            let gid = bucket
-                .iter()
-                .copied()
-                .find(|&g| rows_equal(cols, rep, cols, representatives[g]));
-            let g = match gid {
-                Some(g) => g,
-                None => {
-                    let g = representatives.len();
-                    representatives.push(rep);
-                    bucket.push(g);
-                    g
-                }
-            };
-            translate.push(g);
-        }
-        gids.extend(local_gids.into_iter().map(|lg| translate[lg]));
+        gids.extend(local.gids.into_iter().map(|lg| translate[lg]));
     }
     Grouping {
         gids,
@@ -863,7 +807,140 @@ fn hash_group_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {
     }
 }
 
-/// Largest dictionary code space [`dict_group_rows`] will allocate a dense
+/// Clusters the rows `range` of the key columns on the calling thread:
+/// `gids[i]` is the group of row `range.start + i`, groups are numbered in
+/// first-appearance order within the range, and `representatives` are
+/// absolute row indices.  This is the morsel-local half of every grouping
+/// in the engine; [`GroupTable::intern`] is the other half.
+///
+/// Two clustering paths produce the identical [`Grouping`], and the key
+/// columns of the range alone pick between them: dense dictionary codes
+/// (`dict_group_range`) when every key column is integral with a small
+/// value range, a local hash table (`hash_group_range`) for everything else.
+pub(crate) fn group_range(cols: &[Column], range: Range<usize>) -> Grouping {
+    if cols.is_empty() {
+        return Grouping {
+            gids: vec![0; range.len()],
+            representatives: range.take(1).collect(),
+        };
+    }
+    dict_group_range(cols, range.clone()).unwrap_or_else(|| hash_group_range(cols, range))
+}
+
+/// The hash clustering path of [`group_range`].
+fn hash_group_range(cols: &[Column], range: Range<usize>) -> Grouping {
+    let mut hashes = vec![HASH_SEED; range.len()];
+    for c in cols {
+        c.hash_range_into(range.clone(), &mut hashes);
+    }
+    let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
+    let mut representatives: Vec<usize> = Vec::new();
+    let mut gids = Vec::with_capacity(range.len());
+    for (row, hash) in range.zip(hashes) {
+        let bucket = table.entry(hash).or_default();
+        let gid = bucket
+            .iter()
+            .copied()
+            .find(|&g| rows_equal(cols, row, cols, representatives[g]));
+        gids.push(gid.unwrap_or_else(|| {
+            let g = representatives.len();
+            representatives.push(row);
+            bucket.push(g);
+            g
+        }));
+    }
+    Grouping {
+        gids,
+        representatives,
+    }
+}
+
+/// The groups a grouping has seen so far: one typed key row per group, in
+/// first-appearance order, plus a hash index over those rows.  Morsel-local
+/// groupings are reconciled here, in morsel order — by [`group_rows_with`]
+/// for a whole input at once and by the running aggregation state
+/// (`exec::aggregate`) as a scan delivers them.
+#[derive(Clone, Default)]
+pub(crate) struct GroupTable {
+    keys: Vec<Column>,
+    groups: usize,
+    /// Canonical row hash → the newest group with that hash.
+    heads: PrehashedMap<usize>,
+    /// Per group, the next older group with the same hash (`usize::MAX` ends
+    /// the chain) — full 64-bit collisions are rare, so chains are short.
+    older: Vec<usize>,
+}
+
+impl GroupTable {
+    /// An empty table whose key rows will be appended to `keys` (zero-row
+    /// columns that fix the key arity and, until a row arrives, the types).
+    pub fn new(keys: Vec<Column>) -> GroupTable {
+        GroupTable {
+            keys,
+            ..GroupTable::default()
+        }
+    }
+
+    /// Number of groups seen so far.
+    pub fn num_groups(&self) -> usize {
+        self.groups
+    }
+
+    /// The key columns: row `g` holds the key of group `g`.
+    pub fn into_keys(self) -> Vec<Column> {
+        self.keys
+    }
+
+    /// Interns the rows `reps` of `cols` — pairwise distinct keys, as the
+    /// representatives of one [`group_range`] call are — and returns the
+    /// table's group id for each.  Unknown keys are appended in `reps` order.
+    pub fn intern(&mut self, cols: &[Column], reps: &[usize]) -> Vec<usize> {
+        let keys: Vec<Column> = cols.iter().map(|c| c.take(reps)).collect();
+        if self.groups == 0 {
+            // The first morsel's groups are the table, under their local
+            // ids; they are hashed only if a second morsel ever arrives
+            // (most aggregations fit one morsel and never pay for an index).
+            self.keys = keys;
+            self.groups = reps.len();
+            return (0..reps.len()).collect();
+        }
+        if self.older.is_empty() {
+            for (g, hash) in hash_rows(&self.keys, self.groups).into_iter().enumerate() {
+                self.link(hash, g);
+            }
+        }
+        let known = self.groups;
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut translate = Vec::with_capacity(reps.len());
+        for (local, hash) in hash_rows(&keys, reps.len()).into_iter().enumerate() {
+            // groups interned by this very call cannot match: `reps` are distinct
+            let mut g = self.heads.get(&hash).copied().unwrap_or(usize::MAX);
+            while g != usize::MAX && !(g < known && rows_equal(&keys, local, &self.keys, g)) {
+                g = self.older[g];
+            }
+            if g == usize::MAX {
+                g = self.groups;
+                self.groups += 1;
+                self.link(hash, g);
+                fresh.push(local);
+            }
+            translate.push(g);
+        }
+        for (dst, src) in self.keys.iter_mut().zip(&keys) {
+            dst.append(&src.take(&fresh));
+        }
+        translate
+    }
+
+    /// Indexes group `g` (the newest) under its row hash.
+    fn link(&mut self, hash: u64, g: usize) {
+        let older = self.heads.insert(hash, g).unwrap_or(usize::MAX);
+        debug_assert_eq!(g, self.older.len());
+        self.older.push(older);
+    }
+}
+
+/// Largest dictionary code space `dict_group_range` will allocate a dense
 /// remap table for: 64K slots is a 256 KiB `u32` table — comfortably
 /// cache-resident, and far above the group counts where dictionary keys win.
 const MAX_DICT_SLOTS: u64 = 1 << 16;
@@ -876,63 +953,36 @@ struct DictDim {
     width: u64,
 }
 
-/// The dictionary clustering path: maps each key row to a dense code and
-/// renumbers codes in first-appearance order — no hashing, no hash table.
+/// The dictionary clustering path of [`group_range`]: maps each key row to a
+/// dense code and renumbers codes in first-appearance order — no hashing, no
+/// hash table.
 ///
 /// Applies when every key column is integral (`Int64`/`Bool`) and the
-/// product of the per-column value ranges (plus one NULL slot each) stays
-/// within [`MAX_DICT_SLOTS`] and within ~4x the row count; returns `None`
-/// otherwise.  A row's code is `Σ slot_i · stride_i` with `slot_i = 0` for
-/// NULL and `1 + (v - min_i)` for a valid value, so two rows share a code
-/// exactly when [`rows_equal`] holds — NULLs grouping together included —
-/// and the serial first-appearance renumber walk reproduces the hash path's
-/// [`Grouping`] bit-for-bit.
-fn dict_group_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Option<Grouping> {
+/// product of the per-column value ranges over the rows of `range` (plus one
+/// NULL slot each) stays within [`MAX_DICT_SLOTS`] and within ~4x the row
+/// count; returns `None` otherwise.  A row's code is `Σ slot_i · stride_i`
+/// with `slot_i = 0` for NULL and `1 + (v - min_i)` for a valid value, so two
+/// rows share a code exactly when [`rows_equal`] holds — NULLs grouping
+/// together included — and the first-appearance renumber walk reproduces the
+/// hash path's [`Grouping`] bit-for-bit.
+fn dict_group_range(cols: &[Column], range: Range<usize>) -> Option<Grouping> {
     // Integral key columns only: exact equality on i64 codes then matches
     // loose_eq row equality.  Float/string keys never take this path.
     let views: Vec<DictView<'_>> = cols.iter().map(DictView::new).collect::<Option<_>>()?;
-    if n == 0 {
-        return Some(Grouping {
-            gids: Vec::new(),
-            representatives: Vec::new(),
-        });
-    }
-
-    // Per-column (min, max, has_null) in one parallel pass; min/max merge is
-    // commutative, so morsel merge order does not matter here.
-    let stats: Vec<(Option<(i64, i64)>, bool)> = {
-        let per_morsel = pool.run_morsels(n, |range| {
-            views
-                .iter()
-                .map(|v| v.min_max_range(range.clone()))
-                .collect::<Vec<_>>()
-        });
-        let mut acc = vec![(None::<(i64, i64)>, false); views.len()];
-        for morsel in per_morsel {
-            for (slot, (mm, has_null)) in acc.iter_mut().zip(morsel) {
-                slot.0 = match (slot.0, mm) {
-                    (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-                    (got, None) | (None, got) => got,
-                };
-                slot.1 |= has_null;
-            }
-        }
-        acc
-    };
 
     // Code-space layout: row-major strides over the per-column widths.
     let mut dims = Vec::with_capacity(views.len());
     let mut total: u64 = 1;
-    for (mm, _) in &stats {
-        let (min, width) = match mm {
+    for view in &views {
+        let (min, width) = match view.min_max_range(range.clone()) {
             Some((min, max)) => {
-                let range = (*max as i128) - (*min as i128) + 1;
-                if range + 1 > MAX_DICT_SLOTS as i128 {
+                let span = (max as i128) - (min as i128) + 1;
+                if span + 1 > MAX_DICT_SLOTS as i128 {
                     return None;
                 }
-                (*min, range as u64 + 1)
+                (min, span as u64 + 1)
             }
-            None => (0, 1), // all-NULL column: only the NULL slot exists
+            None => (0, 1), // no valid row: only the NULL slot exists
         };
         total = total.checked_mul(width)?;
         if total > MAX_DICT_SLOTS {
@@ -942,28 +992,32 @@ fn dict_group_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Option<Group
     }
     // A code space far larger than the input would spend more on the remap
     // table than the dictionary saves.
-    if total > 4 * n as u64 + 1024 {
+    if total > 4 * range.len() as u64 + 1024 {
         return None;
     }
 
-    // Per-row codes, morsel-parallel; concatenation in morsel order keeps
-    // row order, which the renumber walk below depends on.
-    let codes: Vec<u32> = {
-        let parts = pool.run_morsels(n, |range| {
-            let mut part = vec![0u32; range.len()];
-            for (view, dim) in views.iter().zip(dims.iter()) {
-                view.fold_codes(range.clone(), dim, &mut part);
-            }
-            part
-        });
-        let mut codes = Vec::with_capacity(n);
-        for p in parts {
-            codes.extend_from_slice(&p);
-        }
-        codes
-    };
+    let mut codes = vec![0u32; range.len()];
+    for (view, dim) in views.iter().zip(dims.iter()) {
+        view.fold_codes(range.clone(), dim, &mut codes);
+    }
 
-    Some(renumber_first_appearance(&codes, total as usize))
+    // Renumber the codes into dense group ids in first-appearance order —
+    // the step that makes this path's `Grouping` identical to the hash path's.
+    let mut remap = vec![u32::MAX; total as usize];
+    let mut gids = Vec::with_capacity(codes.len());
+    let mut representatives = Vec::new();
+    for (row, code) in range.zip(codes) {
+        let slot = &mut remap[code as usize];
+        if *slot == u32::MAX {
+            *slot = representatives.len() as u32;
+            representatives.push(row);
+        }
+        gids.push(*slot as usize);
+    }
+    Some(Grouping {
+        gids,
+        representatives,
+    })
 }
 
 /// A typed integral view of one dictionary key column.
@@ -981,17 +1035,16 @@ impl<'a> DictView<'a> {
         }
     }
 
-    /// `(Some((min, max)) over valid rows, any NULL seen)` for `range`.
-    fn min_max_range(&self, range: Range<usize>) -> (Option<(i64, i64)>, bool) {
+    /// `(min, max)` over the valid rows of `range`, `None` when there is none.
+    fn min_max_range(&self, range: Range<usize>) -> Option<(i64, i64)> {
         #[inline(always)]
         fn scan<T: Copy>(
             v: &[T],
             col: &Column,
             range: Range<usize>,
             to_i64: impl Fn(T) -> i64,
-        ) -> (Option<(i64, i64)>, bool) {
+        ) -> Option<(i64, i64)> {
             let mut mm: Option<(i64, i64)> = None;
-            let mut has_null = false;
             for i in range {
                 if col.is_valid(i) {
                     let x = to_i64(v[i]);
@@ -999,11 +1052,9 @@ impl<'a> DictView<'a> {
                         Some((lo, hi)) => (lo.min(x), hi.max(x)),
                         None => (x, x),
                     });
-                } else {
-                    has_null = true;
                 }
             }
-            (mm, has_null)
+            mm
         }
         match self {
             DictView::Int(v, col) => scan(v, col, range, |x| x),
@@ -1051,27 +1102,6 @@ impl<'a> DictView<'a> {
             DictView::Int(v, col) => fold(v, col, range, dim, codes, |x| x),
             DictView::Bool(v, col) => fold(v, col, range, dim, codes, |x| x as i64),
         }
-    }
-}
-
-/// Renumbers arbitrary per-row codes (`< space`) into dense group ids in
-/// first-appearance order — the final step of the dictionary path, and the
-/// step that makes its [`Grouping`] identical to the hash path's.
-fn renumber_first_appearance(codes: &[u32], space: usize) -> Grouping {
-    let mut remap = vec![u32::MAX; space];
-    let mut gids = Vec::with_capacity(codes.len());
-    let mut representatives = Vec::new();
-    for (row, &code) in codes.iter().enumerate() {
-        let slot = &mut remap[code as usize];
-        if *slot == u32::MAX {
-            *slot = representatives.len() as u32;
-            representatives.push(row);
-        }
-        gids.push(*slot as usize);
-    }
-    Grouping {
-        gids,
-        representatives,
     }
 }
 
@@ -1486,9 +1516,9 @@ mod tests {
             for threads in [1usize, 4] {
                 let pool = ThreadPool::new(threads);
                 assert_eq!(
-                    dict_group_rows(keys, *rows, &pool).is_some(),
+                    dict_group_range(keys, 0..*rows).is_some(),
                     *dict,
-                    "{label}: dictionary eligibility at {threads} threads"
+                    "{label}: dictionary eligibility"
                 );
                 let g = group_rows_with(keys, *rows, &pool);
                 assert_eq!(g.gids, ref_gids, "{label}: gids at {threads} threads");

@@ -656,6 +656,270 @@ fn integral_sum_is_exact_above_2_pow_53_and_reports_overflow() {
     assert_eq!(last.answer.table.value_at(0, 0), EXACT);
 }
 
+/// The engine has one aggregation core, and a progressive scan is that core
+/// fed block by block: **every** snapshot must be bit-identical to
+/// `Engine::execute_sql` over a table holding exactly the prefix consumed —
+/// for every aggregate, with NULLs, at any block size and pool size, and
+/// with a WHERE clause that makes base-block boundaries and the core's
+/// evaluated-row morsel grid disagree.  Groups come out in first-appearance
+/// order, checked against the scalar reference evaluator.  `key_cols` are
+/// the table columns `aggregates` is grouped by.
+fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], aggregates: &str) {
+    use std::collections::{BTreeSet, HashMap};
+    use verdictdb::engine::{Backend, Engine, MORSEL_ROWS};
+
+    // ~37% of 3.7 morsels of base rows survive the filter: the evaluated
+    // rows fill one morsel and open a second, and no block size below lands
+    // a block boundary on the evaluated-row grid.
+    let rows = 3 * MORSEL_ROWS + 45_678;
+    let at = |i: usize, mul: usize, modulus: usize| (i.wrapping_mul(mul) % modulus) as i64;
+    let table = TableBuilder::new()
+        .float_column(
+            "w",
+            (0..rows)
+                .map(|i| at(i, 2_654_435_761, 10_000) as f64 / 1e4)
+                .collect(),
+        )
+        // groups 0..13, a NULL group, and groups 100.. that first appear
+        // late in the scan
+        .opt_int_column(
+            "g",
+            (0..rows)
+                .map(|i| match i {
+                    _ if i % 41 == 0 => None,
+                    _ if i > rows / 2 && i % 5_003 == 0 => Some(100 + (i % 3) as i64),
+                    _ => Some(at(i, 7_919, 13)),
+                })
+                .collect(),
+        )
+        .opt_str_column(
+            "s",
+            (0..rows)
+                .map(|i| (i % 29 != 0).then(|| ["north", "south", "east"][i * 7 % 3].to_string()))
+                .collect(),
+        )
+        .opt_float_column(
+            "x",
+            (0..rows)
+                .map(|i| (i % 11 != 0).then(|| (i as f64 * 0.37).sin() * 1e3))
+                .collect(),
+        )
+        .opt_int_column(
+            "i",
+            (0..rows)
+                .map(|i| (i % 13 != 0).then(|| at(i, 48_271, 100_003) - 50_000))
+                .collect(),
+        )
+        .opt_str_column(
+            "s2",
+            (0..rows)
+                .map(|i| (i % 17 != 0).then(|| format!("v{:05}", at(i, 7_919, 50_021))))
+                .collect(),
+        )
+        .build()
+        .unwrap();
+    const WHERE: &str = "w < 0.37";
+    let keys: Vec<&str> = key_cols
+        .iter()
+        .map(|&c| table.schema.fields[c].name.as_str())
+        .collect();
+    let keys = keys.join(", ");
+    let sql = format!("SELECT {keys}, {aggregates} FROM t WHERE {WHERE} GROUP BY {keys}");
+
+    // Scalar reference: which base rows the filter keeps, where the
+    // evaluated-row count crosses the morsel boundary, and the groups in
+    // first-appearance order, each with the base row it first appears in.
+    let predicate = parse_expression(WHERE).unwrap();
+    let kept: Vec<usize> = (0..rows)
+        .filter(|&row| reference_eval_row(&predicate, &table, row) == Value::Bool(true))
+        .collect();
+    let selectivity = kept.len() as f64 / rows as f64;
+    assert!((0.36..0.38).contains(&selectivity), "{selectivity}");
+    assert_eq!(kept.len() / MORSEL_ROWS, 1, "{} evaluated rows", kept.len());
+    let crossing = kept[MORSEL_ROWS - 1] + 1;
+    let mut first_seen: Vec<(usize, Vec<Value>)> = Vec::new();
+    for &row in &kept {
+        let key: Vec<Value> = key_cols.iter().map(|&c| table.value_at(row, c)).collect();
+        if !first_seen.iter().any(|(_, k)| *k == key) {
+            first_seen.push((row, key));
+        }
+    }
+
+    // One-shot answers do not depend on the pool size (pinned once, over the
+    // whole table), so every stream is held against the serial one-shot run.
+    let one_shot_over = |threads: usize, len: usize| {
+        let columns = table.columns.iter().map(|c| c.slice(0, len)).collect();
+        let e = Engine::with_seed(3);
+        e.set_parallelism(threads);
+        e.register_table("t", Table::new(table.schema.clone(), columns).unwrap());
+        e.execute_sql(&sql).unwrap().table
+    };
+    let mut one_shots: HashMap<usize, Table> = HashMap::new();
+    one_shots.insert(rows, one_shot_over(1, rows));
+    common::assert_tables_bit_identical(
+        &one_shot_over(4, rows),
+        &one_shots[&rows],
+        "one-shot at 4 threads vs 1",
+    );
+
+    for block in [1, 300, MORSEL_ROWS - 1, MORSEL_ROWS, 2 * MORSEL_ROWS + 7] {
+        // Large blocks: a snapshot after every block.  Small ones: after the
+        // first block, the last, and the three blocks around the crossing of
+        // the evaluated-row grid (for block 1: one row before, at, after).
+        let after = crossing.div_ceil(block) * block;
+        let checkpoints: BTreeSet<usize> =
+            [block, after - block, after, after + block, rows].into();
+        for threads in [1usize, 4] {
+            let e = Engine::with_seed(3);
+            e.set_parallelism(threads);
+            e.register_table("t", table.clone());
+            let mut scan = e.open_block_scan(&sql).expect("progressive shape");
+            let mut snapshots = 0;
+            while !scan.done() {
+                // past its last checkpoint a small-block scan takes the
+                // rest of the table in one step
+                let small = block < MORSEL_ROWS - 1;
+                let past = scan.rows_seen() as usize >= after + block;
+                scan.advance(if small && past { rows } else { block } as u64)
+                    .unwrap();
+                let seen = scan.rows_seen() as usize;
+                if small && !checkpoints.contains(&seen) {
+                    continue;
+                }
+                snapshots += 1;
+                let case = format!("block {block}, {threads} thread(s), {seen} rows: {sql}");
+                let snapshot = scan.snapshot().unwrap().table;
+                let one_shot = one_shots
+                    .entry(seen)
+                    .or_insert_with(|| one_shot_over(1, seen));
+                common::assert_tables_bit_identical(&snapshot, one_shot, &case);
+
+                let order: Vec<&Vec<Value>> = first_seen
+                    .iter()
+                    .filter(|(row, _)| *row < seen)
+                    .map(|(_, key)| key)
+                    .collect();
+                assert_eq!(snapshot.num_rows(), order.len(), "{case}: group count");
+                for (r, key) in order.iter().enumerate() {
+                    for (c, v) in key.iter().enumerate() {
+                        assert!(
+                            common::values_bit_identical(&snapshot.value_at(r, c), v),
+                            "{case}: group {r} key {c} is {:?}, first appearance says {v:?}",
+                            snapshot.value_at(r, c)
+                        );
+                    }
+                }
+            }
+            assert!(
+                snapshots >= 2,
+                "block {block}: {snapshots} snapshots checked"
+            );
+        }
+    }
+}
+
+/// Integral keys cluster through dictionary codes.
+#[test]
+fn every_stream_snapshot_is_the_one_shot_answer_over_its_prefix_dict_keys() {
+    check_stream_snapshots_against_one_shot_prefixes(
+        &[1],
+        "count(*) AS n, count(x) AS nx, sum(i) AS si, sum(x) AS sx, avg(x) AS ax, \
+         min(i) AS lo_i, max(i) AS hi_i, min(x) AS lo_x, max(x) AS hi_x",
+    );
+}
+
+/// A string key clusters through the hash table.
+#[test]
+fn every_stream_snapshot_is_the_one_shot_answer_over_its_prefix_hash_keys() {
+    check_stream_snapshots_against_one_shot_prefixes(
+        &[2, 1],
+        "min(s2) AS lo_s, max(s2) AS hi_s, variance(x) AS vx, stddev(x) AS sdx, \
+         median(x) AS mx, quantile(x, 0.9) AS q9, count(DISTINCT i) AS di, ndv(i) AS ni",
+    );
+}
+
+/// Two things a running aggregation state must get right *between* blocks:
+/// an integral `sum` that leaves the `i64` range in block k fails the
+/// snapshot of block k — not only the last one — and a group first seen in
+/// the last block shows up there with its own keys.
+#[test]
+fn stream_snapshots_report_overflow_at_its_block_and_late_groups_with_their_keys() {
+    use verdictdb::engine::{Backend, Engine, EngineError, MORSEL_ROWS};
+
+    // (rows, block, rows holding i64::MAX and 1): within one open morsel,
+    // and across two morsels (each partial is fine; their merge overflows).
+    for (rows, block, (huge, one)) in [
+        (3_000, 1_000, (1_500, 1_501)),
+        (2 * MORSEL_ROWS + 9, MORSEL_ROWS, (10, MORSEL_ROWS + 5)),
+    ] {
+        let mut big = vec![0i64; rows];
+        (big[huge], big[one]) = (i64::MAX, 1);
+        let e = Engine::with_seed(5);
+        e.register_table(
+            "t",
+            TableBuilder::new().int_column("big", big).build().unwrap(),
+        );
+        let mut scan = e
+            .open_block_scan("SELECT sum(big) AS s, count(*) AS n FROM t")
+            .expect("progressive shape");
+        let mut frames = Vec::new();
+        while !scan.done() {
+            scan.advance(block as u64).unwrap();
+            frames.push(scan.snapshot().map(|r| r.table.value_at(0, 1)));
+        }
+        assert_eq!(frames.len(), 3);
+        assert_eq!(
+            frames[0],
+            Ok(Value::Int(block as i64)),
+            "block 1 has no overflow yet"
+        );
+        for (k, frame) in frames.iter().enumerate().skip(1) {
+            match frame {
+                Err(EngineError::Execution(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+                other => panic!(
+                    "{rows} rows, block {}: expected overflow, got {other:?}",
+                    k + 1
+                ),
+            }
+        }
+    }
+
+    let rows = 2 * MORSEL_ROWS + 500;
+    let late = |i: usize| i >= rows - 100;
+    let table = TableBuilder::new()
+        .int_column(
+            "g",
+            (0..rows)
+                .map(|i| if late(i) { 77 } else { i as i64 % 5 })
+                .collect(),
+        )
+        .str_column(
+            "s",
+            (0..rows)
+                .map(|i| if late(i) { "late" } else { "early" }.to_string())
+                .collect(),
+        )
+        .float_column("x", (0..rows).map(|i| i as f64 * 0.25).collect())
+        .build()
+        .unwrap();
+    const Q: &str = "SELECT g, s, count(*) AS n, sum(x) AS sx FROM t GROUP BY g, s";
+    let e = Engine::with_seed(5);
+    e.register_table("t", table);
+    let mut scan = e.open_block_scan(Q).expect("progressive shape");
+    scan.advance(2 * MORSEL_ROWS as u64).unwrap();
+    assert_eq!(scan.snapshot().unwrap().table.num_rows(), 5);
+    scan.advance(MORSEL_ROWS as u64).unwrap();
+    assert!(scan.done());
+    let last = scan.snapshot().unwrap().table;
+    assert_eq!(last.num_rows(), 6);
+    assert_eq!(last.value_at(5, 0), Value::Int(77));
+    assert_eq!(last.value_at(5, 1), Value::Str("late".into()));
+    assert_eq!(last.value_at(5, 2), Value::Int(100));
+    let expected: f64 = (rows - 100..rows).map(|i| i as f64 * 0.25).sum();
+    assert_eq!(last.value_at(5, 3), Value::Float(expected));
+    common::assert_tables_bit_identical(&last, &e.execute_sql(Q).unwrap().table, "late group");
+}
+
 #[test]
 fn vectorized_aggregation_agrees_with_scalar_reference() {
     use verdictdb::engine::Engine;
@@ -1473,20 +1737,24 @@ fn shed_apply_only_loosens_accuracy_and_only_shrinks_io_budget() {
         let before_budget = cfg.io_budget;
         let tier = ShedTier::from_level(rng.gen_range(0..4usize) as u8);
         tier.apply(&mut cfg);
-        if let Some(b) = before_err {
-            let a = cfg
-                .max_relative_error
-                .expect("apply never clears an error target");
-            assert!(
-                a >= b,
-                "case {case} {tier:?}: shedding tightened max_relative_error ({b} -> {a})"
-            );
-        }
-        if tier != ShedTier::None {
-            assert!(
-                cfg.max_relative_error >= tier.target_error_floor(),
-                "case {case} {tier:?}: target below the tier floor"
-            );
+        match (before_err, cfg.max_relative_error) {
+            // No target stays no target: a floor turned into a target would
+            // make `pipeline::finish` re-run shed answers exactly.
+            (None, after) => assert_eq!(
+                after, None,
+                "case {case} {tier:?}: shedding gave a session without a target one"
+            ),
+            (Some(_), None) => panic!("case {case} {tier:?}: apply cleared an error target"),
+            (Some(b), Some(a)) => {
+                assert!(
+                    a >= b,
+                    "case {case} {tier:?}: shedding tightened max_relative_error ({b} -> {a})"
+                );
+                assert!(
+                    Some(a) >= tier.target_error_floor(),
+                    "case {case} {tier:?}: target below the tier floor"
+                );
+            }
         }
         assert!(
             cfg.io_budget <= before_budget + 1e-12,

@@ -766,3 +766,41 @@ fn sixty_four_interleaved_multiplexed_sessions_match_in_process_bit_for_bit() {
     }
     handle.stop();
 }
+
+#[test]
+fn shedding_a_session_without_a_target_never_reruns_exactly() {
+    use verdictdb::core::ShedTier;
+    // 500 scramble rows over 10 groups: the estimated error is far above the
+    // light tier's 2% floor.  A session that set no `target_error` has no
+    // contract to miss, so the shed answer must stay the sampled one — a
+    // floor turned into a target would re-run it exactly on the base table,
+    // adding a full scan to the very query the ladder meant to cheapen.
+    const Q: &str = "SELECT city, avg(price) AS ap FROM sales GROUP BY city";
+    let mut s = VerdictSession::new(sales_context(29));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.01")
+        .unwrap();
+    s.set_shed_tier(ShedTier::Light);
+    assert_eq!(s.effective_config().max_relative_error, None);
+    let resp = s.execute(Q).unwrap();
+    let answer = resp.answer().expect("a query answer");
+    assert!(
+        answer.max_relative_error() > 0.02,
+        "the case needs an estimate over the tier floor, got {}",
+        answer.max_relative_error()
+    );
+    assert!(!answer.exact, "a shed answer must not fall back to exact");
+    assert_eq!(
+        answer.rewritten_sql.len(),
+        1,
+        "one backend statement: {:?}",
+        answer.rewritten_sql
+    );
+
+    // A session that did set a target keeps a (loosened) contract: 0.1% is
+    // raised to the 2% floor, the estimate is still over it, and the re-run
+    // is the session's own choice.
+    s.execute("SET target_error = 0.001").unwrap();
+    assert_eq!(s.effective_config().max_relative_error, Some(0.02));
+    let resp = s.execute(Q).unwrap();
+    assert!(resp.answer().expect("a query answer").exact);
+}
