@@ -502,26 +502,41 @@ fn substitute_from(
         // data always produces the same answer and interval — which is what
         // lets a progressive stream's final frame match the one-shot answer
         // bit for bit, and what makes cached answers reproducible.
-        let inner_sql = if with_sid {
-            format!(
-                "SELECT *, CAST(1 + floor({SUBSAMPLE_DRAW_COLUMN} * {b}) AS BIGINT) \
-                 AS {sid_column} FROM {}",
-                sample.sample_table
-            )
-        } else {
-            format!("SELECT * FROM {}", sample.sample_table)
-        };
-        let subquery = match verdict_sql::parse_statement(&inner_sql) {
-            Ok(Statement::Query(q)) => q,
-            _ => return None,
-        };
+        let mut subquery = Query::empty();
+        subquery.projection.push(SelectItem::Wildcard);
+        if with_sid {
+            let draw = Expr::binary(
+                Expr::col(SUBSAMPLE_DRAW_COLUMN),
+                BinaryOp::Multiply,
+                Expr::int(b as i64),
+            );
+            let sid = Expr::binary(
+                Expr::int(1),
+                BinaryOp::Plus,
+                Expr::func("floor", vec![draw]),
+            );
+            subquery.projection.push(SelectItem::ExprWithAlias {
+                expr: Expr::Cast {
+                    expr: Box::new(sid),
+                    data_type: CastType::Integer,
+                },
+                alias: sid_column.clone(),
+            });
+        }
+        subquery.from.push(TableWithJoins {
+            relation: TableFactor::Table {
+                name: ObjectName::new(sample.sample_table.split('.').collect()),
+                alias: None,
+            },
+            joins: Vec::new(),
+        });
         sampled.push(SampledRelation {
             alias: binding.clone(),
             sid_column,
             meta: sample.clone(),
         });
         Some(TableFactor::Derived {
-            subquery,
+            subquery: Box::new(subquery),
             alias: Some(binding),
         })
     });
@@ -539,18 +554,23 @@ struct SampledRelation {
 /// The combined subsample-id expression: a single variational table keeps its
 /// own sid; two are paired with `h(i, j)` (Theorem 4); more fold left.
 fn combined_sid_expr(sampled: &[SampledRelation], b: u64) -> Option<Expr> {
-    let sqrt_b = (b as f64).sqrt().round() as u64;
+    let sqrt_b = Expr::int((b as f64).sqrt().round() as i64);
+    let sid = |s: &SampledRelation| Expr::qcol(&s.alias, &s.sid_column);
+    // floor((i - 1) / √b)
+    let bucket = |i: Expr| {
+        let zero_based = Expr::Nested(Box::new(Expr::binary(i, BinaryOp::Minus, Expr::int(1))));
+        let scaled = Expr::binary(zero_based, BinaryOp::Divide, sqrt_b.clone());
+        Expr::func("floor", vec![scaled])
+    };
     let mut iter = sampled.iter();
-    let first = iter.next()?;
-    let mut expr_sql = format!("{}.{}", first.alias, first.sid_column);
+    let mut expr = sid(iter.next()?);
     for next in iter {
         // h(i, j) = floor((i-1)/√b)·√b + floor((j-1)/√b) + 1
-        expr_sql = format!(
-            "(floor(({expr_sql} - 1) / {sqrt_b}) * {sqrt_b} + floor(({}.{} - 1) / {sqrt_b}) + 1)",
-            next.alias, next.sid_column
-        );
+        let high = Expr::binary(bucket(expr), BinaryOp::Multiply, sqrt_b.clone());
+        let paired = Expr::binary(high, BinaryOp::Plus, bucket(sid(next)));
+        expr = Expr::Nested(Box::new(Expr::binary(paired, BinaryOp::Plus, Expr::int(1))));
     }
-    verdict_sql::parse_expression(&expr_sql).ok()
+    Some(expr)
 }
 
 /// The combined sampling-probability expression for the (possibly irregular)
@@ -921,6 +941,62 @@ mod tests {
             "{sql}"
         );
         assert!(sql.contains("least(") || sql.contains("*"), "{sql}");
+    }
+
+    #[test]
+    fn wrapper_and_sid_pairing_are_the_ast_of_their_sql_text() {
+        let q = query("SELECT count(*) AS cnt FROM orders");
+        let a = analyze_query(&q).unwrap();
+        let out = rewrite(&a, &plan_for(&a), &VerdictConfig::default()).unwrap();
+        let Some(Statement::Query(mean)) = out.mean_query else {
+            panic!("mean query")
+        };
+        let spelled = query(
+            "SELECT 1 FROM (SELECT *, CAST(1 + floor(verdict_subsample_u * 100) AS BIGINT) \
+             AS verdict_sid_0 FROM verdict_sample_orders_uniform) AS orders",
+        );
+        assert_eq!(mean.from, spelled.from);
+
+        let meta = store().all().remove(0);
+        let sampled: Vec<SampledRelation> = ["o", "p", "q"]
+            .iter()
+            .enumerate()
+            .map(|(k, alias)| SampledRelation {
+                alias: alias.to_string(),
+                sid_column: format!("verdict_sid_{k}"),
+                meta: meta.clone(),
+            })
+            .collect();
+        let h =
+            |i: &str, j: &str| format!("(floor(({i} - 1) / 10) * 10 + floor(({j} - 1) / 10) + 1)");
+        let two = h("o.verdict_sid_0", "p.verdict_sid_1");
+        let three = h(&two, "q.verdict_sid_2");
+        for (n, text) in [
+            (1, "o.verdict_sid_0"),
+            (2, two.as_str()),
+            (3, three.as_str()),
+        ] {
+            let built = combined_sid_expr(&sampled[..n], 100).unwrap();
+            assert_eq!(
+                built,
+                verdict_sql::parse_expression(text).unwrap(),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_scramble_name_the_parser_rejects_is_still_substituted() {
+        let q = query("SELECT count(*) AS cnt FROM orders");
+        let a = analyze_query(&q).unwrap();
+        let mut plan = plan_for(&a);
+        let sample = plan.choices[0].sample.as_mut().expect("sampled");
+        sample.sample_table = "my-scramble".into();
+        // the relation must not silently stay on the base table: the name
+        // reaches the backend, which is where a bad name fails
+        let out = rewrite(&a, &plan, &VerdictConfig::default()).unwrap();
+        let sql = print_statement(&out.mean_query.unwrap(), &GenericDialect);
+        assert!(sql.contains("my-scramble"), "{sql}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! FROM-clause evaluation: base-table scans, derived tables, and joins.
 //!
 //! Joins are executed as hash joins on the equi-join keys extracted from the
-//! `ON` condition; residual (non-equi) predicates are applied as a filter on
-//! the joined result.  This mirrors how the paper's underlying engines
-//! evaluate the equi-joins that VerdictDB emits.
+//! `ON` condition; residual (non-equi) predicates are evaluated over the
+//! key-matched candidate pairs, before an outer join null-extends its
+//! unmatched rows.  This mirrors how the paper's underlying engines evaluate
+//! the equi-joins that VerdictDB emits.
 //!
 //! Join keys are hashed directly from the typed columns
 //! ([`crate::kernels::RowIndex`]) — no per-row `KeyValue` materialisation or
@@ -102,11 +103,15 @@ pub fn extract_equi_pairs(
 
 /// Performs a hash join between two frames.
 ///
-/// `join_type` may be Inner, Left, or Right; Right joins are executed as the
-/// mirrored Left join.  Cross joins take the nested-loop path with no keys.
-/// The build side is indexed and the output gathered morsel-parallel over
-/// `pool`; probing stays sequential so match order (and thus output order)
-/// is identical at any thread count.
+/// `join_type` may be Inner, Left, or Right; the preserved side of an outer
+/// join probes, the other side is indexed.  Cross joins take the nested-loop
+/// path with no keys.  Residual (non-equi) `ON` conjuncts are part of the
+/// match condition: they are evaluated over the key-matched candidate pairs,
+/// and a preserved row whose candidates all fail them is emitted once,
+/// null-extended — filtering after null-extension would drop it.  The build
+/// side is indexed and the output gathered morsel-parallel over `pool`;
+/// probing stays sequential so match order (and thus output order) is
+/// identical at any thread count.
 pub fn hash_join(
     left: &Table,
     right: &Table,
@@ -116,44 +121,23 @@ pub fn hash_join(
     rng: &mut dyn FnMut() -> f64,
     pool: &ThreadPool,
 ) -> EngineResult<Table> {
-    if join_type == JoinType::Right {
-        let mirrored: Vec<EquiPair> = pairs
-            .iter()
-            .map(|p| EquiPair {
-                left: p.right.clone(),
-                right: p.left.clone(),
-            })
-            .collect();
-        let joined = hash_join(right, left, &mirrored, &[], JoinType::Left, rng, pool)?;
-        // reorder columns back to (left, right) order
-        let left_width = left.num_columns();
-        let right_width = right.num_columns();
-        let mut fields = Vec::with_capacity(left_width + right_width);
-        let mut columns = Vec::with_capacity(left_width + right_width);
-        for i in 0..left_width {
-            fields.push(joined.schema.fields[right_width + i].clone());
-            columns.push(joined.columns[right_width + i].clone());
-        }
-        for i in 0..right_width {
-            fields.push(joined.schema.fields[i].clone());
-            columns.push(joined.columns[i].clone());
-        }
-        let reordered = Table::new(Schema::new(fields), columns)?;
-        return apply_residual(reordered, residual, rng, pool);
-    }
-
-    let out_schema = left.schema.join(&right.schema);
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = if pairs.is_empty() {
+    let probe_is_right = join_type == JoinType::Right;
+    let (probe, build) = if probe_is_right {
+        (right, left)
+    } else {
+        (left, right)
+    };
+    let (mut probe_idx, mut build_idx): (Vec<usize>, Vec<usize>) = if pairs.is_empty() {
         // cross join / no equi keys: nested loop
-        let mut li = Vec::new();
-        let mut ri = Vec::new();
-        for l in 0..left.num_rows() {
-            for r in 0..right.num_rows() {
-                li.push(l);
-                ri.push(r);
+        let mut pi = Vec::new();
+        let mut bi = Vec::new();
+        for p in 0..probe.num_rows() {
+            for b in 0..build.num_rows() {
+                pi.push(p);
+                bi.push(b);
             }
         }
-        (li, ri)
+        (pi, bi)
     } else {
         // evaluate typed key columns on both sides
         let mut left_keys: Vec<Column> = Vec::with_capacity(pairs.len());
@@ -164,63 +148,99 @@ pub fn hash_join(
             let mut rctx = EvalContext { table: right, rng };
             right_keys.push(eval_expr(&p.right, &mut rctx)?);
         }
-        // build on the right (morsel-parallel), probe with the left
-        let index = RowIndex::build_with(&right_keys, right.num_rows(), pool);
-        let probe_hashes = par_hash_rows(&left_keys, left.num_rows(), pool);
-        let mut li = Vec::new();
-        let mut ri = Vec::new();
-        for l in 0..left.num_rows() {
-            let mut matched = false;
-            index.probe_each(&left_keys, probe_hashes[l], l, |r| {
-                li.push(l);
-                ri.push(r);
-                matched = true;
+        let (probe_keys, build_keys) = if probe_is_right {
+            (right_keys, left_keys)
+        } else {
+            (left_keys, right_keys)
+        };
+        // index the build side (morsel-parallel), probe in row order
+        let index = RowIndex::build_with(&build_keys, build.num_rows(), pool);
+        let probe_hashes = par_hash_rows(&probe_keys, probe.num_rows(), pool);
+        let mut pi = Vec::new();
+        let mut bi = Vec::new();
+        for (p, &hash) in probe_hashes.iter().enumerate() {
+            index.probe_each(&probe_keys, hash, p, |b| {
+                pi.push(p);
+                bi.push(b);
             });
-            if !matched && join_type == JoinType::Left {
-                li.push(l);
-                ri.push(usize::MAX); // marker for null row
-            }
         }
-        (li, ri)
+        (pi, bi)
     };
 
-    // assemble the joined frame with per-column typed gathers, fanned out
-    // over the pool (columns are independent, so order is preserved); small
-    // outputs stay serial — thread spawn would dwarf the gather itself
+    // assemble a joined frame with per-column typed gathers, fanned out over
+    // the pool (columns are independent, so order is preserved); small
+    // outputs stay serial — thread spawn would dwarf the gather itself.
+    // `usize::MAX` in `build_idx` marks the null row of an outer join.
     let left_width = left.num_columns();
-    let gather = |i: usize| {
-        if i < left_width {
-            left.columns[i].take(&left_idx)
-        } else {
-            right.columns[i - left_width].take_opt(&right_idx)
-        }
-    };
     let total = left_width + right.num_columns();
-    let columns: Vec<Column> =
-        if pool.parallelism() <= 1 || left_idx.len() <= crate::parallel::MORSEL_ROWS {
-            (0..total).map(gather).collect()
-        } else {
-            pool.run(total, gather)
+    let joined = |probe_idx: &[usize], build_idx: &[usize]| {
+        let gather = |i: usize| {
+            let column = if i < left_width {
+                &left.columns[i]
+            } else {
+                &right.columns[i - left_width]
+            };
+            // the left side probes unless the join is RIGHT
+            if (i < left_width) != probe_is_right {
+                column.take(probe_idx)
+            } else {
+                column.take_opt(build_idx)
+            }
         };
-    let joined = Table::new(out_schema, columns)?;
-    apply_residual(joined, residual, rng, pool)
+        let columns: Vec<Column> =
+            if pool.parallelism() <= 1 || probe_idx.len() <= crate::parallel::MORSEL_ROWS {
+                (0..total).map(gather).collect()
+            } else {
+                pool.run(total, gather)
+            };
+        Table::new(left.schema.join(&right.schema), columns)
+    };
+
+    let outer = matches!(join_type, JoinType::Left | JoinType::Right);
+    if let Some(pred) = combine_conjuncts(residual.to_vec()) {
+        let candidates = joined(&probe_idx, &build_idx)?;
+        let mask = {
+            let mut ctx = EvalContext {
+                table: &candidates,
+                rng,
+            };
+            par_column_to_mask(&eval_expr(&pred, &mut ctx)?, pool)
+        };
+        if !outer {
+            return Ok(candidates.filter_with(&mask, pool));
+        }
+        let keep = mask.indices();
+        probe_idx = keep.iter().map(|&k| probe_idx[k]).collect();
+        build_idx = keep.iter().map(|&k| build_idx[k]).collect();
+    }
+    if outer {
+        (probe_idx, build_idx) = null_extend(probe.num_rows(), &probe_idx, &build_idx);
+    }
+    joined(&probe_idx, &build_idx)
 }
 
-fn apply_residual(
-    table: Table,
-    residual: &[Expr],
-    rng: &mut dyn FnMut() -> f64,
-    pool: &ThreadPool,
-) -> EngineResult<Table> {
-    if residual.is_empty() {
-        return Ok(table);
+/// Adds `(p, usize::MAX)` for every probe row `p` absent from the matched
+/// pairs (ascending in `probe_idx`), keeping probe-row order.
+fn null_extend(
+    probe_rows: usize,
+    probe_idx: &[usize],
+    build_idx: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let mut pi = Vec::with_capacity(probe_idx.len().max(probe_rows));
+    let mut bi = Vec::with_capacity(pi.capacity());
+    let mut next = 0;
+    for p in 0..probe_rows {
+        if probe_idx.get(next) != Some(&p) {
+            pi.push(p);
+            bi.push(usize::MAX);
+        }
+        while probe_idx.get(next) == Some(&p) {
+            pi.push(p);
+            bi.push(build_idx[next]);
+            next += 1;
+        }
     }
-    let pred = combine_conjuncts(residual.to_vec()).expect("nonempty residual");
-    let mask = {
-        let mut ctx = EvalContext { table: &table, rng };
-        par_column_to_mask(&eval_expr(&pred, &mut ctx)?, pool)
-    };
-    Ok(table.filter_with(&mask, pool))
+    (pi, bi)
 }
 
 /// Cartesian product of two frames (used for comma-separated FROM items).
@@ -238,6 +258,7 @@ mod tests {
     use super::*;
     use crate::functions::seeded_uniform;
     use crate::table::TableBuilder;
+    use crate::value::Value;
     use verdict_sql::parse_expression;
 
     fn orders() -> Table {
@@ -415,6 +436,44 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.num_rows(), 2);
+    }
+
+    /// `ON o.order_id = i.order_id AND i.price > 15`: the residual is part
+    /// of the match condition, so order 1 keeps only its 20.0 item, order 2
+    /// its 30.0 item, and a preserved row without a passing candidate is
+    /// null-extended, not dropped.
+    #[test]
+    fn outer_join_residual_null_extends_rows_whose_candidates_all_fail() {
+        let (l, r) = (orders(), items());
+        let constraint = parse_expression("o.order_id = i.order_id AND i.price > 15").unwrap();
+        let (pairs, residual) = extract_equi_pairs(&constraint, &l.schema, &r.schema);
+        let rows = |join_type| -> Vec<Vec<Value>> {
+            let mut rng = seeded_uniform(1);
+            let pool = ThreadPool::serial();
+            let out = hash_join(&l, &r, &pairs, &residual, join_type, &mut rng, &pool).unwrap();
+            out.iter_rows().collect()
+        };
+        let (int, float, null) = (Value::Int, Value::Float, Value::Null);
+        let s = |v: &str| Value::Str(v.into());
+        assert_eq!(
+            rows(JoinType::Left),
+            vec![
+                vec![int(1), s("a"), int(1), float(20.0)],
+                vec![int(2), s("b"), int(2), float(30.0)],
+                vec![int(3), s("a"), null.clone(), null.clone()],
+            ]
+        );
+        // every item is preserved; the 10.0 item fails the residual and the
+        // order-4 item has no order, so both get a NULL order side
+        assert_eq!(
+            rows(JoinType::Right),
+            vec![
+                vec![null.clone(), null.clone(), int(1), float(10.0)],
+                vec![int(1), s("a"), int(1), float(20.0)],
+                vec![int(2), s("b"), int(2), float(30.0)],
+                vec![null.clone(), null, int(4), float(40.0)],
+            ]
+        );
     }
 
     #[test]

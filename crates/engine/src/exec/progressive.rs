@@ -5,11 +5,11 @@
 //! table), a WHERE filter, and a grouped aggregation, which is exactly the
 //! shape of VerdictDB's rewritten variational-subsampling ("mean") query —
 //! **incrementally**: [`BlockScan::advance`] consumes the next block of base
-//! rows (scan → derived projection → filter → group-key/argument
-//! evaluation, each element-wise and therefore identical to evaluating the
-//! whole table at once) and pushes the evaluated rows into a running
-//! [`AggState`] — the same aggregation core, and the same `push`, the
-//! one-shot executor uses; [`BlockScan::snapshot`] is that state's
+//! rows (the FROM relation's frame for the block → filter →
+//! group-key/argument evaluation, each element-wise and therefore identical
+//! to evaluating the whole table at once) and pushes the evaluated rows
+//! into a running [`AggState`] — the same aggregation core, and the same
+//! `push`, the one-shot executor uses; [`BlockScan::snapshot`] is that state's
 //! `snapshot` plus the shared post-aggregation projection.  The scan holds
 //! no column that grows with the prefix: between calls it carries the
 //! state (O(groups) for the moment-family aggregates) and the state's open
@@ -29,7 +29,17 @@
 //!   [`crate::Engine::execute_sql`] on the same statement, at any pool
 //!   size, followed by the shared post-aggregation projection.
 //!
-//! The scan reads rows through a [`ScanSource`]
+//! The FROM relation is the bound view the one-shot executor builds for the
+//! same statement ([`crate::exec::view`]; a plain table is the identity view
+//! over every column): the base columns whose bare name the statement
+//! spells are resolved once at open, and every block asks the source for
+//! exactly those — `read_range(Some(cols), …)`, plus a `gather` of the
+//! columns a wrapper's own WHERE does not read for the rows it keeps — so
+//! an unnamed pass-through column of a wrapper is never read, sliced,
+//! filtered or decoded.  A `*` / `alias.*` select list or a subquery keeps
+//! every column, but no statement of the progressive class has either.
+//!
+//! The scan reads rows through a [`crate::persist::ScanSource`]
 //! ([`crate::catalog::Catalog::scan_source`]): in-memory tables are
 //! **pinned** at construction (`Arc` snapshot), so concurrent writes to the
 //! catalog do not shift row ranges mid-stream; store-backed sources decode
@@ -48,10 +58,9 @@ use crate::catalog::Catalog;
 use crate::engine::{ExecStats, QueryResult};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::aggregate::{collect_aggregate_calls, evaluate_inputs, AggState, AggregateItem};
+use crate::exec::view::RowView;
 use crate::exec::{predicate_mask_with, project_items, replace_in_projection};
 use crate::parallel::ThreadPool;
-use crate::persist::ScanSource;
-use crate::schema::Schema;
 use crate::table::Table;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,31 +114,16 @@ pub struct ProgressiveScan {
     spent: Duration,
 }
 
-/// Everything below the aggregation: which table is scanned and the
-/// element-wise steps (WHERE, derived projection) between a block of its
-/// rows and the frame the group keys and arguments are evaluated over.
+/// Everything below the aggregation: the scanned relation and the outer
+/// WHERE between a block of its rows and the frame the group keys and
+/// arguments are evaluated over.
 struct BlockFrames {
-    /// The scanned base table: an `Arc`-pinned snapshot for in-memory
-    /// tables, or a block-granular disk reader for persisted ones.
-    input: Arc<dyn ScanSource>,
-    /// `input`'s schema qualified with the inner scan binding.
-    scan_schema: Schema,
-    /// Row-wise derived-table projection wrapping the scan, if any.
-    inner_projection: Option<Vec<SelectItem>>,
-    /// WHERE of the derived table, applied before its projection.
-    inner_selection: Option<Expr>,
-    /// Alias the derived table is bound under in the outer query.
-    derived_alias: Option<String>,
-    /// Outer WHERE, applied to the (projected) frame.
+    /// The FROM relation, bound to its `Arc`-pinned or disk-backed base
+    /// table: a row-wise derived table, or a plain scan as the identity view
+    /// carrying the outer WHERE as its own.
+    view: RowView,
+    /// Outer WHERE over a derived table's frame.
     selection: Option<Expr>,
-    /// Input-column indices read by the first predicate applied to the raw
-    /// scan (the inner WHERE, or the outer WHERE when no derived projection
-    /// intervenes).  When set, `frame` takes the **late-materialized**
-    /// path: the predicate is evaluated over a thin frame holding only these
-    /// columns, and full rows are gathered for the survivors alone.  `None`
-    /// when there is no such predicate or a reference does not resolve; the
-    /// block is then sliced wholesale.
-    scan_filter_cols: Option<Vec<usize>>,
     pool: Arc<ThreadPool>,
 }
 
@@ -194,55 +188,21 @@ impl ProgressiveScan {
         }
         validate_expressions(query)?;
 
-        // Resolve the scanned base table and the optional row-wise derived
-        // wrapper around it.
-        let (base, scan_binding, inner_projection, inner_selection, derived_alias) =
-            match &twj.relation {
-                TableFactor::Table { name, alias } => {
-                    let binding = alias
-                        .clone()
-                        .unwrap_or_else(|| name.base_name().to_string());
-                    (name.key(), binding, None, None, None)
-                }
-                TableFactor::Derived { subquery, alias } => {
-                    let s = subquery.as_ref();
-                    if s.distinct
-                        || s.having.is_some()
-                        || !s.order_by.is_empty()
-                        || s.limit.is_some()
-                        || !s.group_by.is_empty()
-                    {
-                        return Err(unsupported("a non-row-wise derived table"));
-                    }
-                    let [inner_twj] = s.from.as_slice() else {
-                        return Err(unsupported("a derived table over several relations"));
-                    };
-                    if !inner_twj.joins.is_empty() {
-                        return Err(unsupported("a derived table over a join"));
-                    }
-                    let TableFactor::Table {
-                        name,
-                        alias: inner_alias,
-                    } = &inner_twj.relation
-                    else {
-                        return Err(unsupported("nested derived tables"));
-                    };
-                    let exprs: Vec<&Expr> = s.projection.iter().filter_map(|i| i.expr()).collect();
-                    if !collect_aggregate_calls(&exprs)?.is_empty() {
-                        return Err(unsupported("aggregates inside a derived table"));
-                    }
-                    let binding = inner_alias
-                        .clone()
-                        .unwrap_or_else(|| name.base_name().to_string());
-                    (
-                        name.key(),
-                        binding,
-                        Some(s.projection.clone()),
-                        s.selection.clone(),
-                        alias.clone(),
-                    )
-                }
-            };
+        // Bind the scanned relation: a plain table, or a row-wise derived
+        // table around one.
+        let open = |key: &str| catalog.scan_source(key);
+        let (view, selection) = match &twj.relation {
+            TableFactor::Table { name, alias } => {
+                let binding = alias.as_deref().unwrap_or(name.base_name());
+                let scan = RowView::scan(open(&name.key())?, binding, query.selection.clone());
+                (scan, None)
+            }
+            TableFactor::Derived { subquery, alias } => {
+                let view = RowView::bind(subquery, alias.as_deref(), query, open)?
+                    .ok_or_else(|| unsupported("a derived table that is not row-wise"))?;
+                (view, query.selection.clone())
+            }
+        };
 
         // Collect the outer aggregates; a query without any is not an
         // aggregation and takes the one-shot path.
@@ -263,24 +223,9 @@ impl ProgressiveScan {
             return Err(unsupported("queries without aggregate functions"));
         }
 
-        let input = catalog.scan_source(&base)?;
-        let scan_schema = input.schema().with_qualifier(&scan_binding);
-        let scan_pred = inner_selection.as_ref().or_else(|| {
-            if inner_projection.is_none() {
-                query.selection.as_ref()
-            } else {
-                None
-            }
-        });
-        let scan_filter_cols = scan_pred.and_then(|p| scan_filter_columns(p, &scan_schema));
         let frames = BlockFrames {
-            input,
-            scan_schema,
-            inner_projection,
-            inner_selection,
-            derived_alias,
-            selection: query.selection.clone(),
-            scan_filter_cols,
+            view,
+            selection,
             pool,
         };
         // A zero-row block fixes the schema the keys and arguments are
@@ -312,94 +257,20 @@ impl ProgressiveScan {
 
 impl BlockFrames {
     /// Builds the evaluated per-block frame for the contiguous base-row
-    /// range `[start, start + len)`: scan slice → inner WHERE → inner
-    /// projection → alias rebinding → outer WHERE.  Every step is
-    /// element-wise, so concatenating block frames equals building the
-    /// frame for all rows at once.
-    ///
-    /// The first predicate over the raw scan takes the late-materialized
-    /// path when `scan_filter_cols` is set: only the columns it reads are
-    /// sliced before masking, and the remaining columns are gathered for
-    /// surviving rows alone.  `take` and `filter` select the same rows in
-    /// the same order, so the frame is bit-identical to the wholesale
-    /// slice-then-filter path.
+    /// range `[start, start + len)`: the view's frame (scan of the columns
+    /// the statement names → inner WHERE, late-materialised → computed
+    /// items → alias), then the outer WHERE.  Every step is element-wise,
+    /// so concatenating block frames equals building the frame for all rows
+    /// at once.
     fn frame(&self, start: usize, len: usize) -> EngineResult<Table> {
         let mut rng = no_rand();
-        let scan_pred = self.inner_selection.as_ref().or_else(|| {
-            if self.inner_projection.is_none() {
-                self.selection.as_ref()
-            } else {
-                None
-            }
-        });
-        let mut frame = match (scan_pred, &self.scan_filter_cols) {
-            (Some(pred), Some(cols)) => {
-                let thin = Table {
-                    schema: Schema::new(
-                        cols.iter()
-                            .map(|&i| self.scan_schema.fields[i].clone())
-                            .collect(),
-                    ),
-                    columns: self.input.read_range(Some(cols), start, len)?,
-                };
-                let mask = predicate_mask_with(pred, &thin, &mut rng, &self.pool)?;
-                let rows: Vec<usize> = mask.indices().iter().map(|&i| start + i).collect();
-                Table {
-                    schema: self.scan_schema.clone(),
-                    columns: self.input.gather(&rows)?,
-                }
-            }
-            (scan_pred, _) => {
-                let mut frame = Table {
-                    schema: self.scan_schema.clone(),
-                    columns: self.input.read_range(None, start, len)?,
-                };
-                if let Some(pred) = scan_pred {
-                    let mask = predicate_mask_with(pred, &frame, &mut rng, &self.pool)?;
-                    frame = frame.filter_with(&mask, &self.pool);
-                }
-                frame
-            }
-        };
-        if let Some(projection) = &self.inner_projection {
-            let projected = project_items(&frame, projection, &mut rng)?;
-            let schema = match &self.derived_alias {
-                Some(a) => projected.schema.without_qualifiers().with_qualifier(a),
-                None => projected.schema.without_qualifiers(),
-            };
-            frame = Table {
-                schema,
-                columns: projected.columns,
-            };
-            if let Some(pred) = &self.selection {
-                let mask = predicate_mask_with(pred, &frame, &mut rng, &self.pool)?;
-                frame = frame.filter_with(&mask, &self.pool);
-            }
+        let mut frame = self.view.frame(start, len, &mut rng, &self.pool)?;
+        if let Some(pred) = &self.selection {
+            let mask = predicate_mask_with(pred, &frame, &mut rng, &self.pool)?;
+            frame = frame.filter_with(&mask, &self.pool);
         }
         Ok(frame)
     }
-}
-
-/// Resolves the scan columns a predicate reads, for late materialization.
-/// Returns `None` when the predicate reads no scan column or any reference
-/// fails to resolve — the caller then slices whole blocks instead.
-fn scan_filter_columns(pred: &Expr, scan_schema: &Schema) -> Option<Vec<usize>> {
-    let mut cols: Vec<usize> = Vec::new();
-    let mut failed = false;
-    verdict_sql::visitor::walk_expr(pred, &mut |e| {
-        if let Expr::Column { table, name } = e {
-            match scan_schema.resolve(table.as_deref(), name) {
-                Ok(i) => cols.push(i),
-                Err(_) => failed = true,
-            }
-        }
-    });
-    if failed || cols.is_empty() {
-        return None;
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    Some(cols)
 }
 
 /// The rng handed to evaluation: validation rejected `rand()`, so any draw
@@ -410,7 +281,7 @@ fn no_rand() -> impl FnMut() -> f64 {
 
 impl BlockScan for ProgressiveScan {
     fn total_rows(&self) -> u64 {
-        self.frames.input.num_rows() as u64
+        self.frames.view.num_rows() as u64
     }
 
     fn rows_seen(&self) -> u64 {
@@ -418,12 +289,12 @@ impl BlockScan for ProgressiveScan {
     }
 
     fn done(&self) -> bool {
-        self.pos >= self.frames.input.num_rows()
+        self.pos >= self.frames.view.num_rows()
     }
 
     fn advance(&mut self, max_rows: u64) -> EngineResult<u64> {
         let t0 = Instant::now();
-        let total = self.frames.input.num_rows();
+        let total = self.frames.view.num_rows();
         if self.pos >= total {
             return Ok(0);
         }
@@ -593,40 +464,6 @@ mod tests {
             let last = scan.snapshot().unwrap();
             assert_tables_bit_identical(&last.table, &one_shot.table);
         }
-    }
-
-    #[test]
-    fn scan_filter_columns_are_precomputed() {
-        let e = engine(1_000, 3);
-        let open = |sql: &str| {
-            let stmt = verdict_sql::parse_statement(sql).unwrap();
-            let verdict_sql::ast::Statement::Query(q) = stmt else {
-                panic!("not a query")
-            };
-            ProgressiveScan::try_new(
-                e.catalog(),
-                &q,
-                Arc::new(ThreadPool::with_default_parallelism()),
-            )
-            .unwrap()
-        };
-        // Plain scan: the outer WHERE reads price (1) and u (2).
-        let scan = open("SELECT count(*) AS c FROM sales WHERE price > 1 AND u < 0.5");
-        assert_eq!(scan.frames.scan_filter_cols, Some(vec![1, 2]));
-        // No predicate over the raw scan → wholesale slicing.
-        let scan = open("SELECT k, sum(price) AS s FROM sales GROUP BY k");
-        assert_eq!(scan.frames.scan_filter_cols, None);
-        // A derived projection intervenes before the outer WHERE → the
-        // predicate runs on the projected frame, not the raw scan.
-        let scan =
-            open("SELECT count(*) AS c FROM (SELECT price * 2 AS d FROM sales) AS t WHERE t.d > 1");
-        assert_eq!(scan.frames.scan_filter_cols, None);
-        // An inner WHERE is the scan predicate even under a derived wrapper.
-        let scan = open(
-            "SELECT count(*) AS c FROM \
-             (SELECT price FROM sales WHERE u < 0.5) AS t WHERE t.price > 1",
-        );
-        assert_eq!(scan.frames.scan_filter_cols, Some(vec![2]));
     }
 
     #[test]

@@ -43,9 +43,10 @@ pub trait ScanSource: Send + Sync {
         len: usize,
     ) -> EngineResult<Vec<Column>>;
 
-    /// Gathers full rows at the given absolute row indices (ascending),
-    /// returning every column in schema order.
-    fn gather(&self, rows: &[usize]) -> EngineResult<Vec<Column>>;
+    /// Gathers the rows at the given absolute row indices (ascending),
+    /// returning the columns selected by `cols` exactly as
+    /// [`read_range`](Self::read_range) does.
+    fn gather(&self, cols: Option<&[usize]>, rows: &[usize]) -> EngineResult<Vec<Column>>;
 }
 
 /// [`ScanSource`] over an in-memory table snapshot.
@@ -61,6 +62,14 @@ impl TableSource {
     /// Wraps a pinned table snapshot.
     pub fn new(table: Arc<Table>) -> TableSource {
         TableSource { table }
+    }
+
+    /// Applies `f` to the columns `cols` selects (`None` = all, in order).
+    fn selected(&self, cols: Option<&[usize]>, f: impl Fn(&Column) -> Column) -> Vec<Column> {
+        match cols {
+            Some(idxs) => idxs.iter().map(|&i| f(&self.table.columns[i])).collect(),
+            None => self.table.columns.iter().map(f).collect(),
+        }
     }
 }
 
@@ -86,22 +95,11 @@ impl ScanSource for TableSource {
                 self.table.num_rows()
             )));
         }
-        Ok(match cols {
-            Some(idxs) => idxs
-                .iter()
-                .map(|&i| self.table.columns[i].slice(start, len))
-                .collect(),
-            None => self
-                .table
-                .columns
-                .iter()
-                .map(|c| c.slice(start, len))
-                .collect(),
-        })
+        Ok(self.selected(cols, |c| c.slice(start, len)))
     }
 
-    fn gather(&self, rows: &[usize]) -> EngineResult<Vec<Column>> {
-        Ok(self.table.columns.iter().map(|c| c.take(rows)).collect())
+    fn gather(&self, cols: Option<&[usize]>, rows: &[usize]) -> EngineResult<Vec<Column>> {
+        Ok(self.selected(cols, |c| c.take(rows)))
     }
 }
 
@@ -170,8 +168,11 @@ mod tests {
         let thin = src.read_range(Some(&[1]), 0, 3).unwrap();
         assert_eq!(thin.len(), 1);
         assert_eq!(thin[0].value_at(2), Value::Float(1.0));
-        let gathered = src.gather(&[1, 99]).unwrap();
+        let gathered = src.gather(None, &[1, 99]).unwrap();
         assert_eq!(gathered[0].value_at(1), Value::Int(99));
+        let thin = src.gather(Some(&[1]), &[1, 99]).unwrap();
+        assert_eq!(thin.len(), 1);
+        assert_eq!(thin[0].value_at(1), Value::Float(49.5));
     }
 
     #[test]

@@ -20,16 +20,25 @@ use verdict_engine::{Column, EngineError, EngineResult, ScanSource, Schema, Tabl
 /// A read-only, header-pinned scan over one persisted table.
 #[derive(Debug)]
 pub struct StoreScan {
-    file: Mutex<File>,
+    reader: Mutex<Reader>,
     file_name: String,
     header: TableHeader,
     gen: Arc<AtomicU64>,
     expected_gen: u64,
     stats: Arc<Counters>,
-    /// Most recently fully-decoded block — progressive scans revisit the
-    /// same block for late materialization, so one slot is enough.
-    cache: Mutex<Option<(usize, Vec<Column>)>>,
     block_starts: Vec<usize>,
+}
+
+/// The table file and, per column, the segment decoded last with its block.
+/// A progressive scan reads each column in ascending row order — the filter
+/// columns of a range, then a gather of the others for the survivors, then
+/// the next range, which may start inside the block the last one ended in —
+/// so one segment per column is enough for every segment to be read once,
+/// and a column the scan never asks for is never read.
+#[derive(Debug)]
+struct Reader {
+    file: File,
+    columns: Vec<Option<(usize, Arc<Column>)>>,
 }
 
 fn to_engine(e: StoreError) -> EngineError {
@@ -47,15 +56,23 @@ impl StoreScan {
         let block_starts = header.block_starts();
         let expected_gen = gen.load(Ordering::SeqCst);
         StoreScan {
-            file: Mutex::new(file),
+            reader: Mutex::new(Reader {
+                file,
+                columns: vec![None; header.schema.len()],
+            }),
             file_name,
             header,
             gen,
             expected_gen,
             stats,
-            cache: Mutex::new(None),
             block_starts,
         }
+    }
+
+    /// The table header this scan is pinned to: schema, block directory and
+    /// the page extent of every column segment.
+    pub fn header(&self) -> &TableHeader {
+        &self.header
     }
 
     fn check_generation(&self) -> StoreResult<()> {
@@ -71,42 +88,52 @@ impl StoreScan {
         self.block_starts.partition_point(|&s| s <= row) - 1
     }
 
-    /// Decodes (or serves from cache) the columns of one block.  `cols`
-    /// selects and orders the output; `None` means all columns.
-    fn block_columns(&self, block: usize, cols: Option<&[usize]>) -> StoreResult<Vec<Column>> {
-        {
-            let cache = self.cache.lock();
-            if let Some((cached_block, all)) = cache.as_ref() {
-                if *cached_block == block {
-                    return Ok(match cols {
-                        None => all.clone(),
-                        Some(idx) => idx.iter().map(|&c| all[c].clone()).collect(),
-                    });
-                }
-            }
-        }
-        let dir = &self.header.blocks[block];
-        let mut pages = 0u64;
-        let result = {
-            let mut file = self.file.lock();
-            match cols {
-                None => {
-                    let all: Vec<Column> = dir
-                        .chunks
-                        .iter()
-                        .map(|c| read_chunk(&mut *file, c, &self.file_name, &mut pages))
-                        .collect::<StoreResult<_>>()?;
-                    *self.cache.lock() = Some((block, all.clone()));
-                    all
-                }
-                Some(idx) => idx
-                    .iter()
-                    .map(|&ci| read_chunk(&mut *file, &dir.chunks[ci], &self.file_name, &mut pages))
-                    .collect::<StoreResult<_>>()?,
+    /// The decoded columns of one block.  `cols` selects and orders the
+    /// output (`None` means all columns); a column whose last decoded
+    /// segment is this block's is not read again.
+    fn block_columns(&self, block: usize, cols: Option<&[usize]>) -> StoreResult<Vec<Arc<Column>>> {
+        let all: Vec<usize>;
+        let cols = match cols {
+            Some(idx) => idx,
+            None => {
+                all = (0..self.header.schema.len()).collect();
+                &all
             }
         };
+        let mut reader = self.reader.lock();
+        let Reader { file, columns } = &mut *reader;
+        let chunks = &self.header.blocks[block].chunks;
+        let mut pages = 0u64;
+        let mut out = Vec::with_capacity(cols.len());
+        for &ci in cols {
+            let column = match &columns[ci] {
+                Some((decoded, column)) if *decoded == block => Arc::clone(column),
+                _ => {
+                    let column = read_chunk(file, &chunks[ci], &self.file_name, &mut pages)?;
+                    let column = Arc::new(column);
+                    columns[ci] = Some((block, Arc::clone(&column)));
+                    column
+                }
+            };
+            out.push(column);
+        }
         self.stats.pages_read(pages);
-        Ok(result)
+        Ok(out)
+    }
+
+    /// Empty typed columns for the fields `cols` selects.
+    fn empty_columns(&self, cols: Option<&[usize]>) -> Vec<Column> {
+        let fields = &self.header.schema.fields;
+        match cols {
+            Some(idx) => idx
+                .iter()
+                .map(|&c| Column::new_empty(fields[c].data_type))
+                .collect(),
+            None => fields
+                .iter()
+                .map(|f| Column::new_empty(f.data_type))
+                .collect(),
+        }
     }
 
     fn read_range_inner(
@@ -116,44 +143,25 @@ impl StoreScan {
         len: usize,
     ) -> StoreResult<Vec<Column>> {
         self.check_generation()?;
-        let ncols = match cols {
-            Some(idx) => idx.len(),
-            None => self.header.schema.len(),
-        };
-        let dtype = |out: usize| match cols {
-            Some(idx) => self.header.schema.fields[idx[out]].data_type,
-            None => self.header.schema.fields[out].data_type,
-        };
-        let mut out: Vec<Column> = (0..ncols).map(|i| Column::new_empty(dtype(i))).collect();
-        if len == 0 {
-            return Ok(out);
-        }
+        let mut out = self.empty_columns(cols);
         let end = start + len;
-        let mut block = self.block_of(start);
         let mut row = start;
         while row < end {
-            let block_start = self.block_starts[block];
-            let block_end = self.block_starts[block + 1];
-            let lo = row - block_start;
-            let take = (end.min(block_end)) - row;
+            let block = self.block_of(row);
+            let lo = row - self.block_starts[block];
+            let take = end.min(self.block_starts[block + 1]) - row;
             let decoded = self.block_columns(block, cols)?;
             for (acc, col) in out.iter_mut().zip(&decoded) {
                 acc.append(&col.slice(lo, take));
             }
             row += take;
-            block += 1;
         }
         Ok(out)
     }
 
-    fn gather_inner(&self, rows: &[usize]) -> StoreResult<Vec<Column>> {
+    fn gather_inner(&self, cols: Option<&[usize]>, rows: &[usize]) -> StoreResult<Vec<Column>> {
         self.check_generation()?;
-        let schema = &self.header.schema;
-        let mut out: Vec<Column> = schema
-            .fields
-            .iter()
-            .map(|f| Column::new_empty(f.data_type))
-            .collect();
+        let mut out = self.empty_columns(cols);
         let mut i = 0;
         while i < rows.len() {
             let block = self.block_of(rows[i]);
@@ -164,7 +172,7 @@ impl StoreScan {
                 rel.push(rows[i] - block_start);
                 i += 1;
             }
-            let decoded = self.block_columns(block, None)?;
+            let decoded = self.block_columns(block, cols)?;
             for (acc, col) in out.iter_mut().zip(&decoded) {
                 acc.append(&col.take(&rel));
             }
@@ -207,7 +215,7 @@ impl ScanSource for StoreScan {
         self.read_range_inner(cols, start, len).map_err(to_engine)
     }
 
-    fn gather(&self, rows: &[usize]) -> EngineResult<Vec<Column>> {
+    fn gather(&self, cols: Option<&[usize]>, rows: &[usize]) -> EngineResult<Vec<Column>> {
         if let Some(&max) = rows.iter().max() {
             if max >= self.header.total_rows as usize {
                 return Err(EngineError::Execution(format!(
@@ -216,7 +224,7 @@ impl ScanSource for StoreScan {
                 )));
             }
         }
-        self.gather_inner(rows).map_err(to_engine)
+        self.gather_inner(cols, rows).map_err(to_engine)
     }
 }
 
@@ -273,7 +281,7 @@ mod tests {
         store.save_table("t", &table, 1).unwrap();
         let scan = store.open_store_scan("t").unwrap();
         let rows = vec![0usize, 3, 65_535, 65_536, 69_999];
-        let cols = scan.gather(&rows).unwrap();
+        let cols = scan.gather(None, &rows).unwrap();
         assert_eq!(cols[0].data().len(), rows.len());
         for (out, &r) in rows.iter().enumerate() {
             assert_eq!(cols[0].value_at(out), table.value(r, 0));
@@ -320,7 +328,7 @@ mod tests {
         store.save_table("t", &sample_table(10), 1).unwrap();
         let scan = store.open_store_scan("t").unwrap();
         assert!(scan.read_range(None, 5, 10).is_err());
-        assert!(scan.gather(&[10]).is_err());
+        assert!(scan.gather(None, &[10]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -170,6 +170,123 @@ fn cold_start_stream_matches_one_shot_bit_for_bit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A progressive scan over a persisted scramble decodes the column
+/// segments the statement names and no others, each once per block — also
+/// when frames are shorter than a store block and when a wrapper's WHERE
+/// makes the scan read its filter columns ahead of the rest.
+#[test]
+fn stream_reads_only_the_pages_of_the_columns_it_names() {
+    if common::remote_backend_requested() {
+        return;
+    }
+    let dir = tempdir("pages");
+    let rows = 150_000usize; // three store blocks, the last one partial
+    let stack = || {
+        let engine = Arc::new(Engine::with_seed(99));
+        let mut events = verdictdb::TableBuilder::new()
+            .int_column("id", (0..rows as i64).collect())
+            .str_column("region", (0..rows).map(|i| format!("r{}", i % 6)).collect())
+            .float_column("value", (0..rows).map(|i| (i % 977) as f64 / 7.0).collect());
+        for w in 0..5 {
+            let wide = (0..rows).map(|i| ((i * (w + 3)) % 1000) as f64 / 1000.0);
+            events = events.float_column(&format!("w{w}"), wide.collect());
+        }
+        engine.register_table("events", events.build().unwrap());
+        let store = Arc::new(Store::open(&dir).expect("open store"));
+        engine
+            .catalog()
+            .set_store(Arc::clone(&store) as Arc<dyn StoreHandle>);
+        let mut config = config();
+        config.io_budget = 1.0;
+        // frames that do not line up with the 65 536-row store blocks
+        config.stream_block_rows = 20_000;
+        let conn: Arc<dyn Backend> = engine.clone();
+        let ctx = VerdictContext::with_store(conn, config, Arc::clone(&store)).expect("context");
+        (engine, store, Arc::new(ctx))
+    };
+    {
+        let (_engine, _store, ctx) = stack();
+        VerdictSession::new(ctx)
+            .execute("CREATE SCRAMBLE ev_scr FROM events METHOD uniform RATIO 1.0")
+            .expect("create scramble");
+    }
+
+    // Cold re-open: nothing of the scramble is in memory.
+    let (engine, store, ctx) = stack();
+    let header = store
+        .open_store_scan("ev_scr")
+        .expect("scan")
+        .header()
+        .clone();
+    let pages_of = |names: &[&str]| -> u64 {
+        let of = |name: &str| {
+            let c = header.schema.index_of(name).expect("scramble column");
+            let npages = header.blocks.iter().map(|b| b.chunks[c].npages as u64);
+            npages.sum::<u64>()
+        };
+        names.iter().map(|n| of(n)).sum()
+    };
+    let all: Vec<String> = header.schema.names();
+    let all: Vec<&str> = all.iter().map(String::as_str).collect();
+    assert_eq!(all.len(), 10, "eight base columns + probability + draw");
+
+    let drained = |sql: &str| {
+        let before = store.stats().pages_read;
+        let frames = VerdictSession::new(Arc::clone(&ctx))
+            .stream(sql)
+            .expect("open stream")
+            .collect::<Result<Vec<_>, _>>()
+            .expect("stream frames");
+        assert!(frames.len() > 3, "{sql}: must refine block by block");
+        assert!(!frames.last().unwrap().answer.exact, "{sql}");
+        store.stats().pages_read - before
+    };
+    let named = [
+        "region",
+        "value",
+        "verdict_sampling_prob",
+        "verdict_subsample_u",
+    ];
+    assert_eq!(
+        drained(
+            "STREAM SELECT region, count(*) AS n, avg(value) AS a, sum(value) AS s \
+             FROM events GROUP BY region"
+        ),
+        pages_of(&named),
+        "four of ten columns"
+    );
+    assert_eq!(
+        drained(
+            "STREAM SELECT region, count(*) AS n, avg(value) AS a, sum(value) AS s \
+             FROM events WHERE w1 > 0.25 GROUP BY region"
+        ),
+        pages_of(&named) + pages_of(&["w1"]),
+        "the filter column is one more column, read once"
+    );
+
+    let scanned = |sql: &str| {
+        let before = store.stats().pages_read;
+        let mut scan = engine.open_block_scan(sql).expect("progressive shape");
+        while !scan.done() {
+            scan.advance(20_000).expect("advance");
+        }
+        store.stats().pages_read - before
+    };
+    // a wrapper's own WHERE is evaluated ahead of the gather: w1 is read
+    // for the mask and must not be read again with value and w2
+    assert_eq!(
+        scanned(
+            "SELECT count(*) AS n, sum(t.value) AS s FROM \
+             (SELECT *, w2 * 2 AS x FROM ev_scr WHERE w1 > 0.5) AS t"
+        ),
+        pages_of(&["value", "w1", "w2"]),
+    );
+    // plain base-table scans are not pruned: every column, once
+    assert_eq!(scanned("SELECT count(*) AS n FROM ev_scr"), pages_of(&all));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn refresh_appends_persist_across_restart() {
     if common::remote_backend_requested() {

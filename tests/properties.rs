@@ -1154,23 +1154,264 @@ fn critical_values_are_monotone() {
     }
 }
 
+/// One generated aggregate SELECT over `from`: a grouped count with a
+/// filter, an ordering on the aggregate and a limit, on one of the columns
+/// `a`, `b`, `c`.
+fn generated_select(rng: &mut StdRng, from: &str, max_threshold: i64) -> String {
+    let col = ["a", "b", "c"][rng.gen_range(0..3usize)];
+    let threshold = rng.gen_range(0..max_threshold);
+    let limit = rng.gen_range(1..50u64);
+    format!(
+        "SELECT {col}, count(*) AS cnt FROM {from} WHERE {col} > {threshold} GROUP BY {col} ORDER BY cnt DESC LIMIT {limit}"
+    )
+}
+
 /// Printing and re-parsing a parsed statement is a fixpoint (printer
 /// stability over the grammar of generated SELECTs).
 #[test]
 fn printer_is_stable_for_generated_selects() {
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..64 {
-        let col = ["a", "b", "c"][rng.gen_range(0..3usize)];
         let table = ["t", "u", "v"][rng.gen_range(0..3usize)];
-        let threshold = rng.gen_range(0..1000i64);
-        let limit = rng.gen_range(1..50u64);
-        let sql = format!(
-            "SELECT {col}, count(*) AS cnt FROM {table} WHERE {col} > {threshold} GROUP BY {col} ORDER BY cnt DESC LIMIT {limit}"
-        );
+        let sql = generated_select(&mut rng, table, 1000);
         let stmt = parse_statement(&sql).unwrap();
         let printed = print_statement(&stmt, &GenericDialect);
         let reparsed = parse_statement(&printed).unwrap();
         assert_eq!(print_statement(&reparsed, &GenericDialect), printed);
+    }
+}
+
+// ===========================================================================
+// Row-wise derived tables bound as views vs their materialisation
+// ===========================================================================
+
+/// A row-wise wrapper `(SELECT *, <expr> AS c FROM t [WHERE p])` is bound as
+/// a view holding only the base columns the enclosing statement names.  That
+/// must be invisible: every statement over the wrapper — alone, joined to a
+/// base table, joined to a second wrapper on a shared column name — answers
+/// bit for bit (or fails word for word) like the same statement over a
+/// `CREATE TABLE … AS` materialisation of the wrapper, at pool sizes 1 and
+/// 4, and through the progressive executor at any block size.
+#[test]
+fn statements_over_row_wise_wrappers_equal_statements_over_their_materialisation() {
+    use std::sync::Arc;
+    use verdictdb::engine::exec::Executor;
+    use verdictdb::engine::{BlockScan, Catalog, ProgressiveScan, ThreadPool, MORSEL_ROWS};
+    use verdictdb::sql::ast::Statement;
+
+    const SEED: u64 = 7;
+    let run = |catalog: &Catalog, sql: &str, threads: usize| -> Result<Table, String> {
+        let stmt = parse_statement(sql).map_err(|e| e.to_string())?;
+        let mut exec = Executor::with_pool(catalog, Some(SEED), Arc::new(ThreadPool::new(threads)));
+        exec.execute_statement(&stmt).map_err(|e| e.to_string())
+    };
+    let assert_same =
+        |view: &Result<Table, String>, stored: &Result<Table, String>, case: &str| match (
+            view, stored,
+        ) {
+            (Ok(v), Ok(m)) => {
+                assert_eq!(v.schema, m.schema, "{case}: schemas differ");
+                common::assert_tables_bit_identical(v, m, case);
+            }
+            (Err(v), Err(m)) => assert_eq!(v, m, "{case}: errors differ"),
+            _ => panic!("{case}: view gave {view:?}, materialisation gave {stored:?}"),
+        };
+
+    // The wrappers over `t`; `{V}` in a statement is either the wrapper in
+    // parentheses or the table it was materialised into.
+    let wrappers = [
+        // a computed column beside `*`
+        "SELECT *, a * 2 AS d FROM t",
+        // no base column named by the wrapper itself
+        "SELECT *, 1 AS d FROM t",
+        // a computed alias equal to a base column name, and an inner WHERE
+        // (the late-materialised scan)
+        "SELECT *, b + 1 AS c, a AS d FROM t WHERE a > -5",
+        // the rewriter's own shape: a subsample id from a stored column
+        "SELECT *, CAST(1 + floor(b * b) AS BIGINT) AS d FROM t",
+        // seeded rand() in the WHERE and in two items: the draw order is
+        // part of the answer
+        "SELECT *, rand() AS r, CAST(1 + floor(rand() * 4) AS BIGINT) AS d FROM t \
+         WHERE rand() < 0.7",
+    ];
+    // The second wrapper, over `u`, for view-to-view joins.
+    const SECOND: &str = "SELECT *, a + 1 AS e FROM u WHERE b IS NOT NULL";
+    // Aggregations over the wrapper alone: also run through ProgressiveScan.
+    let progressive = [
+        "SELECT d, count(*) AS n, sum(b) AS sb FROM {V} AS v GROUP BY d",
+        "SELECT v.a AS a, sum((v.b) / (0.5)) AS est, count(*) AS n FROM {V} AS v \
+         WHERE v.s < 'b' GROUP BY v.a",
+        "SELECT count(*) AS n, avg(c) AS m FROM {V} AS v",
+        // no column named at all: the row count must survive
+        "SELECT count(*) AS n FROM {V} AS v",
+    ];
+    let alone = [
+        // wildcards keep every column
+        "SELECT * FROM {V} AS v",
+        "SELECT v.* FROM {V} AS v WHERE v.a > 0",
+        // a column named only in ORDER BY
+        "SELECT v.s FROM {V} AS v ORDER BY b, a, s",
+        // a subquery keeps every column too
+        "SELECT count(*) AS n FROM {V} AS v WHERE a IN (SELECT a FROM u WHERE b > 0)",
+        // a name that exists nowhere fails the same way
+        "SELECT nope FROM {V} AS v",
+    ];
+    let joined = [
+        "SELECT v.s, count(*) AS n FROM {V} AS v INNER JOIN u ON v.a = u.a GROUP BY v.s",
+        // an unqualified name present on both sides resolves to the first
+        "SELECT b, count(*) AS n FROM {V} AS v INNER JOIN u ON v.a = u.a GROUP BY b",
+        "SELECT u.s, sum(d) AS sd FROM u INNER JOIN {V} AS v ON v.a = u.a GROUP BY u.s",
+        // columns named only in the JOIN constraint
+        "SELECT count(*) AS n FROM {V} AS v INNER JOIN u ON v.a = u.a AND v.b < u.b",
+        "SELECT v.a, u.s FROM {V} AS v LEFT JOIN u ON v.a = u.a AND u.b > 0 ORDER BY v.a, u.s",
+        "SELECT * FROM {V} AS v INNER JOIN u ON v.a = u.a WHERE u.b > 8",
+        // two views sharing every base column name
+        "SELECT a, count(*) AS n FROM {V} AS v INNER JOIN {W} AS w ON v.a = w.a GROUP BY a",
+        "SELECT s, sum(e) AS se, sum(d) AS sd FROM {V} AS v INNER JOIN {W} AS w \
+         ON v.a = w.a AND v.s = w.s GROUP BY s ORDER BY s",
+        "SELECT w.* FROM {V} AS v INNER JOIN {W} AS w ON v.a = w.a WHERE v.b > 8",
+    ];
+
+    let all_null = |rows: usize| {
+        TableBuilder::new()
+            .opt_int_column("a", vec![None; rows])
+            .opt_float_column("b", vec![None; rows])
+            .opt_str_column("s", vec![None; rows])
+            .column("c", Column::from_opt_bool(vec![None; rows]))
+            .build()
+            .unwrap()
+    };
+    let mut rng = StdRng::seed_from_u64(17);
+    // (label, t, with joins): the large table crosses a morsel boundary and
+    // is too big to join against itself
+    let tables = [
+        ("random", random_table(&mut rng, 331), true),
+        ("zero rows", random_table(&mut rng, 0), true),
+        ("all NULL", all_null(40), true),
+        (
+            "two morsels",
+            random_table(&mut rng, MORSEL_ROWS + 777),
+            false,
+        ),
+    ];
+    for (label, t, with_joins) in tables {
+        let catalog = Catalog::new();
+        catalog.register("t", t);
+        catalog.register("u", random_table(&mut rng, 120));
+        run(&catalog, &format!("CREATE TABLE m2 AS {SECOND}"), 1).unwrap();
+        for (w, wrapper) in wrappers.iter().enumerate() {
+            let stored = format!("m_{w}");
+            run(&catalog, &format!("CREATE TABLE {stored} AS {wrapper}"), 1).unwrap();
+            let has_rand = wrapper.contains("rand()");
+            let over = |template: &str, view: bool| {
+                let (v, w2) = if view {
+                    (format!("({wrapper})"), format!("({SECOND})"))
+                } else {
+                    (stored.clone(), "m2".to_string())
+                };
+                template.replace("{V}", &v).replace("{W}", &w2)
+            };
+            let mut statements: Vec<String> = Vec::new();
+            statements.extend(progressive.iter().map(|s| s.to_string()));
+            statements.extend(alone.iter().map(|s| s.to_string()));
+            statements.extend((0..6).map(|_| generated_select(&mut rng, "{V} AS v", 12)));
+            if with_joins {
+                statements.extend(joined.iter().map(|s| s.to_string()));
+            }
+            for template in &statements {
+                let case = format!("{label}, wrapper {w}, {template}");
+                let expected = run(&catalog, &over(template, false), 1);
+                for threads in [1usize, 4] {
+                    let bound = run(&catalog, &over(template, true), threads);
+                    assert_same(&bound, &expected, &format!("{case}, {threads} thread(s)"));
+                }
+            }
+            // The same aggregations block by block: the last snapshot is the
+            // one-shot answer, whatever the block size.
+            for template in progressive {
+                let sql = over(template, true);
+                let Statement::Query(query) = parse_statement(&sql).unwrap() else {
+                    panic!("not a query")
+                };
+                let pool = Arc::new(ThreadPool::new(4));
+                let scan = ProgressiveScan::try_new(&catalog, &query, Arc::clone(&pool));
+                if has_rand {
+                    assert!(scan.is_err(), "rand() cannot be replayed block by block");
+                    continue;
+                }
+                let one_shot = run(&catalog, &sql, 4).unwrap();
+                for block in [300u64, MORSEL_ROWS as u64] {
+                    let mut scan = ProgressiveScan::try_new(&catalog, &query, Arc::clone(&pool))
+                        .unwrap_or_else(|e| panic!("{label}: {sql}: {e}"));
+                    while !scan.done() {
+                        scan.advance(block).unwrap();
+                    }
+                    let streamed = scan.snapshot().unwrap().table;
+                    let case = format!("{label}, wrapper {w}, {template}, block {block}");
+                    assert_eq!(streamed.schema, one_shot.schema, "{case}");
+                    common::assert_tables_bit_identical(&streamed, &one_shot, &case);
+                }
+            }
+        }
+    }
+}
+
+/// An outer join's `ON` is its match condition, non-equi conjuncts
+/// included: a preserved row none of whose key matches passes them is
+/// emitted once, null-extended.  Checked against a nested loop over the
+/// scalar reference evaluator.
+#[test]
+fn outer_joins_with_residual_conditions_agree_with_scalar_reference() {
+    use verdictdb::engine::Engine;
+
+    const ON: &str = "l.a = r.a AND r.b > l.b";
+    let on = parse_expression(ON).unwrap();
+    for seed in 600..606u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let left = random_table(&mut rng, 5 + (seed as usize * 13) % 40);
+        let right = random_table(&mut rng, 5 + (seed as usize * 29) % 40);
+        let e = Engine::with_seed(seed);
+        e.register_table("l", left.clone());
+        e.register_table("r", right.clone());
+        // every (l, r) pair as one row of a frame qualified like the join's
+        let pairs = e.execute_sql("SELECT * FROM l CROSS JOIN r").unwrap().table;
+        let matches = |l: usize, r: usize| {
+            reference_eval_row(&on, &pairs, l * right.num_rows() + r).as_bool() == Some(true)
+        };
+        let null_row = |t: &Table| vec![Value::Null; t.num_columns()];
+        let mut expected_left: Vec<Vec<Value>> = Vec::new();
+        for l in 0..left.num_rows() {
+            let hits: Vec<usize> = (0..right.num_rows()).filter(|&r| matches(l, r)).collect();
+            for &r in &hits {
+                expected_left.push([left.row(l), right.row(r)].concat());
+            }
+            if hits.is_empty() {
+                expected_left.push([left.row(l), null_row(&right)].concat());
+            }
+        }
+        let mut expected_right: Vec<Vec<Value>> = Vec::new();
+        for r in 0..right.num_rows() {
+            let hits: Vec<usize> = (0..left.num_rows()).filter(|&l| matches(l, r)).collect();
+            for &l in &hits {
+                expected_right.push([left.row(l), right.row(r)].concat());
+            }
+            if hits.is_empty() {
+                expected_right.push([null_row(&left), right.row(r)].concat());
+            }
+        }
+        for (kind, expected) in [("LEFT", expected_left), ("RIGHT", expected_right)] {
+            let sql = format!("SELECT * FROM l {kind} JOIN r ON {ON}");
+            let got = e.execute_sql(&sql).unwrap().table;
+            assert_eq!(got.num_rows(), expected.len(), "seed {seed}: {sql}");
+            for (i, (got, want)) in got.iter_rows().zip(&expected).enumerate() {
+                assert!(
+                    got.iter()
+                        .zip(want)
+                        .all(|(g, w)| common::values_bit_identical(g, w)),
+                    "seed {seed}: {sql}, row {i}: {got:?} vs {want:?}"
+                );
+            }
+        }
     }
 }
 
