@@ -16,12 +16,11 @@
 //! table first.
 
 use crate::config::VerdictConfig;
-use crate::sample::{qualified_columns, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN};
+use crate::sample::{
+    hashed_predicate, qualified_columns, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN,
+};
 use crate::stats::build_staircase;
 use verdict_sql::Dialect;
-
-/// Resolution of the integer hash used to implement `h(t.C) < τ`.
-const HASH_DOMAIN: u64 = 1_000_000;
 
 /// A sequence of SQL statements that creates one sample table, plus the
 /// temporary tables it needs (dropped by the trailing statements).
@@ -135,20 +134,12 @@ fn hashed_sql(
     ratio: f64,
     dialect: &dyn Dialect,
 ) -> SamplePlanSql {
-    // Multi-column universe samples hash the concatenation of the columns.
-    let quoted: Vec<String> = columns.iter().map(|c| dialect.quote_ident(c)).collect();
-    let key_expr = if quoted.len() == 1 {
-        quoted[0].clone()
-    } else {
-        format!("concat({})", quoted.join(", "))
-    };
-    let hash = dialect.hash_function(&key_expr, HASH_DOMAIN);
-    let threshold = (ratio * HASH_DOMAIN as f64).round() as u64;
+    let kept = hashed_predicate(columns, ratio, dialect);
     let rand = dialect.random_function();
     let stmt = format!(
         "CREATE TABLE {} AS SELECT *, {ratio} AS {SAMPLING_PROB_COLUMN}, \
          {rand} AS {SUBSAMPLE_DRAW_COLUMN} \
-         FROM {} WHERE {hash} < {threshold} ORDER BY {rand}",
+         FROM {} WHERE {kept} ORDER BY {rand}",
         dialect.quote_ident(sample_table),
         dialect.quote_ident(base_table)
     );

@@ -14,7 +14,8 @@
 //! the current one.
 
 use crate::sample::{
-    qualified_columns, SampleMeta, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN,
+    hashed_predicate, qualified_columns, SampleMeta, SampleType, SAMPLING_PROB_COLUMN,
+    SUBSAMPLE_DRAW_COLUMN,
 };
 use verdict_sql::Dialect;
 
@@ -82,14 +83,7 @@ pub fn append_sql(
             )]
         }
         SampleType::Hashed { columns } => {
-            let quoted: Vec<String> = columns.iter().map(|c| dialect.quote_ident(c)).collect();
-            let key_expr = if quoted.len() == 1 {
-                quoted[0].clone()
-            } else {
-                format!("concat({})", quoted.join(", "))
-            };
-            let hash = dialect.hash_function(&key_expr, 1_000_000);
-            let threshold = (ratio * 1_000_000f64).round() as u64;
+            let kept = hashed_predicate(columns, ratio, dialect);
             // No helper column is attached, but the projection is still
             // explicit and in base order: the INSERT is positional, so a
             // batch staged with reordered columns must not corrupt the
@@ -102,7 +96,7 @@ pub fn append_sql(
             vec![format!(
                 "INSERT INTO {sample} SELECT {cols}, {ratio} AS {SAMPLING_PROB_COLUMN}, \
                  {rand} AS {SUBSAMPLE_DRAW_COLUMN} \
-                 FROM {batch} WHERE {hash} < {threshold}"
+                 FROM {batch} WHERE {kept}"
             )]
         }
         SampleType::Stratified { columns } => {

@@ -47,6 +47,29 @@ pub(crate) fn qualified_columns(
         .join(", ")
 }
 
+/// Resolution of the integer hash used to implement `h(t.C) < τ`.
+const HASH_DOMAIN: u64 = 1_000_000;
+
+/// The predicate `h(columns) < τ` a hashed (universe) sample keeps tuples by
+/// — one spelling for sample construction and append maintenance, so a
+/// `REFRESH` samples the universe `CREATE SCRAMBLE … METHOD hashed` did.
+/// Multi-column universe samples hash the concatenation of the columns.
+pub(crate) fn hashed_predicate(
+    columns: &[String],
+    ratio: f64,
+    dialect: &dyn verdict_sql::Dialect,
+) -> String {
+    let quoted: Vec<String> = columns.iter().map(|c| dialect.quote_ident(c)).collect();
+    let key_expr = if quoted.len() == 1 {
+        quoted[0].clone()
+    } else {
+        format!("concat({})", quoted.join(", "))
+    };
+    let hash = dialect.hash_function(&key_expr, HASH_DOMAIN);
+    let threshold = (ratio * HASH_DOMAIN as f64).round() as u64;
+    format!("{hash} < {threshold}")
+}
+
 /// The sample types VerdictDB constructs offline (§3.1).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SampleType {

@@ -24,7 +24,7 @@ const SPARSE_MAX: usize = M / 4;
 /// An empty sketch allocates nothing and a sketch that has seen few values
 /// keeps them as a short list, so a grouped aggregation can hold one sketch
 /// per group — and one partial sketch per group per morsel — without paying
-/// [`M`] bytes and an `M`-register merge for each.  The estimate depends only
+/// `M` bytes and an `M`-register merge for each.  The estimate depends only
 /// on the register contents, never on which form holds them.
 #[derive(Debug, Clone)]
 pub struct HyperLogLog {

@@ -214,32 +214,6 @@ impl Engine {
             },
         })
     }
-
-    /// Executes several semicolon-separated statements, returning the last result.
-    pub fn execute_script(&self, sql: &str) -> EngineResult<QueryResult> {
-        let stmts = verdict_sql::parse_statements(sql)?;
-        let start = Instant::now();
-        let mut last = QueryResult {
-            table: Table::default(),
-            stats: ExecStats::default(),
-        };
-        let mut scanned = 0u64;
-        for stmt in &stmts {
-            let mut exec =
-                Executor::with_pool(&self.catalog, self.next_seed(), Arc::clone(&self.pool));
-            let table = exec.execute_statement(stmt)?;
-            scanned += exec.rows_scanned;
-            last = QueryResult {
-                table,
-                stats: ExecStats::default(),
-            };
-        }
-        last.stats = ExecStats {
-            rows_scanned: scanned,
-            elapsed: start.elapsed(),
-        };
-        Ok(last)
-    }
 }
 
 impl Backend for Engine {
@@ -322,18 +296,6 @@ mod tests {
         assert!(e.table_exists("sales"));
         assert!(!e.table_exists("nope"));
         assert_eq!(e.table_row_count("sales").unwrap(), 1000);
-    }
-
-    #[test]
-    fn script_execution_runs_all_statements() {
-        let e = engine();
-        let r = e
-            .execute_script(
-                "CREATE TABLE cheap AS SELECT * FROM sales WHERE price < 10; \
-                 SELECT count(*) FROM cheap;",
-            )
-            .unwrap();
-        assert_eq!(r.table.value_at(0, 0), Value::Int(10));
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Vectorized hash aggregation: one running state, two callers.
+//! Vectorized hash aggregation: one running state, one caller.
 //!
 //! The executor collects the unique aggregate calls appearing in a query and
-//! evaluates their argument expressions over the input frame as typed
-//! columns ([`evaluate_inputs`]).  The evaluated rows go into an
-//! [`AggState`] — a group table plus one accumulator per aggregate — which
-//! is the only fold in the engine: one-shot execution pushes the whole frame
-//! and finishes ([`execute_aggregation_with`]); the progressive block scan
-//! ([`crate::exec::progressive::ProgressiveScan`]) pushes block by block and
-//! snapshots per frame.  Each 64K-row morsel of evaluated rows is clustered
-//! by the canonical-hash grouper ([`crate::kernels::group_range`]) and folded
+//! evaluates their argument expressions over each block's frame as typed
+//! columns (`evaluate_inputs`).  The evaluated rows go into an [`AggState`]
+//! — a group table plus one accumulator per aggregate — which is the only
+//! fold in the engine: the block scan
+//! ([`crate::exec::progressive::ProgressiveScan`]) pushes block by block,
+//! snapshots per streamed frame and finishes a one-shot drain.  Each 64K-row
+//! morsel of evaluated rows is clustered by the canonical-hash grouper
+//! (`kernels::group_range`) and folded
 //! over the typed argument slices in one pass per aggregate — no per-cell
 //! [`Value`] boxing on the SUM/COUNT/AVG/MIN/MAX hot path that VerdictDB's
 //! rewrites lean on — and the per-morsel partial states merge in morsel
@@ -683,10 +683,9 @@ pub fn collect_aggregate_calls(exprs: &[&Expr]) -> EngineResult<Vec<AggregateIte
 
 /// Output of the aggregation stage.
 pub struct AggregatedFrame {
-    /// The aggregated table: group-key columns followed by aggregate columns.
+    /// The aggregated table: group-key columns followed by aggregate columns
+    /// (`AggState::replacements` says which expression each one holds).
     pub table: Table,
-    /// Replacement pairs: original expression -> column reference in `table`.
-    pub replacements: Vec<(Expr, Expr)>,
 }
 
 /// Evaluates the group-key and aggregate-argument expressions over `frame`
@@ -719,22 +718,6 @@ pub(crate) fn evaluate_inputs(
         })
         .collect::<EngineResult<_>>()?;
     Ok((keys, args))
-}
-
-/// Morsel-parallel hash aggregation of `input` grouped by `group_exprs`:
-/// evaluate the keys and arguments, push the whole frame into a fresh
-/// [`AggState`], finish it.
-pub fn execute_aggregation_with(
-    input: &Table,
-    group_exprs: &[Expr],
-    aggs: &[AggregateItem],
-    rng: &mut dyn FnMut() -> f64,
-    pool: &ThreadPool,
-) -> EngineResult<AggregatedFrame> {
-    let (keys, args) = evaluate_inputs(input, group_exprs, aggs, rng)?;
-    let mut state = AggState::new(group_exprs, aggs, &input.schema);
-    state.push(keys, args, input.num_rows(), pool);
-    state.finish(pool)
 }
 
 /// One aggregate of an [`AggState`]: what to compute, over which argument
@@ -805,9 +788,8 @@ const PARTIALS_PER_WORKER: usize = 32;
 /// The running state of one grouped aggregation — the engine's single
 /// aggregation core.  [`push`](Self::push) takes evaluated key/argument
 /// rows, [`snapshot`](Self::snapshot) answers for the rows pushed so far,
-/// [`finish`](Self::finish) answers for all of them; one-shot execution is
-/// "push once, finish" and a progressive scan is "push per block, snapshot
-/// per frame".
+/// [`finish`](Self::finish) answers for all of them; a block scan is "push
+/// per block", streamed "snapshot per frame", one-shot "finish at the end".
 ///
 /// **The grid rule.**  Rows are folded on the [`MORSEL_ROWS`] grid of
 /// *evaluated rows counted from the first push*: every full morsel becomes
@@ -901,6 +883,12 @@ impl AggState {
         }
     }
 
+    /// Replacement pairs: GROUP BY expression or aggregate call → reference
+    /// to the column of the aggregated frame that holds it.
+    pub(crate) fn replacements(&self) -> &[(Expr, Expr)] {
+        &self.replacements
+    }
+
     /// Takes the next `n` evaluated rows (every column `n` long; `args[i]`
     /// is `None` exactly for `count(*)`), folds every morsel they complete,
     /// and carries the rest.
@@ -978,7 +966,6 @@ impl AggState {
         }
         Ok(AggregatedFrame {
             table: Table::new(self.schema.clone(), columns)?,
-            replacements: self.replacements.clone(),
         })
     }
 }
@@ -1115,14 +1102,21 @@ mod tests {
     }
 
     fn run_agg_on(t: Table, group: &[&str], aggs: &[&str]) -> Table {
+        aggregate(&t, group, aggs, &ThreadPool::serial())
+    }
+
+    /// Evaluates the keys and arguments over `t`, pushes the whole frame
+    /// into a fresh [`AggState`] and finishes it.
+    fn aggregate(t: &Table, group: &[&str], aggs: &[&str], pool: &ThreadPool) -> Table {
         let group_exprs: Vec<Expr> = group.iter().map(|g| parse_expression(g).unwrap()).collect();
         let agg_exprs: Vec<Expr> = aggs.iter().map(|a| parse_expression(a).unwrap()).collect();
         let refs: Vec<&Expr> = agg_exprs.iter().collect();
         let items = collect_aggregate_calls(&refs).unwrap();
         let mut rng = seeded_uniform(1);
-        execute_aggregation_with(&t, &group_exprs, &items, &mut rng, &ThreadPool::serial())
-            .unwrap()
-            .table
+        let (keys, args) = evaluate_inputs(t, &group_exprs, &items, &mut rng).unwrap();
+        let mut state = AggState::new(&group_exprs, &items, &t.schema);
+        state.push(keys, args, t.num_rows(), pool);
+        state.finish(pool).unwrap().table
     }
 
     #[test]
@@ -1232,12 +1226,7 @@ mod tests {
             .int_column("k", (0..n).map(|i| i % 5000).collect())
             .build()
             .unwrap();
-        let e = parse_expression("ndv(k)").unwrap();
-        let items = collect_aggregate_calls(&[&e]).unwrap();
-        let mut rng = seeded_uniform(1);
-        let out = execute_aggregation_with(&t, &[], &items, &mut rng, &ThreadPool::serial())
-            .unwrap()
-            .table;
+        let out = run_agg_on(t, &[], &["ndv(k)"]);
         let est = out.value_at(0, 0).as_i64().unwrap() as f64;
         assert!((est - 5000.0).abs() / 5000.0 < 0.05);
     }
@@ -1309,8 +1298,7 @@ mod tests {
             .build()
             .unwrap();
         let run_with = |threads: usize| {
-            let group = parse_expression("k").unwrap();
-            let agg_exprs: Vec<Expr> = [
+            let aggs = [
                 "count(*)",
                 "count(v)",
                 "sum(v)",
@@ -1319,17 +1307,8 @@ mod tests {
                 "max(v)",
                 "stddev(v)",
                 "median(v)",
-            ]
-            .iter()
-            .map(|a| parse_expression(a).unwrap())
-            .collect();
-            let refs: Vec<&Expr> = agg_exprs.iter().collect();
-            let items = collect_aggregate_calls(&refs).unwrap();
-            let mut rng = seeded_uniform(1);
-            let pool = ThreadPool::new(threads);
-            execute_aggregation_with(&t, std::slice::from_ref(&group), &items, &mut rng, &pool)
-                .unwrap()
-                .table
+            ];
+            aggregate(&t, &["k"], &aggs, &ThreadPool::new(threads))
         };
         let serial = run_with(1);
         let parallel = run_with(4);

@@ -1,18 +1,29 @@
 //! The query executor: turns a parsed [`Statement`] into a result [`Table`].
 //!
-//! Execution pipeline for a `SELECT`:
+//! There is one way a `SELECT` runs, whoever asks for it —
+//! [`Executor::execute_query`] for a one-shot answer,
+//! [`crate::Backend::open_block_scan`] for a stream: **open** a
+//! [`progressive::ProgressiveScan`], **advance** it over the input block by
+//! block, and read the answer through its one **tail**.  This module is the
+//! statement level and the open:
 //!
 //! 1. resolve uncorrelated scalar / `IN` subqueries to literals,
-//! 2. build the input frame from the FROM clause: scans, hash joins, and
-//!    derived tables — a *row-wise* one (a single base table, an optional
-//!    WHERE, a select list of `*` plus scalar items: the `(SELECT *, … AS
-//!    verdict_sid FROM scramble)` wrapper VerdictDB puts around every sampled
-//!    relation) is bound as a [`view`] holding only the base columns whose
-//!    bare name the statement spells, any other is executed as a query,
-//! 3. apply the WHERE filter,
-//! 4. hash-aggregate when the query groups or aggregates,
-//! 5. evaluate window functions over the (aggregated) frame,
-//! 6. apply HAVING, project, de-duplicate for DISTINCT, sort, and limit.
+//! 2. bind the FROM clause.  A lone plain table, or a lone *row-wise* derived
+//!    table (a single base table, an optional WHERE, a select list of `*`
+//!    plus scalar items: the `(SELECT *, … AS verdict_sid FROM scramble)`
+//!    wrapper VerdictDB puts around every sampled relation), is bound as a
+//!    [`view`] holding only the base columns whose bare name the statement
+//!    spells, and is read block by block; joins (hash joins over the bound
+//!    or executed relations), any other derived table and a table-less
+//!    select are built here and enter the scan as a single block,
+//! 3. drain: every block takes the view's frame → WHERE → group-key /
+//!    argument evaluation → the running aggregation (or, without
+//!    aggregation, the filtered rows are kept),
+//! 4. the tail: window functions over the (aggregated) frame → HAVING →
+//!    projection → ORDER BY → DISTINCT → LIMIT.
+//!
+//! The drain's block size follows from the input alone (see
+//! `ProgressiveScan::drain`); the answer does not depend on it.
 
 pub mod aggregate;
 pub mod from_clause;
@@ -23,26 +34,39 @@ pub mod window;
 use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
-use crate::expr::{eval_expr, infer_type, EvalContext};
-use crate::kernels::{group_rows_with, par_column_to_mask, par_filter_mask};
+use crate::expr::{eval_expr, EvalContext};
+use crate::kernels::{par_column_to_mask, par_filter_mask};
 use crate::parallel::ThreadPool;
 use crate::persist::{ScanSource, TableSource};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
-use aggregate::{collect_aggregate_calls, execute_aggregation_with, replace_exprs};
 use from_clause::{cross_join, extract_equi_pairs, hash_join};
+use progressive::{Input, ProgressiveScan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use verdict_sql::ast::*;
 use view::RowView;
-use window::{collect_window_calls, eval_window};
+
+/// How a statement reaches a base table by catalog key: one-shot execution
+/// pins the materialised table (`Catalog::get`), a stream opens a block
+/// reader (`Catalog::scan_source`).
+pub(crate) type Pin<'p> = &'p dyn Fn(&str) -> EngineResult<Arc<dyn ScanSource>>;
+
+/// One relation of a FROM clause, bound.
+enum Bound<'q> {
+    /// A plain table or a row-wise derived table: read through a view.
+    View(Box<RowView>),
+    /// Any other derived table: a query to execute, and its alias.
+    Query(&'q Query, Option<&'q str>),
+}
 
 /// Executes statements against a [`Catalog`].
 pub struct Executor<'a> {
     catalog: &'a Catalog,
-    rng: StdRng,
+    /// The uniform `[0, 1)` source behind `rand()`.
+    rng: Box<dyn FnMut() -> f64>,
     /// Morsel-parallel worker pool shared with the owning engine.
     pool: Arc<ThreadPool>,
     /// Total number of base-table rows scanned while executing (used by the
@@ -51,30 +75,21 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with a default-sized pool; `seed` makes `rand()`
-    /// deterministic when given.
-    pub fn new(catalog: &'a Catalog, seed: Option<u64>) -> Executor<'a> {
-        Self::with_pool(
-            catalog,
-            seed,
-            Arc::new(ThreadPool::with_default_parallelism()),
-        )
-    }
-
     /// Creates an executor sharing an existing worker pool (the engine passes
-    /// its own pool here so the `parallelism` knob applies to every statement).
+    /// its own pool here so the `parallelism` knob applies to every
+    /// statement); `seed` makes `rand()` deterministic when given.
     pub fn with_pool(
         catalog: &'a Catalog,
         seed: Option<u64>,
         pool: Arc<ThreadPool>,
     ) -> Executor<'a> {
-        let rng = match seed {
+        let mut rng = match seed {
             Some(s) => StdRng::seed_from_u64(s),
             None => StdRng::from_entropy(),
         };
         Executor {
             catalog,
-            rng,
+            rng: Box::new(move || rng.gen::<f64>()),
             pool,
             rows_scanned: 0,
         }
@@ -125,196 +140,37 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Executes a `SELECT` query and returns its result table.
+    /// Executes a `SELECT` query and returns its result table: the block
+    /// scan of the statement, drained to the end.
     pub fn execute_query(&mut self, statement: &Query) -> EngineResult<Table> {
         let mut query = statement.clone();
-        // 1. Resolve uncorrelated subqueries in WHERE / HAVING.
         if let Some(sel) = query.selection.take() {
             query.selection = Some(self.resolve_subqueries(sel)?);
         }
         if let Some(h) = query.having.take() {
             query.having = Some(self.resolve_subqueries(h)?);
         }
-
-        // 2. FROM clause (views prune by the names the statement as written
-        //    spells, subqueries still in place).
-        let mut frame = self.build_from(statement)?;
-
-        // 3. WHERE.
-        if let Some(pred) = &query.selection {
-            let mask = self.predicate_mask(pred, &frame)?;
-            frame = frame.filter_with(&mask, &self.pool);
-        }
-
-        // Gather all output-side expressions.
-        let mut projection = query.projection.clone();
-        let mut having = query.having.clone();
-        let mut order_by = query.order_by.clone();
-
-        let mut out_exprs: Vec<&Expr> = Vec::new();
-        for item in &projection {
-            if let Some(e) = item.expr() {
-                out_exprs.push(e);
-            }
-        }
-        if let Some(h) = &having {
-            out_exprs.push(h);
-        }
-        for o in &order_by {
-            out_exprs.push(&o.expr);
-        }
-
-        // 4. Aggregation.
-        let agg_items = collect_aggregate_calls(&out_exprs)?;
-        let needs_agg = !query.group_by.is_empty() || !agg_items.is_empty();
-        if needs_agg {
-            let agg_frame = {
-                let rng = &mut self.rng;
-                let mut rng_fn = move || rng.gen::<f64>();
-                execute_aggregation_with(
-                    &frame,
-                    &query.group_by,
-                    &agg_items,
-                    &mut rng_fn,
-                    &self.pool,
-                )?
-            };
-            let replacements = agg_frame.replacements;
-            frame = agg_frame.table;
-            projection = replace_in_projection(projection, &replacements);
-            having = having.map(|h| replace_exprs(&h, &replacements));
-            order_by = order_by
-                .into_iter()
-                .map(|o| OrderByItem {
-                    expr: replace_exprs(&o.expr, &replacements),
-                    asc: o.asc,
-                })
-                .collect();
-        }
-
-        // 5. Window functions (evaluated over the aggregated frame).
-        let mut win_exprs: Vec<&Expr> = Vec::new();
-        for item in &projection {
-            if let Some(e) = item.expr() {
-                win_exprs.push(e);
-            }
-        }
-        if let Some(h) = &having {
-            win_exprs.push(h);
-        }
-        for o in &order_by {
-            win_exprs.push(&o.expr);
-        }
-        let window_calls = collect_window_calls(&win_exprs);
-        if !window_calls.is_empty() {
-            let mut replacements: Vec<(Expr, Expr)> = Vec::new();
-            for (i, call) in window_calls.iter().enumerate() {
-                let col = {
-                    let rng = &mut self.rng;
-                    let mut rng_fn = move || rng.gen::<f64>();
-                    eval_window(call, &frame, &mut rng_fn)?
-                };
-                let name = format!("__win{i}");
-                let dt = if col.null_count() == col.len() {
-                    DataType::Float
-                } else {
-                    col.data_type()
-                };
-                frame.schema.fields.push(Field::new(&name, dt));
-                frame.columns.push(col);
-                replacements.push((Expr::Function(call.clone()), Expr::col(name)));
-            }
-            projection = replace_in_projection(projection, &replacements);
-            having = having.map(|h| replace_exprs(&h, &replacements));
-            order_by = order_by
-                .into_iter()
-                .map(|o| OrderByItem {
-                    expr: replace_exprs(&o.expr, &replacements),
-                    asc: o.asc,
-                })
-                .collect();
-        }
-
-        // 6. HAVING.
-        if let Some(h) = &having {
-            let mask = self.predicate_mask(h, &frame)?;
-            frame = frame.filter_with(&mask, &self.pool);
-        }
-
-        // 7. Projection.
-        let mut output = self.project(&frame, &projection)?;
-
-        // 8. ORDER BY (keys evaluated against the pre-projection frame, falling
-        //    back to output aliases), then DISTINCT, then LIMIT.
-        if !order_by.is_empty() && output.num_rows() > 1 {
-            let mut keys: Vec<Column> = Vec::with_capacity(order_by.len());
-            for o in &order_by {
-                let col = self.order_key(&o.expr, &frame, &output)?;
-                keys.push(col);
-            }
-            let mut indices: Vec<usize> = (0..output.num_rows()).collect();
-            indices.sort_by(|&a, &b| {
-                for (k, o) in keys.iter().zip(order_by.iter()) {
-                    let ord = k.cmp_rows(a, b);
-                    let ord = if o.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            output = output.take(&indices);
-        }
-
-        if query.distinct {
-            output = distinct_rows(&output, &self.pool);
-        }
-        if let Some(limit) = query.limit {
-            output = output.limit(limit as usize);
-        }
-        Ok(output)
-    }
-
-    /// Evaluates a predicate over the frame into a selection mask (see
-    /// [`predicate_mask_with`]).
-    fn predicate_mask(
-        &mut self,
-        pred: &Expr,
-        frame: &Table,
-    ) -> EngineResult<crate::selvec::SelVec> {
-        let rng = &mut self.rng;
-        let mut rng_fn = move || rng.gen::<f64>();
-        predicate_mask_with(pred, frame, &mut rng_fn, &self.pool)
-    }
-
-    fn order_key(&mut self, expr: &Expr, frame: &Table, output: &Table) -> EngineResult<Column> {
-        // Try the output table first when the key is a bare column (an alias),
-        // provided the row counts line up.
-        if let Expr::Column { table: None, name } = expr {
-            if output.num_rows() == frame.num_rows() {
-                if let Some(idx) = output.schema.index_of(name) {
-                    return Ok(output.columns[idx].clone());
-                }
-            }
-        }
-        let rng = &mut self.rng;
-        let mut rng_fn = move || rng.gen::<f64>();
-        let mut ctx = EvalContext {
-            table: frame,
-            rng: &mut rng_fn,
+        // Views prune by the names the statement as written spells,
+        // subqueries still in place.
+        let catalog = self.catalog;
+        let pinned = |key: &str| {
+            let table = TableSource::new(catalog.get(key)?);
+            Ok(Arc::new(table) as Arc<dyn ScanSource>)
         };
-        eval_expr(expr, &mut ctx)
+        let input = match lone_view(statement, &pinned)? {
+            Some(view) => {
+                self.rows_scanned += view.num_rows() as u64;
+                Input::View(view)
+            }
+            None => Input::Built(self.build_from(statement, &pinned)?),
+        };
+        ProgressiveScan::open(input, &query, Arc::clone(&self.pool), &mut *self.rng)?
+            .drain(&mut *self.rng)
     }
 
-    fn project(&mut self, frame: &Table, projection: &[SelectItem]) -> EngineResult<Table> {
-        let rng = &mut self.rng;
-        let mut rng_fn = move || rng.gen::<f64>();
-        project_items(frame, projection, &mut rng_fn)
-    }
-
-    fn build_from(&mut self, query: &Query) -> EngineResult<Table> {
-        let from = &query.from;
-        if from.is_empty() {
+    /// Builds the frame of a FROM clause that is not one view.
+    fn build_from(&mut self, query: &Query, pin: Pin) -> EngineResult<Table> {
+        if query.from.is_empty() {
             // table-less SELECT: a single anonymous row
             return Table::new(
                 Schema::new(vec![Field::new("__dummy", DataType::Int)]),
@@ -322,87 +178,69 @@ impl<'a> Executor<'a> {
             );
         }
         let mut frame: Option<Table> = None;
-        for twj in from {
-            let mut current = self.build_factor(&twj.relation, query)?;
+        for twj in &query.from {
+            let mut current = self.build_factor(&twj.relation, query, pin)?;
             for join in &twj.joins {
-                let right = self.build_factor(&join.relation, query)?;
-                current = match join.join_type {
-                    JoinType::Cross => {
-                        let rng = &mut self.rng;
-                        let mut rng_fn = move || rng.gen::<f64>();
-                        cross_join(&current, &right, &mut rng_fn, &self.pool)?
+                let right = self.build_factor(&join.relation, query, pin)?;
+                current = match (join.join_type, &join.constraint) {
+                    (JoinType::Cross, _) => {
+                        cross_join(&current, &right, &mut *self.rng, &self.pool)?
                     }
-                    jt => {
-                        let constraint = join.constraint.as_ref().ok_or_else(|| {
-                            EngineError::Unsupported("JOIN without ON condition".into())
-                        })?;
+                    (_, None) => {
+                        return Err(EngineError::Unsupported("JOIN without ON condition".into()))
+                    }
+                    (jt, Some(constraint)) => {
                         let constraint = self.resolve_subqueries(constraint.clone())?;
                         let (pairs, residual) =
                             extract_equi_pairs(&constraint, &current.schema, &right.schema);
-                        let rng = &mut self.rng;
-                        let mut rng_fn = move || rng.gen::<f64>();
-                        hash_join(
-                            &current,
-                            &right,
-                            &pairs,
-                            &residual,
-                            jt,
-                            &mut rng_fn,
-                            &self.pool,
-                        )?
+                        let (rng, pool) = (&mut *self.rng, &self.pool);
+                        hash_join(&current, &right, &pairs, &residual, jt, rng, pool)?
                     }
                 };
             }
             frame = Some(match frame {
                 None => current,
-                Some(existing) => {
-                    let rng = &mut self.rng;
-                    let mut rng_fn = move || rng.gen::<f64>();
-                    cross_join(&existing, &current, &mut rng_fn, &self.pool)?
-                }
+                Some(existing) => cross_join(&existing, &current, &mut *self.rng, &self.pool)?,
             });
         }
         Ok(frame.expect("nonempty from"))
     }
 
-    /// Builds the frame of one relation of `enclosing`'s FROM clause.
-    fn build_factor(&mut self, tf: &TableFactor, enclosing: &Query) -> EngineResult<Table> {
-        match tf {
-            TableFactor::Table { name, alias } => {
-                let table = self.catalog.get(&name.key())?;
-                self.rows_scanned += table.num_rows() as u64;
-                let binding = alias
-                    .clone()
-                    .unwrap_or_else(|| name.base_name().to_string());
-                Ok(Table {
-                    schema: table.schema.with_qualifier(&binding),
-                    columns: table.columns.clone(),
-                })
+    /// Builds the whole frame of one relation of `enclosing`'s FROM clause.
+    fn build_factor(
+        &mut self,
+        tf: &TableFactor,
+        enclosing: &Query,
+        pin: Pin,
+    ) -> EngineResult<Table> {
+        match bind(tf, enclosing, pin)? {
+            Bound::View(view) => {
+                self.rows_scanned += view.num_rows() as u64;
+                view.frame(0, view.num_rows(), &mut *self.rng, &self.pool)
             }
-            TableFactor::Derived { subquery, alias } => {
-                let catalog = self.catalog;
-                let pinned = |key: &str| {
-                    let table = TableSource::new(catalog.get(key)?);
-                    Ok(Arc::new(table) as Arc<dyn ScanSource>)
-                };
-                if let Some(view) = RowView::bind(subquery, alias.as_deref(), enclosing, pinned)? {
-                    let rows = view.num_rows();
-                    self.rows_scanned += rows as u64;
-                    let rng = &mut self.rng;
-                    let mut rng_fn = move || rng.gen::<f64>();
-                    return view.frame(0, rows, &mut rng_fn, &self.pool);
-                }
+            Bound::Query(subquery, alias) => {
                 let result = self.execute_query(subquery)?;
-                let schema = match alias {
-                    Some(a) => result.schema.without_qualifiers().with_qualifier(a),
-                    None => result.schema.without_qualifiers(),
-                };
+                let schema = result.schema.without_qualifiers();
                 Ok(Table {
-                    schema,
+                    schema: match alias {
+                        Some(a) => schema.with_qualifier(a),
+                        None => schema,
+                    },
                     columns: result.columns,
                 })
             }
         }
+    }
+
+    /// Executes a subquery expression's query; a column it cannot resolve
+    /// can only be an outer one.
+    fn execute_subquery(&mut self, query: &Query) -> EngineResult<Table> {
+        self.execute_query(query).map_err(|e| match e {
+            EngineError::ColumnNotFound(c) => EngineError::Unsupported(format!(
+                "correlated subquery referencing outer column {c}"
+            )),
+            other => other,
+        })
     }
 
     /// Replaces uncorrelated scalar subqueries and IN-subqueries with literal
@@ -412,12 +250,7 @@ impl<'a> Executor<'a> {
     fn resolve_subqueries(&mut self, expr: Expr) -> EngineResult<Expr> {
         Ok(match expr {
             Expr::ScalarSubquery(q) => {
-                let result = self.execute_query(&q).map_err(|e| match e {
-                    EngineError::ColumnNotFound(c) => EngineError::Unsupported(format!(
-                        "correlated subquery referencing outer column {c}"
-                    )),
-                    other => other,
-                })?;
+                let result = self.execute_subquery(&q)?;
                 let v = if result.num_rows() == 0 || result.num_columns() == 0 {
                     Value::Null
                 } else {
@@ -431,12 +264,7 @@ impl<'a> Executor<'a> {
                 negated,
             } => {
                 let inner = self.resolve_subqueries(*expr)?;
-                let result = self.execute_query(&subquery).map_err(|e| match e {
-                    EngineError::ColumnNotFound(c) => EngineError::Unsupported(format!(
-                        "correlated subquery referencing outer column {c}"
-                    )),
-                    other => other,
-                })?;
+                let result = self.execute_subquery(&subquery)?;
                 let list: Vec<Expr> = if result.num_columns() == 0 {
                     Vec::new()
                 } else {
@@ -492,14 +320,42 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// Binds one relation of `enclosing`'s FROM clause.
+fn bind<'q>(tf: &'q TableFactor, enclosing: &Query, pin: Pin) -> EngineResult<Bound<'q>> {
+    let view = match tf {
+        TableFactor::Table { name, alias } => {
+            let binding = alias.as_deref().unwrap_or(name.base_name());
+            RowView::scan(pin(&name.key())?, binding)
+        }
+        TableFactor::Derived { subquery, alias } => {
+            match RowView::bind(subquery, alias.as_deref(), enclosing, pin)? {
+                Some(view) => view,
+                None => return Ok(Bound::Query(subquery, alias.as_deref())),
+            }
+        }
+    };
+    Ok(Bound::View(Box::new(view)))
+}
+
+/// The FROM clause of `query` as one view, when it is a single relation
+/// that binds as one.
+pub(crate) fn lone_view(query: &Query, pin: Pin) -> EngineResult<Option<Box<RowView>>> {
+    match query.from.as_slice() {
+        [twj] if twj.joins.is_empty() => match bind(&twj.relation, query, pin)? {
+            Bound::View(view) => Ok(Some(view)),
+            Bound::Query(..) => Ok(None),
+        },
+        _ => Ok(None),
+    }
+}
+
 /// Evaluates a predicate over a frame into a selection mask.  A top-level
 /// comparison takes the fully morsel-parallel filter kernel (operands
 /// evaluated first, then compared and masked per morsel); everything else
 /// evaluates to a boolean column and folds it to a mask morsel-parallel.
 /// Both paths match the serial `column_to_mask(eval_expr(pred))` bit for bit.
 ///
-/// Shared by the one-shot executor and the progressive block-scan executor;
-/// the expression evaluation is element-wise, so filtering a frame block by
+/// The expression evaluation is element-wise, so filtering a frame block by
 /// block and concatenating equals filtering the whole frame at once.
 pub(crate) fn predicate_mask_with(
     pred: &Expr,
@@ -520,70 +376,6 @@ pub(crate) fn predicate_mask_with(
     Ok(par_column_to_mask(&col, pool))
 }
 
-/// Evaluates a projection list over a frame into an output table (wildcards
-/// expand to the frame's non-helper columns; expressions evaluate per row).
-/// Shared by the one-shot executor and the progressive block-scan executor.
-pub(crate) fn project_items(
-    frame: &Table,
-    projection: &[SelectItem],
-    rng: &mut dyn FnMut() -> f64,
-) -> EngineResult<Table> {
-    let mut fields: Vec<Field> = Vec::new();
-    let mut columns: Vec<Column> = Vec::new();
-    for (i, item) in projection.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                for (f, c) in frame.schema.fields.iter().zip(frame.columns.iter()) {
-                    // hide internal helper columns from `SELECT *`
-                    if f.name.starts_with("__") {
-                        continue;
-                    }
-                    fields.push(f.clone());
-                    columns.push(c.clone());
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                for (f, c) in frame.schema.fields.iter().zip(frame.columns.iter()) {
-                    if f.qualifier.as_deref() == Some(q.to_ascii_lowercase().as_str()) {
-                        fields.push(f.clone());
-                        columns.push(c.clone());
-                    }
-                }
-            }
-            SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } => {
-                let col = {
-                    let mut ctx = EvalContext { table: frame, rng };
-                    eval_expr(e, &mut ctx)?
-                };
-                let name = match item.alias() {
-                    Some(a) => a.to_string(),
-                    None => default_output_name(e, i),
-                };
-                fields.push(Field::new(&name, infer_type(e, &frame.schema)));
-                columns.push(col);
-            }
-        }
-    }
-    Table::new(Schema::new(fields), columns)
-}
-
-pub(crate) fn replace_in_projection(
-    projection: Vec<SelectItem>,
-    replacements: &[(Expr, Expr)],
-) -> Vec<SelectItem> {
-    projection
-        .into_iter()
-        .map(|item| match item {
-            SelectItem::Expr(e) => SelectItem::Expr(replace_exprs(&e, replacements)),
-            SelectItem::ExprWithAlias { expr, alias } => SelectItem::ExprWithAlias {
-                expr: replace_exprs(&expr, replacements),
-                alias,
-            },
-            other => other,
-        })
-        .collect()
-}
-
 pub(crate) fn default_output_name(expr: &Expr, position: usize) -> String {
     match expr {
         Expr::Column { name, .. } => name.clone(),
@@ -600,13 +392,6 @@ fn value_to_literal(v: &Value) -> Literal {
         Value::Str(s) => Literal::String(s.clone()),
         Value::Bool(b) => Literal::Boolean(*b),
     }
-}
-
-fn distinct_rows(table: &Table, pool: &ThreadPool) -> Table {
-    // the grouper's representatives are exactly the first occurrence of each
-    // distinct row, in order
-    let grouping = group_rows_with(&table.columns, table.num_rows(), pool);
-    table.take(&grouping.representatives)
 }
 
 #[cfg(test)]
@@ -639,10 +424,15 @@ mod tests {
         catalog
     }
 
+    fn executor(catalog: &Catalog, seed: u64) -> Executor<'_> {
+        let pool = Arc::new(ThreadPool::with_default_parallelism());
+        Executor::with_pool(catalog, Some(seed), pool)
+    }
+
     fn run(catalog: &Catalog, sql: &str) -> Table {
         let stmt = parse_statement(sql).unwrap();
-        let mut exec = Executor::new(catalog, Some(7));
-        exec.execute_statement(&stmt)
+        executor(catalog, 7)
+            .execute_statement(&stmt)
             .unwrap_or_else(|e| panic!("execution failed for {sql}: {e}"))
     }
 
@@ -773,9 +563,8 @@ mod tests {
     fn missing_table_is_an_error() {
         let c = setup();
         let stmt = parse_statement("SELECT * FROM nope").unwrap();
-        let mut exec = Executor::new(&c, Some(1));
         assert!(matches!(
-            exec.execute_statement(&stmt),
+            executor(&c, 1).execute_statement(&stmt),
             Err(EngineError::TableNotFound(_))
         ));
     }

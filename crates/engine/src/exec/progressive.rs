@@ -1,70 +1,87 @@
-//! The resumable block-scan executor behind progressive query execution.
+//! The block scan: the one driver every `SELECT` runs through.
 //!
-//! A [`ProgressiveScan`] executes a restricted class of aggregate queries —
-//! a single base-table scan (optionally wrapped in one row-wise derived
-//! table), a WHERE filter, and a grouped aggregation, which is exactly the
-//! shape of VerdictDB's rewritten variational-subsampling ("mean") query —
-//! **incrementally**: [`BlockScan::advance`] consumes the next block of base
-//! rows (the FROM relation's frame for the block → filter →
-//! group-key/argument evaluation, each element-wise and therefore identical
-//! to evaluating the whole table at once) and pushes the evaluated rows
-//! into a running [`AggState`] — the same aggregation core, and the same
-//! `push`, the one-shot executor uses; [`BlockScan::snapshot`] is that state's
-//! `snapshot` plus the shared post-aggregation projection.  The scan holds
-//! no column that grows with the prefix: between calls it carries the
-//! state (O(groups) for the moment-family aggregates) and the state's open
-//! morsel (fewer than [`crate::parallel::MORSEL_ROWS`] evaluated rows).
+//! A [`ProgressiveScan`] is a statement specialised once at **open** —
+//! subqueries resolved and the FROM clause bound by
+//! [`crate::exec::Executor`], aggregate and window calls collected and
+//! replaced by their result columns in HAVING / the select list / ORDER BY —
+//! whose only residual program is the per-block loop.
+//! [`advance`](BlockScan::advance) consumes the next block of input rows:
+//! the FROM relation's frame for the block → outer WHERE → group-key /
+//! argument evaluation (each element-wise, hence identical to evaluating the
+//! whole table at once) → a push into the running [`AggState`]; a statement
+//! that does not aggregate keeps the filtered frame instead.  The **tail** —
+//! window functions → HAVING → projection → ORDER BY → DISTINCT → LIMIT, over
+//! the aggregated frame — is one function (`Tail::apply`) whoever reads an
+//! answer: [`snapshot`](BlockScan::snapshot) over the state so far, `finish`
+//! over the drained state.  One-shot execution
+//! ([`crate::exec::Executor::execute_query`]) is open → advance until done →
+//! finish; a stream ([`crate::Backend::open_block_scan`]) is the same struct
+//! boxed, advanced and snapshotted by its caller.  An aggregating scan holds
+//! no column that grows with the prefix: between calls it carries the state
+//! (O(groups) for the moment-family aggregates) and the state's open morsel
+//! (fewer than [`MORSEL_ROWS`] evaluated rows).
 //!
 //! Two properties are load-bearing:
 //!
-//! * **prefix exactness** — a snapshot after `k` rows is *the* result the
-//!   one-shot executor would produce for a table holding only those `k`
-//!   rows: per-row work is element-wise (so block evaluation concatenates
+//! * **prefix exactness** — a snapshot after `k` rows is *the* answer to the
+//!   statement over a table holding only those `k` rows, tail included:
+//!   per-row work is element-wise (so block evaluation concatenates
 //!   losslessly) and the state folds on the morsel grid of *evaluated rows
-//!   counted from the start of the scan* (see [`AggState`]), which is the
-//!   grid a one-shot run over those rows cuts — whatever the block size
-//!   and however many rows the WHERE clause drops from each block;
-//! * **final-frame bit-identity** — the last snapshot is the `k = n` case:
-//!   the same folds and the same morsel-order merges as
-//!   [`crate::Engine::execute_sql`] on the same statement, at any pool
-//!   size, followed by the shared post-aggregation projection.
+//!   counted from the start of the scan* (see [`AggState`]) — whatever the
+//!   block size and however many rows the WHERE clause drops from each block;
+//! * **block-size independence** — the `k = n` case: a drain yields the same
+//!   table, bit for bit, at any block size and pool size, which is why the
+//!   one-shot drain may pick its own (`ProgressiveScan::drain`).
 //!
-//! The FROM relation is the bound view the one-shot executor builds for the
-//! same statement ([`crate::exec::view`]; a plain table is the identity view
-//! over every column): the base columns whose bare name the statement
-//! spells are resolved once at open, and every block asks the source for
-//! exactly those — `read_range(Some(cols), …)`, plus a `gather` of the
-//! columns a wrapper's own WHERE does not read for the rows it keeps — so
-//! an unnamed pass-through column of a wrapper is never read, sliced,
-//! filtered or decoded.  A `*` / `alias.*` select list or a subquery keeps
-//! every column, but no statement of the progressive class has either.
+//! **Input.**  A lone plain table or row-wise derived table is a bound view
+//! ([`crate::exec::view`]; a plain table is the identity view over every
+//! column): the base columns whose bare name the statement spells
+//! are resolved once at open, and every block asks the source for exactly
+//! those — `read_range(Some(cols), …)`, plus a `gather` of the columns a
+//! view's own WHERE does not read for the rows it keeps.  Everything else
+//! (joins, any other derived table, a table-less select) was built at open
+//! and is consumed as a single block.  A view reads rows through a
+//! [`crate::persist::ScanSource`]: one-shot execution pins the materialised
+//! table (`Catalog::get`); a stream takes
+//! [`crate::catalog::Catalog::scan_source`] — in-memory tables are
+//! **pinned** (`Arc` snapshot), so concurrent writes to the catalog do not
+//! shift row ranges mid-stream, and store-backed sources decode columnar
+//! blocks from disk on demand (a cold-start `STREAM` never materialises the
+//! whole scramble) and detect a concurrent rebuild with a typed error instead
+//! of silently serving mixed versions.
 //!
-//! The scan reads rows through a [`crate::persist::ScanSource`]
-//! ([`crate::catalog::Catalog::scan_source`]): in-memory tables are
-//! **pinned** at construction (`Arc` snapshot), so concurrent writes to the
-//! catalog do not shift row ranges mid-stream; store-backed sources decode
-//! columnar blocks from disk on demand — a cold-start `STREAM` never
-//! materialises the whole scramble — and detect a concurrent rebuild with a
-//! typed error instead of silently serving mixed versions.  Either way a
-//! stream always answers over one consistent version of the data.
-//!
-//! Queries containing `rand()` anywhere are rejected (`Unsupported`):
-//! replaying random draws across advance/snapshot interleavings cannot be
-//! made deterministic.  VerdictDB's rewritten queries are rand-free — the
+//! **`rand()`.**  The order of draws is part of a seeded answer (scramble
+//! builds are `rand()` statements), and it is "every row through the WHERE,
+//! then every survivor through the next expression, …": a statement that
+//! calls `rand()` anywhere is therefore drained as one block.  The
+//! [`BlockScan`] entry refuses it — replaying draws across advance /
+//! snapshot interleavings cannot be made deterministic — along with
+//! subqueries and window functions (same reason: they are evaluated outside
+//! the per-block loop), a FROM clause that is not one view (a prefix of a
+//! join is not a join of prefixes) and a statement without aggregates
+//! (nothing refines).  VerdictDB's rewritten queries are rand-free — the
 //! variational subsample id is derived from a uniform draw **stored in the
 //! scramble** — so this costs nothing on the AQP path.
 
 use crate::catalog::Catalog;
+use crate::column::Column;
 use crate::engine::{ExecStats, QueryResult};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::aggregate::{collect_aggregate_calls, evaluate_inputs, AggState, AggregateItem};
+use crate::exec::aggregate::{
+    collect_aggregate_calls, evaluate_inputs, replace_exprs, AggState, AggregateItem,
+};
 use crate::exec::view::RowView;
-use crate::exec::{predicate_mask_with, project_items, replace_in_projection};
-use crate::parallel::ThreadPool;
+use crate::exec::window::{collect_window_calls, eval_window};
+use crate::exec::{default_output_name, lone_view, predicate_mask_with};
+use crate::expr::{eval_expr, infer_type, EvalContext};
+use crate::kernels::group_rows_with;
+use crate::parallel::{ThreadPool, MORSEL_ROWS};
+use crate::schema::{Field, Schema};
 use crate::table::Table;
+use crate::value::DataType;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use verdict_sql::ast::{Expr, Query, SelectItem, TableFactor};
+use verdict_sql::ast::{Expr, FunctionCall, OrderByItem, Query, SelectItem};
 
 /// A resumable cursor over a progressive aggregate execution.
 ///
@@ -94,37 +111,72 @@ pub trait BlockScan: Send {
     fn snapshot(&mut self) -> EngineResult<QueryResult>;
 }
 
-/// The engine's [`BlockScan`] implementation (see the [module
-/// docs](self) for the execution model and its exactness guarantees).
+/// The engine's [`BlockScan`] implementation, and its one-shot executor (see
+/// the [module docs](self) for the execution model and its guarantees).
 pub struct ProgressiveScan {
-    /// The row-wise half: base rows in, filtered (projected) frame out.
-    frames: BlockFrames,
-    /// Outer GROUP BY expressions.
-    group_exprs: Vec<Expr>,
-    /// The aggregate calls collected from the outer projection.
-    aggs: Vec<AggregateItem>,
-    /// Outer projection (over group keys and aggregates).
-    projection: Vec<SelectItem>,
-    /// Next base row to consume.
+    input: Input,
+    /// Rows of `input`, fixed at open.
+    total: usize,
+    /// Next input row to consume.
     pos: usize,
-    /// The running aggregation over the evaluated rows of every block
-    /// consumed so far.
-    state: AggState,
+    /// WHERE over the input's frame.
+    selection: Option<Expr>,
+    group_exprs: Vec<Expr>,
+    /// The aggregate calls of the select list, HAVING and ORDER BY.
+    aggs: Vec<AggregateItem>,
+    body: Body,
+    tail: Tail,
+    /// True when the statement calls `rand()`.
+    draws: bool,
+    pool: Arc<ThreadPool>,
     /// Cumulative wall-clock spent in `advance`/`snapshot`.
     spent: Duration,
 }
 
-/// Everything below the aggregation: the scanned relation and the outer
-/// WHERE between a block of its rows and the frame the group keys and
-/// arguments are evaluated over.
-struct BlockFrames {
-    /// The FROM relation, bound to its `Arc`-pinned or disk-backed base
-    /// table: a row-wise derived table, or a plain scan as the identity view
-    /// carrying the outer WHERE as its own.
-    view: RowView,
-    /// Outer WHERE over a derived table's frame.
-    selection: Option<Expr>,
-    pool: Arc<ThreadPool>,
+/// What a scan reads.
+pub(crate) enum Input {
+    /// A lone plain table or row-wise derived table, read block by block.
+    View(Box<RowView>),
+    /// A FROM clause built at open; consumed whole, as one block.
+    Built(Table),
+}
+
+/// What a scan has consumed so far.
+enum Body {
+    /// The running aggregation over the evaluated rows of every block.
+    Aggregate(AggState),
+    /// No aggregation: the filtered frames, appended.
+    Rows(Table),
+}
+
+/// Everything after the aggregation, with aggregate calls, GROUP BY
+/// expressions and window calls already replaced by references to the
+/// columns that hold them.
+struct Tail {
+    /// Window call `i` is evaluated into [`window_column`]`(i)`.
+    windows: Vec<FunctionCall>,
+    having: Option<Expr>,
+    projection: Vec<SelectItem>,
+    order_by: Vec<OrderByItem>,
+    distinct: bool,
+    limit: Option<u64>,
+}
+
+/// Blocks the one-shot drain takes per pool worker, in morsels: large
+/// enough that per-block work (expression dispatch, fork-join) is noise,
+/// small enough that a scan's transient frame stays a few morsels per worker.
+/// (`rand_statements_draw_in_whole_input_order` in tests/properties.rs sizes
+/// its table past one such block of a serial pool.)
+const DRAIN_MORSELS_PER_WORKER: usize = 8;
+
+/// The frame column window call `i` of a statement is evaluated into.
+fn window_column(i: usize) -> String {
+    format!("__win{i}")
+}
+
+fn is_rand(e: &Expr) -> bool {
+    matches!(e, Expr::Function(f)
+        if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random"))
 }
 
 /// The expression-side validation: no `rand()`, no window functions, no
@@ -136,11 +188,7 @@ fn validate_expressions(query: &Query) -> EngineResult<()> {
             return;
         }
         match e {
-            Expr::Function(f)
-                if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random") =>
-            {
-                offender = Some("rand()")
-            }
+            e if is_rand(e) => offender = Some("rand()"),
             Expr::Function(f) if f.over.is_some() => offender = Some("window function"),
             Expr::ScalarSubquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
                 offender = Some("subquery")
@@ -156,132 +204,329 @@ fn validate_expressions(query: &Query) -> EngineResult<()> {
     }
 }
 
-/// A query shape a [`ProgressiveScan`] cannot execute (the caller falls back
-/// to one-shot execution).
+/// A query shape the [`BlockScan`] entry refuses (the caller falls back to
+/// one-shot execution).
 fn unsupported(what: &str) -> EngineError {
     EngineError::Unsupported(format!("progressive execution does not support {what}"))
 }
 
+/// The rng handed to a stream's evaluation: validation rejected `rand()`, so
+/// any draw is a bug — a fixed value keeps it deterministic even then.
+fn no_rand() -> impl FnMut() -> f64 {
+    || 0.5
+}
+
+impl Input {
+    fn num_rows(&self) -> usize {
+        match self {
+            Input::View(view) => view.num_rows(),
+            Input::Built(table) => table.num_rows(),
+        }
+    }
+
+    /// The frame of rows `[start, start + len)`; a built frame is handed
+    /// over whole (or empty, for its schema).
+    fn frame(
+        &mut self,
+        start: usize,
+        len: usize,
+        rng: &mut dyn FnMut() -> f64,
+        pool: &ThreadPool,
+    ) -> EngineResult<Table> {
+        match self {
+            Input::View(view) => view.frame(start, len, rng, pool),
+            Input::Built(table) if len == 0 => Ok(Table::empty(table.schema.clone())),
+            Input::Built(table) => Ok(std::mem::take(table)),
+        }
+    }
+}
+
 impl ProgressiveScan {
-    /// Validates the query shape and opens a scan over the pinned input.
-    /// Returns `Unsupported` for any shape outside the progressive class;
-    /// callers treat that as "execute one-shot instead".
+    /// Opens the [`BlockScan`] over a statement: the thin, validating open.
+    /// Returns `Unsupported` for any shape a stream must refuse (see the
+    /// [module docs](self)); callers treat that as "execute one-shot
+    /// instead".
     pub fn try_new(
         catalog: &Catalog,
         query: &Query,
         pool: Arc<ThreadPool>,
     ) -> EngineResult<ProgressiveScan> {
-        if query.distinct {
-            return Err(unsupported("SELECT DISTINCT"));
-        }
-        if query.having.is_some() {
-            return Err(unsupported("HAVING"));
-        }
-        if !query.order_by.is_empty() || query.limit.is_some() {
-            return Err(unsupported("ORDER BY / LIMIT"));
-        }
-        let [twj] = query.from.as_slice() else {
-            return Err(unsupported("multi-relation FROM"));
-        };
-        if !twj.joins.is_empty() {
-            return Err(unsupported("joins"));
-        }
         validate_expressions(query)?;
-
-        // Bind the scanned relation: a plain table, or a row-wise derived
-        // table around one.
-        let open = |key: &str| catalog.scan_source(key);
-        let (view, selection) = match &twj.relation {
-            TableFactor::Table { name, alias } => {
-                let binding = alias.as_deref().unwrap_or(name.base_name());
-                let scan = RowView::scan(open(&name.key())?, binding, query.selection.clone());
-                (scan, None)
-            }
-            TableFactor::Derived { subquery, alias } => {
-                let view = RowView::bind(subquery, alias.as_deref(), query, open)?
-                    .ok_or_else(|| unsupported("a derived table that is not row-wise"))?;
-                (view, query.selection.clone())
-            }
-        };
-
-        // Collect the outer aggregates; a query without any is not an
-        // aggregation and takes the one-shot path.
-        let mut out_exprs: Vec<&Expr> = Vec::new();
-        for item in &query.projection {
-            match item {
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    return Err(unsupported("wildcard projections over an aggregation"));
-                }
-                _ => {}
-            }
-            if let Some(e) = item.expr() {
-                out_exprs.push(e);
-            }
-        }
-        let aggs = collect_aggregate_calls(&out_exprs)?;
-        if aggs.is_empty() {
+        let view = lone_view(query, &|key| catalog.scan_source(key))?
+            .ok_or_else(|| unsupported("a FROM clause that is not one scanned relation"))?;
+        let scan = ProgressiveScan::open(Input::View(view), query, pool, &mut no_rand())?;
+        if scan.aggs.is_empty() {
             return Err(unsupported("queries without aggregate functions"));
         }
+        Ok(scan)
+    }
 
-        let frames = BlockFrames {
-            view,
-            selection,
+    /// Opens a scan of `input` — the bound FROM clause of `query` — for the
+    /// rest of the statement, subqueries already resolved.
+    pub(crate) fn open(
+        input: Input,
+        query: &Query,
+        pool: Arc<ThreadPool>,
+        rng: &mut dyn FnMut() -> f64,
+    ) -> EngineResult<ProgressiveScan> {
+        let mut draws = false;
+        verdict_sql::visitor::walk_query(query, &mut |e| draws |= is_rand(e));
+        let tail = Tail {
+            windows: Vec::new(),
+            having: query.having.clone(),
+            projection: query.projection.clone(),
+            order_by: query.order_by.clone(),
+            distinct: query.distinct,
+            limit: query.limit,
+        };
+        let aggs = collect_aggregate_calls(&tail.exprs())?;
+        let total = input.num_rows();
+        let mut scan = ProgressiveScan {
+            total,
+            pos: 0,
+            selection: query.selection.clone(),
+            group_exprs: query.group_by.clone(),
+            aggs,
+            body: Body::Rows(Table::default()),
+            tail,
+            draws,
+            spent: Duration::ZERO,
             pool,
+            input,
         };
         // A zero-row block fixes the schema the keys and arguments are
         // evaluated against, and surfaces an expression that does not
         // evaluate now rather than at the first `advance`.
-        let empty = frames.frame(0, 0)?;
-        let mut scan = ProgressiveScan {
-            state: AggState::new(&query.group_by, &aggs, &empty.schema),
-            frames,
-            group_exprs: query.group_by.clone(),
-            aggs,
-            projection: query.projection.clone(),
-            pos: 0,
-            spent: Duration::ZERO,
-        };
-        scan.push_frame(&empty)?;
+        let empty = scan.frame(0, 0, rng)?;
+        if !scan.group_exprs.is_empty() || !scan.aggs.is_empty() {
+            let state = AggState::new(&scan.group_exprs, &scan.aggs, &empty.schema);
+            scan.tail.replace(state.replacements());
+            scan.body = Body::Aggregate(state);
+        }
+        scan.tail.windows = collect_window_calls(&scan.tail.exprs());
+        let columns = scan
+            .tail
+            .windows
+            .iter()
+            .enumerate()
+            .map(|(i, call)| (Expr::Function(call.clone()), Expr::col(window_column(i))));
+        scan.tail.replace(&columns.collect::<Vec<_>>());
+        scan.consume(empty, rng)?;
         Ok(scan)
     }
 
-    /// Evaluates the group keys and aggregate arguments over a block frame
-    /// and pushes the rows into the running state.
-    fn push_frame(&mut self, frame: &Table) -> EngineResult<()> {
-        let (keys, args) = evaluate_inputs(frame, &self.group_exprs, &self.aggs, &mut no_rand())?;
-        self.state
-            .push(keys, args, frame.num_rows(), &self.frames.pool);
-        Ok(())
+    /// One-shot execution: consumes the rest of the input and answers.
+    ///
+    /// The block size is worked out from the input, never set: the whole
+    /// input when the statement calls `rand()` — draw order is part of the
+    /// answer — or was built at open, else a few morsels per pool worker (a
+    /// multiple of `parallelism × MORSEL_ROWS`, so every push hands the fold
+    /// a morsel per worker).  The grid rule of [`AggState`] makes the answer
+    /// independent of it.
+    pub(crate) fn drain(mut self, rng: &mut dyn FnMut() -> f64) -> EngineResult<Table> {
+        let block = match self.input {
+            Input::View(_) if !self.draws => {
+                DRAIN_MORSELS_PER_WORKER * self.pool.parallelism() * MORSEL_ROWS
+            }
+            _ => self.total,
+        };
+        while self.pos < self.total {
+            self.advance_with(block as u64, rng)?;
+        }
+        let frame = match self.body {
+            Body::Aggregate(state) => state.finish(&self.pool)?.table,
+            Body::Rows(rows) => rows,
+        };
+        self.tail.apply(frame, rng, &self.pool)
     }
-}
 
-impl BlockFrames {
-    /// Builds the evaluated per-block frame for the contiguous base-row
-    /// range `[start, start + len)`: the view's frame (scan of the columns
-    /// the statement names → inner WHERE, late-materialised → computed
-    /// items → alias), then the outer WHERE.  Every step is element-wise,
-    /// so concatenating block frames equals building the frame for all rows
-    /// at once.
-    fn frame(&self, start: usize, len: usize) -> EngineResult<Table> {
-        let mut rng = no_rand();
-        let mut frame = self.view.frame(start, len, &mut rng, &self.pool)?;
+    /// The filtered frame of input rows `[start, start + len)`: the input's
+    /// frame, then the outer WHERE.  Every step is element-wise, so
+    /// concatenating block frames equals building the frame for all rows at
+    /// once.
+    fn frame(
+        &mut self,
+        start: usize,
+        len: usize,
+        rng: &mut dyn FnMut() -> f64,
+    ) -> EngineResult<Table> {
+        let mut frame = self.input.frame(start, len, rng, &self.pool)?;
         if let Some(pred) = &self.selection {
-            let mask = predicate_mask_with(pred, &frame, &mut rng, &self.pool)?;
+            let mask = predicate_mask_with(pred, &frame, rng, &self.pool)?;
             frame = frame.filter_with(&mask, &self.pool);
         }
         Ok(frame)
     }
+
+    /// Takes a filtered frame into the body: group keys and aggregate
+    /// arguments evaluated and pushed into the running state, or the rows
+    /// themselves kept.
+    fn consume(&mut self, frame: Table, rng: &mut dyn FnMut() -> f64) -> EngineResult<()> {
+        match &mut self.body {
+            Body::Aggregate(state) => {
+                let (keys, args) = evaluate_inputs(&frame, &self.group_exprs, &self.aggs, rng)?;
+                state.push(keys, args, frame.num_rows(), &self.pool);
+            }
+            Body::Rows(rows) if rows.num_rows() == 0 => *rows = frame,
+            Body::Rows(rows) => rows.append(&frame)?,
+        }
+        Ok(())
+    }
+
+    /// [`BlockScan::advance`], drawing `rand()` from `rng`.  A built input
+    /// is one block whatever `max_rows` says.
+    fn advance_with(&mut self, max_rows: u64, rng: &mut dyn FnMut() -> f64) -> EngineResult<u64> {
+        let rest = self.total - self.pos;
+        let take = match self.input {
+            Input::View(_) => rest.min(max_rows.max(1) as usize),
+            Input::Built(_) => rest,
+        };
+        let start = self.pos;
+        self.pos += take;
+        if take > 0 {
+            let frame = self.frame(start, take, rng)?;
+            if frame.num_rows() > 0 {
+                self.consume(frame, rng)?;
+            }
+        }
+        Ok(take as u64)
+    }
 }
 
-/// The rng handed to evaluation: validation rejected `rand()`, so any draw
-/// is a bug — a fixed value keeps it deterministic even then.
-fn no_rand() -> impl FnMut() -> f64 {
-    || 0.5
+impl Tail {
+    /// The expressions evaluated after the aggregation.
+    fn exprs(&self) -> Vec<&Expr> {
+        let items = self.projection.iter().filter_map(|item| item.expr());
+        let order = self.order_by.iter().map(|o| &o.expr);
+        items.chain(&self.having).chain(order).collect()
+    }
+
+    /// Swaps every sub-expression equal to a replacement key for the column
+    /// reference that now holds its value.
+    fn replace(&mut self, replacements: &[(Expr, Expr)]) {
+        for item in &mut self.projection {
+            if let SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } = item {
+                *e = replace_exprs(e, replacements);
+            }
+        }
+        if let Some(h) = &mut self.having {
+            *h = replace_exprs(h, replacements);
+        }
+        for o in &mut self.order_by {
+            o.expr = replace_exprs(&o.expr, replacements);
+        }
+    }
+
+    /// The one tail: window functions over the (aggregated) `frame` →
+    /// HAVING → projection → ORDER BY → DISTINCT → LIMIT.
+    fn apply(
+        &self,
+        mut frame: Table,
+        rng: &mut dyn FnMut() -> f64,
+        pool: &ThreadPool,
+    ) -> EngineResult<Table> {
+        for (i, call) in self.windows.iter().enumerate() {
+            let col = eval_window(call, &frame, rng)?;
+            let dt = if col.null_count() == col.len() {
+                DataType::Float
+            } else {
+                col.data_type()
+            };
+            frame.schema.fields.push(Field::new(&window_column(i), dt));
+            frame.columns.push(col);
+        }
+        if let Some(h) = &self.having {
+            let mask = predicate_mask_with(h, &frame, rng, pool)?;
+            frame = frame.filter_with(&mask, pool);
+        }
+        let mut output = project_items(&frame, &self.projection, rng)?;
+
+        // A bare ORDER BY key that names an output column (an alias) sorts
+        // by it; any other key is evaluated over the pre-projection frame.
+        if !self.order_by.is_empty() && output.num_rows() > 1 {
+            let mut keys: Vec<Column> = Vec::with_capacity(self.order_by.len());
+            for o in &self.order_by {
+                let alias = match &o.expr {
+                    Expr::Column { table: None, name } => output.schema.index_of(name),
+                    _ => None,
+                };
+                keys.push(match alias {
+                    Some(idx) => output.columns[idx].clone(),
+                    None => eval_expr(&o.expr, &mut EvalContext { table: &frame, rng })?,
+                });
+            }
+            let mut indices: Vec<usize> = (0..output.num_rows()).collect();
+            indices.sort_by(|&a, &b| {
+                for (k, o) in keys.iter().zip(&self.order_by) {
+                    let ord = k.cmp_rows(a, b);
+                    let ord = if o.asc { ord } else { ord.reverse() };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            output = output.take(&indices);
+        }
+        if self.distinct {
+            // the grouper's representatives are exactly the first occurrence
+            // of each distinct row, in order
+            let grouping = group_rows_with(&output.columns, output.num_rows(), pool);
+            output = output.take(&grouping.representatives);
+        }
+        if let Some(limit) = self.limit {
+            output = output.limit(limit as usize);
+        }
+        Ok(output)
+    }
+}
+
+/// Evaluates a projection list over a frame into an output table (wildcards
+/// expand to the frame's non-helper columns; expressions evaluate per row).
+fn project_items(
+    frame: &Table,
+    projection: &[SelectItem],
+    rng: &mut dyn FnMut() -> f64,
+) -> EngineResult<Table> {
+    let mut fields: Vec<Field> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    for (i, item) in projection.iter().enumerate() {
+        match item {
+            SelectItem::Wildcard => {
+                for (f, c) in frame.schema.fields.iter().zip(frame.columns.iter()) {
+                    // hide internal helper columns from `SELECT *`
+                    if f.name.starts_with("__") {
+                        continue;
+                    }
+                    fields.push(f.clone());
+                    columns.push(c.clone());
+                }
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                for (f, c) in frame.schema.fields.iter().zip(frame.columns.iter()) {
+                    if f.qualifier.as_deref() == Some(q.to_ascii_lowercase().as_str()) {
+                        fields.push(f.clone());
+                        columns.push(c.clone());
+                    }
+                }
+            }
+            SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } => {
+                let col = eval_expr(e, &mut EvalContext { table: frame, rng })?;
+                let name = match item.alias() {
+                    Some(a) => a.to_string(),
+                    None => default_output_name(e, i),
+                };
+                fields.push(Field::new(&name, infer_type(e, &frame.schema)));
+                columns.push(col);
+            }
+        }
+    }
+    Table::new(Schema::new(fields), columns)
 }
 
 impl BlockScan for ProgressiveScan {
     fn total_rows(&self) -> u64 {
-        self.frames.view.num_rows() as u64
+        self.total as u64
     }
 
     fn rows_seen(&self) -> u64 {
@@ -289,32 +534,23 @@ impl BlockScan for ProgressiveScan {
     }
 
     fn done(&self) -> bool {
-        self.pos >= self.frames.view.num_rows()
+        self.pos >= self.total
     }
 
     fn advance(&mut self, max_rows: u64) -> EngineResult<u64> {
         let t0 = Instant::now();
-        let total = self.frames.view.num_rows();
-        if self.pos >= total {
-            return Ok(0);
-        }
-        let take = (max_rows.max(1)).min((total - self.pos) as u64) as usize;
-        let start = self.pos;
-        self.pos += take;
-        let frame = self.frames.frame(start, take)?;
-        if frame.num_rows() > 0 {
-            self.push_frame(&frame)?;
-        }
+        let taken = self.advance_with(max_rows, &mut no_rand());
         self.spent += t0.elapsed();
-        Ok(take as u64)
+        taken
     }
 
     fn snapshot(&mut self) -> EngineResult<QueryResult> {
         let t0 = Instant::now();
-        let aggregated = self.state.snapshot(&self.frames.pool)?;
-        let projection = replace_in_projection(self.projection.clone(), &aggregated.replacements);
-        let mut rng = no_rand();
-        let table = project_items(&aggregated.table, &projection, &mut rng)?;
+        let frame = match &self.body {
+            Body::Aggregate(state) => state.snapshot(&self.pool)?.table,
+            Body::Rows(rows) => rows.clone(),
+        };
+        let table = self.tail.apply(frame, &mut no_rand(), &self.pool)?;
         self.spent += t0.elapsed();
         Ok(QueryResult {
             table,
@@ -373,25 +609,41 @@ mod tests {
          WHERE vt.price > 1.0 \
          GROUP BY vt.k, CAST(1 + floor(vt.u * 4) AS BIGINT)";
 
+    /// Drains `sql` in blocks of `block` rows and returns the last snapshot.
+    fn drained(e: &Engine, sql: &str, block: u64) -> Table {
+        let mut scan = e.open_block_scan(sql).expect("progressive shape");
+        while !scan.done() {
+            scan.advance(block).unwrap();
+        }
+        assert_eq!(scan.rows_seen(), scan.total_rows());
+        scan.snapshot().unwrap().table
+    }
+
     #[test]
-    fn final_snapshot_is_bit_identical_to_one_shot_execution() {
+    fn draining_at_any_block_size_yields_identical_tables() {
+        // One-shot and stream are the same code: `execute_sql` is one more
+        // drain, at a block size of its own choosing.
         for threads in [1usize, 4] {
             let rows = 2 * MORSEL_ROWS + 12_345;
             let e = engine(rows, 7);
             e.set_parallelism(threads);
-            let one_shot = e.execute_sql(QUERY).unwrap();
-            let mut scan = e.open_block_scan(QUERY).expect("progressive shape");
-            let mut frames = 0;
-            while !scan.done() {
-                scan.advance(MORSEL_ROWS as u64).unwrap();
-                let partial = scan.snapshot().unwrap();
-                assert_eq!(partial.stats.rows_scanned, scan.rows_seen());
-                frames += 1;
+            let whole = drained(&e, QUERY, rows as u64);
+            for block in [300, MORSEL_ROWS as u64] {
+                assert_tables_bit_identical(&drained(&e, QUERY, block), &whole);
             }
-            assert!(frames >= 3, "expected one frame per 64K block");
-            let final_frame = scan.snapshot().unwrap();
-            assert_tables_bit_identical(&final_frame.table, &one_shot.table);
-            assert_eq!(final_frame.stats.rows_scanned, rows as u64);
+            assert_tables_bit_identical(&e.execute_sql(QUERY).unwrap().table, &whole);
+
+            // One row at a time (over the first rows only, to keep the test
+            // quick), a snapshot per block along the way.
+            let mut scan = e.open_block_scan(QUERY).unwrap();
+            for seen in 1..=500 {
+                scan.advance(1).unwrap();
+                assert_eq!(scan.snapshot().unwrap().stats.rows_scanned, seen);
+            }
+            scan.advance(rows as u64).unwrap();
+            let last = scan.snapshot().unwrap();
+            assert_eq!(last.stats.rows_scanned, rows as u64);
+            assert_tables_bit_identical(&last.table, &whole);
         }
     }
 
@@ -409,23 +661,33 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_shapes_are_rejected() {
-        let e = engine(100, 1);
+    fn the_entry_refuses_only_what_it_must() {
+        let e = engine(1_000, 1);
         for sql in [
             "SELECT k FROM sales",                                          // no aggregate
-            "SELECT count(*) FROM sales ORDER BY 1",                        // order by
-            "SELECT count(*) FROM sales LIMIT 1",                           // limit
-            "SELECT k, count(*) FROM sales GROUP BY k HAVING count(*) > 1", // having
+            "SELECT * FROM sales",                                          // wildcard, no agg
             "SELECT count(*) FROM sales WHERE rand() < 0.5",                // rand
             "SELECT count(*) FROM sales a INNER JOIN sales b ON a.k = b.k", // join
-            "SELECT * FROM sales",                                          // wildcard, no agg
+            "SELECT count(*) FROM sales a, sales b",                        // two relations
+            "SELECT count(*) FROM sales WHERE k IN (SELECT k FROM sales)",  // subquery
+            "SELECT k, sum(count(*)) OVER () FROM sales GROUP BY k",        // window
             "SELECT sum(cnt) FROM (SELECT k, count(*) AS cnt FROM sales GROUP BY k) AS t", // agg inside derived
         ] {
             assert!(e.open_block_scan(sql).is_none(), "{sql}");
         }
-        assert!(e
-            .open_block_scan("SELECT k, avg(price) FROM sales GROUP BY k")
-            .is_some());
+        // The tail streams like everything else: every snapshot is the
+        // statement's answer over the prefix, the last one the one-shot answer.
+        for sql in [
+            "SELECT k, avg(price) FROM sales GROUP BY k",
+            "SELECT count(*) FROM sales ORDER BY 1",
+            "SELECT count(*) FROM sales LIMIT 1",
+            "SELECT k, count(*) FROM sales GROUP BY k HAVING count(*) > 1",
+            "SELECT k, sum(price) AS s FROM sales GROUP BY k ORDER BY s DESC LIMIT 2",
+            "SELECT DISTINCT count(*) FROM sales GROUP BY k",
+        ] {
+            let one_shot = e.execute_sql(sql).unwrap().table;
+            assert_tables_bit_identical(&drained(&e, sql, 300), &one_shot);
+        }
     }
 
     #[test]
@@ -447,11 +709,12 @@ mod tests {
 
     #[test]
     fn late_materialized_scan_filter_matches_one_shot() {
-        // A plain-table WHERE takes the late-materialized path (thin mask +
+        // A view's own WHERE takes the late-materialized path (thin mask +
         // row gather); the answer must stay bit-identical to one-shot
         // execution at any pool size.
-        const Q: &str = "SELECT k, sum(price) AS s, count(*) AS n FROM sales \
-                         WHERE price > 50.0 AND u < 0.9 GROUP BY k";
+        const Q: &str = "SELECT k, sum(price) AS s, count(*) AS n \
+                         FROM (SELECT * FROM sales WHERE price > 50.0 AND u < 0.9) AS t \
+                         GROUP BY k";
         for threads in [1usize, 4] {
             let rows = MORSEL_ROWS + 4_321;
             let e = engine(rows, 13);

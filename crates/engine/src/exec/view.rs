@@ -10,8 +10,9 @@
 //! resolves, once per statement, which base columns the frame has to hold;
 //! `RowView::frame` then builds the frame for any row range straight from
 //! a [`ScanSource`]: inner WHERE → computed items in select-list order →
-//! `*` over the kept columns → alias.  The one-shot executor calls it for
-//! the whole table, the progressive executor per block.
+//! `*` over the kept columns → alias.  The block scan
+//! ([`crate::exec::progressive`]) asks for the frame of each block; a
+//! relation of a join is read whole.
 //!
 //! **Which columns are kept** is decided by bare name, never by resolution:
 //! a base column stays when its name is spelled by any column reference of
@@ -161,17 +162,13 @@ impl RowView {
         )))
     }
 
-    /// The plain scan `FROM table [AS binding] WHERE selection` as the view
-    /// `(SELECT binding.* FROM table AS binding WHERE selection) AS binding`
-    /// over every column, so the progressive executor has one kind of input.
-    /// (`binding.*`, unlike `*`, also passes `__`-prefixed columns through.)
-    pub(crate) fn scan(
-        source: Arc<dyn ScanSource>,
-        binding: &str,
-        selection: Option<Expr>,
-    ) -> RowView {
+    /// The plain scan `FROM table [AS binding]` as the view `(SELECT
+    /// binding.* FROM table AS binding) AS binding` over every column, so the
+    /// executor has one kind of scanned relation.  (`binding.*`, unlike `*`,
+    /// also passes `__`-prefixed columns through.)
+    pub(crate) fn scan(source: Arc<dyn ScanSource>, binding: &str) -> RowView {
         let items = vec![SelectItem::QualifiedWildcard(binding.to_string())];
-        RowView::new(source, binding, selection, items, Some(binding), None)
+        RowView::new(source, binding, None, items, Some(binding), None)
     }
 
     fn new(
@@ -470,15 +467,10 @@ mod tests {
             filter("SELECT count(*) AS c FROM (SELECT * FROM sales WHERE 1 = 1) AS t"),
             None
         );
-        // a plain scan carries the outer WHERE as its own
-        let scan = RowView::scan(
-            sales(),
-            "s",
-            Some(verdict_sql::parse_expression("s.price > 1 AND u < 0.5").unwrap()),
-        );
+        // a plain scan keeps every column and has no filter of its own
+        let scan = RowView::scan(sales(), "s");
         assert_eq!(scan.cols, vec![0, 1, 2, 3]);
-        let split = scan.filter.unwrap();
-        assert_eq!((split.cols, split.rest), (vec![1, 2], vec![0, 3]));
+        assert!(scan.filter.is_none());
     }
 
     #[test]

@@ -783,8 +783,8 @@ pub fn group_rows(cols: &[Column], n: usize) -> Grouping {
 }
 
 /// Morsel-parallel [`group_rows`]: every morsel is clustered on its own
-/// ([`group_range`]), in parallel, and the local groups are interned into one
-/// [`GroupTable`] in morsel order.  Morsel 0 covers the lowest row indices
+/// (`group_range`), in parallel, and the local groups are interned into one
+/// `GroupTable` in morsel order.  Morsel 0 covers the lowest row indices
 /// and interning walks morsels in order, so the global groups come out in
 /// first-appearance order — exactly the serial grouping, at any thread count.
 pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping {

@@ -661,10 +661,14 @@ fn integral_sum_is_exact_above_2_pow_53_and_reports_overflow() {
 /// `Engine::execute_sql` over a table holding exactly the prefix consumed —
 /// for every aggregate, with NULLs, at any block size and pool size, and
 /// with a WHERE clause that makes base-block boundaries and the core's
-/// evaluated-row morsel grid disagree.  Groups come out in first-appearance
-/// order, checked against the scalar reference evaluator.  `key_cols` are
-/// the table columns `aggregates` is grouped by.
-fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], aggregates: &str) {
+/// evaluated-row morsel grid disagree.  `key_cols` are the table columns the
+/// statements group by; in each of `shapes`, `{K}` stands for that key list
+/// and `{W}` for the WHERE.  The first shape is the plain grouped
+/// aggregation: its groups come out in first-appearance order, checked
+/// against the scalar reference evaluator.  The others carry a tail (HAVING,
+/// ORDER BY … LIMIT, DISTINCT), which a snapshot applies to the prefix
+/// exactly as one-shot execution does to the table.
+fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], shapes: &[&str]) {
     use std::collections::{BTreeSet, HashMap};
     use verdictdb::engine::{Backend, Engine, MORSEL_ROWS};
 
@@ -724,7 +728,6 @@ fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], aggregat
         .map(|&c| table.schema.fields[c].name.as_str())
         .collect();
     let keys = keys.join(", ");
-    let sql = format!("SELECT {keys}, {aggregates} FROM t WHERE {WHERE} GROUP BY {keys}");
 
     // Scalar reference: which base rows the filter keeps, where the
     // evaluated-row count crosses the morsel boundary, and the groups in
@@ -745,75 +748,82 @@ fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], aggregat
         }
     }
 
-    // One-shot answers do not depend on the pool size (pinned once, over the
-    // whole table), so every stream is held against the serial one-shot run.
-    let one_shot_over = |threads: usize, len: usize| {
-        let columns = table.columns.iter().map(|c| c.slice(0, len)).collect();
-        let e = Engine::with_seed(3);
-        e.set_parallelism(threads);
-        e.register_table("t", Table::new(table.schema.clone(), columns).unwrap());
-        e.execute_sql(&sql).unwrap().table
-    };
-    let mut one_shots: HashMap<usize, Table> = HashMap::new();
-    one_shots.insert(rows, one_shot_over(1, rows));
-    common::assert_tables_bit_identical(
-        &one_shot_over(4, rows),
-        &one_shots[&rows],
-        "one-shot at 4 threads vs 1",
-    );
-
-    for block in [1, 300, MORSEL_ROWS - 1, MORSEL_ROWS, 2 * MORSEL_ROWS + 7] {
-        // Large blocks: a snapshot after every block.  Small ones: after the
-        // first block, the last, and the three blocks around the crossing of
-        // the evaluated-row grid (for block 1: one row before, at, after).
-        let after = crossing.div_ceil(block) * block;
-        let checkpoints: BTreeSet<usize> =
-            [block, after - block, after, after + block, rows].into();
-        for threads in [1usize, 4] {
+    for (shape, template) in shapes.iter().enumerate() {
+        let plain = shape == 0;
+        let sql = template.replace("{K}", &keys).replace("{W}", WHERE);
+        // One-shot answers do not depend on the pool size (pinned once, over the
+        // whole table), so every stream is held against the serial one-shot run.
+        let one_shot_over = |threads: usize, len: usize| {
+            let columns = table.columns.iter().map(|c| c.slice(0, len)).collect();
             let e = Engine::with_seed(3);
             e.set_parallelism(threads);
-            e.register_table("t", table.clone());
-            let mut scan = e.open_block_scan(&sql).expect("progressive shape");
-            let mut snapshots = 0;
-            while !scan.done() {
-                // past its last checkpoint a small-block scan takes the
-                // rest of the table in one step
-                let small = block < MORSEL_ROWS - 1;
-                let past = scan.rows_seen() as usize >= after + block;
-                scan.advance(if small && past { rows } else { block } as u64)
-                    .unwrap();
-                let seen = scan.rows_seen() as usize;
-                if small && !checkpoints.contains(&seen) {
-                    continue;
-                }
-                snapshots += 1;
-                let case = format!("block {block}, {threads} thread(s), {seen} rows: {sql}");
-                let snapshot = scan.snapshot().unwrap().table;
-                let one_shot = one_shots
-                    .entry(seen)
-                    .or_insert_with(|| one_shot_over(1, seen));
-                common::assert_tables_bit_identical(&snapshot, one_shot, &case);
+            e.register_table("t", Table::new(table.schema.clone(), columns).unwrap());
+            e.execute_sql(&sql).unwrap().table
+        };
+        let mut one_shots: HashMap<usize, Table> = HashMap::new();
+        one_shots.insert(rows, one_shot_over(1, rows));
+        common::assert_tables_bit_identical(
+            &one_shot_over(4, rows),
+            &one_shots[&rows],
+            "one-shot at 4 threads vs 1",
+        );
 
-                let order: Vec<&Vec<Value>> = first_seen
-                    .iter()
-                    .filter(|(row, _)| *row < seen)
-                    .map(|(_, key)| key)
-                    .collect();
-                assert_eq!(snapshot.num_rows(), order.len(), "{case}: group count");
-                for (r, key) in order.iter().enumerate() {
-                    for (c, v) in key.iter().enumerate() {
-                        assert!(
-                            common::values_bit_identical(&snapshot.value_at(r, c), v),
-                            "{case}: group {r} key {c} is {:?}, first appearance says {v:?}",
-                            snapshot.value_at(r, c)
-                        );
+        for block in [1, 300, MORSEL_ROWS - 1, MORSEL_ROWS, 2 * MORSEL_ROWS + 7] {
+            // Large blocks: a snapshot after every block.  Small ones: after the
+            // first block, the last, and the three blocks around the crossing of
+            // the evaluated-row grid (for block 1: one row before, at, after).
+            let after = crossing.div_ceil(block) * block;
+            let checkpoints: BTreeSet<usize> =
+                [block, after - block, after, after + block, rows].into();
+            for threads in [1usize, 4] {
+                let e = Engine::with_seed(3);
+                e.set_parallelism(threads);
+                e.register_table("t", table.clone());
+                let mut scan = e.open_block_scan(&sql).expect("progressive shape");
+                let mut snapshots = 0;
+                while !scan.done() {
+                    // past its last checkpoint a small-block scan takes the
+                    // rest of the table in one step
+                    let small = block < MORSEL_ROWS - 1;
+                    let past = scan.rows_seen() as usize >= after + block;
+                    scan.advance(if small && past { rows } else { block } as u64)
+                        .unwrap();
+                    let seen = scan.rows_seen() as usize;
+                    if small && !checkpoints.contains(&seen) {
+                        continue;
+                    }
+                    snapshots += 1;
+                    let case = format!("block {block}, {threads} thread(s), {seen} rows: {sql}");
+                    let snapshot = scan.snapshot().unwrap().table;
+                    let one_shot = one_shots
+                        .entry(seen)
+                        .or_insert_with(|| one_shot_over(1, seen));
+                    common::assert_tables_bit_identical(&snapshot, one_shot, &case);
+
+                    if !plain {
+                        continue;
+                    }
+                    let order: Vec<&Vec<Value>> = first_seen
+                        .iter()
+                        .filter(|(row, _)| *row < seen)
+                        .map(|(_, key)| key)
+                        .collect();
+                    assert_eq!(snapshot.num_rows(), order.len(), "{case}: group count");
+                    for (r, key) in order.iter().enumerate() {
+                        for (c, v) in key.iter().enumerate() {
+                            assert!(
+                                common::values_bit_identical(&snapshot.value_at(r, c), v),
+                                "{case}: group {r} key {c} is {:?}, first appearance says {v:?}",
+                                snapshot.value_at(r, c)
+                            );
+                        }
                     }
                 }
+                assert!(
+                    snapshots >= 2,
+                    "block {block}: {snapshots} snapshots checked"
+                );
             }
-            assert!(
-                snapshots >= 2,
-                "block {block}: {snapshots} snapshots checked"
-            );
         }
     }
 }
@@ -821,10 +831,17 @@ fn check_stream_snapshots_against_one_shot_prefixes(key_cols: &[usize], aggregat
 /// Integral keys cluster through dictionary codes.
 #[test]
 fn every_stream_snapshot_is_the_one_shot_answer_over_its_prefix_dict_keys() {
+    const PLAIN: &str = "SELECT {K}, count(*) AS n, count(x) AS nx, sum(i) AS si, sum(x) AS sx, \
+         avg(x) AS ax, min(i) AS lo_i, max(i) AS hi_i, min(x) AS lo_x, max(x) AS hi_x \
+         FROM t WHERE {W} GROUP BY {K}";
     check_stream_snapshots_against_one_shot_prefixes(
         &[1],
-        "count(*) AS n, count(x) AS nx, sum(i) AS si, sum(x) AS sx, avg(x) AS ax, \
-         min(i) AS lo_i, max(i) AS hi_i, min(x) AS lo_x, max(x) AS hi_x",
+        &[
+            PLAIN,
+            // no group passes on a short prefix, the late groups never do
+            &format!("{PLAIN} HAVING count(*) > 500"),
+            &format!("{PLAIN} ORDER BY sx DESC, n LIMIT 5"),
+        ],
     );
 }
 
@@ -833,8 +850,14 @@ fn every_stream_snapshot_is_the_one_shot_answer_over_its_prefix_dict_keys() {
 fn every_stream_snapshot_is_the_one_shot_answer_over_its_prefix_hash_keys() {
     check_stream_snapshots_against_one_shot_prefixes(
         &[2, 1],
-        "min(s2) AS lo_s, max(s2) AS hi_s, variance(x) AS vx, stddev(x) AS sdx, \
-         median(x) AS mx, quantile(x, 0.9) AS q9, count(DISTINCT i) AS di, ndv(i) AS ni",
+        &[
+            "SELECT {K}, min(s2) AS lo_s, max(s2) AS hi_s, variance(x) AS vx, stddev(x) AS sdx, \
+             median(x) AS mx, quantile(x, 0.9) AS q9, count(DISTINCT i) AS di, ndv(i) AS ni \
+             FROM t WHERE {W} GROUP BY {K}",
+            // one row per (s, big?) pair, not per group
+            "SELECT DISTINCT s, count(*) > 2000 AS big FROM t WHERE {W} GROUP BY {K} \
+             HAVING count(x) > 0 ORDER BY big DESC, s",
+        ],
     );
 }
 
@@ -1351,6 +1374,92 @@ fn statements_over_row_wise_wrappers_equal_statements_over_their_materialisation
                     assert_eq!(streamed.schema, one_shot.schema, "{case}");
                     common::assert_tables_bit_identical(&streamed, &one_shot, &case);
                 }
+            }
+        }
+    }
+}
+
+/// The order of `rand()` draws is part of a seeded answer — scramble builds
+/// are such statements, and the benchmark's error metrics hold them to 1e-6.
+/// It is "every row through the WHERE, then every survivor through the next
+/// expression, …", which only holds while a `rand()` statement is executed
+/// as one block: cut into several, the draws of two expressions evaluated
+/// per block (the third statement's WHERE and `r`) would interleave.  The
+/// reference draws from the same seeded `StdRng` in whole-input order.
+#[test]
+fn rand_statements_draw_in_whole_input_order() {
+    use verdictdb::engine::{Backend, Engine, MORSEL_ROWS};
+
+    const SEED: u64 = 41;
+    // More rows than a serial pool's drain takes per block of a rand-free
+    // statement (8 morsels per worker), so a cut would show.
+    let rows = 9 * MORSEL_ROWS + 4_321;
+    let table = TableBuilder::new()
+        .int_column("id", (0..rows as i64).collect())
+        .build()
+        .unwrap();
+    // (id, u) rows of the survivors, stably sorted by their sort key.
+    let sorted = |survivors: Vec<(i64, f64)>, rng: &mut StdRng| -> Vec<Vec<Value>> {
+        let keys: Vec<f64> = survivors.iter().map(|_| rng.gen::<f64>()).collect();
+        let mut order: Vec<usize> = (0..survivors.len()).collect();
+        order.sort_by(|&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
+        let row = |&i: &usize| vec![Value::Int(survivors[i].0), Value::Float(survivors[i].1)];
+        order.iter().map(row).collect()
+    };
+
+    // rand() in the WHERE: n draws for the filter, then one per survivor for
+    // `u`, then one per survivor for the sort key.
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let kept: Vec<i64> = (0..rows as i64)
+        .filter(|_| rng.gen::<f64>() < 0.3)
+        .collect();
+    let drawn: Vec<(i64, f64)> = kept.iter().map(|&id| (id, rng.gen::<f64>())).collect();
+    let in_where = sorted(drawn, &mut rng);
+
+    // The Impala-safe form, through a row-wise wrapper: n draws for the
+    // wrapper's column, which the survivors keep, then the sort keys.
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let drawn: Vec<(i64, f64)> = (0..rows as i64).map(|id| (id, rng.gen::<f64>())).collect();
+    let kept = drawn.into_iter().filter(|&(_, u)| u < 0.3).collect();
+    let in_wrapper = sorted(kept, &mut rng);
+
+    for (select, expected) in [
+        (
+            "SELECT *, rand() AS u FROM t WHERE rand() < 0.3 ORDER BY rand()",
+            &in_where,
+        ),
+        (
+            "SELECT v.id, v.verdict_rand AS u FROM (SELECT *, rand() AS verdict_rand FROM t) AS v \
+             WHERE v.verdict_rand < 0.3 ORDER BY rand()",
+            &in_wrapper,
+        ),
+        (
+            "SELECT v.id, v.r AS u FROM (SELECT *, rand() AS r FROM t WHERE rand() < 0.3) AS v \
+             ORDER BY rand()",
+            &in_where,
+        ),
+    ] {
+        assert!(expected.len() > rows / 4, "{} survivors", expected.len());
+        for threads in [1usize, 4] {
+            // the engine seeds its first statement with the seed itself
+            let e = Engine::with_seed(SEED);
+            e.set_parallelism(threads);
+            e.register_table("t", table.clone());
+            e.execute_sql(&format!("CREATE TABLE s AS {select}"))
+                .unwrap();
+            let built = e.execute_sql("SELECT * FROM s").unwrap().table;
+            let case = format!("{threads} thread(s): {select}");
+            assert_eq!(built.num_rows(), expected.len(), "{case}");
+            for (r, (got, want)) in built.iter_rows().zip(expected).enumerate() {
+                let same = got.len() == want.len()
+                    && got
+                        .iter()
+                        .zip(want)
+                        .all(|(g, w)| common::values_bit_identical(g, w));
+                assert!(
+                    same,
+                    "{case}: row {r} is {got:?}, the reference drew {want:?}"
+                );
             }
         }
     }
