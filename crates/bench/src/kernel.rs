@@ -21,11 +21,12 @@ use verdict_core::answer::{assemble, AssembledAnswer};
 use verdict_core::rewrite::RewriteOutput;
 use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
 use verdict_engine::approx::HyperLogLog;
+use verdict_engine::exec::from_clause;
 use verdict_engine::kernels::{self, group_rows_with};
 use verdict_engine::{
     Backend, Column, ColumnData, Engine, SelVec, Table, TableBuilder, ThreadPool, Value,
 };
-use verdict_sql::ast::BinaryOp;
+use verdict_sql::ast::{BinaryOp, JoinType};
 
 /// Rows per benchmarked column.
 pub const ROWS: usize = 1_000_000;
@@ -80,7 +81,7 @@ pub fn keys_16(n: usize) -> Column {
 /// ~n-distinct wide int keys: far beyond any dictionary, so the hash path
 /// groups them.  No benchmark workload has this shape; the row is kept so
 /// that a change adding one can tell whether a partitioned path would pay
-/// (the deleted radix path ran it in 146 ms where hash takes 376 ms).
+/// (the deleted radix path ran it in 146 ms where hash then took 376 ms).
 pub fn keys_distinct(n: usize) -> Column {
     Column::from_i64((0..n as i64).map(|i| i.wrapping_mul(104_729)).collect())
 }
@@ -95,6 +96,37 @@ pub fn keys_20k(n: usize) -> Column {
             .map(|i| i.wrapping_mul(2_654_435_761) % 20_000)
             .collect(),
     )
+}
+
+/// Build-side rows of the `join_dim_50k` row: one per distinct key, the
+/// shape of a dimension table such as Instacart's `products`.
+pub const JOIN_BUILD_ROWS: usize = 50_000;
+/// Probe-side rows of the `join_dim_50k` row: a sampled fact table.
+pub const JOIN_PROBE_ROWS: usize = 35_000;
+
+/// The `join_dim_50k` inputs `(probe, build)`, each a `(k, id)` table
+/// qualified `p` / `b`: build keys are `1..=JOIN_BUILD_ROWS` in scrambled
+/// order, probe keys scattered over the same range, so every probe row
+/// finds exactly one build row.
+pub fn join_tables() -> (Table, Table) {
+    let table = |alias: &str, keys: Vec<i64>| {
+        let ids = (0..keys.len() as i64).collect();
+        let t = TableBuilder::new()
+            .int_column("k", keys)
+            .int_column("id", ids)
+            .build()
+            .expect("join table");
+        Table {
+            schema: t.schema.with_qualifier(alias),
+            columns: t.columns,
+        }
+    };
+    let n = JOIN_BUILD_ROWS as i64;
+    let build = (0..n).map(|i| 1 + i.wrapping_mul(7919) % n).collect();
+    let probe = (0..JOIN_PROBE_ROWS as i64)
+        .map(|i| 1 + i.wrapping_mul(2_654_435_761) % n)
+        .collect();
+    (table("p", probe), table("b", build))
 }
 
 /// A wide scan input: a float selector column plus `width` float payload
@@ -165,6 +197,31 @@ pub fn scalar_grouped_ndv(keys: &Column, values: &Column) -> i64 {
     map.values().map(|h| h.estimate().round() as i64).sum()
 }
 
+/// Per-cell `KeyValue`-hashed equi-join of the `k` columns: one `Vec` of
+/// build rows per key, probed row by row; returns `(probe, build)` row
+/// pairs in probe order, build rows ascending.
+pub fn scalar_join_pairs(probe: &Table, build: &Table) -> Vec<(usize, usize)> {
+    let mut index: std::collections::HashMap<verdict_engine::KeyValue, Vec<usize>> =
+        std::collections::HashMap::new();
+    for b in 0..build.num_rows() {
+        let key = build.columns[0].value_at(b);
+        if !key.is_null() {
+            index
+                .entry(verdict_engine::KeyValue::from_value(&key))
+                .or_default()
+                .push(b);
+        }
+    }
+    let mut pairs = Vec::new();
+    for p in 0..probe.num_rows() {
+        let key = verdict_engine::KeyValue::from_value(&probe.columns[0].value_at(p));
+        if let Some(rows) = index.get(&key) {
+            pairs.extend(rows.iter().map(|&b| (p, b)));
+        }
+    }
+    pairs
+}
+
 /// Row-at-a-time scan: test the selector per row, materialise every payload
 /// cell of surviving rows as a `Value` — the pre-refactor scan shape.
 pub fn scalar_scan_gather(sel: &Column, payload: &[Column], threshold: f64) -> Vec<Vec<Value>> {
@@ -232,6 +289,36 @@ pub fn vector_grouped_ndv(engine: &Engine) -> i64 {
         .expect("grouped ndv");
     let d = &result.table.columns[1];
     (0..d.len()).filter_map(|i| d.value_at(i).as_i64()).sum()
+}
+
+/// `p JOIN b ON p.k = b.k` through the engine's hash join (typed key
+/// hashing, hash-chain build, typed column gathers).
+pub fn vector_join(probe: &Table, build: &Table, pool: &ThreadPool) -> Table {
+    let on = verdict_sql::parse_expression("p.k = b.k").expect("join condition");
+    let (pairs, residual) = from_clause::extract_equi_pairs(&on, &probe.schema, &build.schema);
+    let mut rng = || 0.0;
+    from_clause::hash_join(
+        probe,
+        build,
+        &pairs,
+        &residual,
+        JoinType::Inner,
+        &mut rng,
+        pool,
+    )
+    .expect("hash join")
+}
+
+/// The `(p.id, b.id)` pairs of a [`vector_join`] output.
+pub fn joined_pairs(joined: &Table) -> Vec<(usize, usize)> {
+    let id = |c: usize| (0..joined.num_rows()).map(move |i| joined.columns[c].value_at(i));
+    id(1)
+        .zip(id(3))
+        .map(|(p, b)| {
+            let row = |v: Value| v.as_i64().expect("row id") as usize;
+            (row(p), row(b))
+        })
+        .collect()
 }
 
 /// Late-materialized scan: packed mask over the selector column only, then a
@@ -438,6 +525,13 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
         scalar_grouped_ndv(&k20k, &price),
         vector_grouped_ndv(&ndv_engine)
     );
+    let (probe, build) = join_tables();
+    let join_pairs = scalar_join_pairs(&probe, &build);
+    assert_eq!(join_pairs.len(), JOIN_PROBE_ROWS);
+    assert_eq!(
+        joined_pairs(&vector_join(&probe, &build, &serial)),
+        join_pairs
+    );
     let assembly = assemble_input();
     let scalar_answer = assemble_many(scalar_assemble, &assembly);
     let compiled_answer = assemble_many(assemble, &assembly);
@@ -474,6 +568,11 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
             name: "grouped_ndv_20k",
             scalar_secs: median_secs(|| scalar_grouped_ndv(&k20k, &price)),
             vectorized_secs: median_secs(|| vector_grouped_ndv(&ndv_engine)),
+        },
+        KernelRow {
+            name: "join_dim_50k",
+            scalar_secs: median_secs(|| scalar_join_pairs(&probe, &build)),
+            vectorized_secs: median_secs(|| vector_join(&probe, &build, &serial)),
         },
         KernelRow {
             name: "late_mat_scan",
@@ -662,6 +761,11 @@ mod tests {
             let vector: f64 = vector_grouped_sum(keys, &price, &serial).iter().sum();
             assert!((scalar - vector).abs() / scalar.abs() < 1e-9);
         }
+        let (probe, build) = join_tables();
+        assert_eq!(
+            joined_pairs(&vector_join(&probe, &build, &ThreadPool::new(4))),
+            scalar_join_pairs(&probe, &build)
+        );
         let (sel, payload) = scan_columns(n, 4);
         let scalar_rows = scalar_scan_gather(&sel, &payload, SCAN_THRESHOLD);
         let gathered = late_mat_scan(&sel, &payload, SCAN_THRESHOLD, &serial);

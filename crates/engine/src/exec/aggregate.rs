@@ -767,10 +767,10 @@ impl Folded {
                         acc
                     })
                     .collect();
-                (grouping.representatives, accs)
+                (grouping.representatives, grouping.hashes, accs)
             });
-            for (representatives, accs) in partials {
-                let to = self.table.intern(keys, &representatives);
+            for (representatives, hashes, accs) in partials {
+                let to = self.table.intern(keys, &representatives, &hashes);
                 for (slot, partial) in self.slots.iter_mut().zip(accs) {
                     slot.acc.grow(self.table.num_groups());
                     slot.acc.merge(partial, &to);

@@ -6,10 +6,12 @@
 //! unmatched rows.  This mirrors how the paper's underlying engines evaluate
 //! the equi-joins that VerdictDB emits.
 //!
-//! Join keys are hashed directly from the typed columns
-//! ([`crate::kernels::RowIndex`]) — no per-row `KeyValue` materialisation or
-//! string cloning on the build/probe path — and the joined table is
-//! assembled with typed column gathers.
+//! Join keys are hashed directly from the typed columns, morsel-parallel,
+//! and the build rows are linked into allocation-free hash chains
+//! ([`crate::kernels::RowIndex`]) — no per-row `KeyValue` materialisation,
+//! string cloning or per-key bucket on the build/probe path.  Matches come
+//! out in probe-row order with build rows ascending, at any thread count,
+//! and the joined table is assembled with typed column gathers.
 
 use crate::column::Column;
 use crate::error::EngineResult;
@@ -108,10 +110,11 @@ pub fn extract_equi_pairs(
 /// path with no keys.  Residual (non-equi) `ON` conjuncts are part of the
 /// match condition: they are evaluated over the key-matched candidate pairs,
 /// and a preserved row whose candidates all fail them is emitted once,
-/// null-extended — filtering after null-extension would drop it.  The build
-/// side is indexed and the output gathered morsel-parallel over `pool`;
-/// probing stays sequential so match order (and thus output order) is
-/// identical at any thread count.
+/// null-extended — filtering after null-extension would drop it.  Both
+/// sides' keys are hashed and the output gathered morsel-parallel over
+/// `pool`; linking the build rows and probing stay sequential, so match
+/// order (probe rows in order, build rows ascending — and thus output
+/// order) is identical at any thread count.
 pub fn hash_join(
     left: &Table,
     right: &Table,
@@ -153,8 +156,8 @@ pub fn hash_join(
         } else {
             (left_keys, right_keys)
         };
-        // index the build side (morsel-parallel), probe in row order
-        let index = RowIndex::build_with(&build_keys, build.num_rows(), pool);
+        // index the build side, probe in row order
+        let index = RowIndex::build(&build_keys, build.num_rows(), pool);
         let probe_hashes = par_hash_rows(&probe_keys, probe.num_rows(), pool);
         let mut pi = Vec::new();
         let mut bi = Vec::new();
@@ -256,6 +259,7 @@ pub fn cross_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use crate::functions::seeded_uniform;
     use crate::table::TableBuilder;
     use crate::value::Value;
@@ -474,6 +478,234 @@ mod tests {
                 vec![null.clone(), null, int(4), float(40.0)],
             ]
         );
+    }
+
+    /// Row `i` of `cols` as a scalar join key, `None` when any column is
+    /// NULL: integral numbers by value whether Int or Float (`-0.0` is 0),
+    /// other floats by bit pattern with every NaN alike, strings as they are.
+    fn scalar_key(cols: &[Column], i: usize) -> Option<Vec<String>> {
+        cols.iter()
+            .map(|c| match c.value_at(i) {
+                Value::Null => None,
+                Value::Int(v) => Some(format!("n{v}")),
+                Value::Float(f) if f.is_nan() => Some("nan".into()),
+                Value::Float(f) if f.fract() == 0.0 => Some(format!("n{}", f as i64)),
+                Value::Float(f) => Some(format!("f{}", f.to_bits())),
+                Value::Str(s) => Some(format!("s{s}")),
+                Value::Bool(b) => Some(format!("b{b}")),
+            })
+            .collect()
+    }
+
+    /// The nested loop "for each probe row, for each build row ascending,
+    /// keep the pair when the keys are equal and `residual` holds", with
+    /// the inner loop narrowed to equal keys by a std `HashMap`; an outer
+    /// join adds `(p, None)` for a probe row without a kept pair.
+    fn reference_pairs(
+        probe_keys: &[Option<Vec<String>>],
+        build_keys: &[Option<Vec<String>>],
+        residual: &dyn Fn(usize, usize) -> bool,
+        outer: bool,
+    ) -> Vec<(usize, Option<usize>)> {
+        let mut by_key: std::collections::HashMap<&[String], Vec<usize>> = Default::default();
+        for (b, key) in build_keys.iter().enumerate() {
+            if let Some(key) = key {
+                by_key.entry(key).or_default().push(b);
+            }
+        }
+        let mut pairs = Vec::new();
+        for (p, key) in probe_keys.iter().enumerate() {
+            let kept: Vec<usize> = key
+                .as_ref()
+                .and_then(|key| by_key.get(key.as_slice()))
+                .map(|rows| rows.iter().copied().filter(|&b| residual(p, b)).collect())
+                .unwrap_or_default();
+            if kept.is_empty() && outer {
+                pairs.push((p, None));
+            }
+            pairs.extend(kept.into_iter().map(|b| (p, Some(b))));
+        }
+        pairs
+    }
+
+    /// Same types, validity and value bits (NaN included).
+    fn assert_bit_identical(a: &Table, b: &Table, label: &str) {
+        assert_eq!(a.num_columns(), b.num_columns(), "{label}");
+        for (x, y) in a.columns.iter().zip(&b.columns) {
+            assert_eq!(x.validity(), y.validity(), "{label}: validity");
+            match (x.data(), y.data()) {
+                (ColumnData::Float64(p), ColumnData::Float64(q)) => assert!(
+                    p.iter()
+                        .map(|v| v.to_bits())
+                        .eq(q.iter().map(|v| v.to_bits())),
+                    "{label}: float bits"
+                ),
+                (p, q) => assert!(p == q, "{label}: values"),
+            }
+        }
+    }
+
+    /// `hash_join` against the scalar reference on inputs larger than a
+    /// morsel on both sides: duplicate keys on both sides, NULL keys,
+    /// `Int 5` against `Float 5.0`, NaN, strings and two-column keys whose
+    /// row hashes collide — INNER / LEFT / RIGHT, with and without a
+    /// residual `ON` conjunct, at pools of 1 and 4.  Pairs come out in
+    /// probe-row order with build rows ascending.
+    #[test]
+    fn hash_join_matches_scalar_reference_in_pair_order() {
+        use crate::parallel::MORSEL_ROWS;
+        let (nl, nr) = (MORSEL_ROWS + 4_000, MORSEL_ROWS + 1_000);
+        let ints = |n: usize, f: &dyn Fn(usize) -> Option<i64>| {
+            Column::from_opt_i64((0..n).map(f).collect())
+        };
+        let floats = |n: usize, f: &dyn Fn(usize) -> Option<f64>| {
+            Column::from_opt_f64((0..n).map(f).collect())
+        };
+        let strs = |n: usize, f: &dyn Fn(usize) -> Option<String>| {
+            Column::from_opt_str((0..n).map(f).collect())
+        };
+        let (ca, cb) = crate::kernels::tests::colliding_int_keys(40);
+        let colliding = |n: usize, salt: usize| -> Vec<Column> {
+            let (a, b): (Vec<i64>, Vec<i64>) = (0..n)
+                .map(|i| match i % 50 {
+                    0 => (ca[(i / 50 + salt) % 40], cb[(i / 50 + salt) % 40]),
+                    _ => ((i % 30_000) as i64, (i % 7) as i64),
+                })
+                .unzip();
+            vec![Column::from_i64(a), Column::from_i64(b)]
+        };
+        // (label, left key columns, right key columns)
+        let cases: Vec<(&str, Vec<Column>, Vec<Column>)> = vec![
+            (
+                "nullable ints, duplicates on both sides",
+                vec![ints(nl, &|i| {
+                    (i % 97 != 0).then_some((i * 7 % 50_000) as i64)
+                })],
+                vec![ints(nr, &|i| (i % 89 != 0).then_some((i % 40_000) as i64))],
+            ),
+            (
+                "Int against Float: integral, fractional, -0.0, NaN, NULL",
+                vec![ints(nl, &|i| (i % 61 != 0).then_some((i % 30_000) as i64))],
+                vec![floats(nr, &|i| {
+                    (i % 17 != 0).then_some(match i % 13 {
+                        0 => -0.0,
+                        5 => f64::NAN,
+                        7 => (i % 35_000) as f64 + 0.5,
+                        _ => (i % 35_000) as f64,
+                    })
+                })],
+            ),
+            (
+                "floats with NaN on both sides",
+                vec![floats(nl, &|i| {
+                    (i % 53 != 0).then_some(if i % 1000 == 1 {
+                        f64::NAN
+                    } else {
+                        (i % 20_000) as f64 * 0.25
+                    })
+                })],
+                vec![floats(nr, &|i| {
+                    (i % 47 != 0).then_some(if i % 900 == 2 {
+                        f64::NAN
+                    } else {
+                        (i % 30_000) as f64 * 0.25
+                    })
+                })],
+            ),
+            (
+                "nullable strings",
+                vec![strs(nl, &|i| {
+                    (i % 71 != 0).then(|| format!("s{}", i % 20_000))
+                })],
+                vec![strs(nr, &|i| {
+                    (i % 67 != 0).then(|| format!("s{}", i % 25_000))
+                })],
+            ),
+            (
+                "two-column keys with colliding row hashes",
+                colliding(nl, 0),
+                colliding(nr, 3),
+            ),
+        ];
+        let (x, y): (Vec<f64>, Vec<f64>) = (
+            (0..nl).map(|i| (i % 10) as f64).collect(),
+            (0..nr).map(|i| (i % 7) as f64).collect(),
+        );
+        let residual_holds = |l: usize, r: usize| x[l] < y[r];
+        for (label, lkeys, rkeys) in &cases {
+            let table = |q: &str, keys: &[Column], payload: &[f64]| {
+                let mut b =
+                    TableBuilder::new().int_column("id", (0..payload.len() as i64).collect());
+                for (i, k) in keys.iter().enumerate() {
+                    b = b.column(&format!("k{i}"), k.clone());
+                }
+                let t = b.float_column("v", payload.to_vec()).build().unwrap();
+                Table {
+                    schema: t.schema.with_qualifier(q),
+                    columns: t.columns,
+                }
+            };
+            let (l, r) = (table("l", lkeys, &x), table("r", rkeys, &y));
+            let on_keys: Vec<String> = (0..lkeys.len())
+                .map(|i| format!("l.k{i} = r.k{i}"))
+                .collect();
+            let scalar = |keys: &[Column]| -> Vec<_> {
+                (0..keys[0].len()).map(|i| scalar_key(keys, i)).collect()
+            };
+            let (lscalar, rscalar) = (scalar(lkeys), scalar(rkeys));
+            for with_residual in [false, true] {
+                let mut on = on_keys.join(" AND ");
+                if with_residual {
+                    on.push_str(" AND l.v < r.v");
+                }
+                let (pairs, residual) =
+                    extract_equi_pairs(&parse_expression(&on).unwrap(), &l.schema, &r.schema);
+                for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right] {
+                    let outer = join_type != JoinType::Inner;
+                    let expected: Vec<(usize, Option<usize>)> = if join_type == JoinType::Right {
+                        reference_pairs(
+                            &rscalar,
+                            &lscalar,
+                            &|p, b| !with_residual || residual_holds(b, p),
+                            outer,
+                        )
+                    } else {
+                        reference_pairs(
+                            &lscalar,
+                            &rscalar,
+                            &|p, b| !with_residual || residual_holds(p, b),
+                            outer,
+                        )
+                    };
+                    let probe_idx: Vec<usize> = expected.iter().map(|&(p, _)| p).collect();
+                    let build_idx: Vec<usize> = expected
+                        .iter()
+                        .map(|&(_, b)| b.unwrap_or(usize::MAX))
+                        .collect();
+                    let (left_idx, right_idx) = if join_type == JoinType::Right {
+                        (build_idx, probe_idx)
+                    } else {
+                        (probe_idx, build_idx)
+                    };
+                    let want = Table {
+                        schema: l.schema.join(&r.schema),
+                        columns: (l.columns.iter().map(|c| c.take_opt(&left_idx)))
+                            .chain(r.columns.iter().map(|c| c.take_opt(&right_idx)))
+                            .collect(),
+                    };
+                    for threads in [1, 4] {
+                        let mut rng = seeded_uniform(1);
+                        let pool = ThreadPool::new(threads);
+                        let got = hash_join(&l, &r, &pairs, &residual, join_type, &mut rng, &pool)
+                            .unwrap();
+                        let label = format!(
+                            "{label}, {join_type:?}, residual {with_residual}, {threads} threads"
+                        );
+                        assert_bit_identical(&got, &want, &label);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::functions::{eval_scalar_function, is_scalar_function, like_match};
 use crate::kernels;
 use crate::table::Table;
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use verdict_sql::ast::{BinaryOp, CastType, Expr, Literal, UnaryOp};
 
 /// Evaluation context: the frame the expression is evaluated against plus a
@@ -175,30 +176,25 @@ pub fn eval_expr(expr: &Expr, ctx: &mut EvalContext<'_>) -> EngineResult<Column>
             pattern,
             negated,
         } => {
-            let v = eval_expr(expr, ctx)?;
-            let p = eval_expr(pattern, ctx)?;
-            let mut out = Vec::with_capacity(n);
-            match (v.as_strs(), p.as_strs()) {
-                (Some(texts), Some(pats)) => {
-                    for i in 0..n {
-                        out.push(if v.is_valid(i) && p.is_valid(i) {
-                            Some(like_match(&texts[i], &pats[i]) != *negated)
-                        } else {
-                            None
-                        });
-                    }
+            let text = eval_expr(expr, ctx)?;
+            let like = |text: Option<Cow<'_, str>>, pattern: Option<&str>| {
+                Some(like_match(&text?, pattern?) != *negated)
+            };
+            let out: Vec<Option<bool>> = match &**pattern {
+                // A literal pattern is read once, not copied into every row.
+                Expr::Literal(lit) => {
+                    let pattern = literal_value(lit).as_str_lossy();
+                    (0..n)
+                        .map(|i| like(str_cell(&text, i), pattern.as_deref()))
+                        .collect()
                 }
                 _ => {
-                    for i in 0..n {
-                        match (v.value_at(i).as_str_lossy(), p.value_at(i).as_str_lossy()) {
-                            (Some(text), Some(pat)) => {
-                                out.push(Some(like_match(&text, &pat) != *negated))
-                            }
-                            _ => out.push(None),
-                        }
-                    }
+                    let patterns = eval_expr(pattern, ctx)?;
+                    (0..n)
+                        .map(|i| like(str_cell(&text, i), str_cell(&patterns, i).as_deref()))
+                        .collect()
                 }
-            }
+            };
             Ok(Column::from_opt_bool(out))
         }
         Expr::Cast { expr, data_type } => {
@@ -211,6 +207,15 @@ pub fn eval_expr(expr: &Expr, ctx: &mut EvalContext<'_>) -> EngineResult<Column>
                 "subquery must be resolved by the executor before evaluation".into(),
             ))
         }
+    }
+}
+
+/// Row `i` of `col` as text, `None` when NULL: borrowed from a string
+/// column, formatted from any other.
+fn str_cell(col: &Column, i: usize) -> Option<Cow<'_, str>> {
+    match col.as_strs() {
+        Some(strs) => col.is_valid(i).then(|| Cow::Borrowed(strs[i].as_str())),
+        None => col.value_at(i).as_str_lossy().map(Cow::Owned),
     }
 }
 
@@ -402,6 +407,46 @@ mod tests {
                 Value::Bool(false)
             ]
         );
+    }
+
+    /// Literal and per-row patterns, NULL on either side, and non-string
+    /// operands read through their text form.
+    #[test]
+    fn like_over_literal_and_column_patterns_with_nulls() {
+        let t = TableBuilder::new()
+            .column(
+                "s",
+                Column::from_opt_str(vec![Some("日本a".into()), None, Some("ab".into())]),
+            )
+            .column(
+                "p",
+                Column::from_opt_str(vec![Some("_本%".into()), Some("%".into()), None]),
+            )
+            .int_column("n", vec![15, 21, 1])
+            .build()
+            .unwrap();
+        let (yes, no, null) = (Value::Bool(true), Value::Bool(false), Value::Null);
+        assert_eq!(
+            eval("s LIKE '%a'", &t),
+            vec![yes.clone(), null.clone(), no.clone()]
+        );
+        assert_eq!(
+            eval("s NOT LIKE '%a'", &t),
+            vec![no.clone(), null.clone(), yes.clone()]
+        );
+        assert_eq!(
+            eval("s LIKE NULL", &t),
+            vec![null.clone(), null.clone(), null.clone()]
+        );
+        assert_eq!(
+            eval("s LIKE p", &t),
+            vec![yes.clone(), null.clone(), null.clone()]
+        );
+        assert_eq!(
+            eval("n LIKE '1%'", &t),
+            vec![yes.clone(), no.clone(), yes.clone()]
+        );
+        assert_eq!(eval("'x1' LIKE '%' || n", &t), vec![no.clone(), no, yes]);
     }
 
     #[test]

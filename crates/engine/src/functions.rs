@@ -430,28 +430,42 @@ fn unary_string(name: &str, args: &[Column], f: impl Fn(&str) -> String) -> Engi
     Ok(Column::from_opt_str(out))
 }
 
-/// Evaluates a SQL `LIKE` pattern (with `%` and `_` wildcards) against a string.
+/// Evaluates a SQL `LIKE` pattern against a string: `%` matches any run of
+/// chars, `_` exactly one char.
+///
+/// A two-pointer walk that allocates nothing: on a mismatch it backtracks
+/// to the last `%` seen and lets that `%` swallow one more text char.
+/// Backtracking to an earlier `%` is never needed, because whatever the
+/// earlier one could match the later one can too.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    // dynamic-programming match over chars
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let mut dp = vec![vec![false; p.len() + 1]; t.len() + 1];
-    dp[0][0] = true;
-    for j in 1..=p.len() {
-        if p[j - 1] == '%' {
-            dp[0][j] = dp[0][j - 1];
+    let (mut t, mut p) = (text.chars(), pattern.chars());
+    // Where matching resumes after the last `%`: the pattern just past it,
+    // and the first text char that `%` has not swallowed yet.
+    let mut star: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let tc = t.clone().next();
+        match p.clone().next() {
+            Some('%') => {
+                p.next();
+                star = Some((p.clone(), t.clone()));
+                continue;
+            }
+            Some(pc) if tc.is_some_and(|tc| pc == '_' || pc == tc) => {
+                p.next();
+                t.next();
+                continue;
+            }
+            None if tc.is_none() => return true,
+            _ => {}
         }
-    }
-    for i in 1..=t.len() {
-        for j in 1..=p.len() {
-            dp[i][j] = match p[j - 1] {
-                '%' => dp[i - 1][j] || dp[i][j - 1],
-                '_' => dp[i - 1][j - 1],
-                c => dp[i - 1][j - 1] && t[i - 1] == c,
-            };
+        let Some((star_p, star_t)) = &mut star else {
+            return false;
+        };
+        if star_t.next().is_none() {
+            return false;
         }
+        (p, t) = (star_p.clone(), star_t.clone());
     }
-    dp[t.len()][p.len()]
 }
 
 /// A deterministic uniform random generator seeded per query execution, used
@@ -570,6 +584,78 @@ mod tests {
         assert!(!like_match("abc", "a_d"));
         assert!(like_match("anything", "%"));
         assert!(!like_match("", "_"));
+    }
+
+    /// The dynamic-programming matcher [`like_match`] replaced, kept as its
+    /// oracle.
+    fn like_match_dp(text: &str, pattern: &str) -> bool {
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let mut dp = vec![vec![false; p.len() + 1]; t.len() + 1];
+        dp[0][0] = true;
+        for j in 1..=p.len() {
+            if p[j - 1] == '%' {
+                dp[0][j] = dp[0][j - 1];
+            }
+        }
+        for i in 1..=t.len() {
+            for j in 1..=p.len() {
+                dp[i][j] = match p[j - 1] {
+                    '%' => dp[i - 1][j] || dp[i][j - 1],
+                    '_' => dp[i - 1][j - 1],
+                    c => dp[i - 1][j - 1] && t[i - 1] == c,
+                };
+            }
+        }
+        dp[t.len()][p.len()]
+    }
+
+    /// Every string of up to `max_len` chars over `alphabet`.
+    fn strings_over(alphabet: &[char], max_len: usize) -> Vec<String> {
+        let mut out = vec![String::new()];
+        let mut last = vec![String::new()];
+        for _ in 0..max_len {
+            last = last
+                .iter()
+                .flat_map(|s| alphabet.iter().map(move |&c| format!("{s}{c}")))
+                .collect();
+            out.extend(last.iter().cloned());
+        }
+        out
+    }
+
+    #[test]
+    fn like_match_agrees_with_the_dynamic_programming_oracle() {
+        let check = |text: &str, pattern: &str| {
+            assert_eq!(
+                like_match(text, pattern),
+                like_match_dp(text, pattern),
+                "{text:?} LIKE {pattern:?}"
+            );
+        };
+        // Exhaustive over short ASCII and multibyte texts and patterns
+        // (`%%`, `_%_`, trailing `%`, empty text and pattern included).
+        let texts = strings_over(&['a', 'b', 'é'], 4);
+        let patterns = strings_over(&['a', '日', '%', '_'], 4);
+        for text in texts.iter().chain([&"日a日".to_string()]) {
+            for pattern in &patterns {
+                check(text, pattern);
+            }
+        }
+        // Longer generated pairs: texts over a few chars, patterns drawn
+        // from the same chars plus wildcards, from a fixed seed.
+        let mut rng = seeded_uniform(7);
+        let mut draw = |alphabet: &[char], max_len: f64| -> String {
+            let len = (rng() * max_len) as usize;
+            (0..len)
+                .map(|_| alphabet[(rng() * alphabet.len() as f64) as usize])
+                .collect()
+        };
+        for _ in 0..20_000 {
+            let text = draw(&['x', 'y', 'ü'], 14.0);
+            let pattern = draw(&['x', 'y', 'ü', '%', '%', '_'], 8.0);
+            check(&text, &pattern);
+        }
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Vectorized kernels over typed [`Column`]s: arithmetic, comparison,
 //! boolean logic, selection masks, casts, and hash-based row grouping.
 //!
+//! Every hash structure here — the join index, the morsel grouper and the
+//! cross-morsel group table — is one layout, `HashChains`: a head map from
+//! a row's canonical hash to the newest entry with that hash plus one
+//! `next` link per entry, so no key owns an allocation, and each key row is
+//! hashed exactly once.
+//!
 //! Each kernel dispatches on the operand types **once** and then runs a tight
 //! loop over the typed slices; the per-row `Value` materialisation of the old
 //! representation only survives in the `generic_*` fallbacks used for
@@ -688,7 +694,7 @@ pub fn cast_column(col: &Column, to: verdict_sql::ast::CastType) -> Column {
 /// A no-op hasher for keys that are already well-mixed 64-bit hashes
 /// (the canonical row hashes), avoiding a second SipHash pass per lookup.
 #[derive(Default, Clone)]
-pub struct Prehashed(u64);
+struct Prehashed(u64);
 
 impl std::hash::Hasher for Prehashed {
     #[inline]
@@ -723,34 +729,79 @@ type PrehashedMap<V> = HashMap<u64, V, Prehashed>;
 /// The value every canonical row hash starts from.
 const HASH_SEED: u64 = 0xcbf29ce484222325;
 
-/// Combined canonical hash per row across the key columns.
-pub fn hash_rows(cols: &[Column], n: usize) -> Vec<u64> {
-    let mut hashes = vec![HASH_SEED; n];
+/// Combined canonical hash per row of `range` across the key columns.
+fn hash_range(cols: &[Column], range: Range<usize>) -> Vec<u64> {
+    let mut hashes = vec![HASH_SEED; range.len()];
     for c in cols {
-        c.hash_into(&mut hashes);
+        c.hash_range_into(range.clone(), &mut hashes);
     }
     hashes
 }
 
-/// Morsel-parallel [`hash_rows`]: each morsel hashes its row range across
-/// all key columns; the per-morsel vectors are concatenated in morsel order,
-/// yielding exactly the serial hash vector.
+/// Combined canonical hash per row `0..n` across the key columns, one
+/// morsel per task; the per-morsel vectors are concatenated in morsel order,
+/// so the result is the same at any thread count.
 pub fn par_hash_rows(cols: &[Column], n: usize, pool: &ThreadPool) -> Vec<u64> {
     if pool.parallelism() <= 1 || n <= crate::parallel::MORSEL_ROWS {
-        return hash_rows(cols, n);
+        return hash_range(cols, 0..n);
     }
-    let parts = pool.run_morsels(n, |range| {
-        let mut hashes = vec![HASH_SEED; range.len()];
-        for c in cols {
-            c.hash_range_into(range.clone(), &mut hashes);
+    pool.run_morsels(n, |range| hash_range(cols, range))
+        .concat()
+}
+
+/// Ends a chain of [`HashChains`].
+const CHAIN_END: usize = usize::MAX;
+
+/// Allocation-free hash chains over entry ids `0..len` with caller-supplied
+/// canonical hashes — the one hash layout behind the join index
+/// ([`RowIndex`]), the morsel grouper (`hash_group_range`) and
+/// [`GroupTable`].  `heads` maps a hash to the newest entry linked under it
+/// and `next[e]` to the entry linked before `e`, so a chain lists its
+/// entries newest first and no key owns a heap allocation.  Chains hold
+/// every entry with an equal *hash*; callers tell keys apart with
+/// [`rows_equal`].
+#[derive(Clone, Default)]
+pub(crate) struct HashChains {
+    heads: PrehashedMap<usize>,
+    next: Vec<usize>,
+}
+
+impl HashChains {
+    /// Empty chains with room for `entries` entries under as many distinct
+    /// hashes before anything grows.
+    fn with_capacity(entries: usize) -> HashChains {
+        HashChains {
+            heads: PrehashedMap::with_capacity_and_hasher(entries, Prehashed::default()),
+            next: Vec::with_capacity(entries),
         }
-        hashes
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend_from_slice(&p);
     }
-    out
+
+    /// One past the largest entry id linked so far.
+    fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Links `entry` under `hash` as the newest entry of its chain; ids
+    /// below it that were never linked stay on no chain.
+    fn link(&mut self, hash: u64, entry: usize) {
+        if entry >= self.next.len() {
+            self.next.resize(entry + 1, CHAIN_END);
+        }
+        self.next[entry] = self.heads.insert(hash, entry).unwrap_or(CHAIN_END);
+    }
+
+    /// Links entry `len()` under `hash` and returns its id.
+    fn push(&mut self, hash: u64) -> usize {
+        let entry = self.len();
+        self.link(hash, entry);
+        entry
+    }
+
+    /// The entries linked under `hash`, newest first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let head = self.heads.get(&hash).copied();
+        std::iter::successors(head, |&e| Some(self.next[e]).filter(|&n| n != CHAIN_END))
+    }
 }
 
 /// True when row `i` of `a`'s key columns equals row `j` of `b`'s, with
@@ -767,6 +818,8 @@ pub struct Grouping {
     pub gids: Vec<usize>,
     /// One representative row index per group, in first-appearance order.
     pub representatives: Vec<usize>,
+    /// The canonical key hash of each representative row.
+    pub(crate) hashes: Vec<u64>,
 }
 
 impl Grouping {
@@ -793,7 +846,7 @@ pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping
     let mut gids = Vec::with_capacity(n);
     let mut representatives = Vec::new();
     for local in locals {
-        let translate = table.intern(cols, &local.representatives);
+        let translate = table.intern(cols, &local.representatives, &local.hashes);
         for (&g, &rep) in translate.iter().zip(&local.representatives) {
             if g == representatives.len() {
                 representatives.push(rep);
@@ -804,6 +857,7 @@ pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping
     Grouping {
         gids,
         representatives,
+        hashes: table.hashes,
     }
 }
 
@@ -817,58 +871,61 @@ pub fn group_rows_with(cols: &[Column], n: usize, pool: &ThreadPool) -> Grouping
 /// columns of the range alone pick between them: dense dictionary codes
 /// (`dict_group_range`) when every key column is integral with a small
 /// value range, a local hash table (`hash_group_range`) for everything else.
+/// Either way each group carries its key's canonical hash, which is all
+/// [`GroupTable::intern`] needs to index it.
 pub(crate) fn group_range(cols: &[Column], range: Range<usize>) -> Grouping {
     if cols.is_empty() {
+        let representatives: Vec<usize> = range.clone().take(1).collect();
         return Grouping {
             gids: vec![0; range.len()],
-            representatives: range.take(1).collect(),
+            hashes: vec![HASH_SEED; representatives.len()],
+            representatives,
         };
     }
-    dict_group_range(cols, range.clone()).unwrap_or_else(|| hash_group_range(cols, range))
+    dict_group_range(cols, range.clone())
+        .unwrap_or_else(|| hash_group_range(cols, range.clone(), &hash_range(cols, range)))
 }
 
-/// The hash clustering path of [`group_range`].
-fn hash_group_range(cols: &[Column], range: Range<usize>) -> Grouping {
-    let mut hashes = vec![HASH_SEED; range.len()];
-    for c in cols {
-        c.hash_range_into(range.clone(), &mut hashes);
-    }
-    let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
+/// The hash clustering path of [`group_range`]: `hashes[i]` is the key hash
+/// of row `range.start + i`.  Group ids are chained under their hash as
+/// groups appear, in chains sized for one group per row so the head map
+/// never grows.
+fn hash_group_range(cols: &[Column], range: Range<usize>, hashes: &[u64]) -> Grouping {
+    let mut chains = HashChains::with_capacity(range.len());
     let mut representatives: Vec<usize> = Vec::new();
-    let mut gids = Vec::with_capacity(range.len());
-    for (row, hash) in range.zip(hashes) {
-        let bucket = table.entry(hash).or_default();
-        let gid = bucket
-            .iter()
-            .copied()
-            .find(|&g| rows_equal(cols, row, cols, representatives[g]));
-        gids.push(gid.unwrap_or_else(|| {
-            let g = representatives.len();
-            representatives.push(row);
-            bucket.push(g);
-            g
-        }));
-    }
+    let mut rep_hashes = Vec::new();
+    let gids = range
+        .zip(hashes)
+        .map(|(row, &hash)| {
+            let known = chains
+                .chain(hash)
+                .find(|&g| rows_equal(cols, row, cols, representatives[g]));
+            known.unwrap_or_else(|| {
+                representatives.push(row);
+                rep_hashes.push(hash);
+                chains.push(hash)
+            })
+        })
+        .collect();
     Grouping {
         gids,
         representatives,
+        hashes: rep_hashes,
     }
 }
 
-/// The groups a grouping has seen so far: one typed key row per group, in
-/// first-appearance order, plus a hash index over those rows.  Morsel-local
-/// groupings are reconciled here, in morsel order — by [`group_rows_with`]
-/// for a whole input at once and by the running aggregation state
-/// (`exec::aggregate`) as a scan delivers them.
+/// The groups a grouping has seen so far: one typed key row and one key
+/// hash per group, in first-appearance order, plus hash chains over them.
+/// Morsel-local groupings are reconciled here, in morsel order — by
+/// [`group_rows_with`] for a whole input at once and by the running
+/// aggregation state (`exec::aggregate`) as a scan delivers them.
 #[derive(Clone, Default)]
 pub(crate) struct GroupTable {
     keys: Vec<Column>,
-    groups: usize,
-    /// Canonical row hash → the newest group with that hash.
-    heads: PrehashedMap<usize>,
-    /// Per group, the next older group with the same hash (`usize::MAX` ends
-    /// the chain) — full 64-bit collisions are rare, so chains are short.
-    older: Vec<usize>,
+    hashes: Vec<u64>,
+    /// Chains over groups `0..chains.len()`; the groups after those are
+    /// linked when the next morsel arrives.
+    chains: HashChains,
 }
 
 impl GroupTable {
@@ -883,7 +940,7 @@ impl GroupTable {
 
     /// Number of groups seen so far.
     pub fn num_groups(&self) -> usize {
-        self.groups
+        self.hashes.len()
     }
 
     /// The key columns: row `g` holds the key of group `g`.
@@ -891,52 +948,45 @@ impl GroupTable {
         self.keys
     }
 
-    /// Interns the rows `reps` of `cols` — pairwise distinct keys, as the
-    /// representatives of one [`group_range`] call are — and returns the
-    /// table's group id for each.  Unknown keys are appended in `reps` order.
-    pub fn intern(&mut self, cols: &[Column], reps: &[usize]) -> Vec<usize> {
-        let keys: Vec<Column> = cols.iter().map(|c| c.take(reps)).collect();
-        if self.groups == 0 {
+    /// Interns the rows `reps` of `cols`, whose key hashes are `hashes` —
+    /// pairwise distinct keys, as the representatives of one
+    /// [`group_range`] call are — and returns the table's group id for each.
+    /// Unknown keys are appended in `reps` order.
+    pub fn intern(&mut self, cols: &[Column], reps: &[usize], hashes: &[u64]) -> Vec<usize> {
+        debug_assert_eq!(reps.len(), hashes.len());
+        if self.hashes.is_empty() {
             // The first morsel's groups are the table, under their local
-            // ids; they are hashed only if a second morsel ever arrives
+            // ids; they are chained only if a second morsel ever arrives
             // (most aggregations fit one morsel and never pay for an index).
-            self.keys = keys;
-            self.groups = reps.len();
+            self.keys = cols.iter().map(|c| c.take(reps)).collect();
+            self.hashes = hashes.to_vec();
             return (0..reps.len()).collect();
         }
-        if self.older.is_empty() {
-            for (g, hash) in hash_rows(&self.keys, self.groups).into_iter().enumerate() {
-                self.link(hash, g);
-            }
+        // Groups appended by this call stay unchained until the next one:
+        // `reps` are distinct, so none of them can match another.
+        for g in self.chains.len()..self.hashes.len() {
+            self.chains.push(self.hashes[g]);
         }
-        let known = self.groups;
         let mut fresh: Vec<usize> = Vec::new();
-        let mut translate = Vec::with_capacity(reps.len());
-        for (local, hash) in hash_rows(&keys, reps.len()).into_iter().enumerate() {
-            // groups interned by this very call cannot match: `reps` are distinct
-            let mut g = self.heads.get(&hash).copied().unwrap_or(usize::MAX);
-            while g != usize::MAX && !(g < known && rows_equal(&keys, local, &self.keys, g)) {
-                g = self.older[g];
-            }
-            if g == usize::MAX {
-                g = self.groups;
-                self.groups += 1;
-                self.link(hash, g);
-                fresh.push(local);
-            }
-            translate.push(g);
-        }
-        for (dst, src) in self.keys.iter_mut().zip(&keys) {
+        let translate = reps
+            .iter()
+            .zip(hashes)
+            .map(|(&row, &hash)| {
+                let known = self
+                    .chains
+                    .chain(hash)
+                    .find(|&g| rows_equal(cols, row, &self.keys, g));
+                known.unwrap_or_else(|| {
+                    fresh.push(row);
+                    self.hashes.push(hash);
+                    self.hashes.len() - 1
+                })
+            })
+            .collect();
+        for (dst, src) in self.keys.iter_mut().zip(cols) {
             dst.append(&src.take(&fresh));
         }
         translate
-    }
-
-    /// Indexes group `g` (the newest) under its row hash.
-    fn link(&mut self, hash: u64, g: usize) {
-        let older = self.heads.insert(hash, g).unwrap_or(usize::MAX);
-        debug_assert_eq!(g, self.older.len());
-        self.older.push(older);
     }
 }
 
@@ -1014,8 +1064,11 @@ fn dict_group_range(cols: &[Column], range: Range<usize>) -> Option<Grouping> {
         }
         gids.push(*slot as usize);
     }
+    // No row was hashed on the way; hash just the groups' keys.
+    let keys: Vec<Column> = cols.iter().map(|c| c.take(&representatives)).collect();
     Some(Grouping {
         gids,
+        hashes: hash_range(&keys, 0..representatives.len()),
         representatives,
     })
 }
@@ -1106,57 +1159,32 @@ impl<'a> DictView<'a> {
 }
 
 /// A hash index over the key columns of a build-side table, used by hash
-/// joins: maps canonical row hashes to candidate row indices, verified with
+/// joins: `HashChains` whose entries are the build rows, verified with
 /// typed equality at probe time.
 pub struct RowIndex<'a> {
     keys: &'a [Column],
-    table: PrehashedMap<Vec<usize>>,
+    chains: HashChains,
 }
 
 impl<'a> RowIndex<'a> {
-    /// Builds the index, skipping rows with a NULL in any key column
-    /// (SQL equi-join semantics).
-    pub fn build(keys: &'a [Column], n: usize) -> RowIndex<'a> {
-        Self::build_with(keys, n, &ThreadPool::serial())
-    }
-
-    /// Morsel-parallel hash-join build: per-morsel local tables merged in
-    /// morsel order, so every bucket lists its candidate rows in ascending
-    /// row order — exactly the serial build — at any thread count.
-    pub fn build_with(keys: &'a [Column], n: usize, pool: &ThreadPool) -> RowIndex<'a> {
+    /// Indexes build rows `0..n`, skipping rows with a NULL in any key
+    /// column (SQL equi-join semantics).  The rows are hashed morsel-parallel
+    /// and linked serially from the last row down, so every chain lists its
+    /// rows in ascending order at any thread count.
+    pub fn build(keys: &'a [Column], n: usize, pool: &ThreadPool) -> RowIndex<'a> {
         let hashes = par_hash_rows(keys, n, pool);
-        if pool.parallelism() <= 1 || n <= crate::parallel::MORSEL_ROWS {
-            let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
-            for row in 0..n {
-                if keys.iter().any(|k| k.is_null_at(row)) {
-                    continue;
-                }
-                table.entry(hashes[row]).or_default().push(row);
-            }
-            return RowIndex { keys, table };
-        }
-        let locals = pool.run_morsels(n, |range| {
-            let mut local: PrehashedMap<Vec<usize>> = PrehashedMap::default();
-            for row in range {
-                if keys.iter().any(|k| k.is_null_at(row)) {
-                    continue;
-                }
-                local.entry(hashes[row]).or_default().push(row);
-            }
-            local
-        });
-        let mut table: PrehashedMap<Vec<usize>> = PrehashedMap::default();
-        for local in locals {
-            for (h, mut rows) in local {
-                table.entry(h).or_default().append(&mut rows);
+        let mut chains = HashChains::with_capacity(n);
+        for row in (0..n).rev() {
+            if !keys.iter().any(|k| k.is_null_at(row)) {
+                chains.link(hashes[row], row);
             }
         }
-        RowIndex { keys, table }
+        RowIndex { keys, chains }
     }
 
-    /// Streams the build-side rows matching the probe row, without
-    /// allocating per probe (this sits in the hash-join inner loop).
-    /// Probe rows with NULL keys never match.
+    /// Streams the build-side rows matching the probe row in ascending
+    /// order, without allocating per probe (this sits in the hash-join
+    /// inner loop).  Probe rows with NULL keys never match.
     pub fn probe_each(
         &self,
         probe_keys: &[Column],
@@ -1167,26 +1195,16 @@ impl<'a> RowIndex<'a> {
         if probe_keys.iter().any(|k| k.is_null_at(probe_row)) {
             return;
         }
-        if let Some(rows) = self.table.get(&probe_hash) {
-            for &r in rows {
-                if rows_equal(probe_keys, probe_row, self.keys, r) {
-                    on_match(r);
-                }
+        for r in self.chains.chain(probe_hash) {
+            if rows_equal(probe_keys, probe_row, self.keys, r) {
+                on_match(r);
             }
         }
-    }
-
-    /// Collecting variant of [`RowIndex::probe_each`], for tests and
-    /// non-hot-path callers.
-    pub fn probe(&self, probe_keys: &[Column], probe_hash: u64, probe_row: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.probe_each(probe_keys, probe_hash, probe_row, |r| out.push(r));
-        out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::value::Value;
 
@@ -1293,42 +1311,137 @@ mod tests {
         assert_eq!(g.gids[3], g.gids[4], "NULLs group together");
     }
 
-    #[test]
-    fn row_index_skips_null_keys() {
-        let build = vec![Column::from_opt_i64(vec![Some(1), None, Some(2)])];
-        let idx = RowIndex::build(&build, 3);
-        let probe = vec![Column::from_opt_i64(vec![Some(1), None])];
-        let hashes = hash_rows(&probe, 2);
-        assert_eq!(idx.probe(&probe, hashes[0], 0), vec![0]);
-        assert!(idx.probe(&probe, hashes[1], 1).is_empty());
+    /// Two-column integer keys `(a, b)`, pairwise distinct, whose canonical
+    /// row hashes are all one value: each `b` is solved for from its `a` by
+    /// inverting the row hash of `Column::hash_range_into` (integer values
+    /// reach every element hash, and both mixing steps are bijections).
+    pub(crate) fn colliding_int_keys(count: usize) -> (Vec<i64>, Vec<i64>) {
+        const PRIME: u64 = 0x100000001b3;
+        const GOLDEN: u64 = 0x9e3779b97f4a7c15;
+        const M1: u64 = 0xbf58476d1ce4e5b9;
+        fn inverse(odd: u64) -> u64 {
+            // Newton's iteration doubles the correct low bits each step.
+            (0..6).fold(odd, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(x)))
+            })
+        }
+        fn unshift(y: u64, s: u32) -> u64 {
+            (0..64 / s + 1).fold(y, |x, _| y ^ (x >> s))
+        }
+        let hash_i64 = |x: i64| {
+            let z = (x as u64).wrapping_add(GOLDEN);
+            let z = (z ^ (z >> 30)).wrapping_mul(M1);
+            z ^ (z >> 31)
+        };
+        let unhash_i64 = |h: u64| {
+            let z = unshift(h, 31).wrapping_mul(inverse(M1));
+            unshift(z, 30).wrapping_sub(GOLDEN) as i64
+        };
+        let mix = |h: u64, e: u64| (h ^ e).wrapping_mul(PRIME).rotate_left(27);
+        let target = 0x0123_4567_89ab_cdef_u64;
+        let a: Vec<i64> = (0..count as i64).map(|i| 1_000_003 * i - 7).collect();
+        let b: Vec<i64> = a
+            .iter()
+            .map(|&x| {
+                let h = mix(HASH_SEED, hash_i64(x));
+                unhash_i64(h ^ target.rotate_right(27).wrapping_mul(inverse(PRIME)))
+            })
+            .collect();
+        let cols = [Column::from_i64(a.clone()), Column::from_i64(b.clone())];
+        assert!(
+            hash_range(&cols, 0..count).iter().all(|&h| h == target),
+            "the row hash changed: update the inversion above"
+        );
+        (a, b)
+    }
+
+    /// Collects [`RowIndex::probe_each`]'s matches for one probe row.
+    fn probe(index: &RowIndex<'_>, keys: &[Column], row: usize) -> Vec<usize> {
+        let hash = hash_range(keys, row..row + 1)[0];
+        let mut out = Vec::new();
+        index.probe_each(keys, hash, row, |r| out.push(r));
+        out
     }
 
     #[test]
-    fn parallel_hashing_grouping_and_join_build_match_serial() {
-        use crate::parallel::{ThreadPool, MORSEL_ROWS};
-        let n = MORSEL_ROWS * 2 + 123;
-        let keys: Vec<Option<i64>> = (0..n as i64)
-            .map(|i| (i % 97 != 0).then_some(i % 13))
+    fn row_index_skips_null_keys() {
+        let build = vec![Column::from_opt_i64(vec![Some(1), None, Some(2)])];
+        let idx = RowIndex::build(&build, 3, &ThreadPool::serial());
+        let probe_keys = vec![Column::from_opt_i64(vec![Some(1), None])];
+        assert_eq!(probe(&idx, &probe_keys, 0), vec![0]);
+        assert!(probe(&idx, &probe_keys, 1).is_empty());
+    }
+
+    /// Every hash structure behind identical hashes: chains list entries
+    /// newest first, and matches and groups separate by key equality alone.
+    #[test]
+    fn hash_chains_separate_distinct_keys_with_identical_hashes() {
+        let mut chains = HashChains::with_capacity(4);
+        for e in (0..4).rev() {
+            chains.link(7, e);
+        }
+        assert_eq!(chains.chain(7).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(chains.push(7), 4);
+        assert_eq!(chains.chain(7).collect::<Vec<_>>(), vec![4, 0, 1, 2, 3]);
+        assert_eq!(chains.chain(8).count(), 0);
+
+        // The morsel grouper, every row under one hash.
+        let n = 500;
+        let keys = vec![Column::from_opt_f64(
+            (0..n)
+                .map(|i| {
+                    (i % 11 != 0).then_some(match i % 5 {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        _ => (i % 37) as f64,
+                    })
+                })
+                .collect(),
+        )];
+        let g = hash_group_range(&keys, 0..n, &vec![0; n]);
+        let (ref_gids, ref_reps) = reference_grouping(&keys, n);
+        assert_eq!(g.gids, ref_gids);
+        assert_eq!(g.representatives, ref_reps);
+
+        // The group table, two morsels under one hash.
+        let strs = vec![Column::from_str(
+            (0..n).map(|i| format!("k{}", i % 23)).collect(),
+        )];
+        let mut table = GroupTable::new(vec![strs[0].slice(0, 0)]);
+        let first: Vec<usize> = (0..10).collect();
+        assert_eq!(table.intern(&strs, &first, &[9; 10]), first);
+        let second: Vec<usize> = (5..23).rev().collect();
+        let translate = table.intern(&strs, &second, &[9; 18]);
+        let expected: Vec<usize> = (5..23)
+            .rev()
+            .scan(10, |fresh, k| {
+                Some(if k < 10 {
+                    k
+                } else {
+                    *fresh += 1;
+                    *fresh - 1
+                })
+            })
             .collect();
-        let cols = vec![Column::from_opt_i64(keys)];
+        assert_eq!(translate, expected);
+        assert_eq!(table.num_groups(), 23);
+
+        // The join index, over keys whose real row hashes collide.
+        let (a, b) = colliding_int_keys(40);
+        let build_rows: Vec<usize> = (0..400).map(|i| (i * 7) % 40).collect();
+        let build: Vec<Column> = [&a, &b]
+            .iter()
+            .map(|c| Column::from_i64(build_rows.iter().map(|&j| c[j]).collect()))
+            .collect();
         let pool = ThreadPool::new(4);
-
-        assert_eq!(hash_rows(&cols, n), par_hash_rows(&cols, n, &pool));
-
-        let serial = group_rows(&cols, n);
-        let parallel = group_rows_with(&cols, n, &pool);
-        assert_eq!(serial.gids, parallel.gids);
-        assert_eq!(serial.representatives, parallel.representatives);
-
-        let serial_idx = RowIndex::build(&cols, n);
-        let par_idx = RowIndex::build_with(&cols, n, &pool);
-        let probe_hashes = hash_rows(&cols, n);
-        for row in (0..n).step_by(4993) {
-            assert_eq!(
-                serial_idx.probe(&cols, probe_hashes[row], row),
-                par_idx.probe(&cols, probe_hashes[row], row),
-                "bucket row order must match the serial build"
-            );
+        let idx = RowIndex::build(&build, build_rows.len(), &pool);
+        let probe_keys = vec![Column::from_i64(a.clone()), Column::from_i64(b.clone())];
+        for j in 0..40 {
+            let expected: Vec<usize> = (0..build_rows.len())
+                .filter(|&r| build_rows[r] == j)
+                .collect();
+            assert_eq!(expected.len(), 10);
+            assert_eq!(probe(&idx, &probe_keys, j), expected, "key {j}");
         }
     }
 
@@ -1403,6 +1516,19 @@ mod tests {
             }));
         }
         (gids, reps)
+    }
+
+    /// `n` rows of two int key columns: every third row one of the 50
+    /// [`colliding_int_keys`], the others ordinary keys.
+    fn colliding_rows(n: usize) -> Vec<Column> {
+        let (a, b) = colliding_int_keys(50);
+        let (ka, kb): (Vec<i64>, Vec<i64>) = (0..n)
+            .map(|i| match i % 3 {
+                0 => (a[(i / 3) % 50], b[(i / 3) % 50]),
+                _ => ((i % 1000) as i64, (i % 3) as i64),
+            })
+            .unzip();
+        vec![Column::from_i64(ka), Column::from_i64(kb)]
     }
 
     #[test]
@@ -1505,6 +1631,25 @@ mod tests {
                 vec![Column::from_i64(
                     (0..(2 * MORSEL_ROWS + 321) as i64)
                         .map(|i| i * 104_729)
+                        .collect(),
+                )],
+                2 * MORSEL_ROWS + 321,
+                false,
+            ),
+            // Every third row carries one of 50 keys sharing one row hash,
+            // recurring in every morsel: each morsel's chains and the
+            // cross-morsel table must tell them apart by equality.
+            (
+                "colliding int pairs over three morsels",
+                colliding_rows(2 * MORSEL_ROWS + 321),
+                2 * MORSEL_ROWS + 321,
+                false,
+            ),
+            (
+                "nullable strings over three morsels",
+                vec![Column::from_opt_str(
+                    (0..2 * MORSEL_ROWS + 321)
+                        .map(|i| (i % 41 != 0).then(|| format!("s{}", i % 5000)))
                         .collect(),
                 )],
                 2 * MORSEL_ROWS + 321,
