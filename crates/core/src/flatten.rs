@@ -16,40 +16,35 @@ use verdict_sql::ast::*;
 
 /// Flattens every correlated comparison subquery in the WHERE clause that
 /// matches the supported pattern; returns the transformed query (other
-/// queries are returned unchanged).
+/// queries — nothing flattened — are returned unchanged, WHERE included).
 pub fn flatten_comparison_subqueries(mut query: Query) -> Query {
-    let Some(selection) = query.selection.take() else {
+    let Some(selection) = &query.selection else {
         return query;
     };
-    let mut conjuncts = split_and(selection);
+    let mut conjuncts: Vec<Expr> = Vec::new();
     let mut extra_joins: Vec<Join> = Vec::new();
-    let mut counter = 0usize;
-
-    for conj in conjuncts.iter_mut() {
-        if let Expr::BinaryOp { left, op, right } = conj {
-            if !op.is_comparison() {
-                continue;
-            }
-            if let Expr::ScalarSubquery(sub) = right.as_mut() {
-                if let Some(flat) = try_flatten(sub, counter) {
-                    extra_joins.push(flat.join);
-                    *conj = Expr::BinaryOp {
-                        left: left.clone(),
-                        op: *op,
-                        right: Box::new(flat.replacement),
-                    };
-                    counter += 1;
+    for conj in selection.conjuncts() {
+        match conj {
+            Expr::BinaryOp { left, op, right } if op.is_comparison() => {
+                if let Expr::ScalarSubquery(sub) = right.as_ref() {
+                    if let Some(flat) = try_flatten(sub, extra_joins.len()) {
+                        extra_joins.push(flat.join);
+                        conjuncts.push(Expr::binary((**left).clone(), *op, flat.replacement));
+                        continue;
+                    }
                 }
             }
+            _ => {}
         }
+        conjuncts.push(conj.clone());
     }
-
+    if extra_joins.is_empty() {
+        return query;
+    }
     if let Some(first) = query.from.first_mut() {
         first.joins.extend(extra_joins);
     }
-    query.selection = conjuncts
-        .into_iter()
-        .reduce(|a, b| Expr::binary(a, BinaryOp::And, b));
+    query.selection = Expr::conjoin(conjuncts);
     query
 }
 
@@ -79,17 +74,15 @@ fn try_flatten(sub: &Query, counter: usize) -> Option<Flattened> {
     let inner_binding = inner_alias.unwrap_or_else(|| inner_name.base_name().to_string());
 
     // Find exactly one correlated equality `inner_col = outer_ref`.
-    let selection = sub.selection.clone()?;
-    let conjuncts = split_and(selection);
     let mut corr: Option<(String, Expr)> = None;
     let mut residual: Vec<Expr> = Vec::new();
-    for c in conjuncts {
+    for c in sub.selection.as_ref()?.conjuncts() {
         if corr.is_none() {
             if let Expr::BinaryOp {
                 left,
                 op: BinaryOp::Eq,
                 right,
-            } = &c
+            } = c
             {
                 let classify = |e: &Expr| -> Option<(bool, String, Expr)> {
                     if let Expr::Column { table, name } = e {
@@ -116,7 +109,7 @@ fn try_flatten(sub: &Query, counter: usize) -> Option<Flattened> {
                 }
             }
         }
-        residual.push(c);
+        residual.push(c.clone());
     }
     let (corr_col, outer_ref) = corr?;
 
@@ -139,9 +132,7 @@ fn try_flatten(sub: &Query, counter: usize) -> Option<Flattened> {
             },
             joins: Vec::new(),
         }],
-        selection: residual
-            .into_iter()
-            .reduce(|a, b| Expr::binary(a, BinaryOp::And, b)),
+        selection: Expr::conjoin(residual),
         group_by: vec![Expr::col(corr_col.clone())],
         having: None,
         order_by: Vec::new(),
@@ -164,21 +155,6 @@ fn try_flatten(sub: &Query, counter: usize) -> Option<Flattened> {
         join,
         replacement: Expr::qcol(flat_alias, value_alias),
     })
-}
-
-fn split_and(expr: Expr) -> Vec<Expr> {
-    match expr {
-        Expr::BinaryOp {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let mut out = split_and(*left);
-            out.extend(split_and(*right));
-            out
-        }
-        other => vec![other],
-    }
 }
 
 #[cfg(test)]
@@ -211,13 +187,38 @@ mod tests {
         assert!(!sql.to_lowercase().contains("where product ="), "{sql}");
         // the flattened query must re-parse
         verdict_sql::parse_statement(&sql).unwrap();
+
+        // a parenthesised OR, outside and inside the subquery, keeps its
+        // parentheses next to the conjuncts flattening adds
+        let q = query(
+            "SELECT count(*) FROM orders o WHERE (o.city = 'a' OR o.city = 'b') \
+             AND o.price > (SELECT avg(price) FROM orders \
+             WHERE product = o.product AND (city = 'a' OR price > 2) AND price < 9)",
+        );
+        let flat = flatten_comparison_subqueries(q);
+        let sql = print_query(&flat, &GenericDialect);
+        assert!(
+            sql.contains("WHERE (o.city = 'a' OR o.city = 'b') AND o.price > verdict_flat_0."),
+            "{sql}"
+        );
+        assert!(
+            sql.contains("WHERE (city = 'a' OR price > 2) AND price < 9"),
+            "{sql}"
+        );
+        assert_eq!(query(&sql), flat, "{sql}");
     }
 
     #[test]
     fn uncorrelated_subqueries_are_left_untouched() {
-        let q = query("SELECT count(*) FROM orders WHERE price > (SELECT avg(price) FROM orders)");
-        let flat = flatten_comparison_subqueries(q.clone());
-        assert_eq!(flat, q);
+        for sql in [
+            "SELECT count(*) FROM orders WHERE price > (SELECT avg(price) FROM orders)",
+            // parenthesised conjuncts keep their parentheses
+            "SELECT count(*) FROM orders WHERE (price > 1 AND (city = 'x')) \
+             AND price > (SELECT avg(price) FROM orders)",
+        ] {
+            let q = query(sql);
+            assert_eq!(flatten_comparison_subqueries(q.clone()), q, "{sql}");
+        }
     }
 
     #[test]

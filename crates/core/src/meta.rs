@@ -2,22 +2,17 @@
 //!
 //! The paper stores sample metadata (names, types, sampling ratios) in a
 //! dedicated schema inside the underlying database's catalog (§2.3).
-//! [`MetaStore`] keeps an in-memory registry used by the sample planner and
-//! can persist / reload the same records through plain SQL against the
-//! underlying database, so a fresh VerdictDB instance can rediscover the
-//! samples an earlier instance created.
+//! [`MetaStore`] keeps the in-memory registry used by the sample planner;
+//! [`encode_samples`] / [`decode_samples`] are the blob codec a store-backed
+//! context persists it with, so a reopened instance rediscovers the samples
+//! an earlier one created.
 
 use crate::error::{VerdictError, VerdictResult};
 use crate::sample::{SampleMeta, SampleType};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
-use verdict_engine::{Backend, Value};
 
-/// Name of the metadata table VerdictDB maintains in the underlying database.
-pub const META_TABLE: &str = "verdict_meta_samples";
-
-/// In-memory + database-backed registry of sample metadata.
+/// In-memory registry of sample metadata.
 #[derive(Default)]
 pub struct MetaStore {
     samples: RwLock<HashMap<String, Vec<SampleMeta>>>,
@@ -87,100 +82,6 @@ impl MetaStore {
     /// True when no samples are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Persists the registry into the underlying database (replacing any
-    /// previous copy), using only standard SQL.
-    pub fn persist(&self, conn: &Arc<dyn Backend>) -> VerdictResult<()> {
-        conn.execute(&format!("DROP TABLE IF EXISTS {META_TABLE}"))?;
-        let rows = self.all();
-        // Build a UNION-free insert: one SELECT per row appended after CREATE.
-        let mut iter = rows.iter();
-        let first = match iter.next() {
-            Some(f) => f,
-            None => return Ok(()),
-        };
-        conn.execute(&format!(
-            "CREATE TABLE {META_TABLE} AS {}",
-            row_select(first)
-        ))?;
-        for meta in iter {
-            conn.execute(&format!("INSERT INTO {META_TABLE} {}", row_select(meta)))?;
-        }
-        Ok(())
-    }
-
-    /// Reloads the registry from the underlying database (if the metadata
-    /// table exists), replacing the in-memory contents.
-    pub fn reload(&self, conn: &Arc<dyn Backend>) -> VerdictResult<usize> {
-        if !conn.table_exists(META_TABLE) {
-            return Ok(0);
-        }
-        let result = conn.execute(&format!("SELECT * FROM {META_TABLE}"))?;
-        let table = result.table;
-        let col = |name: &str| -> VerdictResult<usize> {
-            table.schema.index_of(name).ok_or_else(|| {
-                VerdictError::Metadata(format!("missing column {name} in {META_TABLE}"))
-            })
-        };
-        let (bi, si, ti, ci, ri, sri, bri) = (
-            col("base_table")?,
-            col("sample_table")?,
-            col("sample_type")?,
-            col("type_columns")?,
-            col("ratio")?,
-            col("sample_rows")?,
-            col("base_rows")?,
-        );
-        // Optional for metadata tables written before the column existed;
-        // such records load as 0.
-        let ari = table.schema.index_of("appended_rows");
-        let mut loaded = 0usize;
-        let mut fresh: HashMap<String, Vec<SampleMeta>> = HashMap::new();
-        for row in 0..table.num_rows() {
-            let text = |idx: usize| -> String {
-                match table.value(row, idx) {
-                    Value::Str(s) => s.clone(),
-                    other => other.to_string(),
-                }
-            };
-            let columns: Vec<String> = {
-                let raw = text(ci);
-                if raw.is_empty() {
-                    Vec::new()
-                } else {
-                    raw.split(',').map(|s| s.to_string()).collect()
-                }
-            };
-            let sample_type = match text(ti).as_str() {
-                "uniform" => SampleType::Uniform,
-                "hashed" => SampleType::Hashed { columns },
-                "stratified" => SampleType::Stratified { columns },
-                other => {
-                    return Err(VerdictError::Metadata(format!(
-                        "unknown sample type {other}"
-                    )));
-                }
-            };
-            let meta = SampleMeta {
-                base_table: text(bi),
-                sample_table: text(si),
-                sample_type,
-                ratio: table.value(row, ri).as_f64().unwrap_or(0.0),
-                sample_rows: table.value(row, sri).as_i64().unwrap_or(0) as u64,
-                base_rows: table.value(row, bri).as_i64().unwrap_or(0) as u64,
-                appended_rows: ari
-                    .map(|i| table.value(row, i).as_i64().unwrap_or(0) as u64)
-                    .unwrap_or(0),
-            };
-            fresh
-                .entry(meta.base_table.to_ascii_lowercase())
-                .or_default()
-                .push(meta);
-            loaded += 1;
-        }
-        *self.samples.write() = fresh;
-        Ok(loaded)
     }
 }
 
@@ -263,26 +164,9 @@ pub fn decode_samples(bytes: &[u8]) -> VerdictResult<Vec<SampleMeta>> {
     Ok(out)
 }
 
-fn row_select(meta: &SampleMeta) -> String {
-    format!(
-        "SELECT '{}' AS base_table, '{}' AS sample_table, '{}' AS sample_type, \
-         '{}' AS type_columns, {} AS ratio, {} AS sample_rows, {} AS base_rows, \
-         {} AS appended_rows",
-        meta.base_table,
-        meta.sample_table,
-        meta.sample_type.tag(),
-        meta.sample_type.columns().join(","),
-        meta.ratio,
-        meta.sample_rows,
-        meta.base_rows,
-        meta.appended_rows
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verdict_engine::Engine;
 
     fn meta(base: &str, tag: u32) -> SampleMeta {
         SampleMeta {
@@ -316,36 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn persist_and_reload_roundtrip() {
-        let engine: Arc<dyn Backend> = Arc::new(Engine::with_seed(3));
-        let store = MetaStore::new();
-        store.register(meta("orders", 0));
-        store.register(SampleMeta {
-            // A tail-appended scramble: the lost-shuffle marker must survive
-            // the persist/reload cycle, or progressive execution would be
-            // silently re-enabled on a biased prefix.
-            appended_rows: 123,
-            ..meta("orders", 1)
-        });
-        store.persist(&engine).unwrap();
-
-        let other = MetaStore::new();
-        let loaded = other.reload(&engine).unwrap();
-        assert_eq!(loaded, 2);
-        let reloaded = other.samples_for("orders");
-        assert_eq!(reloaded.len(), 2);
-        assert!(reloaded.iter().any(|m| matches!(
-            m.sample_type,
-            SampleType::Stratified { ref columns } if columns == &vec!["city".to_string()]
-        )));
-        assert!(
-            reloaded.iter().any(|m| m.appended_rows == 123),
-            "appended_rows must survive persistence"
-        );
-        assert!(reloaded.iter().any(|m| m.appended_rows == 0));
-    }
-
-    #[test]
     fn blob_codec_roundtrips_bit_exactly() {
         let samples = vec![
             SampleMeta {
@@ -374,13 +228,5 @@ mod tests {
         }
         assert!(decode_samples(b"not-a-header\n").is_err());
         assert!(decode_samples(b"verdict-meta-v1\nshort\tline\n").is_err());
-    }
-
-    #[test]
-    fn reload_without_metadata_table_is_a_noop() {
-        let engine: Arc<dyn Backend> = Arc::new(Engine::with_seed(3));
-        let store = MetaStore::new();
-        assert_eq!(store.reload(&engine).unwrap(), 0);
-        assert!(store.is_empty());
     }
 }

@@ -687,19 +687,9 @@ pub fn statement_class(stmt: &Statement) -> &'static str {
 /// analyzer relies on that to keep subquery aggregates out of the outer
 /// query's classification).
 fn contains_rand(query: &Query) -> bool {
-    use verdict_sql::ast::Expr;
     let mut found = false;
-    let mut subqueries = Vec::new();
-    verdict_sql::visitor::walk_query(query, &mut |e| match e {
-        Expr::Function(f)
-            if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random") =>
-        {
-            found = true;
-        }
-        Expr::ScalarSubquery(q)
-        | Expr::InSubquery { subquery: q, .. }
-        | Expr::Exists { subquery: q, .. } => subqueries.push((**q).clone()),
-        _ => {}
+    verdict_sql::visitor::walk_query(query, &mut |e| {
+        found |= e.is_rand() || e.subquery().is_some_and(contains_rand);
     });
-    found || subqueries.iter().any(contains_rand)
+    found
 }

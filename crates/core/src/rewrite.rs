@@ -222,6 +222,23 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
             "window functions in the input query are not approximated".into(),
         ));
     }
+    // A subquery reaches the backend only inside a rewritten WHERE / ON;
+    // anywhere else answer assembly would evaluate the clause without it.
+    let items = query.projection.iter().filter_map(SelectItem::expr);
+    let order = query.order_by.iter().map(|o| &o.expr);
+    let mut outside_where = false;
+    for e in items
+        .chain(&query.group_by)
+        .chain(&query.having)
+        .chain(order)
+    {
+        walk_expr(e, &mut |e| outside_where |= e.subquery().is_some());
+    }
+    if outside_where {
+        return Err(VerdictError::Unsupported(
+            "subqueries outside WHERE and ON are not approximated".into(),
+        ));
+    }
 
     // FROM must consist of base tables joined by equi-joins (derived tables
     // are handled by the nested-query path in the context, not here).

@@ -125,9 +125,9 @@ impl fmt::Display for SampleType {
 /// Metadata describing one sample table, recorded at creation time.
 ///
 /// The paper stores this in a dedicated schema inside the database catalog;
-/// [`crate::meta::MetaStore`] mirrors that by persisting the same records in
-/// a `verdict_meta_samples` table, while keeping an in-memory copy for
-/// planning.
+/// [`crate::meta::MetaStore`] keeps the records in memory for planning, and a
+/// store-backed context persists them as one blob
+/// ([`crate::meta::encode_samples`]) rewritten after every registry change.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleMeta {
     /// The original ("base") table this sample was drawn from.

@@ -681,13 +681,6 @@ pub fn collect_aggregate_calls(exprs: &[&Expr]) -> EngineResult<Vec<AggregateIte
     Ok(items)
 }
 
-/// Output of the aggregation stage.
-pub struct AggregatedFrame {
-    /// The aggregated table: group-key columns followed by aggregate columns
-    /// (`AggState::replacements` says which expression each one holds).
-    pub table: Table,
-}
-
 /// Evaluates the group-key and aggregate-argument expressions over `frame`
 /// (`None` for `count(*)`, which has no argument).  Element-wise, so
 /// evaluating block by block and concatenating equals evaluating at once.
@@ -939,21 +932,23 @@ impl AggState {
         (self.open_keys, self.open_args, self.open_rows) = (keys, args, n - full);
     }
 
-    /// The aggregated frame over every row pushed so far; the state is
-    /// unchanged (what was folded is cloned, then closed like `finish`).
-    pub fn snapshot(&self, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+    /// The aggregated frame over every row pushed so far — group-key
+    /// columns, then one column per aggregate (`AggState::replacements` says
+    /// which expression each holds); the state is unchanged (what was folded
+    /// is cloned, then closed like `finish`).
+    pub fn snapshot(&self, pool: &ThreadPool) -> EngineResult<Table> {
         self.close(self.folded.clone(), pool)
     }
 
     /// The aggregated frame over every row pushed.
-    pub fn finish(mut self, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+    pub fn finish(mut self, pool: &ThreadPool) -> EngineResult<Table> {
         let folded = std::mem::take(&mut self.folded);
         self.close(folded, pool)
     }
 
     /// Folds the carried rows as the last partial and finalises one output
     /// column per aggregate; fails when an integral `sum` has overflowed.
-    fn close(&self, mut folded: Folded, pool: &ThreadPool) -> EngineResult<AggregatedFrame> {
+    fn close(&self, mut folded: Folded, pool: &ThreadPool) -> EngineResult<Table> {
         folded.fold(&self.open_keys, &self.open_args, self.open_rows, pool);
         // A global (keyless) aggregation over zero rows still produces one
         // output row.
@@ -964,114 +959,16 @@ impl AggState {
             slot.acc.grow(groups);
             columns.push(slot.acc.finish(&slot.func)?);
         }
-        Ok(AggregatedFrame {
-            table: Table::new(self.schema.clone(), columns)?,
-        })
+        Table::new(self.schema.clone(), columns)
     }
 }
 
-/// Replaces, top-down, any sub-expression structurally equal to a replacement
-/// key with the corresponding reference expression.
-pub fn replace_exprs(expr: &Expr, replacements: &[(Expr, Expr)]) -> Expr {
-    for (from, to) in replacements {
-        if expr == from {
-            return to.clone();
-        }
-    }
-    // No match at this node: rebuild children.
-    use verdict_sql::ast::Expr as E;
-    match expr {
-        E::BinaryOp { left, op, right } => E::BinaryOp {
-            left: Box::new(replace_exprs(left, replacements)),
-            op: *op,
-            right: Box::new(replace_exprs(right, replacements)),
-        },
-        E::UnaryOp { op, expr } => E::UnaryOp {
-            op: *op,
-            expr: Box::new(replace_exprs(expr, replacements)),
-        },
-        E::Function(f) => {
-            let mut f = f.clone();
-            f.args = f
-                .args
-                .iter()
-                .map(|a| replace_exprs(a, replacements))
-                .collect();
-            if let Some(w) = &mut f.over {
-                w.partition_by = w
-                    .partition_by
-                    .iter()
-                    .map(|p| replace_exprs(p, replacements))
-                    .collect();
-                for o in &mut w.order_by {
-                    o.expr = replace_exprs(&o.expr, replacements);
-                }
-            }
-            E::Function(f)
-        }
-        E::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => E::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| Box::new(replace_exprs(o, replacements))),
-            when_then: when_then
-                .iter()
-                .map(|(w, t)| {
-                    (
-                        replace_exprs(w, replacements),
-                        replace_exprs(t, replacements),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(replace_exprs(e, replacements))),
-        },
-        E::IsNull { expr, negated } => E::IsNull {
-            expr: Box::new(replace_exprs(expr, replacements)),
-            negated: *negated,
-        },
-        E::InList {
-            expr,
-            list,
-            negated,
-        } => E::InList {
-            expr: Box::new(replace_exprs(expr, replacements)),
-            list: list
-                .iter()
-                .map(|e| replace_exprs(e, replacements))
-                .collect(),
-            negated: *negated,
-        },
-        E::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => E::Between {
-            expr: Box::new(replace_exprs(expr, replacements)),
-            low: Box::new(replace_exprs(low, replacements)),
-            high: Box::new(replace_exprs(high, replacements)),
-            negated: *negated,
-        },
-        E::Like {
-            expr,
-            pattern,
-            negated,
-        } => E::Like {
-            expr: Box::new(replace_exprs(expr, replacements)),
-            pattern: Box::new(replace_exprs(pattern, replacements)),
-            negated: *negated,
-        },
-        E::Cast { expr, data_type } => E::Cast {
-            expr: Box::new(replace_exprs(expr, replacements)),
-            data_type: *data_type,
-        },
-        E::Nested(e) => E::Nested(Box::new(replace_exprs(e, replacements))),
-        other => other.clone(),
+/// Replaces, top-down and in place, any sub-expression structurally equal to
+/// a replacement key with the corresponding reference expression.
+pub fn replace_exprs(expr: &mut Expr, replacements: &[(Expr, Expr)]) {
+    match replacements.iter().find(|(from, _)| from == expr) {
+        Some((_, to)) => *expr = to.clone(),
+        None => expr.for_each_child_mut(|child| replace_exprs(child, replacements)),
     }
 }
 
@@ -1116,7 +1013,7 @@ mod tests {
         let (keys, args) = evaluate_inputs(t, &group_exprs, &items, &mut rng).unwrap();
         let mut state = AggState::new(&group_exprs, &items, &t.schema);
         state.push(keys, args, t.num_rows(), pool);
-        state.finish(pool).unwrap().table
+        state.finish(pool).unwrap()
     }
 
     #[test]
@@ -1214,9 +1111,35 @@ mod tests {
                 )
             })
             .collect();
-        let replaced = replace_exprs(&proj, &replacements);
+        let mut replaced = proj.clone();
+        replace_exprs(&mut replaced, &replacements);
         let printed = print_expr(&replaced, &GenericDialect);
         assert_eq!(printed, "__agg0 / __agg1");
+    }
+
+    #[test]
+    fn replacement_reaches_a_key_under_every_composite_variant() {
+        let key = parse_expression("sum(price)").unwrap();
+        let replacements = [(key, Expr::col("__agg0"))];
+        for shape in [
+            "{} + 1",
+            "-{}",
+            "abs({})",
+            "rank() OVER (PARTITION BY {} ORDER BY {})",
+            "CASE {} WHEN {} THEN {} ELSE {} END",
+            "{} IS NULL",
+            "{} IN ({}, 2)",
+            "{} IN (SELECT x FROM t)",
+            "{} BETWEEN {} AND {}",
+            "{} LIKE {}",
+            "CAST({} AS DOUBLE)",
+            "({})",
+        ] {
+            let mut e = parse_expression(&shape.replace("{}", "sum(price)")).unwrap();
+            replace_exprs(&mut e, &replacements);
+            let want = parse_expression(&shape.replace("{}", "__agg0")).unwrap();
+            assert_eq!(e, want, "{shape}");
+        }
     }
 
     #[test]
@@ -1255,7 +1178,7 @@ mod tests {
                 let args = vec![Some(col.clone()), Some(col.clone())];
                 state.push(vec![], args, col.len(), &pool);
             }
-            state.finish(&pool).unwrap().table
+            state.finish(&pool).unwrap()
         };
         let nulls = Column::from_opt_str(vec![None, None]);
         let floats = Column::from_f64(vec![1.5, 2.5]);

@@ -22,30 +22,6 @@ use crate::schema::Schema;
 use crate::table::Table;
 use verdict_sql::ast::{BinaryOp, Expr, JoinType};
 
-/// Splits a predicate into its AND-ed conjuncts.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::BinaryOp {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let mut out = split_conjuncts(left);
-            out.extend(split_conjuncts(right));
-            out
-        }
-        Expr::Nested(e) => split_conjuncts(e),
-        other => vec![other.clone()],
-    }
-}
-
-/// Recombines conjuncts into a single AND expression.
-pub fn combine_conjuncts(conjuncts: Vec<Expr>) -> Option<Expr> {
-    conjuncts
-        .into_iter()
-        .reduce(|a, b| Expr::binary(a, BinaryOp::And, b))
-}
-
 fn resolves_in(expr: &Expr, schema: &Schema) -> bool {
     let mut ok = true;
     verdict_sql::visitor::walk_expr(expr, &mut |e| {
@@ -76,12 +52,12 @@ pub fn extract_equi_pairs(
 ) -> (Vec<EquiPair>, Vec<Expr>) {
     let mut pairs = Vec::new();
     let mut residual = Vec::new();
-    for conj in split_conjuncts(constraint) {
+    for conj in constraint.conjuncts() {
         if let Expr::BinaryOp {
             left,
             op: BinaryOp::Eq,
             right,
-        } = &conj
+        } = conj.unnested()
         {
             if resolves_in(left, left_schema) && resolves_in(right, right_schema) {
                 pairs.push(EquiPair {
@@ -98,7 +74,7 @@ pub fn extract_equi_pairs(
                 continue;
             }
         }
-        residual.push(conj);
+        residual.push(conj.clone());
     }
     (pairs, residual)
 }
@@ -200,7 +176,7 @@ pub fn hash_join(
     };
 
     let outer = matches!(join_type, JoinType::Left | JoinType::Right);
-    if let Some(pred) = combine_conjuncts(residual.to_vec()) {
+    if let Some(pred) = Expr::conjoin(residual.iter().cloned()) {
         let candidates = joined(&probe_idx, &build_idx)?;
         let mask = {
             let mut ctx = EvalContext {
@@ -720,10 +696,12 @@ mod tests {
     #[test]
     fn conjunct_splitting_roundtrips() {
         let e = parse_expression("a = 1 AND b = 2 AND c > 3").unwrap();
-        let conjuncts = split_conjuncts(&e);
+        let conjuncts = e.conjuncts();
         assert_eq!(conjuncts.len(), 3);
-        let combined = combine_conjuncts(conjuncts).unwrap();
-        let again = split_conjuncts(&combined);
-        assert_eq!(again.len(), 3);
+        let combined = Expr::conjoin(conjuncts.into_iter().cloned()).unwrap();
+        assert_eq!(combined.conjuncts().len(), 3);
+        let nested = parse_expression("(a = 1 AND (b = 2)) AND c > 3").unwrap();
+        let bare: Vec<&Expr> = nested.conjuncts().into_iter().map(Expr::unnested).collect();
+        assert_eq!(bare, combined.conjuncts());
     }
 }

@@ -7,7 +7,10 @@
 //! block, and read the answer through its one **tail**.  This module is the
 //! statement level and the open:
 //!
-//! 1. resolve uncorrelated scalar / `IN` subqueries to literals,
+//! 1. resolve uncorrelated scalar / `IN` subqueries anywhere in an
+//!    expression to literals — WHERE, HAVING, the JOIN `ON` conditions (as
+//!    the FROM clause is built), then the select list, GROUP BY and ORDER BY;
+//!    that order is the order their `rand()` draws are taken in,
 //! 2. bind the FROM clause.  A lone plain table, or a lone *row-wise* derived
 //!    table (a single base table, an optional WHERE, a select list of `*`
 //!    plus scalar items: the `(SELECT *, … AS verdict_sid FROM scramble)`
@@ -144,11 +147,8 @@ impl<'a> Executor<'a> {
     /// scan of the statement, drained to the end.
     pub fn execute_query(&mut self, statement: &Query) -> EngineResult<Table> {
         let mut query = statement.clone();
-        if let Some(sel) = query.selection.take() {
-            query.selection = Some(self.resolve_subqueries(sel)?);
-        }
-        if let Some(h) = query.having.take() {
-            query.having = Some(self.resolve_subqueries(h)?);
+        for e in query.selection.iter_mut().chain(&mut query.having) {
+            self.resolve_subqueries(e)?;
         }
         // Views prune by the names the statement as written spells,
         // subqueries still in place.
@@ -164,6 +164,11 @@ impl<'a> Executor<'a> {
             }
             None => Input::Built(self.build_from(statement, &pinned)?),
         };
+        let items = query.projection.iter_mut().filter_map(SelectItem::expr_mut);
+        let order = query.order_by.iter_mut().map(|o| &mut o.expr);
+        for e in items.chain(&mut query.group_by).chain(order) {
+            self.resolve_subqueries(e)?;
+        }
         ProgressiveScan::open(input, &query, Arc::clone(&self.pool), &mut *self.rng)?
             .drain(&mut *self.rng)
     }
@@ -190,7 +195,8 @@ impl<'a> Executor<'a> {
                         return Err(EngineError::Unsupported("JOIN without ON condition".into()))
                     }
                     (jt, Some(constraint)) => {
-                        let constraint = self.resolve_subqueries(constraint.clone())?;
+                        let mut constraint = constraint.clone();
+                        self.resolve_subqueries(&mut constraint)?;
                         let (pairs, residual) =
                             extract_equi_pairs(&constraint, &current.schema, &right.schema);
                         let (rng, pool) = (&mut *self.rng, &self.pool);
@@ -243,80 +249,49 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Replaces uncorrelated scalar subqueries and IN-subqueries with literal
-    /// values/lists by executing them eagerly.  Correlated subqueries surface
-    /// as an `Unsupported` error (VerdictDB flattens them before the engine
-    /// ever sees them).
-    fn resolve_subqueries(&mut self, expr: Expr) -> EngineResult<Expr> {
-        Ok(match expr {
+    /// Replaces, in place, every uncorrelated scalar subquery and
+    /// IN-subquery in `expr` with a literal value / list by executing it
+    /// eagerly, in the order they are written.  Correlated subqueries and
+    /// `EXISTS` surface as an `Unsupported` error (VerdictDB flattens
+    /// correlated comparisons before the engine ever sees them).
+    fn resolve_subqueries(&mut self, expr: &mut Expr) -> EngineResult<()> {
+        match expr {
             Expr::ScalarSubquery(q) => {
-                let result = self.execute_subquery(&q)?;
+                let result = self.execute_subquery(q)?;
                 let v = if result.num_rows() == 0 || result.num_columns() == 0 {
                     Value::Null
                 } else {
                     result.value_at(0, 0)
                 };
-                Expr::Literal(value_to_literal(&v))
+                *expr = Expr::Literal(value_to_literal(&v));
             }
             Expr::InSubquery {
-                expr,
+                expr: inner,
                 subquery,
                 negated,
             } => {
-                let inner = self.resolve_subqueries(*expr)?;
-                let result = self.execute_subquery(&subquery)?;
-                let list: Vec<Expr> = if result.num_columns() == 0 {
-                    Vec::new()
-                } else {
-                    result.columns[0]
+                self.resolve_subqueries(inner)?;
+                let result = self.execute_subquery(subquery)?;
+                let list = match result.columns.first() {
+                    Some(col) => col
                         .iter()
                         .map(|v| Expr::Literal(value_to_literal(&v)))
-                        .collect()
+                        .collect(),
+                    None => Vec::new(),
                 };
-                Expr::InList {
-                    expr: Box::new(inner),
+                let inner = std::mem::replace(inner, Box::new(Expr::Wildcard));
+                *expr = Expr::InList {
+                    expr: inner,
                     list,
-                    negated,
-                }
+                    negated: *negated,
+                };
             }
             Expr::Exists { .. } => {
                 return Err(EngineError::Unsupported("EXISTS subquery".into()));
             }
-            Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
-                left: Box::new(self.resolve_subqueries(*left)?),
-                op,
-                right: Box::new(self.resolve_subqueries(*right)?),
-            },
-            Expr::UnaryOp { op, expr } => Expr::UnaryOp {
-                op,
-                expr: Box::new(self.resolve_subqueries(*expr)?),
-            },
-            Expr::Nested(e) => Expr::Nested(Box::new(self.resolve_subqueries(*e)?)),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.resolve_subqueries(*expr)?),
-                low: Box::new(self.resolve_subqueries(*low)?),
-                high: Box::new(self.resolve_subqueries(*high)?),
-                negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.resolve_subqueries(*expr)?),
-                list: list
-                    .into_iter()
-                    .map(|e| self.resolve_subqueries(e))
-                    .collect::<EngineResult<Vec<_>>>()?,
-                negated,
-            },
-            other => other,
-        })
+            _ => expr.try_for_each_child_mut(|child| self.resolve_subqueries(child))?,
+        }
+        Ok(())
     }
 }
 
@@ -398,7 +373,8 @@ fn value_to_literal(v: &Value) -> Literal {
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
-    use verdict_sql::parse_statement;
+    use verdict_sql::printer::print_expr;
+    use verdict_sql::{parse_statement, GenericDialect};
 
     fn setup() -> Catalog {
         let catalog = Catalog::new();
@@ -547,6 +523,95 @@ mod tests {
         let c = setup();
         let out = run(&c, "SELECT DISTINCT city FROM orders ORDER BY city LIMIT 2");
         assert_eq!(out.num_rows(), 2);
+    }
+
+    /// `t(x, s)`: x = 0..100, s = `s{x % 10}`.
+    fn hundred_rows() -> Catalog {
+        let catalog = Catalog::new();
+        let t = TableBuilder::new()
+            .int_column("x", (0..100).collect())
+            .str_column("s", (0..100).map(|i| format!("s{}", i % 10)).collect())
+            .build()
+            .unwrap();
+        catalog.register("t", t);
+        catalog
+    }
+
+    /// Asserts that `sql` answers like itself with every `{n}` / `{s}`
+    /// written as the value of `(SELECT avg(x) FROM t)` /
+    /// `(SELECT max(s) FROM t)` (the same text as the by-hand substitution
+    /// of a subquery that returns it).
+    fn assert_resolves_like_its_value(c: &Catalog, sql: &str) {
+        let subquery = |q: &str| format!("(SELECT {q} FROM t)");
+        let value = |q: &str| {
+            let v = run(c, &format!("SELECT {q} FROM t")).value_at(0, 0);
+            print_expr(&Expr::Literal(value_to_literal(&v)), &GenericDialect)
+        };
+        let with = sql
+            .replace("{n}", &subquery("avg(x)"))
+            .replace("{s}", &subquery("max(s)"));
+        let by_hand = sql
+            .replace("{n}", &value("avg(x)"))
+            .replace("{s}", &value("max(s)"));
+        assert_eq!(run(c, &with), run(c, &by_hand), "{with}");
+    }
+
+    #[test]
+    fn subqueries_resolve_wherever_an_expression_holds_one() {
+        let c = hundred_rows();
+        for sql in [
+            "SELECT count(*) FROM t WHERE abs(x - {n}) < 5",
+            "SELECT sum(CASE WHEN x > {n} THEN 1 ELSE 0 END) FROM t",
+            "SELECT count(*) FROM t WHERE {n} IS NOT NULL",
+            "SELECT max(x) - {n} FROM t",
+            "SELECT count(*) FROM t WHERE CAST({n} AS INT) < x",
+            // the other slots: GROUP BY, ORDER BY, HAVING, JOIN ON
+            "SELECT x > {n} AS big, count(*) FROM t GROUP BY x > {n} ORDER BY big",
+            "SELECT x FROM t ORDER BY abs(x - {n}), x LIMIT 3",
+            "SELECT count(*) FROM t GROUP BY s HAVING max(x) > {n} + 45",
+            "SELECT count(*) FROM t a INNER JOIN t b ON a.x = b.x AND a.x > {n}",
+        ] {
+            assert_resolves_like_its_value(&c, sql);
+        }
+    }
+
+    #[test]
+    fn a_scalar_subquery_resolves_as_a_child_of_every_composite_variant() {
+        let c = hundred_rows();
+        for item in [
+            "x + {n}",
+            "-{n}",
+            "abs({n})",
+            "count(*) OVER (PARTITION BY {n})",
+            "CASE {n} WHEN 49.5 THEN {n} ELSE 0 END",
+            "{n} IS NULL",
+            "x IN (1, {n})",
+            "{n} IN (SELECT x FROM t)",
+            "x BETWEEN {n} AND 100",
+            "s LIKE {s}",
+            "CAST({n} AS INT)",
+            "({n})",
+        ] {
+            assert_resolves_like_its_value(&c, &format!("SELECT {item} AS v FROM t"));
+        }
+    }
+
+    #[test]
+    fn correlated_and_exists_subqueries_stay_unsupported() {
+        let c = hundred_rows();
+        for sql in [
+            "SELECT count(*) FROM t AS o WHERE x > (SELECT avg(x) FROM t WHERE t.s = o.s)",
+            "SELECT (SELECT max(x) FROM t AS i WHERE i.s = o.s) FROM t AS o",
+            "SELECT count(*) FROM t WHERE EXISTS (SELECT x FROM t)",
+            "SELECT abs(CASE WHEN NOT EXISTS (SELECT x FROM t) THEN 1 END) FROM t",
+        ] {
+            let stmt = parse_statement(sql).unwrap();
+            let got = executor(&c, 1).execute_statement(&stmt);
+            assert!(
+                matches!(got, Err(EngineError::Unsupported(_))),
+                "{sql}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -174,11 +174,6 @@ fn window_column(i: usize) -> String {
     format!("__win{i}")
 }
 
-fn is_rand(e: &Expr) -> bool {
-    matches!(e, Expr::Function(f)
-        if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random"))
-}
-
 /// The expression-side validation: no `rand()`, no window functions, no
 /// subqueries anywhere in the query.
 fn validate_expressions(query: &Query) -> EngineResult<()> {
@@ -188,11 +183,9 @@ fn validate_expressions(query: &Query) -> EngineResult<()> {
             return;
         }
         match e {
-            e if is_rand(e) => offender = Some("rand()"),
+            e if e.is_rand() => offender = Some("rand()"),
             Expr::Function(f) if f.over.is_some() => offender = Some("window function"),
-            Expr::ScalarSubquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                offender = Some("subquery")
-            }
+            e if e.subquery().is_some() => offender = Some("subquery"),
             _ => {}
         }
     });
@@ -270,7 +263,7 @@ impl ProgressiveScan {
         rng: &mut dyn FnMut() -> f64,
     ) -> EngineResult<ProgressiveScan> {
         let mut draws = false;
-        verdict_sql::visitor::walk_query(query, &mut |e| draws |= is_rand(e));
+        verdict_sql::visitor::walk_query(query, &mut |e| draws |= e.is_rand());
         let tail = Tail {
             windows: Vec::new(),
             having: query.having.clone(),
@@ -334,7 +327,7 @@ impl ProgressiveScan {
             self.advance_with(block as u64, rng)?;
         }
         let frame = match self.body {
-            Body::Aggregate(state) => state.finish(&self.pool)?.table,
+            Body::Aggregate(state) => state.finish(&self.pool)?,
             Body::Rows(rows) => rows,
         };
         self.tail.apply(frame, rng, &self.pool)
@@ -404,16 +397,10 @@ impl Tail {
     /// Swaps every sub-expression equal to a replacement key for the column
     /// reference that now holds its value.
     fn replace(&mut self, replacements: &[(Expr, Expr)]) {
-        for item in &mut self.projection {
-            if let SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } = item {
-                *e = replace_exprs(e, replacements);
-            }
-        }
-        if let Some(h) = &mut self.having {
-            *h = replace_exprs(h, replacements);
-        }
-        for o in &mut self.order_by {
-            o.expr = replace_exprs(&o.expr, replacements);
+        let items = self.projection.iter_mut().filter_map(SelectItem::expr_mut);
+        let order = self.order_by.iter_mut().map(|o| &mut o.expr);
+        for e in items.chain(&mut self.having).chain(order) {
+            replace_exprs(e, replacements);
         }
     }
 
@@ -547,7 +534,7 @@ impl BlockScan for ProgressiveScan {
     fn snapshot(&mut self) -> EngineResult<QueryResult> {
         let t0 = Instant::now();
         let frame = match &self.body {
-            Body::Aggregate(state) => state.snapshot(&self.pool)?.table,
+            Body::Aggregate(state) => state.snapshot(&self.pool)?,
             Body::Rows(rows) => rows.clone(),
         };
         let table = self.tail.apply(frame, &mut no_rand(), &self.pool)?;

@@ -77,13 +77,6 @@ struct ScanFilter {
     rest: Vec<usize>,
 }
 
-fn is_subquery(e: &Expr) -> bool {
-    matches!(
-        e,
-        Expr::ScalarSubquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. }
-    )
-}
-
 /// Validates the row-wise shape: one base table, an optional WHERE, a select
 /// list of wildcards and scalar items — no DISTINCT / GROUP BY / HAVING /
 /// ORDER BY / LIMIT, no join or nested derived table, and no aggregate,
@@ -113,7 +106,7 @@ fn row_wise(subquery: &Query) -> Option<(&ObjectName, Option<&str>)> {
     // expressions only
     walk_query(subquery, &mut |e| match e {
         Expr::Function(f) if f.over.is_some() || is_aggregate_function(&f.name) => scalar = false,
-        e if is_subquery(e) => scalar = false,
+        e if e.subquery().is_some() => scalar = false,
         _ => {}
     });
     scalar.then_some((name, alias.as_deref()))
@@ -132,7 +125,7 @@ fn referenced_names(enclosing: &Query) -> Option<BTreeSet<String>> {
         Expr::Column { name, .. } => {
             names.insert(name.to_ascii_lowercase());
         }
-        e if is_subquery(e) => all = true,
+        e if e.subquery().is_some() => all = true,
         _ => {}
     });
     (!all).then_some(names)

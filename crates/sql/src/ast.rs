@@ -285,6 +285,14 @@ impl SelectItem {
         }
     }
 
+    /// [`SelectItem::expr`], mutably.
+    pub fn expr_mut(&mut self) -> Option<&mut Expr> {
+        match self {
+            SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } => Some(e),
+            _ => None,
+        }
+    }
+
     /// The output alias, if explicitly given.
     pub fn alias(&self) -> Option<&str> {
         match self {
@@ -582,6 +590,67 @@ impl Expr {
             (None, Some(r)) => Some(r),
             (None, None) => None,
         }
+    }
+
+    /// The AND of `conjuncts`, left-nested; `None` when there are none.
+    pub fn conjoin(conjuncts: impl IntoIterator<Item = Expr>) -> Option<Expr> {
+        conjuncts
+            .into_iter()
+            .reduce(|a, b| Expr::binary(a, BinaryOp::And, b))
+    }
+
+    /// The AND-ed conjuncts of a predicate, looking through parentheses
+    /// around an AND: `a AND (b AND c)` yields `[a, b, c]`.  Any other
+    /// parenthesised conjunct keeps its parentheses, so `(a OR b)` printed
+    /// next to another conjunct still reads as one.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        match self {
+            Expr::BinaryOp {
+                left,
+                op: BinaryOp::And,
+                right,
+            } => {
+                let mut out = left.conjuncts();
+                out.extend(right.conjuncts());
+                out
+            }
+            Expr::Nested(e)
+                if matches!(
+                    e.unnested(),
+                    Expr::BinaryOp {
+                        op: BinaryOp::And,
+                        ..
+                    }
+                ) =>
+            {
+                e.conjuncts()
+            }
+            other => vec![other],
+        }
+    }
+
+    /// The expression inside any parentheses around it.
+    pub fn unnested(&self) -> &Expr {
+        match self {
+            Expr::Nested(e) => e.unnested(),
+            other => other,
+        }
+    }
+
+    /// The query of a scalar, `IN` or `EXISTS` subquery.
+    pub fn subquery(&self) -> Option<&Query> {
+        match self {
+            Expr::ScalarSubquery(q)
+            | Expr::InSubquery { subquery: q, .. }
+            | Expr::Exists { subquery: q, .. } => Some(q),
+            _ => None,
+        }
+    }
+
+    /// True for a call of the nondeterministic `rand()` / `random()`.
+    pub fn is_rand(&self) -> bool {
+        matches!(self, Expr::Function(f)
+            if f.name.eq_ignore_ascii_case("rand") || f.name.eq_ignore_ascii_case("random"))
     }
 
     /// Convenience constructor for a non-distinct function call without a window.

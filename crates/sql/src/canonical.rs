@@ -25,9 +25,9 @@ use crate::printer::print_statement;
 /// typically skip caching in that case and let the execution path surface the
 /// error.
 pub fn canonical_sql(sql: &str) -> Result<String, ParseError> {
-    let stmt = parse_statement(sql)?;
-    let canon = canonical_statement(&stmt);
-    Ok(print_statement(&canon, &GenericDialect))
+    let mut stmt = parse_statement(sql)?;
+    lower_statement(&mut stmt);
+    Ok(print_statement(&stmt, &GenericDialect))
 }
 
 /// Returns a copy of the statement with every identifier folded to lower
@@ -35,251 +35,133 @@ pub fn canonical_sql(sql: &str) -> Result<String, ParseError> {
 /// except projection aliases, which name the output columns the caller sees
 /// and therefore stay case-significant.
 pub fn canonical_statement(stmt: &Statement) -> Statement {
-    match stmt {
-        Statement::Query(q) => Statement::Query(Box::new(canonical_query(q))),
-        Statement::CreateTableAs {
-            name,
-            query,
-            if_not_exists,
-        } => Statement::CreateTableAs {
-            name: canonical_object_name(name),
-            query: Box::new(canonical_query(query)),
-            if_not_exists: *if_not_exists,
-        },
-        Statement::DropTable { name, if_exists } => Statement::DropTable {
-            name: canonical_object_name(name),
-            if_exists: *if_exists,
-        },
-        Statement::InsertIntoSelect { table, query } => Statement::InsertIntoSelect {
-            table: canonical_object_name(table),
-            query: Box::new(canonical_query(query)),
-        },
-        Statement::CreateScramble {
-            name,
-            table,
-            method,
-            ratio,
-            on,
-        } => Statement::CreateScramble {
-            name: canonical_object_name(name),
-            table: canonical_object_name(table),
-            method: *method,
-            ratio: *ratio,
-            on: on.iter().map(|c| lower(c)).collect(),
-        },
-        Statement::CreateScrambles { table } => Statement::CreateScrambles {
-            table: canonical_object_name(table),
-        },
-        Statement::DropScramble { name, if_exists } => Statement::DropScramble {
-            name: canonical_object_name(name),
-            if_exists: *if_exists,
-        },
-        Statement::DropScrambles { table, if_exists } => Statement::DropScrambles {
-            table: canonical_object_name(table),
-            if_exists: *if_exists,
-        },
-        Statement::ShowScrambles => Statement::ShowScrambles,
-        Statement::ShowStats => Statement::ShowStats,
-        Statement::RefreshScrambles { table, batch } => Statement::RefreshScrambles {
-            table: canonical_object_name(table),
-            batch: batch.as_ref().map(canonical_object_name),
-        },
-        Statement::Bypass(inner) => Statement::Bypass(Box::new(canonical_statement(inner))),
-        Statement::SetOption { name, value } => Statement::SetOption {
-            // The parser already lower-cases both; fold again so
-            // hand-constructed ASTs canonicalise identically.
-            name: lower(name),
-            value: match value {
-                SetValue::Ident(w) => SetValue::Ident(lower(w)),
-                lit => lit.clone(),
-            },
-        },
-        Statement::Stream(q) => Statement::Stream(Box::new(canonical_query(q))),
-        Statement::Explain { analyze, statement } => Statement::Explain {
-            analyze: *analyze,
-            statement: Box::new(canonical_statement(statement)),
-        },
-        Statement::ShowProfile { last } => Statement::ShowProfile { last: *last },
-        Statement::ShowMetrics => Statement::ShowMetrics,
-    }
-}
-
-fn lower(s: &str) -> String {
-    s.to_ascii_lowercase()
-}
-
-fn canonical_object_name(name: &ObjectName) -> ObjectName {
-    ObjectName(name.0.iter().map(|p| lower(p)).collect())
+    let mut stmt = stmt.clone();
+    lower_statement(&mut stmt);
+    stmt
 }
 
 /// [`canonical_statement`] for a bare query.
 pub fn canonical_query(query: &Query) -> Query {
-    Query {
-        distinct: query.distinct,
-        projection: query.projection.iter().map(canonical_select_item).collect(),
-        from: query
-            .from
-            .iter()
-            .map(|twj| TableWithJoins {
-                relation: canonical_table_factor(&twj.relation),
-                joins: twj
-                    .joins
-                    .iter()
-                    .map(|j| Join {
-                        relation: canonical_table_factor(&j.relation),
-                        join_type: j.join_type,
-                        constraint: j.constraint.as_ref().map(canonical_expr),
-                    })
-                    .collect(),
-            })
-            .collect(),
-        selection: query.selection.as_ref().map(canonical_expr),
-        group_by: query.group_by.iter().map(canonical_expr).collect(),
-        having: query.having.as_ref().map(canonical_expr),
-        order_by: query.order_by.iter().map(canonical_order_by).collect(),
-        limit: query.limit,
+    let mut query = query.clone();
+    lower_query(&mut query);
+    query
+}
+
+fn lower_statement(stmt: &mut Statement) {
+    match stmt {
+        Statement::Query(q) | Statement::Stream(q) => lower_query(q),
+        Statement::CreateTableAs { name, query, .. }
+        | Statement::InsertIntoSelect { table: name, query } => {
+            lower_name(name);
+            lower_query(query);
+        }
+        Statement::CreateScramble {
+            name, table, on, ..
+        } => {
+            lower_name(name);
+            lower_name(table);
+            on.iter_mut().for_each(|c| c.make_ascii_lowercase());
+        }
+        Statement::DropTable { name: table, .. }
+        | Statement::CreateScrambles { table }
+        | Statement::DropScramble { name: table, .. }
+        | Statement::DropScrambles { table, .. } => lower_name(table),
+        Statement::RefreshScrambles { table, batch } => {
+            lower_name(table);
+            batch.iter_mut().for_each(lower_name);
+        }
+        Statement::Bypass(inner)
+        | Statement::Explain {
+            statement: inner, ..
+        } => lower_statement(inner),
+        // The parser already lower-cases both; fold again so hand-constructed
+        // ASTs canonicalise identically.
+        Statement::SetOption { name, value } => {
+            name.make_ascii_lowercase();
+            if let SetValue::Ident(w) = value {
+                w.make_ascii_lowercase();
+            }
+        }
+        Statement::ShowScrambles
+        | Statement::ShowStats
+        | Statement::ShowProfile { .. }
+        | Statement::ShowMetrics => {}
     }
 }
 
-fn canonical_select_item(item: &SelectItem) -> SelectItem {
-    match item {
-        // An unaliased bare column's original case becomes the output column
-        // name (the middleware's answer assembly clones it verbatim), so like
-        // an explicit alias it stays case-significant; only the table
-        // qualifier folds.  Function names are parser-lowercased already and
-        // other unaliased expressions get positional `col_N` names, so full
-        // canonicalisation is safe for them.
-        SelectItem::Expr(Expr::Column { table, name }) => SelectItem::Expr(Expr::Column {
-            table: table.as_deref().map(lower),
-            name: name.clone(),
-        }),
-        SelectItem::Expr(e) => SelectItem::Expr(canonical_expr(e)),
-        // Projection aliases determine the *output column names* the caller
-        // sees (the executor preserves their case), so folding them would
-        // conflate queries with observably different result schemas — the
-        // alias keeps its case and stays significant in the key.
-        SelectItem::ExprWithAlias { expr, alias } => SelectItem::ExprWithAlias {
-            expr: canonical_expr(expr),
-            alias: alias.clone(),
-        },
-        SelectItem::Wildcard => SelectItem::Wildcard,
-        // A qualified wildcard's qualifier is a table binding, not an output
-        // name — safe to fold like any other identifier.
-        SelectItem::QualifiedWildcard(t) => SelectItem::QualifiedWildcard(lower(t)),
+fn lower_name(name: &mut ObjectName) {
+    name.0.iter_mut().for_each(|p| p.make_ascii_lowercase());
+}
+
+fn lower_opt(ident: &mut Option<String>) {
+    if let Some(s) = ident {
+        s.make_ascii_lowercase();
     }
 }
 
-fn canonical_table_factor(tf: &TableFactor) -> TableFactor {
+fn lower_query(query: &mut Query) {
+    for item in &mut query.projection {
+        match item {
+            // An unaliased bare column's original case becomes the output
+            // column name (the middleware's answer assembly clones it
+            // verbatim), so like an explicit alias it stays case-significant;
+            // only the table qualifier folds.  Function names are
+            // parser-lowercased already and other unaliased expressions get
+            // positional `col_N` names, so full canonicalisation is safe for
+            // them.
+            SelectItem::Expr(Expr::Column { table, .. }) => lower_opt(table),
+            // Projection aliases determine the *output column names* the
+            // caller sees (the executor preserves their case), so folding them
+            // would conflate queries with observably different result schemas
+            // — the alias keeps its case and stays significant in the key.
+            SelectItem::Expr(e) | SelectItem::ExprWithAlias { expr: e, .. } => lower_expr(e),
+            SelectItem::Wildcard => {}
+            // A qualified wildcard's qualifier is a table binding, not an
+            // output name — safe to fold like any other identifier.
+            SelectItem::QualifiedWildcard(t) => t.make_ascii_lowercase(),
+        }
+    }
+    for twj in &mut query.from {
+        lower_factor(&mut twj.relation);
+        for j in &mut twj.joins {
+            lower_factor(&mut j.relation);
+            j.constraint.iter_mut().for_each(lower_expr);
+        }
+    }
+    let order_by = query.order_by.iter_mut().map(|o| &mut o.expr);
+    let exprs = query.selection.iter_mut().chain(&mut query.group_by);
+    exprs
+        .chain(&mut query.having)
+        .chain(order_by)
+        .for_each(lower_expr);
+}
+
+fn lower_factor(tf: &mut TableFactor) {
     match tf {
-        TableFactor::Table { name, alias } => TableFactor::Table {
-            name: canonical_object_name(name),
-            alias: alias.as_deref().map(lower),
-        },
-        TableFactor::Derived { subquery, alias } => TableFactor::Derived {
-            subquery: Box::new(canonical_query(subquery)),
-            alias: alias.as_deref().map(lower),
-        },
+        TableFactor::Table { name, alias } => {
+            lower_name(name);
+            lower_opt(alias);
+        }
+        TableFactor::Derived { subquery, alias } => {
+            lower_query(subquery);
+            lower_opt(alias);
+        }
     }
 }
 
-fn canonical_order_by(item: &OrderByItem) -> OrderByItem {
-    OrderByItem {
-        expr: canonical_expr(&item.expr),
-        asc: item.asc,
-    }
-}
-
-fn canonical_expr(expr: &Expr) -> Expr {
+fn lower_expr(expr: &mut Expr) {
     match expr {
-        Expr::Column { table, name } => Expr::Column {
-            table: table.as_deref().map(lower),
-            name: lower(name),
-        },
-        Expr::Literal(l) => Expr::Literal(l.clone()),
-        Expr::Wildcard => Expr::Wildcard,
-        Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
-            left: Box::new(canonical_expr(left)),
-            op: *op,
-            right: Box::new(canonical_expr(right)),
-        },
-        Expr::UnaryOp { op, expr } => Expr::UnaryOp {
-            op: *op,
-            expr: Box::new(canonical_expr(expr)),
-        },
-        Expr::Function(f) => Expr::Function(FunctionCall {
-            name: lower(&f.name),
-            args: f.args.iter().map(canonical_expr).collect(),
-            distinct: f.distinct,
-            over: f.over.as_ref().map(|w| WindowSpec {
-                partition_by: w.partition_by.iter().map(canonical_expr).collect(),
-                order_by: w.order_by.iter().map(canonical_order_by).collect(),
-            }),
-        }),
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(canonical_expr(o))),
-            when_then: when_then
-                .iter()
-                .map(|(w, t)| (canonical_expr(w), canonical_expr(t)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|e| Box::new(canonical_expr(e))),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(canonical_expr(expr)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(canonical_expr(expr)),
-            list: list.iter().map(canonical_expr).collect(),
-            negated: *negated,
-        },
-        Expr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(canonical_expr(expr)),
-            subquery: Box::new(canonical_query(subquery)),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(canonical_expr(expr)),
-            low: Box::new(canonical_expr(low)),
-            high: Box::new(canonical_expr(high)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(canonical_expr(expr)),
-            pattern: Box::new(canonical_expr(pattern)),
-            negated: *negated,
-        },
-        Expr::ScalarSubquery(q) => Expr::ScalarSubquery(Box::new(canonical_query(q))),
-        Expr::Exists { subquery, negated } => Expr::Exists {
-            subquery: Box::new(canonical_query(subquery)),
-            negated: *negated,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(canonical_expr(expr)),
-            data_type: *data_type,
-        },
-        Expr::Nested(e) => Expr::Nested(Box::new(canonical_expr(e))),
+        Expr::Column { table, name } => {
+            lower_opt(table);
+            name.make_ascii_lowercase();
+        }
+        Expr::Function(f) => f.name.make_ascii_lowercase(),
+        Expr::ScalarSubquery(q)
+        | Expr::InSubquery { subquery: q, .. }
+        | Expr::Exists { subquery: q, .. } => lower_query(q),
+        _ => {}
     }
+    expr.for_each_child_mut(lower_expr);
 }
 
 #[cfg(test)]

@@ -1,79 +1,150 @@
 //! AST visitors and mutators used by the AQP rewriter.
 //!
-//! Two styles are provided:
+//! [`Expr::for_each_child`] and [`Expr::try_for_each_child_mut`] are the one
+//! place that knows which expressions an [`Expr`] holds; every walk over an
+//! expression tree — here, in canonicalisation, in the engine's aggregate
+//! replacement and subquery resolution — recurses through them.  A subquery
+//! is not a child: it is a [`Query`], and a caller that needs to look inside
+//! one does so explicitly.
+//!
+//! On top of them:
 //! * read-only walkers ([`walk_expr`], [`walk_query`]) that call a closure on
 //!   every sub-expression, and
-//! * mutating transformers ([`transform_expr`], [`transform_query_tables`])
-//!   that rebuild the tree bottom-up, used to swap base tables for sample
-//!   tables and to flatten comparison subqueries.
+//! * mutators ([`transform_expr`], [`transform_query_tables`]) that rewrite
+//!   the tree in place, used to swap base tables for sample tables.
 
 use crate::ast::*;
+use std::convert::Infallible;
+
+impl Expr {
+    /// Calls `f` on each direct child expression, left to right as written.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::BinaryOp { left, right, .. }
+            | Expr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
+            }
+            Expr::UnaryOp { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::Nested(expr) => f(expr),
+            Expr::Function(fc) => {
+                fc.args.iter().for_each(&mut f);
+                if let Some(w) = &fc.over {
+                    w.partition_by.iter().for_each(&mut f);
+                    w.order_by.iter().for_each(|o| f(&o.expr));
+                }
+            }
+            Expr::Case {
+                operand,
+                when_then,
+                else_expr,
+            } => {
+                operand.iter().for_each(|e| f(e));
+                for (w, t) in when_then {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter().for_each(|e| f(e));
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Column { .. }
+            | Expr::Literal(_)
+            | Expr::Wildcard
+            | Expr::ScalarSubquery(_)
+            | Expr::Exists { .. } => {}
+        }
+    }
+
+    /// [`Expr::for_each_child`], mutably, stopping at the first error.
+    pub fn try_for_each_child_mut<E>(
+        &mut self,
+        mut f: impl FnMut(&mut Expr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            Expr::BinaryOp { left, right, .. }
+            | Expr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left)?;
+                f(right)
+            }
+            Expr::UnaryOp { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::Nested(expr) => f(expr),
+            Expr::Function(fc) => {
+                fc.args.iter_mut().try_for_each(&mut f)?;
+                if let Some(w) = &mut fc.over {
+                    w.partition_by.iter_mut().try_for_each(&mut f)?;
+                    w.order_by.iter_mut().try_for_each(|o| f(&mut o.expr))?;
+                }
+                Ok(())
+            }
+            Expr::Case {
+                operand,
+                when_then,
+                else_expr,
+            } => {
+                operand.iter_mut().try_for_each(|e| f(e))?;
+                for (w, t) in when_then {
+                    f(w)?;
+                    f(t)?;
+                }
+                else_expr.iter_mut().try_for_each(|e| f(e))
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr)?;
+                list.iter_mut().try_for_each(f)
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr)?;
+                f(low)?;
+                f(high)
+            }
+            Expr::Column { .. }
+            | Expr::Literal(_)
+            | Expr::Wildcard
+            | Expr::ScalarSubquery(_)
+            | Expr::Exists { .. } => Ok(()),
+        }
+    }
+
+    /// [`Expr::for_each_child`], mutably.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        let done: Result<(), Infallible> = self.try_for_each_child_mut(|e| {
+            f(e);
+            Ok(())
+        });
+        let Ok(()) = done;
+    }
+}
 
 /// Calls `f` on `expr` and every sub-expression (pre-order).
 pub fn walk_expr(expr: &Expr, f: &mut dyn FnMut(&Expr)) {
     f(expr);
-    match expr {
-        Expr::BinaryOp { left, right, .. } => {
-            walk_expr(left, f);
-            walk_expr(right, f);
-        }
-        Expr::UnaryOp { expr, .. } => walk_expr(expr, f),
-        Expr::Function(fc) => {
-            for a in &fc.args {
-                walk_expr(a, f);
-            }
-            if let Some(w) = &fc.over {
-                for p in &w.partition_by {
-                    walk_expr(p, f);
-                }
-                for o in &w.order_by {
-                    walk_expr(&o.expr, f);
-                }
-            }
-        }
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                walk_expr(op, f);
-            }
-            for (w, t) in when_then {
-                walk_expr(w, f);
-                walk_expr(t, f);
-            }
-            if let Some(e) = else_expr {
-                walk_expr(e, f);
-            }
-        }
-        Expr::IsNull { expr, .. } => walk_expr(expr, f),
-        Expr::InList { expr, list, .. } => {
-            walk_expr(expr, f);
-            for e in list {
-                walk_expr(e, f);
-            }
-        }
-        Expr::InSubquery { expr, .. } => walk_expr(expr, f),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            walk_expr(expr, f);
-            walk_expr(low, f);
-            walk_expr(high, f);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr(expr, f);
-            walk_expr(pattern, f);
-        }
-        Expr::Cast { expr, .. } => walk_expr(expr, f),
-        Expr::Nested(e) => walk_expr(e, f),
-        Expr::Column { .. }
-        | Expr::Literal(_)
-        | Expr::Wildcard
-        | Expr::ScalarSubquery(_)
-        | Expr::Exists { .. } => {}
-    }
+    expr.for_each_child(|child| walk_expr(child, f));
 }
 
 /// Calls `f` on every expression appearing anywhere in the query (select
@@ -129,18 +200,11 @@ fn collect_base_tables_inner(query: &Query, out: &mut Vec<ObjectName>) {
             collect_from_factor(&j.relation, out);
         }
     }
-    let mut subqueries = Vec::new();
     walk_query(query, &mut |e| {
-        if let Expr::ScalarSubquery(q)
-        | Expr::InSubquery { subquery: q, .. }
-        | Expr::Exists { subquery: q, .. } = e
-        {
-            subqueries.push((**q).clone());
+        if let Some(q) = e.subquery() {
+            collect_base_tables_inner(q, out);
         }
     });
-    for q in subqueries {
-        collect_base_tables_inner(&q, out);
-    }
 }
 
 fn collect_from_factor(tf: &TableFactor, out: &mut Vec<ObjectName>) {
@@ -154,102 +218,16 @@ fn collect_from_factor(tf: &TableFactor, out: &mut Vec<ObjectName>) {
     }
 }
 
-/// Rebuilds an expression bottom-up, applying `f` to every node after its
+/// Rewrites an expression bottom-up, applying `f` to every node after its
 /// children have been transformed.
-pub fn transform_expr(expr: Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
-    let rebuilt = match expr {
-        Expr::BinaryOp { left, op, right } => Expr::BinaryOp {
-            left: Box::new(transform_expr(*left, f)),
-            op,
-            right: Box::new(transform_expr(*right, f)),
-        },
-        Expr::UnaryOp { op, expr } => Expr::UnaryOp {
-            op,
-            expr: Box::new(transform_expr(*expr, f)),
-        },
-        Expr::Function(mut fc) => {
-            fc.args = fc.args.into_iter().map(|a| transform_expr(a, f)).collect();
-            if let Some(w) = fc.over.take() {
-                fc.over = Some(WindowSpec {
-                    partition_by: w
-                        .partition_by
-                        .into_iter()
-                        .map(|e| transform_expr(e, f))
-                        .collect(),
-                    order_by: w
-                        .order_by
-                        .into_iter()
-                        .map(|o| OrderByItem {
-                            expr: transform_expr(o.expr, f),
-                            asc: o.asc,
-                        })
-                        .collect(),
-                });
-            }
-            Expr::Function(fc)
-        }
-        Expr::Case {
-            operand,
-            when_then,
-            else_expr,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(transform_expr(*o, f))),
-            when_then: when_then
-                .into_iter()
-                .map(|(w, t)| (transform_expr(w, f), transform_expr(t, f)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(transform_expr(*e, f))),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(transform_expr(*expr, f)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(transform_expr(*expr, f)),
-            list: list.into_iter().map(|e| transform_expr(e, f)).collect(),
-            negated,
-        },
-        Expr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(transform_expr(*expr, f)),
-            subquery,
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(transform_expr(*expr, f)),
-            low: Box::new(transform_expr(*low, f)),
-            high: Box::new(transform_expr(*high, f)),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(transform_expr(*expr, f)),
-            pattern: Box::new(transform_expr(*pattern, f)),
-            negated,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(transform_expr(*expr, f)),
-            data_type,
-        },
-        Expr::Nested(e) => Expr::Nested(Box::new(transform_expr(*e, f))),
-        other => other,
-    };
-    f(rebuilt)
+pub fn transform_expr(mut expr: Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
+    transform_in_place(&mut expr, f);
+    expr
+}
+
+fn transform_in_place(expr: &mut Expr, f: &mut dyn FnMut(Expr) -> Expr) {
+    expr.for_each_child_mut(|child| transform_in_place(child, f));
+    *expr = f(std::mem::replace(expr, Expr::Wildcard));
 }
 
 /// Rewrites every base-table reference in the query's FROM clauses (including
@@ -344,5 +322,111 @@ mod tests {
             out,
             Expr::binary(Expr::qcol("s", "price"), BinaryOp::Gt, Expr::int(10))
         );
+    }
+
+    /// The 11 composite variants, each with `child` in every child slot,
+    /// and how many slots each has — the spec the traversal is checked
+    /// against.  The shapes are parsed, then filled through
+    /// `for_each_child_mut`; a slot it missed keeps the placeholder `c`.
+    fn composites(child: &Expr) -> Vec<Expr> {
+        const SHAPES: [(&str, usize); 11] = [
+            ("c + c", 2),
+            ("-c", 1),
+            ("f(c) OVER (PARTITION BY c ORDER BY c)", 3),
+            ("CASE c WHEN c THEN c ELSE c END", 4),
+            ("c IS NULL", 1),
+            ("c IN (c, c)", 3),
+            ("c IN (SELECT x FROM t)", 1),
+            ("c BETWEEN c AND c", 3),
+            ("c LIKE c", 2),
+            ("CAST(c AS DOUBLE)", 1),
+            ("(c)", 1),
+        ];
+        SHAPES
+            .iter()
+            .map(|(sql, slots)| {
+                let mut e = crate::parser::parse_expression(sql).unwrap();
+                let mut filled = 0;
+                e.for_each_child_mut(|slot| {
+                    *slot = child.clone();
+                    filled += 1;
+                });
+                assert_eq!(filled, *slots, "{sql}");
+                e
+            })
+            .collect()
+    }
+
+    /// One expression of each of the 16 `Expr` variants (the 5 childless
+    /// ones, then the composites over `leaf`).
+    fn every_variant(leaf: &Expr) -> Vec<Expr> {
+        let sub = || Box::new(query_of("SELECT x FROM t"));
+        let mut all = vec![
+            leaf.clone(),
+            Expr::int(1),
+            Expr::Wildcard,
+            Expr::ScalarSubquery(sub()),
+            Expr::Exists {
+                subquery: sub(),
+                negated: false,
+            },
+        ];
+        all.extend(composites(leaf));
+        all
+    }
+
+    /// `all(C(V), …)` for every composite variant C and every variant V.
+    fn every_variant_under_every_composite(leaf: &Expr) -> Expr {
+        let args = every_variant(leaf).iter().flat_map(composites).collect();
+        Expr::func("all", args)
+    }
+
+    fn count_columns(e: &Expr, name: &str) -> usize {
+        let mut n = 0;
+        walk_expr(e, &mut |e| {
+            n += matches!(e, Expr::Column { name: c, .. } if c == name) as usize
+        });
+        n
+    }
+
+    #[test]
+    fn one_traversal_reaches_every_variant_under_every_composite() {
+        let leaf = Expr::qcol("T", "Leaf");
+        let fixture = every_variant_under_every_composite(&leaf);
+        // 22 child slots across the composites; a variant over `leaf` holds
+        // 1 (the column itself) or its slot count of leaves, 23 in all.
+        assert_eq!(count_columns(&fixture, "Leaf"), 22 * 23);
+
+        // walk_expr visits every node once: the root, 11 × 16 composites,
+        // and in their 22 slots per variant the variant's nodes (1 for the
+        // childless five, 1 + slots for a composite: 5 + 11 + 22 = 38).
+        let mut nodes = 0;
+        walk_expr(&fixture, &mut |_| nodes += 1);
+        assert_eq!(nodes, 1 + 11 * 16 + 22 * 38);
+
+        // An identity pass through every mutable slot changes nothing.
+        fn touch(e: &mut Expr) {
+            e.for_each_child_mut(touch);
+        }
+        let mut touched = fixture.clone();
+        touch(&mut touched);
+        let print = |e: &Expr| crate::printer::print_expr(e, &crate::dialect::GenericDialect);
+        assert_eq!(print(&touched), print(&fixture));
+        assert_eq!(transform_expr(fixture.clone(), &mut |e| e), fixture);
+
+        // Canonicalisation lowers the column wherever it is nested.
+        let mut query = query_of("SELECT 1 AS v FROM t");
+        query.selection = Some(fixture);
+        let lowered = crate::canonical_query(&query).selection.unwrap();
+        assert_eq!(count_columns(&lowered, "Leaf"), 0);
+        assert_eq!(count_columns(&lowered, "leaf"), 22 * 23);
+        let mut qualifiers = 0;
+        walk_expr(&lowered, &mut |e| {
+            if let Expr::Column { table, .. } = e {
+                assert_eq!(table.as_deref(), Some("t"));
+                qualifiers += 1;
+            }
+        });
+        assert_eq!(qualifiers, 22 * 23);
     }
 }

@@ -1205,6 +1205,251 @@ fn printer_is_stable_for_generated_selects() {
 }
 
 // ===========================================================================
+// Generated expression trees: printer, canonicaliser and the one traversal
+// ===========================================================================
+
+/// How the expression generator spells identifiers (columns, tables,
+/// function names) — as given, or case-mangled.
+type Spell<'a> = &'a mut dyn FnMut(&str) -> String;
+
+/// A random expression tree of depth at most `depth` that prints to text
+/// parsing back to the same tree: every variant the grammar allows, `*` only
+/// inside `count(*)`, and an operand that does not delimit itself wrapped in
+/// parentheses (a `Nested` node, which the printer keeps).
+fn random_expr(rng: &mut StdRng, depth: u32, spell: Spell) -> Expr {
+    use verdictdb::sql::ast::{FunctionCall, OrderByItem, WindowSpec};
+    if depth == 0 || rng.gen_bool(0.2) {
+        return match rng.gen_range(0..6u32) {
+            0 => Expr::Column {
+                table: None,
+                name: spell(["x", "price", "city"][rng.gen_range(0..3usize)]),
+            },
+            1 => Expr::Column {
+                table: Some(spell("t")),
+                name: spell("qty"),
+            },
+            2 => Expr::int(rng.gen_range(0..1000i64)),
+            3 => Expr::float(rng.gen_range(0..40i64) as f64 / 4.0),
+            4 => Expr::string(["NYC", "it's", "%a_"][rng.gen_range(0..3usize)]),
+            _ => Expr::Literal(
+                [Literal::Null, Literal::Boolean(rng.gen())][rng.gen_range(0..2usize)].clone(),
+            ),
+        };
+    }
+    let d = depth - 1;
+    let mut sub = |rng: &mut StdRng| random_expr(rng, d, spell);
+    match rng.gen_range(0..13u32) {
+        0 => {
+            const OPS: [BinaryOp; 14] = [
+                BinaryOp::Plus,
+                BinaryOp::Minus,
+                BinaryOp::Multiply,
+                BinaryOp::Divide,
+                BinaryOp::Modulo,
+                BinaryOp::Eq,
+                BinaryOp::NotEq,
+                BinaryOp::Lt,
+                BinaryOp::LtEq,
+                BinaryOp::Gt,
+                BinaryOp::GtEq,
+                BinaryOp::And,
+                BinaryOp::Or,
+                BinaryOp::Concat,
+            ];
+            let left = operand(sub(rng));
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            Expr::binary(left, op, operand(sub(rng)))
+        }
+        1 => Expr::UnaryOp {
+            op: [UnaryOp::Not, UnaryOp::Minus, UnaryOp::Plus][rng.gen_range(0..3usize)],
+            expr: Box::new(operand(sub(rng))),
+        },
+        2 => {
+            let (name, args, over) = match rng.gen_range(0..4u32) {
+                0 => ("count", vec![Expr::Wildcard], None),
+                1 => ("abs", vec![sub(rng)], None),
+                2 => ("coalesce", vec![sub(rng), sub(rng)], None),
+                _ => {
+                    let window = WindowSpec {
+                        partition_by: vec![sub(rng)],
+                        order_by: vec![OrderByItem {
+                            expr: sub(rng),
+                            asc: rng.gen(),
+                        }],
+                    };
+                    ("sum", vec![sub(rng)], Some(window))
+                }
+            };
+            Expr::Function(FunctionCall {
+                name: spell(name),
+                distinct: name == "abs" && rng.gen(),
+                args,
+                over,
+            })
+        }
+        3 => Expr::Case {
+            operand: rng.gen_bool(0.5).then(|| Box::new(sub(rng))),
+            when_then: (0..rng.gen_range(1..3usize))
+                .map(|_| (sub(rng), sub(rng)))
+                .collect(),
+            else_expr: rng.gen_bool(0.5).then(|| Box::new(sub(rng))),
+        },
+        4 => Expr::IsNull {
+            expr: Box::new(operand(sub(rng))),
+            negated: rng.gen(),
+        },
+        5 => Expr::InList {
+            expr: Box::new(operand(sub(rng))),
+            list: (0..rng.gen_range(1..4usize)).map(|_| sub(rng)).collect(),
+            negated: rng.gen(),
+        },
+        6 => Expr::InSubquery {
+            expr: Box::new(operand(sub(rng))),
+            subquery: Box::new(random_subquery(rng, d, spell)),
+            negated: rng.gen(),
+        },
+        7 => Expr::Between {
+            expr: Box::new(operand(sub(rng))),
+            low: Box::new(operand(sub(rng))),
+            high: Box::new(operand(sub(rng))),
+            negated: rng.gen(),
+        },
+        8 => Expr::Like {
+            expr: Box::new(operand(sub(rng))),
+            pattern: Box::new(operand(sub(rng))),
+            negated: rng.gen(),
+        },
+        9 => Expr::ScalarSubquery(Box::new(random_subquery(rng, d, spell))),
+        10 => Expr::Exists {
+            subquery: Box::new(random_subquery(rng, d, spell)),
+            negated: rng.gen(),
+        },
+        11 => Expr::Cast {
+            expr: Box::new(sub(rng)),
+            data_type: [
+                CastType::Integer,
+                CastType::Double,
+                CastType::Varchar,
+                CastType::Boolean,
+            ][rng.gen_range(0..4usize)],
+        },
+        _ => Expr::Nested(Box::new(sub(rng))),
+    }
+}
+
+/// `e` as an operand: itself when its text delimits itself, else in
+/// parentheses (`NOT` before `EXISTS` would read as `NOT EXISTS`).
+fn operand(e: Expr) -> Expr {
+    match e {
+        Expr::Exists { .. }
+        | Expr::BinaryOp { .. }
+        | Expr::UnaryOp { .. }
+        | Expr::IsNull { .. }
+        | Expr::InList { .. }
+        | Expr::InSubquery { .. }
+        | Expr::Between { .. }
+        | Expr::Like { .. } => Expr::Nested(Box::new(e)),
+        e => e,
+    }
+}
+
+/// `SELECT max(x) AS m FROM t [WHERE <expr>]`.
+fn random_subquery(rng: &mut StdRng, depth: u32, spell: Spell) -> verdictdb::sql::ast::Query {
+    use verdictdb::sql::ast::{
+        FunctionCall, ObjectName, Query, SelectItem, TableFactor, TableWithJoins,
+    };
+    let max = Expr::Function(FunctionCall {
+        name: spell("max"),
+        args: vec![Expr::col(spell("x"))],
+        distinct: false,
+        over: None,
+    });
+    Query {
+        projection: vec![SelectItem::ExprWithAlias {
+            expr: max,
+            alias: "m".into(),
+        }],
+        from: vec![TableWithJoins {
+            relation: TableFactor::Table {
+                name: ObjectName::bare(spell("u")),
+                alias: None,
+            },
+            joins: Vec::new(),
+        }],
+        selection: rng.gen_bool(0.5).then(|| random_expr(rng, depth, spell)),
+        ..Query::empty()
+    }
+}
+
+/// Random expression trees of depth ≤ 4 (covering all 16 `Expr` variants):
+/// print∘parse is a fixpoint, `canonical_sql` is idempotent and blind to
+/// identifier case, and an identity `transform_expr` changes nothing.
+#[test]
+fn generated_expression_trees_roundtrip_and_canonicalise() {
+    use std::collections::HashSet;
+    use verdictdb::sql::ast::{Query, SelectItem, Statement};
+    use verdictdb::sql::canonical_sql;
+    use verdictdb::sql::visitor::{transform_expr, walk_expr};
+
+    let statement = |seed: u64, spell: Spell| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut query = random_subquery(&mut rng, 4, spell);
+        query.projection = vec![SelectItem::ExprWithAlias {
+            expr: random_expr(&mut rng, 4, spell),
+            alias: "v".into(),
+        }];
+        query
+    };
+    let mut variants = HashSet::new();
+    for seed in 0..1000u64 {
+        let query: Query = statement(seed, &mut |s| s.to_string());
+        let stmt = Statement::Query(Box::new(query.clone()));
+        let text = print_statement(&stmt, &GenericDialect);
+        let parsed =
+            parse_statement(&text).unwrap_or_else(|e| panic!("seed {seed}: `{text}`: {e}"));
+        assert_eq!(parsed, stmt, "seed {seed}: `{text}` parses to another tree");
+        assert_eq!(
+            print_statement(&parsed, &GenericDialect),
+            text,
+            "seed {seed}"
+        );
+
+        let canonical = canonical_sql(&text).unwrap();
+        assert_eq!(canonical_sql(&canonical).unwrap(), canonical, "seed {seed}");
+        let mut mangler = StdRng::seed_from_u64(!seed);
+        let mangled = statement(seed, &mut |s| {
+            s.chars()
+                .map(|c| {
+                    if mangler.gen() {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        });
+        let mangled = print_statement(&Statement::Query(Box::new(mangled)), &GenericDialect);
+        assert_eq!(
+            canonical_sql(&mangled).unwrap(),
+            canonical,
+            "seed {seed}: `{mangled}`"
+        );
+
+        for e in query.projection[0]
+            .expr()
+            .into_iter()
+            .chain(&query.selection)
+        {
+            assert_eq!(&transform_expr(e.clone(), &mut |n| n), e, "seed {seed}");
+            walk_expr(e, &mut |n| {
+                variants.insert(std::mem::discriminant(n));
+            });
+        }
+    }
+    assert_eq!(variants.len(), 16, "every Expr variant generated");
+}
+
+// ===========================================================================
 // Row-wise derived tables bound as views vs their materialisation
 // ===========================================================================
 

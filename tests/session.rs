@@ -804,3 +804,44 @@ fn shedding_a_session_without_a_target_never_reruns_exactly() {
     let resp = s.execute(Q).unwrap();
     assert!(resp.answer().expect("a query answer").exact);
 }
+
+/// A subquery in the select list or HAVING, or inside a function argument
+/// in WHERE, takes the session's passthrough path even over a scrambled
+/// table (answer assembly could not evaluate it) and is resolved by the
+/// engine: the answer is the exact answer to the statement with each
+/// subquery's value written in.
+#[test]
+fn subqueries_anywhere_in_an_expression_answer_through_the_session() {
+    let mut s = VerdictSession::new(sales_context(31));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.01")
+        .unwrap();
+    let mut answer = |sql: &str| {
+        let resp = s.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let answer = resp.answer().expect("a query answer");
+        assert!(answer.exact, "{sql} must pass through");
+        answer.table.clone()
+    };
+    let min = answer("BYPASS SELECT min(price) FROM sales").value_at(0, 0);
+    let avg = answer("BYPASS SELECT avg(price) FROM sales").value_at(0, 0);
+    let (Value::Float(min), Value::Float(avg)) = (min, avg) else {
+        panic!("float aggregates expected");
+    };
+    for sql in [
+        "SELECT max(price) - {min} AS spread, count(*) AS n FROM sales \
+         WHERE abs(price - {avg}) < 5",
+        "SELECT city, count(*) AS n FROM sales GROUP BY city \
+         HAVING avg(price) > {avg} ORDER BY city",
+    ] {
+        let with = answer(
+            &sql.replace("{min}", "(SELECT min(price) FROM sales)")
+                .replace("{avg}", "(SELECT avg(price) FROM sales)"),
+        );
+        let by_hand = answer(&format!(
+            "BYPASS {}",
+            sql.replace("{min}", &format!("{min:?}"))
+                .replace("{avg}", &format!("{avg:?}"))
+        ));
+        assert_tables_bit_identical(&with, &by_hand, sql);
+        assert!(with.num_rows() > 0, "{sql}");
+    }
+}
