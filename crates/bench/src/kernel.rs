@@ -129,6 +129,67 @@ pub fn join_tables() -> (Table, Table) {
     (table("p", probe), table("b", build))
 }
 
+/// Probe-side rows of the `join_where_dim` row: a sampled `lineitem`.
+pub const WHERE_PROBE_ROWS: usize = 30_000;
+/// Build-side rows of the `join_where_dim` row: a `part` dimension.
+pub const WHERE_BUILD_ROWS: usize = 16_000;
+/// The `join_where_dim` statement, tq-17's shape: a WHERE conjunct on each
+/// side of the join, keeping 8% of `l` and 20% of `p`.
+pub const JOIN_WHERE_SQL: &str = "SELECT * FROM l INNER JOIN p ON l.l_partkey = p.p_partkey \
+     WHERE l.l_quantity < 5 AND p.p_container = 'MED BAG'";
+
+/// The `join_where_dim` inputs `(l, p)`, qualified by their names in
+/// [`JOIN_WHERE_SQL`]: `p_partkey` is `1..=WHERE_BUILD_ROWS` in scrambled
+/// order, so every `l` row finds exactly one `p` row.
+pub fn join_where_tables() -> (Table, Table) {
+    let qualified = |alias: &str, t: Table| Table {
+        schema: t.schema.with_qualifier(alias),
+        columns: t.columns,
+    };
+    let n = WHERE_BUILD_ROWS as i64;
+    let rows = 0..WHERE_PROBE_ROWS as i64;
+    let lineitem = TableBuilder::new()
+        .int_column(
+            "l_partkey",
+            rows.clone()
+                .map(|i| 1 + i.wrapping_mul(2_654_435_761) % n)
+                .collect(),
+        )
+        .int_column(
+            "l_quantity",
+            rows.clone().map(|i| 1 + i * 7919 % 50).collect(),
+        )
+        .float_column(
+            "l_extendedprice",
+            rows.clone().map(|i| (i % 9973) as f64 * 1.5).collect(),
+        )
+        .float_column(
+            "l_discount",
+            rows.map(|i| (i % 11) as f64 / 100.0).collect(),
+        )
+        .build()
+        .expect("lineitem");
+    const CONTAINERS: [&str; 5] = ["SM BOX", "MED BAG", "LG CASE", "JUMBO PKG", "WRAP JAR"];
+    let part = TableBuilder::new()
+        .int_column(
+            "p_partkey",
+            (0..n).map(|i| 1 + i.wrapping_mul(7919) % n).collect(),
+        )
+        .str_column(
+            "p_container",
+            (0..n)
+                .map(|i| CONTAINERS[(i % 5) as usize].to_string())
+                .collect(),
+        )
+        .str_column(
+            "p_brand",
+            (0..n).map(|i| format!("Brand#{}", i % 25)).collect(),
+        )
+        .build()
+        .expect("part");
+    (qualified("l", lineitem), qualified("p", part))
+}
+
 /// A wide scan input: a float selector column plus `width` float payload
 /// columns, for the late-materialization scan benchmark.
 pub fn scan_columns(n: usize, width: usize) -> (Column, Vec<Column>) {
@@ -307,6 +368,49 @@ pub fn vector_join(probe: &Table, build: &Table, pool: &ThreadPool) -> Table {
         pool,
     )
     .expect("hash join")
+}
+
+/// [`JOIN_WHERE_SQL`] in the order that filters after joining: the hash join
+/// over the whole inputs, then each WHERE conjunct over the joined frame.
+pub fn join_then_filter(l: &Table, p: &Table, pool: &ThreadPool) -> Table {
+    let on = verdict_sql::parse_expression("l.l_partkey = p.p_partkey").expect("join condition");
+    let (pairs, residual) = from_clause::extract_equi_pairs(&on, &l.schema, &p.schema);
+    let mut rng = || 0.0;
+    let mut joined =
+        from_clause::hash_join(l, p, &pairs, &residual, JoinType::Inner, &mut rng, pool)
+            .expect("hash join");
+    for (column, op, value) in [
+        ("l_quantity", BinaryOp::Lt, Value::Int(5)),
+        ("p_container", BinaryOp::Eq, Value::Str("MED BAG".into())),
+    ] {
+        let column = joined.column_by_name(column).expect("conjunct column");
+        let value = Column::repeat(&value, joined.num_rows());
+        let mask = kernels::par_filter_mask(column, op, &value, pool);
+        joined = joined.filter_with(&mask, pool);
+    }
+    joined
+}
+
+/// A serial engine holding the [`join_where_tables`] as `l` and `p`.
+pub fn join_where_engine(l: &Table, p: &Table) -> Engine {
+    let engine = Engine::with_seed_and_parallelism(1, 1);
+    for (name, t) in [("l", l), ("p", p)] {
+        let columns = t.columns.clone();
+        engine.register_table(
+            name,
+            Table::new(t.schema.without_qualifiers(), columns).expect(name),
+        );
+    }
+    engine
+}
+
+/// [`JOIN_WHERE_SQL`] through the engine, which filters each relation by
+/// its own conjunct before joining.
+pub fn engine_join_where(engine: &Engine) -> Table {
+    engine
+        .execute_sql(JOIN_WHERE_SQL)
+        .expect("join with WHERE")
+        .table
 }
 
 /// The `(p.id, b.id)` pairs of a [`vector_join`] output.
@@ -532,6 +636,12 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
         joined_pairs(&vector_join(&probe, &build, &serial)),
         join_pairs
     );
+    let (lineitem, part) = join_where_tables();
+    let where_engine = join_where_engine(&lineitem, &part);
+    assert_eq!(
+        engine_join_where(&where_engine),
+        join_then_filter(&lineitem, &part, &serial)
+    );
     let assembly = assemble_input();
     let scalar_answer = assemble_many(scalar_assemble, &assembly);
     let compiled_answer = assemble_many(assemble, &assembly);
@@ -573,6 +683,11 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
             name: "join_dim_50k",
             scalar_secs: median_secs(|| scalar_join_pairs(&probe, &build)),
             vectorized_secs: median_secs(|| vector_join(&probe, &build, &serial)),
+        },
+        KernelRow {
+            name: "join_where_dim",
+            scalar_secs: median_secs(|| join_then_filter(&lineitem, &part, &serial)),
+            vectorized_secs: median_secs(|| engine_join_where(&where_engine)),
         },
         KernelRow {
             name: "late_mat_scan",
@@ -765,6 +880,13 @@ mod tests {
         assert_eq!(
             joined_pairs(&vector_join(&probe, &build, &ThreadPool::new(4))),
             scalar_join_pairs(&probe, &build)
+        );
+        let (lineitem, part) = join_where_tables();
+        let filtered = engine_join_where(&join_where_engine(&lineitem, &part));
+        assert!(filtered.num_rows() > 0);
+        assert_eq!(
+            filtered,
+            join_then_filter(&lineitem, &part, &ThreadPool::new(4))
         );
         let (sel, payload) = scan_columns(n, 4);
         let scalar_rows = scalar_scan_gather(&sel, &payload, SCAN_THRESHOLD);

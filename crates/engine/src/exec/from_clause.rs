@@ -12,19 +12,28 @@
 //! string cloning or per-key bucket on the build/probe path.  Matches come
 //! out in probe-row order with build rows ascending, at any thread count,
 //! and the joined table is assembled with typed column gathers.
+//!
+//! That pair order is what lets a WHERE conjunct naming one relation filter
+//! it before the join (`Placement`): filtering keeps row order, so the
+//! pairs that survive are the pairs, in the order, that filtering the joined
+//! frame would keep.
 
 use crate::column::Column;
 use crate::error::EngineResult;
-use crate::expr::{eval_expr, EvalContext};
+use crate::exec::predicate_mask_with;
+use crate::expr::{eval_expr, infer_type, EvalContext};
+use crate::functions::types_by_values;
 use crate::kernels::{par_column_to_mask, par_hash_rows, RowIndex};
 use crate::parallel::ThreadPool;
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::table::Table;
-use verdict_sql::ast::{BinaryOp, Expr, JoinType};
+use crate::value::DataType;
+use verdict_sql::ast::{BinaryOp, Expr, JoinType, Query, TableWithJoins};
+use verdict_sql::visitor::walk_expr;
 
 fn resolves_in(expr: &Expr, schema: &Schema) -> bool {
     let mut ok = true;
-    verdict_sql::visitor::walk_expr(expr, &mut |e| {
+    walk_expr(expr, &mut |e| {
         if let Expr::Column { table, name } = e {
             if schema.resolve(table.as_deref(), name).is_err() {
                 ok = false;
@@ -230,6 +239,187 @@ pub fn cross_join(
     pool: &ThreadPool,
 ) -> EngineResult<Table> {
     hash_join(left, right, &[], &[], JoinType::Cross, rng, pool)
+}
+
+/// The WHERE conjuncts of a statement over a join, placed while its
+/// relations are built: a conjunct filters the relation it belongs to before
+/// that relation is joined; the rest stay in the WHERE.  A conjunct goes to
+/// relation `k` (in build order) only when
+///
+/// 1. it names a column and holds no subquery;
+/// 2. every column it names resolves in relation `k` and in no relation
+///    built before it — [`Schema::resolve`] takes the first occurrence, so
+///    the joined frame resolves it to the same columns;
+/// 3. no outer join can null-extend relation `k`'s rows ([`preserved`]);
+/// 4. every WHERE conjunct and `ON` condition of the statement is
+///    [`row_local`] over the relations built so far: placing a conjunct
+///    changes which rows reach each of them, which must change no value and
+///    no error.
+///
+/// A statement that calls `rand()` places nothing (its draw order is part of
+/// the answer), and a conjunct that fails over its relation is left in the
+/// WHERE, where it fails as it always has.  Each rule looks only at
+/// relations already built, so placement is decided relation by relation in
+/// build order.
+pub(crate) struct Placement<'q> {
+    /// The resolved WHERE's conjuncts in order, each with whether it was
+    /// placed.
+    conjuncts: Vec<(Expr, bool)>,
+    /// Every `ON` condition of the statement.
+    on: Vec<&'q Expr>,
+    /// The fields of the relations built so far, in build order, typed by
+    /// their columns.  A name that any of them holds as text is text in all:
+    /// an `ON` key is evaluated over its own side of the join, where an
+    /// unqualified name can mean a later relation's column.
+    built: Schema,
+}
+
+impl<'q> Placement<'q> {
+    /// Placement of `selection`, the resolved WHERE of `query`.
+    pub(crate) fn new(query: &'q Query, selection: Option<&Expr>) -> Placement<'q> {
+        let conjuncts = match selection {
+            Some(pred) if !super::draws(query) => pred
+                .conjuncts()
+                .into_iter()
+                .map(|c| (c.clone(), false))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let joins = query.from.iter().flat_map(|twj| &twj.joins);
+        Placement {
+            conjuncts,
+            on: joins.filter_map(|j| j.constraint.as_ref()).collect(),
+            built: Schema::default(),
+        }
+    }
+
+    /// Filters `frame`, the next relation of the FROM clause in build order,
+    /// by the conjuncts that belong to it; `preserved` is rule 3.
+    pub(crate) fn filter(
+        &mut self,
+        frame: Table,
+        preserved: bool,
+        rng: &mut dyn FnMut() -> f64,
+        pool: &ThreadPool,
+    ) -> Table {
+        if self.conjuncts.iter().all(|&(_, placed)| placed) {
+            return frame;
+        }
+        let earlier = self.built.len();
+        self.add(&frame);
+        let exprs = self.conjuncts.iter().map(|(c, _)| c);
+        if !preserved
+            || !exprs
+                .chain(self.on.iter().copied())
+                .all(|e| row_local(e, &self.built))
+        {
+            return frame;
+        }
+        let earlier = &self.built.fields[..earlier];
+        let mine: Vec<usize> = (0..self.conjuncts.len())
+            .filter(|&i| {
+                !self.conjuncts[i].1 && belongs(&self.conjuncts[i].0, &frame.schema, earlier)
+            })
+            .collect();
+        let Some(pred) = Expr::conjoin(mine.iter().map(|&i| self.conjuncts[i].0.clone())) else {
+            return frame;
+        };
+        match predicate_mask_with(&pred, &frame, rng, pool) {
+            Ok(mask) => {
+                for &i in &mine {
+                    self.conjuncts[i].1 = true;
+                }
+                frame.filter_with(&mask, pool)
+            }
+            Err(_) => frame,
+        }
+    }
+
+    /// Appends `frame`'s fields to `built`, typed by its columns.
+    fn add(&mut self, frame: &Table) {
+        for (field, column) in frame.schema.fields.iter().zip(&frame.columns) {
+            let same = |f: &Field| f.name.eq_ignore_ascii_case(&field.name);
+            let text = |f: &Field| same(f) && f.data_type == DataType::Str;
+            let mut data_type = column.data_type();
+            if data_type == DataType::Str || self.built.fields.iter().any(text) {
+                data_type = DataType::Str;
+                for f in self.built.fields.iter_mut().filter(|f| same(f)) {
+                    f.data_type = DataType::Str;
+                }
+            }
+            self.built.fields.push(Field {
+                data_type,
+                ..field.clone()
+            });
+        }
+    }
+
+    /// The WHERE left above the join: the conjuncts not placed, in order —
+    /// `selection` untouched when none was.
+    pub(crate) fn rest(self, selection: &mut Option<Expr>) {
+        if self.conjuncts.iter().any(|&(_, placed)| placed) {
+            let unplaced = self.conjuncts.into_iter().filter(|&(_, placed)| !placed);
+            *selection = Expr::conjoin(unplaced.map(|(c, _)| c));
+        }
+    }
+}
+
+/// Rule 3: no outer join of `twj` can null-extend the rows of its relation
+/// `k` — 0 is `twj.relation`, `k > 0` the relation of `twj.joins[k - 1]` —
+/// so it is neither the right side of a LEFT join nor left of a later RIGHT
+/// join.
+pub(crate) fn preserved(twj: &TableWithJoins, k: usize) -> bool {
+    (k == 0 || twj.joins[k - 1].join_type != JoinType::Left)
+        && twj.joins[k..]
+            .iter()
+            .all(|j| j.join_type != JoinType::Right)
+}
+
+/// Rules 1 and 2: `c` names a column, holds no subquery, and every column it
+/// names resolves in `relation` and in none of the `earlier` fields.
+fn belongs(c: &Expr, relation: &Schema, earlier: &[Field]) -> bool {
+    let (mut columns, mut ok) = (0, true);
+    walk_expr(c, &mut |e| match e {
+        Expr::Column { table, name } => {
+            columns += 1;
+            let table = table.as_deref();
+            ok &= relation.resolve(table, name).is_ok()
+                && !earlier.iter().any(|f| f.matches(table, name));
+        }
+        e => ok &= e.subquery().is_none(),
+    });
+    ok && columns > 0
+}
+
+/// Rule 4: whether each row's value of `e`, and whether it fails, depends on
+/// that row alone, whichever other rows are evaluated with it.  Not so for a
+/// CASE or a function whose result column is typed by its values
+/// ([`types_by_values`]), for a subquery (not resolved yet), or for
+/// arithmetic over an operand that can hold text, whose `TypeMismatch` is
+/// raised by the first such row evaluated.  Operand types come from
+/// `built`; a column not built yet counts as text.
+fn row_local(e: &Expr, built: &Schema) -> bool {
+    let mut local = true;
+    walk_expr(e, &mut |n| {
+        local &= match n {
+            Expr::Case { .. } => false,
+            Expr::Function(f) => !types_by_values(&f.name),
+            Expr::BinaryOp {
+                left,
+                op:
+                    BinaryOp::Plus
+                    | BinaryOp::Minus
+                    | BinaryOp::Multiply
+                    | BinaryOp::Divide
+                    | BinaryOp::Modulo,
+                right,
+            } => [left, right]
+                .iter()
+                .all(|operand| infer_type(operand, built) != DataType::Str),
+            n => n.subquery().is_none(),
+        }
+    });
+    local
 }
 
 #[cfg(test)]

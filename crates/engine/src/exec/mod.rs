@@ -18,7 +18,12 @@
 //!    [`view`] holding only the base columns whose bare name the statement
 //!    spells, and is read block by block; joins (hash joins over the bound
 //!    or executed relations), any other derived table and a table-less
-//!    select are built here and enter the scan as a single block,
+//!    select are built here and enter the scan as a single block.  While a
+//!    join is built, a WHERE conjunct that names one relation filters that
+//!    relation before it is joined (`from_clause::Placement`; a statement
+//!    calling `rand()` places nothing) and leaves the WHERE; pairs come out
+//!    of the join in the order filtering the joined frame would keep them,
+//!    so the answer is the same bit for bit,
 //! 3. drain: every block takes the view's frame → WHERE → group-key /
 //!    argument evaluation → the running aggregation (or, without
 //!    aggregation, the filtered rows are kept),
@@ -44,7 +49,7 @@ use crate::persist::{ScanSource, TableSource};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
-use from_clause::{cross_join, extract_equi_pairs, hash_join};
+use from_clause::{cross_join, extract_equi_pairs, hash_join, preserved, Placement};
 use progressive::{Input, ProgressiveScan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,7 +167,7 @@ impl<'a> Executor<'a> {
                 self.rows_scanned += view.num_rows() as u64;
                 Input::View(view)
             }
-            None => Input::Built(self.build_from(statement, &pinned)?),
+            None => Input::Built(self.build_from(statement, &mut query.selection, &pinned)?),
         };
         let items = query.projection.iter_mut().filter_map(SelectItem::expr_mut);
         let order = query.order_by.iter_mut().map(|o| &mut o.expr);
@@ -173,8 +178,16 @@ impl<'a> Executor<'a> {
             .drain(&mut *self.rng)
     }
 
-    /// Builds the frame of a FROM clause that is not one view.
-    fn build_from(&mut self, query: &Query, pin: Pin) -> EngineResult<Table> {
+    /// Builds the frame of a FROM clause that is not one view.  Each relation
+    /// is filtered, before it is joined, by the conjuncts of `selection` (the
+    /// resolved WHERE) that belong to it ([`Placement`]); `selection` keeps
+    /// the others.
+    fn build_from(
+        &mut self,
+        query: &Query,
+        selection: &mut Option<Expr>,
+        pin: Pin,
+    ) -> EngineResult<Table> {
         if query.from.is_empty() {
             // table-less SELECT: a single anonymous row
             return Table::new(
@@ -182,11 +195,15 @@ impl<'a> Executor<'a> {
                 vec![Column::from_i64(vec![0])],
             );
         }
+        let mut placement = Placement::new(query, selection.as_ref());
         let mut frame: Option<Table> = None;
         for twj in &query.from {
-            let mut current = self.build_factor(&twj.relation, query, pin)?;
-            for join in &twj.joins {
+            let first = self.build_factor(&twj.relation, query, pin)?;
+            let mut current =
+                placement.filter(first, preserved(twj, 0), &mut *self.rng, &self.pool);
+            for (k, join) in (1..).zip(&twj.joins) {
                 let right = self.build_factor(&join.relation, query, pin)?;
+                let right = placement.filter(right, preserved(twj, k), &mut *self.rng, &self.pool);
                 current = match (join.join_type, &join.constraint) {
                     (JoinType::Cross, _) => {
                         cross_join(&current, &right, &mut *self.rng, &self.pool)?
@@ -209,6 +226,7 @@ impl<'a> Executor<'a> {
                 Some(existing) => cross_join(&existing, &current, &mut *self.rng, &self.pool)?,
             });
         }
+        placement.rest(selection);
         Ok(frame.expect("nonempty from"))
     }
 
@@ -322,6 +340,14 @@ pub(crate) fn lone_view(query: &Query, pin: Pin) -> EngineResult<Option<Box<RowV
         },
         _ => Ok(None),
     }
+}
+
+/// True when `query` calls `rand()` anywhere, derived tables included: the
+/// order of its draws is then part of the answer.
+pub(crate) fn draws(query: &Query) -> bool {
+    let mut draws = false;
+    verdict_sql::visitor::walk_query(query, &mut |e| draws |= e.is_rand());
+    draws
 }
 
 /// Evaluates a predicate over a frame into a selection mask.  A top-level
@@ -632,6 +658,66 @@ mod tests {
             executor(&c, 1).execute_statement(&stmt),
             Err(EngineError::TableNotFound(_))
         ));
+    }
+
+    /// `l(a, s, b, z)` and `r(a, b, x, z)`: `l.a` 1 and 2 join (2 twice), 3,
+    /// NULL and 9 do not; `r.a` 4 and NULL do not.  `l.s` is non-NULL only
+    /// in the row that does not join, `r.z` (text; `l.z` is an integer) only
+    /// in a row that does.
+    fn join_tables() -> Catalog {
+        let catalog = Catalog::new();
+        let l = TableBuilder::new()
+            .opt_int_column("a", vec![Some(1), Some(2), Some(3), None, Some(9)])
+            .opt_str_column("s", vec![None, None, None, None, Some("x".into())])
+            .float_column("b", vec![0.5, 1.5, 2.5, 3.5, 4.5])
+            .int_column("z", vec![0; 5])
+            .build()
+            .unwrap();
+        let r = TableBuilder::new()
+            .opt_int_column("a", vec![Some(1), Some(2), Some(2), Some(4), None])
+            .float_column("b", vec![5.0, 0.0, 2.0, 1.0, 3.0])
+            .int_column("x", vec![0, 1, 3, 0, 2])
+            .opt_str_column("z", vec![None, Some("y".into()), None, None, None])
+            .build()
+            .unwrap();
+        catalog.register("l", l);
+        catalog.register("r", r);
+        catalog
+    }
+
+    /// WHERE conjuncts that must not filter a relation before the join, each
+    /// answered as filtering the joined frame answers it — which a rule
+    /// "every conjunct naming one relation filters it" would not.
+    #[test]
+    fn where_conjuncts_filter_before_the_join_only_where_invisible() {
+        let c = join_tables();
+        let count = |sql: &str| run(&c, sql).value_at(0, 0);
+        let inner = "SELECT count(*) FROM l INNER JOIN r ON l.a = r.a";
+        // `'x' + 1` fails, but no joined row holds it
+        assert_eq!(count(&format!("{inner} WHERE l.s + 1 > 0")), Value::Int(0));
+        // anti-joins: the null-extended side is filtered above the join only
+        let left = "SELECT count(*) FROM l LEFT JOIN r ON l.a = r.a";
+        let right = "SELECT count(*) FROM l RIGHT JOIN r ON l.a = r.a";
+        assert_eq!(count(&format!("{left} WHERE r.a IS NULL")), Value::Int(3));
+        assert_eq!(count(&format!("{right} WHERE l.a IS NULL")), Value::Int(2));
+        // the preserved side is still filtered: a = 2 twice, 3, NULL, 9
+        assert_eq!(count(&format!("{left} WHERE l.b > 1")), Value::Int(5));
+        // an unqualified name both relations hold is `l`'s: 0.5 > 0, 1.5 > 1
+        // (`r.b > r.x` would keep only the first pair)
+        assert_eq!(count(&format!("{inner} WHERE b > x")), Value::Int(2));
+        assert_eq!(count(&format!("{inner} WHERE b > 1")), Value::Int(2));
+        // a conjunct left above the join still sees every joined row: `l.b <
+        // 1` filtering `l` first would hide the joined `'y' + 1`
+        let fails = |sql: &str| {
+            let stmt = parse_statement(sql).unwrap();
+            let err = executor(&c, 7).execute_statement(&stmt).unwrap_err();
+            assert_eq!(err.to_string(), "type mismatch: cannot apply + to y and 1");
+        };
+        fails(&format!("{inner} WHERE l.b < 1 AND r.z + 1 > 0"));
+        // the `ON` key `z + 1` is evaluated over `r`, where `z` is text,
+        // although the joined frame resolves `z` to `l`'s integers: `r.x <>
+        // 1` filtering `r` first would hide its `'y'`
+        fails("SELECT count(*) FROM l INNER JOIN r ON l.a = z + 1 WHERE r.x <> 1");
     }
 
     #[test]

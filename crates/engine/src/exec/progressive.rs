@@ -72,7 +72,7 @@ use crate::exec::aggregate::{
 };
 use crate::exec::view::RowView;
 use crate::exec::window::{collect_window_calls, eval_window};
-use crate::exec::{default_output_name, lone_view, predicate_mask_with};
+use crate::exec::{default_output_name, draws, lone_view, predicate_mask_with};
 use crate::expr::{eval_expr, infer_type, EvalContext};
 use crate::kernels::group_rows_with;
 use crate::parallel::{ThreadPool, MORSEL_ROWS};
@@ -262,8 +262,6 @@ impl ProgressiveScan {
         pool: Arc<ThreadPool>,
         rng: &mut dyn FnMut() -> f64,
     ) -> EngineResult<ProgressiveScan> {
-        let mut draws = false;
-        verdict_sql::visitor::walk_query(query, &mut |e| draws |= e.is_rand());
         let tail = Tail {
             windows: Vec::new(),
             having: query.having.clone(),
@@ -282,7 +280,7 @@ impl ProgressiveScan {
             aggs,
             body: Body::Rows(Table::default()),
             tail,
-            draws,
+            draws: draws(query),
             spent: Duration::ZERO,
             pool,
             input,

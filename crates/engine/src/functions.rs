@@ -133,6 +133,18 @@ pub fn is_scalar_function(name: &str) -> bool {
     NAMES.contains(&lower.as_str())
 }
 
+/// True for the scalar functions whose result column is typed by the values
+/// it ends up holding (`Column::from_values`): one row's value can then
+/// depend on which other rows are evaluated with it (`coalesce(a, s)` over
+/// rows where `a` is never NULL is an integer column, over the others text).
+pub(crate) fn types_by_values(name: &str) -> bool {
+    let lower = name.to_ascii_lowercase();
+    matches!(
+        lower.as_str(),
+        "coalesce" | "least" | "greatest" | "if" | "nullif"
+    )
+}
+
 /// Evaluates a scalar function over already-evaluated argument columns.
 ///
 /// `num_rows` is required because zero-argument functions (`rand()`) must

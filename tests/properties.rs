@@ -1668,6 +1668,30 @@ fn rand_statements_draw_in_whole_input_order() {
     let kept = drawn.into_iter().filter(|&(_, u)| u < 0.3).collect();
     let in_wrapper = sorted(kept, &mut rng);
 
+    // Over a join, `t.id % 3 <> 0` names one relation but is not applied
+    // before the join: one draw per joined row (every fifth id joins twice),
+    // then one per survivor for `u`, then the sort keys.
+    let twice = |id: i64| if id % 5 == 0 { 2 } else { 1 };
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let joined = (0..rows as i64).flat_map(|id| std::iter::repeat_n(id, twice(id)));
+    let kept: Vec<i64> = joined
+        .filter(|&id| {
+            let u = rng.gen::<f64>();
+            id % 3 != 0 && u < 0.3
+        })
+        .collect();
+    let drawn: Vec<(i64, f64)> = kept.iter().map(|&id| (id, rng.gen::<f64>())).collect();
+    let in_join = sorted(drawn, &mut rng);
+    let t2 = TableBuilder::new()
+        .int_column(
+            "id",
+            (0..rows as i64)
+                .chain((0..rows as i64).step_by(5))
+                .collect(),
+        )
+        .build()
+        .unwrap();
+
     for (select, expected) in [
         (
             "SELECT *, rand() AS u FROM t WHERE rand() < 0.3 ORDER BY rand()",
@@ -1683,13 +1707,19 @@ fn rand_statements_draw_in_whole_input_order() {
              ORDER BY rand()",
             &in_where,
         ),
+        (
+            "SELECT t.id, rand() AS u FROM t INNER JOIN t2 ON t.id = t2.id \
+             WHERE t.id % 3 <> 0 AND rand() < 0.3 ORDER BY rand()",
+            &in_join,
+        ),
     ] {
-        assert!(expected.len() > rows / 4, "{} survivors", expected.len());
+        assert!(expected.len() > rows / 5, "{} survivors", expected.len());
         for threads in [1usize, 4] {
             // the engine seeds its first statement with the seed itself
             let e = Engine::with_seed(SEED);
             e.set_parallelism(threads);
             e.register_table("t", table.clone());
+            e.register_table("t2", t2.clone());
             e.execute_sql(&format!("CREATE TABLE s AS {select}"))
                 .unwrap();
             let built = e.execute_sql("SELECT * FROM s").unwrap().table;
@@ -1765,6 +1795,198 @@ fn outer_joins_with_residual_conditions_agree_with_scalar_reference() {
                     "seed {seed}: {sql}, row {i}: {got:?} vs {want:?}"
                 );
             }
+        }
+    }
+}
+
+// ===========================================================================
+// WHERE conjuncts placed before the join vs filtering the joined rows
+// ===========================================================================
+
+/// `t` (a [`random_table`]) with some of its `b` floats NaN or −0.0.
+fn with_nan_and_negative_zero(mut t: Table) -> Table {
+    let b = (0..t.num_rows())
+        .map(|i| match t.columns[1].value_at(i) {
+            Value::Float(x) => Some(match i % 11 {
+                3 => f64::NAN,
+                7 => -0.0,
+                _ => x,
+            }),
+            _ => None,
+        })
+        .collect();
+    t.columns[1] = Column::from_opt_f64(b);
+    t
+}
+
+/// One random WHERE conjunct over the FROM clause whose relations are bound
+/// as `relations` (in FROM order; `v` is the row-wise wrapper with the
+/// computed column `d`).  The second value is set for `X.s + 1 > 0`: the
+/// column whose first non-NULL joined value makes it fail.
+fn random_conjunct(rng: &mut StdRng, relations: &[&str]) -> (String, Option<String>) {
+    let k = rng.gen_range(-10..10i64);
+    let f = rng.gen_range(-20..20i64) as f64 / 4.0;
+    let x = relations[rng.gen_range(0..relations.len())];
+    let y = relations[rng.gen_range(0..relations.len())];
+    let conjunct = match rng.gen_range(0..10u32) {
+        // one relation
+        0..=3 => [
+            format!("{x}.a > {k}"),
+            format!("{x}.b < {f}"),
+            format!("{x}.b >= {x}.a"),
+            format!("{x}.s LIKE 'a%'"),
+            format!("{x}.s IN ('a', 'b', 'ab')"),
+            format!("{x}.a IS NULL"),
+            format!("{x}.b IS NOT NULL"),
+            format!("{x}.c"),
+            format!("{x}.a BETWEEN -5 AND {k}"),
+            format!("{x}.a + 7 > {k}"),
+            format!("({x}.a < 0 OR {x}.c)"),
+            format!("{x}.b * 2.5 + {x}.a > 0"),
+        ][rng.gen_range(0..12usize)]
+        .clone(),
+        // two relations (or one twice)
+        4 | 5 => [
+            format!("{x}.a < {y}.b"),
+            format!("{x}.s = {y}.s"),
+            format!("({x}.c OR {y}.a > 0)"),
+            format!("{x}.a + {y}.a > {k}"),
+        ][rng.gen_range(0..4usize)]
+        .clone(),
+        // no column
+        6 => ["1 < 2", "NULL IS NULL", "'a' < 'b'", "2 < 1"][rng.gen_range(0..4usize)].into(),
+        // an unqualified name every relation holds: the first one's
+        7 => [
+            format!("a > {k}"),
+            format!("b < {f}"),
+            "s LIKE '%b'".into(),
+            "c".into(),
+        ][rng.gen_range(0..4usize)]
+        .clone(),
+        // the wrapper's computed column
+        8 if relations.contains(&"v") => {
+            [format!("v.d > {f}"), format!("d < {f}")][rng.gen_range(0..2usize)].clone()
+        }
+        // arithmetic over text
+        _ => return (format!("{x}.s + 1 > 0"), Some(format!("{x}.s"))),
+    };
+    (conjunct, None)
+}
+
+/// A WHERE conjunct that names one relation filters that relation before
+/// the join (`exec::from_clause::Placement`).  That must be invisible: over
+/// random tables sharing every column name (NULL, NaN, −0.0, strings),
+/// `SELECT * FROM <join> WHERE <1–4 conjuncts>` — INNER / LEFT / RIGHT /
+/// CROSS / comma, an optional second join, the first relation bare or as a
+/// row-wise wrapper — answers, in order and bit for bit, the rows of the
+/// same statement without its WHERE that the scalar reference keeps; and a
+/// statement whose `X.s + 1` meets a string fails with the error the first
+/// such joined row raises.  At pool sizes 1 and 4, and once over more than
+/// a morsel of rows.
+#[test]
+fn where_conjuncts_placed_before_the_join_answer_like_filtering_the_joined_rows() {
+    use std::sync::Arc;
+    use verdictdb::engine::exec::Executor;
+    use verdictdb::engine::{Catalog, ThreadPool, MORSEL_ROWS};
+
+    let run = |catalog: &Catalog, sql: &str, threads: usize| -> Result<Table, String> {
+        let stmt = parse_statement(sql).map_err(|e| e.to_string())?;
+        let mut exec = Executor::with_pool(catalog, Some(1), Arc::new(ThreadPool::new(threads)));
+        exec.execute_statement(&stmt).map_err(|e| e.to_string())
+    };
+    let check = |catalog: &Catalog, from: &str, conjuncts: &[(String, Option<String>)]| {
+        let joined = run(catalog, &format!("SELECT * FROM {from}"), 1).unwrap();
+        let texts: Vec<&str> = conjuncts.iter().map(|(c, _)| c.as_str()).collect();
+        let sql = format!("SELECT * FROM {from} WHERE {}", texts.join(" AND "));
+        // The whole WHERE over the joined rows: each conjunct over every row
+        // in turn, so the first failing conjunct's first failing row fails.
+        let failing = conjuncts.iter().find_map(|(_, text_column)| {
+            let column = parse_expression(text_column.as_deref()?).unwrap();
+            let v = (0..joined.num_rows())
+                .map(|row| reference_eval_row(&column, &joined, row))
+                .find(|v| !v.is_null())?;
+            Some(format!("type mismatch: cannot apply + to {v} and 1"))
+        });
+        let expected = match failing {
+            Some(error) => Err(error),
+            None => {
+                let pred = parse_expression(&texts.join(" AND ")).unwrap();
+                let kept: Vec<usize> = (0..joined.num_rows())
+                    .filter(|&row| reference_eval_row(&pred, &joined, row) == Value::Bool(true))
+                    .collect();
+                Ok(joined.take(&kept))
+            }
+        };
+        for threads in [1, 4] {
+            let case = format!("{threads} thread(s): {sql}");
+            match (run(catalog, &sql, threads), &expected) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.schema, want.schema, "{case}");
+                    common::assert_tables_bit_identical(&got, want, &case);
+                }
+                (Err(got), Err(want)) => assert_eq!(&got, want, "{case}"),
+                (got, want) => panic!("{case}: got {got:?}, the reference {want:?}"),
+            }
+        }
+    };
+    const WRAPPER: &str = "(SELECT *, b * 2 AS d FROM l) AS v";
+
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(800 + seed);
+        let catalog = Catalog::new();
+        for (name, rows) in [("l", 70), ("r", 60), ("s", 40)] {
+            let rows = rows + rng.gen_range(0..20usize);
+            catalog.register(
+                name,
+                with_nan_and_negative_zero(random_table(&mut rng, rows)),
+            );
+        }
+        for join in ["INNER JOIN", "LEFT JOIN", "RIGHT JOIN", "CROSS JOIN", ","] {
+            for second in ["", "INNER JOIN", "LEFT JOIN", "RIGHT JOIN"] {
+                let wrapped = rng.gen_bool(0.5);
+                let first = if wrapped { WRAPPER } else { "l" };
+                let x = if wrapped { "v" } else { "l" };
+                let mut from = match join {
+                    "," => format!("{first}, r"),
+                    "CROSS JOIN" => format!("{first} CROSS JOIN r"),
+                    _ => format!("{first} {join} r ON {x}.a = r.a"),
+                };
+                let mut relations = vec![x, "r"];
+                if !second.is_empty() {
+                    from.push_str(&format!(" {second} s ON r.a = s.a"));
+                    relations.push("s");
+                }
+                for _ in 0..3 {
+                    let conjuncts: Vec<_> = (0..rng.gen_range(1..5usize))
+                        .map(|_| random_conjunct(&mut rng, &relations))
+                        .collect();
+                    check(&catalog, &from, &conjuncts);
+                }
+            }
+        }
+    }
+
+    // More than a morsel of joined rows.
+    let mut rng = StdRng::seed_from_u64(900);
+    let catalog = Catalog::new();
+    let big = random_table(&mut rng, MORSEL_ROWS + 777);
+    catalog.register("l", with_nan_and_negative_zero(big));
+    catalog.register("r", with_nan_and_negative_zero(random_table(&mut rng, 40)));
+    for from in [
+        "l INNER JOIN r ON l.a = r.a",
+        "l LEFT JOIN r ON l.a = r.a",
+        &format!("{WRAPPER} INNER JOIN r ON v.a = r.a"),
+    ] {
+        let relations: &[&str] = if from.starts_with('(') {
+            &["v", "r"]
+        } else {
+            &["l", "r"]
+        };
+        for _ in 0..2 {
+            let conjuncts: Vec<_> = (0..rng.gen_range(1..5usize))
+                .map(|_| random_conjunct(&mut rng, relations))
+                .collect();
+            check(&catalog, from, &conjuncts);
         }
     }
 }
