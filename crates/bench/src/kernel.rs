@@ -1,11 +1,11 @@
-//! Shared scalar-vs-vectorized kernel micro-benchmark rows, and the
-//! progressive-stream timings ([`progressive_stream`]).
+//! What `verdict-bench` measures: kernel-vs-reference pairs
+//! ([`scalar_vs_vectorized_rows`], [`parallel_rows`], [`dispatch_rows`]) and
+//! the progressive-stream timings ([`progressive_stream`]).
 //!
-//! Backs both the `micro_kernels` bench (which writes the committed
-//! `BENCH_kernels.json` perf snapshot) and the `verdict-bench` regression
-//! gate binary (which re-runs the same rows and compares them against that
-//! snapshot), so the gate and the snapshot can never drift apart on *what*
-//! they measure.
+//! Every number the gate holds is a ratio of two timings taken in the same
+//! process, the two sides alternating within every repetition
+//! (`time_pairs`): a ratio survives the machine being busier or
+//! slower than on the day the snapshot was written, seconds do not.
 //!
 //! The scalar paths materialise every cell as a dynamically-typed `Value`
 //! with per-cell enum dispatch — the exact shape of the engine before the
@@ -33,19 +33,51 @@ pub const ROWS: usize = 1_000_000;
 /// Repetitions per timing (the median is reported).
 pub const REPS: usize = 7;
 
-/// Runs `f` [`REPS`] times and returns the median wall-clock time in seconds.
-pub fn median_secs<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let out = f();
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(out);
-            dt
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+/// Wall-clock seconds of one call of `f`.
+fn secs<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let t0 = Instant::now();
+    let out = f();
+    let dt = t0.elapsed().as_secs_f64();
+    std::hint::black_box(out);
+    dt
+}
+
+/// The median of `times`.
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// One side of a timed pair: each call runs it once and returns its seconds.
+type Timed<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// `f` as one side of a timed pair.
+fn timed<'a, T>(mut f: impl FnMut() -> T + 'a) -> Timed<'a> {
+    Box::new(move || secs(&mut f))
+}
+
+/// Times every `(name, reference, kernel)` pair [`REPS`] times and returns
+/// each side's median.  Each repetition calls both sides of every pair in
+/// turn, so the two sides of a pair see the same stretch of machine load,
+/// and a burst of load on a shared machine lands in one repetition of many
+/// rows instead of in every repetition of one row.
+fn time_pairs(mut pairs: Vec<(&'static str, Timed, Timed)>) -> Vec<KernelRow> {
+    let mut times = vec![(Vec::new(), Vec::new()); pairs.len()];
+    for _ in 0..REPS {
+        for ((_, reference, kernel), (r, k)) in pairs.iter_mut().zip(&mut times) {
+            r.push(reference());
+            k.push(kernel());
+        }
+    }
+    pairs
+        .into_iter()
+        .zip(times)
+        .map(|((name, _, _), (r, k))| KernelRow {
+            name,
+            reference_secs: median(r),
+            kernel_secs: median(k),
+        })
+        .collect()
 }
 
 /// Deterministic synthetic columns: a float "price" with ~1% NULLs and an
@@ -510,8 +542,8 @@ const ASSEMBLE_SQL: &str = "SELECT l_returnflag, l_linestatus, sum(l_quantity) A
      FROM lineitem WHERE l_shipdate <= 2450 \
      GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus";
 
-/// Assemblies per timing of the `assemble_6g_7agg` row: one assembly takes
-/// well under the gate's 1 ms noise floor, fifty do not.
+/// Assemblies per timing of the `assemble_6g_7agg` row: one compiled
+/// assembly takes tens of microseconds, too short to time on its own.
 pub const ASSEMBLE_CALLS: usize = 50;
 
 /// The `assemble_6g_7agg` input: the rewritten `ASSEMBLE_SQL` and a mean
@@ -555,25 +587,26 @@ fn assemble_many(
 }
 
 // ---------------------------------------------------------------------------
-// The gated rows.
+// The timed pairs.
 // ---------------------------------------------------------------------------
 
-/// One scalar-vs-vectorized benchmark row; `vectorized_secs` is what the
-/// regression gate compares against the committed baseline.
+/// One timed pair: a reference path and the kernel measured against it, from
+/// the same repetitions.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
-    /// Stable kernel name (the gate matches baseline entries by it).
+    /// Stable row name (the gate matches committed rows by it).
     pub name: &'static str,
-    /// Median seconds on the scalar `Value` reference path.
-    pub scalar_secs: f64,
-    /// Median seconds on the vectorized kernel path.
-    pub vectorized_secs: f64,
+    /// Median seconds on the reference path: the scalar `Value` path, the
+    /// serial pool, or the direct call.
+    pub reference_secs: f64,
+    /// Median seconds on the measured path.
+    pub kernel_secs: f64,
 }
 
 impl KernelRow {
-    /// Scalar-over-vectorized speedup factor.
+    /// Reference-over-kernel speedup factor.
     pub fn speedup(&self) -> f64 {
-        self.scalar_secs / self.vectorized_secs.max(1e-12)
+        self.reference_secs / self.kernel_secs.max(1e-12)
     }
 }
 
@@ -648,58 +681,194 @@ pub fn scalar_vs_vectorized_rows() -> Vec<KernelRow> {
     assert_eq!(scalar_answer.table.columns, compiled_answer.table.columns);
     assert_eq!(scalar_answer.errors, compiled_answer.errors);
 
-    vec![
-        KernelRow {
-            name: "filter_gt",
-            scalar_secs: median_secs(|| scalar_filter_mask(&price, 15.0)),
-            vectorized_secs: median_secs(|| vector_filter_mask(&price, 15.0)),
-        },
-        KernelRow {
-            name: "sum_avg",
-            scalar_secs: median_secs(|| scalar_sum_avg(&price)),
-            vectorized_secs: median_secs(|| vector_sum_avg(&price)),
-        },
-        KernelRow {
-            name: "grouped_sum",
-            scalar_secs: median_secs(|| scalar_grouped_sum(&qty, &price)),
-            vectorized_secs: median_secs(|| vector_grouped_sum(&qty, &price, &serial)),
-        },
-        KernelRow {
-            name: "grouped_sum_16d",
-            scalar_secs: median_secs(|| scalar_grouped_sum(&k16, &price)),
-            vectorized_secs: median_secs(|| vector_grouped_sum(&k16, &price, &serial)),
-        },
-        KernelRow {
-            name: "grouped_sum_1m",
-            scalar_secs: median_secs(|| scalar_grouped_sum(&kwide, &price)),
-            vectorized_secs: median_secs(|| vector_grouped_sum(&kwide, &price, &serial)),
-        },
-        KernelRow {
-            name: "grouped_ndv_20k",
-            scalar_secs: median_secs(|| scalar_grouped_ndv(&k20k, &price)),
-            vectorized_secs: median_secs(|| vector_grouped_ndv(&ndv_engine)),
-        },
-        KernelRow {
-            name: "join_dim_50k",
-            scalar_secs: median_secs(|| scalar_join_pairs(&probe, &build)),
-            vectorized_secs: median_secs(|| vector_join(&probe, &build, &serial)),
-        },
-        KernelRow {
-            name: "join_where_dim",
-            scalar_secs: median_secs(|| join_then_filter(&lineitem, &part, &serial)),
-            vectorized_secs: median_secs(|| engine_join_where(&where_engine)),
-        },
-        KernelRow {
-            name: "late_mat_scan",
-            scalar_secs: median_secs(|| scalar_scan_gather(&sel, &payload, SCAN_THRESHOLD)),
-            vectorized_secs: median_secs(|| late_mat_scan(&sel, &payload, SCAN_THRESHOLD, &serial)),
-        },
-        KernelRow {
-            name: "assemble_6g_7agg",
-            scalar_secs: median_secs(|| assemble_many(scalar_assemble, &assembly)),
-            vectorized_secs: median_secs(|| assemble_many(assemble, &assembly)),
-        },
-    ]
+    time_pairs(vec![
+        (
+            "filter_gt",
+            timed(|| scalar_filter_mask(&price, 15.0)),
+            timed(|| vector_filter_mask(&price, 15.0)),
+        ),
+        (
+            "sum_avg",
+            timed(|| scalar_sum_avg(&price)),
+            timed(|| vector_sum_avg(&price)),
+        ),
+        (
+            "grouped_sum",
+            timed(|| scalar_grouped_sum(&qty, &price)),
+            timed(|| vector_grouped_sum(&qty, &price, &serial)),
+        ),
+        (
+            "grouped_sum_16d",
+            timed(|| scalar_grouped_sum(&k16, &price)),
+            timed(|| vector_grouped_sum(&k16, &price, &serial)),
+        ),
+        (
+            "grouped_sum_1m",
+            timed(|| scalar_grouped_sum(&kwide, &price)),
+            timed(|| vector_grouped_sum(&kwide, &price, &serial)),
+        ),
+        (
+            "grouped_ndv_20k",
+            timed(|| scalar_grouped_ndv(&k20k, &price)),
+            timed(|| vector_grouped_ndv(&ndv_engine)),
+        ),
+        (
+            "join_dim_50k",
+            timed(|| scalar_join_pairs(&probe, &build)),
+            timed(|| vector_join(&probe, &build, &serial)),
+        ),
+        (
+            "join_where_dim",
+            timed(|| join_then_filter(&lineitem, &part, &serial)),
+            timed(|| engine_join_where(&where_engine)),
+        ),
+        (
+            "late_mat_scan",
+            timed(|| scalar_scan_gather(&sel, &payload, SCAN_THRESHOLD)),
+            timed(|| late_mat_scan(&sel, &payload, SCAN_THRESHOLD, &serial)),
+        ),
+        (
+            "assemble_6g_7agg",
+            timed(|| assemble_many(scalar_assemble, &assembly)),
+            timed(|| assemble_many(assemble, &assembly)),
+        ),
+    ])
+}
+
+/// The serial vectorized kernels against the same kernels on `pool`, after
+/// asserting they are bit-identical.  Recorded, not gated: the ratio is
+/// the machine's core count as much as the code.
+pub fn parallel_rows(pool: &ThreadPool) -> Vec<KernelRow> {
+    let serial = ThreadPool::serial();
+    let (price, qty) = synthetic_columns(ROWS);
+    assert_eq!(
+        par_filter_mask(&price, 15.0, &serial),
+        par_filter_mask(&price, 15.0, pool)
+    );
+    let bits = |(s, a): (f64, f64)| (s.to_bits(), a.to_bits());
+    assert_eq!(
+        bits(par_sum_avg(&price, &serial)),
+        bits(par_sum_avg(&price, pool))
+    );
+    let sums_bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        sums_bits(par_grouped_sum(&qty, &price, &serial)),
+        sums_bits(par_grouped_sum(&qty, &price, pool))
+    );
+    time_pairs(vec![
+        (
+            "filter_gt",
+            timed(|| par_filter_mask(&price, 15.0, &serial)),
+            timed(|| par_filter_mask(&price, 15.0, pool)),
+        ),
+        (
+            "sum_avg",
+            timed(|| par_sum_avg(&price, &serial)),
+            timed(|| par_sum_avg(&price, pool)),
+        ),
+        (
+            "grouped_sum",
+            timed(|| par_grouped_sum(&qty, &price, &serial)),
+            timed(|| par_grouped_sum(&qty, &price, pool)),
+        ),
+    ])
+}
+
+/// Rows of the dashboard table behind `session_dispatch`.
+const DASHBOARD_ROWS: usize = 200_000;
+const DASHBOARD_QUERY: &str =
+    "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+
+/// Per-call cost of the layers above the engine, each against the call it
+/// wraps.  Recorded, not gated: their noise (±5%) is wider than the 2% bars
+/// they were written for.
+///
+/// * `session_dispatch` — the cache-hot dashboard repeat through
+///   `VerdictContext::execute` vs the SQL-first `VerdictSession::execute`
+///   (parse → option resolution → statement match): the worst case for
+///   relative overhead, with almost no execution time to hide it behind.
+/// * `backend_dispatch` — one engine statement on `Engine::execute_sql` vs
+///   routed through the `Arc<dyn Backend>` and instrumentation layer every
+///   `VerdictContext` uses.
+pub fn dispatch_rows() -> Vec<KernelRow> {
+    let engine = Engine::with_seed(29);
+    let table = TableBuilder::new()
+        .float_column(
+            "price",
+            (0..DASHBOARD_ROWS)
+                .map(|i| ((i * 37) % 1000) as f64 / 10.0)
+                .collect(),
+        )
+        .str_column(
+            "city",
+            (0..DASHBOARD_ROWS)
+                .map(|i| format!("city_{}", i % 10))
+                .collect(),
+        )
+        .build()
+        .expect("dashboard table");
+    engine.register_table("sales", table);
+    let mut config = VerdictConfig::for_testing();
+    config.answer_cache_capacity = 64;
+    let ctx = Arc::new(VerdictContext::new(Arc::new(engine), config));
+    let mut session = VerdictSession::new(Arc::clone(&ctx));
+    session
+        .execute("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales")
+        .expect("dashboard scramble");
+    let warm = ctx.execute(DASHBOARD_QUERY).expect("dashboard query");
+    assert!(!warm.exact && !warm.cached);
+
+    const TICKS: &str = "SELECT count(*) AS n, sum(id) AS s FROM ticks";
+    let engine = Arc::new(Engine::with_seed(31));
+    let ids = TableBuilder::new()
+        .int_column("id", (0..10_000).collect())
+        .build()
+        .expect("ticks table");
+    engine.register_table("ticks", ids);
+    let routed = VerdictContext::new(
+        engine.clone() as Arc<dyn Backend>,
+        VerdictConfig::for_testing(),
+    );
+    // Cache hits take microseconds: time a batch of calls per repetition.
+    const HITS: usize = 1000;
+    const STATEMENTS: usize = 100;
+    let rows = time_pairs(vec![
+        (
+            "session_dispatch",
+            timed(|| {
+                for _ in 0..HITS {
+                    assert!(ctx.execute(DASHBOARD_QUERY).expect("cache hit").cached);
+                }
+            }),
+            timed(|| {
+                for _ in 0..HITS {
+                    let response = session.execute(DASHBOARD_QUERY).expect("cache hit");
+                    assert!(response.answer().expect("an answer").cached);
+                }
+            }),
+        ),
+        (
+            "backend_dispatch",
+            timed(|| {
+                for _ in 0..STATEMENTS {
+                    std::hint::black_box(engine.execute_sql(TICKS).expect("direct"));
+                }
+            }),
+            timed(|| {
+                for _ in 0..STATEMENTS {
+                    std::hint::black_box(routed.connection().execute(TICKS).expect("routed"));
+                }
+            }),
+        ),
+    ]);
+    rows.into_iter()
+        .zip([HITS, STATEMENTS])
+        .map(|(row, calls)| KernelRow {
+            reference_secs: row.reference_secs / calls as f64,
+            kernel_secs: row.kernel_secs / calls as f64,
+            ..row
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -724,20 +893,6 @@ pub fn rustc_version() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
-}
-
-/// Prints a loud warning when fewer than 4 cores are available: parallel
-/// speedups are meaningless and timings are noisy on such boxes, so their
-/// snapshots should not become the committed baseline.
-pub fn warn_if_few_cpus() {
-    let n = cpus();
-    if n < 4 {
-        eprintln!(
-            "WARNING: only {n} CPU core(s) available — timings will be noisy and \
-             parallel speedups meaningless; do not commit a BENCH_kernels.json \
-             baseline produced on this machine"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -785,73 +940,63 @@ pub struct StreamBench {
 }
 
 /// Progressive vs one-shot on the 1M-row scramble: median one-shot latency,
-/// median time to the first frame (one 64K block), median full drain, and an
-/// early-stopped drain at `target_error = 0.01`.  Shared by the
-/// `micro_kernels` bench and the `verdict-bench --check` gate.
+/// median time to the first frame (one 64K block) and median full drain —
+/// one of each per repetition — plus one early-stopped drain at
+/// `target_error = 0.01`.
 pub fn progressive_stream() -> StreamBench {
-    const STREAM_REPS: usize = 3;
-    fn median3(mut f: impl FnMut() -> f64) -> f64 {
-        let mut times: Vec<f64> = (0..STREAM_REPS).map(|_| f()).collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times[times.len() / 2]
-    }
     let ctx = stream_context();
-
-    let one_shot_secs = median3(|| {
-        let t0 = Instant::now();
-        let answer = ctx.execute(STREAM_QUERY).unwrap();
-        assert!(!answer.exact && !answer.cached);
-        t0.elapsed().as_secs_f64()
-    });
-
-    let first_frame_secs = median3(|| {
+    let session = |options: &[&str]| {
         let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        let t0 = Instant::now();
-        let mut stream = s.stream(STREAM_QUERY).unwrap();
-        let first = stream.next().unwrap().unwrap();
-        assert!(first.rows_seen > 0);
-        t0.elapsed().as_secs_f64()
-    });
-
-    let mut frames = 0;
-    let full_stream_secs = median3(|| {
-        let t0 = Instant::now();
-        let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        let drained: Vec<_> = s
-            .stream(STREAM_QUERY)
-            .unwrap()
+        for option in ["SET cache = off"].iter().chain(options) {
+            s.execute(option).expect("stream option");
+        }
+        s
+    };
+    let drain = |s: &mut VerdictSession| {
+        s.stream(STREAM_QUERY)
+            .expect("stream")
             .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        frames = drained.len();
-        assert!((drained.last().unwrap().fraction - 1.0).abs() < 1e-12);
-        t0.elapsed().as_secs_f64()
-    });
-
-    let (early_stop_secs, early_stop_fraction) = {
-        let mut s = VerdictSession::new(Arc::clone(&ctx));
-        s.execute("SET cache = off").unwrap();
-        s.execute("SET target_error = 0.01").unwrap();
-        let t0 = Instant::now();
-        let drained: Vec<_> = s
-            .stream(STREAM_QUERY)
-            .unwrap()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let secs = t0.elapsed().as_secs_f64();
-        let last = drained.last().unwrap();
-        assert!(last.answer.max_relative_error() <= 0.01);
-        (secs, last.fraction)
+            .expect("stream frames")
     };
 
+    let (mut one_shot, mut first_frame, mut full_stream) = (vec![], vec![], vec![]);
+    let mut frames = 0;
+    for _ in 0..REPS {
+        one_shot.push(secs(&mut || {
+            let answer = ctx.execute(STREAM_QUERY).expect("one-shot answer");
+            assert!(!answer.exact && !answer.cached);
+        }));
+
+        let mut s = session(&[]);
+        let t0 = Instant::now();
+        let mut stream = s.stream(STREAM_QUERY).expect("stream");
+        let first = stream.next().expect("a first frame").expect("first frame");
+        first_frame.push(t0.elapsed().as_secs_f64());
+        assert!(first.rows_seen > 0);
+        drop(stream);
+
+        let mut s = session(&[]);
+        let t0 = Instant::now();
+        let drained = drain(&mut s);
+        full_stream.push(t0.elapsed().as_secs_f64());
+        frames = drained.len();
+        assert!((drained.last().expect("a last frame").fraction - 1.0).abs() < 1e-12);
+    }
+
+    let mut s = session(&["SET target_error = 0.01"]);
+    let t0 = Instant::now();
+    let drained = drain(&mut s);
+    let early_stop_secs = t0.elapsed().as_secs_f64();
+    let last = drained.last().expect("a last frame");
+    assert!(last.answer.max_relative_error() <= 0.01);
+
     StreamBench {
-        one_shot_secs,
-        first_frame_secs,
-        full_stream_secs,
+        one_shot_secs: median(one_shot),
+        first_frame_secs: median(first_frame),
+        full_stream_secs: median(full_stream),
         frames,
         early_stop_secs,
-        early_stop_fraction,
+        early_stop_fraction: last.fraction,
     }
 }
 

@@ -1,9 +1,10 @@
 //! Benchmark harness reproducing the tables and figures of the VerdictDB
 //! evaluation (§6 and Appendix B of the paper).
 //!
-//! Each experiment is a plain function returning printable rows, so the same
-//! code backs the `reproduce` binary (which regenerates EXPERIMENTS.md-style
-//! output) and the Criterion benches.  Scales are parameters: the defaults
+//! Each experiment is a plain function returning printable rows, which the
+//! `reproduce` binary prints as EXPERIMENTS.md-style tables; the kernel perf
+//! snapshot and its gate are the `verdict-bench` binary over [`kernel`].
+//! Scales are parameters: the defaults
 //! target seconds-per-experiment on a laptop; the shapes — who wins, by
 //! roughly what factor, where the crossovers fall — are what the paper's
 //! conclusions rest on and are preserved at any scale.

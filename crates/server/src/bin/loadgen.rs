@@ -15,9 +15,8 @@
 //! runs either a fixed request count per session (`--requests`) or a fixed
 //! wall-clock budget (`--duration-secs`, the sensible mode for large
 //! session counts).  The report shows per-point qps plus p50/p99 request
-//! latency, and `--json-out` merges the sweep into the given
-//! `BENCH_kernels.json` as a top-level `serving_scale` section (preserving
-//! everything else in the file).
+//! latency, and `--json-out FILE` writes the sweep to `FILE` (the committed
+//! curve is `BENCH_serving.json`).
 //!
 //! Alongside the client-measured latencies, each point scrapes the server's
 //! own statement-duration histogram (`SHOW METRICS`) immediately before and
@@ -451,83 +450,19 @@ fn run_point(opts: &Options, sessions: usize) -> Point {
     }
 }
 
-/// Returns the byte span of `"key": { … }` (key through matching close
-/// brace) in a JSON document whose string values contain no braces — true
-/// for every value the bench harness writes.
-fn block_span(json: &str, key: &str) -> Option<(usize, usize)> {
-    let needle = format!("\"{key}\"");
-    let start = json.find(&needle)?;
-    let open = start + json[start..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((start, open + i + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Merges `block` (the full `"serving_scale": { … }` text) into the JSON
-/// file at `path` as a top-level key, replacing any existing block and
-/// preserving every other section the bench harness wrote.
-fn merge_serving_scale(path: &str, block: &str) -> std::io::Result<()> {
-    let mut json = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    if let Some((start, end)) = block_span(&json, "serving_scale") {
-        let bytes = json.as_bytes();
-        // Eat the separator comma: the one before the block if present,
-        // otherwise the one after it.
-        let mut s = start;
-        while s > 0 && bytes[s - 1].is_ascii_whitespace() {
-            s -= 1;
-        }
-        let (s, mut e) = if s > 0 && bytes[s - 1] == b',' {
-            (s - 1, end)
-        } else {
-            (start, end)
-        };
-        while e < json.len() && json.as_bytes()[e].is_ascii_whitespace() {
-            e += 1;
-        }
-        let e = if s == start && e < json.len() && json.as_bytes()[e] == b',' {
-            e + 1
-        } else {
-            end
-        };
-        json.replace_range(s..e, "");
-    }
-    let close = json
-        .rfind('}')
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "not a JSON object"))?;
-    let needs_comma = !json[..close].trim_end().ends_with('{');
-    let insertion = format!("{}  {}\n", if needs_comma { ",\n" } else { "\n" }, block);
-    let trimmed = json[..close].trim_end().len();
-    json.replace_range(trimmed..close, &insertion);
-    std::fs::write(path, json)
-}
-
-fn serving_scale_block(opts: &Options, points: &[Point]) -> String {
-    let mut block = String::from("\"serving_scale\": {\n");
-    block.push_str("    \"generated_by\": \"verdict-loadgen\",\n");
-    block.push_str(&format!("    \"chaos\": {:.3},\n", opts.chaos));
-    block.push_str(&format!("    \"stream\": {},\n", opts.stream));
+/// The sweep as a JSON document of its own, one point per line.
+fn sweep_json(opts: &Options, points: &[Point]) -> String {
+    let mut json = String::from("{\n  \"generated_by\": \"verdict-loadgen\",\n");
+    json.push_str(&format!("  \"chaos\": {:.3},\n", opts.chaos));
+    json.push_str(&format!("  \"stream\": {},\n", opts.stream));
     match opts.duration {
-        Some(d) => block.push_str(&format!("    \"duration_secs\": {:.3},\n", d.as_secs_f64())),
-        None => block.push_str(&format!(
-            "    \"requests_per_session\": {},\n",
-            opts.requests
-        )),
+        Some(d) => json.push_str(&format!("  \"duration_secs\": {:.3},\n", d.as_secs_f64())),
+        None => json.push_str(&format!("  \"requests_per_session\": {},\n", opts.requests)),
     }
-    block.push_str("    \"points\": [\n");
+    json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
-        block.push_str(&format!(
-            "      {{ \"sessions\": {}, \"wall_secs\": {:.3}, \"qps\": {:.0}, \
+        json.push_str(&format!(
+            "    {{ \"sessions\": {}, \"wall_secs\": {:.3}, \"qps\": {:.0}, \
              \"p50_us\": {}, \"p99_us\": {}, \
              \"server_p50_us\": {}, \"server_p99_us\": {}, \
              \"ok\": {}, \"busy\": {}, \"deadline\": {}, \"disconnects\": {}, \
@@ -547,8 +482,8 @@ fn serving_scale_block(opts: &Options, points: &[Point]) -> String {
             if i + 1 < points.len() { "," } else { "" },
         ));
     }
-    block.push_str("    ]\n  }");
-    block
+    json.push_str("  ]\n}\n");
+    json
 }
 
 /// Spawns the managed server process for `--restart-mid-run` (command split
@@ -719,11 +654,10 @@ fn main() {
     let _ = probe.quit();
 
     if let Some(path) = &opts.json_out {
-        let block = serving_scale_block(&opts, &points);
-        match merge_serving_scale(path, &block) {
-            Ok(()) => println!("merged serving_scale into {path}"),
+        match std::fs::write(path, sweep_json(&opts, &points)) {
+            Ok(()) => println!("wrote {path}"),
             Err(e) => {
-                eprintln!("verdict-loadgen: cannot update {path}: {e}");
+                eprintln!("verdict-loadgen: cannot write {path}: {e}");
                 std::process::exit(1);
             }
         }
