@@ -12,11 +12,17 @@
 //! [`StoreHandle::save`] first (the middleware persists scrambles and its
 //! metadata, never base tables); the catalog only keeps already-persisted
 //! tables in sync.
+//!
+//! A mutation commits to the store **first**; the in-memory image and the
+//! data version move only once that commit succeeded, so a failed commit
+//! leaves the table as it was.  An append costs the batch, not the table:
+//! the image grows in place unless a scan pins it, and a persisted table
+//! that is not materialised is not loaded to be appended to.
 
 use crate::error::{EngineError, EngineResult};
 use crate::persist::{ScanSource, StoreHandle, TableSource};
 use crate::table::Table;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,6 +43,10 @@ pub struct Catalog {
     versions: RwLock<BTreeMap<String, u64>>,
     /// Optional on-disk backing store for persisted tables.
     store: RwLock<Option<Arc<dyn StoreHandle>>>,
+    /// Held by every mutation and by every load from the store: the store
+    /// and the in-memory images take writes in one order, and a load never
+    /// misses an append that commits while it decodes.
+    writer: Mutex<()>,
 }
 
 impl Catalog {
@@ -60,142 +70,136 @@ impl Catalog {
         self.store.read().clone()
     }
 
-    /// The store's persisted version for a key (0 when untracked), used to
-    /// seed in-memory version counters so they continue monotonically across
-    /// restarts instead of restarting at zero.
-    fn stored_version(&self, key: &str) -> u64 {
-        self.store()
-            .and_then(|s| s.version(key))
-            .unwrap_or_default()
-    }
-
-    fn bump_version(&self, key: &str) -> u64 {
-        let mut versions = self.versions.write();
-        let entry = versions
-            .entry(key.to_string())
-            .or_insert_with(|| self.stored_version(key));
-        *entry += 1;
-        *entry
+    /// The store, when it persists `key`.
+    fn store_of(&self, key: &str) -> Option<Arc<dyn StoreHandle>> {
+        self.store().filter(|s| s.contains(key))
     }
 
     /// The table's monotonic data version: 0 for a name that has never been
     /// touched, incremented by every register / create / append / drop.
+    /// A name the catalog has not touched since the store was attached
+    /// answers with the store's persisted version, so counters continue
+    /// monotonically across restarts instead of restarting at zero.
     pub fn data_version(&self, name: &str) -> u64 {
         let key = Self::key(name);
         if let Some(v) = self.versions.read().get(&key) {
             return *v;
         }
-        self.stored_version(&key)
+        self.store()
+            .and_then(|s| s.version(&key))
+            .unwrap_or_default()
     }
 
-    /// Write-through: pushes a full replacement image to the store when the
-    /// store already tracks this key.
-    fn store_save(&self, key: &str, table: &Table, version: u64) -> EngineResult<()> {
-        if let Some(store) = self.store() {
-            if store.contains(key) {
-                store.save(key, table, version)?;
-            }
-        }
-        Ok(())
+    /// Makes `table` the in-memory image of `key` at `version`, once the
+    /// store (if it persists `key`) has committed it.
+    fn install(&self, key: &str, table: Table, version: u64) {
+        self.tables.write().insert(key.to_string(), Arc::new(table));
+        self.versions.write().insert(key.to_string(), version);
     }
 
     /// Registers (or replaces) a table under the given name.
     pub fn register(&self, name: &str, table: Table) {
         let key = Self::key(name);
-        let table = Arc::new(table);
-        self.tables.write().insert(key.clone(), Arc::clone(&table));
-        let version = self.bump_version(&key);
+        let _writer = self.writer.lock();
+        let version = self.data_version(&key) + 1;
         // register is infallible by contract (data generators use it for
         // in-memory base tables); a failed write-through would mean the
         // store already tracks the name, which register's callers never do.
-        let _ = self.store_save(&key, &table, version);
+        if let Some(store) = self.store_of(&key) {
+            let _ = store.save(&key, &table, version);
+        }
+        self.install(&key, table, version);
     }
 
     /// Creates a new table; errors if it already exists and `or_replace` is false.
     pub fn create(&self, name: &str, table: Table, or_replace: bool) -> EngineResult<()> {
         let key = Self::key(name);
-        let table = Arc::new(table);
-        {
-            let mut guard = self.tables.write();
-            if !or_replace && (guard.contains_key(&key) || self.store_contains(&key)) {
-                return Err(EngineError::TableAlreadyExists(name.to_string()));
-            }
-            guard.insert(key.clone(), Arc::clone(&table));
+        let _writer = self.writer.lock();
+        if !or_replace && self.exists(&key) {
+            return Err(EngineError::TableAlreadyExists(name.to_string()));
         }
-        let version = self.bump_version(&key);
-        self.store_save(&key, &table, version)
-    }
-
-    fn store_contains(&self, key: &str) -> bool {
-        self.store().is_some_and(|s| s.contains(key))
+        let version = self.data_version(&key) + 1;
+        if let Some(store) = self.store_of(&key) {
+            store.save(&key, &table, version)?;
+        }
+        self.install(&key, table, version);
+        Ok(())
     }
 
     /// Fetches a table by name, materialising it from the store on a miss.
     pub fn get(&self, name: &str) -> EngineResult<Arc<Table>> {
         let key = Self::key(name);
-        if let Some(t) = self.tables.read().get(&key) {
-            return Ok(Arc::clone(t));
+        let materialised = || self.tables.read().get(&key).cloned();
+        if let Some(t) = materialised() {
+            return Ok(t);
         }
-        if let Some(store) = self.store() {
-            if store.contains(&key) {
-                let (table, version) = store.load(&key)?;
-                let mut guard = self.tables.write();
-                // Another thread may have loaded (or written) the table while
-                // we were decoding; keep whatever is in the map.
-                let arc = Arc::clone(guard.entry(key.clone()).or_insert_with(|| Arc::new(table)));
-                drop(guard);
-                self.versions.write().entry(key).or_insert(version);
-                return Ok(arc);
-            }
+        let _writer = self.writer.lock();
+        // Another thread may have loaded the table while we waited.
+        if let Some(t) = materialised() {
+            return Ok(t);
         }
-        Err(EngineError::TableNotFound(name.to_string()))
+        let store = self
+            .store_of(&key)
+            .ok_or_else(|| EngineError::TableNotFound(name.to_string()))?;
+        let (table, version) = store.load(&key)?;
+        let table = Arc::new(table);
+        self.tables.write().insert(key.clone(), Arc::clone(&table));
+        self.versions.write().entry(key).or_insert(version);
+        Ok(table)
     }
 
     /// True if a table with this name exists (in memory or persisted).
     pub fn exists(&self, name: &str) -> bool {
         let key = Self::key(name);
-        self.tables.read().contains_key(&key) || self.store_contains(&key)
+        self.tables.read().contains_key(&key) || self.store_of(&key).is_some()
     }
 
     /// Drops a table; errors when missing unless `if_exists`.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> EngineResult<()> {
         let key = Self::key(name);
-        let removed_mem = self.tables.write().remove(&key).is_some();
-        let mut removed_store = false;
-        if let Some(store) = self.store() {
-            if store.contains(&key) {
-                store.remove(&key)?;
-                removed_store = true;
-            }
-        }
-        if !removed_mem && !removed_store {
+        let _writer = self.writer.lock();
+        if !self.exists(&key) {
             if if_exists {
                 return Ok(());
             }
             return Err(EngineError::TableNotFound(name.to_string()));
         }
-        self.bump_version(&key);
+        let version = self.data_version(&key) + 1;
+        if let Some(store) = self.store_of(&key) {
+            store.remove(&key)?;
+        }
+        self.tables.write().remove(&key);
+        self.versions.write().insert(key, version);
         Ok(())
     }
 
-    /// Appends rows to an existing table.
+    /// Appends rows to an existing table: to the store when it persists the
+    /// table, then to the in-memory image when there is one.
+    ///
+    /// The image grows in place (`Arc::make_mut`) unless a scan pins it, in
+    /// which case it is copied first and the scan keeps the old rows.  A
+    /// persisted table that is not materialised stays that way: the store
+    /// takes the batch alone, and the load that later materialises the
+    /// table folds it in like [`Table::append`] would have.
     pub fn append(&self, name: &str, rows: &Table) -> EngineResult<()> {
         let key = Self::key(name);
-        // Materialise persisted tables first so the in-memory image exists.
-        let loaded = self.get(&key)?;
-        let mut guard = self.tables.write();
-        // Re-read under the write lock: a writer may have raced our load.
-        let existing = guard.get(&key).cloned().unwrap_or(loaded);
-        let mut new_table = (*existing).clone();
-        new_table.append(rows)?;
-        guard.insert(key.clone(), Arc::new(new_table));
-        drop(guard);
-        let version = self.bump_version(&key);
-        if let Some(store) = self.store() {
-            if store.contains(&key) {
-                store.append(&key, rows, version)?;
-            }
+        let _writer = self.writer.lock();
+        let width = self.tables.read().get(&key).map(|t| t.num_columns());
+        let store = self.store_of(&key);
+        if width.is_none() && store.is_none() {
+            return Err(EngineError::TableNotFound(name.to_string()));
         }
+        if let Some(width) = width {
+            Table::check_append_arity(width, rows)?;
+        }
+        let version = self.data_version(&key) + 1;
+        if let Some(store) = store {
+            store.append(&key, rows, version)?;
+        }
+        if let Some(table) = self.tables.write().get_mut(&key) {
+            Arc::make_mut(table).append(rows)?;
+        }
+        self.versions.write().insert(key, version);
         Ok(())
     }
 
@@ -234,12 +238,10 @@ impl Catalog {
         if let Some(t) = self.tables.read().get(&key) {
             return Ok(Arc::new(TableSource::new(Arc::clone(t))));
         }
-        if let Some(store) = self.store() {
-            if store.contains(&key) {
-                return store.open_scan(&key);
-            }
+        match self.store_of(&key) {
+            Some(store) => store.open_scan(&key),
+            None => Err(EngineError::TableNotFound(name.to_string())),
         }
-        Err(EngineError::TableNotFound(name.to_string()))
     }
 }
 
@@ -247,12 +249,137 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
     fn small() -> Table {
         TableBuilder::new()
             .int_column("x", vec![1, 2, 3])
             .build()
             .unwrap()
+    }
+
+    /// A [`StoreHandle`] over tables held in memory that, while `failing`
+    /// is set, refuses every write as a failed WAL commit would.
+    #[derive(Debug, Default)]
+    struct FakeStore {
+        tables: Mutex<BTreeMap<String, (Table, u64)>>,
+        failing: AtomicBool,
+    }
+
+    impl FakeStore {
+        fn commit(
+            &self,
+            key: &str,
+            write: impl FnOnce(&mut BTreeMap<String, (Table, u64)>) -> EngineResult<()>,
+        ) -> EngineResult<()> {
+            if self.failing.load(SeqCst) {
+                return Err(EngineError::Execution(format!("commit of {key} failed")));
+            }
+            write(&mut self.tables.lock())
+        }
+
+        fn stored(&self, key: &str) -> EngineResult<(Table, u64)> {
+            let tables = self.tables.lock();
+            let entry = tables.get(key).cloned();
+            entry.ok_or_else(|| EngineError::TableNotFound(key.to_string()))
+        }
+    }
+
+    impl StoreHandle for FakeStore {
+        fn contains(&self, key: &str) -> bool {
+            self.tables.lock().contains_key(key)
+        }
+
+        fn table_names(&self) -> Vec<String> {
+            self.tables.lock().keys().cloned().collect()
+        }
+
+        fn row_count(&self, key: &str) -> Option<u64> {
+            let rows = self.stored(key).ok()?.0.num_rows();
+            Some(rows as u64)
+        }
+
+        fn version(&self, key: &str) -> Option<u64> {
+            self.stored(key).ok().map(|(_, version)| version)
+        }
+
+        fn load(&self, key: &str) -> EngineResult<(Table, u64)> {
+            self.stored(key)
+        }
+
+        fn save(&self, key: &str, table: &Table, version: u64) -> EngineResult<()> {
+            self.commit(key, |tables| {
+                tables.insert(key.to_string(), (table.clone(), version));
+                Ok(())
+            })
+        }
+
+        fn append(&self, key: &str, rows: &Table, version: u64) -> EngineResult<()> {
+            self.commit(key, |tables| {
+                let (table, stored) = tables.get_mut(key).expect("persisted");
+                table.append(rows)?;
+                *stored = version;
+                Ok(())
+            })
+        }
+
+        fn remove(&self, key: &str) -> EngineResult<()> {
+            self.commit(key, |tables| {
+                tables.remove(key);
+                Ok(())
+            })
+        }
+
+        fn open_scan(&self, key: &str) -> EngineResult<Arc<dyn ScanSource>> {
+            let (table, _) = self.stored(key)?;
+            Ok(Arc::new(TableSource::new(Arc::new(table))))
+        }
+    }
+
+    /// A catalog whose store persists `t` ([`small`], version 1), loaded
+    /// into memory or not.
+    fn persisted(materialised: bool) -> (Catalog, Arc<FakeStore>) {
+        let store = Arc::new(FakeStore::default());
+        store.save("t", &small(), 1).unwrap();
+        let c = Catalog::new();
+        c.set_store(Arc::clone(&store) as Arc<dyn StoreHandle>);
+        if materialised {
+            c.get("t").unwrap();
+        }
+        (c, store)
+    }
+
+    #[test]
+    fn a_failed_store_commit_leaves_the_table_as_it_was() {
+        for materialised in [false, true] {
+            let (c, store) = persisted(materialised);
+            store.failing.store(true, SeqCst);
+            let before = (c.row_count("t"), c.data_version("t"));
+            assert!(c.append("t", &small()).is_err());
+            assert!(c.create("t", small(), true).is_err());
+            assert!(c.drop_table("t", false).is_err());
+            assert_eq!((c.row_count("t"), c.data_version("t")), before);
+            store.failing.store(false, SeqCst);
+            assert_eq!(
+                *c.get("t").unwrap(),
+                small(),
+                "materialised: {materialised}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_append_grows_the_table_in_place_unless_a_scan_pins_it() {
+        let c = Catalog::new();
+        c.create("t", small(), false).unwrap();
+        let image = Arc::as_ptr(&c.get("t").unwrap());
+        c.append("t", &small()).unwrap();
+        assert_eq!(Arc::as_ptr(&c.get("t").unwrap()), image, "copied unpinned");
+        let pinned = c.scan_source("t").unwrap();
+        c.append("t", &small()).unwrap();
+        assert_ne!(Arc::as_ptr(&c.get("t").unwrap()), image);
+        assert_eq!(pinned.num_rows(), 6);
+        assert_eq!(c.row_count("t"), 9);
     }
 
     #[test]

@@ -397,8 +397,10 @@ fn belongs(c: &Expr, relation: &Schema, earlier: &[Field]) -> bool {
 /// ([`types_by_values`]), for a subquery (not resolved yet), or for
 /// arithmetic over an operand that can hold text, whose `TypeMismatch` is
 /// raised by the first such row evaluated.  Operand types come from
-/// `built`; a column not built yet counts as text.
-fn row_local(e: &Expr, built: &Schema) -> bool {
+/// `built`; a column not built yet counts as text.  (The one-shot drain's
+/// `LIMIT` stop asks the same question of a scan: see
+/// `ProgressiveScan::drain`.)
+pub(crate) fn row_local(e: &Expr, built: &Schema) -> bool {
     let mut local = true;
     walk_expr(e, &mut |n| {
         local &= match n {
@@ -420,6 +422,18 @@ fn row_local(e: &Expr, built: &Schema) -> bool {
         }
     });
     local
+}
+
+/// `frame`'s fields typed by its columns, the types evaluation sees: a
+/// table's schema may name a type its column does not hold (an all-NULL
+/// column takes the type of the rows appended to it).
+pub(crate) fn typed_schema(frame: &Table) -> Schema {
+    let fields = frame.schema.fields.iter().zip(&frame.columns);
+    let typed = fields.map(|(field, column)| Field {
+        data_type: column.data_type(),
+        ..field.clone()
+    });
+    Schema::new(typed.collect())
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@
 //!    projection → ORDER BY → DISTINCT → LIMIT.
 //!
 //! The drain's block size follows from the input alone (see
-//! `ProgressiveScan::drain`); the answer does not depend on it.
+//! `ProgressiveScan::drain`); the answer does not depend on it.  A `LIMIT`
+//! over rows no later row can change ends the drain once its rows are in,
+//! and `rows_scanned` counts the rows a view's drain read.
 
 pub mod aggregate;
 pub mod from_clause;
@@ -163,19 +165,22 @@ impl<'a> Executor<'a> {
             Ok(Arc::new(table) as Arc<dyn ScanSource>)
         };
         let input = match lone_view(statement, &pinned)? {
-            Some(view) => {
-                self.rows_scanned += view.num_rows() as u64;
-                Input::View(view)
-            }
+            Some(view) => Input::View(view),
             None => Input::Built(self.build_from(statement, &mut query.selection, &pinned)?),
         };
+        // a built FROM clause counted its rows as it was built
+        let scanned = matches!(input, Input::View(_));
         let items = query.projection.iter_mut().filter_map(SelectItem::expr_mut);
         let order = query.order_by.iter_mut().map(|o| &mut o.expr);
         for e in items.chain(&mut query.group_by).chain(order) {
             self.resolve_subqueries(e)?;
         }
-        ProgressiveScan::open(input, &query, Arc::clone(&self.pool), &mut *self.rng)?
-            .drain(&mut *self.rng)
+        let scan = ProgressiveScan::open(input, &query, Arc::clone(&self.pool), &mut *self.rng)?;
+        let (table, read) = scan.drain(&mut *self.rng)?;
+        if scanned {
+            self.rows_scanned += read as u64;
+        }
+        Ok(table)
     }
 
     /// Builds the frame of a FROM clause that is not one view.  Each relation

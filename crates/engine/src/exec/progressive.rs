@@ -14,7 +14,8 @@
 //! the aggregated frame — is one function (`Tail::apply`) whoever reads an
 //! answer: [`snapshot`](BlockScan::snapshot) over the state so far, `finish`
 //! over the drained state.  One-shot execution
-//! ([`crate::exec::Executor::execute_query`]) is open → advance until done →
+//! ([`crate::exec::Executor::execute_query`]) is open → advance until done
+//! (or, under a `LIMIT` no later row can change, until its rows are in) →
 //! finish; a stream ([`crate::Backend::open_block_scan`]) is the same struct
 //! boxed, advanced and snapshotted by its caller.  An aggregating scan holds
 //! no column that grows with the prefix: between calls it carries the state
@@ -70,6 +71,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::aggregate::{
     collect_aggregate_calls, evaluate_inputs, replace_exprs, AggState, AggregateItem,
 };
+use crate::exec::from_clause::{row_local, typed_schema};
 use crate::exec::view::RowView;
 use crate::exec::window::{collect_window_calls, eval_window};
 use crate::exec::{default_output_name, draws, lone_view, predicate_mask_with};
@@ -306,7 +308,8 @@ impl ProgressiveScan {
         Ok(scan)
     }
 
-    /// One-shot execution: consumes the rest of the input and answers.
+    /// One-shot execution: consumes the input and answers, with the number
+    /// of input rows it read.
     ///
     /// The block size is worked out from the input, never set: the whole
     /// input when the statement calls `rand()` — draw order is part of the
@@ -314,21 +317,60 @@ impl ProgressiveScan {
     /// multiple of `parallelism × MORSEL_ROWS`, so every push hands the fold
     /// a morsel per worker).  The grid rule of [`AggState`] makes the answer
     /// independent of it.
-    pub(crate) fn drain(mut self, rng: &mut dyn FnMut() -> f64) -> EngineResult<Table> {
-        let block = match self.input {
+    ///
+    /// A `LIMIT n` that may end the scan ([`Self::stop_at`]) stops it once
+    /// `n` rows have survived the WHERE: the first block is `n` rows, each
+    /// later one twice the last, up to the drain block — at most about
+    /// twice the rows the answer needs are read.
+    pub(crate) fn drain(mut self, rng: &mut dyn FnMut() -> f64) -> EngineResult<(Table, usize)> {
+        let full = match self.input {
             Input::View(_) if !self.draws => {
                 DRAIN_MORSELS_PER_WORKER * self.pool.parallelism() * MORSEL_ROWS
             }
             _ => self.total,
         };
-        while self.pos < self.total {
+        let stop = self.stop_at()?;
+        let mut block = stop.map_or(full, |n| n.min(full));
+        let short = |body: &Body, n| matches!(body, Body::Rows(rows) if rows.num_rows() < n);
+        while self.pos < self.total && stop.is_none_or(|n| short(&self.body, n)) {
             self.advance_with(block as u64, rng)?;
+            block = (2 * block).min(full);
         }
         let frame = match self.body {
             Body::Aggregate(state) => state.finish(&self.pool)?,
             Body::Rows(rows) => rows,
         };
-        self.tail.apply(frame, rng, &self.pool)
+        Ok((self.tail.apply(frame, rng, &self.pool)?, self.pos))
+    }
+
+    /// The `n` of a `LIMIT n` that ends the one-shot drain once `n` rows
+    /// have survived the WHERE.  The statement must keep its rows whole — no
+    /// aggregation, one view read block by block — with nothing in its tail
+    /// but the projection and the LIMIT (no HAVING, ORDER BY, DISTINCT or
+    /// window function), call no `rand()`, and have a WHERE, select list and
+    /// view that are [`row_local`]: reading fewer rows then changes no
+    /// value, no type and no error, so the first `n` rows kept are the
+    /// answer's.
+    fn stop_at(&self) -> EngineResult<Option<usize>> {
+        let (Input::View(view), Body::Rows(kept), Some(n)) =
+            (&self.input, &self.body, self.tail.limit)
+        else {
+            return Ok(None);
+        };
+        let tail = &self.tail;
+        if self.draws
+            || tail.having.is_some()
+            || !tail.order_by.is_empty()
+            || tail.distinct
+            || !tail.windows.is_empty()
+        {
+            return Ok(None);
+        }
+        // the rows kept so far (none, at open) hold the frame's column types
+        let frame = typed_schema(kept);
+        let items = tail.projection.iter().filter_map(SelectItem::expr);
+        let local = items.chain(&self.selection).all(|e| row_local(e, &frame));
+        Ok((local && view.row_local()?).then_some(n as usize))
     }
 
     /// The filtered frame of input rows `[start, start + len)`: the input's

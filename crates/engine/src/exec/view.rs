@@ -32,6 +32,7 @@
 
 use crate::column::Column;
 use crate::error::EngineResult;
+use crate::exec::from_clause::{row_local, typed_schema};
 use crate::exec::{default_output_name, predicate_mask_with};
 use crate::expr::{eval_expr, infer_type, EvalContext};
 use crate::parallel::ThreadPool;
@@ -220,6 +221,20 @@ impl RowView {
     /// Rows of the base table.
     pub(crate) fn num_rows(&self) -> usize {
         self.source.num_rows()
+    }
+
+    /// True when the view's own WHERE and computed items are
+    /// [`row_local`] over its base columns, typed as the source holds
+    /// them: building the frame of fewer rows then changes no value and no
+    /// error of the rows it keeps.
+    pub(crate) fn row_local(&self) -> EngineResult<bool> {
+        let no_rows = Table {
+            schema: self.scan_schema.clone(),
+            columns: self.source.read_range(Some(&self.cols), 0, 0)?,
+        };
+        let base = typed_schema(&no_rows);
+        let exprs = self.items.iter().filter_map(SelectItem::expr);
+        Ok(exprs.chain(&self.selection).all(|e| row_local(e, &base)))
     }
 
     /// The view's frame over base rows `[start, start + len)`.  Every step

@@ -51,9 +51,10 @@ pub trait ScanSource: Send + Sync {
 
 /// [`ScanSource`] over an in-memory table snapshot.
 ///
-/// Holding the `Arc` pins the snapshot: concurrent catalog writes replace
-/// the catalog's `Arc`, they never mutate this one, so an open scan keeps
-/// reading the exact table it started on.
+/// Holding the `Arc` pins the snapshot: a catalog write grows a table in
+/// place only while the catalog holds its one reference (`Arc::make_mut`),
+/// and copies it otherwise, so an open scan keeps reading the exact table
+/// it started on.
 pub struct TableSource {
     table: Arc<Table>,
 }
@@ -131,7 +132,12 @@ pub trait StoreHandle: Send + Sync + std::fmt::Debug {
     /// Atomically creates or replaces a persisted table.
     fn save(&self, key: &str, table: &Table, version: u64) -> EngineResult<()>;
 
-    /// Atomically appends a batch of rows to a persisted table.
+    /// Atomically appends a batch of rows to a persisted table, without
+    /// materialising it.  A batch whose column count differs from the
+    /// table's fails with the error [`Table::check_append_arity`] returns
+    /// and writes nothing.  A later [`load`](StoreHandle::load) folds the
+    /// batch in with [`Column::append`]'s coercions, as [`Table::append`]
+    /// would have.
     fn append(&self, key: &str, rows: &Table, version: u64) -> EngineResult<()>;
 
     /// Atomically removes a persisted table (no-op when absent).

@@ -109,15 +109,23 @@ impl Table {
         Ok(&self.columns[idx])
     }
 
-    /// Appends another table with a compatible column count (used by INSERT).
-    pub fn append(&mut self, other: &Table) -> EngineResult<()> {
-        if other.num_columns() != self.num_columns() {
+    /// The check every append makes, in memory or in a store: an INSERT is
+    /// positional, so `rows` must have as many columns as the table it goes
+    /// into (`width`).  Column types need not match ([`Column::append`]
+    /// coerces).
+    pub fn check_append_arity(width: usize, rows: &Table) -> EngineResult<()> {
+        if rows.num_columns() != width {
             return Err(EngineError::TypeMismatch(format!(
-                "cannot append table with {} columns into table with {}",
-                other.num_columns(),
-                self.num_columns()
+                "cannot append table with {} columns into table with {width}",
+                rows.num_columns()
             )));
         }
+        Ok(())
+    }
+
+    /// Appends another table with a compatible column count (used by INSERT).
+    pub fn append(&mut self, other: &Table) -> EngineResult<()> {
+        Table::check_append_arity(self.num_columns(), other)?;
         for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
             dst.append(src);
         }

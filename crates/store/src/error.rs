@@ -8,6 +8,7 @@
 //! bytes and never silently serves them.
 
 use std::fmt;
+use verdict_engine::EngineError;
 
 /// An error raised by the persistent store.
 #[derive(Debug)]
@@ -27,6 +28,9 @@ pub enum StoreError {
     InvalidName(String),
     /// The scanned table was replaced or removed while a scan was open.
     ScanInvalidated(String),
+    /// The engine's rules refuse the write (an append whose column count
+    /// differs from the table's); nothing was written.
+    Rejected(EngineError),
 }
 
 impl StoreError {
@@ -57,6 +61,7 @@ impl fmt::Display for StoreError {
             StoreError::ScanInvalidated(t) => {
                 write!(f, "scan invalidated: {t} was replaced while being read")
             }
+            StoreError::Rejected(e) => write!(f, "{e}"),
         }
     }
 }

@@ -193,7 +193,11 @@ impl Store {
         Ok(())
     }
 
-    /// Appends `rows` to the table under `key`, bumping its version.  Falls
+    /// Appends `rows` to the table under `key`, bumping its version, without
+    /// reading its data pages.  A batch whose column count differs from the
+    /// table's is [`StoreError::Rejected`] with the engine's own error.
+    /// Column types need not match: a load folds each block in with
+    /// `Column::append`'s coercions, as an in-memory append would.  Falls
     /// back to a full rewrite if the block directory outgrows the header
     /// reservation.
     pub fn append_rows(&self, key: &str, rows: &Table, version: u64) -> StoreResult<()> {
@@ -203,6 +207,7 @@ impl Store {
             .tables
             .get(key)
             .ok_or_else(|| StoreError::NotFound(key.to_string()))?;
+        Table::check_append_arity(entry.header.schema.len(), rows).map_err(StoreError::Rejected)?;
         let mut current = entry.header.clone();
         current.version = version;
         match build_append(key, &current, rows) {
@@ -217,12 +222,7 @@ impl Store {
                 // Directory overflow: load, append in memory, full rewrite.
                 drop(inner);
                 let (mut table, _) = self.load_table(key)?;
-                table.append(rows).map_err(|e| {
-                    StoreError::corruption(
-                        &table_file_name(key),
-                        format!("append schema mismatch: {e}"),
-                    )
-                })?;
+                table.append(rows).map_err(StoreError::Rejected)?;
                 self.save_table(key, &table, version)
             }
         }
@@ -348,6 +348,7 @@ impl Store {
 fn map_err(e: StoreError) -> EngineError {
     match e {
         StoreError::NotFound(t) => EngineError::TableNotFound(t),
+        StoreError::Rejected(e) => e,
         other => EngineError::Execution(format!("store: {other}")),
     }
 }
@@ -395,7 +396,7 @@ impl StoreHandle for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verdict_engine::TableBuilder;
+    use verdict_engine::{Catalog, DataType, TableBuilder};
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("verdict_store_{tag}_{}", std::process::id()));
@@ -514,6 +515,134 @@ mod tests {
             Ok(_) => panic!("corrupt header must not open cleanly"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The store as a catalog reaches it, counting loads.
+    #[derive(Debug)]
+    struct Counting {
+        store: Store,
+        loads: AtomicU64,
+    }
+
+    impl StoreHandle for Counting {
+        fn contains(&self, key: &str) -> bool {
+            self.store.contains(key)
+        }
+
+        fn table_names(&self) -> Vec<String> {
+            StoreHandle::table_names(&self.store)
+        }
+
+        fn row_count(&self, key: &str) -> Option<u64> {
+            StoreHandle::row_count(&self.store, key)
+        }
+
+        fn version(&self, key: &str) -> Option<u64> {
+            StoreHandle::version(&self.store, key)
+        }
+
+        fn load(&self, key: &str) -> EngineResult<(Table, u64)> {
+            self.loads.fetch_add(1, Ordering::SeqCst);
+            self.store.load(key)
+        }
+
+        fn save(&self, key: &str, table: &Table, version: u64) -> EngineResult<()> {
+            self.store.save(key, table, version)
+        }
+
+        fn append(&self, key: &str, rows: &Table, version: u64) -> EngineResult<()> {
+            StoreHandle::append(&self.store, key, rows, version)
+        }
+
+        fn remove(&self, key: &str) -> EngineResult<()> {
+            self.store.remove(key)
+        }
+
+        fn open_scan(&self, key: &str) -> EngineResult<Arc<dyn ScanSource>> {
+            self.store.open_scan(key)
+        }
+    }
+
+    /// A catalog over a store in `dir` that persists `t` (`table`, saved by
+    /// an earlier process), not loaded.
+    fn restored(dir: &Path, table: &Table) -> (Catalog, Arc<Counting>) {
+        Store::open(dir).unwrap().save_table("t", table, 1).unwrap();
+        let store = Arc::new(Counting {
+            store: Store::open(dir).unwrap(),
+            loads: AtomicU64::new(0),
+        });
+        let catalog = Catalog::new();
+        catalog.set_store(Arc::clone(&store) as Arc<dyn StoreHandle>);
+        (catalog, store)
+    }
+
+    /// An append to a persisted table that is not in memory reads none of
+    /// its rows, and the load that materialises it later is the table an
+    /// in-memory append builds, bit for bit — an Int batch going into a
+    /// Float column included.
+    #[test]
+    fn appends_load_nothing_and_the_later_load_equals_the_in_memory_append() {
+        let dir = tempdir("lazyappend");
+        let base = sample_table(70_000); // two blocks
+        let batch = TableBuilder::new()
+            .int_column("id", vec![70_000, 70_001, 70_002])
+            .int_column("u", vec![1, -2, 3])
+            .build()
+            .unwrap();
+        let memory = Catalog::new();
+        memory.create("t", base.clone(), false).unwrap();
+        memory.append("t", &batch).unwrap();
+        memory.append("t", &sample_table(10)).unwrap();
+
+        let (catalog, store) = restored(&dir, &base);
+        catalog.append("t", &batch).unwrap();
+        catalog.append("t", &sample_table(10)).unwrap();
+        assert_eq!(store.loads.load(Ordering::SeqCst), 0);
+        assert_eq!(catalog.row_count("t"), 70_013);
+        assert_eq!(catalog.data_version("t"), 3);
+        let loaded = catalog.get("t").unwrap();
+        assert_eq!(store.loads.load(Ordering::SeqCst), 1);
+        let expected = memory.get("t").unwrap();
+        assert_eq!(loaded.columns[1].data_type(), DataType::Float);
+        // Debug output spells every value (floats exactly) and the bitmaps
+        assert_eq!(format!("{loaded:?}"), format!("{expected:?}"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch of the wrong width is refused with one typed error whichever
+    /// path it takes — a table only in memory, a persisted one in memory, a
+    /// persisted one on disk only — and the table stays as it was.
+    #[test]
+    fn an_arity_mismatch_is_one_typed_error_on_every_path() {
+        let dir = tempdir("arity");
+        let base = sample_table(100);
+        let narrow = TableBuilder::new()
+            .int_column("id", vec![1])
+            .build()
+            .unwrap();
+        let want = EngineError::TypeMismatch(
+            "cannot append table with 1 columns into table with 2".into(),
+        );
+        let memory = Catalog::new();
+        memory.create("t", base.clone(), false).unwrap();
+        let (in_memory, in_memory_store) = restored(&dir, &base);
+        in_memory.get("t").unwrap();
+        let disk_dir = tempdir("arity_disk");
+        let (on_disk, on_disk_store) = restored(&disk_dir, &base);
+        for (path, catalog) in [
+            ("memory", &memory),
+            ("persisted, in memory", &in_memory),
+            ("persisted, on disk", &on_disk),
+        ] {
+            let before = (catalog.row_count("t"), catalog.data_version("t"));
+            assert_eq!(catalog.append("t", &narrow), Err(want.clone()), "{path}");
+            assert_eq!((catalog.row_count("t"), catalog.data_version("t")), before);
+        }
+        assert_eq!(in_memory_store.store.table_row_count("t"), Some(100));
+        assert_eq!(on_disk_store.loads.load(Ordering::SeqCst), 0);
+        assert_eq!(*on_disk.get("t").unwrap(), base);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&disk_dir).unwrap();
     }
 
     #[test]

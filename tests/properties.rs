@@ -1991,6 +1991,132 @@ fn where_conjuncts_placed_before_the_join_answer_like_filtering_the_joined_rows(
     }
 }
 
+// ===========================================================================
+// A LIMIT ends the one-shot scan at its rows
+// ===========================================================================
+
+/// `SELECT … LIMIT n` over one view stops reading once `n` rows survived the
+/// WHERE (`ProgressiveScan::drain`).  Over random tables (NULL, strings)
+/// with an `id` column holding each row's position, for `n` = 0, 1, a
+/// random `k` and more rows than the table holds, with and without a WHERE,
+/// bare and through a row-wise wrapper with a WHERE of its own, at pool
+/// sizes 1 and 4: the answer is the fully drained answer's first `n` rows,
+/// bit for bit, and `rows_scanned` lies between the rows the answer needs
+/// (`m`: the position after its `n`-th row) and `2m + n` — the first block
+/// is `n` rows and each later one doubles.
+#[test]
+fn a_limit_scan_answers_like_the_drained_scan_and_reads_about_its_rows() {
+    use verdictdb::engine::{Backend, Engine};
+
+    const FROMS: [&str; 2] = ["t", "(SELECT *, b * 2 AS d FROM t WHERE a > -15) AS v"];
+    const SELECTS: [&str; 3] = [
+        "*",
+        "id, a, s",
+        "id, b * 2.5 + a AS x, s || 'x' AS y, c AND a > 0 AS z",
+    ];
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(1_100 + seed);
+        let rows = 5_000 + rng.gen_range(0..3_000usize);
+        let random = random_table(&mut rng, rows);
+        let mut table = TableBuilder::new().int_column("id", (0..rows as i64).collect());
+        for (field, column) in random.schema.fields.iter().zip(random.columns) {
+            table = table.column(&field.name, column);
+        }
+        let table = table.build().unwrap();
+        let k = rng.gen_range(-10..10i64);
+        let wheres = [
+            String::new(),
+            format!(" WHERE a > {k}"),
+            format!(" WHERE b < {} AND c", k as f64 / 4.0),
+            " WHERE s LIKE 'a%'".into(),
+            " WHERE a IS NULL OR b > 0".into(),
+        ];
+        let limits = [0, 1, rng.gen_range(2..300usize), rows + 10];
+        for threads in [1usize, 4] {
+            let e = Engine::with_seed(seed);
+            e.set_parallelism(threads);
+            e.register_table("t", table.clone());
+            let run = |sql: &str| e.execute_sql(sql).unwrap();
+            for from in FROMS {
+                for filter in &wheres {
+                    let survivors = run(&format!("SELECT id FROM {from}{filter}")).table;
+                    for select in SELECTS {
+                        let drained = run(&format!("SELECT {select} FROM {from}{filter}")).table;
+                        for n in limits {
+                            let sql = format!("SELECT {select} FROM {from}{filter} LIMIT {n}");
+                            let case = format!("seed {seed}, {threads} thread(s): {sql}");
+                            let got = run(&sql);
+                            let want = drained.limit(n);
+                            assert_eq!(got.table.schema, want.schema, "{case}");
+                            common::assert_tables_bit_identical(&got.table, &want, &case);
+                            let needed = match n {
+                                0 => 0,
+                                n if n <= survivors.num_rows() => {
+                                    survivors.value_at(n - 1, 0).as_i64().unwrap() as usize + 1
+                                }
+                                _ => rows,
+                            };
+                            let read = got.stats.rows_scanned as usize;
+                            assert!(
+                                needed <= read && read <= (2 * needed + n).min(rows),
+                                "{case}: read {read} rows, the answer needs {needed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A `LIMIT` whose answer or error could depend on rows past its `n`-th
+/// still drains the whole input: ORDER BY, DISTINCT, HAVING without GROUP
+/// BY, a window function, `rand()`, a select list typed by its values
+/// (`coalesce`, `CASE`), and a WHERE doing arithmetic over text — whose
+/// row 100,000 fails, so the `LIMIT 1` must fail too.
+#[test]
+fn a_limit_that_later_rows_could_change_drains_the_input() {
+    use verdictdb::engine::Engine;
+
+    let rows = 100_001;
+    // `s` is NULL but at row 100,000
+    let s = (0..rows).map(|i| (i == 100_000).then(|| "x".to_string()));
+    let table = TableBuilder::new()
+        .int_column("id", (0..rows as i64).collect())
+        .opt_str_column("s", s.collect())
+        .build()
+        .unwrap();
+    let e = Engine::with_seed(5);
+    e.register_table("t", table);
+    for sql in [
+        "SELECT id FROM t ORDER BY id LIMIT 1",
+        "SELECT DISTINCT id FROM t LIMIT 1",
+        "SELECT id FROM t HAVING id >= 0 LIMIT 1",
+        "SELECT id, count(*) OVER () AS n FROM t LIMIT 1",
+        "SELECT id, rand() AS r FROM t LIMIT 1",
+        "SELECT coalesce(s, 'none') AS s FROM t LIMIT 1",
+        "SELECT CASE WHEN id > 0 THEN id END AS v FROM t LIMIT 1",
+    ] {
+        let read = e.execute_sql(sql).unwrap().stats.rows_scanned;
+        assert_eq!(read, rows as u64, "{sql}");
+    }
+    let failing = "SELECT id FROM t WHERE s + 1 > 0 OR id >= 0";
+    let error = e.execute_sql(failing).unwrap_err();
+    assert_eq!(
+        error.to_string(),
+        "type mismatch: cannot apply + to x and 1"
+    );
+    assert_eq!(
+        e.execute_sql(&format!("{failing} LIMIT 1")).unwrap_err(),
+        error
+    );
+    // without the text arithmetic the same LIMIT reads its one row
+    let stops = e
+        .execute_sql("SELECT id FROM t WHERE id >= 0 LIMIT 1")
+        .unwrap();
+    assert_eq!(stops.stats.rows_scanned, 1);
+}
+
 /// Printer stability + canonical-form idempotence over randomized VerdictDB
 /// control statements (scramble DDL, SET, BYPASS, STREAM, EXPLAIN
 /// [ANALYZE], SHOW PROFILE/METRICS): print∘parse is a fixpoint,
