@@ -74,7 +74,7 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> StoreResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(StoreError::corruption(
                 &self.file,
                 format!(
@@ -121,6 +121,44 @@ impl<'a> ByteReader<'a> {
     pub fn get_bytes(&mut self, n: usize) -> StoreResult<&'a [u8]> {
         self.take(n)
     }
+
+    /// Reads `count` fixed-width little-endian items of `width` bytes each,
+    /// after one length check for all of them.
+    pub(crate) fn get_array(
+        &mut self,
+        count: usize,
+        width: usize,
+    ) -> StoreResult<std::slice::ChunksExact<'a, u8>> {
+        let n = count.checked_mul(width).ok_or_else(|| {
+            StoreError::corruption(&self.file, format!("{count} items of {width} bytes"))
+        })?;
+        Ok(self.take(n)?.chunks_exact(width))
+    }
+
+    /// Fails unless `count` items of at least `min_width` bytes each can
+    /// still follow, so a count read off disk never sizes an allocation
+    /// larger than the bytes that back it.
+    pub(crate) fn check_count(
+        &self,
+        count: usize,
+        min_width: usize,
+        what: &str,
+    ) -> StoreResult<()> {
+        if count > self.remaining() / min_width {
+            return Err(StoreError::corruption(
+                &self.file,
+                format!(
+                    "{count} {what} cannot fit in the {} bytes left",
+                    self.remaining()
+                ),
+            ));
+        }
+        Ok(())
+    }
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().unwrap())
 }
 
 fn type_tag(dt: DataType) -> u8 {
@@ -170,6 +208,8 @@ pub fn decode_schema(r: &mut ByteReader<'_>, file: &str) -> StoreResult<Schema> 
             format!("schema declares {ncols} columns"),
         ));
     }
+    // name length, qualifier marker, type tag
+    r.check_count(ncols, 4 + 1 + 1, "columns")?;
     let mut fields = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let name = r.get_str()?;
@@ -225,7 +265,10 @@ pub fn encode_column(col: &Column, w: &mut ByteWriter) {
     }
 }
 
-/// Decodes one column segment written by [`encode_column`].
+/// Decodes one column segment written by [`encode_column`].  Every buffer
+/// it allocates is sized from bytes already checked to be present, so a
+/// row count read off disk cannot ask for more memory than the segment
+/// holds.
 pub fn decode_column(r: &mut ByteReader<'_>, file: &str) -> StoreResult<Column> {
     let dt = tag_type(r.get_u8()?, file)?;
     let nrows = r.get_u32()? as usize;
@@ -233,24 +276,21 @@ pub fn decode_column(r: &mut ByteReader<'_>, file: &str) -> StoreResult<Column> 
     let validity = match has_validity {
         0 => None,
         1 => {
-            let nwords = nrows.div_ceil(64);
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(r.get_u64()?);
+            let words = r.get_array(nrows.div_ceil(64), 8)?;
+            let tail = nrows % 64;
+            let last = words.clone().last().map_or(0, le_u64);
+            if tail != 0 && last >> tail != 0 {
+                let idx = nrows + (last >> tail).trailing_zeros() as usize;
+                return Err(StoreError::corruption(
+                    file,
+                    format!("validity bit {idx} set beyond {nrows} rows"),
+                ));
             }
             let mut bitmap = Bitmap::new_null(nrows);
-            for (i, word) in words.iter().enumerate() {
-                let mut w = *word;
+            for (i, word) in words.map(le_u64).enumerate() {
+                let mut w = word;
                 while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    let idx = i * 64 + bit;
-                    if idx >= nrows {
-                        return Err(StoreError::corruption(
-                            file,
-                            format!("validity bit {idx} set beyond {nrows} rows"),
-                        ));
-                    }
-                    bitmap.set(idx);
+                    bitmap.set(i * 64 + w.trailing_zeros() as usize);
                     w &= w - 1;
                 }
             }
@@ -265,33 +305,23 @@ pub fn decode_column(r: &mut ByteReader<'_>, file: &str) -> StoreResult<Column> 
     };
     let data = match dt {
         DataType::Int => {
-            let mut vals = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                vals.push(r.get_u64()? as i64);
-            }
-            ColumnData::Int64(vals)
+            ColumnData::Int64(r.get_array(nrows, 8)?.map(|b| le_u64(b) as i64).collect())
         }
-        DataType::Float => {
-            let mut vals = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                vals.push(f64::from_bits(r.get_u64()?));
-            }
-            ColumnData::Float64(vals)
-        }
+        DataType::Float => ColumnData::Float64(
+            r.get_array(nrows, 8)?
+                .map(|b| f64::from_bits(le_u64(b)))
+                .collect(),
+        ),
         DataType::Str => {
+            // each value carries at least its 4-byte length prefix
+            r.check_count(nrows, 4, "strings")?;
             let mut vals = Vec::with_capacity(nrows);
             for _ in 0..nrows {
                 vals.push(r.get_str()?);
             }
             ColumnData::Utf8(vals)
         }
-        DataType::Bool => {
-            let mut vals = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                vals.push(r.get_u8()? != 0);
-            }
-            ColumnData::Bool(vals)
-        }
+        DataType::Bool => ColumnData::Bool(r.get_bytes(nrows)?.iter().map(|&b| b != 0).collect()),
     };
     Ok(Column::from_parts(data, validity))
 }
@@ -375,6 +405,49 @@ mod tests {
         assert_eq!(back.fields[0].qualifier.as_deref(), Some("s"));
         assert_eq!(back.fields[1].name, "price");
         assert_eq!(back.fields[1].data_type, DataType::Float);
+    }
+
+    /// A segment that declares `u32::MAX` rows over 10 bytes is corruption
+    /// for every type, with or without a validity bitmap — never an
+    /// allocation sized from the row count.
+    #[test]
+    fn an_impossible_row_count_is_corruption_not_an_allocation() {
+        for tag in [
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Bool,
+        ]
+        .map(type_tag)
+        {
+            for validity in [0u8, 1] {
+                let mut w = ByteWriter::new();
+                w.put_u8(tag);
+                w.put_u32(u32::MAX);
+                w.put_u8(validity);
+                w.put_bytes(&[0; 4]);
+                let bytes = w.into_bytes();
+                assert_eq!(bytes.len(), 10);
+                let err = decode_column(&mut ByteReader::new(&bytes, "t"), "t").unwrap_err();
+                assert!(err.is_corruption(), "tag {tag} validity {validity}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_validity_bit_past_the_last_row_is_corruption() {
+        let mut bitmap = Bitmap::new_null(3);
+        bitmap.set(1);
+        let col = Column::from_parts(ColumnData::Int64(vec![1, 2, 3]), Some(bitmap));
+        let mut w = ByteWriter::new();
+        encode_column(&col, &mut w);
+        let mut bytes = w.into_bytes();
+        bytes[6] |= 1 << 3; // row 3 of a 3-row segment
+        let err = decode_column(&mut ByteReader::new(&bytes, "t"), "t").unwrap_err();
+        assert!(
+            err.to_string().contains("validity bit 3 set beyond 3 rows"),
+            "{err}"
+        );
     }
 
     #[test]

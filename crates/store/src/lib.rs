@@ -12,7 +12,7 @@
 //!    data file is touched, so a crash at any instant leaves each table
 //!    either fully old or fully new.  Recovery on open replays committed
 //!    transactions and discards torn tails.
-//! 2. **Integrity.** Every 8 KiB page carries an FNV-1a 64 checksum
+//! 2. **Integrity.** Every 8 KiB page carries an XXH64 checksum
 //!    ([`page`]).  Torn writes, truncation, and bit flips surface as typed
 //!    [`StoreError::Corruption`] errors — never a panic, never a silently
 //!    wrong answer.

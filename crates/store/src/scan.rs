@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use verdict_engine::{Column, EngineError, EngineResult, ScanSource, Schema, Table};
+use verdict_engine::{Column, DataType, EngineError, EngineResult, ScanSource, Schema, Table};
 
 /// A read-only, header-pinned scan over one persisted table.
 #[derive(Debug)]
@@ -121,19 +121,53 @@ impl StoreScan {
         Ok(out)
     }
 
-    /// Empty typed columns for the fields `cols` selects.
-    fn empty_columns(&self, cols: Option<&[usize]>) -> Vec<Column> {
+    /// The schema types of the fields `cols` selects.
+    fn field_types(&self, cols: Option<&[usize]>) -> Vec<DataType> {
         let fields = &self.header.schema.fields;
         match cols {
-            Some(idx) => idx
-                .iter()
-                .map(|&c| Column::new_empty(fields[c].data_type))
-                .collect(),
-            None => fields
-                .iter()
-                .map(|f| Column::new_empty(f.data_type))
-                .collect(),
+            Some(idx) => idx.iter().map(|&c| fields[c].data_type).collect(),
+            None => fields.iter().map(|f| f.data_type).collect(),
         }
+    }
+
+    /// Reads the parts `part` cuts from each block in `ranges` (block index,
+    /// then the part's arguments) and joins them per column.  Joining is
+    /// `Column::append` onto an empty column of the schema type; the first
+    /// part is returned as it is when its type already is the schema's,
+    /// which is the same column without the copy.
+    fn read_parts<R>(
+        &self,
+        cols: Option<&[usize]>,
+        ranges: impl Iterator<Item = (usize, R)>,
+        part: impl Fn(&Column, &R) -> Column,
+    ) -> StoreResult<Vec<Column>> {
+        self.check_generation()?;
+        let types = self.field_types(cols);
+        let mut out: Option<Vec<Column>> = None;
+        for (block, range) in ranges {
+            let decoded = self.block_columns(block, cols)?;
+            let parts = decoded.iter().map(|col| part(col, &range));
+            match &mut out {
+                None => {
+                    out = Some(
+                        parts
+                            .zip(&types)
+                            .map(|(p, &dt)| {
+                                if p.data_type() == dt {
+                                    p
+                                } else {
+                                    let mut acc = Column::new_empty(dt);
+                                    acc.append(&p);
+                                    acc
+                                }
+                            })
+                            .collect(),
+                    )
+                }
+                Some(acc) => acc.iter_mut().zip(parts).for_each(|(a, p)| a.append(&p)),
+            }
+        }
+        Ok(out.unwrap_or_else(|| types.into_iter().map(Column::new_empty).collect()))
     }
 
     fn read_range_inner(
@@ -142,42 +176,36 @@ impl StoreScan {
         start: usize,
         len: usize,
     ) -> StoreResult<Vec<Column>> {
-        self.check_generation()?;
-        let mut out = self.empty_columns(cols);
         let end = start + len;
         let mut row = start;
-        while row < end {
-            let block = self.block_of(row);
-            let lo = row - self.block_starts[block];
-            let take = end.min(self.block_starts[block + 1]) - row;
-            let decoded = self.block_columns(block, cols)?;
-            for (acc, col) in out.iter_mut().zip(&decoded) {
-                acc.append(&col.slice(lo, take));
-            }
-            row += take;
-        }
-        Ok(out)
+        let ranges = std::iter::from_fn(|| {
+            (row < end).then(|| {
+                let block = self.block_of(row);
+                let lo = row - self.block_starts[block];
+                let take = end.min(self.block_starts[block + 1]) - row;
+                row += take;
+                (block, (lo, take))
+            })
+        });
+        self.read_parts(cols, ranges, |col, &(lo, take)| col.slice(lo, take))
     }
 
     fn gather_inner(&self, cols: Option<&[usize]>, rows: &[usize]) -> StoreResult<Vec<Column>> {
-        self.check_generation()?;
-        let mut out = self.empty_columns(cols);
         let mut i = 0;
-        while i < rows.len() {
-            let block = self.block_of(rows[i]);
-            let block_start = self.block_starts[block];
-            let block_end = self.block_starts[block + 1];
-            let mut rel = Vec::new();
-            while i < rows.len() && rows[i] >= block_start && rows[i] < block_end {
-                rel.push(rows[i] - block_start);
-                i += 1;
-            }
-            let decoded = self.block_columns(block, cols)?;
-            for (acc, col) in out.iter_mut().zip(&decoded) {
-                acc.append(&col.take(&rel));
-            }
-        }
-        Ok(out)
+        let ranges = std::iter::from_fn(|| {
+            (i < rows.len()).then(|| {
+                let block = self.block_of(rows[i]);
+                let (block_start, block_end) =
+                    (self.block_starts[block], self.block_starts[block + 1]);
+                let mut rel = Vec::new();
+                while i < rows.len() && rows[i] >= block_start && rows[i] < block_end {
+                    rel.push(rows[i] - block_start);
+                    i += 1;
+                }
+                (block, rel)
+            })
+        });
+        self.read_parts(cols, ranges, |col, rel| col.take(rel))
     }
 
     /// Materializes the whole table plus its persisted version.

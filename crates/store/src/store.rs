@@ -10,7 +10,9 @@
 //! metadata atomically alongside the scramble bytes.
 
 use crate::error::{StoreError, StoreResult};
-use crate::page::{encode_page, pages_for, read_payload, split_payload};
+use crate::page::{
+    encode_page, pages_for, read_payload, read_raw_pages, split_payload, verify_pages, PAGE_HEADER,
+};
 use crate::scan::StoreScan;
 use crate::tablefile::{build_append, build_full, read_header, table_file_name, TableHeader};
 use crate::wal::{Wal, WalOp};
@@ -22,8 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use verdict_engine::{EngineError, EngineResult, ScanSource, StoreHandle, Table};
 
-/// Magic prefix of blob files.
-pub const BLOB_MAGIC: &[u8; 8] = b"VDBBLOB1";
+/// Magic prefix of blob files; its last byte is the format version (2:
+/// pages checksummed with XXH64).
+pub const BLOB_MAGIC: &[u8; 8] = b"VDBBLOB2";
 
 /// Rows per block in newly written table files.  Matches the engine's morsel
 /// size so progressive `BlockScan` streams whole blocks straight off disk.
@@ -333,9 +336,24 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let head = crate::page::read_page(&mut f, 0, &file)?;
-        if head.len() < 16 || &head[0..8] != BLOB_MAGIC {
-            return Err(StoreError::corruption(&file, "bad blob magic"));
+        // The magic carries the format, and is read before the head page's
+        // checksum, whose algorithm depends on the format.
+        let raw = read_raw_pages(&mut f, 0, 1, &file)?;
+        let magic = &raw[PAGE_HEADER..PAGE_HEADER + 8];
+        if magic != BLOB_MAGIC {
+            let detail = if magic[..7] == BLOB_MAGIC[..7] && magic[7].is_ascii_digit() {
+                format!(
+                    "blob in format version {}; this build reads format version {}",
+                    magic[7] as char, BLOB_MAGIC[7] as char
+                )
+            } else {
+                "bad blob magic".to_string()
+            };
+            return Err(StoreError::corruption(&file, detail));
+        }
+        let head = verify_pages(raw, 0, &file)?;
+        if head.len() < 16 {
+            return Err(StoreError::corruption(&file, "blob head page too short"));
         }
         let len = u64::from_le_bytes(head[8..16].try_into().unwrap()) as usize;
         let npages = pages_for(len);
@@ -495,6 +513,42 @@ mod tests {
             store.get_blob("verdict_meta").unwrap().unwrap(),
             b"small now"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn reframe_as_format_1(path: &Path, edit: impl Fn(&mut [u8])) {
+        let old = crate::page::in_format_1(&std::fs::read(path).unwrap(), edit);
+        std::fs::write(path, old).unwrap();
+    }
+
+    /// Files the previous format wrote — a table file and a blob — are
+    /// refused with a typed error that names their format version.
+    #[test]
+    fn format_1_files_are_refused_by_name() {
+        let dir = tempdir("format1");
+        {
+            let store = Store::open(&dir).unwrap();
+            store.save_table("t", &sample_table(10), 1).unwrap();
+            store.put_blob("verdict_meta", b"metadata").unwrap();
+        }
+        reframe_as_format_1(&dir.join("verdict_meta.blob"), |p| {
+            p[..8].copy_from_slice(b"VDBBLOB1")
+        });
+        let store = Store::open(&dir).unwrap();
+        let err = store.get_blob("verdict_meta").unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        drop(store);
+        reframe_as_format_1(&dir.join("t.tbl"), |p| {
+            p[8..12].copy_from_slice(&1u32.to_le_bytes())
+        });
+        match Store::open(&dir) {
+            Err(e) => {
+                assert!(e.is_corruption(), "{e}");
+                assert!(e.to_string().contains("format version 1"), "{e}");
+            }
+            Ok(_) => panic!("a format 1 table file must not open"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,7 @@
 //! Header payload (concatenated across the header pages):
 //!
 //! ```text
-//! magic "VDBSTOR1"  | format: u32 (=1) | page_size: u32 | header_pages: u32
+//! magic "VDBSTOR1"  | format: u32 (=2) | page_size: u32 | header_pages: u32
 //! data_version: u64 | block_rows: u32  | total_rows: u64
 //! schema            | nblocks: u32
 //! per block:  rows: u32, then per column: first_page u64, npages u32, nbytes u64
@@ -28,15 +28,19 @@ use crate::codec::{
     decode_column, decode_schema, encode_column, encode_schema, ByteReader, ByteWriter,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::page::{encode_page, pages_for, read_page, split_payload, PAGE_SIZE};
+use crate::page::{
+    encode_page, pages_for, read_payload, read_raw_pages, split_payload, verify_pages, PAGE_HEADER,
+    PAGE_SIZE,
+};
 use crate::wal::WalOp;
 use std::io::{Read, Seek};
 use verdict_engine::{Schema, Table};
 
 /// File-format magic for table files.
 pub const TABLE_MAGIC: &[u8; 8] = b"VDBSTOR1";
-/// Current table file format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current table file format version: 2 checksums pages with XXH64 (1 used
+/// FNV-1a, and is refused by name).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Location of one column segment within the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,21 +157,32 @@ pub fn header_ops(header: &TableHeader, file: &str) -> Option<Vec<WalOp>> {
     )
 }
 
-/// Reads and validates the header of an open table file.
-pub fn read_header<F: Read + Seek>(f: &mut F, file: &str) -> StoreResult<TableHeader> {
-    let first = read_page(f, 0, file)?;
-    let mut r = ByteReader::new(&first, file);
-    let magic = r.get_bytes(8)?;
-    if magic != TABLE_MAGIC {
+/// Refuses page 0 of a file that is not a table file of this format, by
+/// its magic and version, before the page checksum is checked: how a page
+/// is checksummed depends on the format, so an older file would otherwise
+/// read as a checksum mismatch instead of as the format it is.
+fn check_format(raw: &[u8], file: &str) -> StoreResult<()> {
+    let head = &raw[PAGE_HEADER..PAGE_HEADER + 12];
+    if head[..8] != TABLE_MAGIC[..] {
         return Err(StoreError::corruption(file, "bad magic"));
     }
-    let format = r.get_u32()?;
+    let format = u32::from_le_bytes(head[8..12].try_into().unwrap());
     if format != FORMAT_VERSION {
         return Err(StoreError::corruption(
             file,
-            format!("unsupported format version {format}"),
+            format!("table file in format version {format}; this build reads format version {FORMAT_VERSION}"),
         ));
     }
+    Ok(())
+}
+
+/// Reads and validates the header of an open table file.
+pub fn read_header<F: Read + Seek>(f: &mut F, file: &str) -> StoreResult<TableHeader> {
+    let raw = read_raw_pages(f, 0, 1, file)?;
+    check_format(&raw, file)?;
+    let mut payload = verify_pages(raw, 0, file)?;
+    let mut r = ByteReader::new(&payload, file);
+    let _ = r.get_bytes(8 + 4)?; // magic, format
     let page_size = r.get_u32()?;
     if page_size != PAGE_SIZE as u32 {
         return Err(StoreError::corruption(
@@ -182,28 +197,21 @@ pub fn read_header<F: Read + Seek>(f: &mut F, file: &str) -> StoreResult<TableHe
             format!("implausible header page count {header_pages}"),
         ));
     }
-    // Re-read the full header payload across all header pages, then re-parse
-    // from the top so multi-page headers work uniformly.
-    let mut payload = first.clone();
-    for p in 1..header_pages as u64 {
-        payload.extend_from_slice(&read_page(f, p, file)?);
+    // Read the rest of the header payload, then re-parse from the top so
+    // multi-page headers work uniformly.
+    if header_pages > 1 {
+        let rest = read_raw_pages(f, 1, header_pages as u64 - 1, file)?;
+        payload.extend_from_slice(&verify_pages(rest, 1, file)?);
     }
     let mut r = ByteReader::new(&payload, file);
-    let _ = r.get_bytes(8)?; // magic
-    let _ = r.get_u32()?; // format
-    let _ = r.get_u32()?; // page size
-    let _ = r.get_u32()?; // header pages
+    let _ = r.get_bytes(8 + 4 + 4 + 4)?; // magic, format, page size, header pages
     let version = r.get_u64()?;
     let block_rows = r.get_u32()?;
     let total_rows = r.get_u64()?;
     let schema = decode_schema(&mut r, file)?;
     let nblocks = r.get_u32()? as usize;
-    if nblocks > 1 << 30 {
-        return Err(StoreError::corruption(
-            file,
-            format!("implausible block count {nblocks}"),
-        ));
-    }
+    // rows, then first_page / npages / nbytes per column
+    r.check_count(nblocks, 4 + schema.len() * (8 + 4 + 8), "blocks")?;
     let mut blocks = Vec::with_capacity(nblocks);
     let mut rows_sum = 0u64;
     for _ in 0..nblocks {
@@ -370,7 +378,7 @@ pub fn read_chunk<F: Read + Seek>(
     file: &str,
     pages_read: &mut u64,
 ) -> StoreResult<verdict_engine::Column> {
-    let payload = crate::page::read_payload(
+    let payload = read_payload(
         f,
         chunk.first_page,
         chunk.npages as u64,
@@ -492,6 +500,72 @@ mod tests {
         let back = read_all(&bytes, &back_header);
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.schema.len(), 2);
+    }
+
+    /// Reads the header and then every column segment of a table file.
+    fn read_everything(bytes: &[u8]) -> StoreResult<()> {
+        let mut cur = Cursor::new(bytes);
+        let header = read_header(&mut cur, "t")?;
+        let mut pages = 0;
+        for block in &header.blocks {
+            for chunk in &block.chunks {
+                read_chunk(&mut cur, chunk, "t", &mut pages)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn small_table() -> Table {
+        TableBuilder::new()
+            .int_column("id", (0..10).collect())
+            .float_column("u", (0..10).map(|i| i as f64 / 3.0).collect())
+            .str_column("s", (0..10).map(|i| format!("é{i}")).collect())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_format_1_file_is_refused_by_its_version() {
+        let (_, ops) = build_full("t", &small_table(), 1, 256);
+        let bytes = materialize(&ops);
+        read_everything(&bytes).unwrap();
+        let old =
+            crate::page::in_format_1(&bytes, |p| p[8..12].copy_from_slice(&1u32.to_le_bytes()));
+        let err = read_header(&mut Cursor::new(&old), "t").unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        // The data pages are the same bytes in both formats; only the
+        // checksum fields differ.
+        for (a, b) in bytes.chunks(PAGE_SIZE).zip(old.chunks(PAGE_SIZE)).skip(1) {
+            assert_eq!(a[..4], b[..4]);
+            assert_eq!(a[PAGE_HEADER..], b[PAGE_HEADER..]);
+        }
+    }
+
+    /// Every byte a page's checksum or length covers, flipped alone, in
+    /// the header pages and in the data pages, reads as corruption.
+    #[test]
+    fn every_single_byte_flip_reads_as_corruption() {
+        let (header, ops) = build_full("t", &small_table(), 1, 256);
+        let mut bytes = materialize(&ops);
+        assert!(header.end_page() > header.header_pages as u64);
+        read_everything(&bytes).unwrap();
+        let mut flips = 0;
+        for page in 0..bytes.len() / PAGE_SIZE {
+            let at = page * PAGE_SIZE;
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            for i in at..at + PAGE_HEADER + len {
+                bytes[i] ^= 0xff;
+                match read_everything(&bytes) {
+                    Err(e) if e.is_corruption() => {}
+                    other => panic!("flip at page {page} byte {}: {other:?}", i - at),
+                }
+                bytes[i] ^= 0xff;
+                flips += 1;
+            }
+        }
+        assert!(flips > 300, "{flips}");
+        read_everything(&bytes).unwrap();
     }
 
     #[test]

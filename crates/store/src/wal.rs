@@ -26,10 +26,16 @@
 //!
 //! The checksum is FNV-1a 64 over kind, txid, and payload bytes, so a torn
 //! or partially-written record at the tail is detected rather than replayed.
+//!
+//! Records keep FNV-1a although pages moved to XXH64 (format 2): the log
+//! carries no format marker, so a new record checksum would make a log left
+//! by a crashed older build read as one torn tail, and recovery would drop
+//! its committed transactions without a word.  The log is small (a REFRESH
+//! logs a few dozen page images), so its checksum is not on a hot path.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{StoreError, StoreResult};
-use crate::page::{fnv1a, PAGE_SIZE};
+use crate::page::PAGE_SIZE;
 use crate::store::Counters;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -72,6 +78,16 @@ pub struct Wal {
     file: File,
     next_txid: u64,
     stats: Arc<Counters>,
+}
+
+/// FNV-1a 64-bit hash (the WAL record checksum).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 fn encode_record(kind: u8, txid: u64, payload: &[u8]) -> Vec<u8> {
