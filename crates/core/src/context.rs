@@ -63,6 +63,21 @@ pub struct VerdictAnswer {
 }
 
 impl VerdictAnswer {
+    /// An exact answer computed in-process, with nothing sent to the
+    /// backend: a system relation's rows, or an `EXPLAIN` table.
+    pub(crate) fn in_process(table: Table) -> VerdictAnswer {
+        VerdictAnswer {
+            table,
+            exact: true,
+            cached: false,
+            errors: Vec::new(),
+            rewritten_sql: Vec::new(),
+            elapsed: Duration::ZERO,
+            rows_scanned: 0,
+            used_samples: Vec::new(),
+        }
+    }
+
     /// The largest estimated relative error across all aggregate columns.
     pub fn max_relative_error(&self) -> f64 {
         self.errors
@@ -100,6 +115,10 @@ pub(crate) struct StreamCounters {
     pub(crate) fallbacks: std::sync::atomic::AtomicU64,
 }
 
+/// Extra `verdict_stats` rows of one section, read at every scrape; `None`
+/// once their owner is gone (see [`VerdictContext::set_stats_source`]).
+pub type StatsSource = Box<dyn Fn() -> Option<Vec<(&'static str, u64)>> + Send + Sync>;
+
 /// The VerdictDB middleware instance.
 pub struct VerdictContext {
     /// The active backend, wrapped in routing instrumentation.  Kept as a
@@ -123,6 +142,9 @@ pub struct VerdictContext {
     /// (see [`crate::obs`]).  Served by `EXPLAIN ANALYZE`, `SHOW PROFILE`,
     /// and `SHOW METRICS`.
     pub(crate) obs: Obs,
+    /// The embedding layer's section of `verdict_stats` (the server's
+    /// `serving` counters), if one is installed.
+    stats_source: parking_lot::RwLock<Option<(&'static str, StatsSource)>>,
 }
 
 /// Key of the store blob holding the serialized sample-metadata registry.
@@ -149,6 +171,7 @@ impl VerdictContext {
             streams: StreamCounters::default(),
             store: None,
             obs: Obs::default(),
+            stats_source: Default::default(),
         }
     }
 
@@ -567,7 +590,7 @@ impl VerdictContext {
     /// [`VerdictAnswer::cached`] set.
     pub fn execute(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
         let stmt = verdict_sql::parse_statement(sql)?;
-        let route = Route::of(&stmt, false).unwrap_or(Route::Approximate);
+        let route = Route::of(&stmt, false)?.unwrap_or(Route::Approximate);
         self.run_statement(&stmt, sql, &self.config, route, "none")
             .map(|(answer, _)| answer)
     }
@@ -575,17 +598,26 @@ impl VerdictContext {
     /// Executes the original statement exactly on the base tables.
     pub fn execute_exact(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
         let stmt = verdict_sql::parse_statement(sql)?;
-        self.run_statement(&stmt, sql, &self.config, Route::Exact, "none")
+        let route = Route::of(&stmt, true)?.unwrap_or(Route::Exact);
+        self.run_statement(&stmt, sql, &self.config, route, "none")
             .map(|(answer, _)| answer)
     }
 
     // ------------------------------------------------------------------
-    // Observability surface (SHOW METRICS)
+    // Observability surface (verdict_stats, verdict_metrics)
     // ------------------------------------------------------------------
 
-    /// Every middleware counter and gauge as `(section, stat, value)` — the
-    /// one list behind both `SHOW STATS` (these rows, sorted) and `SHOW
-    /// METRICS` (as `verdict_<stat>[_total]` series).
+    /// Installs the one extra section of `verdict_stats`, replacing any
+    /// earlier one.  The server installs `serving` over a `Weak` to its own
+    /// state, so a stopped server's rows drop out instead of being kept
+    /// alive by the context.
+    pub fn set_stats_source(&self, section: &'static str, source: StatsSource) {
+        *self.stats_source.write() = Some((section, source));
+    }
+
+    /// Every counter and gauge as `(section, stat, value)` — the one list
+    /// behind both `verdict_stats` (these rows, sorted) and
+    /// `verdict_metrics` (as `verdict_<stat>[_total]` series).
     pub(crate) fn stat_rows(&self) -> Vec<(&'static str, String, u64)> {
         let cache = self.cache_stats();
         let streams = self.stream_stats();
@@ -636,28 +668,39 @@ impl VerdictContext {
             rows.push(("store", "store_wal_records".into(), store.wal_records));
             rows.push(("store", "store_wal_syncs".into(), store.wal_syncs));
         }
+        // The embedding layer's section, while its owner is alive.
+        if let Some((section, source)) = &*self.stats_source.read() {
+            for (stat, v) in source().unwrap_or_default() {
+                rows.push((section, stat.to_string(), v));
+            }
+        }
         rows
     }
 
-    /// Renders the full metrics exposition (`SHOW METRICS`):
-    /// observability-registry counters and histograms plus the
-    /// `stat_rows` cache, backend, stream, and store series, in
-    /// Prometheus text format.  Serving-layer gauges (queue depth, sessions)
-    /// are appended by the server on top.
+    /// Renders the full metrics exposition (`verdict_metrics`):
+    /// observability-registry counters and histograms plus every
+    /// `stat_rows` series, in Prometheus text format.
     pub fn metrics_text(&self) -> String {
-        const GAUGES: [&str; 3] = ["cache_capacity", "cache_entries", "scrambles"];
-        let (gauges, counters): (Vec<_>, Vec<_>) = self
-            .stat_rows()
-            .into_iter()
-            .partition(|(_, stat, _)| GAUGES.contains(&stat.as_str()));
-        let gauges: Vec<(String, u64)> = gauges
-            .into_iter()
-            .map(|(_, stat, v)| (format!("verdict_{stat}"), v))
-            .collect();
-        let counters: Vec<(String, u64)> = counters
-            .into_iter()
-            .map(|(_, stat, v)| (format!("verdict_{stat}_total"), v))
-            .collect();
+        // Levels, not counts; every other stat is a `_total` counter.
+        const GAUGES: [&str; 10] = [
+            "cache_capacity",
+            "cache_entries",
+            "scrambles",
+            "draining",
+            "exec_workers",
+            "io_shards",
+            "queue_capacity",
+            "queue_depth",
+            "queue_peak_depth",
+            "sessions_active",
+        ];
+        let (mut counters, mut gauges) = (Vec::new(), Vec::new());
+        for (_, stat, v) in self.stat_rows() {
+            match GAUGES.contains(&stat.as_str()) {
+                true => gauges.push((format!("verdict_{stat}"), v)),
+                false => counters.push((format!("verdict_{stat}_total"), v)),
+            }
+        }
         self.obs.render_prometheus(&counters, &gauges)
     }
 

@@ -76,6 +76,7 @@ pub mod sample;
 pub mod session;
 pub mod shed;
 pub mod stats;
+pub mod system;
 
 pub use answer::{AggEstimate, ColumnErrorSummary};
 pub use backend::{BackendStats, DialectBackend};

@@ -466,11 +466,10 @@ impl Obs {
             "verdict_slow_queries_total {}\n",
             self.slow_queries()
         ));
-        for (name, v) in counters {
-            append_counter(&mut out, name, *v);
-        }
-        for (name, v) in gauges {
-            append_gauge(&mut out, name, *v);
+        for (kind, series) in [("counter", counters), ("gauge", gauges)] {
+            for (name, v) in series {
+                out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
+            }
         }
         render_histogram_family(
             &mut out,
@@ -486,16 +485,6 @@ impl Obs {
         );
         out
     }
-}
-
-/// Appends one `# TYPE … counter` line pair to a metrics exposition.
-pub fn append_counter(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-}
-
-/// Appends one `# TYPE … gauge` line pair to a metrics exposition.
-pub fn append_gauge(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
 }
 
 fn render_histogram_family<'a>(

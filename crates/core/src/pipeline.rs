@@ -14,6 +14,7 @@
 //! | statement | stages |
 //! |---|---|
 //! | `SELECT` | all of them ([`VerdictContext::run_statement`], [`Route::Approximate`]) |
+//! | `SELECT` over system relations alone (`SHOW …`) | `control` only ([`Route::System`], answered in-process) |
 //! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
 //! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
 //! | `STREAM`, single frame | as `SELECT`, minus `cache_probe` ([`Route::ApproximateSkipCacheRead`]); planned when the stream opens, run on its one pull |
@@ -35,7 +36,7 @@ use crate::planner::{PlanningContext, SamplePlan, SamplePlanner};
 use crate::rewrite::{analyze_query, rewrite, RewriteOutput};
 use std::collections::HashMap;
 use std::time::Duration;
-use verdict_engine::{QueryResult, Table, TableBuilder};
+use verdict_engine::{QueryResult, TableBuilder};
 use verdict_sql::ast::{Query, Statement};
 use verdict_sql::dialect::GenericDialect;
 use verdict_sql::printer::{print_query, print_statement};
@@ -55,13 +56,21 @@ pub enum Route {
     /// Run the statement as written on the base tables; the cache is
     /// neither read nor written.
     Exact,
+    /// A query over system relations alone ([`crate::system`]): answered
+    /// in-process, never sent to the backend, never cached.
+    System,
 }
 
 impl Route {
     /// The route a statement takes (`bypass` is the session-wide `SET bypass
-    /// = on`), or `None` for statements that never enter the pipeline
-    /// (`EXPLAIN`, scramble DDL, `SET`, `SHOW …`).
-    pub fn of(stmt: &Statement, bypass: bool) -> Option<Route> {
+    /// = on`, which a system query ignores), or `None` for statements that
+    /// never enter the pipeline (`EXPLAIN`, scramble DDL, `SET`).  A
+    /// statement that uses a system relation name in any other way than a
+    /// query over system relations alone is refused.
+    pub fn of(stmt: &Statement, bypass: bool) -> VerdictResult<Option<Route>> {
+        if crate::system::reads_only_system(stmt)? {
+            return Ok(Some(Route::System));
+        }
         let route = match stmt {
             Statement::Bypass(_) => Route::Exact,
             Statement::Stream(_) => Route::ApproximateSkipCacheRead,
@@ -69,9 +78,9 @@ impl Route {
             | Statement::CreateTableAs { .. }
             | Statement::DropTable { .. }
             | Statement::InsertIntoSelect { .. } => Route::Approximate,
-            _ => return None,
+            _ => return Ok(None),
         };
-        Some(if bypass { Route::Exact } else { route })
+        Ok(Some(if bypass { Route::Exact } else { route }))
     }
 }
 
@@ -133,7 +142,10 @@ impl VerdictContext {
         route: Route,
         shed_tier: &'static str,
     ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
-        let class = statement_class(stmt);
+        let class = match route {
+            Route::System => "show",
+            _ => statement_class(stmt),
+        };
         let (query, inner) = match stmt {
             Statement::Bypass(inner) => (None, Some(print_statement(inner, self.dialect()))),
             Statement::Stream(q) => (Some(q.as_ref()), Some(print_query(q, self.dialect()))),
@@ -160,6 +172,10 @@ impl VerdictContext {
         if route == Route::Exact {
             tb.begin("passthrough");
             return self.passthrough(sql);
+        }
+        if let (Route::System, Some(query)) = (route, query) {
+            tb.begin("control");
+            return self.answer_system(query);
         }
         tb.begin("canonicalize");
         let key = query.and_then(|q| self.cache_key(q, config));
@@ -399,14 +415,9 @@ impl VerdictContext {
     pub(crate) fn passthrough(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
         let result = self.conn.execute(sql)?;
         Ok(VerdictAnswer {
-            table: result.table,
-            exact: true,
-            cached: false,
-            errors: Vec::new(),
             rewritten_sql: vec![sql.to_string()],
-            elapsed: Duration::ZERO,
             rows_scanned: result.stats.rows_scanned,
-            used_samples: Vec::new(),
+            ..VerdictAnswer::in_process(result.table)
         })
     }
 
@@ -576,16 +587,20 @@ impl VerdictContext {
         sql: &str,
         config: &VerdictConfig,
         shed_tier: &'static str,
-    ) -> VerdictResult<Table> {
+    ) -> VerdictResult<VerdictAnswer> {
         let mut open = self.open_trace();
         let rows = self.explain_rows(stmt, config, &mut open.tb)?;
-        self.close_trace(open, "explain", sql, config, shed_tier, None);
+        let trace = self.close_trace(open, "explain", sql, config, shed_tier, None);
         let (items, values) = rows.into_iter().unzip();
-        TableBuilder::new()
+        let table = TableBuilder::new()
             .str_column("item", items)
             .str_column("value", values)
             .build()
-            .map_err(|e| VerdictError::Answer(format!("EXPLAIN table construction failed: {e}")))
+            .map_err(|e| VerdictError::Answer(format!("EXPLAIN table construction failed: {e}")))?;
+        Ok(VerdictAnswer {
+            elapsed: trace.total,
+            ..VerdictAnswer::in_process(table)
+        })
     }
 
     fn explain_rows(
@@ -598,22 +613,32 @@ impl VerdictContext {
         let mut row = |item: &str, value: String| rows.push((item.to_string(), value));
         // Unwrap execution-mode wrappers so the plan describes the query the
         // wrapper would run.
+        let class = match Route::of(stmt, false)? {
+            Some(Route::System) => "show",
+            _ => statement_class(stmt),
+        };
+        row("statement", class.into());
         let query = match stmt {
-            Statement::Query(q) | Statement::Stream(q) => q.as_ref(),
+            Statement::Query(q) | Statement::Stream(q) if class != "show" => q.as_ref(),
             other => {
                 tb.begin("control");
-                row("statement", statement_class(other).into());
                 match other {
                     Statement::Bypass(inner) => {
                         row("plan", "exact (bypass)".into());
                         row("sql", print_statement(inner, self.dialect()));
                     }
-                    _ => row("plan", "passthrough to backend".into()),
+                    Statement::Query(_) => row("plan", "system relation (in-process)".into()),
+                    Statement::SetOption { .. } => row("plan", "session option".into()),
+                    Statement::CreateTableAs { .. }
+                    | Statement::DropTable { .. }
+                    | Statement::InsertIntoSelect { .. } => {
+                        row("plan", "passthrough to backend".into())
+                    }
+                    _ => row("plan", "scramble maintenance".into()),
                 }
                 return Ok(rows);
             }
         };
-        row("statement", statement_class(stmt).into());
         tb.begin("canonicalize");
         let cacheable = self.cache_key(query, config).is_some();
         row("cacheable", if cacheable { "yes" } else { "no" }.into());
@@ -667,10 +692,6 @@ pub fn statement_class(stmt: &Statement) -> &'static str {
         Statement::Stream(_) => "stream",
         Statement::Explain { .. } => "explain",
         Statement::SetOption { .. } => "set",
-        Statement::ShowScrambles
-        | Statement::ShowStats
-        | Statement::ShowProfile { .. }
-        | Statement::ShowMetrics => "show",
         Statement::CreateTableAs { .. }
         | Statement::DropTable { .. }
         | Statement::InsertIntoSelect { .. }

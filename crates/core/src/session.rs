@@ -30,7 +30,6 @@ use crate::error::{VerdictError, VerdictResult};
 use crate::obs::QueryTrace;
 use crate::pipeline::{statement_class, Route};
 use crate::progress::ProgressStream;
-use crate::sample::maintenance::Staleness;
 use crate::sample::{SampleMeta, SampleType};
 use std::sync::Arc;
 use verdict_engine::{Table, TableBuilder};
@@ -136,7 +135,9 @@ impl QueryOptions {
 /// The unified result of one SQL statement executed on a [`VerdictSession`].
 #[derive(Debug, Clone)]
 pub enum VerdictResponse {
-    /// A query answer (`SELECT`, `STREAM`, `BYPASS`, or passthrough DDL/DML).
+    /// A query answer (`SELECT`, `STREAM`, `BYPASS`, or passthrough DDL/DML)
+    /// — also the table of a `SHOW …` (a query over system relations) and of
+    /// `EXPLAIN [ANALYZE]`, both exact.
     Answer(VerdictAnswer),
     /// Scrambles built by `CREATE SCRAMBLE` / `CREATE SCRAMBLES`.
     ScramblesCreated(Vec<SampleMeta>),
@@ -144,17 +145,6 @@ pub enum VerdictResponse {
     ScramblesDropped(usize),
     /// Number of scrambles refreshed/rebuilt by `REFRESH SCRAMBLE[S]`.
     ScramblesRefreshed(usize),
-    /// The `SHOW SCRAMBLES` listing.
-    Scrambles(Table),
-    /// The `SHOW STATS` listing.
-    Stats(Table),
-    /// The `EXPLAIN [ANALYZE]` listing: plan description (plain `EXPLAIN`)
-    /// or the executed statement's span tree with attribution (`ANALYZE`).
-    Explain(Table),
-    /// The `SHOW PROFILE` listing: recent traces from the ring.
-    Profile(Table),
-    /// The `SHOW METRICS` Prometheus-style text exposition.
-    Metrics(String),
     /// Acknowledgement of `SET <option> = <value>` (normalised name/value).
     OptionSet {
         /// The canonical option name.
@@ -165,17 +155,10 @@ pub enum VerdictResponse {
 }
 
 impl VerdictResponse {
-    /// The tabular part of the response, if any (`Answer`, `Scrambles`,
-    /// `Stats`, `Explain`, `Profile`).
+    /// The tabular part of the response: the answer's table, if this is an
+    /// answer.
     pub fn table(&self) -> Option<&Table> {
-        match self {
-            VerdictResponse::Answer(a) => Some(&a.table),
-            VerdictResponse::Scrambles(t)
-            | VerdictResponse::Stats(t)
-            | VerdictResponse::Explain(t)
-            | VerdictResponse::Profile(t) => Some(t),
-            _ => None,
-        }
+        self.answer().map(|a| &a.table)
     }
 
     /// The query answer, if this response carries one.
@@ -206,11 +189,6 @@ impl VerdictResponse {
             VerdictResponse::ScramblesCreated(_) => "scrambles_created",
             VerdictResponse::ScramblesDropped(_) => "scrambles_dropped",
             VerdictResponse::ScramblesRefreshed(_) => "scrambles_refreshed",
-            VerdictResponse::Scrambles(_) => "scrambles",
-            VerdictResponse::Stats(_) => "stats",
-            VerdictResponse::Explain(_) => "explain",
-            VerdictResponse::Profile(_) => "profile",
-            VerdictResponse::Metrics(_) => "metrics",
             VerdictResponse::OptionSet { .. } => "option_set",
         }
     }
@@ -296,7 +274,7 @@ impl VerdictSession {
     }
 
     fn open_stream(&mut self, stmt: Statement) -> VerdictResult<ProgressStream> {
-        let route = Route::of(&stmt, self.options.bypass);
+        let route = Route::of(&stmt, self.options.bypass)?;
         let (Statement::Stream(query), Some(route)) = (stmt, route) else {
             return Err(VerdictError::Unsupported(
                 "only queries can be streamed (SELECT … or STREAM SELECT …)".into(),
@@ -325,27 +303,28 @@ impl VerdictSession {
 
     /// Dispatches one parsed statement; `sql` must be its source text.
     ///
-    /// Every statement is traced: pipeline statements by the context's
-    /// driver ([`VerdictContext::run_statement`]), control statements
-    /// (scramble DDL, `SET`, `SHOW`) as a single `control` span — so the
-    /// class histograms and the recent-trace ring cover the full statement
-    /// surface.
+    /// Every statement is traced: pipeline statements — `SHOW`, a query
+    /// over system relations, included — by the context's driver
+    /// ([`VerdictContext::run_statement`]), control statements (scramble
+    /// DDL, `SET`) as a single `control` span — so the class histograms and
+    /// the recent-trace ring cover the full statement surface.
     pub fn execute_statement(
         &mut self,
         stmt: &Statement,
         sql: &str,
     ) -> VerdictResult<VerdictResponse> {
         match stmt {
-            Statement::Explain { analyze, statement } => {
-                let table = if *analyze {
-                    let text = print_statement(statement, self.ctx.dialect());
-                    render_analyze(&self.run_traced(statement, &text)?.1)
-                } else {
-                    let cfg = self.effective_config();
-                    self.ctx.explain(statement, sql, &cfg, self.shed.label())?
-                };
-                Ok(VerdictResponse::Explain(table))
-            }
+            Statement::Explain { analyze, statement } => Ok(VerdictResponse::Answer(if *analyze {
+                let text = print_statement(statement, self.ctx.dialect());
+                let trace = self.run_traced(statement, &text)?.1;
+                VerdictAnswer {
+                    elapsed: trace.total,
+                    ..VerdictAnswer::in_process(render_analyze(&trace))
+                }
+            } else {
+                let cfg = self.effective_config();
+                self.ctx.explain(statement, sql, &cfg, self.shed.label())?
+            })),
             // Single-response alias for the streaming surface: run the
             // progressive execution to its end and return the final frame
             // (bit-identical to the one-shot answer when the stream
@@ -369,7 +348,7 @@ impl VerdictSession {
         sql: &str,
     ) -> VerdictResult<(VerdictResponse, QueryTrace)> {
         let shed = self.shed.label();
-        if let Some(route) = Route::of(stmt, self.options.bypass) {
+        if let Some(route) = Route::of(stmt, self.options.bypass)? {
             let cfg = self.effective_config();
             let (answer, trace) = self.ctx.run_statement(stmt, sql, &cfg, route, shed)?;
             return Ok((VerdictResponse::Answer(answer), trace));
@@ -384,7 +363,7 @@ impl VerdictSession {
         Ok((response, trace))
     }
 
-    /// Executes the control-statement surface (scramble DDL, `SHOW`, `SET`);
+    /// Executes the control-statement surface (scramble DDL, `SET`);
     /// pipeline statements and `EXPLAIN` are dispatched before this is
     /// reached.
     fn execute_control(&mut self, stmt: &Statement) -> VerdictResult<VerdictResponse> {
@@ -445,12 +424,6 @@ impl VerdictSession {
                 };
                 Ok(VerdictResponse::ScramblesRefreshed(refreshed))
             }
-            Statement::ShowScrambles => Ok(VerdictResponse::Scrambles(self.show_scrambles()?)),
-            Statement::ShowStats => Ok(VerdictResponse::Stats(self.show_stats())),
-            Statement::ShowProfile { last } => Ok(VerdictResponse::Profile(
-                self.show_profile(last.map_or(10, |n| n as usize)),
-            )),
-            Statement::ShowMetrics => Ok(VerdictResponse::Metrics(self.ctx.metrics_text())),
             Statement::SetOption { name, value } => {
                 let (name, rendered) = self.set_option(name, value)?;
                 Ok(VerdictResponse::OptionSet {
@@ -460,125 +433,6 @@ impl VerdictSession {
             }
             _ => unreachable!("pipeline statements are dispatched before execute_control"),
         }
-    }
-
-    /// Builds the `SHOW PROFILE [LAST n]` table from the recent-trace ring:
-    /// one row per trace, most recent first, with a compact per-stage span
-    /// summary.
-    fn show_profile(&self, n: usize) -> Table {
-        let traces = self.ctx.obs().ring().recent(n);
-        let mut seq = Vec::with_capacity(traces.len());
-        let mut class = Vec::with_capacity(traces.len());
-        let mut total_us = Vec::with_capacity(traces.len());
-        let mut cached = Vec::with_capacity(traces.len());
-        let mut slow = Vec::with_capacity(traces.len());
-        let mut shed = Vec::with_capacity(traces.len());
-        let mut spans = Vec::with_capacity(traces.len());
-        let mut sqls = Vec::with_capacity(traces.len());
-        for t in &traces {
-            seq.push(t.seq as i64);
-            class.push(t.class.to_string());
-            total_us.push(t.total.as_micros() as i64);
-            cached.push(t.cached.to_string());
-            slow.push(t.slow.to_string());
-            shed.push(t.shed_tier.to_string());
-            spans.push(
-                t.spans
-                    .iter()
-                    .map(|s| format!("{}={}us", s.stage, s.duration.as_micros()))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            );
-            sqls.push(t.sql.clone());
-        }
-        TableBuilder::new()
-            .int_column("seq", seq)
-            .str_column("class", class)
-            .int_column("total_us", total_us)
-            .str_column("cached", cached)
-            .str_column("slow", slow)
-            .str_column("shed_tier", shed)
-            .str_column("spans", spans)
-            .str_column("sql", sqls)
-            .build()
-            .expect("profile table construction cannot fail")
-    }
-
-    /// Builds the `SHOW SCRAMBLES` table: one row per registered scramble,
-    /// sorted by (base table, scramble name) for a deterministic listing.
-    fn show_scrambles(&self) -> VerdictResult<Table> {
-        let mut metas = self.ctx.meta().all();
-        metas.sort_by(|a, b| {
-            (a.base_table.as_str(), a.sample_table.as_str())
-                .cmp(&(b.base_table.as_str(), b.sample_table.as_str()))
-        });
-        let mut scramble = Vec::with_capacity(metas.len());
-        let mut base = Vec::with_capacity(metas.len());
-        let mut method = Vec::with_capacity(metas.len());
-        let mut on = Vec::with_capacity(metas.len());
-        let mut ratio = Vec::with_capacity(metas.len());
-        let mut rows = Vec::with_capacity(metas.len());
-        let mut base_rows = Vec::with_capacity(metas.len());
-        let mut status = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            scramble.push(meta.sample_table.clone());
-            base.push(meta.base_table.clone());
-            method.push(meta.sample_type.tag().to_string());
-            on.push(meta.sample_type.columns().join(","));
-            ratio.push(meta.ratio);
-            rows.push(meta.sample_rows as i64);
-            base_rows.push(meta.base_rows as i64);
-            status.push(self.staleness_label(meta));
-        }
-        TableBuilder::new()
-            .str_column("scramble", scramble)
-            .str_column("base_table", base)
-            .str_column("method", method)
-            .str_column("columns", on)
-            .float_column("ratio", ratio)
-            .int_column("rows", rows)
-            .int_column("base_rows", base_rows)
-            .str_column("status", status)
-            .build()
-            .map_err(|e| VerdictError::Answer(format!("SHOW SCRAMBLES failed: {e}")))
-    }
-
-    fn staleness_label(&self, meta: &SampleMeta) -> String {
-        match self.ctx.connection().table_row_count(&meta.base_table) {
-            Ok(current) => match crate::sample::maintenance::staleness(meta, current) {
-                Staleness::Fresh => "fresh".to_string(),
-                Staleness::Stale { appended_rows } => format!("stale(+{appended_rows})"),
-                Staleness::RequiresRebuild => "requires_rebuild".to_string(),
-            },
-            Err(_) => "base_missing".to_string(),
-        }
-    }
-
-    /// Builds the `SHOW STATS` table: middleware counters as
-    /// (section, stat, value) rows, grouped into stable sections — `cache`,
-    /// `streams`, `backend`, `store` — with stats sorted alphabetically
-    /// within each section.  The serving layer appends its own `serving`
-    /// section rows server-side; the ordering is pinned by a test, so
-    /// dashboards can scrape positions safely.
-    fn show_stats(&self) -> Table {
-        let mut rows = self.ctx.stat_rows();
-        let rank = |s: &str| match s {
-            "cache" => 0u8,
-            "streams" => 1,
-            "backend" => 2,
-            "store" => 3,
-            _ => 4,
-        };
-        rows.sort_by(|a, b| (rank(a.0), a.1.as_str()).cmp(&(rank(b.0), b.1.as_str())));
-        TableBuilder::new()
-            .str_column(
-                "section",
-                rows.iter().map(|(s, _, _)| s.to_string()).collect(),
-            )
-            .str_column("stat", rows.iter().map(|(_, k, _)| k.clone()).collect())
-            .int_column("value", rows.iter().map(|(_, _, v)| *v as i64).collect())
-            .build()
-            .expect("stats table construction cannot fail")
     }
 
     /// Applies `SET <option> = <value>`, returning the canonical option name

@@ -194,6 +194,9 @@ every input is SQL, sent when a line ends with ';':
   SHOW SCRAMBLES; / SHOW STATS;
   EXPLAIN [ANALYZE] <statement>;               plan (or executed span trace)
   SHOW PROFILE [LAST n]; / SHOW METRICS;       recent traces / text exposition
+  SELECT … FROM verdict_stats WHERE …;         SHOW reads system relations:
+                                               verdict_scrambles, verdict_stats,
+                                               verdict_traces, verdict_metrics
   SET <option> = <value>;                      e.g. SET target_error = 0.02
                                                (stream_block_rows, slow_query_ms)
 \\q quits, \\? shows this help";

@@ -521,15 +521,18 @@ fn wait_until_serving(addr: &str, budget: Duration) -> bool {
 
 fn cache_line(client: &mut VerdictClient) -> String {
     match client.stats() {
-        Ok(s) => format!(
-            "hits={} misses={} entries={} sessions_active={} shed={} refused={}",
-            s.extra("cache_hits").unwrap_or("?"),
-            s.extra("cache_misses").unwrap_or("?"),
-            s.extra("cache_entries").unwrap_or("?"),
-            s.extra("sessions_active").unwrap_or("?"),
-            s.extra("queries_shed").unwrap_or("?"),
-            s.extra("queries_refused").unwrap_or("?"),
-        ),
+        Ok(s) => {
+            let stat = |name| s.stat(name).map_or_else(|| "?".into(), |v| v.to_string());
+            format!(
+                "hits={} misses={} entries={} sessions_active={} shed={} refused={}",
+                stat("cache_hits"),
+                stat("cache_misses"),
+                stat("cache_entries"),
+                stat("sessions_active"),
+                stat("queries_shed"),
+                stat("queries_refused"),
+            )
+        }
         Err(e) => format!("unavailable ({e})"),
     }
 }

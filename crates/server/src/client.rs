@@ -34,7 +34,8 @@ pub struct RemoteAnswer {
     pub rows: Vec<Vec<Value>>,
     /// Per-aggregate error summaries: `(column, mean_rel, max_rel)`.
     pub errors: Vec<(String, f64, f64)>,
-    /// Informational `S key value` lines (cache stats, sample names, …).
+    /// Informational `S key value` lines (samples used, scramble DDL and
+    /// `SET` acknowledgements, …).
     pub extras: Vec<(String, String)>,
 }
 
@@ -45,6 +46,18 @@ impl RemoteAnswer {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The `value` of the row whose `stat` is `name`, in an answer over
+    /// `verdict_stats` (`SHOW STATS`).
+    pub fn stat(&self, name: &str) -> Option<i64> {
+        let column = |c: &str| self.columns.iter().position(|n| n == c);
+        let (stat, value) = (column("stat")?, column("value")?);
+        let row = self
+            .rows
+            .iter()
+            .find(|r| matches!(r.get(stat), Some(Value::Str(s)) if s == name))?;
+        row.get(value)?.as_i64()
     }
 
     /// The value at (row, col).

@@ -182,7 +182,7 @@ fn dispatch_sql(
     let start = Instant::now();
     match session.execute(sql) {
         Ok(VerdictResponse::Answer(answer)) => write_answer_frame(&answer, None, task.tier, out),
-        Ok(response) => write_response_frame(&response, start, shared, out),
+        Ok(response) => write_response_frame(&response, start, out),
         Err(e) => {
             shared.count_error();
             write_error_frame(out, &e.to_string());
@@ -243,85 +243,15 @@ fn write_answer_frame(
     write_stream_frame(out, &header, Some(&answer.table), &errors, &extras);
 }
 
-/// The serving-layer `(stat, value)` rows appended to `SHOW STATS` and
-/// exported by `SHOW METRICS` — transport- and admission-level counters the
-/// core session cannot see.  Alphabetically ordered, matching the core's
-/// within-section ordering contract.
-fn serving_stats(shared: &Shared) -> Vec<(&'static str, u64)> {
-    let stats = &shared.stats;
-    let adm = shared.admission.stats();
-    vec![
-        (
-            "deadline_misses",
-            stats.deadline_misses.load(Ordering::Relaxed),
-        ),
-        ("draining", shared.draining.load(Ordering::SeqCst) as u64),
-        ("errors", stats.errors.load(Ordering::Relaxed)),
-        ("exec_workers", shared.cfg.workers as u64),
-        ("io_shards", shared.cfg.io_shards as u64),
-        ("queries_admitted", adm.admitted),
-        ("queries_refused", adm.refused),
-        (
-            "queries_served",
-            stats.queries_served.load(Ordering::Relaxed),
-        ),
-        ("queries_shed", adm.shed),
-        ("queue_capacity", shared.cfg.queue_capacity as u64),
-        ("queue_depth", shared.admission.depth() as u64),
-        ("queue_peak_depth", adm.peak_depth),
-        (
-            "sessions_active",
-            stats.sessions_active.load(Ordering::Relaxed),
-        ),
-        (
-            "sessions_opened",
-            stats.sessions_opened.load(Ordering::Relaxed),
-        ),
-    ]
-}
-
-/// Rebuilds the core's sectioned `SHOW STATS` table with the `serving`
-/// section appended (section rank: cache, streams, backend, store, serving).
-fn append_serving_section(t: &verdict_engine::Table, shared: &Shared) -> verdict_engine::Table {
-    let mut section: Vec<String> = Vec::with_capacity(t.num_rows() + 14);
-    let mut stat: Vec<String> = Vec::with_capacity(section.capacity());
-    let mut value: Vec<i64> = Vec::with_capacity(section.capacity());
-    for row in 0..t.num_rows() {
-        section.push(t.value(row, 0).to_string());
-        stat.push(t.value(row, 1).to_string());
-        value.push(t.value(row, 2).as_i64().unwrap_or(0));
-    }
-    for (k, v) in serving_stats(shared) {
-        section.push("serving".to_string());
-        stat.push(k.to_string());
-        value.push(v as i64);
-    }
-    verdict_engine::TableBuilder::new()
-        .str_column("section", section)
-        .str_column("stat", stat)
-        .int_column("value", value)
-        .build()
-        .expect("stats table construction cannot fail")
-}
-
-/// Serialises the non-answer [`VerdictResponse`] variants.  Tabular
-/// responses (`SHOW SCRAMBLES` / `SHOW STATS` / `EXPLAIN` / `SHOW PROFILE`)
-/// ship the table itself; `SHOW STATS` appends the `serving` section and
-/// mirrors its (stat, value) rows as `S key value` lines; `SHOW METRICS` appends the serving-layer gauges and
-/// counters to the core's exposition and ships it as a one-column table of
-/// text lines.
-fn write_response_frame(
-    response: &VerdictResponse,
-    start: Instant,
-    shared: &Shared,
-    out: &mut String,
-) {
-    let mut header = FrameHeader {
+/// Serialises the non-answer [`VerdictResponse`] variants — scramble DDL
+/// and `SET` acknowledgements — as row-less frames of `S key value` lines.
+/// (`SHOW …` and `EXPLAIN` are answers: a table like any query's.)
+fn write_response_frame(response: &VerdictResponse, start: Instant, out: &mut String) {
+    let header = FrameHeader {
         elapsed_us: start.elapsed().as_micros() as u64,
         ..FrameHeader::default()
     };
     let mut extras: Vec<(String, String)> = vec![("response".to_string(), response.kind().into())];
-    let mut table = None;
     match response {
         VerdictResponse::Answer(_) => unreachable!("answers use write_answer_frame"),
         VerdictResponse::ScramblesCreated(metas) => {
@@ -342,89 +272,10 @@ fn write_response_frame(
         VerdictResponse::ScramblesRefreshed(n) => {
             extras.push(("refreshed_samples".to_string(), n.to_string()));
         }
-        VerdictResponse::Scrambles(t)
-        | VerdictResponse::Explain(t)
-        | VerdictResponse::Profile(t) => {
-            header.rows = t.num_rows();
-            header.cols = t.schema.fields.len();
-            table = Some(t.clone());
-        }
-        VerdictResponse::Stats(t) => {
-            let full = append_serving_section(t, shared);
-            header.rows = full.num_rows();
-            header.cols = full.schema.fields.len();
-            for row in 0..full.num_rows() {
-                extras.push((
-                    full.value(row, 1).to_string(),
-                    full.value(row, 2).to_string(),
-                ));
-            }
-            table = Some(full);
-        }
-        VerdictResponse::Metrics(text) => {
-            // The core's exposition plus the serving layer's own series:
-            // queue/session gauges and admission counters per scrape.
-            let mut full = text.clone();
-            let stats = &shared.stats;
-            let adm = shared.admission.stats();
-            use verdict_core::obs::{append_counter, append_gauge};
-            append_counter(
-                &mut full,
-                "verdict_sessions_opened_total",
-                stats.sessions_opened.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_queries_served_total",
-                stats.queries_served.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_errors_total",
-                stats.errors.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_deadline_misses_total",
-                stats.deadline_misses.load(Ordering::Relaxed),
-            );
-            append_counter(&mut full, "verdict_queries_admitted_total", adm.admitted);
-            append_counter(&mut full, "verdict_queries_shed_total", adm.shed);
-            append_counter(&mut full, "verdict_queries_refused_total", adm.refused);
-            append_gauge(
-                &mut full,
-                "verdict_sessions_active",
-                stats.sessions_active.load(Ordering::Relaxed),
-            );
-            append_gauge(
-                &mut full,
-                "verdict_queue_depth",
-                shared.admission.depth() as u64,
-            );
-            append_gauge(
-                &mut full,
-                "verdict_queue_capacity",
-                shared.cfg.queue_capacity as u64,
-            );
-            append_gauge(&mut full, "verdict_queue_peak_depth", adm.peak_depth);
-            append_gauge(
-                &mut full,
-                "verdict_draining",
-                shared.draining.load(Ordering::SeqCst) as u64,
-            );
-            let lines: Vec<String> = full.lines().map(|l| l.to_string()).collect();
-            let t = verdict_engine::TableBuilder::new()
-                .str_column("metrics", lines)
-                .build()
-                .expect("metrics table construction cannot fail");
-            header.rows = t.num_rows();
-            header.cols = 1;
-            table = Some(t);
-        }
         VerdictResponse::OptionSet { name, value } => {
             extras.push(("option".to_string(), name.clone()));
             extras.push(("value".to_string(), value.clone()));
         }
     }
-    write_result_frame(out, &header, table.as_ref(), &[], &extras);
+    write_result_frame(out, &header, None, &[], &extras);
 }

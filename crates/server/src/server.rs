@@ -193,6 +193,31 @@ impl Shared {
     pub(crate) fn count_error(&self) {
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// The `serving` section of `verdict_stats` (and so of `SHOW METRICS`):
+    /// transport- and admission-level counters the core cannot see, in
+    /// alphabetical order.
+    fn serving_stats(&self) -> Vec<(&'static str, u64)> {
+        let stats = &self.stats;
+        let adm = self.admission.stats();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        vec![
+            ("deadline_misses", load(&stats.deadline_misses)),
+            ("draining", self.draining.load(Ordering::SeqCst) as u64),
+            ("errors", load(&stats.errors)),
+            ("exec_workers", self.cfg.workers as u64),
+            ("io_shards", self.cfg.io_shards as u64),
+            ("queries_admitted", adm.admitted),
+            ("queries_refused", adm.refused),
+            ("queries_served", load(&stats.queries_served)),
+            ("queries_shed", adm.shed),
+            ("queue_capacity", self.cfg.queue_capacity as u64),
+            ("queue_depth", self.admission.depth() as u64),
+            ("queue_peak_depth", adm.peak_depth),
+            ("sessions_active", load(&stats.sessions_active)),
+            ("sessions_opened", load(&stats.sessions_opened)),
+        ]
+    }
 }
 
 /// Per-connection state shared between the owning I/O shard and the
@@ -399,8 +424,11 @@ impl VerdictServer {
         self.listener.local_addr()
     }
 
+    /// The server's shared state, installed on the context as the `serving`
+    /// stats source through a `Weak`: the context never keeps a stopped
+    /// server alive.
     fn shared(&self) -> Arc<Shared> {
-        Arc::new(Shared {
+        let shared = Arc::new(Shared {
             ctx: Arc::clone(&self.ctx),
             stats: ServerStats::default(),
             admission: AdmissionController::new(ShedPolicy::for_capacity(self.cfg.queue_capacity)),
@@ -411,7 +439,13 @@ impl VerdictServer {
             workers_done: AtomicBool::new(false),
             channels: OnceLock::new(),
             cfg: self.cfg.clone(),
-        })
+        });
+        let weak = Arc::downgrade(&shared);
+        self.ctx.set_stats_source(
+            "serving",
+            Box::new(move || weak.upgrade().map(|s| s.serving_stats())),
+        );
+        shared
     }
 
     /// Starts the server on background threads and returns a handle.

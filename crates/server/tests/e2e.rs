@@ -189,8 +189,8 @@ fn cached_repeat_is_identical_and_append_invalidates() {
     );
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.extra("cache_invalidations"), Some("1"));
-    assert!(stats.extra("cache_hits").is_some());
+    assert_eq!(stats.stat("cache_invalidations"), Some(1));
+    assert!(stats.stat("cache_hits").is_some());
     client.quit().unwrap();
     handle.stop();
 }
@@ -352,7 +352,7 @@ fn stream_verb_emits_refining_frames_and_matches_the_one_shot_answer() {
     // The connection stays usable after a stream (framing is clean).
     client.ping().unwrap();
     let after = client.sql("SHOW STATS").unwrap();
-    assert!(after.extra("streams_started").is_some());
+    assert!(after.stat("streams_started").is_some());
 
     // `SQL STREAM …` keeps the classic single-frame response for old
     // clients: exactly the final answer, one OK frame.
@@ -393,4 +393,114 @@ fn stream_early_stop_and_errors_keep_the_protocol_in_sync() {
     client.ping().unwrap();
     let _ = client.quit();
     handle.stop();
+}
+
+#[test]
+fn system_relations_carry_the_serving_section_over_the_wire() {
+    let ctx = serving_context(61, 16);
+    let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    client.sql("SELECT count(*) AS n FROM sales").unwrap();
+
+    // Every serving stat is a row of verdict_stats, in SHOW STATS order.
+    let serving = client
+        .sql("SELECT stat FROM verdict_stats WHERE section = 'serving'")
+        .unwrap();
+    assert!(serving.header.exact);
+    let names: Vec<String> = serving.rows.iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(
+        names,
+        [
+            "deadline_misses",
+            "draining",
+            "errors",
+            "exec_workers",
+            "io_shards",
+            "queries_admitted",
+            "queries_refused",
+            "queries_served",
+            "queries_shed",
+            "queue_capacity",
+            "queue_depth",
+            "queue_peak_depth",
+            "sessions_active",
+            "sessions_opened",
+        ]
+    );
+    assert_eq!(client.stats().unwrap().stat("sessions_active"), Some(1));
+
+    // SHOW METRICS renders the same list: every series the hand-written
+    // serving list used to emit, plus the two gauges it never reached.
+    let metrics = client.sql("SHOW METRICS").unwrap();
+    let series: Vec<String> = metrics
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split(['{', ' ']).next().unwrap().to_string())
+        .collect();
+    for name in [
+        "verdict_backend_queries_total",
+        "verdict_backend_scan_fallbacks_total",
+        "verdict_backend_version_fallbacks_total",
+        "verdict_cache_capacity",
+        "verdict_cache_entries",
+        "verdict_cache_evictions_total",
+        "verdict_cache_hits_total",
+        "verdict_cache_insertions_total",
+        "verdict_cache_invalidations_total",
+        "verdict_cache_misses_total",
+        "verdict_deadline_misses_total",
+        "verdict_draining",
+        "verdict_errors_total",
+        "verdict_queries_admitted_total",
+        "verdict_queries_refused_total",
+        "verdict_queries_served_total",
+        "verdict_queries_shed_total",
+        "verdict_queue_capacity",
+        "verdict_queue_depth",
+        "verdict_queue_peak_depth",
+        "verdict_scrambles",
+        "verdict_sessions_active",
+        "verdict_sessions_opened_total",
+        "verdict_slow_queries_total",
+        "verdict_stage_duration_us_bucket",
+        "verdict_stage_duration_us_count",
+        "verdict_stage_duration_us_sum",
+        "verdict_statement_duration_us_bucket",
+        "verdict_statement_duration_us_count",
+        "verdict_statement_duration_us_sum",
+        "verdict_statements_total",
+        "verdict_stream_early_stops_total",
+        "verdict_stream_fallbacks_total",
+        "verdict_stream_frames_total",
+        "verdict_streams_completed_total",
+        "verdict_streams_started_total",
+        "verdict_exec_workers",
+        "verdict_io_shards",
+    ] {
+        assert!(
+            series.iter().any(|s| s == name),
+            "SHOW METRICS lacks {name}"
+        );
+    }
+    for gauge in ["verdict_exec_workers", "verdict_io_shards"] {
+        let line = format!("# TYPE {gauge} gauge");
+        assert!(metrics.rows.iter().any(|r| r[0].to_string() == line));
+    }
+    client.quit().unwrap();
+
+    // The context reads the server through a Weak: once stopped, the server
+    // is gone, its rows drop out, and only the test's handle remains.
+    handle.stop();
+    assert_eq!(Arc::strong_count(&ctx), 1, "a stopped server is kept alive");
+    let stats = VerdictSession::new(Arc::clone(&ctx))
+        .execute("SELECT count(*) AS n FROM verdict_stats WHERE section = 'serving'")
+        .unwrap()
+        .into_answer()
+        .unwrap();
+    assert_eq!(stats.table.value(0, 0), Value::Int(0));
 }

@@ -73,10 +73,8 @@ fn wire_sessions_active(addr: std::net::SocketAddr) -> u64 {
     let mut client = VerdictClient::connect(addr).unwrap();
     let stats = client.stats().unwrap();
     let active = stats
-        .extra("sessions_active")
-        .expect("SHOW STATS reports sessions_active")
-        .parse::<u64>()
-        .unwrap();
+        .stat("sessions_active")
+        .expect("SHOW STATS reports sessions_active") as u64;
     client.quit().unwrap();
     // This probe connection was itself counted while it was open.
     active - 1

@@ -146,11 +146,9 @@ fn sigkill_then_restart_serves_bit_identical_answers_over_tcp() {
     // The replacement must be serving *restored* scrambles (cold start),
     // not freshly rebuilt ones, and its store counters must be visible.
     let stats = client.stats().expect("stats");
-    let pages_read: u64 = stats
-        .extra("store_pages_read")
-        .expect("store counters in SHOW STATS")
-        .parse()
-        .expect("numeric counter");
+    let pages_read = stats
+        .stat("store_pages_read")
+        .expect("store counters in SHOW STATS");
     assert!(pages_read > 0, "restart must have read store pages");
     drop(client);
 

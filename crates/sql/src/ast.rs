@@ -13,13 +13,14 @@
 //!
 //! Finally it covers VerdictDB's own *control statements* (§2.1: "applications
 //! interact with VerdictDB exactly as they would with any SQL database"):
-//! scramble DDL (`CREATE SCRAMBLE`, `DROP SCRAMBLE[S]`, `SHOW SCRAMBLES`,
+//! scramble DDL (`CREATE SCRAMBLE`, `DROP SCRAMBLE[S]`,
 //! `REFRESH SCRAMBLE[S]`), the exact-mode escape (`BYPASS <stmt>`), session
-//! options (`SET <option> = <value>`), introspection (`SHOW STATS`,
-//! `SHOW PROFILE [LAST n]`, `SHOW METRICS`), observability
+//! options (`SET <option> = <value>`), observability
 //! (`EXPLAIN [ANALYZE] <stmt>`), and `STREAM <query>`.  These are
 //! interpreted by the middleware session layer and never reach the
-//! underlying database.
+//! underlying database.  `SHOW SCRAMBLES | STATS | PROFILE [LAST n] |
+//! METRICS` is no statement of its own: the parser reads it as a `SELECT`
+//! over the middleware's system relations (`verdict_scrambles`, …).
 
 use std::fmt;
 
@@ -78,11 +79,6 @@ pub enum Statement {
         /// Suppress the error when the table has no scrambles.
         if_exists: bool,
     },
-    /// `SHOW SCRAMBLES` — tabular listing of every registered scramble.
-    ShowScrambles,
-    /// `SHOW STATS` — tabular listing of middleware counters (answer cache,
-    /// registered scrambles, …).
-    ShowStats,
     /// `REFRESH SCRAMBLES <table> [FROM <batch>]` — with `FROM`, folds an
     /// appended batch into every scramble of the base table (Appendix D);
     /// without, rebuilds every scramble from the current base data.
@@ -117,15 +113,6 @@ pub enum Statement {
         /// The statement being explained.
         statement: Box<Statement>,
     },
-    /// `SHOW PROFILE [LAST <n>]` — renders the most recent per-query traces
-    /// from the bounded trace ring (most recent first).
-    ShowProfile {
-        /// Number of traces to show; `None` shows the single latest trace.
-        last: Option<u64>,
-    },
-    /// `SHOW METRICS` — Prometheus-style text exposition of the middleware's
-    /// counters, gauges, and latency histograms.
-    ShowMetrics,
 }
 
 /// Sampling methods nameable in `CREATE SCRAMBLE … METHOD <m>` (§3.1).

@@ -82,10 +82,6 @@ fn lower_statement(stmt: &mut Statement) {
                 w.make_ascii_lowercase();
             }
         }
-        Statement::ShowScrambles
-        | Statement::ShowStats
-        | Statement::ShowProfile { .. }
-        | Statement::ShowMetrics => {}
     }
 }
 

@@ -380,31 +380,23 @@ impl Parser {
         })
     }
 
-    /// `SHOW SCRAMBLES` / `SHOW STATS` / `SHOW PROFILE [LAST n]` /
-    /// `SHOW METRICS`.
+    /// `SHOW SCRAMBLES | STATS | METRICS` reads as `SELECT * FROM
+    /// verdict_<x>`; `SHOW PROFILE [LAST n]` as `SELECT * FROM verdict_traces
+    /// ORDER BY seq DESC LIMIT n` (n = 10 by default).
     fn parse_show(&mut self) -> Result<Statement, ParseError> {
         self.expect_keyword("show")?;
-        let stmt = if self.consume_keyword("scrambles") {
-            Statement::ShowScrambles
-        } else if self.consume_keyword("stats") {
-            Statement::ShowStats
-        } else if self.consume_keyword("metrics") {
-            Statement::ShowMetrics
-        } else if self.consume_keyword("profile") {
+        let sql = if self.consume_keyword("profile") {
             let last = if self.consume_keyword("last") {
-                match self.advance() {
-                    Token::Number(n) => Some(n.parse::<u64>().map_err(|_| ParseError {
-                        message: format!("invalid LAST count {n}"),
-                        offset: self.offset(),
-                    })?),
-                    other => {
-                        return self.error(format!("expected number after LAST, found {other}"));
-                    }
-                }
+                self.parse_count("LAST")?
             } else {
-                None
+                10
             };
-            Statement::ShowProfile { last }
+            format!("SELECT * FROM verdict_traces ORDER BY seq DESC LIMIT {last}")
+        } else if let Some(relation) = ["scrambles", "stats", "metrics"]
+            .into_iter()
+            .find(|k| self.consume_keyword(k))
+        {
+            format!("SELECT * FROM verdict_{relation}")
         } else {
             return self.error(format!(
                 "expected SCRAMBLES, STATS, PROFILE or METRICS, found {}",
@@ -412,7 +404,18 @@ impl Parser {
             ));
         };
         self.skip_statement_end()?;
-        Ok(stmt)
+        parse_statement(&sql)
+    }
+
+    /// The non-negative integer after `LIMIT` / `LAST`.
+    fn parse_count(&mut self, clause: &str) -> Result<u64, ParseError> {
+        match self.advance() {
+            Token::Number(n) => n.parse().map_err(|_| ParseError {
+                message: format!("invalid {clause} value {n}"),
+                offset: self.offset(),
+            }),
+            other => self.error(format!("expected number after {clause}, found {other}")),
+        }
     }
 
     /// `EXPLAIN [ANALYZE] <statement>` — the inner statement may be any
@@ -456,12 +459,17 @@ impl Parser {
     fn parse_bypass(&mut self) -> Result<Statement, ParseError> {
         self.expect_keyword("bypass")?;
         let offset = self.offset();
+        let show = self.peek().is_keyword("show");
         let inner = self.parse_statement()?;
         match inner {
             Statement::Query(_)
             | Statement::CreateTableAs { .. }
             | Statement::DropTable { .. }
-            | Statement::InsertIntoSelect { .. } => Ok(Statement::Bypass(Box::new(inner))),
+            | Statement::InsertIntoSelect { .. }
+                if !show =>
+            {
+                Ok(Statement::Bypass(Box::new(inner)))
+            }
             _ => Err(ParseError {
                 message: "BYPASS requires a plain SQL statement, not a control statement".into(),
                 offset,
@@ -600,18 +608,7 @@ impl Parser {
             }
         }
         if self.consume_keyword("limit") {
-            match self.advance() {
-                Token::Number(n) => {
-                    let v: u64 = n.parse().map_err(|_| ParseError {
-                        message: format!("invalid LIMIT value {n}"),
-                        offset: self.offset(),
-                    })?;
-                    query.limit = Some(v);
-                }
-                other => {
-                    return self.error(format!("expected number after LIMIT, found {other}"));
-                }
-            }
+            query.limit = Some(self.parse_count("LIMIT")?);
         }
         Ok(query)
     }
@@ -1424,11 +1421,11 @@ mod tests {
     fn parses_show_refresh_and_stream() {
         assert_eq!(
             parse_statement("SHOW SCRAMBLES").unwrap(),
-            Statement::ShowScrambles
+            parse_statement("SELECT * FROM verdict_scrambles").unwrap()
         );
         assert_eq!(
             parse_statement("show stats;").unwrap(),
-            Statement::ShowStats
+            parse_statement("SELECT * FROM verdict_stats").unwrap()
         );
         let s = parse_statement("REFRESH SCRAMBLES sales FROM sales_batch").unwrap();
         let Statement::RefreshScrambles { table, batch } = s else {
@@ -1461,19 +1458,15 @@ mod tests {
         };
         assert!(matches!(*statement, Statement::Stream(_)));
         assert!(parse_statement("EXPLAIN EXPLAIN SELECT 1").is_err());
-        assert_eq!(
-            parse_statement("SHOW PROFILE").unwrap(),
-            Statement::ShowProfile { last: None }
-        );
-        assert_eq!(
-            parse_statement("show profile last 10;").unwrap(),
-            Statement::ShowProfile { last: Some(10) }
-        );
+        let last_10 =
+            parse_statement("SELECT * FROM verdict_traces ORDER BY seq DESC LIMIT 10").unwrap();
+        assert_eq!(parse_statement("SHOW PROFILE").unwrap(), last_10);
+        assert_eq!(parse_statement("show profile last 10;").unwrap(), last_10);
         assert!(parse_statement("SHOW PROFILE LAST").is_err());
         assert!(parse_statement("SHOW PROFILE LAST x").is_err());
         assert_eq!(
             parse_statement("SHOW METRICS").unwrap(),
-            Statement::ShowMetrics
+            parse_statement("SELECT * FROM verdict_metrics").unwrap()
         );
     }
 

@@ -73,8 +73,6 @@ pub fn print_statement(stmt: &Statement, dialect: &dyn Dialect) -> String {
             let ie = if *if_exists { "IF EXISTS " } else { "" };
             format!("DROP SCRAMBLES {ie}{}", print_object_name(table, dialect))
         }
-        Statement::ShowScrambles => "SHOW SCRAMBLES".to_string(),
-        Statement::ShowStats => "SHOW STATS".to_string(),
         Statement::RefreshScrambles { table, batch } => {
             let mut s = format!("REFRESH SCRAMBLES {}", print_object_name(table, dialect));
             if let Some(b) = batch {
@@ -96,11 +94,6 @@ pub fn print_statement(stmt: &Statement, dialect: &dyn Dialect) -> String {
             if *analyze { "ANALYZE " } else { "" },
             print_statement(statement, dialect)
         ),
-        Statement::ShowProfile { last } => match last {
-            Some(n) => format!("SHOW PROFILE LAST {n}"),
-            None => "SHOW PROFILE".to_string(),
-        },
-        Statement::ShowMetrics => "SHOW METRICS".to_string(),
     }
 }
 

@@ -188,33 +188,36 @@ fn walk_table_factor(tf: &TableFactor, f: &mut dyn FnMut(&Expr)) {
 /// Collects every base-table name referenced anywhere in the query,
 /// including inside derived tables and scalar subqueries in predicates.
 pub fn collect_base_tables(query: &Query) -> Vec<ObjectName> {
-    let mut out = Vec::new();
-    collect_base_tables_inner(query, &mut out);
+    let mut out: Vec<ObjectName> = Vec::new();
+    for_each_base_table(query, &mut |name| {
+        if !out.contains(name) {
+            out.push(name.clone());
+        }
+    });
     out
 }
 
-fn collect_base_tables_inner(query: &Query, out: &mut Vec<ObjectName>) {
+/// Calls `f` on every base-table reference of the query — FROM clauses
+/// first (derived tables recursively), then subqueries inside expressions —
+/// repeats included.
+pub fn for_each_base_table(query: &Query, f: &mut dyn FnMut(&ObjectName)) {
     for twj in &query.from {
-        collect_from_factor(&twj.relation, out);
+        for_each_in_factor(&twj.relation, f);
         for j in &twj.joins {
-            collect_from_factor(&j.relation, out);
+            for_each_in_factor(&j.relation, f);
         }
     }
     walk_query(query, &mut |e| {
         if let Some(q) = e.subquery() {
-            collect_base_tables_inner(q, out);
+            for_each_base_table(q, f);
         }
     });
 }
 
-fn collect_from_factor(tf: &TableFactor, out: &mut Vec<ObjectName>) {
+fn for_each_in_factor(tf: &TableFactor, f: &mut dyn FnMut(&ObjectName)) {
     match tf {
-        TableFactor::Table { name, .. } => {
-            if !out.contains(name) {
-                out.push(name.clone());
-            }
-        }
-        TableFactor::Derived { subquery, .. } => collect_base_tables_inner(subquery, out),
+        TableFactor::Table { name, .. } => f(name),
+        TableFactor::Derived { subquery, .. } => for_each_base_table(subquery, f),
     }
 }
 

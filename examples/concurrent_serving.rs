@@ -74,11 +74,16 @@ fn main() {
     });
 
     let stats = admin.sql("SHOW STATS").expect("stats");
+    let stat = |name| {
+        stats
+            .stat(name)
+            .map_or_else(|| "?".into(), |v| v.to_string())
+    };
     println!(
         "\ncache: {} hits, {} misses, {} entries",
-        stats.extra("cache_hits").unwrap_or("?"),
-        stats.extra("cache_misses").unwrap_or("?"),
-        stats.extra("cache_entries").unwrap_or("?"),
+        stat("cache_hits"),
+        stat("cache_misses"),
+        stat("cache_entries"),
     );
 
     // Append a batch to the fact table: the cached dashboard answer is now

@@ -47,8 +47,8 @@ fn main() {
             other => panic!("unexpected response {other:?}"),
         }
     }
-    if let VerdictResponse::Scrambles(t) = session.execute("SHOW SCRAMBLES").unwrap() {
-        println!("\nSHOW SCRAMBLES:\n{}", t.to_ascii(10));
+    if let VerdictResponse::Answer(a) = session.execute("SHOW SCRAMBLES").unwrap() {
+        println!("\nSHOW SCRAMBLES:\n{}", a.table.to_ascii(10));
     }
 
     // --- 3. online query processing ---------------------------------------

@@ -104,6 +104,6 @@ mod tests {
         assert!(answer.exact);
         assert!(answer.table.value(0, 0).as_i64().unwrap() > 0);
         let listing = s.execute("SHOW SCRAMBLES").unwrap();
-        assert!(matches!(listing, VerdictResponse::Scrambles(_)));
+        assert!(matches!(listing, VerdictResponse::Answer(_)));
     }
 }

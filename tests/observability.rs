@@ -11,7 +11,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
-use verdictdb::{Backend, Engine, Table, TableBuilder, Value, VerdictConfig, VerdictContext};
+use verdictdb::{
+    Backend, Engine, Table, TableBuilder, Value, VerdictAnswer, VerdictConfig, VerdictContext,
+    VerdictError,
+};
 
 /// Deterministic 50k-row sales table (same shape the session suite uses).
 fn sales_context(seed: u64) -> Arc<VerdictContext> {
@@ -53,6 +56,11 @@ fn int_at(t: &Table, row: usize, col: usize) -> i64 {
         .unwrap_or_else(|| panic!("expected integer at ({row},{col})"))
 }
 
+/// The `SHOW METRICS` answer (one exposition line per row) as text.
+fn metrics_text(t: &Table) -> String {
+    (0..t.num_rows()).map(|r| str_at(t, r, 0) + "\n").collect()
+}
+
 /// The `EXPLAIN ANALYZE` table as a span → (duration_us, detail) map.
 fn analyze_map(t: &Table) -> HashMap<String, (i64, String)> {
     (0..t.num_rows())
@@ -62,7 +70,7 @@ fn analyze_map(t: &Table) -> HashMap<String, (i64, String)> {
 
 fn explain_table(resp: &VerdictResponse) -> &Table {
     match resp {
-        VerdictResponse::Explain(t) => t,
+        VerdictResponse::Answer(VerdictAnswer { table: t, .. }) => t,
         other => panic!("expected an EXPLAIN response, got {}", other.kind()),
     }
 }
@@ -192,7 +200,7 @@ fn streams_record_frame_spans_and_one_stream_class_trace() {
 
     // One `stream_frame` stage sample per progressive frame …
     let metrics = match s.execute("SHOW METRICS").unwrap() {
-        VerdictResponse::Metrics(text) => text,
+        VerdictResponse::Answer(a) => metrics_text(&a.table),
         other => panic!("expected a METRICS response, got {}", other.kind()),
     };
     let value_of = |needle: &str| -> u64 {
@@ -257,7 +265,7 @@ fn show_profile_lists_recent_statements_most_recent_first() {
 
     let resp = s.execute("SHOW PROFILE LAST 2").unwrap();
     let table = match &resp {
-        VerdictResponse::Profile(t) => t,
+        VerdictResponse::Answer(VerdictAnswer { table: t, .. }) => t,
         other => panic!("expected a PROFILE response, got {}", other.kind()),
     };
     assert_eq!(table.num_rows(), 2, "LAST 2 must cap the listing");
@@ -386,7 +394,7 @@ fn show_metrics_exposition_is_well_formed_and_monotone() {
 
     let scrape = |s: &mut VerdictSession| -> String {
         match s.execute("SHOW METRICS").unwrap() {
-            VerdictResponse::Metrics(text) => text,
+            VerdictResponse::Answer(a) => metrics_text(&a.table),
             other => panic!("expected a METRICS response, got {}", other.kind()),
         }
     };
@@ -464,4 +472,182 @@ fn slow_query_ms_threshold_flags_statements_in_profile_and_metrics() {
     let before = ctx.obs().slow_queries();
     s.execute("BYPASS SELECT count(*) AS n FROM sales").unwrap();
     assert_eq!(ctx.obs().slow_queries(), before);
+}
+
+/// Every row of a table, as values.
+fn rows_of(t: &Table) -> Vec<Vec<Value>> {
+    (0..t.num_rows())
+        .map(|r| {
+            (0..t.schema.fields.len())
+                .map(|c| t.value_at(r, c))
+                .collect()
+        })
+        .collect()
+}
+
+fn table_of(s: &mut VerdictSession, sql: &str) -> Table {
+    s.execute(sql)
+        .unwrap_or_else(|e| panic!("`{sql}`: {e}"))
+        .into_answer()
+        .unwrap_or_else(|e| panic!("`{sql}`: {e}"))
+        .table
+}
+
+#[test]
+fn system_relations_answer_sql_like_the_matching_filter_of_their_show_table() {
+    let ctx = sales_context(17);
+    let mut s = VerdictSession::new(ctx);
+    s.execute("CREATE SCRAMBLE u FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+    s.execute("CREATE SCRAMBLE h FROM sales METHOD hashed RATIO 0.1 ON id")
+        .unwrap();
+    s.execute("CREATE SCRAMBLE st FROM sales METHOD stratified RATIO 0.02 ON city")
+        .unwrap();
+    s.execute("SELECT count(*) AS n FROM sales").unwrap();
+
+    // WHERE + ORDER BY over verdict_scrambles is the filtered, re-sorted
+    // SHOW SCRAMBLES listing.
+    let show = table_of(&mut s, "SHOW SCRAMBLES");
+    let (scramble, method, rows) = (0, 2, 5);
+    let mut expected: Vec<Vec<Value>> = rows_of(&show)
+        .into_iter()
+        .filter(|r| r[method] != Value::Str("uniform".into()))
+        .map(|r| vec![r[scramble].clone(), r[rows].clone()])
+        .collect();
+    expected.sort_by_key(|r| std::cmp::Reverse(r[1].as_i64().unwrap()));
+    let selected = table_of(
+        &mut s,
+        "SELECT scramble, rows FROM verdict_scrambles WHERE method <> 'uniform' \
+         ORDER BY rows DESC",
+    );
+    assert_eq!(rows_of(&selected), expected);
+    let count = table_of(&mut s, "SELECT count(*) AS n FROM verdict_scrambles");
+    assert_eq!(count.value_at(0, 0).as_i64(), Some(show.num_rows() as i64));
+    assert_eq!(show.num_rows(), 3);
+
+    // A section of verdict_stats is the matching rows of SHOW STATS: system
+    // queries move no cache counter between the two reads.
+    let stats = table_of(&mut s, "SHOW STATS");
+    let expected: Vec<Vec<Value>> = rows_of(&stats)
+        .into_iter()
+        .filter(|r| r[0] == Value::Str("cache".into()))
+        .map(|r| r[1..].to_vec())
+        .collect();
+    assert_eq!(expected.len(), 7);
+    let cache = table_of(
+        &mut s,
+        "SELECT stat, value FROM verdict_stats WHERE section = 'cache'",
+    );
+    assert_eq!(rows_of(&cache), expected);
+}
+
+#[test]
+fn system_queries_touch_neither_the_backend_nor_the_cache() {
+    let ctx = sales_context(18);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+    s.execute("SELECT count(*) AS n FROM sales").unwrap();
+    let (queries, insertions) = (
+        ctx.backend_stats().queries_routed,
+        ctx.cache_stats().insertions,
+    );
+    for sql in [
+        "SHOW SCRAMBLES",
+        "SHOW STATS",
+        "SHOW PROFILE",
+        "SHOW METRICS",
+        "SELECT count(*) AS n FROM verdict_traces",
+        "SELECT stat FROM verdict_stats WHERE value > 0 ORDER BY stat",
+    ] {
+        let answer = s.execute(sql).unwrap().into_answer().unwrap();
+        assert!(answer.exact && !answer.cached, "`{sql}`");
+        assert!(answer.rewritten_sql.is_empty(), "`{sql}` sent SQL");
+    }
+    assert_eq!(ctx.backend_stats().queries_routed, queries);
+    assert_eq!(ctx.cache_stats().insertions, insertions);
+    let last = &ctx.obs().ring().recent(1)[0];
+    assert_eq!(last.class, "show");
+    let stages: Vec<&str> = last.spans.iter().map(|sp| sp.stage).collect();
+    assert_eq!(stages, ["control"]);
+
+    // A system query is chosen before session bypass.
+    s.execute("SET bypass = on").unwrap();
+    let listing = table_of(&mut s, "SHOW SCRAMBLES");
+    assert_eq!(listing.num_rows(), 1);
+    assert_eq!(str_at(&listing, 0, 0), "sales_scr");
+    assert_eq!(ctx.backend_stats().queries_routed, queries);
+}
+
+#[test]
+fn system_relation_names_are_reserved() {
+    let ctx = sales_context(19);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    for sql in [
+        "CREATE SCRAMBLE verdict_stats FROM sales",
+        "CREATE SCRAMBLE s FROM verdict_scrambles",
+        "CREATE TABLE verdict_traces AS SELECT * FROM sales",
+        "CREATE TABLE t AS SELECT * FROM verdict_stats",
+        "INSERT INTO verdict_metrics SELECT * FROM sales",
+        "DROP TABLE verdict_scrambles",
+        "STREAM SELECT count(*) AS n FROM verdict_traces",
+        "BYPASS SELECT * FROM verdict_stats",
+        "SELECT * FROM sales s JOIN verdict_stats v ON s.city = v.stat",
+        "SELECT count(*) AS n FROM (SELECT stat FROM verdict_stats) AS d, sales",
+        "SELECT count(*) AS n FROM sales WHERE price > (SELECT count(*) FROM verdict_traces)",
+        "SELECT count(*) AS n FROM verdict_traces WHERE seq IN (SELECT id FROM sales)",
+    ] {
+        match s.execute(sql) {
+            Err(VerdictError::Unsupported(msg)) => {
+                assert!(msg.contains("system relation"), "`{sql}`: {msg}")
+            }
+            other => panic!("`{sql}` must be refused as Unsupported, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        s.stream("SELECT * FROM verdict_stats"),
+        Err(VerdictError::Unsupported(_))
+    ));
+    assert!(matches!(
+        ctx.execute_exact("SELECT * FROM sales, verdict_metrics"),
+        Err(VerdictError::Unsupported(_))
+    ));
+    assert!(ctx.meta().all().is_empty(), "no scramble may be registered");
+    assert!(!ctx.connection().table_exists("verdict_traces"));
+}
+
+#[test]
+fn explain_labels_statements_that_never_reach_the_backend() {
+    let ctx = sales_context(20);
+    let mut s = VerdictSession::new(ctx);
+    for (sql, statement, plan) in [
+        ("EXPLAIN SET target_error = 0.1", "set", "session option"),
+        (
+            "EXPLAIN CREATE SCRAMBLE x FROM sales RATIO 0.1",
+            "ddl",
+            "scramble maintenance",
+        ),
+        (
+            "EXPLAIN REFRESH SCRAMBLES sales",
+            "ddl",
+            "scramble maintenance",
+        ),
+        ("EXPLAIN SHOW STATS", "show", "system relation (in-process)"),
+        (
+            "EXPLAIN SELECT count(*) FROM verdict_scrambles",
+            "show",
+            "system relation (in-process)",
+        ),
+        ("EXPLAIN DROP TABLE sales", "ddl", "passthrough to backend"),
+    ] {
+        let table = table_of(&mut s, sql);
+        let item = |name: &str| {
+            (0..table.num_rows())
+                .find(|&r| str_at(&table, r, 0) == name)
+                .map(|r| str_at(&table, r, 1))
+        };
+        assert_eq!(item("statement").as_deref(), Some(statement), "`{sql}`");
+        assert_eq!(item("plan").as_deref(), Some(plan), "`{sql}`");
+    }
+    assert!(s.context().connection().table_exists("sales"));
 }

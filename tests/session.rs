@@ -15,7 +15,8 @@ use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
 use verdictdb::server::{RemoteAnswer, VerdictClient, VerdictServer};
 use verdictdb::{
-    Backend, Engine, TableBuilder, Value, VerdictConfig, VerdictContext, VerdictError,
+    Backend, Engine, TableBuilder, Value, VerdictAnswer, VerdictConfig, VerdictContext,
+    VerdictError,
 };
 
 /// Deterministic 50k-row sales table; identical for every call with the same
@@ -108,8 +109,8 @@ fn full_scramble_lifecycle_is_bit_identical_in_process_and_over_tcp() {
         let (rcols, mut rrows) = remote_rows(&remote_resp);
         assert_eq!(lcols, rcols, "statement {i} `{stmt}`: column names differ");
         if stmt.eq_ignore_ascii_case("SHOW STATS") {
-            // The server appends its own `serving` section to the sectioned
-            // stats table; the core sections must still match bit-exactly.
+            // The served context carries the server's `serving` section of
+            // verdict_stats; the core sections must still match bit-exactly.
             rrows.retain(|r| r.first() != Some(&Value::Str("serving".into())));
         }
         assert_eq!(
@@ -190,7 +191,9 @@ fn lifecycle_semantics_hold_in_process() {
     assert!(matches!(refreshed, VerdictResponse::ScramblesRefreshed(1)));
 
     // show: one fresh row with the custom name.
-    let VerdictResponse::Scrambles(listing) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: listing, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!("expected Scrambles");
     };
     assert_eq!(listing.num_rows(), 1);
@@ -202,7 +205,9 @@ fn lifecycle_semantics_hold_in_process() {
         panic!("expected ScramblesDropped");
     };
     assert_eq!(n, 1);
-    let VerdictResponse::Scrambles(listing) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: listing, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!("expected Scrambles");
     };
     assert_eq!(listing.num_rows(), 0);
@@ -228,7 +233,9 @@ fn named_scrambles_create_methods_and_drop_by_name() {
         .unwrap();
     s.execute("CREATE SCRAMBLE st FROM sales METHOD stratified RATIO 0.2 ON city")
         .unwrap();
-    let VerdictResponse::Scrambles(listing) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: listing, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!()
     };
     assert_eq!(listing.num_rows(), 3);
@@ -278,7 +285,9 @@ fn named_scrambles_create_methods_and_drop_by_name() {
         s.execute("DROP SCRAMBLE IF EXISTS h").unwrap(),
         VerdictResponse::ScramblesDropped(0)
     ));
-    let VerdictResponse::Scrambles(listing) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: listing, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!()
     };
     assert_eq!(listing.num_rows(), 2);
@@ -295,7 +304,9 @@ fn refresh_without_batch_rebuilds_from_current_data() {
     s.execute("BYPASS INSERT INTO sales SELECT * FROM b")
         .unwrap();
     // Stale now; a batchless REFRESH rebuilds rather than appends.
-    let VerdictResponse::Scrambles(before) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: before, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!()
     };
     assert!(matches!(before.value(0, 7), Value::Str(st) if st.starts_with("stale")));
@@ -303,7 +314,9 @@ fn refresh_without_batch_rebuilds_from_current_data() {
         s.execute("REFRESH SCRAMBLES sales").unwrap(),
         VerdictResponse::ScramblesRefreshed(1)
     ));
-    let VerdictResponse::Scrambles(after) = s.execute("SHOW SCRAMBLES").unwrap() else {
+    let VerdictResponse::Answer(VerdictAnswer { table: after, .. }) =
+        s.execute("SHOW SCRAMBLES").unwrap()
+    else {
         panic!()
     };
     assert_eq!(after.value(0, 7), Value::Str("fresh".into()));
@@ -566,7 +579,7 @@ fn show_stats_reports_stream_and_cache_counters() {
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
     let stats = match s.execute("SHOW STATS").unwrap() {
-        VerdictResponse::Stats(t) => t,
+        VerdictResponse::Answer(VerdictAnswer { table: t, .. }) => t,
         other => panic!("expected stats, got {other:?}"),
     };
     let lookup = |name: &str| -> i64 {
@@ -602,7 +615,7 @@ fn stream_statement_alias_early_stops_like_the_frame_iterator() {
         .into_answer()
         .unwrap();
     let scramble_rows = match s.execute("SHOW SCRAMBLES").unwrap() {
-        VerdictResponse::Scrambles(t) => {
+        VerdictResponse::Answer(VerdictAnswer { table: t, .. }) => {
             let idx = t.schema.index_of("rows").unwrap();
             t.value(0, idx).as_i64().unwrap() as u64
         }
