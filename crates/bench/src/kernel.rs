@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use verdict_core::answer::{assemble, AssembledAnswer};
 use verdict_core::rewrite::RewriteOutput;
-use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
+use verdict_core::{Route, VerdictConfig, VerdictContext, VerdictSession};
 use verdict_engine::approx::HyperLogLog;
 use verdict_engine::exec::from_clause;
 use verdict_engine::kernels::{self, group_rows_with};
@@ -783,10 +783,12 @@ const DASHBOARD_QUERY: &str =
 /// wraps.  Recorded, not gated: their noise (±5%) is wider than the 2% bars
 /// they were written for.
 ///
-/// * `session_dispatch` — the cache-hot dashboard repeat through
-///   `VerdictContext::execute` vs the SQL-first `VerdictSession::execute`
-///   (parse → option resolution → statement match): the worst case for
-///   relative overhead, with almost no execution time to hide it behind.
+/// * `session_dispatch` — the cache-hot dashboard repeat through the bare
+///   pipeline driver (`parse_statement` → `Route::of` →
+///   `VerdictContext::run_statement` under the base config) vs the
+///   SQL-first `VerdictSession::execute` (parse → config clone → statement
+///   match): the worst case for relative overhead, with almost no
+///   execution time to hide it behind.
 /// * `backend_dispatch` — one engine statement on `Engine::execute_sql` vs
 ///   routed through the `Arc<dyn Backend>` and instrumentation layer every
 ///   `VerdictContext` uses.
@@ -815,7 +817,8 @@ pub fn dispatch_rows() -> Vec<KernelRow> {
     session
         .execute("CREATE SCRAMBLE verdict_sample_sales_uniform FROM sales")
         .expect("dashboard scramble");
-    let warm = ctx.execute(DASHBOARD_QUERY).expect("dashboard query");
+    let warm = session.execute(DASHBOARD_QUERY).expect("dashboard query");
+    let warm = warm.answer().expect("an answer");
     assert!(!warm.exact && !warm.cached);
 
     const TICKS: &str = "SELECT count(*) AS n, sum(id) AS s FROM ticks";
@@ -837,7 +840,12 @@ pub fn dispatch_rows() -> Vec<KernelRow> {
             "session_dispatch",
             timed(|| {
                 for _ in 0..HITS {
-                    assert!(ctx.execute(DASHBOARD_QUERY).expect("cache hit").cached);
+                    let stmt = verdict_sql::parse_statement(DASHBOARD_QUERY).expect("parse");
+                    let route = Route::of(&stmt, false).expect("route").expect("a query");
+                    let (answer, _) = ctx
+                        .run_statement(&stmt, DASHBOARD_QUERY, ctx.config(), route, "none")
+                        .expect("cache hit");
+                    assert!(answer.cached);
                 }
             }),
             timed(|| {
@@ -962,8 +970,10 @@ pub fn progressive_stream() -> StreamBench {
     let (mut one_shot, mut first_frame, mut full_stream) = (vec![], vec![], vec![]);
     let mut frames = 0;
     for _ in 0..REPS {
+        let mut s = session(&[]);
         one_shot.push(secs(&mut || {
-            let answer = ctx.execute(STREAM_QUERY).expect("one-shot answer");
+            let answer = s.execute(STREAM_QUERY).expect("one-shot answer");
+            let answer = answer.answer().expect("an answer");
             assert!(!answer.exact && !answer.cached);
         }));
 

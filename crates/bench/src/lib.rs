@@ -31,7 +31,9 @@ use integrated::{IntegratedAqp, IntegratedSample};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict_core::sample::{SampleType, SAMPLE_TABLE_PREFIX};
-use verdict_core::{VerdictConfig, VerdictContext, VerdictResponse, VerdictResult, VerdictSession};
+use verdict_core::{
+    VerdictAnswer, VerdictConfig, VerdictContext, VerdictResponse, VerdictResult, VerdictSession,
+};
 use verdict_data::{
     instacart_queries, tpch_queries, InstacartGenerator, SyntheticGenerator, TpchGenerator,
 };
@@ -72,6 +74,11 @@ fn create_scramble(
     ))
 }
 
+/// The answer to one query statement (`BYPASS <query>` for the exact one).
+fn answer(session: &mut VerdictSession, sql: &str) -> VerdictResult<VerdictAnswer> {
+    session.execute(sql)?.into_answer()
+}
+
 /// Builds a fully-sampled workload context shared by the speedup experiments.
 pub fn workload_context(
     insta_scale: f64,
@@ -107,16 +114,15 @@ pub fn workload_context(
 
 /// Figures 4, 9, 10: per-query speedups (under the three engine profiles) and
 /// actual relative errors for the full tq-*/iq-* workload.
-pub fn speedup_experiment(ctx: &VerdictContext) -> Vec<SpeedupRow> {
+pub fn speedup_experiment(ctx: &Arc<VerdictContext>) -> Vec<SpeedupRow> {
+    let mut session = VerdictSession::new(Arc::clone(ctx));
     let mut rows = Vec::new();
     for q in tpch_queries().iter().chain(instacart_queries().iter()) {
-        let exact = match ctx.execute_exact(&q.sql) {
-            Ok(a) => a,
-            Err(_) => continue,
+        let Ok(exact) = answer(&mut session, &format!("BYPASS {}", q.sql)) else {
+            continue;
         };
-        let approx = match ctx.execute(&q.sql) {
-            Ok(a) => a,
-            Err(_) => continue,
+        let Ok(approx) = answer(&mut session, &q.sql) else {
+            continue;
         };
         let exact_stats = ExecStats {
             rows_scanned: exact.rows_scanned,
@@ -208,14 +214,10 @@ pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
         config.io_budget = (config.sampling_ratio * 2.5).min(0.6);
         config.seed = Some(9);
         let ctx = Arc::new(VerdictContext::new(conn, config));
-        let _ = create_scramble(
-            &mut VerdictSession::new(Arc::clone(&ctx)),
-            "lineitem",
-            "uniform",
-            &[],
-        );
-        let exact = ctx.execute_exact(sql).unwrap();
-        let approx = ctx.execute(sql).unwrap();
+        let mut session = VerdictSession::new(ctx);
+        let _ = create_scramble(&mut session, "lineitem", "uniform", &[]);
+        let exact = answer(&mut session, &format!("BYPASS {sql}")).unwrap();
+        let approx = answer(&mut session, sql).unwrap();
         let profile = EngineProfile::redshift();
         let speedup = profile.speedup(
             &ExecStats {
@@ -234,7 +236,8 @@ pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
 
 /// Figure 6: VerdictDB versus the tightly-integrated AQP baseline.
 /// Returns `(query id, verdict latency, integrated latency, verdict wins)`.
-pub fn integrated_comparison(ctx: &VerdictContext) -> Vec<(String, Duration, Duration, bool)> {
+pub fn integrated_comparison(ctx: &Arc<VerdictContext>) -> Vec<(String, Duration, Duration, bool)> {
+    let mut session = VerdictSession::new(Arc::clone(ctx));
     let mut integrated = IntegratedAqp::new(Arc::clone(ctx.connection()));
     for meta in ctx.meta().all() {
         if matches!(meta.sample_type, SampleType::Uniform) {
@@ -247,7 +250,7 @@ pub fn integrated_comparison(ctx: &VerdictContext) -> Vec<(String, Duration, Dur
     }
     let mut rows = Vec::new();
     for q in instacart_queries().iter().chain(tpch_queries().iter()) {
-        let Ok(verdict) = ctx.execute(&q.sql) else {
+        let Ok(verdict) = answer(&mut session, &q.sql) else {
             continue;
         };
         let Ok(snappy) = integrated.execute(&q.sql) else {
@@ -272,7 +275,8 @@ pub fn integrated_comparison(ctx: &VerdictContext) -> Vec<(String, Duration, Dur
 /// Table 2: sampling-based count-distinct / median versus the engine's native
 /// approximate aggregates (full-scan sketches).  Returns rows of
 /// `(label, verdict rows scanned, native rows scanned, verdict err, native err)`.
-pub fn native_approx_comparison(ctx: &VerdictContext) -> Vec<(String, u64, u64, f64, f64)> {
+pub fn native_approx_comparison(ctx: &Arc<VerdictContext>) -> Vec<(String, u64, u64, f64, f64)> {
+    let mut session = VerdictSession::new(Arc::clone(ctx));
     let conn = ctx.connection();
     let mut rows = Vec::new();
 
@@ -280,9 +284,11 @@ pub fn native_approx_comparison(ctx: &VerdictContext) -> Vec<(String, u64, u64, 
         .execute("SELECT count(DISTINCT order_id) AS d FROM order_products")
         .unwrap();
     let truth = exact_distinct.table.value(0, 0).as_f64().unwrap();
-    let verdict = ctx
-        .execute("SELECT count(DISTINCT order_id) AS d FROM order_products")
-        .unwrap();
+    let verdict = answer(
+        &mut session,
+        "SELECT count(DISTINCT order_id) AS d FROM order_products",
+    )
+    .unwrap();
     let native = conn
         .execute("SELECT ndv(order_id) AS d FROM order_products")
         .unwrap();
@@ -298,9 +304,11 @@ pub fn native_approx_comparison(ctx: &VerdictContext) -> Vec<(String, u64, u64, 
         .execute("SELECT median(price) AS m FROM order_products")
         .unwrap();
     let truth = exact_median.table.value(0, 0).as_f64().unwrap();
-    let verdict = ctx
-        .execute("SELECT median(price) AS m FROM order_products")
-        .unwrap();
+    let verdict = answer(
+        &mut session,
+        "SELECT median(price) AS m FROM order_products",
+    )
+    .unwrap();
     let native = conn
         .execute("SELECT approx_median(price) AS m FROM order_products")
         .unwrap();

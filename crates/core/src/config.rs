@@ -21,12 +21,6 @@ pub struct VerdictConfig {
     /// perfect square so the join reassignment function `h(i, j)` of Theorem 4
     /// partitions `I × J` exactly.
     pub subsample_count: u64,
-    /// Failure probability δ for the per-stratum minimum-size guarantee of
-    /// Lemma 1 (paper default: 0.001).
-    pub stratified_delta: f64,
-    /// Minimum number of tuples per stratum that stratified samples must
-    /// retain (the `m` of Equation 1 is `|T|·τ/d`, clamped below by this).
-    pub stratified_min_rows: u64,
     /// Confidence level for reported error bounds (e.g. 0.95).
     pub confidence: f64,
     /// Optional accuracy requirement: maximum tolerated relative error.  When
@@ -46,12 +40,6 @@ pub struct VerdictConfig {
     /// Deterministic seed for subsample assignment randomness; `None` uses
     /// entropy.  Experiments set it for reproducibility.
     pub seed: Option<u64>,
-    /// Worker-thread count hint for the underlying engine's morsel-parallel
-    /// kernels.  `None` (default) leaves the engine at its own default
-    /// (`available_parallelism()`); `Some(1)` forces serial execution.
-    /// Applied to the connection when the context is created; results are
-    /// bit-identical at any setting — only latency changes.
-    pub parallelism: Option<usize>,
     /// Capacity (in entries) of the approximate-answer cache keyed by
     /// canonical SQL.  `0` (the default) disables caching: every `execute`
     /// call runs against the underlying database.  The serving layer turns
@@ -89,15 +77,12 @@ impl Default for VerdictConfig {
             sampling_ratio: 0.01,
             min_table_rows: 10_000,
             subsample_count: 100,
-            stratified_delta: 0.001,
-            stratified_min_rows: 100,
             confidence: 0.95,
             max_relative_error: None,
             include_error_columns: false,
             min_rows_per_group: 10.0,
             planner_top_k: 10,
             seed: None,
-            parallelism: None,
             answer_cache_capacity: 0,
             stream_block_rows: verdict_engine::MORSEL_ROWS,
             stream_max_frames: 0,
@@ -127,8 +112,8 @@ impl VerdictConfig {
     /// shaping (`include_error_columns`), and fallback thresholds
     /// (`max_relative_error`, `min_rows_per_group`).  Excluded: knobs that
     /// only change *how fast* the identical answer is produced
-    /// (`parallelism`, `answer_cache_capacity`), that only matter at
-    /// sample-build time (`sampling_ratio`, `stratified_*`), that only
+    /// (`answer_cache_capacity`), that only matter at sample-build time
+    /// (`sampling_ratio`), that only
     /// change how often progressive frames appear while leaving the final
     /// answer bit-identical (`stream_block_rows`, `stream_max_frames`), or
     /// that are purely observational (`slow_query_ms`).
@@ -169,7 +154,7 @@ mod tests {
         assert_eq!(c.io_budget, 0.02);
         assert_eq!(c.sampling_ratio, 0.01);
         assert_eq!(c.subsample_count, 100);
-        assert_eq!(c.stratified_delta, 0.001);
+        assert_eq!(crate::sample::STRATIFIED_DELTA, 0.001);
         assert_eq!(c.planner_top_k, 10);
     }
 

@@ -24,7 +24,6 @@ use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
 use crate::meta::MetaStore;
 use crate::obs::Obs;
-use crate::pipeline::Route;
 use crate::sample::builder::build_sample_sql;
 use crate::sample::maintenance::{append_sql, staleness, Staleness};
 use crate::sample::policy::{default_policy, ColumnCardinality};
@@ -155,11 +154,6 @@ impl VerdictContext {
     /// ([`Backend::dialect`] — the generic dialect unless the backend
     /// overrides it).
     pub fn new(conn: Arc<dyn Backend>, config: VerdictConfig) -> VerdictContext {
-        // Thread the engine's thread-count hint through to the backend;
-        // backends without a local execution engine ignore it.
-        if let Some(threads) = config.parallelism {
-            conn.set_parallelism(threads);
-        }
         let cache = AnswerCache::new(config.answer_cache_capacity);
         let instrumented = Arc::new(InstrumentedBackend::new(conn));
         VerdictContext {
@@ -292,9 +286,8 @@ impl VerdictContext {
     ///
     /// The context's configuration is fixed at construction time: a context
     /// is shared by many sessions behind an `Arc`, so there is deliberately
-    /// no mutation path.  Per-session / per-query overrides go through
-    /// [`crate::session::QueryOptions`] on a [`crate::session::VerdictSession`],
-    /// which resolves an effective configuration for each statement.
+    /// no mutation path.  Each [`crate::session::VerdictSession`] opens with
+    /// a clone of it, which that session's `SET` statements change.
     pub fn config(&self) -> &VerdictConfig {
         &self.config
     }
@@ -327,8 +320,7 @@ impl VerdictContext {
     // ------------------------------------------------------------------
 
     /// Creates one sample (scramble) table, optionally under a caller-chosen
-    /// name (`CREATE SCRAMBLE <name> FROM …`), with an explicit configuration
-    /// (sessions pass their per-statement resolved config).
+    /// name (`CREATE SCRAMBLE <name> FROM …`).
     ///
     /// An existing **scramble** with the same name is replaced: its
     /// registration and table are dropped before the new one is built.  A
@@ -341,7 +333,6 @@ impl VerdictContext {
         base_table: &str,
         sample_type: SampleType,
         ratio: f64,
-        config: &VerdictConfig,
     ) -> VerdictResult<SampleMeta> {
         let base_rows = self.conn.table_row_count(base_table)?;
         let base_columns = self.column_names(base_table)?;
@@ -376,7 +367,6 @@ impl VerdictContext {
             base_rows,
             strata_count,
             &base_columns,
-            config,
             self.dialect(),
         );
         for stmt in &plan.statements {
@@ -437,7 +427,6 @@ impl VerdictContext {
                 base_table,
                 sample_type,
                 decision.ratio,
-                config,
             )?);
         }
         Ok(created)
@@ -550,11 +539,7 @@ impl VerdictContext {
     /// Rebuilds every sample of `base_table` from the current base data,
     /// keeping each sample's name, type, and ratio (a batchless
     /// `REFRESH SCRAMBLES` statement).  Returns the number of samples rebuilt.
-    pub(crate) fn rebuild_samples(
-        &self,
-        base_table: &str,
-        config: &VerdictConfig,
-    ) -> VerdictResult<usize> {
+    pub(crate) fn rebuild_samples(&self, base_table: &str) -> VerdictResult<usize> {
         let samples = self.meta.samples_for(base_table);
         let mut rebuilt = 0usize;
         for meta in &samples {
@@ -566,41 +551,10 @@ impl VerdictContext {
                 base_table,
                 meta.sample_type.clone(),
                 meta.ratio,
-                config,
             )?;
             rebuilt += 1;
         }
         Ok(rebuilt)
-    }
-
-    // ------------------------------------------------------------------
-    // Query processing (online stage) — see [`crate::pipeline`]
-    // ------------------------------------------------------------------
-
-    /// Executes a statement approximately when possible, exactly otherwise
-    /// (a string convenience over [`Self::run_statement`] under the base
-    /// configuration).
-    ///
-    /// When the answer cache is enabled (a nonzero
-    /// [`VerdictConfig::answer_cache_capacity`]) and an identical query
-    /// (modulo whitespace / case / literal spelling, see
-    /// [`verdict_sql::canonical_sql`]) was answered before over unchanged
-    /// data, the stored answer — estimate *and* confidence interval — is
-    /// returned without touching the underlying database, with
-    /// [`VerdictAnswer::cached`] set.
-    pub fn execute(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
-        let stmt = verdict_sql::parse_statement(sql)?;
-        let route = Route::of(&stmt, false)?.unwrap_or(Route::Approximate);
-        self.run_statement(&stmt, sql, &self.config, route, "none")
-            .map(|(answer, _)| answer)
-    }
-
-    /// Executes the original statement exactly on the base tables.
-    pub fn execute_exact(&self, sql: &str) -> VerdictResult<VerdictAnswer> {
-        let stmt = verdict_sql::parse_statement(sql)?;
-        let route = Route::of(&stmt, true)?.unwrap_or(Route::Exact);
-        self.run_statement(&stmt, sql, &self.config, route, "none")
-            .map(|(answer, _)| answer)
     }
 
     // ------------------------------------------------------------------

@@ -88,5 +88,5 @@ pub use obs::{Histogram, Obs, QueryTrace, SpanRecord, TraceBuilder, TraceRing};
 pub use pipeline::{statement_class, Route};
 pub use progress::{ProgressFrame, ProgressStream};
 pub use sample::{SampleMeta, SampleType};
-pub use session::{QueryOptions, VerdictResponse, VerdictSession};
+pub use session::{VerdictResponse, VerdictSession};
 pub use shed::{Admission, AdmissionController, AdmissionStats, ShedPolicy, ShedTier};

@@ -15,9 +15,9 @@
 //! disallows it (Impala), by materialising the random draw in a derived
 //! table first.
 
-use crate::config::VerdictConfig;
 use crate::sample::{
-    hashed_predicate, qualified_columns, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN,
+    hashed_predicate, qualified_columns, SampleType, SAMPLING_PROB_COLUMN, STRATIFIED_DELTA,
+    STRATIFIED_MIN_ROWS, SUBSAMPLE_DRAW_COLUMN,
 };
 use crate::stats::build_staircase;
 use verdict_sql::Dialect;
@@ -67,7 +67,6 @@ pub fn build_sample_sql(
     base_rows: u64,
     strata_count: u64,
     base_columns: &[String],
-    config: &VerdictConfig,
     dialect: &dyn Dialect,
 ) -> SamplePlanSql {
     match sample_type {
@@ -83,13 +82,8 @@ pub fn build_sample_sql(
             base_rows,
             strata_count,
             base_columns,
-            config,
             dialect,
         ),
-        SampleType::Irregular => SamplePlanSql {
-            statements: Vec::new(),
-            sample_table: sample_table.to_string(),
-        },
     }
 }
 
@@ -158,7 +152,6 @@ fn stratified_sql(
     base_rows: u64,
     strata_count: u64,
     base_columns: &[String],
-    config: &VerdictConfig,
     dialect: &dyn Dialect,
 ) -> SamplePlanSql {
     let temp_table = format!("{sample_table}_strata_tmp");
@@ -172,10 +165,9 @@ fn stratified_sql(
         .collect::<Vec<_>>()
         .join(", ");
 
-    // Equation 1: at least |T|·τ/d tuples per stratum (clamped below by the
-    // configured minimum so tiny tables still keep a usable per-group count).
+    // Equation 1: at least |T|·τ/d tuples per stratum, clamped below.
     let d = strata_count.max(1);
-    let m = (((base_rows as f64) * ratio / d as f64).ceil() as u64).max(config.stratified_min_rows);
+    let m = (((base_rows as f64) * ratio / d as f64).ceil() as u64).max(STRATIFIED_MIN_ROWS);
 
     // Pass 1: strata sizes.
     let pass1 = format!(
@@ -184,7 +176,7 @@ fn stratified_sql(
     );
 
     // Staircase CASE expression over strata sizes (§3.2 / Lemma 1).
-    let steps = build_staircase(m, base_rows.max(1), config.stratified_delta);
+    let steps = build_staircase(m, base_rows.max(1), STRATIFIED_DELTA);
     let mut case_expr = String::from("CASE");
     for step in &steps {
         case_expr.push_str(&format!(
@@ -236,10 +228,6 @@ mod tests {
     use super::*;
     use verdict_sql::{GenericDialect, ImpalaDialect, RedshiftDialect};
 
-    fn config() -> VerdictConfig {
-        VerdictConfig::for_testing()
-    }
-
     fn base_columns() -> Vec<String> {
         vec!["order_id".into(), "city".into(), "price".into()]
     }
@@ -254,7 +242,6 @@ mod tests {
             1_000_000,
             0,
             &base_columns(),
-            &config(),
             &GenericDialect,
         );
         assert_eq!(plan.statements.len(), 1);
@@ -274,7 +261,6 @@ mod tests {
             1_000_000,
             0,
             &base_columns(),
-            &config(),
             &ImpalaDialect,
         );
         assert!(plan.statements[0].contains("verdict_rand < 0.01"));
@@ -294,7 +280,6 @@ mod tests {
             1_000_000,
             0,
             &base_columns(),
-            &config(),
             &RedshiftDialect,
         );
         assert!(plan.statements[0].contains("crc32"));
@@ -313,7 +298,6 @@ mod tests {
             1_000_000,
             24,
             &base_columns(),
-            &config(),
             &GenericDialect,
         );
         assert_eq!(plan.statements.len(), 3);
@@ -337,7 +321,6 @@ mod tests {
             100_000,
             10,
             &base_columns(),
-            &config(),
             &GenericDialect,
         );
         // extract the THEN probabilities of the projection's CASE expression

@@ -139,7 +139,6 @@ pub fn append_sql(
                 format!("DROP TABLE IF EXISTS {probs_table}"),
             ]
         }
-        SampleType::Irregular => Vec::new(),
     }
 }
 

@@ -1,8 +1,8 @@
 //! Sample preparation: the offline stage of VerdictDB (§3 of the paper).
 //!
-//! Four sample types exist (§3.1): **uniform**, **hashed** (universe),
-//! **stratified**, and **irregular** (the latter only arises at query time
-//! when samples are joined).  Every sample table stores the per-tuple
+//! Three sample types are built offline (§3.1): **uniform**, **hashed**
+//! (universe) and **stratified**; the paper's fourth, **irregular**, only
+//! arises at query time when samples are joined.  Every sample table stores the per-tuple
 //! sampling probability in an extra column named
 //! [`SAMPLING_PROB_COLUMN`], exactly as the paper prescribes, so that query
 //! rewriting can build Horvitz–Thompson style unbiased estimates in SQL.
@@ -27,6 +27,15 @@ pub const SAMPLING_PROB_COLUMN: &str = "verdict_sampling_prob";
 /// `u ∈ [0, 1)`, from which the rewriter derives the variational subsample
 /// id as `1 + floor(u · b)` for any subsample count `b`.
 pub const SUBSAMPLE_DRAW_COLUMN: &str = "verdict_subsample_u";
+
+/// Failure probability δ of the per-stratum minimum-size guarantee of
+/// Lemma 1 (the paper's value).
+pub const STRATIFIED_DELTA: f64 = 0.001;
+
+/// Least number of tuples a stratified sample keeps per stratum: the `m` of
+/// Equation 1 is `|T|·τ/d`, clamped below by this so tiny tables still keep
+/// a usable per-group count.
+pub const STRATIFIED_MIN_ROWS: u64 = 100;
 
 /// Prefix for all tables VerdictDB creates in the underlying database.
 pub const SAMPLE_TABLE_PREFIX: &str = "verdict_sample";
@@ -87,8 +96,6 @@ pub enum SampleType {
         /// The stratification column set.
         columns: Vec<String>,
     },
-    /// Produced only at query time by joining other samples; never built offline.
-    Irregular,
 }
 
 impl SampleType {
@@ -98,7 +105,6 @@ impl SampleType {
             SampleType::Uniform => "uniform",
             SampleType::Hashed { .. } => "hashed",
             SampleType::Stratified { .. } => "stratified",
-            SampleType::Irregular => "irregular",
         }
     }
 
@@ -117,7 +123,6 @@ impl fmt::Display for SampleType {
             SampleType::Uniform => write!(f, "uniform"),
             SampleType::Hashed { columns } => write!(f, "hashed({})", columns.join(",")),
             SampleType::Stratified { columns } => write!(f, "stratified({})", columns.join(",")),
-            SampleType::Irregular => write!(f, "irregular"),
         }
     }
 }

@@ -18,11 +18,12 @@
 //!
 //! A session owns a shared [`VerdictContext`] (`Arc`, so many sessions share
 //! one engine catalog, sample registry, and answer cache) plus its own
-//! [`QueryOptions`].  Options are resolved against the context's immutable
-//! base [`VerdictConfig`] *per statement*: `SET` mutates only this session's
-//! options, never shared state — the replacement for the old
-//! `config_mut()`-on-a-shared-context wart, which could not work behind the
-//! server's `Arc<VerdictContext>` at all.
+//! [`VerdictConfig`], cloned from the context's immutable base when the
+//! session opens.  `SET` writes only this session's config, never shared
+//! state; `SET <option> = default` copies the base's value back.  Two
+//! settings are not part of a config: `bypass` and `deadline_ms`.
+//! `SET parallelism` is the one engine-wide setting: it resizes the shared
+//! connection's worker pool.
 
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
@@ -32,105 +33,9 @@ use crate::pipeline::{statement_class, Route};
 use crate::progress::ProgressStream;
 use crate::sample::{SampleMeta, SampleType};
 use std::sync::Arc;
-use verdict_engine::{Table, TableBuilder};
+use verdict_engine::{default_parallelism, Table, TableBuilder, MAX_PARALLELISM};
 use verdict_sql::ast::{Literal, ScrambleMethod, SetValue, Statement};
 use verdict_sql::printer::print_statement;
-
-/// Per-session (and therefore per-query) overrides of the context's base
-/// configuration (§2.4 knobs).
-///
-/// Every field is optional; `None` inherits the base [`VerdictConfig`].
-/// Options are set through SQL (`SET <option> = <value>`) or constructed
-/// directly for embedded use.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryOptions {
-    /// `SET target_error = r` — maximum tolerated relative error; when the
-    /// estimated error exceeds it the query is re-run exactly (High-level
-    /// Accuracy Contract).
-    pub target_error: Option<f64>,
-    /// `SET confidence = c` — confidence level for reported error bounds.
-    pub confidence: Option<f64>,
-    /// `SET cache = on|off` — per-session answer-cache policy.  `off`
-    /// bypasses the shared cache for this session's statements (no lookups,
-    /// no insertions); `on` restores the base behaviour.  A cache disabled
-    /// at context construction cannot be enabled per session.
-    pub cache: Option<bool>,
-    /// `SET parallelism = n` — worker-thread hint for the underlying
-    /// engine.  Results are bit-identical at any setting; only latency
-    /// changes.  **Engine-wide, not session-scoped**: the hint is applied
-    /// to the shared connection's morsel pool when set (the engine has one
-    /// pool, so per-statement isolation is not possible); `SET parallelism
-    /// = default` restores the base configuration's setting.
-    pub parallelism: Option<usize>,
-    /// `SET bypass = on|off` — when on, every query runs exactly on the
-    /// base tables (a session-wide `BYPASS`).
-    pub bypass: bool,
-    /// `SET error_columns = on|off` — attach `<column>_err` columns to
-    /// approximate results.
-    pub error_columns: Option<bool>,
-    /// `SET io_budget = f` — maximum fraction of each large table read per
-    /// query.
-    pub io_budget: Option<f64>,
-    /// `SET sampling_ratio = r` — default τ for `CREATE SCRAMBLE` statements
-    /// that omit `RATIO`.
-    pub sampling_ratio: Option<f64>,
-    /// `SET stream_block_rows = n` — scramble rows consumed per progressive
-    /// frame (see [`VerdictConfig::stream_block_rows`]).
-    pub stream_block_rows: Option<usize>,
-    /// `SET stream_max_frames = n` — cap on frames per stream, 0 for
-    /// unbounded (see [`VerdictConfig::stream_max_frames`]).
-    pub stream_max_frames: Option<usize>,
-    /// `SET deadline_ms = n` — per-query deadline in milliseconds, enforced
-    /// by the serving layer's admission control (a statement still queued
-    /// when its deadline passes is answered with a typed `DEADLINE` error;
-    /// progressive streams stop at the deadline).  `None` (the default)
-    /// means no deadline; in-process sessions ignore the option.
-    pub deadline_ms: Option<u64>,
-    /// `SET slow_query_ms = n` — slow-query threshold in milliseconds (see
-    /// [`VerdictConfig::slow_query_ms`]); `0` disables the flag.  Purely
-    /// observational: flagged statements are marked `slow` in the trace ring
-    /// and counted in `verdict_slow_queries_total`.
-    pub slow_query_ms: Option<u64>,
-}
-
-impl QueryOptions {
-    /// Resolves these options against a base configuration, producing the
-    /// effective per-statement [`VerdictConfig`].
-    pub fn resolve(&self, base: &VerdictConfig) -> VerdictConfig {
-        let mut cfg = base.clone();
-        if let Some(te) = self.target_error {
-            cfg.max_relative_error = Some(te);
-        }
-        if let Some(c) = self.confidence {
-            cfg.confidence = c;
-        }
-        if self.cache == Some(false) {
-            cfg.answer_cache_capacity = 0;
-        }
-        // `parallelism` is deliberately NOT folded in: the engine reads it
-        // only at context construction, so the per-statement config cannot
-        // carry it — SET applies the hint to the shared pool instead.
-        if let Some(e) = self.error_columns {
-            cfg.include_error_columns = e;
-        }
-        if let Some(b) = self.io_budget {
-            cfg.io_budget = b;
-        }
-        if let Some(r) = self.sampling_ratio {
-            cfg.sampling_ratio = r;
-        }
-        if let Some(b) = self.stream_block_rows {
-            cfg.stream_block_rows = b;
-        }
-        if let Some(f) = self.stream_max_frames {
-            cfg.stream_max_frames = f;
-        }
-        if let Some(ms) = self.slow_query_ms {
-            cfg.slow_query_ms = ms;
-        }
-        cfg
-    }
-}
 
 /// The unified result of one SQL statement executed on a [`VerdictSession`].
 #[derive(Debug, Clone)]
@@ -197,25 +102,29 @@ impl VerdictResponse {
 /// A SQL-only session over a shared [`VerdictContext`].
 ///
 /// See the [module documentation](self) for the statement surface.  Sessions
-/// are cheap to create (one `Arc` clone plus default options) and are *not*
+/// are cheap to create (one `Arc` clone plus a config clone) and are *not*
 /// shared between threads — each connection/actor gets its own.
 pub struct VerdictSession {
     ctx: Arc<VerdictContext>,
-    options: QueryOptions,
+    /// The context's base configuration as this session's `SET`s changed it.
+    config: VerdictConfig,
+    /// `SET bypass = on`: every query runs exactly on the base tables (a
+    /// session-wide `BYPASS`).
+    bypass: bool,
+    /// `SET deadline_ms = n`: the per-query deadline the serving layer's
+    /// admission control enforces; in-process sessions ignore it.
+    deadline_ms: Option<u64>,
     shed: crate::shed::ShedTier,
 }
 
 impl VerdictSession {
-    /// Opens a session with default (inherit-everything) options.
+    /// Opens a session under the context's base configuration.
     pub fn new(ctx: Arc<VerdictContext>) -> VerdictSession {
-        Self::with_options(ctx, QueryOptions::default())
-    }
-
-    /// Opens a session with explicit initial options.
-    pub fn with_options(ctx: Arc<VerdictContext>, options: QueryOptions) -> VerdictSession {
         VerdictSession {
+            config: ctx.config().clone(),
             ctx,
-            options,
+            bypass: false,
+            deadline_ms: None,
             shed: crate::shed::ShedTier::None,
         }
     }
@@ -225,9 +134,11 @@ impl VerdictSession {
         &self.ctx
     }
 
-    /// The current session options.
-    pub fn options(&self) -> &QueryOptions {
-        &self.options
+    /// The session's `SET deadline_ms`, if any: a statement still queued
+    /// when it passes is answered with a typed `DEADLINE` error, and a
+    /// progressive stream stops there.
+    pub fn deadline_ms(&self) -> Option<u64> {
+        self.deadline_ms
     }
 
     /// Applies a load-shedding tier to every subsequent statement's
@@ -243,9 +154,10 @@ impl VerdictSession {
         self.shed
     }
 
-    /// The effective configuration the next statement would run under.
+    /// The effective configuration the next statement would run under:
+    /// the session's config with the shed tier applied.
     pub fn effective_config(&self) -> VerdictConfig {
-        let mut cfg = self.options.resolve(self.ctx.config());
+        let mut cfg = self.config.clone();
         self.shed.apply(&mut cfg);
         cfg
     }
@@ -262,7 +174,7 @@ impl VerdictSession {
     /// one-shot answer (see [`crate::progress`]).  Accepts either a plain
     /// `SELECT …` or the `STREAM SELECT …` statement form.
     ///
-    /// The stream runs under this session's current options: `target_error`
+    /// The stream runs under this session's current settings: `target_error`
     /// becomes the early-stop threshold, `stream_block_rows` /
     /// `stream_max_frames` shape the frame cadence, and `bypass` degrades
     /// to a single exact frame.
@@ -274,7 +186,7 @@ impl VerdictSession {
     }
 
     fn open_stream(&mut self, stmt: Statement) -> VerdictResult<ProgressStream> {
-        let route = Route::of(&stmt, self.options.bypass)?;
+        let route = Route::of(&stmt, self.bypass)?;
         let (Statement::Stream(query), Some(route)) = (stmt, route) else {
             return Err(VerdictError::Unsupported(
                 "only queries can be streamed (SELECT … or STREAM SELECT …)".into(),
@@ -348,7 +260,7 @@ impl VerdictSession {
         sql: &str,
     ) -> VerdictResult<(VerdictResponse, QueryTrace)> {
         let shed = self.shed.label();
-        if let Some(route) = Route::of(stmt, self.options.bypass)? {
+        if let Some(route) = Route::of(stmt, self.bypass)? {
             let cfg = self.effective_config();
             let (answer, trace) = self.ctx.run_statement(stmt, sql, &cfg, route, shed)?;
             return Ok((VerdictResponse::Answer(answer), trace));
@@ -388,7 +300,6 @@ impl VerdictSession {
                     &table.key(),
                     sample_type,
                     ratio,
-                    &cfg,
                 )?;
                 Ok(VerdictResponse::ScramblesCreated(vec![meta]))
             }
@@ -417,10 +328,7 @@ impl VerdictSession {
                     Some(b) => self
                         .ctx
                         .refresh_samples_after_append(&table.key(), &b.key())?,
-                    None => {
-                        let cfg = self.effective_config();
-                        self.ctx.rebuild_samples(&table.key(), &cfg)?
-                    }
+                    None => self.ctx.rebuild_samples(&table.key())?,
                 };
                 Ok(VerdictResponse::ScramblesRefreshed(refreshed))
             }
@@ -436,149 +344,132 @@ impl VerdictSession {
     }
 
     /// Applies `SET <option> = <value>`, returning the canonical option name
-    /// and the rendered applied value.
+    /// and the applied value as text (`default` after a reset).  A value is
+    /// validated, then written into this session's config; `default` (or
+    /// `none`) copies the base configuration's value back.
     fn set_option(&mut self, name: &str, value: &SetValue) -> VerdictResult<(String, String)> {
         let reset = matches!(value, SetValue::Ident(w) if w == "default" || w == "none");
-        match name {
+        // `Some(parsed value)`, or `None` on reset.
+        fn parse<T>(reset: bool, f: impl FnOnce() -> VerdictResult<T>) -> VerdictResult<Option<T>> {
+            (!reset).then(f).transpose()
+        }
+        let base = self.ctx.config();
+        let cfg = &mut self.config;
+        let (name, shown) = match name {
             "target_error" | "max_relative_error" => {
-                self.options.target_error = if reset {
-                    None
-                } else {
+                let t = parse(reset, || {
                     let t = value_f64(value)?;
                     if t <= 0.0 {
                         return Err(VerdictError::Unsupported(format!(
                             "target_error must be positive, got {t}"
                         )));
                     }
-                    Some(t)
-                };
-                Ok(("target_error".into(), render(self.options.target_error)))
+                    Ok(t)
+                })?;
+                cfg.max_relative_error = t.or(base.max_relative_error);
+                ("target_error", render(t))
             }
             "confidence" => {
-                let v = if reset {
-                    None
-                } else {
+                let c = parse(reset, || {
                     let c = value_f64(value)?;
                     if !(c > 0.0 && c < 1.0) {
                         return Err(VerdictError::Unsupported(format!(
                             "confidence must be in (0, 1), got {c}"
                         )));
                     }
-                    Some(c)
-                };
-                self.options.confidence = v;
-                Ok(("confidence".into(), render(self.options.confidence)))
+                    Ok(c)
+                })?;
+                cfg.confidence = c.unwrap_or(base.confidence);
+                ("confidence", render(c))
             }
+            // `off` bypasses the shared cache for this session (no lookups,
+            // no insertions); `on` restores the base capacity, so a cache
+            // disabled at context construction cannot be enabled here.
             "cache" => {
-                self.options.cache = if reset {
-                    None
-                } else {
-                    Some(value_bool(value)?)
+                let on = parse(reset, || value_bool(value))?;
+                cfg.answer_cache_capacity = match on {
+                    Some(false) => 0,
+                    _ => base.answer_cache_capacity,
                 };
-                Ok(("cache".into(), render(self.options.cache)))
+                ("cache", render(on))
             }
+            // Engine-wide, not session-scoped: the engine has one worker
+            // pool, so the value resizes the shared connection's pool.
+            // Results are bit-identical at any setting; only latency moves.
             "parallelism" => {
-                let v = if reset {
-                    None
-                } else {
-                    Some(value_uint(value, "parallelism", 1, "")? as usize)
-                };
-                self.options.parallelism = v;
-                // The hint targets the shared engine pool (engine-wide, see
-                // the field docs); results stay bit-identical at any
-                // setting, only latency changes.  Reset restores the base
-                // configuration's setting (or the machine default).
-                let effective = v
-                    .or(self.ctx.config().parallelism)
-                    .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()));
-                if let Some(n) = effective {
-                    self.ctx.connection().set_parallelism(n);
-                }
-                Ok(("parallelism".into(), render(self.options.parallelism)))
+                let n = parse(reset, || {
+                    let n = value_uint(value, "parallelism", 1, "")?;
+                    if n > MAX_PARALLELISM as u64 {
+                        return Err(VerdictError::Unsupported(format!(
+                            "parallelism must be at most {MAX_PARALLELISM}, got {n}"
+                        )));
+                    }
+                    Ok(n as usize)
+                })?;
+                self.ctx
+                    .connection()
+                    .set_parallelism(n.unwrap_or_else(default_parallelism));
+                ("parallelism", render(n))
             }
             "bypass" => {
-                self.options.bypass = if reset { false } else { value_bool(value)? };
-                Ok(("bypass".into(), self.options.bypass.to_string()))
+                self.bypass = !reset && value_bool(value)?;
+                ("bypass", self.bypass.to_string())
             }
             "error_columns" | "include_error_columns" => {
-                self.options.error_columns = if reset {
-                    None
-                } else {
-                    Some(value_bool(value)?)
-                };
-                Ok(("error_columns".into(), render(self.options.error_columns)))
+                let e = parse(reset, || value_bool(value))?;
+                cfg.include_error_columns = e.unwrap_or(base.include_error_columns);
+                ("error_columns", render(e))
             }
             "io_budget" => {
-                self.options.io_budget = if reset {
-                    None
-                } else {
-                    Some(value_fraction(value, "io_budget")?)
-                };
-                Ok(("io_budget".into(), render(self.options.io_budget)))
+                let b = parse(reset, || value_fraction(value, "io_budget"))?;
+                cfg.io_budget = b.unwrap_or(base.io_budget);
+                ("io_budget", render(b))
             }
             "sampling_ratio" => {
-                self.options.sampling_ratio = if reset {
-                    None
-                } else {
-                    Some(value_fraction(value, "sampling_ratio")?)
-                };
-                Ok(("sampling_ratio".into(), render(self.options.sampling_ratio)))
+                let r = parse(reset, || value_fraction(value, "sampling_ratio"))?;
+                cfg.sampling_ratio = r.unwrap_or(base.sampling_ratio);
+                ("sampling_ratio", render(r))
             }
             "stream_block_rows" => {
-                self.options.stream_block_rows = if reset {
-                    None
-                } else {
-                    Some(value_uint(value, "stream_block_rows", 1, "")? as usize)
-                };
-                Ok((
-                    "stream_block_rows".into(),
-                    render(self.options.stream_block_rows),
-                ))
+                let n = parse(reset, || value_uint(value, "stream_block_rows", 1, ""))?;
+                cfg.stream_block_rows = n.map_or(base.stream_block_rows, |n| n as usize);
+                ("stream_block_rows", render(n))
             }
             "stream_max_frames" => {
-                self.options.stream_max_frames = if reset {
-                    None
-                } else {
-                    Some(value_uint(value, "stream_max_frames", 0, " (0 = unbounded)")? as usize)
-                };
-                Ok((
-                    "stream_max_frames".into(),
-                    render(self.options.stream_max_frames),
-                ))
+                let n = parse(reset, || {
+                    value_uint(value, "stream_max_frames", 0, " (0 = unbounded)")
+                })?;
+                cfg.stream_max_frames = n.map_or(base.stream_max_frames, |n| n as usize);
+                ("stream_max_frames", render(n))
             }
             "deadline_ms" => {
-                self.options.deadline_ms = if reset {
-                    None
-                } else {
-                    Some(value_uint(
-                        value,
-                        "deadline_ms",
-                        1,
-                        " number of milliseconds",
-                    )?)
-                };
-                Ok(("deadline_ms".into(), render(self.options.deadline_ms)))
+                self.deadline_ms = parse(reset, || {
+                    value_uint(value, "deadline_ms", 1, " number of milliseconds")
+                })?;
+                ("deadline_ms", render(self.deadline_ms))
             }
             "slow_query_ms" => {
-                self.options.slow_query_ms = if reset {
-                    None
-                } else {
-                    Some(value_uint(
+                let ms = parse(reset, || {
+                    value_uint(
                         value,
                         "slow_query_ms",
                         0,
                         " number of milliseconds (0 = disabled)",
-                    )?)
-                };
-                Ok(("slow_query_ms".into(), render(self.options.slow_query_ms)))
+                    )
+                })?;
+                cfg.slow_query_ms = ms.unwrap_or(base.slow_query_ms);
+                ("slow_query_ms", render(ms))
             }
-            other => Err(VerdictError::Unsupported(format!(
-                "unknown session option {other} (target_error, confidence, cache, \
-                 parallelism, bypass, error_columns, io_budget, \
-                 sampling_ratio, stream_block_rows, stream_max_frames, deadline_ms, \
-                 slow_query_ms)"
-            ))),
-        }
+            other => {
+                return Err(VerdictError::Unsupported(format!(
+                    "unknown session option {other} (target_error, confidence, cache, \
+                     parallelism, bypass, error_columns, io_budget, \
+                     sampling_ratio, stream_block_rows, stream_max_frames, deadline_ms, \
+                     slow_query_ms)"
+                )))
+            }
+        };
+        Ok((name.into(), shown))
     }
 }
 

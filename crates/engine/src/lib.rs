@@ -54,7 +54,7 @@ pub use column::{Bitmap, Column, ColumnData};
 pub use engine::{Backend, Engine, ExecStats, QueryResult};
 pub use error::{EngineError, EngineResult};
 pub use exec::progressive::{BlockScan, ProgressiveScan};
-pub use parallel::{ThreadPool, MORSEL_ROWS};
+pub use parallel::{default_parallelism, ThreadPool, MAX_PARALLELISM, MORSEL_ROWS};
 pub use persist::{ScanSource, StoreHandle, TableSource};
 pub use schema::{Field, Schema};
 pub use selvec::SelVec;

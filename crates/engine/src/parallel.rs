@@ -27,6 +27,27 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// benchmark scale of one million rows.
 pub const MORSEL_ROWS: usize = 64 * 1024;
 
+/// The most workers a pool runs.  Worker counts feed products such as
+/// `workers × MORSEL_ROWS`, which a count near `usize::MAX` would wrap to a
+/// zero chunk size; a thousand threads is already far past any core count.
+pub const MAX_PARALLELISM: usize = 1024;
+
+/// The worker count a pool starts from: `VERDICT_PARALLELISM` when set to a
+/// positive integer (CI pins the suite's thread count with it), otherwise
+/// `std::thread::available_parallelism()`, clamped to [`MAX_PARALLELISM`].
+pub fn default_parallelism() -> usize {
+    std::env::var("VERDICT_PARALLELISM")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&t| t > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .min(MAX_PARALLELISM)
+}
+
 /// A fork-join worker pool for morsel-parallel kernels.
 ///
 /// `run`/`run_morsels` use `std::thread::scope`, so closures may borrow the
@@ -38,10 +59,11 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// A pool that runs kernels across `threads` workers (clamped to ≥ 1).
+    /// A pool that runs kernels across `threads` workers (clamped to
+    /// `1..=MAX_PARALLELISM`).
     pub fn new(threads: usize) -> ThreadPool {
         ThreadPool {
-            threads: AtomicUsize::new(threads.max(1)),
+            threads: AtomicUsize::new(threads.clamp(1, MAX_PARALLELISM)),
         }
     }
 
@@ -50,20 +72,9 @@ impl ThreadPool {
         ThreadPool::new(1)
     }
 
-    /// A pool sized from `std::thread::available_parallelism()`, overridable
-    /// with the `VERDICT_PARALLELISM` environment variable (used by CI to run
-    /// the suite at a pinned thread count).
+    /// A pool of [`default_parallelism`] workers.
     pub fn with_default_parallelism() -> ThreadPool {
-        let threads = std::env::var("VERDICT_PARALLELISM")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        ThreadPool::new(threads)
+        ThreadPool::new(default_parallelism())
     }
 
     /// The configured worker count.
@@ -71,10 +82,11 @@ impl ThreadPool {
         self.threads.load(Ordering::Relaxed).max(1)
     }
 
-    /// Reconfigures the worker count (clamped to ≥ 1); takes effect on the
-    /// next `run` call.
+    /// Reconfigures the worker count (clamped to `1..=MAX_PARALLELISM`);
+    /// takes effect on the next `run` call.
     pub fn set_parallelism(&self, threads: usize) {
-        self.threads.store(threads.max(1), Ordering::Relaxed);
+        self.threads
+            .store(threads.clamp(1, MAX_PARALLELISM), Ordering::Relaxed);
     }
 
     /// The morsel decomposition of `rows` rows: contiguous ranges of
@@ -210,5 +222,8 @@ mod tests {
         assert_eq!(pool.parallelism(), 4);
         pool.set_parallelism(0);
         assert_eq!(pool.parallelism(), 1);
+        pool.set_parallelism(1 << 62);
+        assert_eq!(pool.parallelism(), MAX_PARALLELISM);
+        assert_eq!(ThreadPool::new(usize::MAX).parallelism(), MAX_PARALLELISM);
     }
 }

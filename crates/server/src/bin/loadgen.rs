@@ -520,7 +520,7 @@ fn wait_until_serving(addr: &str, budget: Duration) -> bool {
 }
 
 fn cache_line(client: &mut VerdictClient) -> String {
-    match client.stats() {
+    match client.sql("SHOW STATS") {
         Ok(s) => {
             let stat = |name| s.stat(name).map_or_else(|| "?".into(), |v| v.to_string());
             format!(

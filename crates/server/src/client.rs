@@ -190,31 +190,6 @@ impl VerdictClient {
         self.request(&format!("SQL {statement}"))
     }
 
-    /// Executes a query approximately when possible.  Equivalent to
-    /// [`Self::sql`]; kept as a convenience for query-only callers.
-    pub fn query(&mut self, sql: &str) -> ClientResult<RemoteAnswer> {
-        self.sql(sql)
-    }
-
-    /// Executes a statement exactly on the base tables (`BYPASS` wrapper);
-    /// also the path for DDL/DML such as `INSERT INTO … SELECT`.
-    pub fn exact(&mut self, sql: &str) -> ClientResult<RemoteAnswer> {
-        self.sql(&format!("BYPASS {sql}"))
-    }
-
-    /// Folds an appended batch into every sample of a base table
-    /// (`REFRESH SCRAMBLES <base> FROM <batch>`).
-    pub fn refresh(&mut self, base_table: &str, batch_table: &str) -> ClientResult<RemoteAnswer> {
-        self.sql(&format!(
-            "REFRESH SCRAMBLES {base_table} FROM {batch_table}"
-        ))
-    }
-
-    /// Fetches middleware + server statistics (`SHOW STATS`).
-    pub fn stats(&mut self) -> ClientResult<RemoteAnswer> {
-        self.sql("SHOW STATS")
-    }
-
     /// Round-trip liveness check (`PING`).  Answered on the server's I/O
     /// shards directly, so it succeeds even when the run queue is full.
     pub fn ping(&mut self) -> ClientResult<()> {

@@ -55,7 +55,7 @@
 //!
 //! let handle = VerdictServer::bind("127.0.0.1:0", ctx).unwrap().spawn().unwrap();
 //! let mut client = VerdictClient::connect(handle.addr()).unwrap();
-//! let answer = client.query("SELECT count(*) AS cnt FROM sales").unwrap();
+//! let answer = client.sql("SELECT count(*) AS cnt FROM sales").unwrap();
 //! assert_eq!(answer.value(0, 0).as_i64(), Some(100));
 //! client.quit().unwrap();
 //! handle.stop();

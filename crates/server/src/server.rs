@@ -936,13 +936,12 @@ fn handle_request_line(shared: &Shared, conn: &Conn, request: &str, draining: bo
                     cs.push_unbounded(&frame);
                 }
                 Admission::Admit(tier) => {
-                    let deadline = {
-                        let session = cs.session.lock().unwrap();
-                        session
-                            .options()
-                            .deadline_ms
-                            .map(|ms| Instant::now() + Duration::from_millis(ms))
-                    };
+                    let deadline = cs
+                        .session
+                        .lock()
+                        .unwrap()
+                        .deadline_ms()
+                        .map(|ms| Instant::now() + Duration::from_millis(ms));
                     cs.busy.store(true, Ordering::SeqCst);
                     let task = Task {
                         conn: Arc::clone(&conn.shared),

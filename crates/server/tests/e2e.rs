@@ -4,7 +4,7 @@
 //! cache serves repeats / invalidates on appends.
 
 use std::sync::Arc;
-use verdict_core::{VerdictAnswer, VerdictConfig, VerdictContext, VerdictSession};
+use verdict_core::{VerdictAnswer, VerdictConfig, VerdictContext, VerdictResult, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder, Value};
 use verdict_server::{ClientError, RemoteAnswer, VerdictClient, VerdictServer};
 
@@ -53,6 +53,13 @@ fn values_bit_identical(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// One statement's answer on a fresh in-process session over `ctx`.
+fn local_answer(ctx: &Arc<VerdictContext>, sql: &str) -> VerdictResult<VerdictAnswer> {
+    VerdictSession::new(Arc::clone(ctx))
+        .execute(sql)?
+        .into_answer()
+}
+
 fn assert_remote_matches_local(remote: &RemoteAnswer, local: &VerdictAnswer) {
     assert_eq!(remote.header.rows, local.table.num_rows());
     assert_eq!(remote.header.cols, local.table.schema.fields.len());
@@ -90,14 +97,16 @@ const DASHBOARD_QUERY: &str =
 fn four_concurrent_sessions_match_the_serial_in_process_path() {
     let ctx = serving_context(21, 64);
     // The serial in-process reference, computed before any session connects.
-    let local_approx = ctx.execute(DASHBOARD_QUERY).unwrap();
+    let local_approx = local_answer(&ctx, DASHBOARD_QUERY).unwrap();
     assert!(
         !local_approx.exact,
         "query should be answered from the sample"
     );
-    let local_exact = ctx
-        .execute_exact("SELECT count(*) AS n, min(price) AS lo, max(price) AS hi FROM sales")
-        .unwrap();
+    let local_exact = local_answer(
+        &ctx,
+        "BYPASS SELECT count(*) AS n, min(price) AS lo, max(price) AS hi FROM sales",
+    )
+    .unwrap();
 
     let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
         .unwrap()
@@ -110,12 +119,10 @@ fn four_concurrent_sessions_match_the_serial_in_process_path() {
             scope.spawn(|| {
                 let mut client = VerdictClient::connect(addr).unwrap();
                 for _ in 0..5 {
-                    let remote = client.query(DASHBOARD_QUERY).unwrap();
+                    let remote = client.sql(DASHBOARD_QUERY).unwrap();
                     assert!(remote.header.cached, "repeat must be served from cache");
                     assert_remote_matches_local(&remote, &local_approx);
-                    let exact = client
-                        .exact(
-                            "SELECT count(*) AS n, min(price) AS lo, max(price) AS hi FROM sales",
+                    let exact = client.sql("BYPASS SELECT count(*) AS n, min(price) AS lo, max(price) AS hi FROM sales",
                         )
                         .unwrap();
                     assert_remote_matches_local(&exact, &local_exact);
@@ -144,7 +151,7 @@ fn cached_repeat_is_identical_and_append_invalidates() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
 
-    let first = client.query(DASHBOARD_QUERY).unwrap();
+    let first = client.sql(DASHBOARD_QUERY).unwrap();
     assert!(!first.header.cached);
     assert!(!first.header.exact);
     assert!(
@@ -158,7 +165,7 @@ fn cached_repeat_is_identical_and_append_invalidates() {
     // schema): canonicalisation maps it to the same entry and the stored
     // answer comes back bit-identically.
     let second = client
-        .query("select   city, AVG(Price) as ap from Sales group by CITY order by CITY")
+        .sql("select   city, AVG(Price) as ap from Sales group by CITY order by CITY")
         .unwrap();
     assert!(second.header.cached);
     assert_eq!(second.header.rows_scanned, first.header.rows_scanned);
@@ -177,18 +184,18 @@ fn cached_repeat_is_identical_and_append_invalidates() {
     // Append new rows to the base table through the same protocol: the next
     // repeat must be recomputed, not served stale.
     client
-        .exact("CREATE TABLE sales_batch AS SELECT id, price, city FROM sales LIMIT 1000")
+        .sql("BYPASS CREATE TABLE sales_batch AS SELECT id, price, city FROM sales LIMIT 1000")
         .unwrap();
     client
-        .exact("INSERT INTO sales SELECT * FROM sales_batch")
+        .sql("BYPASS INSERT INTO sales SELECT * FROM sales_batch")
         .unwrap();
-    let third = client.query(DASHBOARD_QUERY).unwrap();
+    let third = client.sql(DASHBOARD_QUERY).unwrap();
     assert!(
         !third.header.cached,
         "append must invalidate the cached answer"
     );
 
-    let stats = client.stats().unwrap();
+    let stats = client.sql("SHOW STATS").unwrap();
     assert_eq!(stats.stat("cache_invalidations"), Some(1));
     assert!(stats.stat("cache_hits").is_some());
     client.quit().unwrap();
@@ -217,17 +224,19 @@ fn sample_and_refresh_commands_round_trip() {
     assert!(sample_rows > 0);
 
     // Approximate queries now work over the freshly built sample.
-    let answer = client.query(DASHBOARD_QUERY).unwrap();
+    let answer = client.sql(DASHBOARD_QUERY).unwrap();
     assert!(!answer.header.exact);
 
     // Appendix D maintenance over the wire: append a batch, refresh samples.
     client
-        .exact("CREATE TABLE sales_batch AS SELECT id, price, city FROM sales LIMIT 2000")
+        .sql("BYPASS CREATE TABLE sales_batch AS SELECT id, price, city FROM sales LIMIT 2000")
         .unwrap();
     client
-        .exact("INSERT INTO sales SELECT * FROM sales_batch")
+        .sql("BYPASS INSERT INTO sales SELECT * FROM sales_batch")
         .unwrap();
-    let refreshed = client.refresh("sales", "sales_batch").unwrap();
+    let refreshed = client
+        .sql("REFRESH SCRAMBLES sales FROM sales_batch")
+        .unwrap();
     assert_eq!(refreshed.extra("refreshed_samples"), Some("1"));
 
     client.quit().unwrap();
@@ -243,7 +252,7 @@ fn errors_are_frames_and_sessions_survive_them() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
 
-    match client.query("SELEKT nonsense") {
+    match client.sql("SELEKT nonsense") {
         Err(ClientError::Server(msg)) => assert!(msg.contains("parse"), "got: {msg}"),
         other => panic!("expected server error, got {other:?}"),
     }
@@ -252,16 +261,20 @@ fn errors_are_frames_and_sessions_survive_them() {
         other => panic!("expected server error, got {other:?}"),
     }
     // The session is still usable after both error frames.
-    let answer = client.exact("SELECT count(*) AS n FROM sales").unwrap();
+    let answer = client
+        .sql("BYPASS SELECT count(*) AS n FROM sales")
+        .unwrap();
     assert_eq!(answer.value(0, 0).as_i64(), Some(50_000));
 
     // Multi-line SQL must not desynchronize the request/response stream:
     // the client collapses the line breaks into one request line.
     let multiline = client
-        .exact("SELECT count(*) AS n\nFROM sales\r\nWHERE price < 50.0")
+        .sql("BYPASS SELECT count(*) AS n\nFROM sales\r\nWHERE price < 50.0")
         .unwrap();
     assert_eq!(multiline.header.rows, 1);
-    let next = client.exact("SELECT count(*) AS n FROM sales").unwrap();
+    let next = client
+        .sql("BYPASS SELECT count(*) AS n FROM sales")
+        .unwrap();
     assert_eq!(
         next.value(0, 0).as_i64(),
         Some(50_000),
@@ -291,9 +304,7 @@ fn awkward_string_values_round_trip_over_the_wire() {
     engine.register_table("notes", table);
     let conn: Arc<dyn Backend> = Arc::new(engine);
     let ctx = Arc::new(VerdictContext::new(conn, VerdictConfig::for_testing()));
-    let local = ctx
-        .execute_exact("SELECT id, label FROM notes ORDER BY id")
-        .unwrap();
+    let local = local_answer(&ctx, "BYPASS SELECT id, label FROM notes ORDER BY id").unwrap();
 
     let handle = VerdictServer::bind("127.0.0.1:0", ctx)
         .unwrap()
@@ -301,7 +312,7 @@ fn awkward_string_values_round_trip_over_the_wire() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
     let remote = client
-        .exact("SELECT id, label FROM notes ORDER BY id")
+        .sql("BYPASS SELECT id, label FROM notes ORDER BY id")
         .unwrap();
     assert_remote_matches_local(&remote, &local);
     client.quit().unwrap();
@@ -346,7 +357,7 @@ fn stream_verb_emits_refining_frames_and_matches_the_one_shot_answer() {
 
     // The final frame over the wire is bit-identical to the in-process
     // one-shot answer for the same query and options.
-    let local = ctx.execute(DASHBOARD_QUERY).unwrap();
+    let local = local_answer(&ctx, DASHBOARD_QUERY).unwrap();
     assert_remote_matches_local(&last.answer, &local);
 
     // The connection stays usable after a stream (framing is clean).
@@ -430,7 +441,10 @@ fn system_relations_carry_the_serving_section_over_the_wire() {
             "sessions_opened",
         ]
     );
-    assert_eq!(client.stats().unwrap().stat("sessions_active"), Some(1));
+    assert_eq!(
+        client.sql("SHOW STATS").unwrap().stat("sessions_active"),
+        Some(1)
+    );
 
     // SHOW METRICS renders the same list: every series the hand-written
     // serving list used to emit, plus the two gauges it never reached.

@@ -71,7 +71,7 @@ fn assert_sessions_settle(handle: &ServerHandle, expected: u64) {
 /// the leak check a real operator would run.
 fn wire_sessions_active(addr: std::net::SocketAddr) -> u64 {
     let mut client = VerdictClient::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = client.sql("SHOW STATS").unwrap();
     let active = stats
         .stat("sessions_active")
         .expect("SHOW STATS reports sessions_active") as u64;

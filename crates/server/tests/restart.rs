@@ -111,7 +111,7 @@ fn sigkill_then_restart_serves_bit_identical_answers_over_tcp() {
     let mut client = VerdictClient::connect(ADDR).expect("connect");
     let before: Vec<_> = QUERIES
         .iter()
-        .map(|q| client.query(q).expect("query before kill"))
+        .map(|q| client.sql(q).expect("query before kill"))
         .collect();
     drop(client);
 
@@ -130,7 +130,7 @@ fn sigkill_then_restart_serves_bit_identical_answers_over_tcp() {
 
     let mut client = VerdictClient::connect(ADDR).expect("reconnect");
     for (q, expected) in QUERIES.iter().zip(&before) {
-        let after = client.query(q).expect("query after restart");
+        let after = client.sql(q).expect("query after restart");
         assert_eq!(expected.columns, after.columns, "{q}: columns differ");
         assert_eq!(expected.rows.len(), after.rows.len(), "{q}: row counts");
         for (r, (er, ar)) in expected.rows.iter().zip(&after.rows).enumerate() {
@@ -145,7 +145,7 @@ fn sigkill_then_restart_serves_bit_identical_answers_over_tcp() {
 
     // The replacement must be serving *restored* scrambles (cold start),
     // not freshly rebuilt ones, and its store counters must be visible.
-    let stats = client.stats().expect("stats");
+    let stats = client.sql("SHOW STATS").expect("stats");
     let pages_read = stats
         .stat("store_pages_read")
         .expect("store counters in SHOW STATS");

@@ -35,9 +35,8 @@ pub use verdict_sql as sql;
 pub use verdict_store as store;
 
 pub use verdict_core::{
-    BackendStats, DialectBackend, ProgressFrame, ProgressStream, QueryOptions, SampleType,
-    VerdictAnswer, VerdictConfig, VerdictContext, VerdictError, VerdictResponse, VerdictResult,
-    VerdictSession,
+    BackendStats, DialectBackend, ProgressFrame, ProgressStream, SampleType, VerdictAnswer,
+    VerdictConfig, VerdictContext, VerdictError, VerdictResponse, VerdictResult, VerdictSession,
 };
 pub use verdict_engine::{Backend, Engine, StoreHandle, Table, TableBuilder, Value};
 pub use verdict_server::{RemoteBackend, ServerHandle, VerdictServer};
@@ -88,7 +87,11 @@ mod tests {
     #[test]
     fn facade_constructors_produce_working_contexts() {
         let (_engine, ctx) = instacart_context(0.005, VerdictConfig::for_testing());
-        let exact = ctx.execute_exact("SELECT count(*) FROM orders").unwrap();
+        let exact = session(ctx)
+            .execute("BYPASS SELECT count(*) FROM orders")
+            .unwrap()
+            .into_answer()
+            .unwrap();
         assert!(exact.table.value(0, 0).as_i64().unwrap() > 0);
     }
 

@@ -106,8 +106,8 @@ fn remote_backend_answers_are_bit_identical_to_in_process() {
         "SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city",
         "SELECT count(DISTINCT order_id) AS u FROM orders",
     ] {
-        let a = local.execute(sql).unwrap();
-        let b = remote.execute(sql).unwrap();
+        let a = common::answer(&local, sql).unwrap();
+        let b = common::answer(&remote, sql).unwrap();
         assert_eq!(a.exact, b.exact, "exactness differs for {sql}");
         common::assert_tables_bit_identical(&a.table, &b.table, sql);
         if !a.exact {
@@ -121,8 +121,8 @@ fn remote_backend_answers_are_bit_identical_to_in_process() {
 
     // Exact (bypass) answers travel the wire too.
     let sql = "SELECT count(*) AS n, avg(price) AS ap FROM order_products";
-    let a = local.execute_exact(sql).unwrap();
-    let b = remote.execute_exact(sql).unwrap();
+    let a = common::exact(&local, sql).unwrap();
+    let b = common::exact(&remote, sql).unwrap();
     common::assert_tables_bit_identical(&a.table, &b.table, sql);
 }
 
@@ -140,8 +140,8 @@ fn remote_backend_without_data_version_never_caches_but_stays_correct() {
     let (remote, _server) = remote_context_over(engine, &local, cached_config);
 
     let sql = "SELECT count(*) AS n FROM order_products";
-    let first = remote.execute(sql).unwrap();
-    let second = remote.execute(sql).unwrap();
+    let first = common::answer(&remote, sql).unwrap();
+    let second = common::answer(&remote, sql).unwrap();
     assert!(!first.exact, "query should have been approximated");
     assert!(
         !second.cached,
@@ -319,9 +319,7 @@ fn impala_dialect_builds_usable_scrambles_without_rand_in_where() {
     let stratified = create_scramble(&ctx, "orders", "METHOD stratified ON city");
     assert!(stratified.sample_rows > 0, "empty stratified scramble");
 
-    let answer = ctx
-        .execute("SELECT count(*) AS n FROM order_products")
-        .unwrap();
+    let answer = common::answer(&ctx, "SELECT count(*) AS n FROM order_products").unwrap();
     assert!(
         !answer.exact,
         "Impala-built scramble must be usable for AQP"

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use verdictdb::{
-    Backend, Engine, RemoteBackend, ServerHandle, Store, StoreHandle, Table, Value, VerdictConfig,
-    VerdictContext, VerdictServer,
+    Backend, Engine, RemoteBackend, ServerHandle, Store, StoreHandle, Table, Value, VerdictAnswer,
+    VerdictConfig, VerdictContext, VerdictResult, VerdictServer, VerdictSession,
 };
 
 /// True when the run was asked to route every query through the wire
@@ -45,11 +45,24 @@ pub struct TestContext {
 }
 
 impl Deref for TestContext {
-    type Target = VerdictContext;
+    type Target = Arc<VerdictContext>;
 
-    fn deref(&self) -> &VerdictContext {
+    fn deref(&self) -> &Arc<VerdictContext> {
         &self.ctx
     }
+}
+
+/// The answer to one statement on a fresh session over `ctx` (the
+/// context's base configuration, no `SET`).
+pub fn answer(ctx: &Arc<VerdictContext>, sql: &str) -> VerdictResult<VerdictAnswer> {
+    VerdictSession::new(Arc::clone(ctx))
+        .execute(sql)?
+        .into_answer()
+}
+
+/// The exact answer to one statement: `BYPASS <sql>` on a fresh session.
+pub fn exact(ctx: &Arc<VerdictContext>, sql: &str) -> VerdictResult<VerdictAnswer> {
+    answer(ctx, &format!("BYPASS {sql}"))
 }
 
 /// Builds a context over `engine`, honouring `VERDICT_BACKEND`.  In remote

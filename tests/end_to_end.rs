@@ -36,9 +36,9 @@ fn context(scale: f64) -> common::TestContext {
     ctx
 }
 
-fn scalar(ctx: &VerdictContext, sql: &str) -> (f64, f64, bool) {
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+fn scalar(ctx: &Arc<VerdictContext>, sql: &str) -> (f64, f64, bool) {
+    let approx = common::answer(ctx, sql).unwrap();
+    let exact = common::exact(ctx, sql).unwrap();
     (
         approx.table.value(0, 0).as_f64().unwrap(),
         exact.table.value(0, 0).as_f64().unwrap(),
@@ -90,8 +90,8 @@ fn group_by_query_covers_all_groups_with_small_errors() {
     let sql = "SELECT order_dow, count(*) AS n, avg(price) AS ap \
                FROM orders o INNER JOIN order_products p ON o.order_id = p.order_id \
                GROUP BY order_dow ORDER BY order_dow";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     assert!(!approx.exact);
     assert_eq!(
         approx.table.num_rows(),
@@ -118,8 +118,8 @@ fn join_of_two_samples_works_via_universe_samples() {
     let ctx = context(0.25);
     let sql = "SELECT count(*) AS n, avg(p.price) AS ap \
                FROM orders o INNER JOIN order_products p ON o.order_id = p.order_id";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     assert!(!approx.exact);
     // both sides should be answered from samples, so far fewer rows are read
     assert!(approx.rows_scanned * 4 < exact.rows_scanned);
@@ -138,8 +138,8 @@ fn join_of_two_samples_works_via_universe_samples() {
 fn count_distinct_is_estimated_from_hashed_sample() {
     let ctx = context(0.25);
     let sql = "SELECT count(DISTINCT order_id) AS orders_with_items FROM order_products";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     assert!(!approx.exact);
     let (a, e) = (
         approx.table.value(0, 0).as_f64().unwrap(),
@@ -156,8 +156,8 @@ fn count_distinct_is_estimated_from_hashed_sample() {
 fn extreme_statistics_are_exact() {
     let ctx = context(0.1);
     let sql = "SELECT max(price) AS mx, count(*) AS n FROM order_products";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     // max must match exactly even though count is approximated
     assert_eq!(
         approx.table.value(0, 0).as_f64().unwrap(),
@@ -169,13 +169,15 @@ fn extreme_statistics_are_exact() {
 fn unsupported_queries_are_passed_through_unchanged() {
     let ctx = context(0.05);
     // no aggregates -> passthrough
-    let answer = ctx
-        .execute("SELECT city FROM orders GROUP BY city ORDER BY city LIMIT 3")
-        .unwrap();
+    let answer = common::answer(
+        &ctx,
+        "SELECT city FROM orders GROUP BY city ORDER BY city LIMIT 3",
+    )
+    .unwrap();
     assert!(answer.exact);
     assert_eq!(answer.table.num_rows(), 3);
     // DDL -> passthrough
-    let answer = ctx.execute("DROP TABLE IF EXISTS not_a_table").unwrap();
+    let answer = common::answer(&ctx, "DROP TABLE IF EXISTS not_a_table").unwrap();
     assert!(answer.exact);
 }
 
@@ -249,7 +251,7 @@ fn high_cardinality_grouping_falls_back_to_exact() {
     let ctx = context(0.1);
     // grouping by the join key: every group has a handful of rows, AQP is useless
     let sql = "SELECT order_id, sum(price) AS s FROM order_products GROUP BY order_id ORDER BY s DESC LIMIT 5";
-    let answer = ctx.execute(sql).unwrap();
+    let answer = common::answer(&ctx, sql).unwrap();
     assert!(
         answer.exact,
         "expected fallback for high-cardinality grouping"
@@ -262,8 +264,8 @@ fn having_and_order_by_are_applied_to_the_approximate_answer() {
     let sql = "SELECT city, count(*) AS n FROM orders o \
                INNER JOIN order_products p ON o.order_id = p.order_id \
                GROUP BY city HAVING count(*) > 100 ORDER BY n DESC";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     assert!(!approx.exact);
     // ordering must be descending in the estimate column
     let col = approx.table.schema.index_of("n").unwrap();
@@ -282,8 +284,8 @@ fn flattened_comparison_subquery_is_answered() {
     let ctx = context(0.2);
     let sql = "SELECT count(*) AS n FROM order_products \
                WHERE price > (SELECT avg(price) FROM order_products)";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     let (a, e) = (
         approx.table.value(0, 0).as_f64().unwrap(),
         exact.table.value(0, 0).as_f64().unwrap(),
@@ -333,8 +335,8 @@ fn group_keys_keep_the_backend_type_when_the_first_group_has_a_null_key() {
         "SELECT k, avg(price) AS ap FROM sales GROUP BY k",
         "SELECT k, avg(price) AS ap FROM sales GROUP BY k ORDER BY k",
     ] {
-        let approx = ctx.execute(sql).unwrap();
-        let exact = ctx.execute_exact(sql).unwrap();
+        let approx = common::answer(&ctx, sql).unwrap();
+        let exact = common::exact(&ctx, sql).unwrap();
         assert!(!approx.exact, "{sql} should have been approximated");
         assert_eq!(approx.table.num_rows(), 4);
         assert_eq!(
@@ -358,8 +360,8 @@ fn group_keys_keep_the_backend_type_when_the_first_group_has_a_null_key() {
 fn having_drops_a_group_whose_predicate_is_unknown() {
     let ctx = nullable_key_context();
     let sql = "SELECT k, count(*) AS n FROM sales GROUP BY k HAVING k > 1 ORDER BY k";
-    let approx = ctx.execute(sql).unwrap();
-    let exact = ctx.execute_exact(sql).unwrap();
+    let approx = common::answer(&ctx, sql).unwrap();
+    let exact = common::exact(&ctx, sql).unwrap();
     assert!(!approx.exact);
     // `NULL > 1` is unknown: the NULL-key group goes, exactly and approximately
     assert_eq!(exact.table.num_rows(), 2);

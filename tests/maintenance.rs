@@ -5,6 +5,8 @@
 //! generated SQL; these tests actually run it against the engine — which is
 //! how the `SELECT *`-leaks-`verdict_rand` arity bug was caught.
 
+mod common;
+
 use std::sync::Arc;
 use verdictdb::core::{SampleMeta, SampleType};
 use verdictdb::{
@@ -238,7 +240,7 @@ fn cached_answer_is_bit_identical_and_append_invalidates_it() {
     let (engine, ctx) = context_with_sales(17, 32);
     create_scramble(&ctx, "sales_uniform", "");
 
-    let first = ctx.execute(REPEAT_QUERY).unwrap();
+    let first = common::answer(&ctx, REPEAT_QUERY).unwrap();
     assert!(!first.exact && !first.cached);
     assert!(!first.errors.is_empty());
 
@@ -247,9 +249,11 @@ fn cached_answer_is_bit_identical_and_append_invalidates_it() {
     // the result schema; everything else folds.  Identical answer, no
     // re-execution.
     let before = ctx.cache_stats();
-    let second = ctx
-        .execute("select city, avg(Price) as ap from SALES group by CITY order by CITY")
-        .unwrap();
+    let second = common::answer(
+        &ctx,
+        "select city, avg(Price) as ap from SALES group by CITY order by CITY",
+    )
+    .unwrap();
     assert!(second.cached);
     assert_eq!(
         second.table, first.table,
@@ -265,7 +269,7 @@ fn cached_answer_is_bit_identical_and_append_invalidates_it() {
         .catalog()
         .append("sales", &sales_table(1_000, 20_000))
         .unwrap();
-    let third = ctx.execute(REPEAT_QUERY).unwrap();
+    let third = common::answer(&ctx, REPEAT_QUERY).unwrap();
     assert!(!third.cached, "append must force recomputation");
     assert_eq!(ctx.cache_stats().invalidations, 1);
 }
@@ -274,14 +278,14 @@ fn cached_answer_is_bit_identical_and_append_invalidates_it() {
 fn sample_rebuild_invalidates_cached_answers() {
     let (_engine, ctx) = context_with_sales(19, 32);
     create_scramble(&ctx, "sales_uniform", "");
-    let first = ctx.execute(REPEAT_QUERY).unwrap();
+    let first = common::answer(&ctx, REPEAT_QUERY).unwrap();
     assert!(!first.exact);
-    assert!(ctx.execute(REPEAT_QUERY).unwrap().cached);
+    assert!(common::answer(&ctx, REPEAT_QUERY).unwrap().cached);
 
     // Rebuilding the sample bumps the sample table's data version even though
     // the base table is untouched.
     create_scramble(&ctx, "sales_uniform", "");
-    let recomputed = ctx.execute(REPEAT_QUERY).unwrap();
+    let recomputed = common::answer(&ctx, REPEAT_QUERY).unwrap();
     assert!(!recomputed.cached);
     assert!(ctx.cache_stats().invalidations >= 1);
 }
@@ -290,25 +294,23 @@ fn sample_rebuild_invalidates_cached_answers() {
 fn nondeterministic_and_ddl_statements_are_never_cached() {
     let (_engine, ctx) = context_with_sales(23, 32);
     let q = "SELECT count(*) AS c FROM sales WHERE rand() < 0.5";
-    let a = ctx.execute(q).unwrap();
-    let b = ctx.execute(q).unwrap();
+    let a = common::answer(&ctx, q).unwrap();
+    let b = common::answer(&ctx, q).unwrap();
     assert!(!a.cached && !b.cached, "rand() queries must re-draw");
 
     // rand() hiding inside a scalar subquery must also disable caching —
     // walk_query alone does not descend into predicate subqueries.
     let sub = "SELECT count(*) AS c FROM sales WHERE price * 0.01 < (SELECT rand())";
-    let a = ctx.execute(sub).unwrap();
-    let b = ctx.execute(sub).unwrap();
+    let a = common::answer(&ctx, sub).unwrap();
+    let b = common::answer(&ctx, sub).unwrap();
     assert!(
         !a.cached && !b.cached,
         "rand() in a subquery must re-draw, not serve a frozen first draw"
     );
 
-    ctx.execute("CREATE TABLE copy1 AS SELECT * FROM sales LIMIT 10")
-        .unwrap();
-    ctx.execute("DROP TABLE copy1").unwrap();
+    common::answer(&ctx, "CREATE TABLE copy1 AS SELECT * FROM sales LIMIT 10").unwrap();
+    common::answer(&ctx, "DROP TABLE copy1").unwrap();
     // Re-running the DDL must actually re-execute (a cached CREATE would error).
-    ctx.execute("CREATE TABLE copy1 AS SELECT * FROM sales LIMIT 10")
-        .unwrap();
+    common::answer(&ctx, "CREATE TABLE copy1 AS SELECT * FROM sales LIMIT 10").unwrap();
     assert_eq!(ctx.cache_stats().insertions, 0);
 }

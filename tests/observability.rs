@@ -8,6 +8,8 @@
 //! wall time — the test holds the span sum within 10% of `@total` (plus a
 //! small absolute floor for per-span microsecond truncation).
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
@@ -609,7 +611,7 @@ fn system_relation_names_are_reserved() {
         Err(VerdictError::Unsupported(_))
     ));
     assert!(matches!(
-        ctx.execute_exact("SELECT * FROM sales, verdict_metrics"),
+        common::exact(&ctx, "SELECT * FROM sales, verdict_metrics"),
         Err(VerdictError::Unsupported(_))
     ));
     assert!(ctx.meta().all().is_empty(), "no scramble may be registered");

@@ -88,7 +88,7 @@ fn scrambles_survive_restart_bit_identically() {
         QUERIES
             .iter()
             .map(|q| {
-                let answer = ctx.execute(q).expect("query before restart");
+                let answer = common::answer(&ctx, q).expect("query before restart");
                 assert!(!answer.exact, "query must be approximated: {q}");
                 answer.table
             })
@@ -110,8 +110,9 @@ fn scrambles_survive_restart_bit_identically() {
         "scramble table must exist on disk"
     );
 
+    let ctx = Arc::new(ctx);
     for (q, expected) in QUERIES.iter().zip(&before) {
-        let after = ctx.execute(q).expect("query after restart").table;
+        let after = common::answer(&ctx, q).expect("query after restart").table;
         common::assert_tables_bit_identical(expected, &after, q);
     }
     assert!(
@@ -158,9 +159,11 @@ fn cold_start_stream_matches_one_shot_bit_for_bit() {
     let last = frames.last().expect("at least one frame");
     assert!(last.last);
 
-    let one_shot = ctx
-        .execute("SELECT count(*) AS n, avg(price) AS ap FROM order_products")
-        .expect("one-shot");
+    let one_shot = common::answer(
+        &ctx,
+        "SELECT count(*) AS n, avg(price) AS ap FROM order_products",
+    )
+    .expect("one-shot");
     common::assert_tables_bit_identical(
         &one_shot.table,
         &last.answer.table,

@@ -13,7 +13,8 @@ mod common;
 use common::{assert_tables_bit_identical, values_bit_identical};
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
-use verdictdb::server::{RemoteAnswer, VerdictClient, VerdictServer};
+use verdictdb::engine::{default_parallelism, MAX_PARALLELISM};
+use verdictdb::server::{ClientError, RemoteAnswer, VerdictClient, VerdictServer};
 use verdictdb::{
     Backend, Engine, TableBuilder, Value, VerdictAnswer, VerdictConfig, VerdictContext,
     VerdictError,
@@ -23,7 +24,13 @@ use verdictdb::{
 /// seed, so two separately-built stacks stay bit-identical under the same
 /// statement sequence.
 fn sales_context(seed: u64) -> Arc<VerdictContext> {
-    let engine = Engine::with_seed(seed);
+    sales_stack(seed).1
+}
+
+/// [`sales_context`] plus the engine under it, for tests that read the
+/// engine's worker pool.
+fn sales_stack(seed: u64) -> (Arc<Engine>, Arc<VerdictContext>) {
+    let engine = Arc::new(Engine::with_seed(seed));
     let rows = 50_000usize;
     let table = TableBuilder::new()
         .int_column("id", (0..rows as i64).collect())
@@ -38,10 +45,10 @@ fn sales_context(seed: u64) -> Arc<VerdictContext> {
         .build()
         .unwrap();
     engine.register_table("sales", table);
-    let conn: Arc<dyn Backend> = Arc::new(engine);
+    let conn: Arc<dyn Backend> = engine.clone();
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = 64;
-    Arc::new(VerdictContext::new(conn, config))
+    (engine, Arc::new(VerdictContext::new(conn, config)))
 }
 
 /// The statement script driven through both transports.  Each entry is
@@ -857,4 +864,246 @@ fn subqueries_anywhere_in_an_expression_answer_through_the_session() {
         assert_tables_bit_identical(&with, &by_hand, sql);
         assert!(with.num_rows() > 0, "{sql}");
     }
+}
+
+/// What one `SET` name does: a valid value and its acknowledgement, the
+/// acknowledgement of `= default`, and an invalid value with its error.
+/// The acknowledgements and error texts are those the session gave before
+/// its settings became one `VerdictConfig`.
+struct SetCase {
+    name: &'static str,
+    valid: &'static str,
+    ack: (&'static str, &'static str),
+    reset_ack: &'static str,
+    invalid: &'static str,
+    error: &'static str,
+    /// The setting's current value as the session (or the engine under it)
+    /// shows it.
+    observe: fn(&mut VerdictSession, &Engine) -> String,
+}
+
+fn config_field(s: &mut VerdictSession, read: fn(&VerdictConfig) -> String) -> String {
+    read(&s.effective_config())
+}
+
+const SET_CASES: &[SetCase] = &[
+    SetCase {
+        name: "target_error",
+        valid: "0.05",
+        ack: ("target_error", "0.05"),
+        reset_ack: "default",
+        invalid: "-0.02",
+        error: "target_error must be positive, got -0.02",
+        observe: |s, _| config_field(s, |c| format!("{:?}", c.max_relative_error)),
+    },
+    SetCase {
+        name: "max_relative_error",
+        valid: "0.05",
+        ack: ("target_error", "0.05"),
+        reset_ack: "default",
+        invalid: "0",
+        error: "target_error must be positive, got 0",
+        observe: |s, _| config_field(s, |c| format!("{:?}", c.max_relative_error)),
+    },
+    SetCase {
+        name: "confidence",
+        valid: "0.9",
+        ack: ("confidence", "0.9"),
+        reset_ack: "default",
+        invalid: "1.5",
+        error: "confidence must be in (0, 1), got 1.5",
+        observe: |s, _| config_field(s, |c| c.confidence.to_string()),
+    },
+    SetCase {
+        name: "cache",
+        valid: "off",
+        ack: ("cache", "false"),
+        reset_ack: "default",
+        invalid: "maybe",
+        error: "expected on/off, got maybe",
+        observe: |s, _| config_field(s, |c| c.answer_cache_capacity.to_string()),
+    },
+    SetCase {
+        name: "parallelism",
+        valid: "5",
+        ack: ("parallelism", "5"),
+        reset_ack: "default",
+        invalid: "0",
+        error: "parallelism must be a positive integer, got 0",
+        observe: |_, engine| engine.parallelism().to_string(),
+    },
+    SetCase {
+        name: "bypass",
+        valid: "on",
+        ack: ("bypass", "true"),
+        reset_ack: "false",
+        invalid: "2",
+        error: "expected on/off, got 2",
+        observe: |s, _| {
+            let response = s.execute("SELECT count(*) AS n FROM sales").unwrap();
+            format!("exact={}", response.answer().unwrap().exact)
+        },
+    },
+    SetCase {
+        name: "error_columns",
+        valid: "off",
+        ack: ("error_columns", "false"),
+        reset_ack: "default",
+        invalid: "yes",
+        error: "expected on/off, got yes",
+        observe: |s, _| config_field(s, |c| c.include_error_columns.to_string()),
+    },
+    SetCase {
+        name: "include_error_columns",
+        valid: "off",
+        ack: ("error_columns", "false"),
+        reset_ack: "default",
+        invalid: "0.5",
+        error: "expected on/off, got 0.5",
+        observe: |s, _| config_field(s, |c| c.include_error_columns.to_string()),
+    },
+    SetCase {
+        name: "io_budget",
+        valid: "0.5",
+        ack: ("io_budget", "0.5"),
+        reset_ack: "default",
+        invalid: "1.5",
+        error: "io_budget must be in (0, 1], got 1.5",
+        observe: |s, _| config_field(s, |c| c.io_budget.to_string()),
+    },
+    SetCase {
+        name: "sampling_ratio",
+        valid: "0.05",
+        ack: ("sampling_ratio", "0.05"),
+        reset_ack: "default",
+        invalid: "0",
+        error: "sampling_ratio must be in (0, 1], got 0",
+        observe: |s, _| config_field(s, |c| c.sampling_ratio.to_string()),
+    },
+    SetCase {
+        name: "stream_block_rows",
+        valid: "1000",
+        ack: ("stream_block_rows", "1000"),
+        reset_ack: "default",
+        invalid: "1.5",
+        error: "stream_block_rows must be a positive integer, got 1.5",
+        observe: |s, _| config_field(s, |c| c.stream_block_rows.to_string()),
+    },
+    SetCase {
+        name: "stream_max_frames",
+        valid: "3",
+        ack: ("stream_max_frames", "3"),
+        reset_ack: "default",
+        invalid: "-1",
+        error: "stream_max_frames must be a non-negative integer (0 = unbounded), got -1",
+        observe: |s, _| config_field(s, |c| c.stream_max_frames.to_string()),
+    },
+    SetCase {
+        name: "deadline_ms",
+        valid: "250",
+        ack: ("deadline_ms", "250"),
+        reset_ack: "default",
+        invalid: "0",
+        error: "deadline_ms must be a positive integer number of milliseconds, got 0",
+        observe: |s, _| format!("{:?}", s.deadline_ms()),
+    },
+    SetCase {
+        name: "slow_query_ms",
+        valid: "10",
+        ack: ("slow_query_ms", "10"),
+        reset_ack: "default",
+        invalid: "-5",
+        error: "slow_query_ms must be a non-negative integer number of milliseconds \
+                (0 = disabled), got -5",
+        observe: |s, _| config_field(s, |c| c.slow_query_ms.to_string()),
+    },
+];
+
+/// Every `SET` name and alias: a valid value moves the setting, `= default`
+/// puts the session back on the context's base (the pool back on the size
+/// the engine started with), and an invalid value is refused with its
+/// error text, leaving the setting alone.
+#[test]
+fn every_set_option_writes_the_session_and_resets_to_the_base() {
+    let (engine, ctx) = sales_stack(41);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.01")
+        .unwrap();
+    assert_eq!(s.effective_config(), *ctx.config());
+    assert_eq!(engine.parallelism(), default_parallelism());
+    assert_eq!(SET_CASES.len(), 14, "12 names and 2 aliases");
+    let ack = |s: &mut VerdictSession, statement: &str| match s.execute(statement) {
+        Ok(VerdictResponse::OptionSet { name, value }) => (name, value),
+        other => panic!("`{statement}`: expected an OptionSet, got {other:?}"),
+    };
+    for case in SET_CASES {
+        let name = case.name;
+        let before = (case.observe)(&mut s, &engine);
+
+        let (n, v) = ack(&mut s, &format!("SET {name} = {}", case.valid));
+        assert_eq!((n.as_str(), v.as_str()), case.ack, "SET {name}");
+        let set = (case.observe)(&mut s, &engine);
+        assert_ne!(set, before, "SET {name} = {} must move it", case.valid);
+
+        match s.execute(&format!("SET {name} = {}", case.invalid)) {
+            Err(VerdictError::Unsupported(msg)) => assert_eq!(msg, case.error, "SET {name}"),
+            other => panic!(
+                "SET {name} = {}: expected an error, got {other:?}",
+                case.invalid
+            ),
+        }
+        assert_eq!((case.observe)(&mut s, &engine), set, "a refused SET {name}");
+
+        let (n, v) = ack(&mut s, &format!("SET {name} = default"));
+        assert_eq!((n.as_str(), v.as_str()), (case.ack.0, case.reset_ack));
+        assert_eq!(
+            (case.observe)(&mut s, &engine),
+            before,
+            "SET {name} = default"
+        );
+        assert_eq!(s.effective_config(), *ctx.config(), "SET {name} = default");
+        assert_eq!(engine.parallelism(), default_parallelism(), "SET {name}");
+        assert_eq!(s.deadline_ms(), None, "SET {name} = default");
+    }
+}
+
+/// A worker count past the pool's cap is a typed error, in process and over
+/// the wire, and the session answers its next aggregate (a count near
+/// `usize::MAX` used to wrap the aggregation's chunk size to zero and panic).
+#[test]
+fn set_parallelism_past_the_pool_cap_is_refused_and_the_next_statement_answers() {
+    const HUGE: &str = "SET parallelism = 4611686018427387904";
+    let refusal = format!("parallelism must be at most {MAX_PARALLELISM}, got 4611686018427387904");
+    const Q: &str = "SELECT city, count(*) AS n FROM sales GROUP BY city ORDER BY city";
+
+    let (engine, ctx) = sales_stack(43);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    match s.execute(HUGE) {
+        Err(VerdictError::Unsupported(msg)) => assert_eq!(msg, refusal),
+        other => panic!("expected the cap error, got {other:?}"),
+    }
+    assert_eq!(engine.parallelism(), default_parallelism());
+    let local = s.execute(Q).unwrap().into_answer().unwrap();
+    assert_eq!(local.table.num_rows(), 10);
+    let at_cap = format!("SET parallelism = {MAX_PARALLELISM}");
+    assert!(s.execute(&at_cap).is_ok(), "the cap itself is allowed");
+    assert_eq!(engine.parallelism(), MAX_PARALLELISM);
+    s.execute("SET parallelism = default").unwrap();
+
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    match client.sql(HUGE) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains(&refusal), "got: {msg}"),
+        other => panic!("expected the cap error over the wire, got {other:?}"),
+    }
+    let remote = client.sql(Q).unwrap();
+    assert_eq!(
+        remote_rows(&remote),
+        in_process_rows(&VerdictResponse::Answer(local))
+    );
+    client.quit().unwrap();
+    handle.stop();
 }

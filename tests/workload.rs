@@ -3,6 +3,8 @@
 //! expected to fall back must produce approximate answers whose headline
 //! aggregates stay close to the exact ones.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use verdictdb::data::{instacart_queries, tpch_queries, InstacartGenerator, TpchGenerator};
@@ -53,8 +55,7 @@ fn every_workload_query_runs_through_verdictdb() {
     let mut approximated = 0usize;
     let mut fallbacks: Vec<&str> = Vec::new();
     for q in tpch_queries().iter().chain(instacart_queries().iter()) {
-        let answer = ctx
-            .execute(&q.sql)
+        let answer = common::answer(&ctx, &q.sql)
             .unwrap_or_else(|e| panic!("{} failed through VerdictDB: {e}\n{}", q.id, q.sql));
         assert!(
             answer.table.num_rows() > 0 || answer.exact,
@@ -94,8 +95,8 @@ fn approximate_answers_track_exact_answers_on_scalar_queries() {
         .collect();
     for id in scalar_queries {
         let sql = &all[id];
-        let approx = ctx.execute(sql).unwrap();
-        let exact = ctx.execute_exact(sql).unwrap();
+        let approx = common::answer(&ctx, sql).unwrap();
+        let exact = common::exact(&ctx, sql).unwrap();
         let col = approx.table.num_columns() - 1; // last column is an aggregate in these queries
         let first_agg_col = approx
             .table
@@ -132,8 +133,8 @@ fn sampled_queries_scan_far_fewer_rows() {
         .collect();
     for id in ["tq-1", "tq-6", "iq-2", "iq-4"] {
         let sql = &all[id];
-        let approx = ctx.execute(sql).unwrap();
-        let exact = ctx.execute_exact(sql).unwrap();
+        let approx = common::answer(&ctx, sql).unwrap();
+        let exact = common::exact(&ctx, sql).unwrap();
         assert!(!approx.exact, "{id} should be approximated");
         assert!(
             approx.rows_scanned * 5 < exact.rows_scanned,
