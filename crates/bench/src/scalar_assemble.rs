@@ -641,7 +641,7 @@ pub fn synthetic_rewrite(sql: &str, config: &VerdictConfig) -> RewriteOutput {
                 alias: t.alias.clone(),
                 table: t.table.clone(),
                 rows,
-                join_columns: t.join_columns.clone(),
+                join_equalities: analysis.join_equalities.clone(),
             },
             sample: Some(SampleMeta {
                 base_table: t.table.clone(),
@@ -659,6 +659,7 @@ pub fn synthetic_rewrite(sql: &str, config: &VerdictConfig) -> RewriteOutput {
         score: 1.0,
         io_cost: rows / 100,
         effective_ratio: 0.01,
+        universe: Vec::new(),
     };
     rewrite(&analysis, &plan, config).expect("rewritable under a uniform plan")
 }

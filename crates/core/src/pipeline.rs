@@ -657,6 +657,9 @@ impl VerdictContext {
             };
             row(&format!("table {}", choice.table_ref.table), what);
         }
+        if let Some(p) = plan.filter(|p| !p.universe.is_empty()) {
+            row("universe join", p.universe.join(", "));
+        }
         match planned {
             Planned::Exact { reason, .. } => {
                 row("plan", "exact passthrough".into());

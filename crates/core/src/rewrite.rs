@@ -27,7 +27,7 @@
 use crate::answer::AnswerProgram;
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
-use crate::planner::{SamplePlan, TableRef};
+use crate::planner::{JoinColumn, SamplePlan, TableRef};
 use crate::sample::{SampleMeta, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN};
 use std::collections::HashMap;
 use verdict_sql::ast::*;
@@ -99,6 +99,9 @@ pub struct QueryAnalysis {
     pub output: Vec<OutputColumn>,
     /// Base tables referenced in the FROM clause (alias → info).
     pub tables: Vec<QueryTable>,
+    /// The column-to-column equalities among the top-level conjuncts of the
+    /// JOIN … ON conditions and the WHERE clause.
+    pub join_equalities: Vec<(JoinColumn, JoinColumn)>,
     /// HAVING predicate (applied by the answer rewriter).
     pub having: Option<Expr>,
     /// ORDER BY items (applied by the answer rewriter).
@@ -114,8 +117,6 @@ pub struct QueryTable {
     pub alias: String,
     /// The underlying base-table name.
     pub table: String,
-    /// Columns of this table used in equi-join conditions.
-    pub join_columns: Vec<String>,
 }
 
 impl QueryAnalysis {
@@ -152,7 +153,7 @@ impl QueryAnalysis {
                 alias: t.alias.clone(),
                 table: t.table.clone(),
                 rows: *row_counts.get(&t.table.to_ascii_lowercase()).unwrap_or(&0),
-                join_columns: t.join_columns.clone(),
+                join_equalities: self.join_equalities.clone(),
             })
             .collect()
     }
@@ -243,14 +244,19 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
     // FROM must consist of base tables joined by equi-joins (derived tables
     // are handled by the nested-query path in the context, not here).
     let mut tables: Vec<QueryTable> = Vec::new();
+    let mut join_equalities = Vec::new();
     for twj in &query.from {
         collect_table(&twj.relation, &mut tables)?;
         for j in &twj.joins {
             collect_table(&j.relation, &mut tables)?;
             if let Some(c) = &j.constraint {
-                record_join_columns(c, &mut tables);
+                record_join_columns(c, &mut join_equalities);
             }
         }
+    }
+    // A comma join states its equalities in WHERE.
+    if let Some(w) = &query.selection {
+        record_join_columns(w, &mut join_equalities);
     }
 
     // Projection analysis.
@@ -296,6 +302,7 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
         aggregates,
         output,
         tables,
+        join_equalities,
         having: query.having.clone(),
         order_by: query.order_by.clone(),
         limit: query.limit,
@@ -312,7 +319,6 @@ fn collect_table(tf: &TableFactor, tables: &mut Vec<QueryTable>) -> VerdictResul
             tables.push(QueryTable {
                 alias: binding,
                 table: name.key(),
-                join_columns: Vec::new(),
             });
             Ok(())
         }
@@ -322,40 +328,32 @@ fn collect_table(tf: &TableFactor, tables: &mut Vec<QueryTable>) -> VerdictResul
     }
 }
 
-fn record_join_columns(constraint: &Expr, tables: &mut [QueryTable]) {
-    walk_expr(constraint, &mut |e| {
+/// Records every `column = column` conjunct of an ON or WHERE predicate as
+/// the query spelled it; an equality under OR or NOT holds for no row in
+/// particular and is skipped.  A bare side (`ON l_orderkey = o_orderkey`)
+/// keeps no alias and matches any table's column of that name; the planner
+/// closes these edges transitively and decides from them which hashed
+/// choices share one universe.
+fn record_join_columns(predicate: &Expr, equalities: &mut Vec<(JoinColumn, JoinColumn)>) {
+    let side = |e: &Expr| match e.unnested() {
+        Expr::Column { table, name } => Some(JoinColumn {
+            alias: table.as_deref().map(str::to_ascii_lowercase),
+            column: name.to_ascii_lowercase(),
+        }),
+        _ => None,
+    };
+    for conjunct in predicate.conjuncts() {
         if let Expr::BinaryOp {
             left,
             op: BinaryOp::Eq,
             right,
-        } = e
+        } = conjunct.unnested()
         {
-            for side in [left.as_ref(), right.as_ref()] {
-                if let Expr::Column {
-                    table: Some(alias),
-                    name,
-                } = side
-                {
-                    if let Some(t) = tables
-                        .iter_mut()
-                        .find(|t| t.alias.eq_ignore_ascii_case(alias))
-                    {
-                        if !t.join_columns.iter().any(|c| c.eq_ignore_ascii_case(name)) {
-                            t.join_columns.push(name.to_ascii_lowercase());
-                        }
-                    }
-                } else if let Expr::Column { table: None, name } = side {
-                    // Unqualified join column: attribute it to every table (it
-                    // only influences the planner's universe-join advantage).
-                    for t in tables.iter_mut() {
-                        if !t.join_columns.iter().any(|c| c.eq_ignore_ascii_case(name)) {
-                            t.join_columns.push(name.to_ascii_lowercase());
-                        }
-                    }
-                }
+            if let (Some(l), Some(r)) = (side(left), side(right)) {
+                equalities.push((l, r));
             }
         }
-    });
+    }
 }
 
 fn register_aggregates(expr: &Expr, aggregates: &mut Vec<AggregateSpec>) -> VerdictResult<()> {
@@ -568,9 +566,12 @@ struct SampledRelation {
     meta: SampleMeta,
 }
 
-/// The combined subsample-id expression: a single variational table keeps its
-/// own sid; two are paired with `h(i, j)` (Theorem 4); more fold left.
-fn combined_sid_expr(sampled: &[SampledRelation], b: u64) -> Option<Expr> {
+/// The combined subsample-id expression.  The plan's universe group is one
+/// sample with one sid: that of its smallest-τ member, whose key draw is
+/// uniform over the keys the join keeps (a larger-τ member's draw would fill
+/// only its first τ_min/τ of the subsamples).  That sid and the independent
+/// relations' sids are paired with `h(i, j)` (Theorem 4); more fold left.
+fn combined_sid_expr(sampled: &[SampledRelation], plan: &SamplePlan, b: u64) -> Expr {
     let sqrt_b = Expr::int((b as f64).sqrt().round() as i64);
     let sid = |s: &SampledRelation| Expr::qcol(&s.alias, &s.sid_column);
     // floor((i - 1) / √b)
@@ -579,45 +580,44 @@ fn combined_sid_expr(sampled: &[SampledRelation], b: u64) -> Option<Expr> {
         let scaled = Expr::binary(zero_based, BinaryOp::Divide, sqrt_b.clone());
         Expr::func("floor", vec![scaled])
     };
-    let mut iter = sampled.iter();
-    let mut expr = sid(iter.next()?);
-    for next in iter {
-        // h(i, j) = floor((i-1)/√b)·√b + floor((j-1)/√b) + 1
-        let high = Expr::binary(bucket(expr), BinaryOp::Multiply, sqrt_b.clone());
-        let paired = Expr::binary(high, BinaryOp::Plus, bucket(sid(next)));
-        expr = Expr::Nested(Box::new(Expr::binary(paired, BinaryOp::Plus, Expr::int(1))));
-    }
-    Some(expr)
+    let group_sid = sampled
+        .iter()
+        .filter(|s| plan.in_universe(&s.alias))
+        .min_by(|x, y| x.meta.ratio.total_cmp(&y.meta.ratio));
+    let independent = sampled.iter().filter(|s| !plan.in_universe(&s.alias));
+    group_sid
+        .into_iter()
+        .chain(independent)
+        .map(sid)
+        .reduce(|expr, next| {
+            // h(i, j) = floor((i-1)/√b)·√b + floor((j-1)/√b) + 1
+            let high = Expr::binary(bucket(expr), BinaryOp::Multiply, sqrt_b.clone());
+            let paired = Expr::binary(high, BinaryOp::Plus, bucket(next));
+            Expr::Nested(Box::new(Expr::binary(paired, BinaryOp::Plus, Expr::int(1))))
+        })
+        // no sampled relation: one subsample
+        .unwrap_or_else(|| Expr::int(1))
 }
 
 /// The combined sampling-probability expression for the (possibly irregular)
 /// sample produced by joining the chosen samples: the product of per-relation
-/// probabilities, except that two hashed samples joined on their hash column
-/// share the same inclusion event, so the joint probability is the minimum of
-/// the two (§5.1 / Appendix E).
-fn combined_prob_expr(sampled: &[SampledRelation]) -> Option<String> {
-    if sampled.is_empty() {
-        return None;
-    }
-    let all_hashed_on_join = sampled.len() >= 2
-        && sampled
-            .iter()
-            .all(|s| matches!(s.meta.sample_type, SampleType::Hashed { .. }));
-    if all_hashed_on_join {
-        let args = sampled
-            .iter()
-            .map(|s| format!("{}.{}", s.alias, SAMPLING_PROB_COLUMN))
-            .collect::<Vec<_>>()
-            .join(", ");
-        return Some(format!("least({args})"));
-    }
-    Some(
+/// probabilities, except that the universe group's members share one
+/// inclusion event, so the group contributes the minimum of theirs (§5.1 /
+/// Appendix E).
+fn combined_prob_expr(sampled: &[SampledRelation], plan: &SamplePlan) -> String {
+    let probs = |in_group: bool| {
         sampled
             .iter()
+            .filter(move |s| plan.in_universe(&s.alias) == in_group)
             .map(|s| format!("{}.{}", s.alias, SAMPLING_PROB_COLUMN))
-            .collect::<Vec<_>>()
-            .join(" * "),
-    )
+    };
+    let group: Vec<String> = probs(true).collect();
+    let least = (!group.is_empty()).then(|| format!("least({})", group.join(", ")));
+    least
+        .into_iter()
+        .chain(probs(false))
+        .collect::<Vec<_>>()
+        .join(" * ")
 }
 
 /// Builds the variational-subsampling query for the mean-like aggregates.
@@ -628,10 +628,8 @@ fn rewrite_mean_like(analysis: &QueryAnalysis, plan: &SamplePlan, b: u64) -> Ver
             "the sample plan does not use any sample table".into(),
         ));
     }
-    let sid_expr = combined_sid_expr(&sampled, b)
-        .ok_or_else(|| VerdictError::Answer("failed to build subsample-id expression".into()))?;
-    let prob_sql = combined_prob_expr(&sampled)
-        .ok_or_else(|| VerdictError::Answer("failed to build probability expression".into()))?;
+    let sid_expr = combined_sid_expr(&sampled, plan, b);
+    let prob_sql = combined_prob_expr(&sampled, plan);
 
     let mut projection: Vec<SelectItem> = Vec::new();
     for (i, g) in analysis.group_by.iter().enumerate() {
@@ -750,9 +748,7 @@ fn rewrite_distinct(
         .collect();
     let filtered_plan = SamplePlan {
         choices: filtered_choices,
-        score: plan.score,
-        io_cost: plan.io_cost,
-        effective_ratio: plan.effective_ratio,
+        ..plan.clone()
     };
 
     let (from, sampled) = substitute_from(&analysis.query, &filtered_plan, 1, false);
@@ -939,32 +935,268 @@ mod tests {
         assert!(sql.to_lowercase().contains("group by city, "), "{sql}");
     }
 
+    fn hashed(table: &str, column: &str, ratio: f64, base_rows: u64) -> SampleMeta {
+        SampleMeta {
+            base_table: table.into(),
+            sample_table: format!("verdict_sample_{table}_hashed_{column}"),
+            sample_type: SampleType::Hashed {
+                columns: vec![column.into()],
+            },
+            ratio,
+            sample_rows: (base_rows as f64 * ratio) as u64,
+            base_rows,
+            appended_rows: 0,
+        }
+    }
+
+    /// The plan for `sql` when only `samples` exist, and its mean query.  At
+    /// τ 0.1 and an I/O budget of 0.1, sampling every large table is the only
+    /// sampled plan that fits.
+    fn rewrite_with(sql: &str, samples: &[SampleMeta], io_budget: f64) -> (SamplePlan, String) {
+        let store = MetaStore::new();
+        let mut rows = HashMap::new();
+        for s in samples {
+            store.register(s.clone());
+            rows.insert(s.base_table.clone(), s.base_rows);
+        }
+        let a = analyze_query(&query(sql)).unwrap();
+        let cfg = VerdictConfig::default();
+        let plan = SamplePlanner::new(&store, &cfg).plan(
+            &a.table_refs(&rows),
+            &PlanningContext {
+                io_budget,
+                ..Default::default()
+            },
+        );
+        let out = rewrite(&a, &plan, &cfg).unwrap();
+        let sql = print_statement(&out.mean_query.unwrap(), &GenericDialect);
+        parse_statement(&sql).unwrap();
+        (plan, sql)
+    }
+
+    /// Theorem 4's `h(i, j)` at b = 100, as printed.
+    fn h(i: &str, j: &str) -> String {
+        format!("(floor(({i} - 1) / 10) * 10 + floor(({j} - 1) / 10) + 1)")
+    }
+
     #[test]
-    fn join_rewrite_uses_theorem4_sid_pairing() {
+    fn universe_join_rewrite_takes_one_group_sid_and_least_probability() {
         let q = query(
             "SELECT count(*) AS cnt FROM orders o \
              INNER JOIN order_products p ON o.order_id = p.order_id",
         );
         let a = analyze_query(&q).unwrap();
         let plan = plan_for(&a);
-        // both tables should be sampled with hashed samples
+        // both tables should be sampled with hashed samples, as one universe
         assert!(plan.choices.iter().all(|c| c.sample.is_some()));
+        assert_eq!(plan.universe, ["o", "p"]);
         let out = rewrite(&a, &plan, &VerdictConfig::default()).unwrap();
         let sql = print_statement(&out.mean_query.unwrap(), &GenericDialect);
         parse_statement(&sql).unwrap();
-        // sqrt(100) = 10 appears in the h(i, j) pairing expression
+        // equal τ: the first member's sid, unpaired
+        assert!(sql.contains("GROUP BY o.verdict_sid_0"), "{sql}");
+        assert!(!sql.contains("floor((o.verdict_sid_0 - 1) / 10)"), "{sql}");
         assert!(
-            sql.contains("floor((o.verdict_sid_0 - 1) / 10) * 10"),
+            sql.contains("least(o.verdict_sampling_prob, p.verdict_sampling_prob)"),
             "{sql}"
         );
-        assert!(sql.contains("least(") || sql.contains("*"), "{sql}");
+    }
+
+    #[test]
+    fn hashed_samples_joined_off_their_hash_column_are_paired_and_multiplied() {
+        let (plan, sql) = rewrite_with(
+            "SELECT count(*) AS cnt FROM orders o \
+             INNER JOIN order_products p ON o.user_id = p.user_id",
+            &order_id_pair(),
+            0.1,
+        );
+        assert!(plan.universe.is_empty());
+        assert!(
+            sql.contains("o.verdict_sampling_prob * p.verdict_sampling_prob"),
+            "{sql}"
+        );
+        assert!(!sql.contains("least("), "{sql}");
+        let sid = h("o.verdict_sid_0", "p.verdict_sid_1");
+        assert!(sql.contains(&format!("GROUP BY {sid}")), "{sql}");
+    }
+
+    /// `orders` and `order_products` hashed on `order_id` at τ 0.1.
+    fn order_id_pair() -> [SampleMeta; 2] {
+        [
+            hashed("orders", "order_id", 0.1, 1_000_000),
+            hashed("order_products", "order_id", 0.1, 3_000_000),
+        ]
+    }
+
+    #[test]
+    fn comma_join_equated_in_where_is_a_universe_join() {
+        let (plan, sql) = rewrite_with(
+            "SELECT count(*) AS cnt FROM orders o, order_products p \
+             WHERE o.order_id = p.order_id AND p.price > 10",
+            &order_id_pair(),
+            0.1,
+        );
+        assert_eq!(plan.universe, ["o", "p"]);
+        assert!(
+            sql.contains("least(o.verdict_sampling_prob, p.verdict_sampling_prob)"),
+            "{sql}"
+        );
+        assert!(sql.contains("GROUP BY o.verdict_sid_0"), "{sql}");
+        assert!(!sql.contains("floor((o.verdict_sid_0 - 1) / 10)"), "{sql}");
+    }
+
+    #[test]
+    fn universe_join_through_an_unsampled_relation_is_one_group() {
+        let (plan, sql) = rewrite_with(
+            "SELECT count(*) AS cnt FROM orders o \
+             INNER JOIN order_notes x ON o.order_id = x.order_id \
+             INNER JOIN order_products p ON x.order_id = p.order_id",
+            &order_id_pair(),
+            0.1,
+        );
+        assert!(plan.choice_for("x").unwrap().sample.is_none());
+        assert_eq!(plan.universe, ["o", "p"]);
+        assert!(
+            sql.contains("least(o.verdict_sampling_prob, p.verdict_sampling_prob)"),
+            "{sql}"
+        );
+        assert!(sql.contains("GROUP BY o.verdict_sid_0"), "{sql}");
+        assert!(!sql.contains("floor((o.verdict_sid_0 - 1) / 10)"), "{sql}");
+    }
+
+    #[test]
+    fn only_top_level_column_equalities_are_recorded() {
+        let a = analyze_query(&query(
+            "SELECT count(*) AS cnt FROM orders o \
+             INNER JOIN order_products p ON o.order_id = p.order_id OR o.user_id = p.user_id \
+             WHERE (o.user_id = p.user_id) AND NOT o.order_id = p.order_id AND o.order_id = 3",
+        ))
+        .unwrap();
+        let spelled: Vec<String> = a
+            .join_equalities
+            .iter()
+            .map(|(l, r)| format!("{:?}.{} = {:?}.{}", l.alias, l.column, r.alias, r.column))
+            .collect();
+        assert_eq!(spelled, ["Some(\"o\").user_id = Some(\"p\").user_id"]);
+    }
+
+    #[test]
+    fn iq15_shape_with_unrelated_hash_keys_is_not_a_universe_join() {
+        let (plan, sql) = rewrite_with(
+            "SELECT department_id, count(*) AS n FROM orders o \
+             INNER JOIN order_products p ON o.order_id = p.order_id \
+             INNER JOIN products pr ON p.product_id = pr.product_id \
+             GROUP BY department_id",
+            &[
+                hashed("orders", "order_id", 0.1, 1_000_000),
+                hashed("order_products", "product_id", 0.1, 3_000_000),
+            ],
+            0.1,
+        );
+        assert!(plan.universe.is_empty());
+        assert!(!sql.contains("least("), "{sql}");
+        assert!(
+            sql.contains("o.verdict_sampling_prob * p.verdict_sampling_prob"),
+            "{sql}"
+        );
+        let sid = h("o.verdict_sid_0", "p.verdict_sid_1");
+        assert!(
+            sql.contains(&format!("GROUP BY department_id, {sid}")),
+            "{sql}"
+        );
+    }
+
+    #[test]
+    fn universe_pair_with_an_independent_relation_pairs_the_group_sid() {
+        let mut customers = hashed("customers", "user_id", 0.1, 1_000_000);
+        customers.sample_type = SampleType::Uniform;
+        let (plan, sql) = rewrite_with(
+            "SELECT count(*) AS cnt FROM orders o \
+             INNER JOIN order_products p ON o.order_id = p.order_id \
+             INNER JOIN customers c ON o.user_id = c.user_id",
+            &[
+                hashed("orders", "order_id", 0.1, 1_000_000),
+                hashed("order_products", "order_id", 0.1, 3_000_000),
+                customers,
+            ],
+            0.1,
+        );
+        assert_eq!(plan.universe, ["o", "p"]);
+        assert!(
+            sql.contains(
+                "least(o.verdict_sampling_prob, p.verdict_sampling_prob) * c.verdict_sampling_prob"
+            ),
+            "{sql}"
+        );
+        let sid = h("o.verdict_sid_0", "c.verdict_sid_2");
+        assert!(sql.contains(&format!("GROUP BY {sid}")), "{sql}");
+    }
+
+    #[test]
+    fn universe_group_takes_its_smallest_tau_members_sid_and_fills_every_subsample() {
+        use verdict_engine::{Engine, TableBuilder};
+        let engine = Engine::with_seed(5);
+        let keys = 20_000i64;
+        for (table, fanout) in [("orders", 1), ("order_products", 2)] {
+            let ids = (0..keys * fanout).map(|i| i % keys).collect();
+            let t = TableBuilder::new()
+                .int_column("order_id", ids)
+                .build()
+                .unwrap();
+            engine.register_table(table, t);
+        }
+        let mut samples = Vec::new();
+        for (table, ratio) in [("orders", 0.3), ("order_products", 0.1)] {
+            let base_rows = engine.catalog().row_count(table) as u64;
+            let sample_type = SampleType::Hashed {
+                columns: vec!["order_id".into()],
+            };
+            let sample_table = SampleMeta::table_name_for(table, &sample_type);
+            let build = crate::sample::builder::build_sample_sql(
+                table,
+                &sample_table,
+                &sample_type,
+                ratio,
+                base_rows,
+                0,
+                &["order_id".into()],
+                &GenericDialect,
+            );
+            for statement in &build.statements {
+                engine.execute_sql(statement).unwrap();
+            }
+            samples.push(SampleMeta {
+                sample_rows: engine.catalog().row_count(&sample_table) as u64,
+                ..hashed(table, "order_id", ratio, base_rows)
+            });
+        }
+        // Only the pair fits the budget.
+        let (plan, sql) = rewrite_with(
+            "SELECT count(*) AS cnt FROM orders o \
+             INNER JOIN order_products p ON o.order_id = p.order_id",
+            &samples,
+            0.2,
+        );
+        assert_eq!(plan.universe, ["o", "p"]);
+        // τ 0.1 is the second member: its key draw is uniform over the keys
+        // the join keeps, while the τ 0.3 member's would reach only sids 1..34
+        assert!(sql.contains("GROUP BY p.verdict_sid_1"), "{sql}");
+        let cells = engine.execute_sql(&sql).unwrap().table;
+        let sid = cells.schema.index_of("verdict_sid").unwrap();
+        let mut seen: Vec<i64> = (0..cells.num_rows())
+            .map(|r| cells.value(r, sid).as_i64().unwrap())
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=100).collect::<Vec<i64>>());
     }
 
     #[test]
     fn wrapper_and_sid_pairing_are_the_ast_of_their_sql_text() {
         let q = query("SELECT count(*) AS cnt FROM orders");
         let a = analyze_query(&q).unwrap();
-        let out = rewrite(&a, &plan_for(&a), &VerdictConfig::default()).unwrap();
+        // a single-table plan: no universe group, so every sid below is paired
+        let plan = plan_for(&a);
+        let out = rewrite(&a, &plan, &VerdictConfig::default()).unwrap();
         let Some(Statement::Query(mean)) = out.mean_query else {
             panic!("mean query")
         };
@@ -993,7 +1225,7 @@ mod tests {
             (2, two.as_str()),
             (3, three.as_str()),
         ] {
-            let built = combined_sid_expr(&sampled[..n], 100).unwrap();
+            let built = combined_sid_expr(&sampled[..n], &plan, 100);
             assert_eq!(
                 built,
                 verdict_sql::parse_expression(text).unwrap(),

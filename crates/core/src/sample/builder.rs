@@ -16,8 +16,8 @@
 //! table first.
 
 use crate::sample::{
-    hashed_predicate, qualified_columns, SampleType, SAMPLING_PROB_COLUMN, STRATIFIED_DELTA,
-    STRATIFIED_MIN_ROWS, SUBSAMPLE_DRAW_COLUMN,
+    hashed_draw, hashed_predicate, qualified_columns, SampleType, SAMPLING_PROB_COLUMN,
+    STRATIFIED_DELTA, STRATIFIED_MIN_ROWS, SUBSAMPLE_DRAW_COLUMN,
 };
 use crate::stats::build_staircase;
 use verdict_sql::Dialect;
@@ -44,12 +44,13 @@ pub struct SamplePlanSql {
 /// the frozen subsample draw* (which incremental append maintenance relies
 /// on).
 ///
-/// Every form appends `rand() AS `[`SUBSAMPLE_DRAW_COLUMN`] as the last
-/// projected column: one independent uniform draw per surviving tuple,
-/// frozen at build time, from which query rewriting derives the variational
-/// subsample id (`rand()` in a projection is safe on every dialect — only
-/// `rand()` in WHERE is restricted, and that restriction is what the
-/// `verdict_rand` helper works around).
+/// Every form appends [`SUBSAMPLE_DRAW_COLUMN`] as the last projected
+/// column, frozen at build time, from which query rewriting derives the
+/// variational subsample id.  Uniform and stratified forms draw it per tuple
+/// with `rand()` (safe in a projection on every dialect — only `rand()` in
+/// WHERE is restricted, and that restriction is what the `verdict_rand`
+/// helper works around); the hashed form derives it from the key hash
+/// (`sample::hashed_draw`), so a key's tuples share one draw.
 ///
 /// Every form also ends in `ORDER BY rand()`: the sample table is
 /// **physically shuffled** at build time — the property that makes it a
@@ -129,10 +130,11 @@ fn hashed_sql(
     dialect: &dyn Dialect,
 ) -> SamplePlanSql {
     let kept = hashed_predicate(columns, ratio, dialect);
+    let draw = hashed_draw(columns, ratio, dialect);
     let rand = dialect.random_function();
     let stmt = format!(
         "CREATE TABLE {} AS SELECT *, {ratio} AS {SAMPLING_PROB_COLUMN}, \
-         {rand} AS {SUBSAMPLE_DRAW_COLUMN} \
+         {draw} AS {SUBSAMPLE_DRAW_COLUMN} \
          FROM {} WHERE {kept} ORDER BY {rand}",
         dialect.quote_ident(sample_table),
         dialect.quote_ident(base_table)
@@ -284,6 +286,10 @@ mod tests {
         );
         assert!(plan.statements[0].contains("crc32"));
         assert!(plan.statements[0].contains("< 10000"));
+        // the subsample draw follows the key, not rand()
+        assert!(plan.statements[0].contains(
+            "(mod(strtol(crc32(order_id), 16), 1000000)) / 10000.0 AS verdict_subsample_u"
+        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the current one.
 
 use crate::sample::{
-    hashed_predicate, qualified_columns, SampleMeta, SampleType, SAMPLING_PROB_COLUMN,
+    hashed_draw, hashed_predicate, qualified_columns, SampleMeta, SampleType, SAMPLING_PROB_COLUMN,
     SUBSAMPLE_DRAW_COLUMN,
 };
 use verdict_sql::Dialect;
@@ -55,8 +55,10 @@ pub fn staleness(meta: &SampleMeta, current_base_rows: u64) -> Staleness {
 /// in base order keeps the positional `INSERT` aligned with the sample table
 /// (base columns, the sampling-probability column, then the frozen
 /// subsample-draw column) even when a helper `verdict_rand` column is
-/// attached in a derived table.  Appended tuples receive fresh subsample
-/// draws, exactly as build time gave the original tuples theirs.
+/// attached in a derived table.  Appended tuples receive their subsample
+/// draws exactly as build time gave the original tuples theirs: a fresh
+/// `rand()` for uniform and stratified samples, the key's own draw
+/// (`sample::hashed_draw`) for hashed ones.
 ///
 /// For uniform and hashed samples one `INSERT INTO … SELECT` suffices.  For
 /// stratified samples the appended tuples join against the per-stratum
@@ -84,6 +86,7 @@ pub fn append_sql(
         }
         SampleType::Hashed { columns } => {
             let kept = hashed_predicate(columns, ratio, dialect);
+            let draw = hashed_draw(columns, ratio, dialect);
             // No helper column is attached, but the projection is still
             // explicit and in base order: the INSERT is positional, so a
             // batch staged with reordered columns must not corrupt the
@@ -95,7 +98,7 @@ pub fn append_sql(
                 .join(", ");
             vec![format!(
                 "INSERT INTO {sample} SELECT {cols}, {ratio} AS {SAMPLING_PROB_COLUMN}, \
-                 {rand} AS {SUBSAMPLE_DRAW_COLUMN} \
+                 {draw} AS {SUBSAMPLE_DRAW_COLUMN} \
                  FROM {batch} WHERE {kept}"
             )]
         }
@@ -201,6 +204,10 @@ mod tests {
         });
         let sql = append_sql(&m, "orders_batch", &batch_columns(), &GenericDialect);
         assert!(sql[0].contains("verdict_hash(order_id, 1000000) < 10000"));
+        // an appended row of a key gets that key's build-time draw
+        assert!(
+            sql[0].contains("(verdict_hash(order_id, 1000000)) / 10000.0 AS verdict_subsample_u")
+        );
         // Explicit base-order projection: a reordered batch must not feed
         // the positional INSERT column-shifted values.
         assert!(sql[0].contains("SELECT order_id, city, price,"));

@@ -7,9 +7,9 @@
 //! [`SAMPLING_PROB_COLUMN`], exactly as the paper prescribes, so that query
 //! rewriting can build Horvitz–Thompson style unbiased estimates in SQL.
 //! A second extra column, [`SUBSAMPLE_DRAW_COLUMN`], freezes one uniform
-//! draw per tuple at build time; the rewriter derives the variational
-//! subsample id from it (`1 + floor(u·b)`), mirroring the scramble *block*
-//! column of the shipped VerdictDB.  Materialising the draw makes query
+//! draw per tuple (per key, for a hashed sample) at build time; the
+//! rewriter derives the variational subsample id from it (`1 + floor(u·b)`),
+//! mirroring the scramble *block* column of the shipped VerdictDB.  Materialising the draw makes query
 //! answers a pure function of the scramble contents and the configuration —
 //! which is what lets a progressive stream's final frame be bit-identical
 //! to the one-shot answer, and repeated identical queries cache-coherent.
@@ -25,7 +25,12 @@ pub const SAMPLING_PROB_COLUMN: &str = "verdict_sampling_prob";
 
 /// Name of the extra column holding each tuple's frozen uniform draw
 /// `u ∈ [0, 1)`, from which the rewriter derives the variational subsample
-/// id as `1 + floor(u · b)` for any subsample count `b`.
+/// id as `1 + floor(u · b)` for any subsample count `b`.  Uniform and
+/// stratified samples draw it per tuple with `rand()`.  A hashed sample keeps
+/// or drops a whole key, so it is a cluster sample over the key and its draw
+/// follows the key (`hashed_draw`): every tuple of a key lands in the same
+/// subsample, at build time and at every `REFRESH`, and the spread across
+/// subsamples then carries the between-key variance.
 pub const SUBSAMPLE_DRAW_COLUMN: &str = "verdict_subsample_u";
 
 /// Failure probability δ of the per-stratum minimum-size guarantee of
@@ -59,24 +64,43 @@ pub(crate) fn qualified_columns(
 /// Resolution of the integer hash used to implement `h(t.C) < τ`.
 const HASH_DOMAIN: u64 = 1_000_000;
 
-/// The predicate `h(columns) < τ` a hashed (universe) sample keeps tuples by
-/// — one spelling for sample construction and append maintenance, so a
-/// `REFRESH` samples the universe `CREATE SCRAMBLE … METHOD hashed` did.
-/// Multi-column universe samples hash the concatenation of the columns.
-pub(crate) fn hashed_predicate(
-    columns: &[String],
-    ratio: f64,
-    dialect: &dyn verdict_sql::Dialect,
-) -> String {
+/// The key hash `h(columns) ∈ [0, HASH_DOMAIN)` of a hashed (universe)
+/// sample and its keep threshold τ·`HASH_DOMAIN`.  Multi-column universe
+/// samples hash the concatenation of the columns.
+fn key_hash(columns: &[String], ratio: f64, dialect: &dyn verdict_sql::Dialect) -> (String, u64) {
     let quoted: Vec<String> = columns.iter().map(|c| dialect.quote_ident(c)).collect();
     let key_expr = if quoted.len() == 1 {
         quoted[0].clone()
     } else {
         format!("concat({})", quoted.join(", "))
     };
-    let hash = dialect.hash_function(&key_expr, HASH_DOMAIN);
     let threshold = (ratio * HASH_DOMAIN as f64).round() as u64;
+    (dialect.hash_function(&key_expr, HASH_DOMAIN), threshold)
+}
+
+/// The predicate `h(columns) < τ` a hashed (universe) sample keeps tuples by
+/// — one spelling for sample construction and append maintenance, so a
+/// `REFRESH` samples the universe `CREATE SCRAMBLE … METHOD hashed` did.
+pub(crate) fn hashed_predicate(
+    columns: &[String],
+    ratio: f64,
+    dialect: &dyn verdict_sql::Dialect,
+) -> String {
+    let (hash, threshold) = key_hash(columns, ratio, dialect);
     format!("{hash} < {threshold}")
+}
+
+/// A hashed sample's subsample draw `h / threshold`: uniform over the kept
+/// keys and the same for every tuple of a key.  The divisor is a decimal
+/// literal so that no dialect divides in integers (Redshift's integer `mod`
+/// would put every tuple in subsample 1).
+pub(crate) fn hashed_draw(
+    columns: &[String],
+    ratio: f64,
+    dialect: &dyn verdict_sql::Dialect,
+) -> String {
+    let (hash, threshold) = key_hash(columns, ratio, dialect);
+    format!("({hash}) / {threshold}.0")
 }
 
 /// The sample types VerdictDB constructs offline (§3.1).
@@ -219,6 +243,41 @@ mod tests {
         assert!((m.actual_ratio() - 0.01).abs() < 1e-12);
         let empty = SampleMeta { base_rows: 0, ..m };
         assert_eq!(empty.actual_ratio(), 0.0);
+    }
+
+    #[test]
+    fn hashed_draw_parses_and_divides_in_float_on_every_dialect() {
+        use verdict_sql::ast::{BinaryOp, Expr, Literal};
+        use verdict_sql::{GenericDialect, ImpalaDialect, RedshiftDialect, SparkSqlDialect};
+        let columns = ["order_id".to_string()];
+        let dialects: [&dyn verdict_sql::Dialect; 4] = [
+            &GenericDialect,
+            &ImpalaDialect,
+            &SparkSqlDialect,
+            &RedshiftDialect,
+        ];
+        for dialect in dialects {
+            let draw = hashed_draw(&columns, 0.01, dialect);
+            let parsed = verdict_sql::parse_expression(&draw)
+                .unwrap_or_else(|e| panic!("{}: {draw}: {e}", dialect.name()));
+            // An integer hash over a decimal literal: Redshift's `mod(…) / n`
+            // with an integer `n` would truncate every draw to 0.
+            let Expr::BinaryOp {
+                op: BinaryOp::Divide,
+                right,
+                ..
+            } = parsed
+            else {
+                panic!("{}: {draw} is not a division", dialect.name())
+            };
+            assert_eq!(*right, Expr::Literal(Literal::Float(10_000.0)), "{draw}");
+            // the keep predicate compares the same hash with the same threshold
+            let kept = hashed_predicate(&columns, 0.01, dialect);
+            assert_eq!(
+                draw,
+                format!("({}) / 10000.0", kept.trim_end_matches(" < 10000"))
+            );
+        }
     }
 
     #[test]

@@ -195,6 +195,48 @@ fn repeated_refresh_is_idempotent() {
     assert_eq!(after_second.base_rows, after_first.base_rows);
 }
 
+/// `id → verdict_subsample_u` for every row of a scramble.
+fn draws_by_id(ctx: &Arc<VerdictContext>, sample_table: &str) -> Vec<(i64, f64)> {
+    let r = ctx
+        .connection()
+        .execute(&format!(
+            "SELECT id, verdict_subsample_u FROM {sample_table}"
+        ))
+        .unwrap();
+    (0..r.table.num_rows())
+        .map(|i| {
+            let id = r.table.value(i, 0).as_i64().unwrap();
+            (id, r.table.value(i, 1).as_f64().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn refresh_gives_an_appended_row_its_keys_build_time_draw() {
+    let (_engine, ctx) = context_with_sales(37, 0);
+    let meta = create_scramble(&ctx, "sales_hashed", "METHOD hashed RATIO 0.2 ON id");
+    let built: std::collections::HashMap<i64, f64> =
+        draws_by_id(&ctx, &meta.sample_table).into_iter().collect();
+    assert_eq!(built.len() as u64, meta.sample_rows);
+
+    // A batch of new rows for existing keys: the universe keeps exactly the
+    // batch rows whose key it kept at build time.
+    ctx.connection()
+        .execute("CREATE TABLE sales_batch AS SELECT id, price + 1.0 AS price, city FROM sales")
+        .unwrap();
+    ctx.connection()
+        .execute("INSERT INTO sales SELECT * FROM sales_batch")
+        .unwrap();
+    assert_eq!(refresh_from_batch(&ctx), 1);
+
+    let refreshed = draws_by_id(&ctx, &meta.sample_table);
+    assert_eq!(refreshed.len(), 2 * built.len());
+    for (id, draw) in refreshed {
+        let at_build = built.get(&id).copied();
+        assert_eq!(at_build, Some(draw), "key {id}");
+    }
+}
+
 #[test]
 fn refresh_with_reordered_batch_columns_does_not_corrupt_the_sample() {
     let (_engine, ctx) = context_with_sales(29, 0);

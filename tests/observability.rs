@@ -258,6 +258,35 @@ fn explain_without_analyze_plans_without_executing() {
 }
 
 #[test]
+fn explain_names_the_universe_join_group() {
+    let ctx = sales_context(21);
+    ctx.connection()
+        .execute("CREATE TABLE returns AS SELECT id, price FROM sales")
+        .unwrap();
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    for t in ["sales", "returns"] {
+        s.execute(&format!(
+            "CREATE SCRAMBLE {t}_h FROM {t} METHOD hashed RATIO 0.05 ON id"
+        ))
+        .unwrap();
+    }
+    // the values of the EXPLAIN rows named `universe join`
+    let universe = |s: &mut VerdictSession, sql: &str| -> Vec<String> {
+        let table = table_of(s, &format!("EXPLAIN {sql}"));
+        (0..table.num_rows())
+            .filter(|&r| str_at(&table, r, 0) == "universe join")
+            .map(|r| str_at(&table, r, 1))
+            .collect()
+    };
+    let joined = "SELECT count(*) AS n FROM sales s INNER JOIN returns r ON s.id = r.id";
+    assert_eq!(universe(&mut s, joined), ["s, r"]);
+    // joined off the hash column: two independent samples, no row
+    let off_key = "SELECT count(*) AS n FROM sales s INNER JOIN returns r ON s.price = r.price";
+    assert!(universe(&mut s, off_key).is_empty());
+    assert!(universe(&mut s, "SELECT count(*) AS n FROM sales").is_empty());
+}
+
+#[test]
 fn show_profile_lists_recent_statements_most_recent_first() {
     let ctx = sales_context(13);
     let mut s = VerdictSession::new(ctx);

@@ -1177,6 +1177,70 @@ fn critical_values_are_monotone() {
     }
 }
 
+/// A universe join is a cluster sample over its key: both hashed scrambles
+/// keep or drop whole keys, so rows of one key rise and fall together.  With
+/// heavy per-key clusters the 95% interval of a join aggregate must still
+/// cover the truth in at least 90% of seeds, which needs each key's rows in
+/// one subsample.  A hashed sample's randomness is the hash of the key, not
+/// the engine seed, so each seed redraws the values against fixed key ids.
+#[test]
+fn universe_join_intervals_cover_the_truth_under_heavy_key_clusters() {
+    use std::sync::Arc;
+    use verdictdb::engine::{Backend, Engine};
+    use verdictdb::{VerdictConfig, VerdictContext, VerdictSession};
+    const KEYS: i64 = 2_000;
+    const SEEDS: u64 = 200;
+    let query =
+        "SELECT avg(i.price) AS ap FROM orders o INNER JOIN items i ON o.order_id = i.order_id";
+    let mut covered = 0;
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut ids, mut prices) = (Vec::new(), Vec::new());
+        for k in 0..KEYS {
+            // a heavy-tailed key effect shared by 1..12 rows, plus small noise
+            let effect = 50.0 * rng.gen_range(0.0..1.0f64).powi(3);
+            for _ in 0..1 + k % 12 {
+                ids.push(k);
+                prices.push(effect + rng.gen_range(-1.0..1.0f64));
+            }
+        }
+        let engine = Arc::new(Engine::with_seed(seed));
+        let orders = TableBuilder::new().int_column("order_id", (0..KEYS).collect());
+        engine.register_table("orders", orders.build().unwrap());
+        let items = TableBuilder::new()
+            .int_column("order_id", ids)
+            .float_column("price", prices);
+        engine.register_table("items", items.build().unwrap());
+        let truth = engine.execute_sql(query).unwrap().table.value(0, 0);
+        let truth = truth.as_f64().unwrap();
+
+        let mut config = VerdictConfig::for_testing();
+        // room for the two τ = 0.1 scrambles together, not for either alone
+        config.io_budget = 0.15;
+        let ctx = Arc::new(VerdictContext::new(engine as Arc<dyn Backend>, config));
+        let mut session = VerdictSession::new(ctx);
+        for t in ["orders", "items"] {
+            session
+                .execute(&format!(
+                    "CREATE SCRAMBLE {t}_h FROM {t} METHOD hashed RATIO 0.1 ON order_id"
+                ))
+                .unwrap();
+        }
+        let answer = session.execute(query).unwrap().into_answer().unwrap();
+        assert!(
+            !answer.exact,
+            "seed {seed}: the join must be answered from scrambles"
+        );
+        let estimate = answer.table.value(0, 0).as_f64().unwrap();
+        let half_width = answer.table.value(0, 1).as_f64().unwrap();
+        covered += usize::from((estimate - truth).abs() <= half_width);
+    }
+    assert!(
+        covered as f64 >= 0.9 * SEEDS as f64,
+        "covered in {covered} of {SEEDS} seeds"
+    );
+}
+
 /// One generated aggregate SELECT over `from`: a grouped count with a
 /// filter, an ordering on the aggregate and a limit, on one of the columns
 /// `a`, `b`, `c`.
