@@ -108,6 +108,22 @@ impl AnswerCache {
     /// a clone of the stored answer when every referenced table still has the
     /// version recorded at insert time; drops the entry and reports a miss
     /// otherwise.
+    pub fn lookup(
+        &self,
+        key: &str,
+        current_version: impl FnMut(&str) -> Option<u64>,
+    ) -> Option<VerdictAnswer> {
+        let hit = self.find(key, current_version);
+        if hit.is_none() && self.enabled() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// [`Self::lookup`] without counting a miss: a caller that declines on
+    /// a miss and leaves the statement to a path that looks it up again
+    /// uses this, so the statement counts one miss, not two.  A hit and a
+    /// stale entry's invalidation are counted as by `lookup`.
     ///
     /// The lock is released while `current_version` runs and while the
     /// answer is deep-cloned, so cache-hot sessions do not serialize on the
@@ -115,7 +131,7 @@ impl AnswerCache {
     /// when the entry still carries the snapshotted versions; an entry
     /// replaced mid-lookup is reported as a miss — never a stale serve, and
     /// never a removal of an entry the verdict was not computed for.
-    pub fn lookup(
+    pub(crate) fn find(
         &self,
         key: &str,
         mut current_version: impl FnMut(&str) -> Option<u64>,
@@ -124,13 +140,7 @@ impl AnswerCache {
             return None;
         }
         // Phase 1: snapshot the entry's versions under the lock.
-        let versions = match self.inner.lock().entries.get(key) {
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            Some(entry) => entry.versions.clone(),
-        };
+        let versions = self.inner.lock().entries.get(key)?.versions.clone();
         // Phase 2: validate against the live connection, lock released.
         let valid = versions
             .iter()
@@ -145,15 +155,11 @@ impl AnswerCache {
             let mut inner = self.inner.lock();
             match inner.entries.get(key) {
                 Some(e) if e.versions == versions => {}
-                _ => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
+                _ => return None,
             }
             if !valid {
                 inner.entries.remove(key);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
             let entry = inner.entries.get(key).expect("checked above");
@@ -247,6 +253,22 @@ mod tests {
         assert!(cache.lookup("other", |_| Some(3)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn find_leaves_the_miss_to_the_lookup_that_follows() {
+        let cache = AnswerCache::new(4);
+        cache.insert("k".into(), vec![("t".into(), 3)], answer(1));
+        assert!(cache.find("absent", |_| Some(3)).is_none());
+        // A stale entry is dropped by the find; the lookup that follows
+        // counts the statement's one miss.
+        assert!(cache.find("k", |_| Some(4)).is_none());
+        assert!(cache.lookup("k", |_| Some(4)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (0, 1, 1));
+        cache.insert("k".into(), vec![("t".into(), 4)], answer(2));
+        assert_eq!(cache.find("k", |_| Some(4)).unwrap().rows_scanned, 2);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

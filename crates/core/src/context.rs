@@ -636,16 +636,20 @@ impl VerdictContext {
     /// `stat_rows` series, in Prometheus text format.
     pub fn metrics_text(&self) -> String {
         // Levels, not counts; every other stat is a `_total` counter.
-        const GAUGES: [&str; 10] = [
+        const GAUGES: [&str; 14] = [
             "cache_capacity",
             "cache_entries",
             "scrambles",
             "draining",
+            "exec_p50_us",
+            "exec_p99_us",
             "exec_workers",
             "io_shards",
             "queue_capacity",
             "queue_depth",
             "queue_peak_depth",
+            "queue_wait_p50_us",
+            "queue_wait_p99_us",
             "sessions_active",
         ];
         let (mut counters, mut gauges) = (Vec::new(), Vec::new());

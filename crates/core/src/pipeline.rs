@@ -14,6 +14,7 @@
 //! | statement | stages |
 //! |---|---|
 //! | `SELECT` | all of them ([`VerdictContext::run_statement`], [`Route::Approximate`]) |
+//! | `SELECT`, cache hit only ([`crate::VerdictSession::cached_answer`]) | `canonicalize → cache_probe`; a miss records nothing and the statement runs as `SELECT` |
 //! | `SELECT` over system relations alone (`SHOW …`) | `control` only ([`Route::System`], answered in-process) |
 //! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
 //! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
@@ -98,6 +99,14 @@ pub(crate) enum Planned {
     },
 }
 
+/// What `canonicalize → cache_probe` found.
+enum Probe {
+    /// A current cached answer, marked `cached`.
+    Hit(VerdictAnswer),
+    /// No current answer: the statement's cache key (`None`: uncacheable).
+    Miss(Option<String>),
+}
+
 /// One rewritten statement as sent — its SQL text and the backend's result:
 /// the mean query run through SQL or snapshotted from a progressive block
 /// scan, or a side (distinct / extreme) query.
@@ -177,22 +186,10 @@ impl VerdictContext {
             tb.begin("control");
             return self.answer_system(query);
         }
-        tb.begin("canonicalize");
-        let key = query.and_then(|q| self.cache_key(q, config));
-        if route == Route::Approximate {
-            tb.begin("cache_probe");
-            match &key {
-                Some(k) => match self.cache.lookup(k, |t| self.conn.data_version(t)) {
-                    Some(mut hit) => {
-                        tb.note("hit".into());
-                        hit.cached = true;
-                        return Ok(hit);
-                    }
-                    None => tb.note("miss".into()),
-                },
-                None => tb.note("uncacheable".into()),
-            }
-        }
+        let key = match self.cache_probe(query, config, route, tb, true) {
+            Probe::Hit(hit) => return Ok(hit),
+            Probe::Miss(key) => key,
+        };
         let Some(query) = query else {
             // DDL / DML: nothing to approximate, passed through as written.
             tb.begin("control");
@@ -201,6 +198,66 @@ impl VerdictContext {
         let ticket = key.and_then(|k| self.cache_ticket(k, query));
         let planned = self.plan_query(query, config, tb)?;
         self.run_planned(planned, sql, ticket, config, tb)
+    }
+
+    /// `canonicalize → cache_probe`: the statement's cache key and, on
+    /// [`Route::Approximate`], the cached answer when a current one exists.
+    /// Never calls [`Backend::execute`](verdict_engine::Backend::execute);
+    /// the only backend calls are `data_version` reads.  `count_miss` is
+    /// false for a caller that declines on a miss and leaves the statement
+    /// to [`Self::run_statement`], which probes again and counts the miss.
+    fn cache_probe(
+        &self,
+        query: Option<&Query>,
+        config: &VerdictConfig,
+        route: Route,
+        tb: &mut TraceBuilder,
+        count_miss: bool,
+    ) -> Probe {
+        tb.begin("canonicalize");
+        let key = query.and_then(|q| self.cache_key(q, config));
+        if route == Route::Approximate {
+            tb.begin("cache_probe");
+            match &key {
+                Some(k) => {
+                    let version = |t: &str| self.conn.data_version(t);
+                    let found = match count_miss {
+                        true => self.cache.lookup(k, version),
+                        false => self.cache.find(k, version),
+                    };
+                    match found {
+                        Some(mut hit) => {
+                            tb.note("hit".into());
+                            hit.cached = true;
+                            return Probe::Hit(hit);
+                        }
+                        None => tb.note("miss".into()),
+                    }
+                }
+                None => tb.note("uncacheable".into()),
+            }
+        }
+        Probe::Miss(key)
+    }
+
+    /// Answers a query from the answer cache alone: a hit is traced exactly
+    /// as [`Self::run_statement`] traces one (class `query_cached`), and a
+    /// miss returns `None` having recorded nothing — no trace, no cache
+    /// miss — so the statement can still be run in full.
+    pub(crate) fn answer_from_cache(
+        &self,
+        query: &Query,
+        sql: &str,
+        config: &VerdictConfig,
+        shed_tier: &'static str,
+    ) -> Option<VerdictAnswer> {
+        let mut open = self.open_trace();
+        let probe = self.cache_probe(Some(query), config, Route::Approximate, &mut open.tb, false);
+        let Probe::Hit(mut answer) = probe else {
+            return None;
+        };
+        self.close_trace(open, "query", sql, config, shed_tier, Some(&mut answer));
+        Some(answer)
     }
 
     /// `backend_exec → assemble → finish` for a planned query: the tail of

@@ -168,6 +168,30 @@ impl VerdictSession {
         self.execute_statement(&stmt, sql)
     }
 
+    /// Answers a parsed query from the shared answer cache, or declines.
+    ///
+    /// Returns the cached answer when this session would take the
+    /// [`Route::Approximate`] path and the cache holds a current answer for
+    /// the statement under this session's settings; the hit is traced and
+    /// counted exactly as [`Self::execute_statement`] would trace and count
+    /// it.  Returns `None` for every other statement and for a miss, having
+    /// recorded nothing, so the caller runs it through `execute_statement`.
+    /// Never executes anything on the backend: the only backend calls are
+    /// [`Backend::data_version`](verdict_engine::Backend::data_version)
+    /// reads, which is why a serving layer can answer a hit on its I/O
+    /// thread.  `sql` must be the statement's source text.
+    pub fn cached_answer(&self, stmt: &Statement, sql: &str) -> Option<VerdictAnswer> {
+        let Statement::Query(query) = stmt else {
+            return None;
+        };
+        if !matches!(Route::of(stmt, self.bypass), Ok(Some(Route::Approximate))) {
+            return None;
+        }
+        let cfg = self.effective_config();
+        self.ctx
+            .answer_from_cache(query, sql, &cfg, self.shed.label())
+    }
+
     /// Opens a progressive execution for a query: a pull-based iterator of
     /// [`ProgressFrame`](crate::progress::ProgressFrame)s whose estimates
     /// and confidence intervals refine block by block, ending with the

@@ -96,7 +96,9 @@ pub trait Backend: Send + Sync {
     /// track mutations.  Answer caches use this to decide whether a stored
     /// answer is still valid; returning `None` (the default) makes cached
     /// answers for queries over this connection ineligible, which is the
-    /// safe behaviour for pass-through JDBC/ODBC-style connections.
+    /// safe behaviour for pass-through JDBC/ODBC-style connections.  Keep it
+    /// a local read, never a round trip: a serving layer validates a cache
+    /// hit with it on the I/O thread that serves every other connection.
     fn data_version(&self, table: &str) -> Option<u64> {
         let _ = table;
         None

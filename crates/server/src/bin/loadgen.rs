@@ -15,8 +15,9 @@
 //! runs either a fixed request count per session (`--requests`) or a fixed
 //! wall-clock budget (`--duration-secs`, the sensible mode for large
 //! session counts).  The report shows per-point qps plus p50/p99 request
-//! latency, and `--json-out FILE` writes the sweep to `FILE` (the committed
-//! curve is `BENCH_serving.json`).
+//! latency, and `--json-out FILE` writes the sweep to `FILE` with the box it
+//! ran on (CPU model, core count, `rustc`; the committed curve is
+//! `BENCH_serving.json`).
 //!
 //! Alongside the client-measured latencies, each point scrapes the server's
 //! own statement-duration histogram (`SHOW METRICS`) immediately before and
@@ -450,9 +451,37 @@ fn run_point(opts: &Options, sessions: usize) -> Point {
     }
 }
 
+/// The machine the sweep ran on: CPU model, core count and the `rustc` on
+/// the path.  Milliseconds do not travel between boxes, so a committed
+/// curve carries its own.
+fn box_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let quoted = |s: &str| format!("\"{}\"", s.replace(['"', '\\'], ""));
+    format!(
+        "{{ \"cpu\": {}, \"nproc\": {nproc}, \"rustc\": {} }}",
+        quoted(&cpu),
+        quoted(&rustc)
+    )
+}
+
 /// The sweep as a JSON document of its own, one point per line.
 fn sweep_json(opts: &Options, points: &[Point]) -> String {
     let mut json = String::from("{\n  \"generated_by\": \"verdict-loadgen\",\n");
+    json.push_str(&format!("  \"box\": {},\n", box_json()));
     json.push_str(&format!("  \"chaos\": {:.3},\n", opts.chaos));
     json.push_str(&format!("  \"stream\": {},\n", opts.stream));
     match opts.duration {

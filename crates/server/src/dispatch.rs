@@ -1,20 +1,28 @@
 //! Statement execution on the worker pool.
 //!
-//! One [`Task`] is one admitted request line: the worker locks the
-//! connection's session, applies the statement's shed tier, executes, and
-//! serialises response frames through the connection's [`ConnSink`] (which
+//! One [`Task`] is one admitted request: the worker locks the connection's
+//! session, applies the statement's shed tier, executes, and serialises
+//! response frames through the connection's [`ConnSink`] (which
 //! backpressures against the per-connection outbound buffer — workers never
-//! touch sockets).  `SQL <statement>` is the protocol; `STREAM <query>`
-//! answers with a multi-frame progressive response.
+//! touch sockets).  `SQL <statement>` arrives parsed by the I/O shard;
+//! `STREAM <query>` answers with a multi-frame progressive response.
+//!
+//! A statement that panics, here or in the shard's cache probe, becomes a
+//! plain `ERR` frame: execution runs inside `catch_unwind` with the session
+//! guard held, so the panic poisons the session and its connection closes
+//! once the frame is flushed.  The worker and the shard live on.
 
 use crate::protocol::{
     write_coded_error_frame, write_error_frame, write_result_frame, write_stream_done,
     write_stream_frame, ErrorCode, FrameHeader, StreamFrameHeader,
 };
-use crate::server::{ConnSink, Shared, SinkError, Task};
+use crate::server::{ConnShared, ConnSink, Request, Shared, SinkError, Task};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 use verdict_core::{ShedTier, VerdictAnswer, VerdictResponse, VerdictSession};
+use verdict_sql::ast::Statement;
 
 fn deadline_expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -29,6 +37,35 @@ fn deadline_frame(shared: &Shared, out: &mut String) {
         ErrorCode::Deadline,
         "deadline_ms elapsed before the answer completed",
     );
+}
+
+/// The `ERR` frame for a statement that panicked; its session is poisoned,
+/// so the connection closes after the frame.
+pub(crate) fn panic_frame(
+    shared: &Shared,
+    conn: &ConnShared,
+    payload: &(dyn Any + Send),
+    out: &mut String,
+) {
+    let cause = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    shared.count_error();
+    conn.close_when_flushed();
+    write_error_frame(
+        out,
+        &format!("statement panicked ({cause}); the session is closed"),
+    );
+}
+
+/// The `ERR` frame for a request on a connection whose session an earlier
+/// panic poisoned; the connection closes after the frame.
+pub(crate) fn poisoned_session_frame(shared: &Shared, conn: &ConnShared, out: &mut String) {
+    shared.count_error();
+    conn.close_when_flushed();
+    write_error_frame(out, "the session was closed by a statement that panicked");
 }
 
 /// Executes one admitted task end to end: deadline gate, shed tier,
@@ -50,59 +87,39 @@ pub(crate) fn run_task(shared: &Shared, task: &Task) {
         let _ = sink.send_terminal(&out);
         return;
     }
-    let mut session = conn.session.lock().unwrap();
-    session.set_shed_tier(task.tier);
-    if let Some(rest) = strip_verb(&task.request, "STREAM") {
-        handle_stream(rest, shared, task, &mut session, &sink);
-    } else {
+    let Ok(session) = conn.session.lock() else {
         let mut out = String::new();
-        handle_request(&task.request, shared, task, &mut session, &mut out);
-        if deadline_expired(task.deadline) {
-            // The engine finished after the deadline: the contract says the
-            // client gets a DEADLINE error, not a late answer.
-            out.clear();
-            deadline_frame(shared, &mut out);
+        poisoned_session_frame(shared, conn, &mut out);
+        let _ = sink.send_terminal(&out);
+        return;
+    };
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        // The guard moves in: an unwind drops it there and poisons the
+        // session.
+        let mut session = session;
+        session.set_shed_tier(task.tier);
+        match &task.request {
+            Request::Stream(query) => handle_stream(query, shared, task, &mut session, &sink),
+            Request::Sql(stmt, sql) => {
+                let mut out = String::new();
+                dispatch_sql(stmt, sql, shared, task, &mut session, &mut out);
+                if deadline_expired(task.deadline) {
+                    // The engine finished after the deadline: the contract
+                    // says the client gets a DEADLINE error, not a late
+                    // answer.
+                    out.clear();
+                    deadline_frame(shared, &mut out);
+                }
+                let _ = sink.send_terminal(&out);
+            }
         }
+        session.set_shed_tier(ShedTier::None);
+    }));
+    if let Err(payload) = ran {
+        let mut out = String::new();
+        panic_frame(shared, conn, payload.as_ref(), &mut out);
         let _ = sink.send_terminal(&out);
     }
-    session.set_shed_tier(ShedTier::None);
-}
-
-/// Dispatches one request line, appending the full response frame to `out`.
-///
-/// `SQL <statement>` is the protocol: the statement runs on the
-/// per-connection session.  (`PING`/`QUIT`/`SHUTDOWN` never reach the
-/// workers — the I/O shards answer them inline.)
-fn handle_request(
-    request: &str,
-    shared: &Shared,
-    task: &Task,
-    session: &mut VerdictSession,
-    out: &mut String,
-) {
-    let (verb, rest) = match request.split_once(' ') {
-        Some((v, r)) => (v, r.trim()),
-        None => (request, ""),
-    };
-    match verb.to_ascii_uppercase().as_str() {
-        "SQL" => dispatch_sql(rest, shared, task, session, out),
-        // A bare STREAM with no query (the with-query form streams frames).
-        "STREAM" => {
-            shared.count_error();
-            write_error_frame(out, "usage: STREAM <query>");
-        }
-        other => {
-            shared.count_error();
-            write_error_frame(out, &format!("unknown command {other}"));
-        }
-    }
-}
-
-/// Case-insensitively strips a leading verb followed by whitespace,
-/// returning the trimmed remainder.
-fn strip_verb<'a>(request: &'a str, verb: &str) -> Option<&'a str> {
-    let (head, rest) = request.split_once(char::is_whitespace)?;
-    head.eq_ignore_ascii_case(verb).then(|| rest.trim())
 }
 
 /// `STREAM <query>` — the multi-frame response: one `FRAME …` result frame
@@ -169,9 +186,10 @@ fn handle_stream(
     let _ = sink.send_terminal(&out);
 }
 
-/// Runs one SQL statement through the connection's session and serialises
-/// the unified [`VerdictResponse`] into a protocol frame.
+/// Runs one parsed SQL statement through the connection's session and
+/// serialises the unified [`VerdictResponse`] into a protocol frame.
 fn dispatch_sql(
+    stmt: &Statement,
     sql: &str,
     shared: &Shared,
     task: &Task,
@@ -180,7 +198,7 @@ fn dispatch_sql(
 ) {
     shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
     let start = Instant::now();
-    match session.execute(sql) {
+    match session.execute_statement(stmt, sql) {
         Ok(VerdictResponse::Answer(answer)) => write_answer_frame(&answer, None, task.tier, out),
         Ok(response) => write_response_frame(&response, start, out),
         Err(e) => {
@@ -194,7 +212,7 @@ fn dispatch_sql(
 /// progressive `frame` it belongs to — a `FRAME …` stream frame.  Both carry
 /// the same status fields, per-aggregate `E` error summaries, and `S`
 /// extras (samples used, degradation tier).
-fn write_answer_frame(
+pub(crate) fn write_answer_frame(
     answer: &VerdictAnswer,
     frame: Option<&verdict_core::ProgressFrame>,
     tier: ShedTier,

@@ -13,7 +13,12 @@
 //!   malicious client can wedge only its own connection, never the loop.
 //! * **A bounded run queue** — parsed statements are handed to a small pool
 //!   of executor workers (which drive the engine's existing morsel pool);
-//!   I/O threads never execute queries.
+//!   I/O threads never execute queries on the backend.  A statement whose
+//!   answer is in the answer cache is the exception that proves the rule:
+//!   the shard that read it answers it in place, as it answers `PING`
+//!   ([`verdict_core::VerdictSession::cached_answer`] reads the cache and
+//!   the backend's data versions, never executes), so a hit takes no queue
+//!   slot, no shed tier and no worker.
 //! * **Admission control** — every statement passes the
 //!   [`verdict_core::shed`] gate: as queue depth crosses watermarks the
 //!   server first *sheds accuracy* (raises the tolerated error, shrinks
@@ -40,14 +45,17 @@ use crate::protocol::{
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use verdict_core::{
-    Admission, AdmissionController, ShedPolicy, ShedTier, VerdictContext, VerdictSession,
+    Admission, AdmissionController, Histogram, ShedPolicy, ShedTier, VerdictContext, VerdictError,
+    VerdictSession,
 };
 use verdict_poll::{poll, poll_handle, wake_pair, PollFd, POLLIN, POLLOUT};
+use verdict_sql::ast::Statement;
 
 /// Longest accepted request line.  A line-based protocol must bound its
 /// buffering: without a cap, one client streaming bytes with no newline
@@ -70,6 +78,15 @@ pub struct ServerStats {
     /// Statements answered with a typed `DEADLINE` error because their
     /// `deadline_ms` passed before a complete answer could be delivered.
     pub deadline_misses: AtomicU64,
+    /// Statements answered from the answer cache by the I/O shard that read
+    /// them, without a queue slot or a worker.
+    pub cache_hits_on_shard: AtomicU64,
+    /// Time each admitted statement waited on the run queue, from enqueue
+    /// to a worker taking it.
+    pub queue_wait_us: Histogram,
+    /// Time a worker spent on each admitted statement, from taking it to
+    /// its terminal frame.
+    pub exec_us: Histogram,
 }
 
 /// Tuning knobs for the event-loop server.  Every knob has a sensible
@@ -201,10 +218,15 @@ impl Shared {
         let stats = &self.stats;
         let adm = self.admission.stats();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let quantile = |h: &Histogram, q: f64| h.quantile(q).unwrap_or(0);
         vec![
+            ("cache_hits_on_shard", load(&stats.cache_hits_on_shard)),
             ("deadline_misses", load(&stats.deadline_misses)),
             ("draining", self.draining.load(Ordering::SeqCst) as u64),
             ("errors", load(&stats.errors)),
+            ("exec_count", stats.exec_us.count()),
+            ("exec_p50_us", quantile(&stats.exec_us, 0.50)),
+            ("exec_p99_us", quantile(&stats.exec_us, 0.99)),
             ("exec_workers", self.cfg.workers as u64),
             ("io_shards", self.cfg.io_shards as u64),
             ("queries_admitted", adm.admitted),
@@ -214,6 +236,9 @@ impl Shared {
             ("queue_capacity", self.cfg.queue_capacity as u64),
             ("queue_depth", self.admission.depth() as u64),
             ("queue_peak_depth", adm.peak_depth),
+            ("queue_wait_count", stats.queue_wait_us.count()),
+            ("queue_wait_p50_us", quantile(&stats.queue_wait_us, 0.50)),
+            ("queue_wait_p99_us", quantile(&stats.queue_wait_us, 0.99)),
             ("sessions_active", load(&stats.sessions_active)),
             ("sessions_opened", load(&stats.sessions_opened)),
         ]
@@ -254,16 +279,26 @@ impl ConnShared {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Appends response bytes without backpressure (shard-side inline
-    /// responses and worker-side terminal frames).
-    fn push_unbounded(&self, text: &str) {
-        if self.is_dead() {
-            return;
+    /// Appends response bytes without backpressure and without waking the
+    /// shard: for frames the shard answers itself and flushes in the same
+    /// loop iteration.
+    fn append(&self, text: &str) {
+        if !self.is_dead() {
+            self.out.lock().unwrap().extend(text.as_bytes());
         }
-        let mut out = self.out.lock().unwrap();
-        out.extend(text.as_bytes());
-        drop(out);
+    }
+
+    /// Appends a worker's terminal frame without backpressure and wakes the
+    /// shard to flush it.
+    fn push_unbounded(&self, text: &str) {
+        self.append(text);
         self.waker.wake();
+    }
+
+    /// Parses no further requests; the shard closes the connection once its
+    /// pending output is flushed.
+    pub(crate) fn close_when_flushed(&self) {
+        self.close_after_flush.store(true, Ordering::SeqCst);
     }
 
     fn outbound_len(&self) -> usize {
@@ -348,12 +383,22 @@ impl ConnSink<'_> {
     }
 }
 
+/// What an admitted request asks a worker to run.
+pub(crate) enum Request {
+    /// `SQL <statement>`, parsed by the shard, with its source text.
+    Sql(Box<Statement>, String),
+    /// `STREAM <query>`: the query text, which the stream parses.
+    Stream(String),
+}
+
 /// One admitted statement on the bounded run queue.
 pub(crate) struct Task {
     pub(crate) conn: Arc<ConnShared>,
-    pub(crate) request: String,
+    pub(crate) request: Request,
     pub(crate) tier: ShedTier,
     pub(crate) deadline: Option<Instant>,
+    /// When the shard queued it (the start of its queue wait).
+    enqueued: Instant,
 }
 
 /// A VerdictDB server bound to a TCP address but not yet accepting.
@@ -693,13 +738,15 @@ fn shard_loop(idx: usize, mut wake_rx: TcpStream, shared: Arc<Shared>) {
         for id in conn_ids {
             let mut remove = false;
             if let Some(conn) = conns.get_mut(&id) {
-                if !conn.shared.is_dead() {
-                    pump_conn(&shared, conn, draining);
-                }
+                // What the shard answered itself (PING, a cache hit, a
+                // refusal) goes out in this iteration, before the poll.
+                let answered = !conn.shared.is_dead() && pump_conn(&shared, conn, draining);
+                let write_failed = answered && flush_outbound(conn).is_err();
                 let cs = &conn.shared;
                 let idle = !cs.busy.load(Ordering::SeqCst);
                 let flushed = cs.outbound_len() == 0;
-                remove = cs.is_dead()
+                remove = write_failed
+                    || cs.is_dead()
                     || (cs.close_after_flush.load(Ordering::SeqCst) && idle && flushed)
                     || (conn.eof && idle && flushed)
                     || (draining && idle && flushed);
@@ -834,33 +881,36 @@ fn flush_outbound(conn: &mut Conn) -> std::io::Result<()> {
 }
 
 /// Parses as many buffered request lines as the connection's state allows:
-/// at most one statement in flight, inline transport verbs answered on the
-/// spot, admission control applied to everything else.
-fn pump_conn(shared: &Shared, conn: &mut Conn, draining: bool) {
+/// at most one statement in flight, transport verbs, cache hits and
+/// refusals answered on the spot, admission control applied to everything
+/// else.  Returns whether it answered anything itself.
+fn pump_conn(shared: &Shared, conn: &mut Conn, draining: bool) -> bool {
+    let mut answered = false;
     loop {
         let cs = &conn.shared;
         if cs.busy.load(Ordering::SeqCst)
             || cs.close_after_flush.load(Ordering::SeqCst)
             || cs.is_dead()
         {
-            return;
+            return answered;
         }
         // An unread outbound backlog pauses parsing too: a client that
         // floods requests without reading responses is bounded by its own
         // buffers, not the server's memory.
         if cs.outbound_len() > shared.cfg.write_buffer_bytes {
-            return;
+            return answered;
         }
         let Some(newline) = conn.read_buf.iter().position(|&b| b == b'\n') else {
             if conn.read_buf.len() >= MAX_REQUEST_BYTES {
                 let mut frame = String::new();
                 write_error_frame(&mut frame, "request line exceeds the 1 MiB protocol limit");
                 shared.count_error();
-                cs.push_unbounded(&frame);
-                cs.close_after_flush.store(true, Ordering::SeqCst);
+                cs.append(&frame);
+                cs.close_when_flushed();
                 conn.read_buf.clear();
+                answered = true;
             }
-            return;
+            return answered;
         };
         let line: Vec<u8> = conn.read_buf.drain(..=newline).collect();
         let request = String::from_utf8_lossy(&line[..newline]);
@@ -868,37 +918,35 @@ fn pump_conn(shared: &Shared, conn: &mut Conn, draining: bool) {
         if request.is_empty() {
             continue;
         }
-        handle_request_line(shared, conn, request, draining);
+        answered |= handle_request_line(shared, cs, request, draining);
     }
 }
 
-/// Routes one parsed request line: transport verbs inline, everything else
-/// through admission control onto the run queue.
-fn handle_request_line(shared: &Shared, conn: &Conn, request: &str, draining: bool) {
-    let cs = &conn.shared;
-    let verb = request
-        .split_whitespace()
-        .next()
-        .unwrap_or("")
-        .to_ascii_uppercase();
-    match verb.as_str() {
+/// Routes one request line: transport verbs, malformed requests and cache
+/// hits are answered on the shard; everything else goes through admission
+/// control onto the run queue.  Returns whether the shard answered it.
+fn handle_request_line(
+    shared: &Shared,
+    cs: &Arc<ConnShared>,
+    request: &str,
+    draining: bool,
+) -> bool {
+    let (verb, rest) = match request.split_once(char::is_whitespace) {
+        Some((verb, rest)) => (verb, rest.trim()),
+        None => (request, ""),
+    };
+    let mut frame = String::new();
+    match verb.to_ascii_uppercase().as_str() {
         // Transport-level commands are answered on the I/O shard so the
         // server stays observably responsive even with a saturated queue.
-        "PING" => {
-            let mut frame = String::new();
-            write_result_frame(&mut frame, &FrameHeader::default(), None, &[], &[]);
-            cs.push_unbounded(&frame);
-        }
+        "PING" => write_result_frame(&mut frame, &FrameHeader::default(), None, &[], &[]),
         "QUIT" => {
-            let mut frame = String::new();
             write_result_frame(&mut frame, &FrameHeader::default(), None, &[], &[]);
-            cs.push_unbounded(&frame);
-            cs.close_after_flush.store(true, Ordering::SeqCst);
+            cs.close_when_flushed();
         }
         "SHUTDOWN" => {
             // Graceful drain: acknowledge, then stop accepting and refuse
             // new statements. In-flight statements finish and flush first.
-            let mut frame = String::new();
             write_result_frame(
                 &mut frame,
                 &FrameHeader::default(),
@@ -906,57 +954,124 @@ fn handle_request_line(shared: &Shared, conn: &Conn, request: &str, draining: bo
                 &[],
                 &[("response".into(), "draining".into())],
             );
-            cs.push_unbounded(&frame);
             shared.request_drain();
         }
-        _ => {
-            if draining {
-                let mut frame = String::new();
-                write_coded_error_frame(
-                    &mut frame,
-                    ErrorCode::Shutdown,
-                    "server is draining; no new statements are accepted",
-                );
-                shared.count_error();
-                cs.push_unbounded(&frame);
-                return;
-            }
-            match shared.admission.try_admit() {
-                Admission::Refuse => {
-                    let mut frame = String::new();
-                    write_coded_error_frame(
-                        &mut frame,
-                        ErrorCode::Busy,
-                        &format!(
-                            "run queue at capacity ({}); retry with backoff",
-                            shared.cfg.queue_capacity
-                        ),
-                    );
-                    shared.count_error();
-                    cs.push_unbounded(&frame);
-                }
-                Admission::Admit(tier) => {
-                    let deadline = cs
-                        .session
-                        .lock()
-                        .unwrap()
-                        .deadline_ms()
-                        .map(|ms| Instant::now() + Duration::from_millis(ms));
-                    cs.busy.store(true, Ordering::SeqCst);
-                    let task = Task {
-                        conn: Arc::clone(&conn.shared),
-                        request: request.to_string(),
-                        tier,
-                        deadline,
-                    };
-                    let mut queue = shared.queue.lock().unwrap();
-                    queue.push_back(task);
-                    drop(queue);
-                    shared.queue_cv.notify_one();
+        _ if draining => {
+            shared.count_error();
+            write_coded_error_frame(
+                &mut frame,
+                ErrorCode::Shutdown,
+                "server is draining; no new statements are accepted",
+            );
+        }
+        "SQL" => match handle_sql(shared, cs, rest) {
+            Some(answer) => frame = answer,
+            None => return false,
+        },
+        "STREAM" if !rest.is_empty() => match cs.session.lock().map(|s| s.deadline_ms()) {
+            Ok(deadline_ms) => {
+                match admit(shared, cs, Request::Stream(rest.to_string()), deadline_ms) {
+                    Some(refusal) => frame = refusal,
+                    None => return false,
                 }
             }
+            Err(_) => dispatch::poisoned_session_frame(shared, cs, &mut frame),
+        },
+        "STREAM" => {
+            shared.count_error();
+            write_error_frame(&mut frame, "usage: STREAM <query>");
+        }
+        other => {
+            shared.count_error();
+            write_error_frame(&mut frame, &format!("unknown command {other}"));
         }
     }
+    cs.append(&frame);
+    true
+}
+
+/// `SQL <statement>` on the shard: parses it once, answers a parse error or
+/// a cache hit in place, and queues anything else with its parsed
+/// statement.  Returns the frame the shard answers with, or `None` once the
+/// statement is queued.
+fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String> {
+    let mut frame = String::new();
+    let stmt = match verdict_sql::parse_statement(sql) {
+        Ok(stmt) => stmt,
+        Err(e) => {
+            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
+            shared.count_error();
+            write_error_frame(&mut frame, &VerdictError::from(e).to_string());
+            return Some(frame);
+        }
+    };
+    let Ok(session) = cs.session.lock() else {
+        dispatch::poisoned_session_frame(shared, cs, &mut frame);
+        return Some(frame);
+    };
+    let probe = catch_unwind(AssertUnwindSafe(|| {
+        // The guard moves in, as on a worker: a panic poisons the session
+        // and its connection closes after the ERR frame.
+        let session = session;
+        (session.cached_answer(&stmt, sql), session.deadline_ms())
+    }));
+    match probe {
+        Ok((Some(answer), _)) => {
+            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .cache_hits_on_shard
+                .fetch_add(1, Ordering::Relaxed);
+            dispatch::write_answer_frame(&answer, None, ShedTier::None, &mut frame);
+            Some(frame)
+        }
+        Ok((None, deadline_ms)) => admit(
+            shared,
+            cs,
+            Request::Sql(Box::new(stmt), sql.to_string()),
+            deadline_ms,
+        ),
+        Err(payload) => {
+            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
+            dispatch::panic_frame(shared, cs, payload.as_ref(), &mut frame);
+            Some(frame)
+        }
+    }
+}
+
+/// Admission control, then the run queue.  Returns the typed `BUSY` frame
+/// when the queue is at capacity, `None` once the request is queued.
+fn admit(
+    shared: &Shared,
+    cs: &Arc<ConnShared>,
+    request: Request,
+    deadline_ms: Option<u64>,
+) -> Option<String> {
+    let Admission::Admit(tier) = shared.admission.try_admit() else {
+        let mut frame = String::new();
+        write_coded_error_frame(
+            &mut frame,
+            ErrorCode::Busy,
+            &format!(
+                "run queue at capacity ({}); retry with backoff",
+                shared.cfg.queue_capacity
+            ),
+        );
+        shared.count_error();
+        return Some(frame);
+    };
+    let enqueued = Instant::now();
+    cs.busy.store(true, Ordering::SeqCst);
+    let task = Task {
+        conn: Arc::clone(cs),
+        request,
+        tier,
+        deadline: deadline_ms.map(|ms| enqueued + Duration::from_millis(ms)),
+        enqueued,
+    };
+    shared.queue.lock().unwrap().push_back(task);
+    shared.queue_cv.notify_one();
+    None
 }
 
 fn close_conn(shared: &Shared, conns: &mut HashMap<u64, Conn>, id: u64) {
@@ -969,14 +1084,17 @@ fn close_conn(shared: &Shared, conns: &mut HashMap<u64, Conn>, id: u64) {
     }
 }
 
-/// Releases an admitted statement's resources exactly once — also on an
-/// unwind out of the engine — so the run queue can never leak capacity.
-struct TaskGuard {
-    conn: Arc<ConnShared>,
+/// Releases an admitted statement's resources exactly once — its admission
+/// slot, then the connection's busy flag — also on an unwind, so the run
+/// queue can never leak capacity.
+struct TaskGuard<'a> {
+    shared: &'a Shared,
+    conn: &'a ConnShared,
 }
 
-impl Drop for TaskGuard {
+impl Drop for TaskGuard<'_> {
     fn drop(&mut self) {
+        self.shared.admission.release();
         self.conn.busy.store(false, Ordering::SeqCst);
         self.conn.waker.wake();
     }
@@ -1003,14 +1121,15 @@ fn worker_loop(shared: Arc<Shared>) {
                 queue = guard;
             }
         };
-        let guard = TaskGuard {
-            conn: Arc::clone(&task.conn),
+        let taken = Instant::now();
+        shared.stats.queue_wait_us.record(taken - task.enqueued);
+        let _guard = TaskGuard {
+            shared: &shared,
+            conn: &task.conn,
         };
-        let release = &shared.admission;
         if !task.conn.is_dead() && !shared.force_stopped() {
             dispatch::run_task(&shared, &task);
+            shared.stats.exec_us.record(taken.elapsed());
         }
-        release.release();
-        drop(guard);
     }
 }

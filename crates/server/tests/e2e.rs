@@ -3,10 +3,13 @@
 //! bit-identical to the in-process path and that the approximate-answer
 //! cache serves repeats / invalidates on appends.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 use verdict_core::{VerdictAnswer, VerdictConfig, VerdictContext, VerdictResult, VerdictSession};
 use verdict_engine::{Backend, Engine, TableBuilder, Value};
-use verdict_server::{ClientError, RemoteAnswer, VerdictClient, VerdictServer};
+use verdict_server::{ClientError, FrameHeader, RemoteAnswer, VerdictClient, VerdictServer};
 
 /// 50k-row synthetic sales table: 10 cities, deterministic prices.
 fn sales_engine(seed: u64) -> Engine {
@@ -92,6 +95,52 @@ fn assert_remote_matches_local(remote: &RemoteAnswer, local: &VerdictAnswer) {
 
 const DASHBOARD_QUERY: &str =
     "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+
+/// A raw protocol connection: the exact bytes of each frame.
+struct RawConn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> RawConn {
+        let writer = TcpStream::connect(addr).unwrap();
+        writer
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        RawConn { writer, reader }
+    }
+
+    fn send(&mut self, lines: &str) {
+        self.writer.write_all(lines.as_bytes()).unwrap();
+    }
+
+    /// The next frame's lines, up to and excluding the closing `.`.
+    fn frame(&mut self) -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            assert!(
+                self.reader.read_line(&mut line).unwrap() > 0,
+                "EOF mid-frame"
+            );
+            let line = line.trim_end_matches(['\r', '\n']).to_string();
+            if line == "." {
+                return lines;
+            }
+            lines.push(line);
+        }
+    }
+
+    /// One request's frame, with its status line parsed.
+    fn request(&mut self, line: &str) -> (FrameHeader, Vec<String>) {
+        self.send(&format!("{line}\n"));
+        let mut frame = self.frame();
+        let header = FrameHeader::parse(&frame.remove(0)).expect("an OK frame");
+        (header, frame)
+    }
+}
 
 #[test]
 fn four_concurrent_sessions_match_the_serial_in_process_path() {
@@ -189,6 +238,10 @@ fn cached_repeat_is_identical_and_append_invalidates() {
     client
         .sql("BYPASS INSERT INTO sales SELECT * FROM sales_batch")
         .unwrap();
+    // The I/O shard answered the hit; after the append it declines, and a
+    // worker (one more admitted statement besides the SHOW) answers.
+    let before = client.sql("SHOW STATS").unwrap();
+    assert_eq!(before.stat("cache_hits_on_shard"), Some(1));
     let third = client.sql(DASHBOARD_QUERY).unwrap();
     assert!(
         !third.header.cached,
@@ -198,6 +251,99 @@ fn cached_repeat_is_identical_and_append_invalidates() {
     let stats = client.sql("SHOW STATS").unwrap();
     assert_eq!(stats.stat("cache_invalidations"), Some(1));
     assert!(stats.stat("cache_hits").is_some());
+    assert_eq!(stats.stat("cache_hits_on_shard"), Some(1));
+    let admitted = |a: &RemoteAnswer| a.stat("queries_admitted").unwrap();
+    assert_eq!(admitted(&stats) - admitted(&before), 2);
+
+    // The shard encodes a hit exactly as a worker encodes the same answer:
+    // the frames differ in `cached` and `elapsed_us` only.
+    let mut raw = RawConn::connect(handle.addr());
+    let sum = "SQL SELECT city, sum(price) AS sp FROM sales GROUP BY city ORDER BY city";
+    let (worker, worker_body) = raw.request(sum);
+    let (shard, shard_body) = raw.request(sum);
+    assert!(!worker.cached && shard.cached);
+    let same = FrameHeader {
+        cached: true,
+        elapsed_us: shard.elapsed_us,
+        ..worker
+    };
+    assert_eq!(shard, same);
+    assert_eq!(shard_body, worker_body);
+    client.quit().unwrap();
+    handle.stop();
+}
+
+#[test]
+fn pipelined_hits_and_a_miss_are_answered_in_order() {
+    let ctx = serving_context(8, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut raw = RawConn::connect(handle.addr());
+    let (warm, _) = raw.request(&format!("SQL {DASHBOARD_QUERY}"));
+    assert!(!warm.cached);
+    // hit (shard), miss (worker), hit (shard) in one write: the second hit
+    // waits for the miss, and the three frames come back in request order.
+    let miss = "SELECT count(*) AS n FROM sales WHERE price > 10";
+    raw.send(&format!(
+        "SQL {DASHBOARD_QUERY}\nSQL {miss}\nSQL {DASHBOARD_QUERY}\n"
+    ));
+    let shape = |frame: Vec<String>| {
+        let header = FrameHeader::parse(&frame[0]).expect("an OK frame");
+        (header.cols, header.rows, header.cached)
+    };
+    let dashboard = (warm.cols, warm.rows, true);
+    assert_eq!(shape(raw.frame()), dashboard);
+    assert!(!shape(raw.frame()).2, "the miss comes second");
+    assert_eq!(shape(raw.frame()), dashboard);
+    raw.send("QUIT\n");
+    handle.stop();
+}
+
+#[test]
+fn a_shard_hit_is_one_cached_trace_and_counts_like_a_worker_hit() {
+    let ctx = serving_context(9, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    let last_seq = || ctx.obs().ring().recent(1).first().map_or(0, |t| t.seq);
+
+    // The miss: one miss and one insertion, though the shard probed first.
+    let cache = ctx.cache_stats();
+    let seq = last_seq();
+    assert!(!client.sql(DASHBOARD_QUERY).unwrap().header.cached);
+    let after = ctx.cache_stats();
+    assert_eq!((after.hits, after.misses), (cache.hits, cache.misses + 1));
+    assert_eq!(after.insertions, cache.insertions + 1);
+    assert_eq!(last_seq(), seq + 1, "one trace for the miss");
+
+    // The hit: one hit, nothing else, and one cached query trace.
+    let cache = after;
+    let seq = last_seq();
+    assert!(client.sql(DASHBOARD_QUERY).unwrap().header.cached);
+    let after = ctx.cache_stats();
+    assert_eq!(
+        after,
+        verdict_core::CacheStats {
+            hits: cache.hits + 1,
+            ..cache
+        }
+    );
+    let traces = ctx.obs().ring().recent(2);
+    assert_eq!(traces[0].seq, seq + 1, "one trace for the hit");
+    let hit = &traces[0];
+    assert_eq!(
+        (hit.class, hit.cached, hit.shed_tier),
+        ("query_cached", true, "none")
+    );
+    assert_eq!(hit.sql, DASHBOARD_QUERY);
+    let stages: Vec<&str> = hit.spans.iter().map(|s| s.stage).collect();
+    assert_eq!(stages, ["canonicalize", "cache_probe"]);
+    assert_eq!(hit.spans[1].detail, "hit");
+    assert_eq!(hit.backend_queries, 0);
     client.quit().unwrap();
     handle.stop();
 }
@@ -425,9 +571,13 @@ fn system_relations_carry_the_serving_section_over_the_wire() {
     assert_eq!(
         names,
         [
+            "cache_hits_on_shard",
             "deadline_misses",
             "draining",
             "errors",
+            "exec_count",
+            "exec_p50_us",
+            "exec_p99_us",
             "exec_workers",
             "io_shards",
             "queries_admitted",
@@ -437,6 +587,9 @@ fn system_relations_carry_the_serving_section_over_the_wire() {
             "queue_capacity",
             "queue_depth",
             "queue_peak_depth",
+            "queue_wait_count",
+            "queue_wait_p50_us",
+            "queue_wait_p99_us",
             "sessions_active",
             "sessions_opened",
         ]
@@ -495,13 +648,23 @@ fn system_relations_carry_the_serving_section_over_the_wire() {
         "verdict_streams_started_total",
         "verdict_exec_workers",
         "verdict_io_shards",
+        "verdict_cache_hits_on_shard_total",
+        "verdict_exec_count_total",
+        "verdict_queue_wait_count_total",
     ] {
         assert!(
             series.iter().any(|s| s == name),
             "SHOW METRICS lacks {name}"
         );
     }
-    for gauge in ["verdict_exec_workers", "verdict_io_shards"] {
+    for gauge in [
+        "verdict_exec_workers",
+        "verdict_io_shards",
+        "verdict_exec_p50_us",
+        "verdict_exec_p99_us",
+        "verdict_queue_wait_p50_us",
+        "verdict_queue_wait_p99_us",
+    ] {
         let line = format!("# TYPE {gauge} gauge");
         assert!(metrics.rows.iter().any(|r| r[0].to_string() == line));
     }

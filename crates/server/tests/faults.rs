@@ -7,10 +7,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
-use verdict_engine::{Backend, Engine, TableBuilder};
+use verdict_engine::{Backend, Engine, EngineResult, QueryResult, TableBuilder, Value};
 use verdict_server::{ClientError, ServerHandle, VerdictClient, VerdictServer};
 
 /// 50k-row synthetic sales table (same shape as the e2e fixture).
@@ -510,6 +511,142 @@ fn byte_at_a_time_request_still_parses() {
     let mut rest = String::new();
     let _ = reader.read_to_string(&mut rest);
 
+    assert_sessions_settle(&handle, 0);
+    assert_drainable(handle);
+}
+
+#[test]
+fn a_cache_hit_answers_while_the_queue_refuses() {
+    let ctx = serving_context(40);
+    // One worker and a tiny queue, as in the BUSY test above.
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .with_workers(1)
+        .with_queue_capacity(2)
+        .spawn()
+        .unwrap();
+    let mut probe = VerdictClient::connect(handle.addr()).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    probe.sql(QUERY).unwrap();
+    assert!(probe.sql(QUERY).unwrap().header.cached);
+
+    // Keep the queue full with cache-bypassed statements until told to stop.
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut backlog = Vec::new();
+    for _ in 0..8 {
+        let (addr, stop) = (handle.addr(), Arc::clone(&stop));
+        backlog.push(std::thread::spawn(move || {
+            let mut c = VerdictClient::connect(addr).unwrap();
+            while !stop.load(Ordering::SeqCst) {
+                match c.sql(&format!("BYPASS {QUERY}")) {
+                    Ok(_) | Err(ClientError::Busy(_)) => {}
+                    Err(other) => panic!("backlog statement failed: {other}"),
+                }
+            }
+            let _ = c.quit();
+        }));
+    }
+    let saw_busy = (0..500).any(|_| {
+        matches!(
+            probe.sql(&format!("BYPASS {QUERY}")),
+            Err(ClientError::Busy(_))
+        )
+    });
+    assert!(saw_busy, "the queue never refused: nothing was saturated");
+    // A warmed SELECT is answered by the shard: no queue slot, so no BUSY,
+    // and no shed tier.
+    for _ in 0..50 {
+        let hit = probe
+            .sql(QUERY)
+            .expect("a cache hit must not wait for the saturated queue");
+        assert!(hit.header.cached);
+        assert_eq!(hit.header.degraded, 0);
+    }
+    stop.store(true, Ordering::SeqCst);
+    for h in backlog {
+        h.join().unwrap();
+    }
+    let _ = probe.quit();
+    assert_sessions_settle(&handle, 0);
+    assert_drainable(handle);
+}
+
+/// A backend with only the three required methods, over an engine, that
+/// panics on any statement naming `panic_marker`.
+struct PanickingBackend(Engine);
+
+impl Backend for PanickingBackend {
+    fn execute(&self, sql: &str) -> EngineResult<QueryResult> {
+        if sql.contains("panic_marker") {
+            panic!("injected backend fault");
+        }
+        self.0.execute(sql)
+    }
+
+    fn table_row_count(&self, table: &str) -> EngineResult<u64> {
+        self.0.table_row_count(table)
+    }
+
+    fn table_exists(&self, table: &str) -> bool {
+        self.0.table_exists(table)
+    }
+}
+
+/// The server's `queue_depth`, read in-process so the read is not itself
+/// an admitted statement.
+fn queue_depth(ctx: &Arc<VerdictContext>) -> Value {
+    VerdictSession::new(Arc::clone(ctx))
+        .execute("SELECT value FROM verdict_stats WHERE stat = 'queue_depth'")
+        .unwrap()
+        .into_answer()
+        .unwrap()
+        .table
+        .value(0, 0)
+}
+
+#[test]
+fn a_panicking_statement_is_an_error_frame_and_leaks_nothing() {
+    let workers = 2;
+    let conn: Arc<dyn Backend> = Arc::new(PanickingBackend(sales_engine(41)));
+    let ctx = Arc::new(VerdictContext::new(conn, VerdictConfig::for_testing()));
+    let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
+        .unwrap()
+        .with_workers(workers)
+        .spawn()
+        .unwrap();
+    let connect = || {
+        let mut c = VerdictClient::connect(handle.addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c
+    };
+    let count = "SELECT count(*) AS n FROM sales";
+    let mut bystander = connect();
+    assert_eq!(bystander.sql(count).unwrap().header.rows, 1);
+
+    // More panics than workers: a worker that died with its statement would
+    // leave the last one unanswered.
+    for _ in 0..=workers {
+        let mut victim = connect();
+        match victim.sql("SELECT count(*) AS panic_marker FROM sales") {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected an ERR frame, got {other:?}"),
+        }
+        // Its session is poisoned, so its connection is closed.
+        assert!(victim.ping().is_err(), "a poisoned session kept serving");
+    }
+
+    assert_eq!(bystander.sql(count).unwrap().header.rows, 1);
+    let mut fresh = connect();
+    assert_eq!(fresh.sql(count).unwrap().header.rows, 1);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while queue_depth(&ctx) != Value::Int(0) {
+        assert!(Instant::now() < deadline, "admission slots leaked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    fresh.quit().unwrap();
+    bystander.quit().unwrap();
     assert_sessions_settle(&handle, 0);
     assert_drainable(handle);
 }
