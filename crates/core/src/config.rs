@@ -55,12 +55,6 @@ pub struct VerdictConfig {
     /// affect the final answer — only how often intermediate frames appear —
     /// so it is not part of the cache fingerprint.
     pub stream_block_rows: usize,
-    /// Maximum number of frames a progressive stream may emit, `0` for
-    /// unbounded.  When the cap is reached the stream finishes the remaining
-    /// blocks silently and the last emitted frame is the complete answer.
-    /// Like [`Self::stream_block_rows`], this never changes the final
-    /// answer and stays out of the cache fingerprint.
-    pub stream_max_frames: usize,
     /// Slow-query threshold in milliseconds: statements whose end-to-end
     /// wall time meets or exceeds it are flagged `slow` in the trace ring
     /// (the slow-query log, see `SHOW PROFILE`) and counted in
@@ -85,7 +79,6 @@ impl Default for VerdictConfig {
             seed: None,
             answer_cache_capacity: 0,
             stream_block_rows: verdict_engine::MORSEL_ROWS,
-            stream_max_frames: 0,
             slow_query_ms: 0,
         }
     }
@@ -113,10 +106,10 @@ impl VerdictConfig {
     /// (`max_relative_error`, `min_rows_per_group`).  Excluded: knobs that
     /// only change *how fast* the identical answer is produced
     /// (`answer_cache_capacity`), that only matter at sample-build time
-    /// (`sampling_ratio`), that only
-    /// change how often progressive frames appear while leaving the final
-    /// answer bit-identical (`stream_block_rows`, `stream_max_frames`), or
-    /// that are purely observational (`slow_query_ms`).
+    /// (`sampling_ratio`), that only change how often progressive frames
+    /// appear while leaving the final answer bit-identical
+    /// (`stream_block_rows`), or that are purely observational
+    /// (`slow_query_ms`).
     pub fn cache_fingerprint(&self) -> String {
         format!(
             "io={:?};mtr={};b={};conf={:?};maxrel={:?};errcols={};mrpg={:?};topk={};seed={:?}",

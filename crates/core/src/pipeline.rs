@@ -18,10 +18,10 @@
 //! | `SELECT` over system relations alone (`SHOW …`) | `control` only ([`Route::System`], answered in-process) |
 //! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
 //! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
-//! | `STREAM`, single frame | as `SELECT`, minus `cache_probe` ([`Route::ApproximateSkipCacheRead`]); planned when the stream opens, run on its one pull |
-//! | `STREAM`, progressive | `canonicalize → analyze → plan → rewrite`, then one `stream_frame` (block scan + assemble) per frame; the final frame runs `finish` |
+//! | `STREAM`, progressive ([`crate::ProgressStream`]) | `canonicalize → analyze → plan → rewrite`, then one `stream_frame` (block scan + assemble) per frame; the final frame runs `finish` |
+//! | `STREAM`, single frame | `canonicalize → analyze → plan → rewrite` when the stream opens, then `backend_exec → assemble → finish` on its one pull; never reads the cache |
 //! | `EXPLAIN <stmt>` | `canonicalize → analyze → plan → rewrite`, then stops and describes the `Planned` value |
-//! | `EXPLAIN ANALYZE <stmt>` | whatever `<stmt>` runs; the finished trace is the answer |
+//! | `EXPLAIN ANALYZE <stmt>` | whatever `<stmt>` runs (a stream drained as its final frame); the finished trace is the answer |
 //!
 //! The cache read/insert policy is one value ([`Route`], derived by
 //! [`Route::of`]); the fallback policy is one function (`finish`); the trace
@@ -49,11 +49,6 @@ pub enum Route {
     /// Approximate when possible; probe the answer cache first and insert
     /// the computed answer.
     Approximate,
-    /// As [`Route::Approximate`] but never *read* the cache: a stream must
-    /// observe current data.  Its completed answer is exactly what a
-    /// one-shot `SELECT` would have produced, so it is still inserted and
-    /// the next identical `SELECT` may reuse it.
-    ApproximateSkipCacheRead,
     /// Run the statement as written on the base tables; the cache is
     /// neither read nor written.
     Exact,
@@ -65,7 +60,8 @@ pub enum Route {
 impl Route {
     /// The route a statement takes (`bypass` is the session-wide `SET bypass
     /// = on`, which a system query ignores), or `None` for statements that
-    /// never enter the pipeline (`EXPLAIN`, scramble DDL, `SET`).  A
+    /// never enter the one-shot driver (`EXPLAIN`, `STREAM` — a
+    /// [`crate::ProgressStream`] —, scramble DDL, `SET`).  A
     /// statement that uses a system relation name in any other way than a
     /// query over system relations alone is refused.
     pub fn of(stmt: &Statement, bypass: bool) -> VerdictResult<Option<Route>> {
@@ -74,7 +70,6 @@ impl Route {
         }
         let route = match stmt {
             Statement::Bypass(_) => Route::Exact,
-            Statement::Stream(_) => Route::ApproximateSkipCacheRead,
             Statement::Query(_)
             | Statement::CreateTableAs { .. }
             | Statement::DropTable { .. }
@@ -140,8 +135,8 @@ impl VerdictContext {
     /// the admission tier label recorded in the trace (`"none"` outside the
     /// serving layer).
     ///
-    /// The `BYPASS` / `STREAM` wrappers classify the trace; what runs is the
-    /// statement they wrap.  This is the one execution entry point behind
+    /// A `BYPASS` wrapper classifies the trace; what runs is the statement
+    /// it wraps.  This is the one-shot execution entry point behind
     /// [`crate::session::VerdictSession`], `EXPLAIN ANALYZE` included.
     pub fn run_statement(
         &self,
@@ -157,7 +152,6 @@ impl VerdictContext {
         };
         let (query, inner) = match stmt {
             Statement::Bypass(inner) => (None, Some(print_statement(inner, self.dialect()))),
-            Statement::Stream(q) => (Some(q.as_ref()), Some(print_query(q, self.dialect()))),
             Statement::Query(q) => (Some(q.as_ref()), None),
             _ => (None, None),
         };
@@ -186,7 +180,7 @@ impl VerdictContext {
             tb.begin("control");
             return self.answer_system(query);
         }
-        let key = match self.cache_probe(query, config, route, tb, true) {
+        let key = match self.cache_probe(query, config, tb, true) {
             Probe::Hit(hit) => return Ok(hit),
             Probe::Miss(key) => key,
         };
@@ -200,42 +194,39 @@ impl VerdictContext {
         self.run_planned(planned, sql, ticket, config, tb)
     }
 
-    /// `canonicalize → cache_probe`: the statement's cache key and, on
-    /// [`Route::Approximate`], the cached answer when a current one exists.
-    /// Never calls [`Backend::execute`](verdict_engine::Backend::execute);
-    /// the only backend calls are `data_version` reads.  `count_miss` is
-    /// false for a caller that declines on a miss and leaves the statement
-    /// to [`Self::run_statement`], which probes again and counts the miss.
+    /// `canonicalize → cache_probe`: the statement's cache key and the
+    /// cached answer when a current one exists.  Never calls
+    /// [`Backend::execute`](verdict_engine::Backend::execute); the only
+    /// backend calls are `data_version` reads.  `count_miss` is false for a
+    /// caller that declines on a miss and leaves the statement to
+    /// [`Self::run_statement`], which probes again and counts the miss.
     fn cache_probe(
         &self,
         query: Option<&Query>,
         config: &VerdictConfig,
-        route: Route,
         tb: &mut TraceBuilder,
         count_miss: bool,
     ) -> Probe {
         tb.begin("canonicalize");
         let key = query.and_then(|q| self.cache_key(q, config));
-        if route == Route::Approximate {
-            tb.begin("cache_probe");
-            match &key {
-                Some(k) => {
-                    let version = |t: &str| self.conn.data_version(t);
-                    let found = match count_miss {
-                        true => self.cache.lookup(k, version),
-                        false => self.cache.find(k, version),
-                    };
-                    match found {
-                        Some(mut hit) => {
-                            tb.note("hit".into());
-                            hit.cached = true;
-                            return Probe::Hit(hit);
-                        }
-                        None => tb.note("miss".into()),
+        tb.begin("cache_probe");
+        match &key {
+            Some(k) => {
+                let version = |t: &str| self.conn.data_version(t);
+                let found = match count_miss {
+                    true => self.cache.lookup(k, version),
+                    false => self.cache.find(k, version),
+                };
+                match found {
+                    Some(mut hit) => {
+                        tb.note("hit".into());
+                        hit.cached = true;
+                        return Probe::Hit(hit);
                     }
+                    None => tb.note("miss".into()),
                 }
-                None => tb.note("uncacheable".into()),
             }
+            None => tb.note("uncacheable".into()),
         }
         Probe::Miss(key)
     }
@@ -252,7 +243,7 @@ impl VerdictContext {
         shed_tier: &'static str,
     ) -> Option<VerdictAnswer> {
         let mut open = self.open_trace();
-        let probe = self.cache_probe(Some(query), config, Route::Approximate, &mut open.tb, false);
+        let probe = self.cache_probe(Some(query), config, &mut open.tb, false);
         let Probe::Hit(mut answer) = probe else {
             return None;
         };

@@ -36,8 +36,8 @@
 //! Queries outside the progressive class (joins, count-distinct, `min`/
 //! `max`, no usable scramble, or a connection without block scans) degrade
 //! gracefully to a single-frame stream: the plan made at open is executed by
-//! the one-shot driver's own tail (`run_planned`) on the stream's route (no
-//! cache read), so such a stream plans — and probes row counts — once.
+//! the one-shot driver's own tail (`run_planned`), without a cache read, so
+//! such a stream plans — and probes row counts — once.
 //!
 //! A completed stream's final frame is inserted into the shared answer
 //! cache under the same key a plain `SELECT` would use — it *is* that
@@ -48,7 +48,8 @@ use crate::answer::assemble;
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
-use crate::pipeline::{CacheTicket, OpenTrace, Planned, Route};
+use crate::obs::QueryTrace;
+use crate::pipeline::{CacheTicket, OpenTrace, Planned};
 use crate::rewrite::{AggClass, RewriteOutput};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -115,24 +116,29 @@ pub struct ProgressStream {
     /// The stream statement's trace: opened with the stream, taken and
     /// closed (observed under class `stream`) with its last frame.
     trace: Option<OpenTrace>,
+    /// The trace as the last frame closed it.
+    closed: Option<QueryTrace>,
+    /// Consume every remaining block in one frame ([`Self::final_frame`]
+    /// without a target error, where no frame could end the stream early).
+    drain_whole: bool,
     index: usize,
 }
 
 impl ProgressStream {
     /// Plans a progressive execution for `query` under an already-resolved
-    /// configuration, along `route` ([`Route::Exact`] under session bypass).
-    /// Never fails for *unsupported* shapes — those fall back to a
-    /// single-frame stream; errors surface on the first frame.
+    /// configuration; under session `bypass` it is one exact frame.  Never
+    /// fails for *unsupported* shapes — those fall back to a single-frame
+    /// stream; errors surface on the first frame.
     pub(crate) fn open(
         ctx: Arc<VerdictContext>,
-        query: Query,
+        query: &Query,
         cfg: VerdictConfig,
-        route: Route,
+        bypass: bool,
         shed_tier: &'static str,
     ) -> ProgressStream {
         ctx.streams.started.fetch_add(1, Relaxed);
         let mut trace = ctx.open_trace();
-        let (planned, ticket) = if route == Route::Exact {
+        let (planned, ticket) = if bypass {
             let bypass = Planned::Exact {
                 reason: String::new(),
                 plan: None,
@@ -144,9 +150,9 @@ impl ProgressStream {
             // input (see `cache_ticket`): a write landing between the two
             // leaves the completed answer stored under the pre-write
             // versions, where revalidation drops it.
-            let key = ctx.cache_key(&query, &cfg);
-            let ticket = key.and_then(|k| ctx.cache_ticket(k, &query));
-            (ctx.plan_query(&query, &cfg, &mut trace.tb), ticket)
+            let key = ctx.cache_key(query, &cfg);
+            let ticket = key.and_then(|k| ctx.cache_ticket(k, query));
+            (ctx.plan_query(query, &cfg, &mut trace.tb), ticket)
         };
         let scan = match &planned {
             Ok(Planned::Approximate(rewritten)) => Self::open_scan(&ctx, rewritten),
@@ -166,7 +172,7 @@ impl ProgressStream {
                 StreamState::Single(planned)
             }
         };
-        let sql = print_query(&query, ctx.dialect());
+        let sql = print_query(query, ctx.dialect());
         ProgressStream {
             ctx,
             cfg,
@@ -175,6 +181,8 @@ impl ProgressStream {
             state,
             ticket,
             trace: Some(trace),
+            closed: None,
+            drain_whole: false,
             index: 0,
         }
     }
@@ -182,14 +190,14 @@ impl ProgressStream {
     /// Closes the stream's trace with its last frame's answer.
     fn close_trace(&mut self, answer: &mut VerdictAnswer) {
         let trace = self.trace.take().expect("closed once, by the last frame");
-        self.ctx.close_trace(
+        self.closed = Some(self.ctx.close_trace(
             trace,
             "stream",
             &self.sql,
             &self.cfg,
             self.shed_tier,
             Some(answer),
-        );
+        ));
     }
 
     /// Opens the block scan over the rewritten mean query, with its printed
@@ -239,21 +247,28 @@ impl ProgressStream {
     }
 
     /// Drives the stream to its end and returns the final frame (the
-    /// `STREAM` statement's single-response alias).  Early-stop semantics
-    /// are identical to pulling the frames one by one: with a target error
-    /// set, blocks are consumed and evaluated frame-by-frame so the stream
-    /// can stop on a strict prefix; without one, no frame can end the
-    /// stream early, so the remaining blocks are consumed in one step
-    /// (skipping the per-block snapshots a frame-by-frame drain would pay).
-    pub fn final_frame(mut self) -> VerdictResult<ProgressFrame> {
-        if self.cfg.max_relative_error.is_none() {
-            self.cfg.stream_max_frames = 1;
-        }
+    /// in-process `STREAM` statement's answer).  Early-stop semantics are
+    /// identical to pulling the frames one by one: with a target error set,
+    /// blocks are consumed and evaluated frame-by-frame so the stream can
+    /// stop on a strict prefix; without one, no frame can end the stream
+    /// early, so the remaining blocks are consumed in one step (skipping the
+    /// per-block snapshots a frame-by-frame drain would pay).
+    pub fn final_frame(self) -> VerdictResult<ProgressFrame> {
+        Ok(self.drain()?.0)
+    }
+
+    /// [`Self::final_frame`], with the stream's trace as its last frame
+    /// closed it (what `EXPLAIN ANALYZE STREAM` renders).
+    pub(crate) fn drain(mut self) -> VerdictResult<(ProgressFrame, QueryTrace)> {
+        self.drain_whole = self.cfg.max_relative_error.is_none();
         let mut last = None;
         for frame in &mut self {
             last = Some(frame?);
         }
-        last.ok_or_else(|| VerdictError::Answer("stream produced no frames".to_string()))
+        let last =
+            last.ok_or_else(|| VerdictError::Answer("stream produced no frames".to_string()))?;
+        let trace = self.closed.take().expect("the last frame closes the trace");
+        Ok((last, trace))
     }
 
     fn next_progressive(&mut self) -> VerdictResult<ProgressFrame> {
@@ -268,13 +283,10 @@ impl ProgressStream {
         self.index += 1;
         let tb = &mut self.trace.as_mut().expect("open until the last frame").tb;
         tb.begin_with("stream_frame", format!("frame {}", self.index));
-        // When a frame cap is configured and this frame reaches it, consume
-        // everything left so the last emitted frame is the complete answer.
-        let finish_now = self.cfg.stream_max_frames > 0 && self.index >= self.cfg.stream_max_frames;
         let block = self.cfg.stream_block_rows.max(1) as u64;
         loop {
             let consumed = scan.advance(block)?;
-            if consumed == 0 || !finish_now {
+            if consumed == 0 || !self.drain_whole {
                 break;
             }
         }

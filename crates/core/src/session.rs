@@ -199,28 +199,32 @@ impl VerdictSession {
     /// `SELECT …` or the `STREAM SELECT …` statement form.
     ///
     /// The stream runs under this session's current settings: `target_error`
-    /// becomes the early-stop threshold, `stream_block_rows` /
-    /// `stream_max_frames` shape the frame cadence, and `bypass` degrades
-    /// to a single exact frame.
+    /// becomes the early-stop threshold, `stream_block_rows` shapes the
+    /// frame cadence, and `bypass` degrades to a single exact frame.
     pub fn stream(&mut self, sql: &str) -> VerdictResult<ProgressStream> {
         match verdict_sql::parse_statement(sql)? {
-            Statement::Query(q) => self.open_stream(Statement::Stream(q)),
-            stmt => self.open_stream(stmt),
+            Statement::Query(q) => self.open_stream(&Statement::Stream(q)),
+            stmt => self.open_stream(&stmt),
         }
     }
 
-    fn open_stream(&mut self, stmt: Statement) -> VerdictResult<ProgressStream> {
-        let route = Route::of(&stmt, self.bypass)?;
-        let (Statement::Stream(query), Some(route)) = (stmt, route) else {
+    /// Opens a progressive execution for a parsed `STREAM <query>`
+    /// statement: the one entry behind [`Self::stream`], the in-process
+    /// `STREAM` statement, `EXPLAIN ANALYZE STREAM` and a serving layer's
+    /// `SQL STREAM` request.
+    pub fn open_stream(&self, stmt: &Statement) -> VerdictResult<ProgressStream> {
+        let Statement::Stream(query) = stmt else {
             return Err(VerdictError::Unsupported(
                 "only queries can be streamed (SELECT … or STREAM SELECT …)".into(),
             ));
         };
+        // A stream reads the backend: a system relation name in it is refused.
+        crate::system::reads_only_system(stmt)?;
         Ok(ProgressStream::open(
             Arc::clone(&self.ctx),
-            *query,
+            query,
             self.effective_config(),
-            route,
+            self.bypass,
             self.shed.label(),
         ))
     }
@@ -251,8 +255,15 @@ impl VerdictSession {
     ) -> VerdictResult<VerdictResponse> {
         match stmt {
             Statement::Explain { analyze, statement } => Ok(VerdictResponse::Answer(if *analyze {
-                let text = print_statement(statement, self.ctx.dialect());
-                let trace = self.run_traced(statement, &text)?.1;
+                // The trace of what `statement` runs: a stream is drained
+                // by `final_frame`'s rules and explained by its own trace.
+                let trace = match statement.as_ref() {
+                    Statement::Stream(_) => self.open_stream(statement)?.drain()?.1,
+                    _ => {
+                        let text = print_statement(statement, self.ctx.dialect());
+                        self.run_traced(statement, &text)?.1
+                    }
+                };
                 VerdictAnswer {
                     elapsed: trace.total,
                     ..VerdictAnswer::in_process(render_analyze(&trace))
@@ -261,23 +272,20 @@ impl VerdictSession {
                 let cfg = self.effective_config();
                 self.ctx.explain(statement, sql, &cfg, self.shed.label())?
             })),
-            // Single-response alias for the streaming surface: run the
-            // progressive execution to its end and return the final frame
+            // In process, a stream answers with its final frame
             // (bit-identical to the one-shot answer when the stream
             // completes; the early-stopped prefix answer when a target
             // error is met first).
-            Statement::Stream(_) => {
-                let stream = self.open_stream(stmt.clone())?;
-                Ok(VerdictResponse::Answer(stream.final_frame()?.answer))
-            }
+            Statement::Stream(_) => Ok(VerdictResponse::Answer(
+                self.open_stream(stmt)?.final_frame()?.answer,
+            )),
             _ => Ok(self.run_traced(stmt, sql)?.0),
         }
     }
 
     /// Executes one statement to completion under a trace: pipeline
-    /// statements (plain SQL, `BYPASS`, and — for `EXPLAIN ANALYZE` — the
-    /// one-shot equivalent of `STREAM`) along their [`Route`], everything
-    /// else as a one-span `control` trace.
+    /// statements (plain SQL, `BYPASS`) along their [`Route`], everything
+    /// else but a stream as a one-span `control` trace.
     fn run_traced(
         &mut self,
         stmt: &Statement,
@@ -459,13 +467,6 @@ impl VerdictSession {
                 cfg.stream_block_rows = n.map_or(base.stream_block_rows, |n| n as usize);
                 ("stream_block_rows", render(n))
             }
-            "stream_max_frames" => {
-                let n = parse(reset, || {
-                    value_uint(value, "stream_max_frames", 0, " (0 = unbounded)")
-                })?;
-                cfg.stream_max_frames = n.map_or(base.stream_max_frames, |n| n as usize);
-                ("stream_max_frames", render(n))
-            }
             "deadline_ms" => {
                 self.deadline_ms = parse(reset, || {
                     value_uint(value, "deadline_ms", 1, " number of milliseconds")
@@ -488,8 +489,7 @@ impl VerdictSession {
                 return Err(VerdictError::Unsupported(format!(
                     "unknown session option {other} (target_error, confidence, cache, \
                      parallelism, bypass, error_columns, io_budget, \
-                     sampling_ratio, stream_block_rows, stream_max_frames, deadline_ms, \
-                     slow_query_ms)"
+                     sampling_ratio, stream_block_rows, deadline_ms, slow_query_ms)"
                 )))
             }
         };

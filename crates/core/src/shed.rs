@@ -177,6 +177,8 @@ pub struct AdmissionStats {
     pub refused: u64,
     /// Highest concurrently-admitted depth observed.
     pub peak_depth: u64,
+    /// Statements admitted and not yet released when the snapshot was taken.
+    pub depth: u64,
 }
 
 /// Thread-safe admission gate: tracks the number of admitted-but-unfinished
@@ -246,13 +248,14 @@ impl AdmissionController {
         debug_assert!(prior > 0, "release without a matching admit");
     }
 
-    /// A snapshot of the monotone counters.
+    /// A snapshot of the monotone counters and the current depth.
     pub fn stats(&self) -> AdmissionStats {
         AdmissionStats {
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             refused: self.refused.load(Ordering::Relaxed),
             peak_depth: self.peak_depth.load(Ordering::Relaxed),
+            depth: self.depth() as u64,
         }
     }
 }

@@ -15,7 +15,7 @@
 //! Result tables (including `SHOW` listings) are rendered column-aligned.
 
 use std::io::{IsTerminal, Write};
-use verdict_server::{RemoteAnswer, StreamFrame, VerdictClient};
+use verdict_server::{ClientError, RemoteAnswer, StreamFrame, VerdictClient};
 
 /// Renders a result table column-aligned: each column as wide as its widest
 /// cell (or header), numbers as sent by the server.
@@ -75,17 +75,6 @@ fn print_answer(answer: &RemoteAnswer) {
     );
 }
 
-/// True when the statement should go through the streaming verb: it starts
-/// with the `STREAM` keyword (the server then answers with `FRAME …` frames
-/// the shell renders live, instead of one final `OK` frame).
-fn is_stream_statement(sql: &str) -> bool {
-    let trimmed = sql.trim_start();
-    trimmed
-        .split_whitespace()
-        .next()
-        .is_some_and(|w| w.eq_ignore_ascii_case("stream"))
-}
-
 /// One-line summary of an intermediate frame: progress plus `est±err` for
 /// single-row answers (the common global-aggregate case), or the group
 /// count and worst relative error otherwise.
@@ -124,38 +113,39 @@ fn frame_summary(frame: &StreamFrame) -> String {
     line
 }
 
-/// Runs a `STREAM …` statement, rendering intermediate frames as a
-/// live-updating line (in-place on a terminal, one line each otherwise) and
-/// the final frame as a full result table.
-fn run_stream(client: &mut VerdictClient, sql: &str) -> Result<(), verdict_server::ClientError> {
+/// Runs one statement and prints its answer.  A `STREAM …` statement's
+/// intermediate frames render as a live-updating line (in place on a
+/// terminal, one line each otherwise) as they arrive, and its final frame
+/// as the answer's table.
+fn run(client: &mut VerdictClient, sql: &str) -> Result<(), ClientError> {
     let live = std::io::stdout().is_terminal();
-    let frames = client.stream_with(sql, |frame| {
+    // Frames seen, and the last one's early stop and scramble fraction.
+    let (mut frames, mut early_stopped, mut fraction) = (0usize, false, 1.0);
+    let answer = client.sql_with(sql, |frame| {
+        (frames, early_stopped, fraction) = (frames + 1, frame.early_stopped, frame.fraction);
         if frame.last {
             if live {
                 print!("\r\x1b[2K");
                 let _ = std::io::stdout().flush();
             }
-            return; // the final frame is printed as a full table below
-        }
-        if live {
+        } else if live {
             print!("\r\x1b[2K~ {}", frame_summary(frame));
             let _ = std::io::stdout().flush();
         } else {
             println!("~ {}", frame_summary(frame));
         }
     })?;
-    if let Some(last) = frames.last() {
-        print_answer(&last.answer);
+    print_answer(&answer);
+    if frames > 0 {
         println!(
-            "-- {} frame(s){}{}",
-            frames.len(),
-            if last.early_stopped {
+            "-- {frames} frame(s){}{}",
+            if early_stopped {
                 ", stopped early at the target error"
             } else {
                 ""
             },
-            if last.fraction < 1.0 {
-                format!(" after {:.1}% of the scramble", 100.0 * last.fraction)
+            if fraction < 1.0 {
+                format!(" after {:.1}% of the scramble", 100.0 * fraction)
             } else {
                 String::new()
             }
@@ -232,12 +222,7 @@ fn main() {
 
     if !one_shot.is_empty() {
         for sql in one_shot {
-            let result = if is_stream_statement(&sql) {
-                run_stream(&mut client, &sql)
-            } else {
-                client.sql(&sql).map(|a| print_answer(&a))
-            };
-            if let Err(e) = result {
+            if let Err(e) = run(&mut client, &sql) {
                 eprintln!("verdict-cli: {e}");
                 std::process::exit(1);
             }
@@ -280,14 +265,9 @@ fn main() {
             continue;
         }
         let statement = std::mem::take(&mut buffer);
-        let result = if is_stream_statement(&statement) {
-            run_stream(&mut client, &statement)
-        } else {
-            client.sql(&statement).map(|a| print_answer(&a))
-        };
-        if let Err(e) = result {
+        if let Err(e) = run(&mut client, &statement) {
             eprintln!("verdict-cli: {e}");
-            if matches!(e, verdict_server::ClientError::Io(_)) {
+            if matches!(e, ClientError::Io(_)) {
                 break;
             }
         }

@@ -34,10 +34,9 @@
 //! by sending the `SHUTDOWN` verb and waiting for the server to finish its
 //! graceful drain — useful for soak tests that assert a clean exit.
 //!
-//! With `--stream`, every request goes through the multi-frame `STREAM`
-//! verb instead of `SQL`: sessions hold their connection open while frames
-//! arrive, which exercises the server under long-lived, interleaved
-//! multi-frame responses.
+//! With `--stream`, every request is a multi-frame `SQL STREAM <query>`:
+//! sessions hold their connection open while frames arrive, which exercises
+//! the server under long-lived, interleaved multi-frame responses.
 //!
 //! `--restart-mid-run "CMD ARGS…"` makes the loadgen manage the server
 //! process itself: it spawns the given server command, waits until it

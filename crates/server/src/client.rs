@@ -66,8 +66,8 @@ impl RemoteAnswer {
     }
 }
 
-/// One frame of a `STREAM` response: a regular answer plus the stream
-/// position metadata from the `FRAME …` status line.
+/// One frame of a `SQL STREAM …` response: a regular answer plus the
+/// stream position metadata from the `FRAME …` status line.
 #[derive(Debug, Clone, Default)]
 pub struct StreamFrame {
     /// The answer for the scramble prefix seen so far (rows, types, error
@@ -185,9 +185,22 @@ impl VerdictClient {
     /// (`SQL` command) — the whole VerdictDB surface: queries, `CREATE
     /// SCRAMBLE …`, `DROP SCRAMBLE[S] …`, `REFRESH SCRAMBLE[S] …`,
     /// `SHOW SCRAMBLES`, `SHOW STATS`, `BYPASS <stmt>`, and `SET <option> =
-    /// <value>` (session-scoped: options persist for this connection).
+    /// <value>` (session-scoped: options persist for this connection).  A
+    /// `STREAM <query>` statement answers with its last frame's answer.
     pub fn sql(&mut self, statement: &str) -> ClientResult<RemoteAnswer> {
-        self.request(&format!("SQL {statement}"))
+        self.sql_with(statement, |_| {})
+    }
+
+    /// [`Self::sql`], invoking `on_frame` for every frame of a `STREAM
+    /// <query>` statement **as it is read off the socket** (any other
+    /// statement has none), and returning its one answer.
+    pub fn sql_with(
+        &mut self,
+        statement: &str,
+        mut on_frame: impl FnMut(&StreamFrame),
+    ) -> ClientResult<RemoteAnswer> {
+        self.send_line(&format!("SQL {statement}"))?;
+        self.read_response(&mut on_frame)
     }
 
     /// Round-trip liveness check (`PING`).  Answered on the server's I/O
@@ -217,7 +230,8 @@ impl VerdictClient {
         self.request("QUIT").map(|_| ())
     }
 
-    /// Sends one request line and reads one response frame.
+    /// Sends one request line and reads its response: one frame, or the
+    /// last frame's answer of a stream.
     ///
     /// The protocol is strictly one line per request, so embedded line
     /// breaks (legal in SQL, fatal to the framing) are collapsed to spaces —
@@ -229,53 +243,31 @@ impl VerdictClient {
     /// the rest of the statement into the comment).
     pub fn request(&mut self, line: &str) -> ClientResult<RemoteAnswer> {
         self.send_line(line)?;
-        self.read_frame()
+        self.read_response(&mut |_| {})
     }
 
-    /// Runs a query as a progressive stream (`STREAM` verb), returning every
-    /// frame; the last one carries the final answer.  See
+    /// Runs a query as a progressive stream (`SQL STREAM <query>`),
+    /// returning every frame; the last one carries the final answer.  See
     /// [`Self::stream_with`] to observe frames as they arrive.
-    pub fn stream(&mut self, sql: &str) -> ClientResult<Vec<StreamFrame>> {
-        self.stream_with(sql, |_| {})
+    pub fn stream(&mut self, query: &str) -> ClientResult<Vec<StreamFrame>> {
+        self.stream_with(query, |_| {})
     }
 
-    /// Runs a query as a progressive stream (`STREAM` verb), invoking
-    /// `on_frame` for every frame **as it is read off the socket** — the
+    /// Runs a query as a progressive stream (`SQL STREAM <query>`), invoking
+    /// `on_frame` for every frame as it is read off the socket — the
     /// estimate±CI refines in real time — and returning the full frame list
-    /// once the server's `DONE` arrives.  `sql` may be a plain `SELECT …` or
-    /// the `STREAM SELECT …` statement form.
+    /// once the server's `DONE` arrives.
     pub fn stream_with(
         &mut self,
-        sql: &str,
+        query: &str,
         mut on_frame: impl FnMut(&StreamFrame),
     ) -> ClientResult<Vec<StreamFrame>> {
-        self.send_line(&format!("STREAM {sql}"))?;
-        let mut frames: Vec<StreamFrame> = Vec::new();
-        loop {
-            let status = self.read_line()?;
-            if let Some(msg) = status.strip_prefix("ERR ") {
-                self.drain_frame()?;
-                return Err(Self::server_error(msg));
-            }
-            if parse_stream_done(&status).is_some() {
-                self.drain_frame()?;
-                return Ok(frames);
-            }
-            let header = StreamFrameHeader::parse(&status)
-                .ok_or_else(|| ClientError::Protocol(format!("bad stream status: {status}")))?;
-            let answer = self.read_frame_body(header.base)?;
-            let frame = StreamFrame {
-                answer,
-                frame: header.frame,
-                rows_seen: header.rows_seen,
-                total_rows: header.total_rows,
-                fraction: header.fraction,
-                last: header.last,
-                early_stopped: header.early_stopped,
-            };
-            on_frame(&frame);
-            frames.push(frame);
-        }
+        let mut frames = Vec::new();
+        self.sql_with(&format!("STREAM {query}"), |frame| {
+            on_frame(frame);
+            frames.push(frame.clone());
+        })?;
+        Ok(frames)
     }
 
     /// Sends one request line, collapsing embedded line breaks (see
@@ -345,16 +337,44 @@ impl VerdictClient {
         }
     }
 
-    fn read_frame(&mut self) -> ClientResult<RemoteAnswer> {
-        let status = self.read_line()?;
-        if let Some(msg) = status.strip_prefix("ERR ") {
-            // Drain the terminator before reporting, keeping the stream in sync.
-            self.drain_frame()?;
-            return Err(Self::server_error(msg));
+    /// Reads one response — an `OK` frame, an `ERR` frame, or a stream's
+    /// `FRAME …` frames closed by `DONE` — calling `on_frame` on each stream
+    /// frame.  Returns the `OK` answer or the stream's last frame's answer.
+    fn read_response(
+        &mut self,
+        on_frame: &mut dyn FnMut(&StreamFrame),
+    ) -> ClientResult<RemoteAnswer> {
+        let mut last = None;
+        loop {
+            let status = self.read_line()?;
+            if let Some(msg) = status.strip_prefix("ERR ") {
+                // Drain the terminator before reporting, keeping the stream
+                // in sync.
+                self.drain_frame()?;
+                return Err(Self::server_error(msg));
+            }
+            if let Some(header) = FrameHeader::parse(&status) {
+                return self.read_frame_body(header);
+            }
+            if parse_stream_done(&status).is_some() {
+                self.drain_frame()?;
+                return last
+                    .ok_or_else(|| ClientError::Protocol("stream ended without a frame".into()));
+            }
+            let header = StreamFrameHeader::parse(&status)
+                .ok_or_else(|| ClientError::Protocol(format!("bad status line: {status}")))?;
+            let frame = StreamFrame {
+                answer: self.read_frame_body(header.base)?,
+                frame: header.frame,
+                rows_seen: header.rows_seen,
+                total_rows: header.total_rows,
+                fraction: header.fraction,
+                last: header.last,
+                early_stopped: header.early_stopped,
+            };
+            on_frame(&frame);
+            last = Some(frame.answer);
         }
-        let header = FrameHeader::parse(&status)
-            .ok_or_else(|| ClientError::Protocol(format!("bad status line: {status}")))?;
-        self.read_frame_body(header)
     }
 
     /// Reads the `C`/`T`/`R`/`E`/`S` body lines of one frame up to the

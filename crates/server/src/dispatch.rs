@@ -1,11 +1,12 @@
 //! Statement execution on the worker pool.
 //!
-//! One [`Task`] is one admitted request: the worker locks the connection's
-//! session, applies the statement's shed tier, executes, and serialises
-//! response frames through the connection's [`ConnSink`] (which
-//! backpressures against the per-connection outbound buffer — workers never
-//! touch sockets).  `SQL <statement>` arrives parsed by the I/O shard;
-//! `STREAM <query>` answers with a multi-frame progressive response.
+//! One [`Task`] is one admitted statement, parsed by the I/O shard: the
+//! worker locks the connection's session, applies the statement's shed
+//! tier, executes, and serialises response frames through the connection's
+//! [`ConnSink`] (which backpressures against the per-connection outbound
+//! buffer — workers never touch sockets).  Every statement ends with one
+//! terminal frame; a `STREAM <query>` statement sends its progressive
+//! `FRAME`s first and ends with `DONE`.
 //!
 //! A statement that panics, here or in the shard's cache probe, becomes a
 //! plain `ERR` frame: execution runs inside `catch_unwind` with the session
@@ -16,13 +17,33 @@ use crate::protocol::{
     write_coded_error_frame, write_error_frame, write_result_frame, write_stream_done,
     write_stream_frame, ErrorCode, FrameHeader, StreamFrameHeader,
 };
-use crate::server::{ConnShared, ConnSink, Request, Shared, SinkError, Task};
+use crate::server::{ConnShared, ConnSink, Shared, SinkError, Task};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-use verdict_core::{ShedTier, VerdictAnswer, VerdictResponse, VerdictSession};
+use verdict_core::{ShedTier, VerdictAnswer, VerdictError, VerdictResponse, VerdictSession};
 use verdict_sql::ast::Statement;
+
+/// Why a statement ends without its answer.
+enum Unanswered {
+    /// Execution failed: an `ERR` frame.
+    Failed(VerdictError),
+    /// A send failed, or the deadline passed: see [`SinkError`].
+    Sink(SinkError),
+}
+
+impl From<VerdictError> for Unanswered {
+    fn from(e: VerdictError) -> Self {
+        Unanswered::Failed(e)
+    }
+}
+
+impl From<SinkError> for Unanswered {
+    fn from(e: SinkError) -> Self {
+        Unanswered::Sink(e)
+    }
+}
 
 fn deadline_expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -69,8 +90,8 @@ pub(crate) fn poisoned_session_frame(shared: &Shared, conn: &ConnShared, out: &m
 }
 
 /// Executes one admitted task end to end: deadline gate, shed tier,
-/// dispatch, response frames.  Admission release and the connection's
-/// busy flag are handled by the caller's guard.
+/// statement, terminal frame.  Admission release and the connection's busy
+/// flag are handled by the caller's guard.
 pub(crate) fn run_task(shared: &Shared, task: &Task) {
     let conn = &*task.conn;
     let sink = ConnSink {
@@ -78,134 +99,89 @@ pub(crate) fn run_task(shared: &Shared, task: &Task) {
         conn,
         deadline: task.deadline,
     };
+    let mut out = String::new();
     // A statement whose deadline passed while it sat on the run queue is
     // answered without touching the engine: under overload this is the
     // cheap path that keeps the queue draining.
     if deadline_expired(task.deadline) {
-        let mut out = String::new();
         deadline_frame(shared, &mut out);
-        let _ = sink.send_terminal(&out);
-        return;
-    }
-    let Ok(session) = conn.session.lock() else {
-        let mut out = String::new();
-        poisoned_session_frame(shared, conn, &mut out);
-        let _ = sink.send_terminal(&out);
-        return;
-    };
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        // The guard moves in: an unwind drops it there and poisons the
-        // session.
-        let mut session = session;
-        session.set_shed_tier(task.tier);
-        match &task.request {
-            Request::Stream(query) => handle_stream(query, shared, task, &mut session, &sink),
-            Request::Sql(stmt, sql) => {
-                let mut out = String::new();
-                dispatch_sql(stmt, sql, shared, task, &mut session, &mut out);
-                if deadline_expired(task.deadline) {
-                    // The engine finished after the deadline: the contract
-                    // says the client gets a DEADLINE error, not a late
-                    // answer.
-                    out.clear();
-                    deadline_frame(shared, &mut out);
-                }
-                let _ = sink.send_terminal(&out);
+    } else if let Ok(session) = conn.session.lock() {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            // The guard moves in: an unwind drops it there and poisons the
+            // session.
+            let mut session = session;
+            session.set_shed_tier(task.tier);
+            let ran = execute(shared, task, &mut session, &sink);
+            session.set_shed_tier(ShedTier::None);
+            ran
+        }));
+        match ran {
+            Ok(Ok(frame)) => out = frame,
+            // The connection is gone: no terminal frame is owed.
+            Ok(Err(Unanswered::Sink(SinkError::Gone))) => return,
+            Ok(Err(Unanswered::Sink(SinkError::Deadline))) => deadline_frame(shared, &mut out),
+            Ok(Err(Unanswered::Failed(e))) => {
+                shared.count_error();
+                write_error_frame(&mut out, &e.to_string());
             }
+            Err(payload) => panic_frame(shared, conn, payload.as_ref(), &mut out),
         }
-        session.set_shed_tier(ShedTier::None);
-    }));
-    if let Err(payload) = ran {
-        let mut out = String::new();
-        panic_frame(shared, conn, payload.as_ref(), &mut out);
-        let _ = sink.send_terminal(&out);
+    } else {
+        poisoned_session_frame(shared, conn, &mut out);
     }
+    let _ = sink.send_terminal(&out);
 }
 
-/// `STREAM <query>` — the multi-frame response: one `FRAME …` result frame
-/// per progressive refinement, closed by a `DONE frames=<n>` mini-frame.
-/// Each frame goes through the backpressured sink as soon as the execution
-/// produces it, so clients see the estimate tighten in real time while a
-/// slow reader is bounded by its own connection's buffer.  Errors before
-/// the first frame produce a regular `ERR` frame; an error (or a missed
-/// deadline) mid-stream ends the response with an `ERR` frame in place of
-/// further `FRAME`s.
-fn handle_stream(
-    sql: &str,
+/// Runs the task's statement through the connection's session and returns
+/// its terminal frame: the unified [`VerdictResponse`] as one frame, or —
+/// for `STREAM <query>` — `DONE` after the stream's frames.
+fn execute(
     shared: &Shared,
     task: &Task,
     session: &mut VerdictSession,
     sink: &ConnSink<'_>,
-) {
+) -> Result<String, Unanswered> {
     shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
-    let stream = match session.stream(sql) {
-        Ok(stream) => stream,
-        Err(e) => {
-            shared.count_error();
-            let mut out = String::new();
-            write_error_frame(&mut out, &e.to_string());
-            let _ = sink.send_terminal(&out);
-            return;
-        }
-    };
-    let mut frames = 0usize;
-    for frame in stream {
-        if deadline_expired(task.deadline) {
-            let mut out = String::new();
-            deadline_frame(shared, &mut out);
-            let _ = sink.send_terminal(&out);
-            return;
-        }
-        match frame {
-            Ok(frame) => {
-                frames += 1;
-                let mut out = String::new();
-                write_answer_frame(&frame.answer, Some(&frame), task.tier, &mut out);
-                match sink.send(&out) {
-                    Ok(()) => {}
-                    Err(SinkError::Gone) => return,
-                    Err(SinkError::Deadline) => {
-                        let mut out = String::new();
-                        deadline_frame(shared, &mut out);
-                        let _ = sink.send_terminal(&out);
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                shared.count_error();
-                let mut out = String::new();
-                write_error_frame(&mut out, &e.to_string());
-                let _ = sink.send_terminal(&out);
-                return;
-            }
-        }
-    }
     let mut out = String::new();
-    write_stream_done(&mut out, frames);
-    let _ = sink.send_terminal(&out);
+    if let Statement::Stream(_) = *task.stmt {
+        let frames = stream(task, session, sink)?;
+        write_stream_done(&mut out, frames);
+        return Ok(out);
+    }
+    let start = Instant::now();
+    let response = session.execute_statement(&task.stmt, &task.sql);
+    if deadline_expired(task.deadline) {
+        // The engine finished after the deadline: the contract says the
+        // client gets a DEADLINE error, not a late answer.
+        return Err(SinkError::Deadline.into());
+    }
+    match response? {
+        VerdictResponse::Answer(answer) => write_answer_frame(&answer, None, task.tier, &mut out),
+        response => write_response_frame(&response, start, &mut out),
+    }
+    Ok(out)
 }
 
-/// Runs one parsed SQL statement through the connection's session and
-/// serialises the unified [`VerdictResponse`] into a protocol frame.
-fn dispatch_sql(
-    stmt: &Statement,
-    sql: &str,
-    shared: &Shared,
-    task: &Task,
-    session: &mut VerdictSession,
-    out: &mut String,
-) {
-    shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
-    let start = Instant::now();
-    match session.execute_statement(stmt, sql) {
-        Ok(VerdictResponse::Answer(answer)) => write_answer_frame(&answer, None, task.tier, out),
-        Ok(response) => write_response_frame(&response, start, out),
-        Err(e) => {
-            shared.count_error();
-            write_error_frame(out, &e.to_string());
+/// Sends a `STREAM <query>` statement's progressive frames, one `FRAME …`
+/// result frame per refinement, and returns how many it sent.  Each frame
+/// goes through the backpressured sink as soon as the execution produces
+/// it, so clients see the estimate tighten in real time while a slow reader
+/// is bounded by its own connection's buffer.  An error (or a missed
+/// deadline) before or between frames ends the response with an `ERR`
+/// frame in place of further `FRAME`s.
+fn stream(task: &Task, session: &VerdictSession, sink: &ConnSink<'_>) -> Result<usize, Unanswered> {
+    let mut frames = 0usize;
+    for frame in session.open_stream(&task.stmt)? {
+        if deadline_expired(task.deadline) {
+            return Err(SinkError::Deadline.into());
         }
+        let frame = frame?;
+        frames += 1;
+        let mut out = String::new();
+        write_answer_frame(&frame.answer, Some(&frame), task.tier, &mut out);
+        sink.send(&out)?;
     }
+    Ok(frames)
 }
 
 /// Serialises an answer: a one-shot result frame, or — given the

@@ -257,13 +257,13 @@ impl FrameHeader {
 /// Status-line metadata of one progressive frame (`FRAME …`), carried in
 /// addition to the regular [`FrameHeader`] fields.
 ///
-/// A `STREAM <query>` request is answered by a *sequence* of result frames,
+/// A `SQL STREAM <query>` request is answered by a *sequence* of result frames,
 /// each introduced by a `FRAME …` status line (same body format as an `OK`
 /// frame: `C`/`T`/`R`/`E`/`S` lines and a `.` terminator), followed by one
 /// closing mini-frame whose status line is `DONE frames=<n>`:
 ///
 /// ```text
-/// request:  STREAM SELECT city, avg(price) AS ap FROM orders GROUP BY city
+/// request:  SQL STREAM SELECT city, avg(price) AS ap FROM orders GROUP BY city
 /// response: FRAME rows=10 cols=2 … frame=1 rows_seen=65536 total_rows=983040 fraction=0.066667 last=0
 ///           C city<TAB>ap
 ///           …
@@ -275,9 +275,8 @@ impl FrameHeader {
 ///           .
 /// ```
 ///
-/// Only the `STREAM` verb elicits multi-frame responses; a `SQL STREAM
-/// SELECT …` request keeps the classic single `OK` frame (carrying the
-/// stream's final answer), so pre-streaming clients never desynchronise.
+/// Only a `STREAM` statement elicits a multi-frame response; every other
+/// statement answers with one `OK` or `ERR` frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamFrameHeader {
     /// The regular result-frame header.

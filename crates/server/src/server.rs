@@ -28,12 +28,12 @@
 //!   missed deadlines answer with a typed `DEADLINE` error.
 //! * **Graceful drain** — the `SHUTDOWN` verb (or [`ServerHandle::drain`])
 //!   stops accepting, refuses new statements with a typed `SHUTDOWN`
-//!   error, finishes in-flight work, flushes every pending `STREAM` frame,
+//!   error, finishes in-flight work, flushes every pending stream frame,
 //!   then closes.
 //!
 //! The wire protocol and per-connection session semantics are unchanged
 //! from the thread-per-session server: one request line in, one response
-//! frame out (a frame sequence for `STREAM`), one
+//! frame out (a frame sequence for `SQL STREAM …`), one
 //! [`verdict_core::VerdictSession`] per connection, strict per-connection
 //! ordering (a connection's next statement is parsed only after the
 //! previous one's response is queued).
@@ -69,8 +69,8 @@ pub struct ServerStats {
     pub sessions_opened: AtomicU64,
     /// Sessions currently connected.
     pub sessions_active: AtomicU64,
-    /// SQL statements dispatched (including errors; `SQL` and `STREAM`
-    /// count, `PING`/`QUIT` do not).
+    /// SQL statements dispatched (including errors; `SQL` requests count,
+    /// `PING`/`QUIT` do not).
     pub queries_served: AtomicU64,
     /// Requests that produced an `ERR` frame (including typed `BUSY` /
     /// `DEADLINE` / `SHUTDOWN` refusals).
@@ -87,6 +87,9 @@ pub struct ServerStats {
     /// Time a worker spent on each admitted statement, from taking it to
     /// its terminal frame.
     pub exec_us: Histogram,
+    /// Most statements an arriving statement found waiting ahead of it on
+    /// the run queue.
+    pub queue_peak_depth: AtomicU64,
 }
 
 /// Tuning knobs for the event-loop server.  Every knob has a sensible
@@ -234,8 +237,10 @@ impl Shared {
             ("queries_served", load(&stats.queries_served)),
             ("queries_shed", adm.shed),
             ("queue_capacity", self.cfg.queue_capacity as u64),
-            ("queue_depth", self.admission.depth() as u64),
-            ("queue_peak_depth", adm.peak_depth),
+            // Statements waiting for a worker: the statement reading this
+            // row is already running, so an idle server reads 0.
+            ("queue_depth", self.queue.lock().unwrap().len() as u64),
+            ("queue_peak_depth", load(&stats.queue_peak_depth)),
             ("queue_wait_count", stats.queue_wait_us.count()),
             ("queue_wait_p50_us", quantile(&stats.queue_wait_us, 0.50)),
             ("queue_wait_p99_us", quantile(&stats.queue_wait_us, 0.99)),
@@ -383,18 +388,12 @@ impl ConnSink<'_> {
     }
 }
 
-/// What an admitted request asks a worker to run.
-pub(crate) enum Request {
-    /// `SQL <statement>`, parsed by the shard, with its source text.
-    Sql(Box<Statement>, String),
-    /// `STREAM <query>`: the query text, which the stream parses.
-    Stream(String),
-}
-
 /// One admitted statement on the bounded run queue.
 pub(crate) struct Task {
     pub(crate) conn: Arc<ConnShared>,
-    pub(crate) request: Request,
+    /// The statement the shard parsed, and its source text.
+    pub(crate) stmt: Box<Statement>,
+    pub(crate) sql: String,
     pub(crate) tier: ShedTier,
     pub(crate) deadline: Option<Instant>,
     /// When the shard queued it (the start of its queue wait).
@@ -968,19 +967,6 @@ fn handle_request_line(
             Some(answer) => frame = answer,
             None => return false,
         },
-        "STREAM" if !rest.is_empty() => match cs.session.lock().map(|s| s.deadline_ms()) {
-            Ok(deadline_ms) => {
-                match admit(shared, cs, Request::Stream(rest.to_string()), deadline_ms) {
-                    Some(refusal) => frame = refusal,
-                    None => return false,
-                }
-            }
-            Err(_) => dispatch::poisoned_session_frame(shared, cs, &mut frame),
-        },
-        "STREAM" => {
-            shared.count_error();
-            write_error_frame(&mut frame, "usage: STREAM <query>");
-        }
         other => {
             shared.count_error();
             write_error_frame(&mut frame, &format!("unknown command {other}"));
@@ -1025,12 +1011,7 @@ fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String
             dispatch::write_answer_frame(&answer, None, ShedTier::None, &mut frame);
             Some(frame)
         }
-        Ok((None, deadline_ms)) => admit(
-            shared,
-            cs,
-            Request::Sql(Box::new(stmt), sql.to_string()),
-            deadline_ms,
-        ),
+        Ok((None, deadline_ms)) => admit(shared, cs, stmt, sql, deadline_ms),
         Err(payload) => {
             shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
             dispatch::panic_frame(shared, cs, payload.as_ref(), &mut frame);
@@ -1044,7 +1025,8 @@ fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String
 fn admit(
     shared: &Shared,
     cs: &Arc<ConnShared>,
-    request: Request,
+    stmt: Statement,
+    sql: &str,
     deadline_ms: Option<u64>,
 ) -> Option<String> {
     let Admission::Admit(tier) = shared.admission.try_admit() else {
@@ -1064,12 +1046,18 @@ fn admit(
     cs.busy.store(true, Ordering::SeqCst);
     let task = Task {
         conn: Arc::clone(cs),
-        request,
+        stmt: Box::new(stmt),
+        sql: sql.to_string(),
         tier,
         deadline: deadline_ms.map(|ms| enqueued + Duration::from_millis(ms)),
         enqueued,
     };
-    shared.queue.lock().unwrap().push_back(task);
+    let mut queue = shared.queue.lock().unwrap();
+    let ahead = queue.len() as u64;
+    queue.push_back(task);
+    drop(queue);
+    let peak = &shared.stats.queue_peak_depth;
+    peak.fetch_max(ahead, Ordering::Relaxed);
     shared.queue_cv.notify_one();
     None
 }

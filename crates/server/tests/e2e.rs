@@ -511,8 +511,7 @@ fn stream_verb_emits_refining_frames_and_matches_the_one_shot_answer() {
     let after = client.sql("SHOW STATS").unwrap();
     assert!(after.stat("streams_started").is_some());
 
-    // `SQL STREAM …` keeps the classic single-frame response for old
-    // clients: exactly the final answer, one OK frame.
+    // `sql("STREAM …")` answers with the stream's last frame.
     let alias = client.sql(&format!("STREAM {DASHBOARD_QUERY}")).unwrap();
     assert_remote_matches_local(&alias, &local);
     let _ = client.quit();
@@ -544,11 +543,155 @@ fn stream_early_stop_and_errors_keep_the_protocol_in_sync() {
     assert!(matches!(err, ClientError::Server(_)), "{err:?}");
     client.ping().unwrap();
 
-    // A bare STREAM is a usage error, not a hang.
-    let err = client.request("STREAM").unwrap_err();
-    assert!(matches!(err, ClientError::Server(_)), "{err:?}");
+    // STREAM is a statement, not a verb: a bare STREAM line is an unknown
+    // command, not a hang.
+    match client.request("STREAM") {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, "unknown command STREAM"),
+        other => panic!("expected an unknown-command error, got {other:?}"),
+    }
     client.ping().unwrap();
     let _ = client.quit();
+    handle.stop();
+}
+
+impl RawConn {
+    /// The status lines of one `SQL STREAM …` response's `FRAME`s, then
+    /// its `DONE` line.
+    fn stream_status_lines(&mut self) -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let status = self.frame().remove(0);
+            let done = status.starts_with("DONE");
+            lines.push(status);
+            if done {
+                return lines;
+            }
+        }
+    }
+}
+
+/// `SQL STREAM q` is the streaming request: `FRAME`s closed by `DONE`, the
+/// last frame bit-identical to the in-process stream's final frame and to
+/// the one-shot answer.
+#[test]
+fn sql_stream_streams_frames_and_ends_on_the_in_process_and_one_shot_answer() {
+    const Q: &str =
+        "SELECT city, count(*) AS n, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+    let ctx = serving_context(53, 0);
+    let one_shot = local_answer(&ctx, Q).unwrap();
+    assert!(!one_shot.exact);
+    let mut local = VerdictSession::new(Arc::clone(&ctx));
+    local.execute("SET stream_block_rows = 100").unwrap();
+    let local_frames: Vec<_> = local.stream(Q).unwrap().map(Result::unwrap).collect();
+    let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
+        .unwrap()
+        .spawn()
+        .unwrap();
+
+    let mut raw = RawConn::connect(handle.addr());
+    raw.request("SQL SET stream_block_rows = 100");
+    raw.send(&format!("SQL STREAM {Q}\n"));
+    let status = raw.stream_status_lines();
+    let (done, frames) = status.split_last().unwrap();
+    assert_eq!(frames.len(), local_frames.len(), "{status:?}");
+    assert!(frames.iter().all(|l| l.starts_with("FRAME ")), "{status:?}");
+    assert_eq!(done, &format!("DONE frames={}", frames.len()));
+
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    client.sql("SET stream_block_rows = 100").unwrap();
+    let remote = client.stream(Q).unwrap();
+    assert_eq!(remote.len(), local_frames.len());
+    let (remote, local) = (remote.last().unwrap(), local_frames.last().unwrap());
+    assert!(remote.last && local.last);
+    assert_eq!(remote.rows_seen, local.rows_seen);
+    assert_remote_matches_local(&remote.answer, &local.answer);
+    assert_remote_matches_local(&remote.answer, &one_shot);
+    client.quit().unwrap();
+    handle.stop();
+}
+
+/// STREAM is a statement, not a verb: the request line `STREAM q` is an
+/// unknown command, and the session stays usable.
+#[test]
+fn the_stream_verb_is_an_unknown_command() {
+    let ctx = serving_context(54, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    match client.request(&format!("STREAM {DASHBOARD_QUERY}")) {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, "unknown command STREAM"),
+        other => panic!("expected an unknown-command error, got {other:?}"),
+    }
+    assert_eq!(client.sql(DASHBOARD_QUERY).unwrap().header.rows, 10);
+    client.quit().unwrap();
+    handle.stop();
+}
+
+/// A malformed `SQL STREAM …` is a parse error answered on the shard: it
+/// never takes an admission slot.
+#[test]
+fn a_malformed_stream_is_refused_before_admission() {
+    let ctx = serving_context(55, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    let before = handle.admission_stats().admitted;
+    match client.stream("SELEKT nope") {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("parse"), "got: {msg}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert_eq!(handle.admission_stats().admitted, before);
+    client.ping().unwrap();
+    client.quit().unwrap();
+    handle.stop();
+}
+
+/// A stream and the statement pipelined behind it are answered in order:
+/// the stream's frames and `DONE`, then the statement's `OK` frame.
+#[test]
+fn a_pipelined_stream_and_statement_are_answered_in_order() {
+    let ctx = serving_context(56, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut raw = RawConn::connect(handle.addr());
+    raw.request("SQL SET stream_block_rows = 100");
+    raw.send(&format!(
+        "SQL STREAM {DASHBOARD_QUERY}\nSQL BYPASS SELECT count(*) AS n FROM sales\n"
+    ));
+    let status = raw.stream_status_lines();
+    assert!(status.len() >= 3, "{status:?}");
+    let frame = raw.frame();
+    let header = FrameHeader::parse(&frame[0]).expect("an OK frame");
+    assert_eq!((header.rows, header.cols), (1, 1));
+    assert_eq!(frame.last().unwrap(), "R 50000");
+    raw.send("QUIT\n");
+    handle.stop();
+}
+
+/// `queue_depth` and `queue_peak_depth` count statements waiting for a
+/// worker: the statement reading them is running, so an idle server reads 0.
+#[test]
+fn an_idle_server_reports_an_empty_run_queue() {
+    let ctx = serving_context(57, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    for _ in 0..2 {
+        let stats = client
+            .sql("SELECT stat, value FROM verdict_stats WHERE section = 'serving'")
+            .unwrap();
+        assert_eq!(stats.stat("queue_depth"), Some(0));
+        assert_eq!(stats.stat("queue_peak_depth"), Some(0));
+    }
+    client.quit().unwrap();
     handle.stop();
 }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict_core::{VerdictConfig, VerdictContext, VerdictSession};
-use verdict_engine::{Backend, Engine, EngineResult, QueryResult, TableBuilder, Value};
+use verdict_engine::{Backend, Engine, EngineResult, QueryResult, TableBuilder};
 use verdict_server::{ClientError, ServerHandle, VerdictClient, VerdictServer};
 
 /// 50k-row synthetic sales table (same shape as the e2e fixture).
@@ -165,7 +165,7 @@ fn half_closed_socket_still_receives_stream_frames() {
             break;
         }
     }
-    raw.write_all(format!("STREAM {QUERY}\n").as_bytes())
+    raw.write_all(format!("SQL STREAM {QUERY}\n").as_bytes())
         .unwrap();
     raw.shutdown(Shutdown::Write).unwrap();
 
@@ -215,7 +215,7 @@ fn non_reading_client_is_isolated_by_write_backpressure() {
     let mut hog = TcpStream::connect(handle.addr()).unwrap();
     hog.set_nodelay(true).unwrap();
     hog.write_all(b"SQL SET stream_block_rows = 50\n").unwrap();
-    hog.write_all(format!("STREAM {QUERY}\n").as_bytes())
+    hog.write_all(format!("SQL STREAM {QUERY}\n").as_bytes())
         .unwrap();
     // Do not read.  While the hog is wedged, other sessions must answer.
 
@@ -594,18 +594,6 @@ impl Backend for PanickingBackend {
     }
 }
 
-/// The server's `queue_depth`, read in-process so the read is not itself
-/// an admitted statement.
-fn queue_depth(ctx: &Arc<VerdictContext>) -> Value {
-    VerdictSession::new(Arc::clone(ctx))
-        .execute("SELECT value FROM verdict_stats WHERE stat = 'queue_depth'")
-        .unwrap()
-        .into_answer()
-        .unwrap()
-        .table
-        .value(0, 0)
-}
-
 #[test]
 fn a_panicking_statement_is_an_error_frame_and_leaks_nothing() {
     let workers = 2;
@@ -641,7 +629,7 @@ fn a_panicking_statement_is_an_error_frame_and_leaks_nothing() {
     let mut fresh = connect();
     assert_eq!(fresh.sql(count).unwrap().header.rows, 1);
     let deadline = Instant::now() + Duration::from_secs(5);
-    while queue_depth(&ctx) != Value::Int(0) {
+    while handle.admission_stats().depth != 0 {
         assert!(Instant::now() < deadline, "admission slots leaked");
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -165,6 +165,8 @@ fn explain_analyze_stream_never_reads_the_answer_cache() {
 
     // A stream observes current data: analyzing one must recompute, not
     // replay the cached answer, and is classed as the statement it wraps.
+    // What it explains is the stream it ran: block-scan frames, not a
+    // one-shot backend statement.
     let resp = s
         .execute(&format!("EXPLAIN ANALYZE STREAM {query}"))
         .unwrap();
@@ -177,12 +179,85 @@ fn explain_analyze_stream_never_reads_the_answer_cache() {
     );
     assert_eq!(ctx.cache_stats().hits, hits_before, "no cache read");
     assert!(
-        by_span["@backend_queries"].1.parse::<u64>().unwrap() >= 1,
+        by_span["@rows_scanned"].1.parse::<u64>().unwrap() >= 1,
         "the stream's query must actually run"
     );
-    for stage in ["canonicalize", "analyze", "plan", "rewrite", "backend_exec"] {
+    for stage in ["canonicalize", "analyze", "plan", "rewrite", "stream_frame"] {
         assert!(by_span.contains_key(stage), "missing `{stage}` span");
     }
+    assert!(!by_span.contains_key("backend_exec"), "{by_span:?}");
+}
+
+/// `EXPLAIN ANALYZE STREAM q` runs the stream `STREAM q` runs, drained by
+/// the same rules, and explains it by that stream's own trace: the span
+/// stages of the in-process `STREAM q` trace in `verdict_traces`, one
+/// `stream_frame` per frame, no one-shot `backend_exec`, and the final
+/// frame's rows as `@rows_scanned`.
+#[test]
+fn explain_analyze_stream_traces_the_stream_it_runs() {
+    let ctx = sales_context(23);
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+    s.execute("SET stream_block_rows = 200").unwrap();
+    let query = "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+    // The stages of an `EXPLAIN ANALYZE` table, in order.
+    let stages = |t: &Table| -> Vec<String> {
+        (0..t.num_rows())
+            .map(|r| str_at(t, r, 0))
+            .filter(|span| !span.starts_with('@'))
+            .collect()
+    };
+    // The stages of the newest `stream` trace in `verdict_traces`.
+    let traced = |s: &mut VerdictSession| -> Vec<String> {
+        let resp = s
+            .execute(
+                "SELECT spans FROM verdict_traces WHERE class = 'stream' ORDER BY seq DESC LIMIT 1",
+            )
+            .unwrap();
+        let spans = str_at(explain_table(&resp), 0, 0);
+        let stages = spans.split(' ').map(|sp| sp.split('=').next().unwrap());
+        stages.map(String::from).collect()
+    };
+
+    // Without a target error the stream drains in one step: one frame.
+    let rows_seen = s.stream(query).unwrap().final_frame().unwrap().rows_seen;
+    s.execute(&format!("STREAM {query}")).unwrap();
+    let expected = traced(&mut s);
+    let resp = s
+        .execute(&format!("EXPLAIN ANALYZE STREAM {query}"))
+        .unwrap();
+    let table = explain_table(&resp);
+    assert_eq!(stages(table), expected);
+    let frames = expected.iter().filter(|st| *st == "stream_frame").count();
+    assert_eq!(frames, 1, "{expected:?}");
+    assert!(
+        !expected.iter().any(|st| st == "backend_exec"),
+        "{expected:?}"
+    );
+    let by_span = analyze_map(table);
+    assert_eq!(by_span["@class"].1, "stream");
+    assert_eq!(by_span["@rows_scanned"].1, rows_seen.to_string());
+
+    // An early-stopping stream is pulled frame by frame: one `stream_frame`
+    // per frame the iterator yields.
+    s.execute("SET target_error = 0.2").unwrap();
+    let pulled = s
+        .stream(query)
+        .unwrap()
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
+    assert!(pulled.last().unwrap().early_stopped);
+    let pulled = pulled.len();
+    s.execute(&format!("STREAM {query}")).unwrap();
+    let expected = traced(&mut s);
+    let resp = s
+        .execute(&format!("EXPLAIN ANALYZE STREAM {query}"))
+        .unwrap();
+    assert_eq!(stages(explain_table(&resp)), expected);
+    let frames = expected.iter().filter(|st| *st == "stream_frame").count();
+    assert_eq!(frames, pulled, "{expected:?}");
+    assert!(pulled > 1, "the target should stop after several frames");
 }
 
 #[test]

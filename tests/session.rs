@@ -368,16 +368,20 @@ fn session_options_are_isolated_and_cache_keys_respect_them() {
     a.execute("SET bypass = off").unwrap();
     assert!(!a.execute(Q).unwrap().into_answer().unwrap().exact);
 
-    // Unknown options fail loudly — the removed engine grouping knob
-    // included — with a typed error listing the twelve options that exist.
+    // Unknown options fail loudly — the removed engine grouping knob and
+    // stream frame cap included — with a typed error listing the eleven
+    // options that exist.
     assert!(a.execute("SET no_such_option = 1").is_err());
-    match a.execute("SET group_strategy = hash") {
-        Err(VerdictError::Unsupported(msg)) => {
-            assert!(msg.starts_with("unknown session option group_strategy ("));
-            let names = &msg[msg.find('(').unwrap() + 1..msg.rfind(')').unwrap()];
-            assert_eq!(names.split(", ").count(), 12, "{names}");
+    for removed in ["group_strategy = hash", "stream_max_frames = 3"] {
+        match a.execute(&format!("SET {removed}")) {
+            Err(VerdictError::Unsupported(msg)) => {
+                let name = removed.split(' ').next().unwrap();
+                assert!(msg.starts_with(&format!("unknown session option {name} (")));
+                let names = &msg[msg.find('(').unwrap() + 1..msg.rfind(')').unwrap()];
+                assert_eq!(names.split(", ").count(), 11, "{names}");
+            }
+            other => panic!("expected the unknown-option error, got {other:?}"),
         }
-        other => panic!("expected the unknown-option error, got {other:?}"),
     }
 }
 
@@ -523,31 +527,6 @@ fn stream_early_stops_at_target_error_and_skips_the_cache() {
     s.execute("SET target_error = default").unwrap();
     let repeat = s.execute(Q).unwrap().into_answer().unwrap();
     assert!(!repeat.cached, "prefix answers must never enter the cache");
-}
-
-#[test]
-fn stream_max_frames_caps_the_cadence_without_changing_the_answer() {
-    let mut a = VerdictSession::new(sales_context(80));
-    let mut b = VerdictSession::new(sales_context(80));
-    const SCRAMBLE: &str = "CREATE SCRAMBLE scr FROM sales METHOD uniform RATIO 0.2";
-    const Q: &str = "SELECT city, count(*) AS n FROM sales GROUP BY city";
-    a.execute(SCRAMBLE).unwrap();
-    b.execute(SCRAMBLE).unwrap();
-    a.execute("SET io_budget = 1").unwrap();
-    b.execute("SET io_budget = 1").unwrap();
-    a.execute("SET stream_block_rows = 500").unwrap();
-    a.execute("SET stream_max_frames = 3").unwrap();
-    let capped: Vec<_> = a.stream(Q).unwrap().collect::<Result<Vec<_>, _>>().unwrap();
-    assert_eq!(capped.len(), 3, "the cap bounds the frame count");
-    assert_eq!(capped.last().unwrap().fraction, 1.0);
-    b.execute("SET stream_block_rows = 500").unwrap();
-    let unbounded: Vec<_> = b.stream(Q).unwrap().collect::<Result<Vec<_>, _>>().unwrap();
-    assert!(unbounded.len() > 3);
-    assert_tables_bit_identical(
-        &capped.last().unwrap().answer.table,
-        &unbounded.last().unwrap().answer.table,
-        "capped vs unbounded",
-    );
 }
 
 #[test]
@@ -990,15 +969,6 @@ const SET_CASES: &[SetCase] = &[
         observe: |s, _| config_field(s, |c| c.stream_block_rows.to_string()),
     },
     SetCase {
-        name: "stream_max_frames",
-        valid: "3",
-        ack: ("stream_max_frames", "3"),
-        reset_ack: "default",
-        invalid: "-1",
-        error: "stream_max_frames must be a non-negative integer (0 = unbounded), got -1",
-        observe: |s, _| config_field(s, |c| c.stream_max_frames.to_string()),
-    },
-    SetCase {
         name: "deadline_ms",
         valid: "250",
         ack: ("deadline_ms", "250"),
@@ -1031,7 +1001,7 @@ fn every_set_option_writes_the_session_and_resets_to_the_base() {
         .unwrap();
     assert_eq!(s.effective_config(), *ctx.config());
     assert_eq!(engine.parallelism(), default_parallelism());
-    assert_eq!(SET_CASES.len(), 14, "12 names and 2 aliases");
+    assert_eq!(SET_CASES.len(), 13, "11 names and 2 aliases");
     let ack = |s: &mut VerdictSession, statement: &str| match s.execute(statement) {
         Ok(VerdictResponse::OptionSet { name, value }) => (name, value),
         other => panic!("`{statement}`: expected an OptionSet, got {other:?}"),
