@@ -418,14 +418,13 @@ impl<'a> MeanCells<'a> {
         }
     }
 
-    /// The AQP feasibility test: grouped queries whose subsample cells
-    /// average fewer than [`VerdictConfig::min_rows_per_group`] rows produce
-    /// useless estimates, so the query is answered exactly instead (the
-    /// paper's behaviour for tq-3, tq-8, tq-15).
+    /// The AQP feasibility test: a query whose subsample cells average fewer
+    /// than [`VerdictConfig::min_rows_per_group`] rows per group produces
+    /// useless estimates, so it is answered exactly instead (the paper's
+    /// behaviour for tq-3, tq-8, tq-15).  A scalar query is one group, so a
+    /// filter that leaves it no sampled row falls back too rather than
+    /// answering zero rows.
     pub(crate) fn feasible(&self, config: &VerdictConfig) -> bool {
-        if self.keys.is_empty() {
-            return true;
-        }
         let total: f64 = self.sizes.iter().sum();
         total / self.num_groups().max(1) as f64 >= config.min_rows_per_group
     }

@@ -21,7 +21,8 @@ pub struct BackendStats {
     pub name: String,
     /// The backend's instance identity ([`Backend::identity`]).
     pub identity: String,
-    /// SQL statements routed through [`Backend::execute`].
+    /// SQL statements routed through [`Backend::execute`], plus block scans
+    /// opened by [`Backend::open_block_scan`].
     pub queries_routed: u64,
     /// Times [`Backend::data_version`] answered `None` — each one is a
     /// cacheability check that had to assume "uncacheable".
@@ -114,9 +115,14 @@ impl Backend for InstrumentedBackend {
 
     fn open_block_scan(&self, sql: &str) -> Option<Box<dyn BlockScan>> {
         let scan = self.inner.open_block_scan(sql);
-        if scan.is_none() {
-            self.scan_fallbacks.fetch_add(1, Relaxed);
-        }
+        // An opened scan is a routed query; a declined one is answered
+        // through `execute`, which counts itself.
+        let counter = if scan.is_some() {
+            &self.queries
+        } else {
+            &self.scan_fallbacks
+        };
+        counter.fetch_add(1, Relaxed);
         scan
     }
 

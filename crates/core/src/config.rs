@@ -32,7 +32,8 @@ pub struct VerdictConfig {
     pub include_error_columns: bool,
     /// When the estimated number of sample rows per output group falls below
     /// this threshold, the planner declares AQP infeasible and runs the
-    /// original query (the paper's behaviour for tq-3, tq-8, tq-15).
+    /// original query (the paper's behaviour for tq-3, tq-8, tq-15).  A
+    /// scalar query counts as one group.
     pub min_rows_per_group: f64,
     /// Heuristic sample-planner fan-out: number of best sample tables kept at
     /// each join point (Appendix E.2, default 10).

@@ -15,7 +15,7 @@
 //! |---|---|
 //! | Sample preparation (§3), probabilistic stratified samples (§3.2, Lemma 1) | [`sample`], [`stats`] |
 //! | Sample planning under an I/O budget (Appendix E) | [`planner`] |
-//! | AQP rewriting with variational subsampling, joins, nested queries (§4, §5) | [`rewrite`], [`flatten`] |
+//! | AQP rewriting with variational subsampling and joins (§4, §5) | [`rewrite`] |
 //! | Answer rewriting: approximate answers + confidence intervals | [`answer`] |
 //! | User interface / knobs (§2.4) | [`config`], [`session`] |
 //! | The statement pipeline (plan → execute → finish) | [`pipeline`], [`context`], [`progress`] |
@@ -65,7 +65,6 @@ pub mod cache;
 pub mod config;
 pub mod context;
 pub mod error;
-pub mod flatten;
 pub mod meta;
 pub mod obs;
 pub mod pipeline;

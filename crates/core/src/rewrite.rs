@@ -89,7 +89,7 @@ impl OutputColumn {
 /// Everything the rewriter and answer rewriter need to know about a query.
 #[derive(Debug, Clone)]
 pub struct QueryAnalysis {
-    /// The original query (after comparison-subquery flattening, when applied).
+    /// The original query.
     pub query: Query,
     /// GROUP BY expressions.
     pub group_by: Vec<Expr>,
@@ -194,16 +194,13 @@ pub struct RewriteOutput {
 /// (Table 1's supported class).  Unsupported queries yield
 /// [`VerdictError::Unsupported`] so the caller can pass them through.
 pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
-    // Flatten correlated comparison subqueries first (§2.2).
-    let query = crate::flatten::flatten_comparison_subqueries(query.clone());
-
     if query.from.is_empty() {
         return Err(VerdictError::Unsupported("query has no FROM clause".into()));
     }
     // EXISTS predicates are outside the supported class.
     let mut has_exists = false;
     let mut has_window = false;
-    verdict_sql::visitor::walk_query(&query, &mut |e| {
+    verdict_sql::visitor::walk_query(query, &mut |e| {
         if matches!(e, Expr::Exists { .. }) {
             has_exists = true;
         }
@@ -223,8 +220,9 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
             "window functions in the input query are not approximated".into(),
         ));
     }
-    // A subquery reaches the backend only inside a rewritten WHERE / ON;
-    // anywhere else answer assembly would evaluate the clause without it.
+    // A subquery, correlated or not, reaches the backend only inside a
+    // rewritten WHERE / ON, as written and over the base tables; anywhere
+    // else answer assembly would evaluate the clause without it.
     let items = query.projection.iter().filter_map(SelectItem::expr);
     let order = query.order_by.iter().map(|o| &o.expr);
     let mut outside_where = false;
@@ -241,8 +239,7 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
         ));
     }
 
-    // FROM must consist of base tables joined by equi-joins (derived tables
-    // are handled by the nested-query path in the context, not here).
+    // FROM must consist of base tables joined by equi-joins.
     let mut tables: Vec<QueryTable> = Vec::new();
     let mut join_equalities = Vec::new();
     for twj in &query.from {
@@ -306,7 +303,7 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
         having: query.having.clone(),
         order_by: query.order_by.clone(),
         limit: query.limit,
-        query,
+        query: query.clone(),
     })
 }
 
@@ -323,7 +320,7 @@ fn collect_table(tf: &TableFactor, tables: &mut Vec<QueryTable>) -> VerdictResul
             Ok(())
         }
         TableFactor::Derived { .. } => Err(VerdictError::Unsupported(
-            "derived tables in FROM are handled by the nested-query path".into(),
+            "derived tables in FROM are not approximated".into(),
         )),
     }
 }

@@ -275,8 +275,7 @@ impl<'a> Executor<'a> {
     /// Replaces, in place, every uncorrelated scalar subquery and
     /// IN-subquery in `expr` with a literal value / list by executing it
     /// eagerly, in the order they are written.  Correlated subqueries and
-    /// `EXISTS` surface as an `Unsupported` error (VerdictDB flattens
-    /// correlated comparisons before the engine ever sees them).
+    /// `EXISTS` surface as an `Unsupported` error.
     fn resolve_subqueries(&mut self, expr: &mut Expr) -> EngineResult<()> {
         match expr {
             Expr::ScalarSubquery(q) => {

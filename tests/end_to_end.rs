@@ -280,7 +280,7 @@ fn having_and_order_by_are_applied_to_the_approximate_answer() {
 }
 
 #[test]
-fn flattened_comparison_subquery_is_answered() {
+fn uncorrelated_comparison_subquery_is_answered() {
     let ctx = context(0.2);
     let sql = "SELECT count(*) AS n FROM order_products \
                WHERE price > (SELECT avg(price) FROM order_products)";
@@ -292,6 +292,92 @@ fn flattened_comparison_subquery_is_answered() {
     );
     let rel = (a - e).abs() / e;
     assert!(rel < 0.1, "relative error {rel:.4}");
+}
+
+/// The `(item, value)` rows of `EXPLAIN <sql>`.
+fn explain(ctx: &Arc<VerdictContext>, sql: &str) -> Vec<(String, String)> {
+    let t = common::answer(ctx, &format!("EXPLAIN {sql}"))
+        .unwrap()
+        .table;
+    (0..t.num_rows())
+        .map(|r| (t.value(r, 0).to_string(), t.value(r, 1).to_string()))
+        .collect()
+}
+
+fn explain_item<'a>(rows: &'a [(String, String)], item: &str) -> &'a str {
+    let found = rows.iter().find(|(i, _)| i == item);
+    found.map_or_else(|| panic!("no `{item}` row: {rows:?}"), |(_, v)| v)
+}
+
+/// A correlated comparison subquery is a WHERE predicate like any other: the
+/// rewritten statement reads the scramble and carries the subquery as
+/// written, over the base table.  An engine that cannot evaluate it answers
+/// the approximate statement with the same error as the exact one.
+#[test]
+fn correlated_comparison_subquery_reaches_the_backend_as_written() {
+    let ctx = context(0.2);
+    let sub = "(SELECT avg(price) FROM order_products WHERE product_id = p.product_id)";
+    let sql = format!("SELECT count(*) AS n FROM order_products p WHERE p.price > {sub}");
+    let rows = explain(&ctx, &sql);
+    assert_eq!(explain_item(&rows, "plan"), "approximate", "{rows:?}");
+    let rewritten = explain_item(&rows, "rewritten[0]");
+    assert!(
+        rewritten.contains(&format!("WHERE p.price > {sub}")),
+        "{rewritten}"
+    );
+    assert!(
+        rewritten.contains("verdict_sample_order_products"),
+        "{rewritten}"
+    );
+
+    let approx = common::answer(&ctx, &sql).unwrap_err();
+    let exact = common::exact(&ctx, &sql).unwrap_err();
+    assert_eq!(approx, exact);
+    assert!(exact.to_string().contains("correlated subquery"), "{exact}");
+}
+
+/// An aggregate over a derived table runs exactly, and says why without
+/// naming a path the planner does not have.
+#[test]
+fn derived_table_in_from_plans_exact_with_a_true_reason() {
+    let ctx = context(0.2);
+    let rows = explain(
+        &ctx,
+        "SELECT avg(n) AS a FROM (SELECT order_id, count(*) AS n \
+         FROM order_products GROUP BY order_id) t",
+    );
+    assert_eq!(explain_item(&rows, "plan"), "exact passthrough", "{rows:?}");
+    assert_eq!(
+        explain_item(&rows, "reason"),
+        "derived tables in FROM are not approximated"
+    );
+    assert!(
+        rows.iter().all(|(_, v)| !v.contains("nested-query")),
+        "{rows:?}"
+    );
+}
+
+/// A scalar aggregate answers one row, as SQL requires: a filter that leaves
+/// the scramble (nearly) no row falls back to the exact answer instead of
+/// answering zero rows.
+#[test]
+fn a_scalar_aggregate_over_a_thin_filter_answers_its_one_exact_row() {
+    let ctx = context(0.2);
+    let probes = [
+        "SELECT count(*) AS n FROM order_products WHERE order_id = 17",
+        "SELECT count(*) AS n, avg(price) AS ap FROM order_products WHERE price < 0",
+    ];
+    for sql in probes {
+        let approx = common::answer(&ctx, sql).unwrap();
+        let exact = common::exact(&ctx, sql).unwrap();
+        assert!(approx.exact, "`{sql}` must fall back");
+        assert_eq!(approx.table.num_rows(), 1, "`{sql}`");
+        common::assert_tables_bit_identical(&approx.table, &exact.table, sql);
+    }
+    // SQL's answer over no rows: count 0, avg NULL.
+    let empty = common::answer(&ctx, probes[1]).unwrap().table;
+    assert_eq!(empty.value(0, 0).as_i64(), Some(0));
+    assert!(empty.value(0, 1).is_null());
 }
 
 /// A 20,000-row `sales(k, price)` with a nullable integer key — NULL for

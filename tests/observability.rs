@@ -182,6 +182,10 @@ fn explain_analyze_stream_never_reads_the_answer_cache() {
         by_span["@rows_scanned"].1.parse::<u64>().unwrap() >= 1,
         "the stream's query must actually run"
     );
+    assert_eq!(
+        by_span["@backend_queries"].1, "1",
+        "the opened block scan is the one query the stream routed"
+    );
     for stage in ["canonicalize", "analyze", "plan", "rewrite", "stream_frame"] {
         assert!(by_span.contains_key(stage), "missing `{stage}` span");
     }
