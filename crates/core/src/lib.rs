@@ -79,7 +79,7 @@ pub mod system;
 
 pub use answer::{AggEstimate, ColumnErrorSummary};
 pub use backend::{BackendStats, DialectBackend};
-pub use cache::{AnswerCache, CacheStats};
+pub use cache::{AnswerCache, CacheHit, CacheStats};
 pub use config::VerdictConfig;
 pub use context::{StreamStats, VerdictAnswer, VerdictContext};
 pub use error::{VerdictError, VerdictResult};
@@ -87,5 +87,5 @@ pub use obs::{Histogram, Obs, QueryTrace, SpanRecord, TraceBuilder, TraceRing};
 pub use pipeline::{statement_class, Route};
 pub use progress::{ProgressFrame, ProgressStream};
 pub use sample::{SampleMeta, SampleType};
-pub use session::{VerdictResponse, VerdictSession};
+pub use session::{Parsed, VerdictResponse, VerdictSession};
 pub use shed::{Admission, AdmissionController, AdmissionStats, ShedPolicy, ShedTier};

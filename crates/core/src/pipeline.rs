@@ -14,7 +14,8 @@
 //! | statement | stages |
 //! |---|---|
 //! | `SELECT` | all of them ([`VerdictContext::run_statement`], [`Route::Approximate`]) |
-//! | `SELECT`, cache hit only ([`crate::VerdictSession::cached_answer`]) | `canonicalize → cache_probe`; a miss records nothing and the statement runs as `SELECT` |
+//! | `SELECT`, a recorded spelling ([`crate::VerdictSession::cached_spelling`]) | `cache_probe` by the raw text, before any parse; a miss records nothing and the text is parsed |
+//! | `SELECT`, cache hit only ([`crate::VerdictSession::cached_answer`]) | `canonicalize → cache_probe`; a miss records nothing, and the statement runs as `SELECT` without printing its canonical form again |
 //! | `SELECT` over system relations alone (`SHOW …`) | `control` only ([`Route::System`], answered in-process) |
 //! | `BYPASS <stmt>`, `SET bypass = on` | `passthrough` only ([`Route::Exact`]) |
 //! | DDL / DML | `canonicalize → cache_probe → control` (uncacheable, passed through) |
@@ -29,6 +30,7 @@
 //! `close_trace`).
 
 use crate::answer::{assemble_cells, MeanCells};
+use crate::cache::CacheHit;
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
@@ -94,12 +96,34 @@ pub(crate) enum Planned {
     },
 }
 
+/// What the caller knows of a statement's text.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// The text may be a printing of the statement (`EXPLAIN ANALYZE`'s
+    /// inner statement, a script's statements): nothing is learned from it.
+    Printed,
+    /// The text the statement was parsed from: its spelling is recorded
+    /// against the cache entry the statement hits or inserts.  `canonical`
+    /// is the statement's canonical text when a probe already printed it.
+    Verbatim { canonical: Option<&'a str> },
+}
+
+/// A cacheable statement's keys under one configuration.
+struct Keys {
+    /// The canonical text the entry key is made of.
+    canonical: String,
+    /// The entry key.
+    key: String,
+    /// The key of the source text, when it is verbatim.
+    spelling: Option<String>,
+}
+
 /// What `canonicalize → cache_probe` found.
 enum Probe {
-    /// A current cached answer, marked `cached`.
-    Hit(VerdictAnswer),
-    /// No current answer: the statement's cache key (`None`: uncacheable).
-    Miss(Option<String>),
+    /// A current cached answer.
+    Hit(CacheHit),
+    /// No current answer: the statement's keys (`None`: uncacheable).
+    Miss(Option<Keys>),
 }
 
 /// One rewritten statement as sent — its SQL text and the backend's result:
@@ -112,6 +136,8 @@ pub(crate) type SampleResult = (String, QueryResult);
 /// could depend on.
 pub(crate) struct CacheTicket {
     key: String,
+    /// The spelling key to record against the inserted entry.
+    spelling: Option<String>,
     base_tables: Vec<String>,
     snapshot: HashMap<String, u64>,
 }
@@ -146,6 +172,19 @@ impl VerdictContext {
         route: Route,
         shed_tier: &'static str,
     ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
+        self.run_from(stmt, sql, Source::Printed, config, route, shed_tier)
+    }
+
+    /// [`Self::run_statement`], told what `sql` is.
+    pub(crate) fn run_from(
+        &self,
+        stmt: &Statement,
+        sql: &str,
+        source: Source<'_>,
+        config: &VerdictConfig,
+        route: Route,
+        shed_tier: &'static str,
+    ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
         let class = match route {
             Route::System => "show",
             _ => statement_class(stmt),
@@ -157,8 +196,9 @@ impl VerdictContext {
         };
         let sql = inner.as_deref().unwrap_or(sql);
         let mut open = self.open_trace();
-        let mut answer = self.drive(query, sql, config, route, &mut open.tb)?;
-        let trace = self.close_trace(open, class, sql, config, shed_tier, Some(&mut answer));
+        let mut answer = self.drive(query, sql, source, config, route, &mut open.tb)?;
+        let trace = self.close_trace(open, class, sql, config, shed_tier, Some(&answer));
+        answer.elapsed = trace.total;
         Ok((answer, trace))
     }
 
@@ -168,6 +208,7 @@ impl VerdictContext {
         &self,
         query: Option<&Query>,
         sql: &str,
+        source: Source<'_>,
         config: &VerdictConfig,
         route: Route,
         tb: &mut TraceBuilder,
@@ -180,75 +221,122 @@ impl VerdictContext {
             tb.begin("control");
             return self.answer_system(query);
         }
-        let key = match self.cache_probe(query, config, tb, true) {
-            Probe::Hit(hit) => return Ok(hit),
-            Probe::Miss(key) => key,
+        let keys = match self.cache_probe(query, sql, source, config, tb, true) {
+            Probe::Hit(hit) => return Ok(hit.into_answer()),
+            Probe::Miss(keys) => keys,
         };
         let Some(query) = query else {
             // DDL / DML: nothing to approximate, passed through as written.
             tb.begin("control");
             return self.passthrough(sql);
         };
-        let ticket = key.and_then(|k| self.cache_ticket(k, query));
+        let ticket = keys.and_then(|k| self.cache_ticket(k.key, k.spelling, query));
         let planned = self.plan_query(query, config, tb)?;
         self.run_planned(planned, sql, ticket, config, tb)
     }
 
-    /// `canonicalize → cache_probe`: the statement's cache key and the
-    /// cached answer when a current one exists.  Never calls
-    /// [`Backend::execute`](verdict_engine::Backend::execute); the only
-    /// backend calls are `data_version` reads.  `count_miss` is false for a
-    /// caller that declines on a miss and leaves the statement to
-    /// [`Self::run_statement`], which probes again and counts the miss.
+    /// `canonicalize → cache_probe`: the statement's cache keys and the
+    /// cached answer when a current one exists; a hit records a verbatim
+    /// source's spelling against the entry.  A canonical text the source
+    /// already carries is not printed again (no `canonicalize` span).
+    /// Never calls [`Backend::execute`](verdict_engine::Backend::execute);
+    /// the only backend calls are `data_version` reads.  `count_miss` is
+    /// false for a caller that declines on a miss and leaves the statement
+    /// to [`Self::run_statement`], which probes again and counts the miss.
     fn cache_probe(
         &self,
         query: Option<&Query>,
+        sql: &str,
+        source: Source<'_>,
         config: &VerdictConfig,
         tb: &mut TraceBuilder,
         count_miss: bool,
     ) -> Probe {
-        tb.begin("canonicalize");
-        let key = query.and_then(|q| self.cache_key(q, config));
-        tb.begin("cache_probe");
-        match &key {
-            Some(k) => {
-                let version = |t: &str| self.conn.data_version(t);
-                let found = match count_miss {
-                    true => self.cache.lookup(k, version),
-                    false => self.cache.find(k, version),
-                };
-                match found {
-                    Some(mut hit) => {
-                        tb.note("hit".into());
-                        hit.cached = true;
-                        return Probe::Hit(hit);
-                    }
-                    None => tb.note("miss".into()),
-                }
-            }
-            None => tb.note("uncacheable".into()),
+        if !matches!(source, Source::Verbatim { canonical: Some(_) }) {
+            tb.begin("canonicalize");
         }
-        Probe::Miss(key)
+        let keys = query.and_then(|q| self.cache_keys(q, sql, source, config));
+        tb.begin("cache_probe");
+        let Some(keys) = keys else {
+            tb.note("uncacheable".into());
+            return Probe::Miss(None);
+        };
+        let version = |t: &str| self.conn.data_version(t);
+        let found = match count_miss {
+            true => self.cache.lookup(&keys.key, version),
+            false => self.cache.find(&keys.key, version),
+        };
+        let Some(hit) = found else {
+            tb.note("miss".into());
+            return Probe::Miss(Some(keys));
+        };
+        if let Some(spelling) = keys.spelling {
+            self.cache.record_spelling(&keys.key, spelling);
+        }
+        tb.note("hit".into());
+        Probe::Hit(hit)
     }
 
-    /// Answers a query from the answer cache alone: a hit is traced exactly
-    /// as [`Self::run_statement`] traces one (class `query_cached`), and a
-    /// miss returns `None` having recorded nothing — no trace, no cache
-    /// miss — so the statement can still be run in full.
+    /// Answers a query parsed from `sql` from the answer cache alone: a hit
+    /// is traced exactly as [`Self::run_statement`] traces one (class
+    /// `query_cached`) and records `sql` as a spelling of the entry.  A miss
+    /// returns the statement's canonical text (`None`: uncacheable) having
+    /// recorded nothing — no trace, no cache miss — so the statement can
+    /// still be run in full without printing it again.
     pub(crate) fn answer_from_cache(
         &self,
         query: &Query,
         sql: &str,
         config: &VerdictConfig,
         shed_tier: &'static str,
-    ) -> Option<VerdictAnswer> {
+    ) -> Result<CacheHit, Option<String>> {
         let mut open = self.open_trace();
-        let probe = self.cache_probe(Some(query), config, &mut open.tb, false);
-        let Probe::Hit(mut answer) = probe else {
+        let source = Source::Verbatim { canonical: None };
+        match self.cache_probe(Some(query), sql, source, config, &mut open.tb, false) {
+            Probe::Hit(hit) => Ok(self.close_hit(open, sql, config, shed_tier, hit)),
+            Probe::Miss(keys) => Err(keys.map(|k| k.canonical)),
+        }
+    }
+
+    /// Answers a statement from the answer cache by its raw text alone: the
+    /// text must be a spelling recorded against a current entry under this
+    /// configuration.  No parse and no canonical printing; a hit is traced
+    /// as a `query_cached` statement with the one span `cache_probe`.  A
+    /// miss returns `None` having recorded nothing.  The caller answers
+    /// only statements that would take [`Route::Approximate`]: a spelling
+    /// is recorded only for such a statement, so the one session state it
+    /// must still check is `SET bypass`.
+    pub(crate) fn answer_from_spelling(
+        &self,
+        sql: &str,
+        config: &VerdictConfig,
+        shed_tier: &'static str,
+    ) -> Option<CacheHit> {
+        if !self.cache_enabled(config) {
             return None;
-        };
-        self.close_trace(open, "query", sql, config, shed_tier, Some(&mut answer));
-        Some(answer)
+        }
+        let mut open = self.open_trace();
+        open.tb.begin("cache_probe");
+        let spelling = self.entry_key(sql, config);
+        let hit = self
+            .cache
+            .find_spelling(&spelling, |t| self.conn.data_version(t))?;
+        open.tb.note("hit".into());
+        Some(self.close_hit(open, sql, config, shed_tier, hit))
+    }
+
+    /// Closes a cache hit's trace and stamps the hit's wall time.
+    fn close_hit(
+        &self,
+        open: OpenTrace,
+        sql: &str,
+        config: &VerdictConfig,
+        shed_tier: &'static str,
+        mut hit: CacheHit,
+    ) -> CacheHit {
+        let trace = self.close_trace(open, "query", sql, config, shed_tier, Some(hit.answer()));
+        hit.set_elapsed(trace.total);
+        hit
     }
 
     /// `backend_exec → assemble → finish` for a planned query: the tail of
@@ -478,24 +566,60 @@ impl VerdictContext {
     /// per-session cache policy), or the query calls a nondeterministic
     /// function (`rand()`) anywhere — including inside scalar / `IN` /
     /// `EXISTS` subqueries — whose repeats must produce fresh draws.
-    ///
-    /// The key is the backend's identity, the canonical SQL text, and a
-    /// fingerprint of every answer-affecting configuration knob: two
-    /// sessions running the same query under different accuracy settings
-    /// (confidence, target error, error columns, …) produce observably
-    /// different answers, so they must not share a cache entry — and an
-    /// answer computed against one backend must never be replayed against
-    /// another, even if both can see tables with the same names.
     pub(crate) fn cache_key(&self, query: &Query, config: &VerdictConfig) -> Option<String> {
-        if !self.cache.enabled() || config.answer_cache_capacity == 0 || contains_rand(query) {
+        self.cache_keys(query, "", Source::Printed, config)
+            .map(|k| k.key)
+    }
+
+    /// [`Self::cache_key`] with the canonical text it is made of and, for
+    /// a verbatim `sql`, the spelling key.  A canonical text the source
+    /// carries stands for printing it: a probe printed it for this query,
+    /// and only a cacheable query has one.
+    fn cache_keys(
+        &self,
+        query: &Query,
+        sql: &str,
+        source: Source<'_>,
+        config: &VerdictConfig,
+    ) -> Option<Keys> {
+        if !self.cache_enabled(config) {
             return None;
         }
-        Some(format!(
+        let canonical = match source {
+            Source::Verbatim {
+                canonical: Some(canonical),
+            } => canonical.to_string(),
+            _ if contains_rand(query) => return None,
+            _ => print_query(&verdict_sql::canonical_query(query), &GenericDialect),
+        };
+        Some(Keys {
+            key: self.entry_key(&canonical, config),
+            spelling: matches!(source, Source::Verbatim { .. })
+                .then(|| self.entry_key(sql, config)),
+            canonical,
+        })
+    }
+
+    /// True when `config` lets statements read and write the cache.
+    fn cache_enabled(&self, config: &VerdictConfig) -> bool {
+        self.cache.enabled() && config.answer_cache_capacity != 0
+    }
+
+    /// A cache key: the backend's identity, a statement text (canonical for
+    /// an entry, raw for a spelling), and a fingerprint of every
+    /// answer-affecting configuration knob.  Two sessions running the same
+    /// query under different accuracy settings (confidence, target error,
+    /// error columns, …) produce observably different answers, so they must
+    /// not share a cache entry — and an answer computed against one backend
+    /// must never be replayed against another, even if both can see tables
+    /// with the same names.
+    fn entry_key(&self, text: &str, config: &VerdictConfig) -> String {
+        format!(
             "{}\u{1f}{}\u{1f}{}",
             self.conn.identity(),
-            print_query(&verdict_sql::canonical_query(query), &GenericDialect),
+            text,
             config.cache_fingerprint()
-        ))
+        )
     }
 
     /// Snapshots the data versions of everything `query` *could* depend on —
@@ -509,7 +633,12 @@ impl VerdictContext {
     /// answer under the new version.  Returns `None` when the connection
     /// cannot report versions — such an answer is never cached, because its
     /// invalidation could not be detected.
-    pub(crate) fn cache_ticket(&self, key: String, query: &Query) -> Option<CacheTicket> {
+    pub(crate) fn cache_ticket(
+        &self,
+        key: String,
+        spelling: Option<String>,
+        query: &Query,
+    ) -> Option<CacheTicket> {
         let base_tables: Vec<String> = verdict_sql::visitor::collect_base_tables(query)
             .iter()
             .map(|n| n.key())
@@ -524,6 +653,7 @@ impl VerdictContext {
         }
         Some(CacheTicket {
             key,
+            spelling,
             base_tables,
             snapshot,
         })
@@ -556,7 +686,8 @@ impl VerdictContext {
             .collect();
         if let Some(versions) = versions {
             tb.begin("cache_insert");
-            self.cache.insert(ticket.key, versions, answer.clone());
+            self.cache
+                .insert(ticket.key, versions, answer.clone(), ticket.spelling);
         }
     }
 
@@ -575,10 +706,10 @@ impl VerdictContext {
 
     /// Closes a statement's trace, attributes the backend/store work done
     /// since it opened, and folds it into the observability registry.  For a
-    /// statement that produced an answer, the answer's `elapsed` is stamped
-    /// with the trace total (so span durations and the reported wall time
-    /// agree) and a cache hit is classed `query_cached`; control statements
-    /// pass `None`.
+    /// statement that produced an answer, a cache hit is classed
+    /// `query_cached`, and the caller stamps the answer's `elapsed` with
+    /// the trace total (so span durations and the reported wall time
+    /// agree); control statements pass `None`.
     pub(crate) fn close_trace(
         &self,
         open: OpenTrace,
@@ -586,7 +717,7 @@ impl VerdictContext {
         sql: &str,
         config: &VerdictConfig,
         shed_tier: &'static str,
-        answer: Option<&mut VerdictAnswer>,
+        answer: Option<&VerdictAnswer>,
     ) -> QueryTrace {
         let (total, spans) = open.tb.finish();
         let mut trace = QueryTrace {
@@ -605,7 +736,6 @@ impl VerdictContext {
             slow: config.slow_query_ms > 0 && total >= Duration::from_millis(config.slow_query_ms),
         };
         if let Some(answer) = answer {
-            answer.elapsed = total;
             if answer.cached && class == "query" {
                 trace.class = "query_cached";
             }

@@ -151,7 +151,7 @@ impl ProgressStream {
             // leaves the completed answer stored under the pre-write
             // versions, where revalidation drops it.
             let key = ctx.cache_key(query, &cfg);
-            let ticket = key.and_then(|k| ctx.cache_ticket(k, query));
+            let ticket = key.and_then(|k| ctx.cache_ticket(k, None, query));
             (ctx.plan_query(query, &cfg, &mut trace.tb), ticket)
         };
         let scan = match &planned {
@@ -190,14 +190,16 @@ impl ProgressStream {
     /// Closes the stream's trace with its last frame's answer.
     fn close_trace(&mut self, answer: &mut VerdictAnswer) {
         let trace = self.trace.take().expect("closed once, by the last frame");
-        self.closed = Some(self.ctx.close_trace(
+        let closed = self.ctx.close_trace(
             trace,
             "stream",
             &self.sql,
             &self.cfg,
             self.shed_tier,
             Some(answer),
-        ));
+        );
+        answer.elapsed = closed.total;
+        self.closed = Some(closed);
     }
 
     /// Opens the block scan over the rewritten mean query, with its printed

@@ -25,11 +25,12 @@
 //! `SET parallelism` is the one engine-wide setting: it resizes the shared
 //! connection's worker pool.
 
+use crate::cache::CacheHit;
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::QueryTrace;
-use crate::pipeline::{statement_class, Route};
+use crate::pipeline::{statement_class, Route, Source};
 use crate::progress::ProgressStream;
 use crate::sample::{SampleMeta, SampleType};
 use std::sync::Arc;
@@ -99,6 +100,39 @@ impl VerdictResponse {
     }
 }
 
+/// A statement parsed from its source text, carrying what a cache probe
+/// learned of it: the one form in which a statement's text may be recorded
+/// as a spelling of its answer (see [`VerdictSession::cached_answer`]).
+#[derive(Debug, Clone)]
+pub struct Parsed {
+    stmt: Statement,
+    sql: String,
+    /// The canonical text a missed probe printed (`None`: not probed, or
+    /// uncacheable).
+    canonical: Option<String>,
+}
+
+impl Parsed {
+    /// Parses one SQL statement (a trailing `;` is allowed).
+    pub fn new(sql: &str) -> VerdictResult<Parsed> {
+        Ok(Parsed {
+            stmt: verdict_sql::parse_statement(sql)?,
+            sql: sql.to_string(),
+            canonical: None,
+        })
+    }
+
+    /// The parsed statement.
+    pub fn statement(&self) -> &Statement {
+        &self.stmt
+    }
+
+    /// The text it was parsed from.
+    pub fn sql(&self) -> &str {
+        &self.sql
+    }
+}
+
 /// A SQL-only session over a shared [`VerdictContext`].
 ///
 /// See the [module documentation](self) for the statement surface.  Sessions
@@ -162,10 +196,35 @@ impl VerdictSession {
         cfg
     }
 
-    /// Executes one SQL statement (a trailing `;` is allowed).
+    /// Executes one SQL statement (a trailing `;` is allowed).  A text
+    /// answered before under this session's settings is answered from the
+    /// cache without being parsed ([`Self::cached_spelling`]).
     pub fn execute(&mut self, sql: &str) -> VerdictResult<VerdictResponse> {
-        let stmt = verdict_sql::parse_statement(sql)?;
-        self.execute_statement(&stmt, sql)
+        if let Some(hit) = self.cached_spelling(sql) {
+            return Ok(VerdictResponse::Answer(hit.into_answer()));
+        }
+        self.execute_parsed(&Parsed::new(sql)?)
+    }
+
+    /// Answers a statement from the shared answer cache by its raw text,
+    /// or declines: the probe that needs no parse.
+    ///
+    /// Every text that [`Self::execute`], [`Self::execute_parsed`] or
+    /// [`Self::cached_answer`] answered from, or stored into, a cache
+    /// entry is recorded as a spelling of that entry, keyed with the
+    /// backend's identity and the settings' cache fingerprint.  Returns the
+    /// entry's answer when `sql` is such a spelling under this session's
+    /// settings and the entry is current (its data versions revalidated as
+    /// on any hit); the hit is traced and counted as a `query_cached`
+    /// statement.  Returns `None` for any other text — and under `SET
+    /// bypass = on` — having recorded nothing.  Never executes anything on
+    /// the backend.
+    pub fn cached_spelling(&self, sql: &str) -> Option<CacheHit> {
+        if self.bypass {
+            return None;
+        }
+        let cfg = self.effective_config();
+        self.ctx.answer_from_spelling(sql, &cfg, self.shed.label())
     }
 
     /// Answers a parsed query from the shared answer cache, or declines.
@@ -174,22 +233,47 @@ impl VerdictSession {
     /// [`Route::Approximate`] path and the cache holds a current answer for
     /// the statement under this session's settings; the hit is traced and
     /// counted exactly as [`Self::execute_statement`] would trace and count
-    /// it.  Returns `None` for every other statement and for a miss, having
-    /// recorded nothing, so the caller runs it through `execute_statement`.
-    /// Never executes anything on the backend: the only backend calls are
+    /// it, and the statement's text is recorded as a spelling of the entry.
+    /// Returns `None` for every other statement and for a miss, having
+    /// recorded nothing, so the caller runs it through
+    /// [`Self::execute_parsed`]; a missed cacheable query keeps its
+    /// canonical text, so that run does not print it again.  Never executes
+    /// anything on the backend: the only backend calls are
     /// [`Backend::data_version`](verdict_engine::Backend::data_version)
     /// reads, which is why a serving layer can answer a hit on its I/O
-    /// thread.  `sql` must be the statement's source text.
-    pub fn cached_answer(&self, stmt: &Statement, sql: &str) -> Option<VerdictAnswer> {
-        let Statement::Query(query) = stmt else {
+    /// thread.
+    pub fn cached_answer(&self, parsed: &mut Parsed) -> Option<CacheHit> {
+        let Statement::Query(query) = &parsed.stmt else {
             return None;
         };
-        if !matches!(Route::of(stmt, self.bypass), Ok(Some(Route::Approximate))) {
+        if !matches!(
+            Route::of(&parsed.stmt, self.bypass),
+            Ok(Some(Route::Approximate))
+        ) {
             return None;
         }
         let cfg = self.effective_config();
-        self.ctx
-            .answer_from_cache(query, sql, &cfg, self.shed.label())
+        match self
+            .ctx
+            .answer_from_cache(query, &parsed.sql, &cfg, self.shed.label())
+        {
+            Ok(hit) => Some(hit),
+            Err(canonical) => {
+                parsed.canonical = canonical;
+                None
+            }
+        }
+    }
+
+    /// Executes a statement parsed from its text: [`Self::execute_statement`],
+    /// except that the text is recorded as a spelling of the cache entry the
+    /// statement hits or stores, and a canonical text kept by
+    /// [`Self::cached_answer`] is not printed again.
+    pub fn execute_parsed(&mut self, parsed: &Parsed) -> VerdictResult<VerdictResponse> {
+        let source = Source::Verbatim {
+            canonical: parsed.canonical.as_deref(),
+        };
+        self.dispatch(&parsed.stmt, &parsed.sql, source)
     }
 
     /// Opens a progressive execution for a query: a pull-based iterator of
@@ -241,7 +325,8 @@ impl VerdictSession {
         Ok(out)
     }
 
-    /// Dispatches one parsed statement; `sql` must be its source text.
+    /// Dispatches one parsed statement; `sql` must be its source text, or a
+    /// printing of it.
     ///
     /// Every statement is traced: pipeline statements — `SHOW`, a query
     /// over system relations, included — by the context's driver
@@ -253,6 +338,15 @@ impl VerdictSession {
         stmt: &Statement,
         sql: &str,
     ) -> VerdictResult<VerdictResponse> {
+        self.dispatch(stmt, sql, Source::Printed)
+    }
+
+    fn dispatch(
+        &mut self,
+        stmt: &Statement,
+        sql: &str,
+        source: Source<'_>,
+    ) -> VerdictResult<VerdictResponse> {
         match stmt {
             Statement::Explain { analyze, statement } => Ok(VerdictResponse::Answer(if *analyze {
                 // The trace of what `statement` runs: a stream is drained
@@ -261,7 +355,7 @@ impl VerdictSession {
                     Statement::Stream(_) => self.open_stream(statement)?.drain()?.1,
                     _ => {
                         let text = print_statement(statement, self.ctx.dialect());
-                        self.run_traced(statement, &text)?.1
+                        self.run_traced(statement, &text, Source::Printed)?.1
                     }
                 };
                 VerdictAnswer {
@@ -279,7 +373,7 @@ impl VerdictSession {
             Statement::Stream(_) => Ok(VerdictResponse::Answer(
                 self.open_stream(stmt)?.final_frame()?.answer,
             )),
-            _ => Ok(self.run_traced(stmt, sql)?.0),
+            _ => Ok(self.run_traced(stmt, sql, source)?.0),
         }
     }
 
@@ -290,11 +384,12 @@ impl VerdictSession {
         &mut self,
         stmt: &Statement,
         sql: &str,
+        source: Source<'_>,
     ) -> VerdictResult<(VerdictResponse, QueryTrace)> {
         let shed = self.shed.label();
         if let Some(route) = Route::of(stmt, self.bypass)? {
             let cfg = self.effective_config();
-            let (answer, trace) = self.ctx.run_statement(stmt, sql, &cfg, route, shed)?;
+            let (answer, trace) = self.ctx.run_from(stmt, sql, source, &cfg, route, shed)?;
             return Ok((VerdictResponse::Answer(answer), trace));
         }
         let mut open = self.ctx.open_trace();

@@ -1,12 +1,14 @@
 //! Statement execution on the worker pool.
 //!
-//! One [`Task`] is one admitted statement, parsed by the I/O shard: the
-//! worker locks the connection's session, applies the statement's shed
-//! tier, executes, and serialises response frames through the connection's
-//! [`ConnSink`] (which backpressures against the per-connection outbound
-//! buffer — workers never touch sockets).  Every statement ends with one
-//! terminal frame; a `STREAM <query>` statement sends its progressive
-//! `FRAME`s first and ends with `DONE`.
+//! One [`Task`] is one admitted statement, parsed (and, for a cacheable
+//! query, canonicalised) by the I/O shard: the worker locks the
+//! connection's session, applies the statement's shed tier, executes, and
+//! serialises response frames through the connection's [`ConnSink`]
+//! (which backpressures against the per-connection outbound buffer —
+//! workers never touch sockets).  Every statement ends with one terminal
+//! frame; a `STREAM <query>` statement sends its progressive `FRAME`s
+//! first and ends with `DONE`.  A cache hit the shard answers itself is
+//! written by [`write_hit_frame`].
 //!
 //! A statement that panics, here or in the shard's cache probe, becomes a
 //! plain `ERR` frame: execution runs inside `catch_unwind` with the session
@@ -14,15 +16,17 @@
 //! once the frame is flushed.  The worker and the shard live on.
 
 use crate::protocol::{
-    write_coded_error_frame, write_error_frame, write_result_frame, write_stream_done,
-    write_stream_frame, ErrorCode, FrameHeader, StreamFrameHeader,
+    write_coded_error_frame, write_error_frame, write_frame_body, write_result_frame,
+    write_stream_done, ErrorCode, FrameHeader, StreamFrameHeader,
 };
 use crate::server::{ConnShared, ConnSink, Shared, SinkError, Task};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-use verdict_core::{ShedTier, VerdictAnswer, VerdictError, VerdictResponse, VerdictSession};
+use verdict_core::{
+    CacheHit, ShedTier, VerdictAnswer, VerdictError, VerdictResponse, VerdictSession,
+};
 use verdict_sql::ast::Statement;
 
 /// Why a statement ends without its answer.
@@ -143,13 +147,13 @@ fn execute(
 ) -> Result<String, Unanswered> {
     shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
     let mut out = String::new();
-    if let Statement::Stream(_) = *task.stmt {
+    if let Statement::Stream(_) = task.parsed.statement() {
         let frames = stream(task, session, sink)?;
         write_stream_done(&mut out, frames);
         return Ok(out);
     }
     let start = Instant::now();
-    let response = session.execute_statement(&task.stmt, &task.sql);
+    let response = session.execute_parsed(&task.parsed);
     if deadline_expired(task.deadline) {
         // The engine finished after the deadline: the contract says the
         // client gets a DEADLINE error, not a late answer.
@@ -171,7 +175,7 @@ fn execute(
 /// frame in place of further `FRAME`s.
 fn stream(task: &Task, session: &VerdictSession, sink: &ConnSink<'_>) -> Result<usize, Unanswered> {
     let mut frames = 0usize;
-    for frame in session.open_stream(&task.stmt)? {
+    for frame in session.open_stream(task.parsed.statement())? {
         if deadline_expired(task.deadline) {
             return Err(SinkError::Deadline.into());
         }
@@ -194,7 +198,45 @@ pub(crate) fn write_answer_frame(
     tier: ShedTier,
     out: &mut String,
 ) {
-    let base = FrameHeader {
+    let base = answer_header(answer, tier);
+    let Some(frame) = frame else {
+        base.write_status(out);
+        return write_answer_body(answer, tier, out);
+    };
+    let header = StreamFrameHeader {
+        base,
+        frame: frame.index,
+        rows_seen: frame.rows_seen,
+        total_rows: frame.total_rows,
+        fraction: frame.fraction,
+        last: frame.last,
+        early_stopped: frame.early_stopped,
+    };
+    header.write_status(out);
+    write_answer_body(answer, tier, out);
+}
+
+/// A cache hit answered by the I/O shard: its own status line (its
+/// `elapsed_us`, `cached=1`, no shed tier) and a copy of the entry's body,
+/// which the entry's first such hit encoded.  Byte for byte the frame
+/// [`write_answer_frame`] writes for the same answer.
+pub(crate) fn write_hit_frame(hit: &CacheHit, out: &mut String) {
+    let answer = hit.answer();
+    FrameHeader {
+        elapsed_us: hit.elapsed().as_micros() as u64,
+        ..answer_header(answer, ShedTier::None)
+    }
+    .write_status(out);
+    out.push_str(hit.encoded(|answer| {
+        let mut body = String::new();
+        write_answer_body(answer, ShedTier::None, &mut body);
+        body
+    }));
+}
+
+/// The status-line fields of an answer's frame.
+fn answer_header(answer: &VerdictAnswer, tier: ShedTier) -> FrameHeader {
+    FrameHeader {
         rows: answer.table.num_rows(),
         cols: answer.table.schema.fields.len(),
         exact: answer.exact,
@@ -202,7 +244,12 @@ pub(crate) fn write_answer_frame(
         elapsed_us: answer.elapsed.as_micros() as u64,
         rows_scanned: answer.rows_scanned,
         degraded: tier.level(),
-    };
+    }
+}
+
+/// An answer's frame body: its table, per-aggregate `E` error summaries,
+/// and `S` extras (samples used, degradation tier).
+fn write_answer_body(answer: &VerdictAnswer, tier: ShedTier, out: &mut String) {
     let errors: Vec<(String, f64, f64)> = answer
         .errors
         .iter()
@@ -222,19 +269,7 @@ pub(crate) fn write_answer_frame(
     if tier != ShedTier::None {
         extras.push(("degraded".to_string(), tier.label().to_string()));
     }
-    let Some(frame) = frame else {
-        return write_result_frame(out, &base, Some(&answer.table), &errors, &extras);
-    };
-    let header = StreamFrameHeader {
-        base,
-        frame: frame.index,
-        rows_seen: frame.rows_seen,
-        total_rows: frame.total_rows,
-        fraction: frame.fraction,
-        last: frame.last,
-        early_stopped: frame.early_stopped,
-    };
-    write_stream_frame(out, &header, Some(&answer.table), &errors, &extras);
+    write_frame_body(out, Some(&answer.table), &errors, &extras);
 }
 
 /// Serialises the non-answer [`VerdictResponse`] variants — scramble DDL
@@ -272,4 +307,126 @@ fn write_response_frame(response: &VerdictResponse, start: Instant, out: &mut St
         }
     }
     write_result_frame(out, &header, None, &[], &extras);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use verdict_core::{VerdictConfig, VerdictContext};
+    use verdict_data::{InstacartGenerator, TpchGenerator};
+    use verdict_engine::{Backend, Engine};
+
+    /// The 64 dashboard statements: eight shapes, eight parameter values.
+    fn dashboard() -> Vec<String> {
+        (0..8u32)
+            .flat_map(|p| {
+                [
+                    format!(
+                        "SELECT reordered, count(*) AS n, avg(price) AS avg_price \
+                         FROM order_products WHERE quantity >= {} AND add_to_cart_order <= {} \
+                         GROUP BY reordered ORDER BY reordered",
+                        1 + p % 4,
+                        2 + p
+                    ),
+                    format!(
+                        "SELECT quantity, sum(price * quantity) AS revenue, count(*) AS n \
+                         FROM order_products WHERE price > {} GROUP BY quantity ORDER BY quantity",
+                        2 + p
+                    ),
+                    format!(
+                        "SELECT count(*) AS n, avg(price) AS avg_price, sum(price) AS total \
+                         FROM order_products WHERE price BETWEEN {p} AND {}",
+                        p + 12
+                    ),
+                    format!(
+                        "SELECT order_dow, count(*) AS n, avg(days_since_prior) AS avg_gap \
+                         FROM orders WHERE order_hour >= {} GROUP BY order_dow ORDER BY order_dow",
+                        p * 2
+                    ),
+                    format!(
+                        "SELECT city, count(*) AS n FROM orders \
+                         WHERE order_hour BETWEEN {p} AND {} GROUP BY city ORDER BY city",
+                        p + 14
+                    ),
+                    format!(
+                        "SELECT l_returnflag, l_linestatus, sum(l_quantity) AS sum_qty, \
+                         avg(l_extendedprice) AS avg_price, count(*) AS n FROM lineitem \
+                         WHERE l_shipdate <= {} GROUP BY l_returnflag, l_linestatus \
+                         ORDER BY l_returnflag, l_linestatus",
+                        1200 + 150 * p
+                    ),
+                    format!(
+                        "SELECT l_shipmode, sum(l_extendedprice * (1 - l_discount)) AS revenue \
+                         FROM lineitem WHERE l_quantity >= {} GROUP BY l_shipmode \
+                         ORDER BY l_shipmode",
+                        1 + 4 * p
+                    ),
+                    format!(
+                        "SELECT department_id, count(*) AS n, avg(p.price) AS avg_price \
+                         FROM order_products p INNER JOIN products pr \
+                         ON p.product_id = pr.product_id WHERE p.add_to_cart_order <= {} \
+                         GROUP BY department_id ORDER BY department_id",
+                        1 + p
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    /// A frame with its status line's `elapsed_us` field dropped.
+    fn without_elapsed(frame: &str) -> String {
+        let (status, body) = frame.split_once('\n').unwrap();
+        let status: Vec<&str> = status
+            .split(' ')
+            .filter(|field| !field.starts_with("elapsed_us="))
+            .collect();
+        format!("{}\n{body}", status.join(" "))
+    }
+
+    #[test]
+    fn a_hit_frame_is_the_answer_frame_but_for_its_elapsed_time() {
+        let engine = Arc::new(Engine::with_seed(7));
+        InstacartGenerator::new(0.05).register(&engine);
+        TpchGenerator::new(0.035).register(&engine);
+        let config = VerdictConfig {
+            min_table_rows: 1_500,
+            io_budget: 0.25,
+            seed: Some(7),
+            include_error_columns: true,
+            answer_cache_capacity: 256,
+            ..VerdictConfig::default()
+        };
+        let ctx = Arc::new(VerdictContext::new(engine as Arc<dyn Backend>, config));
+        let mut session = VerdictSession::new(ctx);
+        for ddl in [
+            "CREATE SCRAMBLE s_op FROM order_products METHOD uniform RATIO 0.1",
+            "CREATE SCRAMBLE s_o FROM orders METHOD uniform RATIO 0.1",
+            "CREATE SCRAMBLE s_li FROM lineitem METHOD uniform RATIO 0.1",
+        ] {
+            session.execute(ddl).unwrap();
+        }
+        let mut approximate = 0;
+        for sql in dashboard() {
+            let computed = session.execute(&sql).unwrap().into_answer().unwrap();
+            approximate += usize::from(!computed.exact);
+            let mut worker = String::new();
+            let stored = VerdictAnswer {
+                cached: true,
+                ..computed
+            };
+            write_answer_frame(&stored, None, ShedTier::None, &mut worker);
+            // The first hit encodes the body; the second copies it.
+            for _ in 0..2 {
+                let hit = session.cached_spelling(&sql).expect("a recorded spelling");
+                let mut shard = String::new();
+                write_hit_frame(&hit, &mut shard);
+                assert_eq!(without_elapsed(&shard), without_elapsed(&worker), "{sql}");
+                let mut same = String::new();
+                write_answer_frame(&hit.into_answer(), None, ShedTier::None, &mut same);
+                assert_eq!(shard, same, "{sql}");
+            }
+        }
+        assert!(approximate >= 48, "{approximate} of 64 approximate");
+    }
 }

@@ -20,7 +20,7 @@
 //! See `docs/serving.md` for the full command reference and semantics.
 
 use std::fmt::Write as _;
-use verdict_engine::{DataType, Table, Value};
+use verdict_engine::{Column, ColumnData, DataType, Table, Value};
 
 /// Terminator line ending every response frame.
 pub const FRAME_END: &str = ".";
@@ -83,16 +83,24 @@ pub const NULL_FIELD: &str = "\\N";
 /// values containing separators or newlines round-trip unchanged.
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape_field`], appended to `out`.
+fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.find(['\\', '\t', '\n', '\r']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Reverses [`escape_field`].
@@ -124,22 +132,47 @@ pub fn unescape_field(s: &str) -> String {
 /// round-trip rendering, so the client re-parses the *bit-identical* f64;
 /// NULL becomes [`NULL_FIELD`].
 pub fn format_value(v: &Value) -> String {
+    let mut out = String::new();
     match v {
-        Value::Null => NULL_FIELD.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_nan() {
-                "NaN".to_string()
-            } else if *f == f64::INFINITY {
-                "inf".to_string()
-            } else if *f == f64::NEG_INFINITY {
-                "-inf".to_string()
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Str(s) => escape_field(s),
-        Value::Bool(b) => b.to_string(),
+        Value::Null => out.push_str(NULL_FIELD),
+        Value::Int(i) => write_int(&mut out, *i),
+        Value::Float(f) => write_float(&mut out, *f),
+        Value::Str(s) => escape_into(&mut out, s),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+    }
+    out
+}
+
+/// Appends row `row` of `column` as [`format_value`] renders its value,
+/// without materialising the value.
+fn write_cell(out: &mut String, column: &Column, row: usize) {
+    if !column.is_valid(row) {
+        out.push_str(NULL_FIELD);
+        return;
+    }
+    match column.data() {
+        ColumnData::Int64(v) => write_int(out, v[row]),
+        ColumnData::Float64(v) => write_float(out, v[row]),
+        ColumnData::Utf8(v) => escape_into(out, &v[row]),
+        ColumnData::Bool(v) => out.push_str(if v[row] { "true" } else { "false" }),
+    }
+}
+
+fn write_int(out: &mut String, i: i64) {
+    let _ = write!(out, "{i}");
+}
+
+/// Rust's shortest round-trip rendering, with the non-finite values
+/// spelled `NaN`, `inf` and `-inf`.
+fn write_float(out: &mut String, f: f64) {
+    if f.is_nan() {
+        out.push_str("NaN");
+    } else if f == f64::INFINITY {
+        out.push_str("inf");
+    } else if f == f64::NEG_INFINITY {
+        out.push_str("-inf");
+    } else {
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -207,8 +240,9 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    fn fields(&self) -> String {
-        let mut fields = format!(
+    fn write_fields(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "rows={} cols={} exact={} cached={} elapsed_us={} rows_scanned={}",
             self.rows,
             self.cols,
@@ -218,14 +252,24 @@ impl FrameHeader {
             self.rows_scanned
         );
         if self.degraded > 0 {
-            let _ = write!(fields, " shed={}", self.degraded);
+            let _ = write!(out, " shed={}", self.degraded);
         }
-        fields
     }
 
     /// Renders the `OK …` status line.
     pub fn status_line(&self) -> String {
-        format!("OK {}", self.fields())
+        let mut line = String::new();
+        self.write_status(&mut line);
+        line.pop();
+        line
+    }
+
+    /// Appends the `OK …` status line and its line break: what precedes a
+    /// frame body ([`write_frame_body`]).
+    pub fn write_status(&self, out: &mut String) {
+        out.push_str("OK ");
+        self.write_fields(out);
+        out.push('\n');
     }
 
     /// Parses the `key=value` tail shared by `OK` and `FRAME` status lines
@@ -299,16 +343,27 @@ pub struct StreamFrameHeader {
 impl StreamFrameHeader {
     /// Renders the `FRAME …` status line.
     pub fn status_line(&self) -> String {
-        format!(
-            "FRAME {} frame={} rows_seen={} total_rows={} fraction={:.6} last={} early_stop={}",
-            self.base.fields(),
+        let mut line = String::new();
+        self.write_status(&mut line);
+        line.pop();
+        line
+    }
+
+    /// Appends the `FRAME …` status line and its line break: what precedes
+    /// a frame body ([`write_frame_body`]).
+    pub fn write_status(&self, out: &mut String) {
+        out.push_str("FRAME ");
+        self.base.write_fields(out);
+        let _ = writeln!(
+            out,
+            " frame={} rows_seen={} total_rows={} fraction={:.6} last={} early_stop={}",
             self.frame,
             self.rows_seen,
             self.total_rows,
             self.fraction,
             self.last as u8,
             self.early_stopped as u8,
-        )
+        );
     }
 
     /// Parses a `FRAME …` status line.
@@ -362,59 +417,54 @@ pub fn write_result_frame(
     errors: &[(String, f64, f64)],
     extras: &[(String, String)],
 ) {
-    write_frame_with_status(out, &header.status_line(), table, errors, extras);
+    header.write_status(out);
+    write_frame_body(out, table, errors, extras);
 }
 
-/// Serialises one progressive frame of a stream response: a `FRAME …`
-/// status line with the same body format as a regular result frame.
-pub fn write_stream_frame(
+/// Appends everything of a frame after its status line: the `C`/`T`/`R`
+/// lines of `table`, one `E` line per error summary, one `S key value` line
+/// per extra, and the terminator.  Cells are written straight from the
+/// column vectors.
+pub fn write_frame_body(
     out: &mut String,
-    header: &StreamFrameHeader,
     table: Option<&Table>,
     errors: &[(String, f64, f64)],
     extras: &[(String, String)],
 ) {
-    write_frame_with_status(out, &header.status_line(), table, errors, extras);
-}
-
-fn write_frame_with_status(
-    out: &mut String,
-    status: &str,
-    table: Option<&Table>,
-    errors: &[(String, f64, f64)],
-    extras: &[(String, String)],
-) {
-    out.push_str(status);
-    out.push('\n');
-    if let Some(table) = table {
-        if !table.schema.fields.is_empty() {
-            let names: Vec<String> = table
-                .schema
-                .fields
-                .iter()
-                .map(|f| escape_field(&f.name))
-                .collect();
-            let _ = writeln!(out, "C {}", names.join("\t"));
-            let tags: Vec<&str> = table
-                .schema
-                .fields
-                .iter()
-                .map(|f| type_tag(f.data_type))
-                .collect();
-            let _ = writeln!(out, "T {}", tags.join("\t"));
-            for row in 0..table.num_rows() {
-                let fields: Vec<String> = (0..table.schema.fields.len())
-                    .map(|col| format_value(&table.value_at(row, col)))
-                    .collect();
-                let _ = writeln!(out, "R {}", fields.join("\t"));
+    if let Some(table) = table.filter(|t| !t.schema.fields.is_empty()) {
+        // A tag, then the line's fields separated by tabs.
+        let sep = |col: usize| if col == 0 { ' ' } else { '\t' };
+        out.push('C');
+        for (col, field) in table.schema.fields.iter().enumerate() {
+            out.push(sep(col));
+            escape_into(out, &field.name);
+        }
+        out.push_str("\nT");
+        for (col, field) in table.schema.fields.iter().enumerate() {
+            out.push(sep(col));
+            out.push_str(type_tag(field.data_type));
+        }
+        out.push('\n');
+        for row in 0..table.num_rows() {
+            out.push('R');
+            for (col, column) in table.columns.iter().enumerate() {
+                out.push(sep(col));
+                write_cell(out, column, row);
             }
+            out.push('\n');
         }
     }
     for (column, mean_rel, max_rel) in errors {
-        let _ = writeln!(out, "E {}\t{}\t{}", escape_field(column), mean_rel, max_rel);
+        out.push_str("E ");
+        escape_into(out, column);
+        let _ = writeln!(out, "\t{mean_rel}\t{max_rel}");
     }
     for (key, value) in extras {
-        let _ = writeln!(out, "S {} {}", escape_field(key), escape_field(value));
+        out.push_str("S ");
+        escape_into(out, key);
+        out.push(' ');
+        escape_into(out, value);
+        out.push('\n');
     }
     out.push_str(FRAME_END);
     out.push('\n');
@@ -521,6 +571,121 @@ mod tests {
         assert_eq!(lines.next().unwrap(), FRAME_END);
         assert_eq!(parse_stream_done("DONE"), Some(0));
         assert_eq!(parse_stream_done("OK rows=1"), None);
+    }
+
+    /// The field escaping as it was written before it appended in place:
+    /// one `char` at a time.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// The cell rendering as it was written before cells were written in
+    /// place: one materialised value, one `String`.
+    fn reference_value(v: &Value) -> String {
+        match v {
+            Value::Null => NULL_FIELD.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) if f.is_nan() => "NaN".to_string(),
+            Value::Float(f) if *f == f64::INFINITY => "inf".to_string(),
+            Value::Float(f) if *f == f64::NEG_INFINITY => "-inf".to_string(),
+            Value::Float(f) => format!("{f}"),
+            Value::Str(s) => reference_escape(s),
+            Value::Bool(b) => b.to_string(),
+        }
+    }
+
+    /// The frame body as it was built before cells were written in place:
+    /// one materialised value and one `String` per cell.
+    fn reference_body(
+        table: &Table,
+        errors: &[(String, f64, f64)],
+        extras: &[(String, String)],
+    ) -> String {
+        let mut out = String::new();
+        let names: Vec<String> = table
+            .schema
+            .fields
+            .iter()
+            .map(|f| reference_escape(&f.name))
+            .collect();
+        let _ = writeln!(out, "C {}", names.join("\t"));
+        let tags: Vec<&str> = table
+            .schema
+            .fields
+            .iter()
+            .map(|f| type_tag(f.data_type))
+            .collect();
+        let _ = writeln!(out, "T {}", tags.join("\t"));
+        for row in 0..table.num_rows() {
+            let fields: Vec<String> = (0..table.schema.fields.len())
+                .map(|col| reference_value(&table.value_at(row, col)))
+                .collect();
+            let _ = writeln!(out, "R {}", fields.join("\t"));
+        }
+        for (column, mean_rel, max_rel) in errors {
+            let column = reference_escape(column);
+            let _ = writeln!(out, "E {column}\t{mean_rel}\t{max_rel}");
+        }
+        for (key, value) in extras {
+            let _ = writeln!(
+                out,
+                "S {} {}",
+                reference_escape(key),
+                reference_escape(value)
+            );
+        }
+        out.push_str(FRAME_END);
+        out.push('\n');
+        out
+    }
+
+    #[test]
+    fn cells_written_in_place_match_their_materialised_values() {
+        use verdict_engine::TableBuilder;
+        let table = TableBuilder::new()
+            .opt_int_column("i", vec![Some(-3), None, Some(i64::MAX), Some(0)])
+            .opt_float_column(
+                "f\tx",
+                vec![Some(0.1), Some(f64::NAN), None, Some(f64::NEG_INFINITY)],
+            )
+            .opt_str_column(
+                "s",
+                vec![
+                    Some("tab\there".into()),
+                    Some("\\N".into()),
+                    None,
+                    Some("line\nbreak\r\\".into()),
+                ],
+            )
+            .column(
+                "b",
+                verdict_engine::Column::from_opt_bool(vec![Some(true), None, Some(false), None]),
+            )
+            .build()
+            .unwrap();
+        let errors = vec![("f\tx".to_string(), 0.012, 1.0 / 3.0)];
+        let extras = vec![("k\tey".to_string(), "v\\al".to_string())];
+        let mut body = String::new();
+        write_frame_body(&mut body, Some(&table), &errors, &extras);
+        assert_eq!(body, reference_body(&table, &errors, &extras));
+        for cell in [
+            Value::Float(1e-7),
+            Value::Float(-0.0),
+            Value::Int(i64::MIN),
+            Value::Str("\r\t\n\\".into()),
+        ] {
+            assert_eq!(format_value(&cell), reference_value(&cell));
+        }
     }
 
     #[test]

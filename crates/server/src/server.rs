@@ -16,9 +16,13 @@
 //!   I/O threads never execute queries on the backend.  A statement whose
 //!   answer is in the answer cache is the exception that proves the rule:
 //!   the shard that read it answers it in place, as it answers `PING`
-//!   ([`verdict_core::VerdictSession::cached_answer`] reads the cache and
-//!   the backend's data versions, never executes), so a hit takes no queue
-//!   slot, no shed tier and no worker.
+//!   ([`verdict_core::VerdictSession::cached_spelling`] finds a text
+//!   answered before without parsing it, then
+//!   [`verdict_core::VerdictSession::cached_answer`] a new spelling of a
+//!   cached statement; both read the cache and the backend's data
+//!   versions, never execute), so a hit takes no queue slot, no shed tier
+//!   and no worker, and its frame copies the body the entry's first hit
+//!   encoded.
 //! * **Admission control** — every statement passes the
 //!   [`verdict_core::shed`] gate: as queue depth crosses watermarks the
 //!   server first *sheds accuracy* (raises the tolerated error, shrinks
@@ -51,11 +55,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use verdict_core::{
-    Admission, AdmissionController, Histogram, ShedPolicy, ShedTier, VerdictContext, VerdictError,
-    VerdictSession,
+    Admission, AdmissionController, CacheHit, Histogram, Parsed, ShedPolicy, ShedTier,
+    VerdictContext, VerdictError, VerdictSession,
 };
 use verdict_poll::{poll, poll_handle, wake_pair, PollFd, POLLIN, POLLOUT};
-use verdict_sql::ast::Statement;
 
 /// Longest accepted request line.  A line-based protocol must bound its
 /// buffering: without a cap, one client streaming bytes with no newline
@@ -391,9 +394,9 @@ impl ConnSink<'_> {
 /// One admitted statement on the bounded run queue.
 pub(crate) struct Task {
     pub(crate) conn: Arc<ConnShared>,
-    /// The statement the shard parsed, and its source text.
-    pub(crate) stmt: Box<Statement>,
-    pub(crate) sql: String,
+    /// The statement the shard parsed, with its source text and the
+    /// canonical text its cache probe printed.
+    pub(crate) parsed: Box<Parsed>,
     pub(crate) tier: ShedTier,
     pub(crate) deadline: Option<Instant>,
     /// When the shard queued it (the start of its queue wait).
@@ -976,21 +979,23 @@ fn handle_request_line(
     true
 }
 
-/// `SQL <statement>` on the shard: parses it once, answers a parse error or
-/// a cache hit in place, and queues anything else with its parsed
-/// statement.  Returns the frame the shard answers with, or `None` once the
-/// statement is queued.
+/// What the shard's probe made of an `SQL` line.
+enum ShardProbe {
+    /// A current cached answer.
+    Hit(CacheHit),
+    /// Parsed but not in the cache: queued with the session's deadline.
+    Miss(Parsed, Option<u64>),
+    /// The line does not parse.
+    Invalid(VerdictError),
+}
+
+/// `SQL <statement>` on the shard: answers a cache hit in place — a text
+/// answered before without parsing it, a new spelling of a cached
+/// statement after parsing it once — and a parse error too, and queues
+/// anything else with its parsed statement.  Returns the frame the shard
+/// answers with, or `None` once the statement is queued.
 fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String> {
     let mut frame = String::new();
-    let stmt = match verdict_sql::parse_statement(sql) {
-        Ok(stmt) => stmt,
-        Err(e) => {
-            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
-            shared.count_error();
-            write_error_frame(&mut frame, &VerdictError::from(e).to_string());
-            return Some(frame);
-        }
-    };
     let Ok(session) = cs.session.lock() else {
         dispatch::poisoned_session_frame(shared, cs, &mut frame);
         return Some(frame);
@@ -999,25 +1004,35 @@ fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String
         // The guard moves in, as on a worker: a panic poisons the session
         // and its connection closes after the ERR frame.
         let session = session;
-        (session.cached_answer(&stmt, sql), session.deadline_ms())
+        if let Some(hit) = session.cached_spelling(sql) {
+            return ShardProbe::Hit(hit);
+        }
+        let mut parsed = match Parsed::new(sql) {
+            Ok(parsed) => parsed,
+            Err(e) => return ShardProbe::Invalid(e),
+        };
+        match session.cached_answer(&mut parsed) {
+            Some(hit) => ShardProbe::Hit(hit),
+            None => ShardProbe::Miss(parsed, session.deadline_ms()),
+        }
     }));
     match probe {
-        Ok((Some(answer), _)) => {
-            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
+        Ok(ShardProbe::Miss(parsed, deadline_ms)) => return admit(shared, cs, parsed, deadline_ms),
+        Ok(ShardProbe::Hit(hit)) => {
             shared
                 .stats
                 .cache_hits_on_shard
                 .fetch_add(1, Ordering::Relaxed);
-            dispatch::write_answer_frame(&answer, None, ShedTier::None, &mut frame);
-            Some(frame)
+            dispatch::write_hit_frame(&hit, &mut frame);
         }
-        Ok((None, deadline_ms)) => admit(shared, cs, stmt, sql, deadline_ms),
-        Err(payload) => {
-            shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
-            dispatch::panic_frame(shared, cs, payload.as_ref(), &mut frame);
-            Some(frame)
+        Ok(ShardProbe::Invalid(e)) => {
+            shared.count_error();
+            write_error_frame(&mut frame, &e.to_string());
         }
+        Err(payload) => dispatch::panic_frame(shared, cs, payload.as_ref(), &mut frame),
     }
+    shared.stats.queries_served.fetch_add(1, Ordering::Relaxed);
+    Some(frame)
 }
 
 /// Admission control, then the run queue.  Returns the typed `BUSY` frame
@@ -1025,8 +1040,7 @@ fn handle_sql(shared: &Shared, cs: &Arc<ConnShared>, sql: &str) -> Option<String
 fn admit(
     shared: &Shared,
     cs: &Arc<ConnShared>,
-    stmt: Statement,
-    sql: &str,
+    parsed: Parsed,
     deadline_ms: Option<u64>,
 ) -> Option<String> {
     let Admission::Admit(tier) = shared.admission.try_admit() else {
@@ -1046,8 +1060,7 @@ fn admit(
     cs.busy.store(true, Ordering::SeqCst);
     let task = Task {
         conn: Arc::clone(cs),
-        stmt: Box::new(stmt),
-        sql: sql.to_string(),
+        parsed: Box::new(parsed),
         tier,
         deadline: deadline_ms.map(|ms| enqueued + Duration::from_millis(ms)),
         enqueued,

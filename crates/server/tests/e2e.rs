@@ -310,8 +310,20 @@ fn a_shard_hit_is_one_cached_trace_and_counts_like_a_worker_hit() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
     let last_seq = || ctx.obs().ring().recent(1).first().map_or(0, |t| t.seq);
+    let stages = |t: &verdict_core::QueryTrace| -> Vec<&'static str> {
+        t.spans.iter().map(|s| s.stage).collect()
+    };
+    let shard_hits = |client: &mut VerdictClient| {
+        client
+            .sql("SHOW STATS")
+            .unwrap()
+            .stat("cache_hits_on_shard")
+            .unwrap()
+    };
 
     // The miss: one miss and one insertion, though the shard probed first.
+    // The worker keys it by the canonical text the shard printed: its
+    // trace has no `canonicalize` span.
     let cache = ctx.cache_stats();
     let seq = last_seq();
     assert!(!client.sql(DASHBOARD_QUERY).unwrap().header.cached);
@@ -319,8 +331,14 @@ fn a_shard_hit_is_one_cached_trace_and_counts_like_a_worker_hit() {
     assert_eq!((after.hits, after.misses), (cache.hits, cache.misses + 1));
     assert_eq!(after.insertions, cache.insertions + 1);
     assert_eq!(last_seq(), seq + 1, "one trace for the miss");
+    let miss = &ctx.obs().ring().recent(1)[0];
+    assert_eq!(stages(miss)[0], "cache_probe", "{:?}", stages(miss));
+    assert!(!stages(miss).contains(&"canonicalize"));
 
-    // The hit: one hit, nothing else, and one cached query trace.
+    // The hit: the text the miss stored is found by its spelling, unparsed.
+    // One hit, nothing else, and one cached query trace whose one span is
+    // the probe.
+    let before = shard_hits(&mut client);
     let cache = after;
     let seq = last_seq();
     assert!(client.sql(DASHBOARD_QUERY).unwrap().header.cached);
@@ -340,10 +358,54 @@ fn a_shard_hit_is_one_cached_trace_and_counts_like_a_worker_hit() {
         ("query_cached", true, "none")
     );
     assert_eq!(hit.sql, DASHBOARD_QUERY);
-    let stages: Vec<&str> = hit.spans.iter().map(|s| s.stage).collect();
-    assert_eq!(stages, ["canonicalize", "cache_probe"]);
-    assert_eq!(hit.spans[1].detail, "hit");
+    assert_eq!(stages(hit), ["cache_probe"]);
+    assert_eq!(hit.spans[0].detail, "hit");
     assert_eq!(hit.backend_queries, 0);
+
+    // A new spelling of the statement is parsed and canonicalised once,
+    // then found by its spelling too; both are shard hits.
+    let respelled = "select  city, AVG(price)  as ap from SALES group by city order by CITY";
+    assert!(client.sql(respelled).unwrap().header.cached);
+    let first = &ctx.obs().ring().recent(1)[0];
+    assert_eq!(stages(first), ["canonicalize", "cache_probe"]);
+    assert_eq!(first.spans[1].detail, "hit");
+    assert!(client.sql(respelled).unwrap().header.cached);
+    assert_eq!(stages(&ctx.obs().ring().recent(1)[0]), ["cache_probe"]);
+    // The SHOW STATS read between is no hit.
+    assert_eq!(shard_hits(&mut client), before + 3);
+    client.quit().unwrap();
+    handle.stop();
+}
+
+/// A statement the shard missed is run by a worker, which keys it by the
+/// shard's canonical text (no second `canonicalize`) and records its
+/// spelling: the next identical request is a shard hit.
+#[test]
+fn a_missed_statement_is_canonicalised_once_and_its_repeat_is_a_shard_hit() {
+    let ctx = serving_context(10, 64);
+    let handle = VerdictServer::bind("127.0.0.1:0", Arc::clone(&ctx))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    let miss =
+        "SELECT city, sum(price) AS sp FROM sales WHERE price > 5 GROUP BY city ORDER BY city";
+    assert!(!client.sql(miss).unwrap().header.cached);
+    let trace = &ctx.obs().ring().recent(1)[0];
+    assert_eq!((trace.class, trace.sql.as_str()), ("query", miss));
+    let stages: Vec<&str> = trace.spans.iter().map(|s| s.stage).collect();
+    assert_eq!(&stages[..2], ["cache_probe", "analyze"], "{stages:?}");
+    let shard = |client: &mut VerdictClient| {
+        client
+            .sql("SHOW STATS")
+            .unwrap()
+            .stat("cache_hits_on_shard")
+            .unwrap()
+    };
+    let before = shard(&mut client);
+    let repeat = client.sql(miss).unwrap();
+    assert!(repeat.header.cached);
+    assert_eq!(shard(&mut client), before + 1);
     client.quit().unwrap();
     handle.stop();
 }

@@ -356,3 +356,53 @@ fn nondeterministic_and_ddl_statements_are_never_cached() {
     common::answer(&ctx, "CREATE TABLE copy1 AS SELECT * FROM sales LIMIT 10").unwrap();
     assert_eq!(ctx.cache_stats().insertions, 0);
 }
+
+/// A text answered before is found by its spelling, without a parse, and
+/// the entry it resolves to is revalidated like any other: a write to any
+/// table the answer read — the table the FROM names, a table a subquery
+/// reads, the scramble the plan used — turns the repeat into a miss that
+/// returns the fresh answer, which is then recorded again.
+#[test]
+fn a_spelling_hit_after_a_write_to_any_table_the_answer_read_is_a_fresh_miss() {
+    let (engine, ctx) = context_with_sales(29, 32);
+    let floor = TableBuilder::new()
+        .float_column("p", vec![10.0])
+        .build()
+        .unwrap();
+    engine.register_table("floor_prices", floor);
+    create_scramble(&ctx, "sales_uniform", "");
+    const Q: &str = "SELECT city, avg(price) AS ap FROM sales \
+                     WHERE price > (SELECT max(p) FROM floor_prices) GROUP BY city ORDER BY city";
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    let mut cold = VerdictSession::new(Arc::clone(&ctx));
+    sql(
+        &ctx,
+        "BYPASS CREATE TABLE sales_batch AS SELECT id, price, city FROM sales LIMIT 500",
+    );
+    cold.execute("SET cache = off").unwrap();
+
+    let first = s.execute(Q).unwrap().into_answer().unwrap();
+    assert!(!first.cached);
+    let hit = s.cached_spelling(Q).expect("the miss recorded its text");
+    assert_eq!(hit.answer().table, first.table);
+    for write in [
+        "BYPASS INSERT INTO sales SELECT * FROM sales_batch",
+        "BYPASS INSERT INTO floor_prices SELECT p + 30.0 AS p FROM floor_prices",
+        "REFRESH SCRAMBLES sales",
+    ] {
+        s.execute(write).unwrap();
+        let invalidations = ctx.cache_stats().invalidations;
+        assert!(s.cached_spelling(Q).is_none(), "{write}: served stale");
+        assert_eq!(ctx.cache_stats().invalidations, invalidations + 1);
+        let fresh = s.execute(Q).unwrap().into_answer().unwrap();
+        assert!(!fresh.cached, "{write}");
+        let truth = cold.execute(Q).unwrap().into_answer().unwrap();
+        common::assert_tables_bit_identical(&fresh.table, &truth.table, write);
+        let hit = s
+            .cached_spelling(Q)
+            .expect("the fresh answer recorded its text");
+        assert_eq!(hit.answer().table, fresh.table, "{write}");
+    }
+    // The subquery's write moved its floor: the answer did change.
+    assert_ne!(s.execute(Q).unwrap().table().unwrap(), &first.table);
+}

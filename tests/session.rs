@@ -385,6 +385,93 @@ fn session_options_are_isolated_and_cache_keys_respect_them() {
     }
 }
 
+/// A recorded spelling is keyed with the settings it was answered under:
+/// `BYPASS`, a `SET` that changes the cache fingerprint, and a shed tier
+/// that changes the effective settings each miss the entry another
+/// session's identical text recorded.
+#[test]
+fn a_recorded_spelling_never_serves_another_settings_entry() {
+    let ctx = sales_context(31);
+    let mut a = VerdictSession::new(Arc::clone(&ctx));
+    a.execute("CREATE SCRAMBLE scr FROM sales METHOD uniform RATIO 0.01")
+        .unwrap();
+    const Q: &str = "SELECT city, avg(price) AS ap FROM sales GROUP BY city ORDER BY city";
+    let stored = a.execute(Q).unwrap().into_answer().unwrap();
+    assert!(!stored.cached && !stored.exact);
+    let mut b = VerdictSession::new(Arc::clone(&ctx));
+    assert!(
+        b.cached_spelling(Q).is_some(),
+        "the same settings share the entry"
+    );
+
+    // `BYPASS` as a wrapper is another text; as a session switch it
+    // declines the probe.
+    let wrapped = b.execute(&format!("BYPASS {Q}")).unwrap();
+    assert!(wrapped.answer().is_some_and(|a| a.exact && !a.cached));
+    b.execute("SET bypass = on").unwrap();
+    assert!(b.cached_spelling(Q).is_none());
+    let bypassed = b.execute(Q).unwrap().into_answer().unwrap();
+    assert!(bypassed.exact && !bypassed.cached);
+    b.execute("SET bypass = off").unwrap();
+
+    // A fingerprint change: its own entry, with its own intervals.
+    b.execute("SET confidence = 0.8").unwrap();
+    assert!(b.cached_spelling(Q).is_none());
+    let narrower = b.execute(Q).unwrap().into_answer().unwrap();
+    assert!(!narrower.cached);
+    assert_ne!(narrower.errors, stored.errors);
+    let own = b
+        .cached_spelling(Q)
+        .expect("recorded under its own settings");
+    assert_eq!(own.answer().errors, narrower.errors);
+    b.execute("SET confidence = default").unwrap();
+    let shared = b.cached_spelling(Q).unwrap();
+    assert_eq!(shared.answer().table, stored.table);
+
+    // A shed tier that halves the I/O budget.
+    let mut c = VerdictSession::new(Arc::clone(&ctx));
+    c.set_shed_tier(verdictdb::core::ShedTier::Heavy);
+    assert!(c.cached_spelling(Q).is_none());
+    assert!(!c.execute(Q).unwrap().into_answer().unwrap().cached);
+    assert!(c.cached_spelling(Q).is_some());
+    c.set_shed_tier(verdictdb::core::ShedTier::None);
+    assert_eq!(c.cached_spelling(Q).unwrap().answer().table, stored.table);
+}
+
+/// Spellings are bounded by the entry set: ten times the capacity of
+/// distinct texts — respellings of one statement, and distinct statements —
+/// never grow the index past `capacity × SPELLINGS_PER_ENTRY`.
+#[test]
+fn distinct_spellings_stay_within_the_index_bound() {
+    let engine = Arc::new(Engine::with_seed(37));
+    let table = TableBuilder::new()
+        .float_column("price", (0..5_000).map(|i| (i % 100) as f64).collect())
+        .build()
+        .unwrap();
+    engine.register_table("sales", table);
+    let mut config = VerdictConfig::for_testing();
+    config.answer_cache_capacity = 4;
+    let ctx = Arc::new(VerdictContext::new(engine as Arc<dyn Backend>, config));
+    let bound = 4 * verdictdb::core::cache::SPELLINGS_PER_ENTRY;
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    for i in 0..10 * bound {
+        let blanks = " ".repeat(i + 1);
+        let answer = s
+            .execute(&format!("SELECT count(*) AS n FROM{blanks}sales"))
+            .unwrap();
+        assert_eq!(answer.answer().unwrap().cached, i > 0);
+        assert!(ctx.cache().spellings() <= bound);
+    }
+    for i in 0..40 {
+        s.execute(&format!(
+            "SELECT count(*) AS n FROM sales WHERE price > {i}"
+        ))
+        .unwrap();
+        assert!(ctx.cache().spellings() <= bound);
+    }
+    assert_eq!(ctx.cache().len(), 4);
+}
+
 #[test]
 fn stream_recomputes_fresh_answers() {
     let ctx = sales_context(31);
