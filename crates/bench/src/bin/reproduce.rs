@@ -3,9 +3,21 @@
 //!
 //! Run with: `cargo run --release -p verdict-bench --bin reproduce`
 //!
-//! Pass `--quick` to use smaller datasets (used in CI smoke runs).
+//! Pass `--quick` to use smaller datasets (used in CI smoke runs).  A
+//! statement the session refuses stops the run with exit status 1, naming
+//! its query.
 
+use std::time::Duration;
 use verdict_bench::*;
+
+fn fail(message: String) -> ! {
+    eprintln!("reproduce: {message}");
+    std::process::exit(1)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -16,47 +28,41 @@ fn main() {
     };
 
     println!("# VerdictDB-rs — reproduction run (insta scale {insta_scale}, tpch scale {tpch_scale}, τ = {ratio})\n");
+    println!("Latencies are medians of {TIMED_RUNS} runs per side, the two sides alternating.\n");
 
     // ----- Figures 4 / 9 / 10 -------------------------------------------------
     println!("## Figures 4 & 9 (speedups) and Figure 10 (actual relative errors)\n");
     let ctx = workload_context(insta_scale, tpch_scale, ratio);
-    let rows = speedup_experiment(&ctx);
-    println!("| query | redshift | sparksql | impala | actual rel. error | fallback |");
-    println!("|-------|---------:|---------:|-------:|------------------:|----------|");
-    let mut sum = [0.0f64; 3];
-    let mut max = [0.0f64; 3];
-    let mut n = 0.0;
+    let rows = speedup_experiment(&ctx).unwrap_or_else(|e| fail(e));
+    println!("| query | exact ms | approx ms | speedup | actual rel. error | claimed rel. error | missing groups | fallback |");
+    println!("|-------|---------:|----------:|--------:|------------------:|-------------------:|---------------:|----------|");
     for r in &rows {
         println!(
-            "| {} | {:.2}x | {:.2}x | {:.2}x | {:.2}% | {} |",
+            "| {} | {:.2} | {:.2} | {:.2}x | {:.2}% | {:.2}% | {} | {} |",
             r.query,
-            r.speedups[0],
-            r.speedups[1],
-            r.speedups[2],
-            100.0 * r.actual_relative_error,
+            ms(r.exact_elapsed),
+            ms(r.approx_elapsed),
+            speedup(r.exact_elapsed, r.approx_elapsed),
+            100.0 * r.accuracy.worst_relative_error,
+            100.0 * r.claimed_relative_error,
+            r.accuracy.missing_groups,
             if r.fell_back { "exact" } else { "" }
         );
-        if !r.fell_back {
-            for i in 0..3 {
-                sum[i] += r.speedups[i];
-                max[i] = max[i].max(r.speedups[i]);
-            }
-            n += 1.0;
-        }
     }
+    let speedups: Vec<f64> = rows
+        .iter()
+        .filter(|r| !r.fell_back)
+        .map(|r| speedup(r.exact_elapsed, r.approx_elapsed))
+        .collect();
+    let geo_mean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
     println!(
-        "\naverage speedup (approximated queries): redshift {:.1}x, sparksql {:.1}x, impala {:.1}x",
-        sum[0] / n,
-        sum[1] / n,
-        sum[2] / n
-    );
-    println!(
-        "maximum speedup: redshift {:.0}x, sparksql {:.0}x, impala {:.0}x",
-        max[0], max[1], max[2]
+        "\nspeedup over the {} approximated queries: geometric mean {geo_mean:.2}x, maximum {:.2}x",
+        speedups.len(),
+        speedups.iter().copied().fold(0.0, f64::max)
     );
     let worst_err = rows
         .iter()
-        .map(|r| r.actual_relative_error)
+        .map(|r| r.accuracy.worst_relative_error)
         .fold(0.0, f64::max);
     println!(
         "worst actual relative error across the workload: {:.2}%\n",
@@ -65,37 +71,55 @@ fn main() {
 
     // ----- Figure 5 -------------------------------------------------------------
     println!("## Figure 5 (speedup vs. data size, sample size fixed)\n");
-    println!("| scale factor | modeled redshift speedup |");
-    println!("|-------------:|-------------------------:|");
+    println!("| scale factor | exact ms | approx ms | speedup |");
+    println!("|-------------:|---------:|----------:|--------:|");
     let scales: Vec<f64> = if quick {
         vec![0.05, 0.1, 0.2]
     } else {
         vec![0.1, 0.25, 0.5, 1.0]
     };
-    for (scale, speedup) in scaling_experiment(&scales) {
-        println!("| {scale} | {speedup:.1}x |");
+    for (scale, exact, approx) in scaling_experiment(&scales).unwrap_or_else(|e| fail(e)) {
+        println!(
+            "| {scale} | {:.2} | {:.2} | {:.2}x |",
+            ms(exact),
+            ms(approx),
+            speedup(exact, approx)
+        );
     }
     println!();
 
     // ----- Figure 6 -------------------------------------------------------------
     println!("## Figure 6 (VerdictDB vs tightly-integrated AQP)\n");
-    println!("| query | verdictdb | integrated | verdict wins |");
-    println!("|-------|----------:|-----------:|--------------|");
-    let mut verdict_wins = 0usize;
-    let comparison = integrated_comparison(&ctx);
-    for (id, v, s, wins) in &comparison {
-        println!(
-            "| {} | {:.0?} | {:.0?} | {} |",
-            id,
-            v,
-            s,
-            if *wins { "yes" } else { "" }
-        );
-        verdict_wins += usize::from(*wins);
+    println!("| query | verdictdb ms | integrated ms | verdict wins |");
+    println!("|-------|-------------:|--------------:|--------------|");
+    let comparison = integrated_comparison(&ctx).unwrap_or_else(|e| fail(e));
+    let mut wins = Vec::new();
+    for (id, verdict, integrated) in &comparison {
+        match integrated {
+            Ok(integrated) => {
+                let won = verdict < integrated;
+                println!(
+                    "| {id} | {:.2} | {:.2} | {} |",
+                    ms(*verdict),
+                    ms(*integrated),
+                    if won { "yes" } else { "" }
+                );
+                if won {
+                    wins.push(id.as_str());
+                }
+            }
+            Err(refusal) => println!("| {id} | {:.2} | refused: {refusal} | |", ms(*verdict)),
+        }
     }
     println!(
-        "\nVerdictDB is faster on {verdict_wins}/{} queries (notably those joining two samples).\n",
-        comparison.len()
+        "\nVerdictDB is faster on {}/{} queries: {}.\n",
+        wins.len(),
+        comparison.len(),
+        if wins.is_empty() {
+            "none".to_string()
+        } else {
+            wins.join(", ")
+        }
     );
 
     // ----- Table 2 ---------------------------------------------------------------

@@ -9,35 +9,38 @@
 //! roughly what factor, where the crossovers fall — are what the paper's
 //! conclusions rest on and are preserved at any scale.
 //!
-//! The models the paper compares against, which no SQL statement of the
+//! Every latency the harness reports is measured: [`time_alternating`] runs
+//! the two sides of a comparison three times each, alternating, and keeps
+//! the median.  Errors are matched by group key ([`actual_relative_error`]).
+//!
+//! The baselines the paper compares against, which no SQL statement of the
 //! product reaches, live here too: the error-estimation baselines
-//! ([`estimate`]), the per-engine latency profiles ([`profile`]) and the
-//! tightly-integrated AQP baseline ([`integrated`]) — and so does the scalar
-//! reference the Answer Rewriter is tested against ([`scalar_assemble`]).
+//! ([`estimate`]) and the tightly-integrated AQP baseline ([`integrated`]) —
+//! and so does the scalar reference the Answer Rewriter is tested against
+//! ([`scalar_assemble`]).
 
 pub mod estimate;
 pub mod integrated;
 pub mod kernel;
-pub mod profile;
 pub mod scalar_assemble;
-
-pub use profile::EngineProfile;
 
 use estimate::{
     bootstrap_interval, clt_interval, default_subsample_size, sql_baselines,
     traditional_subsampling_interval, variational_subsampling_interval,
 };
 use integrated::{IntegratedAqp, IntegratedSample};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict_core::sample::{SampleType, SAMPLE_TABLE_PREFIX};
 use verdict_core::{
-    VerdictAnswer, VerdictConfig, VerdictContext, VerdictResponse, VerdictResult, VerdictSession,
+    VerdictAnswer, VerdictConfig, VerdictContext, VerdictError, VerdictResponse, VerdictResult,
+    VerdictSession,
 };
 use verdict_data::{
     instacart_queries, tpch_queries, InstacartGenerator, SyntheticGenerator, TpchGenerator,
 };
-use verdict_engine::{Backend, Engine, ExecStats};
+use verdict_engine::{Backend, Engine, KeyValue, Table};
 
 /// One per-query row of the speedup/error experiments (Figures 4, 9, 10).
 #[derive(Debug, Clone)]
@@ -45,14 +48,76 @@ pub struct SpeedupRow {
     pub query: String,
     pub exact_rows_scanned: u64,
     pub approx_rows_scanned: u64,
+    /// Median elapsed time of the exact (`BYPASS`) runs.
     pub exact_elapsed: Duration,
+    /// Median elapsed time of the approximate runs.
     pub approx_elapsed: Duration,
-    /// Modeled speedup per engine profile, in [redshift, sparksql, impala] order.
-    pub speedups: Vec<f64>,
-    /// Worst actual relative error of the approximate answer vs the exact one.
-    pub actual_relative_error: f64,
+    /// The approximate answer matched to the exact one by group key.
+    pub accuracy: Accuracy,
+    /// The error the approximate answer claims for itself
+    /// ([`VerdictAnswer::max_relative_error`]).
+    pub claimed_relative_error: f64,
     /// True when VerdictDB fell back to exact execution.
     pub fell_back: bool,
+}
+
+/// Exact latency over approximate latency.
+pub fn speedup(exact: Duration, approx: Duration) -> f64 {
+    exact.as_secs_f64() / approx.as_secs_f64().max(1e-9)
+}
+
+/// How many times [`time_alternating`] runs each side of a comparison.
+pub const TIMED_RUNS: usize = 3;
+
+/// An answer and the median elapsed time of [`TIMED_RUNS`] runs.
+#[derive(Debug, Clone)]
+pub struct Timed<T> {
+    /// The first run's answer.
+    pub answer: T,
+    pub median: Duration,
+}
+
+fn timed<T>(runs: Vec<(Duration, T)>) -> Timed<T> {
+    let mut times: Vec<Duration> = runs.iter().map(|r| r.0).collect();
+    times.sort();
+    let (_, answer) = runs.into_iter().next().expect("TIMED_RUNS > 0");
+    Timed {
+        answer,
+        median: times[TIMED_RUNS / 2],
+    }
+}
+
+/// Runs `a` and `b` [`TIMED_RUNS`] times each, alternating, so that a change
+/// in the machine's load falls on both sides.  Each run returns its elapsed
+/// time and its answer.  Every repeat is computed: a context's answer cache
+/// holds nothing unless `answer_cache_capacity` is set.
+pub fn time_alternating<S, A, B>(
+    state: &mut S,
+    mut a: impl FnMut(&mut S) -> VerdictResult<(Duration, A)>,
+    mut b: impl FnMut(&mut S) -> VerdictResult<(Duration, B)>,
+) -> VerdictResult<(Timed<A>, Timed<B>)> {
+    let (mut runs_a, mut runs_b) = (Vec::new(), Vec::new());
+    for _ in 0..TIMED_RUNS {
+        runs_a.push(a(state)?);
+        runs_b.push(b(state)?);
+    }
+    Ok((timed(runs_a), timed(runs_b)))
+}
+
+/// `sql` answered exactly (`BYPASS`) and approximately on one session, timed
+/// by [`time_alternating`].
+pub fn time_exact_and_approx(
+    session: &mut VerdictSession,
+    sql: &str,
+) -> VerdictResult<(Timed<VerdictAnswer>, Timed<VerdictAnswer>)> {
+    let bypass = format!("BYPASS {sql}");
+    let run = |s: &mut VerdictSession, sql: &str| answer(s, sql).map(|a| (a.elapsed, a));
+    time_alternating(session, |s| run(s, &bypass), |s| run(s, sql))
+}
+
+/// Names the query a statement failure belongs to.
+fn failed(query: &str) -> impl FnOnce(VerdictError) -> String + '_ {
+    move |e| format!("{query}: {e}")
 }
 
 /// Builds one scramble through the SQL DDL, under the name the default
@@ -112,90 +177,97 @@ pub fn workload_context(
     ctx
 }
 
-/// Figures 4, 9, 10: per-query speedups (under the three engine profiles) and
-/// actual relative errors for the full tq-*/iq-* workload.
-pub fn speedup_experiment(ctx: &Arc<VerdictContext>) -> Vec<SpeedupRow> {
+/// Figures 4, 9, 10: per-query measured speedups and actual relative errors
+/// for the full tq-*/iq-* workload.  A statement the session refuses fails
+/// the experiment, named by its query id.
+pub fn speedup_experiment(ctx: &Arc<VerdictContext>) -> Result<Vec<SpeedupRow>, String> {
     let mut session = VerdictSession::new(Arc::clone(ctx));
+    session
+        .execute("SET error_columns = on")
+        .map_err(failed("SET error_columns"))?;
     let mut rows = Vec::new();
     for q in tpch_queries().iter().chain(instacart_queries().iter()) {
-        let Ok(exact) = answer(&mut session, &format!("BYPASS {}", q.sql)) else {
-            continue;
-        };
-        let Ok(approx) = answer(&mut session, &q.sql) else {
-            continue;
-        };
-        let exact_stats = ExecStats {
-            rows_scanned: exact.rows_scanned,
-            elapsed: exact.elapsed,
-        };
-        let approx_stats = ExecStats {
-            rows_scanned: approx.rows_scanned,
-            elapsed: approx.elapsed,
-        };
-        let speedups: Vec<f64> = EngineProfile::all()
-            .iter()
-            .map(|p| {
-                if approx.exact {
-                    1.0
-                } else {
-                    p.speedup(&exact_stats, &approx_stats)
-                }
-            })
-            .collect();
+        let (exact, approx) = time_exact_and_approx(&mut session, &q.sql).map_err(failed(q.id))?;
         rows.push(SpeedupRow {
             query: q.id.to_string(),
-            exact_rows_scanned: exact.rows_scanned,
-            approx_rows_scanned: approx.rows_scanned,
-            exact_elapsed: exact.elapsed,
-            approx_elapsed: approx.elapsed,
-            speedups,
-            actual_relative_error: actual_relative_error(&approx.table, &exact.table),
-            fell_back: approx.exact,
+            exact_rows_scanned: exact.answer.rows_scanned,
+            approx_rows_scanned: approx.answer.rows_scanned,
+            exact_elapsed: exact.median,
+            approx_elapsed: approx.median,
+            accuracy: actual_relative_error(&approx.answer.table, &exact.answer.table),
+            claimed_relative_error: approx.answer.max_relative_error(),
+            fell_back: approx.answer.exact,
         });
     }
-    rows
+    Ok(rows)
 }
 
-/// Worst relative difference between the numeric columns of an approximate
-/// and an exact result (rows matched positionally after both are sorted by
-/// their first column).
-pub fn actual_relative_error(approx: &verdict_engine::Table, exact: &verdict_engine::Table) -> f64 {
-    if approx.num_rows() == 0 || exact.num_rows() == 0 || approx.num_rows() != exact.num_rows() {
-        return 0.0;
-    }
-    // Rows are matched on the first column's value (the group key) so that
-    // answers ordered by an *estimated* aggregate are still compared
-    // group-to-group; single-row answers match trivially.
-    let mut exact_by_key: std::collections::HashMap<verdict_engine::KeyValue, usize> =
-        std::collections::HashMap::new();
-    for r in 0..exact.num_rows() {
-        exact_by_key.insert(
-            verdict_engine::KeyValue::from_value(&exact.value_at(r, 0)),
-            r,
-        );
-    }
-    let mut worst: f64 = 0.0;
-    for ra in 0..approx.num_rows() {
-        let key = verdict_engine::KeyValue::from_value(&approx.value_at(ra, 0));
-        let Some(&re) = exact_by_key.get(&key) else {
+/// An approximate answer matched to the exact one by group key.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Accuracy {
+    /// Worst relative error over the matched aggregate cells.
+    pub worst_relative_error: f64,
+    /// Aggregate cells compared: a matched group's estimates whose truth is
+    /// nonzero.
+    pub matched_cells: usize,
+    /// Exact groups the approximate answer does not have.
+    pub missing_groups: usize,
+}
+
+/// Matches the rows of an approximate answer, shaped with error columns
+/// (`SET error_columns = on`), to the rows of the exact one.  A column with a
+/// `<name>_err` companion is an aggregate; every other column the exact
+/// answer also has is part of the group key, so a one-row answer matches on
+/// the empty key and row order plays no part.
+pub fn actual_relative_error(approx: &Table, exact: &Table) -> Accuracy {
+    let names = approx.schema.names();
+    let (mut approx_keys, mut exact_keys, mut aggregates) = (Vec::new(), Vec::new(), Vec::new());
+    for (a, name) in names.iter().enumerate() {
+        let Some(e) = exact.schema.index_of(name) else {
             continue;
         };
-        for c in 0..exact.num_columns().min(approx.num_columns()) {
-            let (Some(a), Some(e)) = (approx.value(ra, c).as_f64(), exact.value(re, c).as_f64())
+        if names.contains(&format!("{name}_err")) {
+            aggregates.push((a, e));
+        } else {
+            approx_keys.push(a);
+            exact_keys.push(e);
+        }
+    }
+    let key_of = |table: &Table, row: usize, cols: &[usize]| -> Vec<KeyValue> {
+        cols.iter()
+            .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
+            .collect()
+    };
+    let approx_rows: HashMap<Vec<KeyValue>, usize> = (0..approx.num_rows())
+        .map(|r| (key_of(approx, r, &approx_keys), r))
+        .collect();
+    let mut out = Accuracy::default();
+    for re in 0..exact.num_rows() {
+        let Some(&ra) = approx_rows.get(&key_of(exact, re, &exact_keys)) else {
+            out.missing_groups += 1;
+            continue;
+        };
+        for &(a, e) in &aggregates {
+            let (Some(est), Some(truth)) =
+                (approx.value(ra, a).as_f64(), exact.value(re, e).as_f64())
             else {
                 continue;
             };
-            if e.abs() > 1e-9 {
-                worst = worst.max((a - e).abs() / e.abs());
+            if truth.abs() < 1e-12 || !est.is_finite() {
+                continue;
             }
+            out.worst_relative_error = out
+                .worst_relative_error
+                .max((est - truth).abs() / truth.abs());
+            out.matched_cells += 1;
         }
     }
-    worst
+    out
 }
 
 /// Figure 5: speedup versus original data size with the sample size held
-/// fixed.  Returns `(scale, modeled redshift speedup)` pairs for tq-6.
-pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
+/// fixed.  Returns `(scale, exact, approximate)` median latencies of tq-6.
+pub fn scaling_experiment(scales: &[f64]) -> Result<Vec<(f64, Duration, Duration)>, String> {
     let mut out = Vec::new();
     let sql = &tpch_queries()
         .iter()
@@ -215,28 +287,19 @@ pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
         config.seed = Some(9);
         let ctx = Arc::new(VerdictContext::new(conn, config));
         let mut session = VerdictSession::new(ctx);
-        let _ = create_scramble(&mut session, "lineitem", "uniform", &[]);
-        let exact = answer(&mut session, &format!("BYPASS {sql}")).unwrap();
-        let approx = answer(&mut session, sql).unwrap();
-        let profile = EngineProfile::redshift();
-        let speedup = profile.speedup(
-            &ExecStats {
-                rows_scanned: exact.rows_scanned,
-                elapsed: exact.elapsed,
-            },
-            &ExecStats {
-                rows_scanned: approx.rows_scanned,
-                elapsed: approx.elapsed,
-            },
-        );
-        out.push((scale, speedup));
+        create_scramble(&mut session, "lineitem", "uniform", &[]).map_err(failed("tq-6"))?;
+        let (exact, approx) = time_exact_and_approx(&mut session, sql).map_err(failed("tq-6"))?;
+        out.push((scale, exact.median, approx.median));
     }
-    out
+    Ok(out)
 }
 
-/// Figure 6: VerdictDB versus the tightly-integrated AQP baseline.
-/// Returns `(query id, verdict latency, integrated latency, verdict wins)`.
-pub fn integrated_comparison(ctx: &Arc<VerdictContext>) -> Vec<(String, Duration, Duration, bool)> {
+/// Figure 6: VerdictDB versus the tightly-integrated AQP baseline.  Returns
+/// `(query id, verdict latency, integrated latency)` medians; the integrated
+/// side is the baseline's refusal where it has one.
+pub fn integrated_comparison(
+    ctx: &Arc<VerdictContext>,
+) -> Result<Vec<(String, Duration, VerdictResult<Duration>)>, String> {
     let mut session = VerdictSession::new(Arc::clone(ctx));
     let mut integrated = IntegratedAqp::new(Arc::clone(ctx.connection()));
     for meta in ctx.meta().all() {
@@ -250,26 +313,21 @@ pub fn integrated_comparison(ctx: &Arc<VerdictContext>) -> Vec<(String, Duration
     }
     let mut rows = Vec::new();
     for q in instacart_queries().iter().chain(tpch_queries().iter()) {
-        let Ok(verdict) = answer(&mut session, &q.sql) else {
-            continue;
-        };
-        let Ok(snappy) = integrated.execute(&q.sql) else {
-            continue;
-        };
-        // model the latency so the fixed middleware overhead matters the same
-        // way for both systems
-        let profile = EngineProfile::spark_sql();
-        let v = profile.model_latency(&ExecStats {
-            rows_scanned: verdict.rows_scanned,
-            elapsed: verdict.elapsed,
-        });
-        let s = profile.model_latency(&ExecStats {
-            rows_scanned: snappy.rows_scanned,
-            elapsed: snappy.elapsed,
-        });
-        rows.push((q.id.to_string(), v, s, v < s));
+        let (verdict, baseline) = time_alternating(
+            &mut session,
+            |s| answer(s, &q.sql).map(|a| (a.elapsed, ())),
+            |_| {
+                Ok(match integrated.execute(&q.sql) {
+                    Ok(a) => (a.elapsed, Ok(())),
+                    Err(e) => (Duration::ZERO, Err(e)),
+                })
+            },
+        )
+        .map_err(failed(q.id))?;
+        let baseline = baseline.answer.map(|()| baseline.median);
+        rows.push((q.id.to_string(), verdict.median, baseline));
     }
-    rows
+    Ok(rows)
 }
 
 /// Table 2: sampling-based count-distinct / median versus the engine's native
@@ -433,8 +491,6 @@ pub mod accuracy {
         for &sel in selectivities {
             // groundtruth: count estimate error for a Bernoulli(sel) predicate
             // estimated from a sample of size n out of the population
-            let population = values.len() as f64;
-            let truth_count = population * sel;
             let sample: Vec<f64> = values.iter().take(n).copied().collect();
             // the estimator counts qualifying sample rows scaled to the population
             let qualifying: Vec<f64> = sample
@@ -453,7 +509,6 @@ pub mod accuracy {
             let estimated_rel = ci.half_width() / sel.max(1e-9);
             let groundtruth_rel = 1.96 * ((sel * (1.0 - sel) / n as f64).sqrt()) / sel;
             out.push((sel, estimated_rel, groundtruth_rel));
-            let _ = truth_count;
         }
         out
     }
@@ -564,22 +619,84 @@ pub fn preparation_time(scale: f64) -> Vec<(String, Duration)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_engine::TableBuilder;
 
     #[test]
     fn speedup_experiment_produces_rows_with_speedups_over_one() {
+        // Wall-clock ratios are the box's; what the sampling plan decides is
+        // not: most queries read a sample, and every sampled answer is
+        // compared to the truth somewhere.
         let ctx = workload_context(0.05, 0.08, 0.05);
-        let rows = speedup_experiment(&ctx);
-        assert!(rows.len() >= 30);
-        let sped_up = rows
+        let rows = speedup_experiment(&ctx).unwrap();
+        assert_eq!(rows.len(), 33);
+        let approximated: Vec<&SpeedupRow> = rows.iter().filter(|r| !r.fell_back).collect();
+        let sampled = approximated
             .iter()
-            .filter(|r| !r.fell_back && r.speedups[0] > 1.0)
+            .filter(|r| r.approx_rows_scanned < r.exact_rows_scanned)
             .count();
-        assert!(sped_up >= 20, "only {sped_up} queries sped up");
-        // fallback queries report 1x
-        assert!(rows
-            .iter()
-            .filter(|r| r.fell_back)
-            .all(|r| r.speedups[0] == 1.0));
+        assert!(sampled >= 20, "only {sampled} queries scanned fewer rows");
+        for r in &approximated {
+            assert!(
+                r.accuracy.matched_cells >= 1,
+                "{}: {:?}",
+                r.query,
+                r.accuracy
+            );
+            let s = speedup(r.exact_elapsed, r.approx_elapsed);
+            assert!(s.is_finite() && s > 0.0);
+        }
+    }
+
+    fn answer_table(keys: &[(&str, &[&str])], aggregates: &[(&str, &[f64])]) -> Table {
+        let mut b = TableBuilder::new();
+        for (name, values) in keys {
+            b = b.str_column(name, values.iter().map(|v| v.to_string()).collect());
+        }
+        for (name, values) in aggregates {
+            b = b.float_column(name, values.to_vec());
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_one_row_answer_is_matched_to_the_truth() {
+        let approx = answer_table(&[], &[("s", &[110.0]), ("s_err", &[5.0])]);
+        let exact = answer_table(&[], &[("s", &[100.0])]);
+        let acc = actual_relative_error(&approx, &exact);
+        assert!((acc.worst_relative_error - 0.10).abs() < 1e-12, "{acc:?}");
+        assert_eq!((acc.matched_cells, acc.missing_groups), (1, 0));
+    }
+
+    #[test]
+    fn a_missing_group_is_counted_and_the_others_still_compared() {
+        let approx = answer_table(
+            &[("city", &["a", "c"])],
+            &[("n", &[105.0, 30.0]), ("n_err", &[1.0, 1.0])],
+        );
+        let exact = answer_table(
+            &[("city", &["a", "b", "c"])],
+            &[("n", &[100.0, 50.0, 40.0])],
+        );
+        let acc = actual_relative_error(&approx, &exact);
+        assert_eq!((acc.matched_cells, acc.missing_groups), (2, 1));
+        assert!((acc.worst_relative_error - 0.25).abs() < 1e-12, "{acc:?}");
+    }
+
+    #[test]
+    fn an_answer_ordered_by_its_estimate_is_matched_by_key() {
+        // GROUP BY city, dow ORDER BY n: the estimates put the two groups
+        // in the other order, and `city` alone does not tell them apart.
+        let approx = answer_table(
+            &[("city", &["a", "a"]), ("dow", &["2", "1"])],
+            &[("n", &[99.0, 110.0]), ("n_err", &[1.0, 1.0])],
+        );
+        let exact = answer_table(
+            &[("city", &["a", "a"]), ("dow", &["1", "2"])],
+            &[("n", &[100.0, 90.0])],
+        );
+        let acc = actual_relative_error(&approx, &exact);
+        assert_eq!((acc.matched_cells, acc.missing_groups), (2, 0));
+        assert!((acc.worst_relative_error - 0.10).abs() < 1e-12, "{acc:?}");
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! TPC-H decision-support queries with and without VerdictDB.
 //!
-//! Runs a subset of the tq-* workload twice — once exactly (`BYPASS`) and
-//! once through VerdictDB — and reports the data-read reduction, the modeled
-//! latency under the three engine profiles of the paper (Redshift / Spark
-//! SQL / Impala), and the actual relative error of every aggregate,
-//! mirroring the structure of Figures 4, 9, and 10.  Scramble preparation
-//! and both execution modes are all SQL statements on one session.
+//! Runs a subset of the tq-* workload both exactly (`BYPASS`) and through
+//! VerdictDB, three times each and alternating, and reports the data-read
+//! reduction, the median latency of each side and their ratio, and the
+//! claimed and actual relative errors of every answer, mirroring the
+//! structure of Figures 4, 9, and 10.  Scramble preparation and both
+//! execution modes are all SQL statements on one session.
 //!
 //! Run with: `cargo run --release --example tpch_dashboard`
 //! (`VERDICT_EXAMPLE_SCALE` overrides the dataset scale, e.g. CI uses 0.02.)
 
 use std::sync::Arc;
-use verdict_bench::EngineProfile;
-use verdictdb::engine::ExecStats;
+use verdict_bench::{actual_relative_error, speedup, time_exact_and_approx};
 use verdictdb::{Backend, Engine, VerdictConfig, VerdictContext, VerdictSession};
 
 fn main() {
@@ -31,6 +30,8 @@ fn main() {
         "CREATE SCRAMBLE li_by_flag FROM lineitem METHOD stratified \
          ON l_returnflag, l_linestatus",
         "CREATE SCRAMBLE li_by_order FROM lineitem METHOD hashed ON l_orderkey",
+        // `<aggregate>_err` columns let the answers be matched to the truth
+        "SET error_columns = on",
     ] {
         session.execute(ddl).unwrap();
     }
@@ -39,38 +40,25 @@ fn main() {
     let subset = ["tq-1", "tq-6", "tq-12", "tq-14", "tq-19"];
 
     println!(
-        "\n{:<7} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "query", "exact rows", "aqp rows", "redshift", "spark", "impala", "max err%"
+        "\n{:<7} {:>12} {:>12} {:>10} {:>10} {:>8} {:>9} {:>9}",
+        "query", "exact rows", "aqp rows", "exact ms", "aqp ms", "speedup", "claimed%", "actual%"
     );
     for q in queries.iter().filter(|q| subset.contains(&q.id)) {
-        let exact = session
-            .execute(&format!("BYPASS {}", q.sql))
-            .unwrap()
-            .into_answer()
-            .unwrap();
-        let approx = session.execute(&q.sql).unwrap().into_answer().unwrap();
-        let exact_stats = ExecStats {
-            rows_scanned: exact.rows_scanned,
-            elapsed: exact.elapsed,
-        };
-        let approx_stats = ExecStats {
-            rows_scanned: approx.rows_scanned,
-            elapsed: approx.elapsed,
-        };
-        let speedups: Vec<f64> = EngineProfile::all()
-            .iter()
-            .map(|p| p.speedup(&exact_stats, &approx_stats))
-            .collect();
+        let (exact, approx) = time_exact_and_approx(&mut session, &q.sql).unwrap();
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:<7} {:>12} {:>12} {:>9.1}x {:>9.1}x {:>9.1}x {:>9.3}",
+            "{:<7} {:>12} {:>12} {:>10.2} {:>10.2} {:>7.1}x {:>9.3} {:>9.3}",
             q.id,
-            exact.rows_scanned,
-            approx.rows_scanned,
-            speedups[0],
-            speedups[1],
-            speedups[2],
-            100.0 * approx.max_relative_error()
+            exact.answer.rows_scanned,
+            approx.answer.rows_scanned,
+            ms(exact.median),
+            ms(approx.median),
+            speedup(exact.median, approx.median),
+            100.0 * approx.answer.max_relative_error(),
+            100.0
+                * actual_relative_error(&approx.answer.table, &exact.answer.table)
+                    .worst_relative_error
         );
     }
-    println!("\n(speedups are modeled engine latencies: fixed overhead + per-row scan cost + measured CPU time)");
+    println!("\n(latencies are medians of 3 runs per side, measured on this machine)");
 }
