@@ -158,7 +158,6 @@ pub fn workload_context(
     config.min_table_rows = 10_000;
     config.sampling_ratio = sampling_ratio;
     config.io_budget = (sampling_ratio * 2.5).min(0.5);
-    config.seed = Some(4);
     let ctx = Arc::new(VerdictContext::new(conn, config));
     let mut session = VerdictSession::new(Arc::clone(&ctx));
     for table in ["order_products", "lineitem", "tpch_orders", "orders"] {
@@ -284,7 +283,6 @@ pub fn scaling_experiment(scales: &[f64]) -> Result<Vec<(f64, Duration, Duration
         // fixed-size sample: ratio shrinks as the data grows
         config.sampling_ratio = (0.02 / scale).min(0.5);
         config.io_budget = (config.sampling_ratio * 2.5).min(0.6);
-        config.seed = Some(9);
         let ctx = Arc::new(VerdictContext::new(conn, config));
         let mut session = VerdictSession::new(ctx);
         create_scramble(&mut session, "lineitem", "uniform", &[]).map_err(failed("tq-6"))?;

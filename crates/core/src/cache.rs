@@ -6,26 +6,30 @@
 //! repeats straight from memory (cf. the answer-reuse framing of
 //! *Conditioning Probabilistic Databases*, Koch & Olteanu).
 //!
-//! Entries are keyed by the **canonical SQL form**
-//! ([`verdict_sql::canonical_sql`]) so that texts differing only in
-//! whitespace, keyword/identifier case, or literal spelling share one entry.
-//! Each entry records the [`data version`](verdict_engine::Backend::data_version)
-//! of every table the answer was computed from — base tables *and* the
-//! sample tables the plan touched.  A lookup revalidates those versions:
-//! any write, append, or sample rebuild bumps a version in the engine
-//! catalog and the stale entry is dropped on its next access, so the cache
-//! never serves an answer whose inputs have changed.
+//! An entry is keyed by a [`CacheKey`]: the backend's identity, the
+//! **canonical SQL form** ([`verdict_sql::canonical_sql`]) — so texts
+//! differing only in whitespace, keyword/identifier case, or literal
+//! spelling share one entry — and the [`AnswerSettings`] the answer was
+//! computed under.  Each entry records the version of every [`Input`] the
+//! answer was computed from: the [data version](verdict_engine::Backend::data_version)
+//! of every table it read — base tables *and* the sample tables the plan
+//! touched — and the [registry version](crate::meta::MetaStore::version)
+//! of every base table's scrambles.  A lookup revalidates those versions:
+//! any write, append, or sample rebuild bumps a data version, any
+//! `CREATE`, `DROP` or `REFRESH SCRAMBLE` a registry version, and the
+//! stale entry is dropped on its next access, so the cache never serves an
+//! answer whose inputs have changed, nor one computed before the planner
+//! had the scrambles it has now.
 //!
 //! A repeat is recognised by its raw text too: every source text (a
 //! *spelling*) that was answered from, or inserted into, an entry is
 //! recorded against it, so [`AnswerCache::find_spelling`] finds that text
-//! again without parsing or canonical printing.  The caller keys a
-//! spelling exactly as it keys an entry (backend identity and
-//! configuration fingerprint included), and the entry it resolves to is
-//! revalidated like any other.  An entry keeps at most
-//! [`SPELLINGS_PER_ENTRY`] spellings (the oldest goes first), and its
-//! spellings leave with it, so the spelling index never holds more than
-//! `capacity × SPELLINGS_PER_ENTRY` texts.
+//! again without parsing or canonical printing.  A spelling is keyed
+//! exactly as an entry is (the raw text in place of the canonical one),
+//! and the entry it resolves to is revalidated like any other.  An entry
+//! keeps at most [`SPELLINGS_PER_ENTRY`] spellings (the oldest goes
+//! first), and its spellings leave with it, so the spelling index never
+//! holds more than `capacity × SPELLINGS_PER_ENTRY` texts.
 //!
 //! Each entry also keeps one encoded rendering of its answer for a serving
 //! layer ([`CacheHit::encoded`]), written by the first hit that asks for
@@ -35,6 +39,7 @@
 //! of 0 disables the cache entirely (the default for plain
 //! [`crate::VerdictContext`]s — the server layer turns it on).
 
+use crate::config::AnswerSettings;
 use crate::context::VerdictAnswer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -46,6 +51,30 @@ use std::time::Duration;
 /// the entry's oldest.
 pub const SPELLINGS_PER_ENTRY: usize = 16;
 
+/// What an entry, or a spelling of one, is keyed by.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    /// The backend the answer was computed against
+    /// ([`Backend::identity`](verdict_engine::Backend::identity)).
+    pub identity: Arc<str>,
+    /// The statement text: canonical for an entry, as received for a
+    /// spelling.
+    pub text: Box<str>,
+    /// The settings the answer was computed under.
+    pub settings: AnswerSettings,
+}
+
+/// One versioned input of a cached answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Input {
+    /// A base or sample table's rows (lower-cased name), versioned by
+    /// [`Backend::data_version`](verdict_engine::Backend::data_version).
+    Rows(String),
+    /// The scrambles registered for a base table (lower-cased name),
+    /// versioned by [`MetaStore::version`](crate::meta::MetaStore::version).
+    Scrambles(String),
+}
+
 /// Monotonic counter snapshot of cache activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -55,7 +84,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Answers stored.
     pub insertions: u64,
-    /// Entries dropped because a referenced table's data version changed.
+    /// Entries dropped because the version of an input changed.
     pub invalidations: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
@@ -112,25 +141,24 @@ struct Entry {
     /// copying the (potentially large) answer.
     answer: Arc<VerdictAnswer>,
     encoded: Arc<OnceLock<Box<str>>>,
-    /// `(lower-cased table name, data version at insert time)` for every
-    /// table the answer depends on.
-    versions: Arc<[(String, u64)]>,
+    /// Every input the answer depends on, with its version at insert time.
+    versions: Arc<[(Input, u64)]>,
     /// Spelling keys recorded against the entry, oldest first.
-    spellings: Vec<Box<str>>,
+    spellings: Vec<Arc<CacheKey>>,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<Arc<str>, Entry>,
+    entries: HashMap<Arc<CacheKey>, Entry>,
     /// Spelling key → key of the entry it was recorded against.
-    spellings: HashMap<Box<str>, Arc<str>>,
+    spellings: HashMap<Arc<CacheKey>, Arc<CacheKey>>,
     tick: u64,
 }
 
 impl Inner {
     /// Removes an entry and the spellings recorded against it.
-    fn remove(&mut self, key: &str) {
+    fn remove(&mut self, key: &CacheKey) {
         if let Some(entry) = self.entries.remove(key) {
             for spelling in &entry.spellings {
                 self.spellings.remove(spelling);
@@ -140,15 +168,15 @@ impl Inner {
 
     /// Records `spelling` against the entry stored under `key`, if there
     /// is one, evicting the entry's oldest spelling past the bound.
-    fn record(&mut self, key: &str, spelling: String) {
-        if self.spellings.contains_key(spelling.as_str()) {
+    fn record(&mut self, key: &CacheKey, spelling: CacheKey) {
+        if self.spellings.contains_key(&spelling) {
             return;
         }
         let Some((key, _)) = self.entries.get_key_value(key) else {
             return;
         };
         let key = Arc::clone(key);
-        let spelling = spelling.into_boxed_str();
+        let spelling = Arc::new(spelling);
         let entry = self.entries.get_mut(&key).expect("found above");
         entry.spellings.push(spelling.clone());
         if entry.spellings.len() > SPELLINGS_PER_ENTRY {
@@ -159,7 +187,7 @@ impl Inner {
     }
 }
 
-/// A thread-safe LRU cache mapping canonical SQL to stored answers.
+/// A thread-safe LRU cache mapping [`CacheKey`]s to stored answers.
 pub struct AnswerCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -210,15 +238,15 @@ impl AnswerCache {
         self.inner.lock().spellings.len()
     }
 
-    /// Looks up `key`, revalidating the stored data versions through
-    /// `current_version` (which should consult the live connection).  Returns
-    /// the stored answer when every referenced table still has the version
-    /// recorded at insert time; drops the entry and reports a miss
+    /// Looks up `key`, revalidating the stored versions through
+    /// `current_version` (which should consult the live connection and
+    /// registry).  Returns the stored answer when every input still has the
+    /// version recorded at insert time; drops the entry and reports a miss
     /// otherwise.
     pub fn lookup(
         &self,
-        key: &str,
-        current_version: impl FnMut(&str) -> Option<u64>,
+        key: &CacheKey,
+        current_version: impl FnMut(&Input) -> Option<u64>,
     ) -> Option<CacheHit> {
         let hit = self.find(key, current_version);
         if hit.is_none() && self.enabled() {
@@ -240,8 +268,8 @@ impl AnswerCache {
     /// verdict was not computed for.
     pub(crate) fn find(
         &self,
-        key: &str,
-        current_version: impl FnMut(&str) -> Option<u64>,
+        key: &CacheKey,
+        current_version: impl FnMut(&Input) -> Option<u64>,
     ) -> Option<CacheHit> {
         if !self.enabled() {
             return None;
@@ -261,8 +289,8 @@ impl AnswerCache {
     /// to a lookup by the canonical key, which counts it.
     pub fn find_spelling(
         &self,
-        spelling: &str,
-        current_version: impl FnMut(&str) -> Option<u64>,
+        spelling: &CacheKey,
+        current_version: impl FnMut(&Input) -> Option<u64>,
     ) -> Option<CacheHit> {
         if !self.enabled() {
             return None;
@@ -289,13 +317,13 @@ impl AnswerCache {
     /// as a plain miss.
     fn validate(
         &self,
-        key: &str,
-        versions: &[(String, u64)],
-        mut current_version: impl FnMut(&str) -> Option<u64>,
+        key: &CacheKey,
+        versions: &[(Input, u64)],
+        mut current_version: impl FnMut(&Input) -> Option<u64>,
     ) -> Option<CacheHit> {
         let valid = versions
             .iter()
-            .all(|(table, v)| current_version(table) == Some(*v));
+            .all(|(input, v)| current_version(input) == Some(*v));
         let mut inner = self.inner.lock();
         let tick = inner.tick + 1;
         let entry = inner.entries.get_mut(key)?;
@@ -321,23 +349,23 @@ impl AnswerCache {
     /// Records `spelling` against the entry stored under `key`: the next
     /// [`Self::find_spelling`] of it resolves to that entry.  Nothing
     /// happens when no entry is stored under `key`.
-    pub fn record_spelling(&self, key: &str, spelling: String) {
+    pub fn record_spelling(&self, key: &CacheKey, spelling: CacheKey) {
         if self.enabled() {
             self.inner.lock().record(key, spelling);
         }
     }
 
-    /// Stores an answer under `key` with the data versions of every table it
+    /// Stores an answer under `key` with the versions of every input it
     /// was computed from, evicting least-recently-used entries as needed.
     /// The answer is stored as a hit returns it (`cached` set).  Spellings
     /// recorded against a replaced entry stay recorded (they still spell
     /// `key`), and `spelling`, when given, is recorded too.
     pub fn insert(
         &self,
-        key: String,
-        versions: Vec<(String, u64)>,
+        key: CacheKey,
+        versions: Vec<(Input, u64)>,
         mut answer: VerdictAnswer,
-        spelling: Option<String>,
+        spelling: Option<CacheKey>,
     ) {
         if !self.enabled() {
             return;
@@ -346,7 +374,7 @@ impl AnswerCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let key: Arc<str> = key.into();
+        let key = Arc::new(key);
         let spellings = inner
             .entries
             .remove(&key)
@@ -407,6 +435,18 @@ mod tests {
     use std::time::Duration;
     use verdict_engine::Table;
 
+    fn key(text: &str) -> CacheKey {
+        CacheKey {
+            identity: "engine".into(),
+            text: text.into(),
+            settings: crate::VerdictConfig::default().answer_settings(),
+        }
+    }
+
+    fn rows(table: &str, version: u64) -> (Input, u64) {
+        (Input::Rows(table.into()), version)
+    }
+
     fn answer(tag: u64) -> VerdictAnswer {
         VerdictAnswer {
             table: Table::default(),
@@ -423,10 +463,10 @@ mod tests {
     #[test]
     fn hit_returns_stored_answer_and_miss_counts() {
         let cache = AnswerCache::new(4);
-        cache.insert("k".into(), vec![("t".into(), 3)], answer(7), None);
-        let hit = cache.lookup("k", |_| Some(3)).unwrap();
+        cache.insert(key("k"), vec![rows("t", 3)], answer(7), None);
+        let hit = cache.lookup(&key("k"), |_| Some(3)).unwrap();
         assert_eq!(hit.answer().rows_scanned, 7);
-        assert!(cache.lookup("other", |_| Some(3)).is_none());
+        assert!(cache.lookup(&key("other"), |_| Some(3)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -434,17 +474,21 @@ mod tests {
     #[test]
     fn find_leaves_the_miss_to_the_lookup_that_follows() {
         let cache = AnswerCache::new(4);
-        cache.insert("k".into(), vec![("t".into(), 3)], answer(1), None);
-        assert!(cache.find("absent", |_| Some(3)).is_none());
+        cache.insert(key("k"), vec![rows("t", 3)], answer(1), None);
+        assert!(cache.find(&key("absent"), |_| Some(3)).is_none());
         // A stale entry is dropped by the find; the lookup that follows
         // counts the statement's one miss.
-        assert!(cache.find("k", |_| Some(4)).is_none());
-        assert!(cache.lookup("k", |_| Some(4)).is_none());
+        assert!(cache.find(&key("k"), |_| Some(4)).is_none());
+        assert!(cache.lookup(&key("k"), |_| Some(4)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (0, 1, 1));
-        cache.insert("k".into(), vec![("t".into(), 4)], answer(2), None);
+        cache.insert(key("k"), vec![rows("t", 4)], answer(2), None);
         assert_eq!(
-            cache.find("k", |_| Some(4)).unwrap().answer().rows_scanned,
+            cache
+                .find(&key("k"), |_| Some(4))
+                .unwrap()
+                .answer()
+                .rows_scanned,
             2
         );
         assert_eq!(cache.stats().hits, 1);
@@ -453,8 +497,8 @@ mod tests {
     #[test]
     fn version_change_invalidates() {
         let cache = AnswerCache::new(4);
-        cache.insert("k".into(), vec![("t".into(), 3)], answer(1), None);
-        assert!(cache.lookup("k", |_| Some(4)).is_none());
+        cache.insert(key("k"), vec![rows("t", 3)], answer(1), None);
+        assert!(cache.lookup(&key("k"), |_| Some(4)).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty(), "stale entry must be dropped");
     }
@@ -462,21 +506,21 @@ mod tests {
     #[test]
     fn unknown_version_invalidates() {
         let cache = AnswerCache::new(4);
-        cache.insert("k".into(), vec![("t".into(), 3)], answer(1), None);
-        assert!(cache.lookup("k", |_| None).is_none());
+        cache.insert(key("k"), vec![rows("t", 3)], answer(1), None);
+        assert!(cache.lookup(&key("k"), |_| None).is_none());
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used() {
         let cache = AnswerCache::new(2);
-        cache.insert("a".into(), vec![], answer(1), None);
-        cache.insert("b".into(), vec![], answer(2), None);
+        cache.insert(key("a"), vec![], answer(1), None);
+        cache.insert(key("b"), vec![], answer(2), None);
         // touch "a" so "b" is the LRU entry
-        assert!(cache.lookup("a", |_| Some(0)).is_some());
-        cache.insert("c".into(), vec![], answer(3), None);
-        assert!(cache.lookup("a", |_| Some(0)).is_some());
-        assert!(cache.lookup("b", |_| Some(0)).is_none());
-        assert!(cache.lookup("c", |_| Some(0)).is_some());
+        assert!(cache.lookup(&key("a"), |_| Some(0)).is_some());
+        cache.insert(key("c"), vec![], answer(3), None);
+        assert!(cache.lookup(&key("a"), |_| Some(0)).is_some());
+        assert!(cache.lookup(&key("b"), |_| Some(0)).is_none());
+        assert!(cache.lookup(&key("c"), |_| Some(0)).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -487,11 +531,11 @@ mod tests {
         // validation and serving: the verdict computed for the old entry
         // must not be applied to the new one.
         let cache = AnswerCache::new(4);
-        cache.insert("k".into(), vec![("t".into(), 5)], answer(1), None);
-        let result = cache.lookup("k", |_| {
+        cache.insert(key("k"), vec![rows("t", 5)], answer(1), None);
+        let result = cache.lookup(&key("k"), |_| {
             // A slow in-flight execution publishes an answer computed before
             // the write that took t to version 5.
-            cache.insert("k".into(), vec![("t".into(), 4)], answer(99), None);
+            cache.insert(key("k"), vec![rows("t", 4)], answer(99), None);
             Some(5)
         });
         assert!(
@@ -501,15 +545,15 @@ mod tests {
         // The (possibly stale) new entry was not removed either; its own
         // validation decides its fate on the next lookup.
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup("k", |_| Some(5)).is_none());
+        assert!(cache.lookup(&key("k"), |_| Some(5)).is_none());
         assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
     fn zero_capacity_disables() {
         let cache = AnswerCache::new(0);
-        cache.insert("k".into(), vec![], answer(1), None);
-        assert!(cache.lookup("k", |_| Some(0)).is_none());
+        cache.insert(key("k"), vec![], answer(1), None);
+        assert!(cache.lookup(&key("k"), |_| Some(0)).is_none());
         assert!(!cache.enabled());
         assert_eq!(cache.stats().insertions, 0);
     }
@@ -517,27 +561,22 @@ mod tests {
     #[test]
     fn a_spelling_finds_its_entry_and_leaves_with_it() {
         let cache = AnswerCache::new(2);
-        cache.insert(
-            "k".into(),
-            vec![("t".into(), 1)],
-            answer(1),
-            Some("a".into()),
-        );
-        cache.record_spelling("k", "b".into());
+        cache.insert(key("k"), vec![rows("t", 1)], answer(1), Some(key("a")));
+        cache.record_spelling(&key("k"), key("b"));
         // A spelling recorded against no entry is dropped.
-        cache.record_spelling("absent", "c".into());
+        cache.record_spelling(&key("absent"), key("c"));
         assert_eq!(cache.spellings(), 2);
-        let hit = cache.find_spelling("b", |_| Some(1)).unwrap();
+        let hit = cache.find_spelling(&key("b"), |_| Some(1)).unwrap();
         assert!(hit.answer().cached && hit.answer().rows_scanned == 1);
-        assert!(cache.find_spelling("c", |_| Some(1)).is_none());
+        assert!(cache.find_spelling(&key("c"), |_| Some(1)).is_none());
         // An unknown spelling counts nothing; a hit counts a hit.
         assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
         // Replacing the entry keeps its spellings: they still spell `k`.
-        cache.insert("k".into(), vec![("t".into(), 2)], answer(2), None);
-        let hit = cache.find_spelling("a", |_| Some(2)).unwrap();
+        cache.insert(key("k"), vec![rows("t", 2)], answer(2), None);
+        let hit = cache.find_spelling(&key("a"), |_| Some(2)).unwrap();
         assert_eq!(hit.answer().rows_scanned, 2);
         // A stale entry is dropped with every spelling recorded against it.
-        assert!(cache.find_spelling("a", |_| Some(3)).is_none());
+        assert!(cache.find_spelling(&key("a"), |_| Some(3)).is_none());
         assert_eq!((cache.len(), cache.spellings()), (0, 0));
         assert_eq!(cache.stats().invalidations, 1);
     }
@@ -549,26 +588,26 @@ mod tests {
         let bound = capacity * SPELLINGS_PER_ENTRY;
         // Ten times the capacity of distinct spellings of one entry: the
         // newest are kept.
-        cache.insert("k".into(), vec![], answer(1), None);
+        cache.insert(key("k"), vec![], answer(1), None);
         for i in 0..10 * bound {
-            cache.record_spelling("k", format!("k{i}"));
+            cache.record_spelling(&key("k"), key(&format!("k{i}")));
         }
         assert_eq!(cache.spellings(), SPELLINGS_PER_ENTRY);
-        assert!(cache.find_spelling("k0", |_| Some(0)).is_none());
-        let newest = format!("k{}", 10 * bound - 1);
+        assert!(cache.find_spelling(&key("k0"), |_| Some(0)).is_none());
+        let newest = key(&format!("k{}", 10 * bound - 1));
         assert!(cache.find_spelling(&newest, |_| Some(0)).is_some());
         // Ten times the capacity of distinct entries, each with its full
         // share of spellings: evicted entries take theirs along.
         for e in 0..10 * capacity {
-            let key = format!("e{e}");
+            let entry = format!("e{e}");
             cache.insert(
-                key.clone(),
+                key(&entry),
                 vec![],
                 answer(e as u64),
-                Some(format!("{key}/0")),
+                Some(key(&format!("{entry}/0"))),
             );
             for s in 1..2 * SPELLINGS_PER_ENTRY {
-                cache.record_spelling(&key, format!("{key}/{s}"));
+                cache.record_spelling(&key(&entry), key(&format!("{entry}/{s}")));
             }
             assert!(
                 cache.spellings() <= bound,
@@ -584,10 +623,10 @@ mod tests {
     #[test]
     fn an_entry_is_encoded_once_for_every_hit() {
         let cache = AnswerCache::new(2);
-        cache.insert("k".into(), vec![], answer(5), None);
+        cache.insert(key("k"), vec![], answer(5), None);
         let mut encodings = 0;
         for _ in 0..3 {
-            let hit = cache.lookup("k", |_| Some(0)).unwrap();
+            let hit = cache.lookup(&key("k"), |_| Some(0)).unwrap();
             let body = hit.encoded(|a| {
                 encodings += 1;
                 format!("rows_scanned {}", a.rows_scanned)
@@ -596,8 +635,8 @@ mod tests {
         }
         assert_eq!(encodings, 1);
         // A new answer under the same key is encoded afresh.
-        cache.insert("k".into(), vec![], answer(6), None);
-        let hit = cache.lookup("k", |_| Some(0)).unwrap();
+        cache.insert(key("k"), vec![], answer(6), None);
+        let hit = cache.lookup(&key("k"), |_| Some(0)).unwrap();
         assert_eq!(hit.encoded(|a| a.rows_scanned.to_string()), "6");
         // The owned copy carries this hit's wall time.
         let mut hit = hit;

@@ -127,6 +127,9 @@ pub struct VerdictContext {
     /// The same allocation as `conn`, concretely typed so the routing
     /// counters can be read back for `SHOW STATS`.
     pub(crate) instrumented: Arc<InstrumentedBackend>,
+    /// The backend's [`Backend::identity`], read once: part of every
+    /// answer-cache key.
+    pub(crate) identity: Arc<str>,
     config: VerdictConfig,
     pub(crate) meta: MetaStore,
     pub(crate) cache: AnswerCache,
@@ -157,6 +160,7 @@ impl VerdictContext {
         let cache = AnswerCache::new(config.answer_cache_capacity);
         let instrumented = Arc::new(InstrumentedBackend::new(conn));
         VerdictContext {
+            identity: instrumented.identity().into(),
             conn: instrumented.clone(),
             instrumented,
             config,

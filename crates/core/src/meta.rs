@@ -13,9 +13,22 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 
 /// In-memory registry of sample metadata.
+///
+/// Each base table's registration carries a version that every register
+/// or removal of one of its samples bumps — `CREATE`, `DROP` and `REFRESH
+/// SCRAMBLE` all do — so a cached answer can tell that the set of samples
+/// a plan could choose from has changed since it was computed.
 #[derive(Default)]
 pub struct MetaStore {
-    samples: RwLock<HashMap<String, Vec<SampleMeta>>>,
+    tables: RwLock<HashMap<String, Registered>>,
+}
+
+/// The samples of one base table, and its registry version.  Kept once a
+/// table's last sample goes, so the version never repeats.
+#[derive(Default)]
+struct Registered {
+    samples: Vec<SampleMeta>,
+    version: u64,
 }
 
 impl MetaStore {
@@ -26,57 +39,67 @@ impl MetaStore {
 
     /// Registers a newly-created sample.
     pub fn register(&self, meta: SampleMeta) {
-        self.samples
-            .write()
+        let mut tables = self.tables.write();
+        let registered = tables
             .entry(meta.base_table.to_ascii_lowercase())
-            .or_default()
-            .push(meta);
+            .or_default();
+        registered.samples.push(meta);
+        registered.version += 1;
     }
 
     /// All samples registered for a base table.
     pub fn samples_for(&self, base_table: &str) -> Vec<SampleMeta> {
-        self.samples
+        self.tables
             .read()
             .get(&base_table.to_ascii_lowercase())
-            .cloned()
-            .unwrap_or_default()
+            .map_or_else(Vec::new, |r| r.samples.clone())
+    }
+
+    /// The registry version of a base table: 0 until a sample of it is
+    /// first registered, then bumped by every register and removal.
+    pub fn version(&self, base_table: &str) -> u64 {
+        self.tables
+            .read()
+            .get(&base_table.to_ascii_lowercase())
+            .map_or(0, |r| r.version)
     }
 
     /// All registered samples.
     pub fn all(&self) -> Vec<SampleMeta> {
-        self.samples.read().values().flatten().cloned().collect()
+        let tables = self.tables.read();
+        tables.values().flat_map(|r| r.samples.clone()).collect()
     }
 
     /// Removes every sample registered for a base table, returning the removed metadata.
     pub fn remove_for(&self, base_table: &str) -> Vec<SampleMeta> {
-        self.samples
-            .write()
-            .remove(&base_table.to_ascii_lowercase())
-            .unwrap_or_default()
+        let mut tables = self.tables.write();
+        let Some(registered) = tables.get_mut(&base_table.to_ascii_lowercase()) else {
+            return Vec::new();
+        };
+        let removed = std::mem::take(&mut registered.samples);
+        if !removed.is_empty() {
+            registered.version += 1;
+        }
+        removed
     }
 
     /// Removes the sample registered under the given sample-table name
     /// (case-insensitive), returning its metadata if one existed.
     pub fn remove_sample(&self, sample_table: &str) -> Option<SampleMeta> {
-        let wanted = sample_table.to_ascii_lowercase();
-        let mut map = self.samples.write();
-        let hit = map.iter().find_map(|(base, list)| {
-            list.iter()
-                .position(|m| m.sample_table.eq_ignore_ascii_case(&wanted))
-                .map(|pos| (base.clone(), pos))
-        })?;
-        let (base, pos) = hit;
-        let list = map.get_mut(&base)?;
-        let meta = list.remove(pos);
-        if list.is_empty() {
-            map.remove(&base);
-        }
-        Some(meta)
+        let mut tables = self.tables.write();
+        tables.values_mut().find_map(|registered| {
+            let pos = registered
+                .samples
+                .iter()
+                .position(|m| m.sample_table.eq_ignore_ascii_case(sample_table))?;
+            registered.version += 1;
+            Some(registered.samples.remove(pos))
+        })
     }
 
     /// Total number of registered samples.
     pub fn len(&self) -> usize {
-        self.samples.read().values().map(|v| v.len()).sum()
+        self.tables.read().values().map(|r| r.samples.len()).sum()
     }
 
     /// True when no samples are registered.
@@ -197,6 +220,27 @@ mod tests {
         assert_eq!(store.len(), 3);
         assert_eq!(store.remove_for("orders").len(), 2);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn every_register_and_removal_bumps_its_tables_version() {
+        let store = MetaStore::new();
+        assert_eq!(store.version("orders"), 0);
+        store.register(meta("orders", 0));
+        store.register(meta("orders", 1));
+        store.register(meta("lineitem", 2));
+        assert_eq!((store.version("ORDERS"), store.version("lineitem")), (2, 1));
+        assert!(store.remove_sample("VERDICT_SAMPLE_ORDERS_0").is_some());
+        assert!(store.remove_sample("verdict_sample_orders_0").is_none());
+        assert_eq!((store.version("orders"), store.version("lineitem")), (3, 1));
+        assert_eq!(store.remove_for("orders").len(), 1);
+        assert_eq!(store.version("orders"), 4);
+        // Nothing removed, nothing bumped; an emptied table keeps counting.
+        assert!(store.remove_for("orders").is_empty());
+        assert_eq!(store.version("orders"), 4);
+        store.register(meta("orders", 0));
+        assert_eq!(store.version("orders"), 5);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

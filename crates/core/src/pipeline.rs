@@ -30,14 +30,15 @@
 //! `close_trace`).
 
 use crate::answer::{assemble_cells, MeanCells};
-use crate::cache::CacheHit;
-use crate::config::VerdictConfig;
+use crate::cache::{CacheHit, CacheKey, Input};
+use crate::config::{AnswerSettings, Effective, VerdictConfig};
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::{QueryTrace, TraceBuilder};
 use crate::planner::{PlanningContext, SamplePlan, SamplePlanner};
 use crate::rewrite::{analyze_query, rewrite, RewriteOutput};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use verdict_engine::{QueryResult, TableBuilder};
 use verdict_sql::ast::{Query, Statement};
@@ -110,12 +111,10 @@ pub(crate) enum Source<'a> {
 
 /// A cacheable statement's keys under one configuration.
 struct Keys {
-    /// The canonical text the entry key is made of.
-    canonical: String,
-    /// The entry key.
-    key: String,
+    /// The entry key, made of the statement's canonical text.
+    key: CacheKey,
     /// The key of the source text, when it is verbatim.
-    spelling: Option<String>,
+    spelling: Option<CacheKey>,
 }
 
 /// What `canonicalize → cache_probe` found.
@@ -132,14 +131,17 @@ enum Probe {
 pub(crate) type SampleResult = (String, QueryResult);
 
 /// The right to insert a statement's answer into the cache: its key plus
-/// the data versions, snapshotted **before** execution, of everything it
-/// could depend on.
+/// the versions, snapshotted **before** execution, of everything it could
+/// depend on.
 pub(crate) struct CacheTicket {
-    key: String,
+    key: CacheKey,
     /// The spelling key to record against the inserted entry.
-    spelling: Option<String>,
-    base_tables: Vec<String>,
-    snapshot: HashMap<String, u64>,
+    spelling: Option<CacheKey>,
+    /// Every referenced base table's rows and registered scrambles.
+    inputs: Vec<(Input, u64)>,
+    /// The data version of every sample registered for those tables: the
+    /// plan's choices are among them.
+    samples: HashMap<String, u64>,
 }
 
 /// A statement trace in progress, with the counters needed to attribute
@@ -172,16 +174,18 @@ impl VerdictContext {
         route: Route,
         shed_tier: &'static str,
     ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
-        self.run_from(stmt, sql, Source::Printed, config, route, shed_tier)
+        let effective = Effective::new(config.clone());
+        self.run_from(stmt, sql, Source::Printed, &effective, route, shed_tier)
     }
 
-    /// [`Self::run_statement`], told what `sql` is.
+    /// [`Self::run_statement`], told what `sql` is, under a configuration
+    /// whose answer settings are already derived.
     pub(crate) fn run_from(
         &self,
         stmt: &Statement,
         sql: &str,
         source: Source<'_>,
-        config: &VerdictConfig,
+        effective: &Effective,
         route: Route,
         shed_tier: &'static str,
     ) -> VerdictResult<(VerdictAnswer, QueryTrace)> {
@@ -196,7 +200,8 @@ impl VerdictContext {
         };
         let sql = inner.as_deref().unwrap_or(sql);
         let mut open = self.open_trace();
-        let mut answer = self.drive(query, sql, source, config, route, &mut open.tb)?;
+        let mut answer = self.drive(query, sql, source, effective, route, &mut open.tb)?;
+        let config = &effective.config;
         let trace = self.close_trace(open, class, sql, config, shed_tier, Some(&answer));
         answer.elapsed = trace.total;
         Ok((answer, trace))
@@ -209,7 +214,7 @@ impl VerdictContext {
         query: Option<&Query>,
         sql: &str,
         source: Source<'_>,
-        config: &VerdictConfig,
+        effective: &Effective,
         route: Route,
         tb: &mut TraceBuilder,
     ) -> VerdictResult<VerdictAnswer> {
@@ -221,7 +226,7 @@ impl VerdictContext {
             tb.begin("control");
             return self.answer_system(query);
         }
-        let keys = match self.cache_probe(query, sql, source, config, tb, true) {
+        let keys = match self.cache_probe(query, sql, source, effective, tb, true) {
             Probe::Hit(hit) => return Ok(hit.into_answer()),
             Probe::Miss(keys) => keys,
         };
@@ -231,8 +236,8 @@ impl VerdictContext {
             return self.passthrough(sql);
         };
         let ticket = keys.and_then(|k| self.cache_ticket(k.key, k.spelling, query));
-        let planned = self.plan_query(query, config, tb)?;
-        self.run_planned(planned, sql, ticket, config, tb)
+        let planned = self.plan_query(query, &effective.config, tb)?;
+        self.run_planned(planned, sql, ticket, &effective.config, tb)
     }
 
     /// `canonicalize → cache_probe`: the statement's cache keys and the
@@ -248,20 +253,20 @@ impl VerdictContext {
         query: Option<&Query>,
         sql: &str,
         source: Source<'_>,
-        config: &VerdictConfig,
+        effective: &Effective,
         tb: &mut TraceBuilder,
         count_miss: bool,
     ) -> Probe {
         if !matches!(source, Source::Verbatim { canonical: Some(_) }) {
             tb.begin("canonicalize");
         }
-        let keys = query.and_then(|q| self.cache_keys(q, sql, source, config));
+        let keys = query.and_then(|q| self.cache_keys(q, sql, source, effective));
         tb.begin("cache_probe");
         let Some(keys) = keys else {
             tb.note("uncacheable".into());
             return Probe::Miss(None);
         };
-        let version = |t: &str| self.conn.data_version(t);
+        let version = |input: &Input| self.input_version(input);
         let found = match count_miss {
             true => self.cache.lookup(&keys.key, version),
             false => self.cache.find(&keys.key, version),
@@ -287,14 +292,14 @@ impl VerdictContext {
         &self,
         query: &Query,
         sql: &str,
-        config: &VerdictConfig,
+        effective: &Effective,
         shed_tier: &'static str,
     ) -> Result<CacheHit, Option<String>> {
         let mut open = self.open_trace();
         let source = Source::Verbatim { canonical: None };
-        match self.cache_probe(Some(query), sql, source, config, &mut open.tb, false) {
-            Probe::Hit(hit) => Ok(self.close_hit(open, sql, config, shed_tier, hit)),
-            Probe::Miss(keys) => Err(keys.map(|k| k.canonical)),
+        match self.cache_probe(Some(query), sql, source, effective, &mut open.tb, false) {
+            Probe::Hit(hit) => Ok(self.close_hit(open, sql, &effective.config, shed_tier, hit)),
+            Probe::Miss(keys) => Err(keys.map(|k| k.key.text.into_string())),
         }
     }
 
@@ -309,20 +314,20 @@ impl VerdictContext {
     pub(crate) fn answer_from_spelling(
         &self,
         sql: &str,
-        config: &VerdictConfig,
+        effective: &Effective,
         shed_tier: &'static str,
     ) -> Option<CacheHit> {
-        if !self.cache_enabled(config) {
+        if !self.cache_enabled(&effective.config) {
             return None;
         }
         let mut open = self.open_trace();
         open.tb.begin("cache_probe");
-        let spelling = self.entry_key(sql, config);
+        let spelling = self.key(sql, &effective.settings);
         let hit = self
             .cache
-            .find_spelling(&spelling, |t| self.conn.data_version(t))?;
+            .find_spelling(&spelling, |input| self.input_version(input))?;
         open.tb.note("hit".into());
-        Some(self.close_hit(open, sql, config, shed_tier, hit))
+        Some(self.close_hit(open, sql, &effective.config, shed_tier, hit))
     }
 
     /// Closes a cache hit's trace and stamps the hit's wall time.
@@ -566,23 +571,22 @@ impl VerdictContext {
     /// per-session cache policy), or the query calls a nondeterministic
     /// function (`rand()`) anywhere — including inside scalar / `IN` /
     /// `EXISTS` subqueries — whose repeats must produce fresh draws.
-    pub(crate) fn cache_key(&self, query: &Query, config: &VerdictConfig) -> Option<String> {
-        self.cache_keys(query, "", Source::Printed, config)
+    pub(crate) fn cache_key(&self, query: &Query, effective: &Effective) -> Option<CacheKey> {
+        self.cache_keys(query, "", Source::Printed, effective)
             .map(|k| k.key)
     }
 
-    /// [`Self::cache_key`] with the canonical text it is made of and, for
-    /// a verbatim `sql`, the spelling key.  A canonical text the source
-    /// carries stands for printing it: a probe printed it for this query,
-    /// and only a cacheable query has one.
+    /// [`Self::cache_key`] and, for a verbatim `sql`, the spelling key.  A
+    /// canonical text the source carries stands for printing it: a probe
+    /// printed it for this query, and only a cacheable query has one.
     fn cache_keys(
         &self,
         query: &Query,
         sql: &str,
         source: Source<'_>,
-        config: &VerdictConfig,
+        effective: &Effective,
     ) -> Option<Keys> {
-        if !self.cache_enabled(config) {
+        if !self.cache_enabled(&effective.config) {
             return None;
         }
         let canonical = match source {
@@ -593,10 +597,9 @@ impl VerdictContext {
             _ => print_query(&verdict_sql::canonical_query(query), &GenericDialect),
         };
         Some(Keys {
-            key: self.entry_key(&canonical, config),
+            key: self.key(canonical, &effective.settings),
             spelling: matches!(source, Source::Verbatim { .. })
-                .then(|| self.entry_key(sql, config)),
-            canonical,
+                .then(|| self.key(sql, &effective.settings)),
         })
     }
 
@@ -605,66 +608,75 @@ impl VerdictContext {
         self.cache.enabled() && config.answer_cache_capacity != 0
     }
 
-    /// A cache key: the backend's identity, a statement text (canonical for
-    /// an entry, raw for a spelling), and a fingerprint of every
-    /// answer-affecting configuration knob.  Two sessions running the same
-    /// query under different accuracy settings (confidence, target error,
-    /// error columns, …) produce observably different answers, so they must
-    /// not share a cache entry — and an answer computed against one backend
-    /// must never be replayed against another, even if both can see tables
-    /// with the same names.
-    fn entry_key(&self, text: &str, config: &VerdictConfig) -> String {
-        format!(
-            "{}\u{1f}{}\u{1f}{}",
-            self.conn.identity(),
-            text,
-            config.cache_fingerprint()
-        )
+    /// The cache key of a statement text (canonical for an entry, raw for
+    /// a spelling) computed under `settings` against this context's
+    /// backend.  Two sessions running the same query under different
+    /// accuracy settings produce observably different answers, so they
+    /// must not share a cache entry — and an answer computed against one
+    /// backend must never be replayed against another, even if both can
+    /// see tables with the same names.
+    fn key(&self, text: impl Into<Box<str>>, settings: &AnswerSettings) -> CacheKey {
+        CacheKey {
+            identity: Arc::clone(&self.identity),
+            text: text.into(),
+            settings: *settings,
+        }
     }
 
-    /// Snapshots the data versions of everything `query` *could* depend on —
-    /// every referenced base table plus every sample currently registered
-    /// for those tables (the plan's choices are a subset).
+    /// The current version of a cached answer's input.
+    fn input_version(&self, input: &Input) -> Option<u64> {
+        match input {
+            Input::Rows(table) => self.conn.data_version(table),
+            Input::Scrambles(base) => Some(self.meta.version(base)),
+        }
+    }
+
+    /// Snapshots the versions of everything `query` *could* depend on —
+    /// every referenced base table's rows and registered scrambles, plus
+    /// the rows of every sample currently registered for those tables (the
+    /// plan's choices are a subset).
     ///
     /// Must be taken BEFORE executing (and before a block scan pins its
-    /// input): if a concurrent write lands mid-execution, the entry is
-    /// stored under the pre-write versions and fails revalidation, instead
-    /// of a post-execution snapshot masking the write and caching a stale
-    /// answer under the new version.  Returns `None` when the connection
-    /// cannot report versions — such an answer is never cached, because its
-    /// invalidation could not be detected.
+    /// input): if a concurrent write or scramble DDL lands mid-execution,
+    /// the entry is stored under the pre-write versions and fails
+    /// revalidation, instead of a post-execution snapshot masking the
+    /// change and caching a stale answer under the new version.  Returns
+    /// `None` when the connection cannot report versions — such an answer
+    /// is never cached, because its invalidation could not be detected.
     pub(crate) fn cache_ticket(
         &self,
-        key: String,
-        spelling: Option<String>,
+        key: CacheKey,
+        spelling: Option<CacheKey>,
         query: &Query,
     ) -> Option<CacheTicket> {
-        let base_tables: Vec<String> = verdict_sql::visitor::collect_base_tables(query)
-            .iter()
-            .map(|n| n.key())
-            .collect();
-        let mut snapshot = HashMap::new();
-        for base in &base_tables {
-            for meta in self.meta.samples_for(base) {
+        let mut inputs = Vec::new();
+        let mut samples = HashMap::new();
+        for name in verdict_sql::visitor::collect_base_tables(query) {
+            let base = name.key();
+            // Read before the samples: a scramble registered in between
+            // leaves the entry stale, never current.
+            inputs.push((Input::Scrambles(base.clone()), self.meta.version(&base)));
+            for meta in self.meta.samples_for(&base) {
                 let sample = meta.sample_table.to_ascii_lowercase();
-                snapshot.insert(sample.clone(), self.conn.data_version(&sample)?);
+                samples.insert(sample.clone(), self.conn.data_version(&sample)?);
             }
-            snapshot.insert(base.clone(), self.conn.data_version(base)?);
+            let version = self.conn.data_version(&base)?;
+            inputs.push((Input::Rows(base), version));
         }
         Some(CacheTicket {
             key,
             spelling,
-            base_tables,
-            snapshot,
+            inputs,
+            samples,
         })
     }
 
-    /// `cache_insert`: stores `answer` under the `(table, data version)`
-    /// pairs it depends on — every base table the query references plus
-    /// every sample table the plan actually used — resolved against the
-    /// ticket's pre-execution snapshot.  Skipped when a used sample is
-    /// missing from the snapshot (registered mid-flight by another session):
-    /// its pre-execution version is unknown, so the answer cannot be safely
+    /// `cache_insert`: stores `answer` under the versions of what it
+    /// depends on — the ticket's base-table inputs plus the rows of every
+    /// sample table the plan actually used, resolved against the ticket's
+    /// pre-execution snapshot.  Skipped when a used sample is missing from
+    /// the snapshot (registered mid-flight by another session): its
+    /// pre-execution version is unknown, so the answer cannot be safely
     /// cached.
     fn cache_insert(
         &self,
@@ -672,23 +684,24 @@ impl VerdictContext {
         answer: &VerdictAnswer,
         tb: &mut TraceBuilder,
     ) {
-        let Some(mut ticket) = ticket else { return };
-        for s in &answer.used_samples {
-            let key = s.to_ascii_lowercase();
-            if !ticket.base_tables.contains(&key) {
-                ticket.base_tables.push(key);
-            }
+        let Some(CacheTicket {
+            key,
+            spelling,
+            mut inputs,
+            samples,
+        }) = ticket
+        else {
+            return;
+        };
+        for used in &answer.used_samples {
+            let sample = used.to_ascii_lowercase();
+            let Some(&version) = samples.get(&sample) else {
+                return;
+            };
+            inputs.push((Input::Rows(sample), version));
         }
-        let versions: Option<Vec<(String, u64)>> = ticket
-            .base_tables
-            .into_iter()
-            .map(|t| ticket.snapshot.get(&t).map(|v| (t, *v)))
-            .collect();
-        if let Some(versions) = versions {
-            tb.begin("cache_insert");
-            self.cache
-                .insert(ticket.key, versions, answer.clone(), ticket.spelling);
-        }
+        tb.begin("cache_insert");
+        self.cache.insert(key, inputs, answer.clone(), spelling);
     }
 
     // ------------------------------------------------------------------
@@ -763,11 +776,12 @@ impl VerdictContext {
         &self,
         stmt: &Statement,
         sql: &str,
-        config: &VerdictConfig,
+        effective: &Effective,
         shed_tier: &'static str,
     ) -> VerdictResult<VerdictAnswer> {
         let mut open = self.open_trace();
-        let rows = self.explain_rows(stmt, config, &mut open.tb)?;
+        let rows = self.explain_rows(stmt, effective, &mut open.tb)?;
+        let config = &effective.config;
         let trace = self.close_trace(open, "explain", sql, config, shed_tier, None);
         let (items, values) = rows.into_iter().unzip();
         let table = TableBuilder::new()
@@ -784,7 +798,7 @@ impl VerdictContext {
     fn explain_rows(
         &self,
         stmt: &Statement,
-        config: &VerdictConfig,
+        effective: &Effective,
         tb: &mut TraceBuilder,
     ) -> VerdictResult<Vec<(String, String)>> {
         let mut rows: Vec<(String, String)> = Vec::new();
@@ -818,9 +832,9 @@ impl VerdictContext {
             }
         };
         tb.begin("canonicalize");
-        let cacheable = self.cache_key(query, config).is_some();
+        let cacheable = self.cache_key(query, effective).is_some();
         row("cacheable", if cacheable { "yes" } else { "no" }.into());
-        let planned = self.plan_query(query, config, tb)?;
+        let planned = self.plan_query(query, &effective.config, tb)?;
         let plan = match &planned {
             Planned::Approximate(rewritten) => Some(&rewritten.plan),
             Planned::Exact { plan, .. } => plan.as_ref(),

@@ -45,7 +45,7 @@
 //! Early-stopped streams saw only a prefix and are never cached.
 
 use crate::answer::assemble;
-use crate::config::VerdictConfig;
+use crate::config::{Effective, VerdictConfig};
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::QueryTrace;
@@ -132,7 +132,7 @@ impl ProgressStream {
     pub(crate) fn open(
         ctx: Arc<VerdictContext>,
         query: &Query,
-        cfg: VerdictConfig,
+        effective: &Effective,
         bypass: bool,
         shed_tier: &'static str,
     ) -> ProgressStream {
@@ -150,9 +150,12 @@ impl ProgressStream {
             // input (see `cache_ticket`): a write landing between the two
             // leaves the completed answer stored under the pre-write
             // versions, where revalidation drops it.
-            let key = ctx.cache_key(query, &cfg);
+            let key = ctx.cache_key(query, effective);
             let ticket = key.and_then(|k| ctx.cache_ticket(k, None, query));
-            (ctx.plan_query(query, &cfg, &mut trace.tb), ticket)
+            (
+                ctx.plan_query(query, &effective.config, &mut trace.tb),
+                ticket,
+            )
         };
         let scan = match &planned {
             Ok(Planned::Approximate(rewritten)) => Self::open_scan(&ctx, rewritten),
@@ -175,7 +178,7 @@ impl ProgressStream {
         let sql = print_query(query, ctx.dialect());
         ProgressStream {
             ctx,
-            cfg,
+            cfg: effective.config.clone(),
             sql,
             shed_tier,
             state,

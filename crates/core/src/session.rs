@@ -26,7 +26,7 @@
 //! connection's worker pool.
 
 use crate::cache::CacheHit;
-use crate::config::VerdictConfig;
+use crate::config::{Effective, VerdictConfig};
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
 use crate::obs::QueryTrace;
@@ -136,12 +136,16 @@ impl Parsed {
 /// A SQL-only session over a shared [`VerdictContext`].
 ///
 /// See the [module documentation](self) for the statement surface.  Sessions
-/// are cheap to create (one `Arc` clone plus a config clone) and are *not*
+/// are cheap to create (one `Arc` clone plus two config clones) and are *not*
 /// shared between threads — each connection/actor gets its own.
 pub struct VerdictSession {
     ctx: Arc<VerdictContext>,
     /// The context's base configuration as this session's `SET`s changed it.
     config: VerdictConfig,
+    /// `config` with the shed tier applied, and its answer settings: what
+    /// the next statement runs under.  Derived again only by `SET` and
+    /// [`Self::set_shed_tier`].
+    effective: Effective,
     /// `SET bypass = on`: every query runs exactly on the base tables (a
     /// session-wide `BYPASS`).
     bypass: bool,
@@ -156,6 +160,7 @@ impl VerdictSession {
     pub fn new(ctx: Arc<VerdictContext>) -> VerdictSession {
         VerdictSession {
             config: ctx.config().clone(),
+            effective: Effective::new(ctx.config().clone()),
             ctx,
             bypass: false,
             deadline_ms: None,
@@ -180,7 +185,10 @@ impl VerdictSession {
     /// layer's admission control per admitted statement — deliberately not
     /// reachable through `SET`, so clients cannot un-shed themselves.
     pub fn set_shed_tier(&mut self, tier: crate::shed::ShedTier) {
-        self.shed = tier;
+        if tier != self.shed {
+            self.shed = tier;
+            self.derive_effective();
+        }
     }
 
     /// The load-shedding tier currently applied to this session.
@@ -191,9 +199,15 @@ impl VerdictSession {
     /// The effective configuration the next statement would run under:
     /// the session's config with the shed tier applied.
     pub fn effective_config(&self) -> VerdictConfig {
-        let mut cfg = self.config.clone();
-        self.shed.apply(&mut cfg);
-        cfg
+        self.effective.config.clone()
+    }
+
+    /// Derives [`Self::effective_config`] and its answer settings from the
+    /// session's config and shed tier.
+    fn derive_effective(&mut self) {
+        let mut config = self.config.clone();
+        self.shed.apply(&mut config);
+        self.effective = Effective::new(config);
     }
 
     /// Executes one SQL statement (a trailing `;` is allowed).  A text
@@ -212,10 +226,10 @@ impl VerdictSession {
     /// Every text that [`Self::execute`], [`Self::execute_parsed`] or
     /// [`Self::cached_answer`] answered from, or stored into, a cache
     /// entry is recorded as a spelling of that entry, keyed with the
-    /// backend's identity and the settings' cache fingerprint.  Returns the
+    /// backend's identity and the session's answer settings.  Returns the
     /// entry's answer when `sql` is such a spelling under this session's
-    /// settings and the entry is current (its data versions revalidated as
-    /// on any hit); the hit is traced and counted as a `query_cached`
+    /// settings and the entry is current (its versions revalidated as on
+    /// any hit); the hit is traced and counted as a `query_cached`
     /// statement.  Returns `None` for any other text — and under `SET
     /// bypass = on` — having recorded nothing.  Never executes anything on
     /// the backend.
@@ -223,8 +237,8 @@ impl VerdictSession {
         if self.bypass {
             return None;
         }
-        let cfg = self.effective_config();
-        self.ctx.answer_from_spelling(sql, &cfg, self.shed.label())
+        self.ctx
+            .answer_from_spelling(sql, &self.effective, self.shed.label())
     }
 
     /// Answers a parsed query from the shared answer cache, or declines.
@@ -252,10 +266,9 @@ impl VerdictSession {
         ) {
             return None;
         }
-        let cfg = self.effective_config();
         match self
             .ctx
-            .answer_from_cache(query, &parsed.sql, &cfg, self.shed.label())
+            .answer_from_cache(query, &parsed.sql, &self.effective, self.shed.label())
         {
             Ok(hit) => Some(hit),
             Err(canonical) => {
@@ -307,7 +320,7 @@ impl VerdictSession {
         Ok(ProgressStream::open(
             Arc::clone(&self.ctx),
             query,
-            self.effective_config(),
+            &self.effective,
             self.bypass,
             self.shed.label(),
         ))
@@ -363,8 +376,8 @@ impl VerdictSession {
                     ..VerdictAnswer::in_process(render_analyze(&trace))
                 }
             } else {
-                let cfg = self.effective_config();
-                self.ctx.explain(statement, sql, &cfg, self.shed.label())?
+                self.ctx
+                    .explain(statement, sql, &self.effective, self.shed.label())?
             })),
             // In process, a stream answers with its final frame
             // (bit-identical to the one-shot answer when the stream
@@ -388,17 +401,19 @@ impl VerdictSession {
     ) -> VerdictResult<(VerdictResponse, QueryTrace)> {
         let shed = self.shed.label();
         if let Some(route) = Route::of(stmt, self.bypass)? {
-            let cfg = self.effective_config();
-            let (answer, trace) = self.ctx.run_from(stmt, sql, source, &cfg, route, shed)?;
+            let effective = &self.effective;
+            let (answer, trace) = self
+                .ctx
+                .run_from(stmt, sql, source, effective, route, shed)?;
             return Ok((VerdictResponse::Answer(answer), trace));
         }
         let mut open = self.ctx.open_trace();
         open.tb.begin("control");
         let response = self.execute_control(stmt)?;
         // Resolved after the statement ran: a `SET` applies to its own trace.
-        let cfg = self.effective_config();
+        let cfg = &self.effective.config;
         let class = statement_class(stmt);
-        let trace = self.ctx.close_trace(open, class, sql, &cfg, shed, None);
+        let trace = self.ctx.close_trace(open, class, sql, cfg, shed, None);
         Ok((response, trace))
     }
 
@@ -414,9 +429,8 @@ impl VerdictSession {
                 ratio,
                 on,
             } => {
-                let cfg = self.effective_config();
                 let sample_type = scramble_sample_type(*method, on)?;
-                let ratio = ratio.unwrap_or(cfg.sampling_ratio);
+                let ratio = ratio.unwrap_or(self.effective.config.sampling_ratio);
                 if !(ratio > 0.0 && ratio <= 1.0) {
                     return Err(VerdictError::Unsupported(format!(
                         "scramble RATIO must be in (0, 1], got {ratio}"
@@ -431,10 +445,9 @@ impl VerdictSession {
                 Ok(VerdictResponse::ScramblesCreated(vec![meta]))
             }
             Statement::CreateScrambles { table } => {
-                let cfg = self.effective_config();
                 let created = self
                     .ctx
-                    .create_recommended_samples_with(&table.key(), &cfg)?;
+                    .create_recommended_samples_with(&table.key(), &self.effective.config)?;
                 Ok(VerdictResponse::ScramblesCreated(created))
             }
             Statement::DropScramble { name, if_exists } => {
@@ -461,6 +474,7 @@ impl VerdictSession {
             }
             Statement::SetOption { name, value } => {
                 let (name, rendered) = self.set_option(name, value)?;
+                self.derive_effective();
                 Ok(VerdictResponse::OptionSet {
                     name,
                     value: rendered,

@@ -95,8 +95,9 @@ impl ShedTier {
     /// Folds the tier into an effective per-statement configuration:
     /// raises an existing relative-error target to the tier's floor (no
     /// target stays no target) and scales the I/O budget down.  Both knobs
-    /// are part of the answer-cache fingerprint, so degraded answers never
-    /// pollute unshedded entries.
+    /// are [`AnswerSettings`](crate::config::AnswerSettings), part of every
+    /// answer-cache key, so degraded answers never pollute unshedded
+    /// entries.
     pub fn apply(self, cfg: &mut VerdictConfig) {
         if let Some(floor) = self.target_error_floor() {
             cfg.max_relative_error = cfg.max_relative_error.map(|t| t.max(floor));

@@ -120,7 +120,6 @@ fn main() {
 
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = opts.cache;
-    config.seed = Some(opts.seed);
 
     // Attach the persistent store (if any) to the engine catalog BEFORE the
     // context reloads metadata, so persisted scramble tables are visible

@@ -11,10 +11,18 @@ use verdict_core::{VerdictAnswer, VerdictConfig, VerdictContext, VerdictResult, 
 use verdict_engine::{Backend, Engine, TableBuilder, Value};
 use verdict_server::{ClientError, FrameHeader, RemoteAnswer, VerdictClient, VerdictServer};
 
+/// The twin-session walk shared with `tests/session.rs`.
+#[path = "../../../tests/common/walk.rs"]
+mod walk;
+
 /// 50k-row synthetic sales table: 10 cities, deterministic prices.
 fn sales_engine(seed: u64) -> Engine {
+    sales_engine_of(seed, 50_000)
+}
+
+/// [`sales_engine`] with `rows` rows.
+fn sales_engine_of(seed: u64, rows: usize) -> Engine {
     let engine = Engine::with_seed(seed);
-    let rows = 50_000usize;
     let table = TableBuilder::new()
         .int_column("id", (0..rows as i64).collect())
         .float_column(
@@ -139,6 +147,79 @@ impl RawConn {
         let mut frame = self.frame();
         let header = FrameHeader::parse(&frame.remove(0)).expect("an OK frame");
         (header, frame)
+    }
+}
+
+/// The twin walk of `tests/session.rs` over the wire: two connections to
+/// one server, the second with `SET cache = off`, send the same statements
+/// (shed tiers aside: a server picks those from its queue depth), and every
+/// response is the same, frame for frame, but for what [`response_text`]
+/// leaves out — so an answer the I/O shard serves from the cache is checked
+/// against the one a worker computes.
+#[test]
+fn a_cached_connection_answers_like_an_uncached_twin() {
+    let mut config = VerdictConfig::for_testing();
+    config.io_budget = 0.25;
+    config.subsample_count = 25;
+    config.answer_cache_capacity = 32;
+    let conn: Arc<dyn Backend> = Arc::new(sales_engine_of(47, 4_000));
+    let ctx = Arc::new(VerdictContext::new(conn, config));
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut twins = [
+        RawConn::connect(handle.addr()),
+        RawConn::connect(handle.addr()),
+    ];
+    twins[1].request("SQL SET cache = off");
+    for sql in walk::SETUP {
+        twins[0].request(&format!("SQL {sql}"));
+    }
+    let mut hits = 0;
+    for (i, step) in walk::walk(7, 800).into_iter().enumerate() {
+        match step {
+            walk::Step::Both(sql) => {
+                let [cached, uncached] = twins.each_mut().map(|t| {
+                    t.send(&format!("SQL {sql}\n"));
+                    response_text(t)
+                });
+                hits += usize::from(cached.1);
+                assert_eq!(cached.0, uncached.0, "step {i}: {sql}");
+            }
+            walk::Step::Once { sql, on } => {
+                twins[on].send(&format!("SQL {sql}\n"));
+                response_text(&mut twins[on]);
+            }
+            walk::Step::Shed(_) => {}
+        }
+    }
+    assert!(hits >= 50, "{hits} cached answers");
+    handle.stop();
+}
+
+/// One response as text — a stream's frames up to its `DONE` — with
+/// `elapsed_us` and `cached` taken off every status line and `EXPLAIN`'s
+/// `cacheable` row left out, and whether it was a cached answer.
+fn response_text(raw: &mut RawConn) -> (String, bool) {
+    let (mut text, mut cached) = (String::new(), false);
+    loop {
+        let frame = raw.frame();
+        let (status, body) = frame.split_first().expect("a status line");
+        cached |= status.split(' ').any(|field| field == "cached=1");
+        let fields: Vec<&str> = status
+            .split(' ')
+            .filter(|f| !f.starts_with("elapsed_us=") && !f.starts_with("cached="))
+            .collect();
+        text.push_str(&fields.join(" "));
+        for line in body.iter().filter(|l| !l.starts_with("R cacheable\t")) {
+            text.push('\n');
+            text.push_str(line);
+        }
+        text.push('\n');
+        if !status.starts_with("FRAME ") {
+            return (text, cached);
+        }
     }
 }
 

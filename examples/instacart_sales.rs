@@ -19,7 +19,6 @@ fn main() {
 
     let mut config = VerdictConfig::default();
     config.min_table_rows = 10_000;
-    config.seed = Some(3);
     let mut session = VerdictSession::new(Arc::new(VerdictContext::new(conn, config)));
 
     // Let the default policy decide which scrambles to build (uniform +

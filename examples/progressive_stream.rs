@@ -25,7 +25,6 @@ fn main() {
     config.min_table_rows = 1_000;
     config.io_budget = 1.0;
     config.include_error_columns = true;
-    config.seed = Some(1);
     config.answer_cache_capacity = 16;
     let ctx = Arc::new(VerdictContext::new(conn, config));
     let mut session = VerdictSession::new(ctx);

@@ -21,7 +21,6 @@ fn main() {
     let mut config = VerdictConfig::default();
     config.min_table_rows = 10_000;
     config.include_error_columns = true;
-    config.seed = Some(1);
     let ctx = Arc::new(VerdictContext::new(conn, config));
 
     // --- 2. offline sample preparation: plain SQL DDL --------------------

@@ -3,6 +3,8 @@
 // Each test binary compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
+pub mod walk;
+
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

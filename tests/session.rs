@@ -10,14 +10,16 @@
 
 mod common;
 
+use common::walk::{self, Step};
 use common::{assert_tables_bit_identical, values_bit_identical};
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
+use verdictdb::core::ShedTier;
 use verdictdb::engine::{default_parallelism, MAX_PARALLELISM};
 use verdictdb::server::{ClientError, RemoteAnswer, VerdictClient, VerdictServer};
 use verdictdb::{
-    Backend, Engine, TableBuilder, Value, VerdictAnswer, VerdictConfig, VerdictContext,
-    VerdictError,
+    Backend, Engine, Table, TableBuilder, Value, VerdictAnswer, VerdictConfig, VerdictContext,
+    VerdictError, VerdictResult,
 };
 
 /// Deterministic 50k-row sales table; identical for every call with the same
@@ -31,8 +33,16 @@ fn sales_context(seed: u64) -> Arc<VerdictContext> {
 /// engine's worker pool.
 fn sales_stack(seed: u64) -> (Arc<Engine>, Arc<VerdictContext>) {
     let engine = Arc::new(Engine::with_seed(seed));
-    let rows = 50_000usize;
-    let table = TableBuilder::new()
+    engine.register_table("sales", sales_table(50_000));
+    let conn: Arc<dyn Backend> = engine.clone();
+    let mut config = VerdictConfig::for_testing();
+    config.answer_cache_capacity = 64;
+    (engine, Arc::new(VerdictContext::new(conn, config)))
+}
+
+/// `rows` sales: ids from 0, prices in [0, 100), ten cities.
+fn sales_table(rows: usize) -> Table {
+    TableBuilder::new()
         .int_column("id", (0..rows as i64).collect())
         .float_column(
             "price",
@@ -43,12 +53,7 @@ fn sales_stack(seed: u64) -> (Arc<Engine>, Arc<VerdictContext>) {
             (0..rows).map(|i| format!("city_{}", i % 10)).collect(),
         )
         .build()
-        .unwrap();
-    engine.register_table("sales", table);
-    let conn: Arc<dyn Backend> = engine.clone();
-    let mut config = VerdictConfig::for_testing();
-    config.answer_cache_capacity = 64;
-    (engine, Arc::new(VerdictContext::new(conn, config)))
+        .unwrap()
 }
 
 /// The statement script driven through both transports.  Each entry is
@@ -430,11 +435,11 @@ fn a_recorded_spelling_never_serves_another_settings_entry() {
 
     // A shed tier that halves the I/O budget.
     let mut c = VerdictSession::new(Arc::clone(&ctx));
-    c.set_shed_tier(verdictdb::core::ShedTier::Heavy);
+    c.set_shed_tier(ShedTier::Heavy);
     assert!(c.cached_spelling(Q).is_none());
     assert!(!c.execute(Q).unwrap().into_answer().unwrap().cached);
     assert!(c.cached_spelling(Q).is_some());
-    c.set_shed_tier(verdictdb::core::ShedTier::None);
+    c.set_shed_tier(ShedTier::None);
     assert_eq!(c.cached_spelling(Q).unwrap().answer().table, stored.table);
 }
 
@@ -470,6 +475,157 @@ fn distinct_spellings_stay_within_the_index_bound() {
         assert!(ctx.cache().spellings() <= bound);
     }
     assert_eq!(ctx.cache().len(), 4);
+}
+
+/// Scramble DDL invalidates a cached answer like a data write: an exact
+/// answer cached before `CREATE SCRAMBLE` is recomputed over the scramble,
+/// and an answer over one scramble is recomputed once another scramble of
+/// its table is dropped.  What `EXPLAIN` shows is what the session answers.
+#[test]
+fn scramble_ddl_invalidates_answers_cached_before_it() {
+    const Q: &str = "SELECT count(*) AS n, avg(price) AS p FROM sales";
+    let mut s = VerdictSession::new(sales_context(43));
+    let run = |s: &mut VerdictSession| s.execute(Q).unwrap().into_answer().unwrap();
+
+    let exact = run(&mut s);
+    assert!(exact.exact && !exact.cached);
+    assert!(run(&mut s).cached);
+    s.execute("CREATE SCRAMBLE op FROM sales METHOD uniform RATIO 0.01")
+        .unwrap();
+    let approx = run(&mut s);
+    assert!(
+        !approx.cached,
+        "an answer cached before CREATE SCRAMBLE was served"
+    );
+    assert!(!approx.exact);
+    assert_eq!(approx.used_samples, ["op"]);
+    let plan = s
+        .execute(&format!("EXPLAIN {Q}"))
+        .unwrap()
+        .into_answer()
+        .unwrap()
+        .table;
+    assert!(
+        (0..plan.num_rows()).any(|r| plan.value_at(r, 1) == Value::Str("approximate".into())),
+        "{plan:?}"
+    );
+    assert!(run(&mut s).cached);
+
+    // A scramble of half the table never fits the 2% I/O budget: the
+    // answer over `op` stays what it is, but it is computed afresh once
+    // `wide` is dropped, as after any change to the table's scrambles.
+    s.execute("CREATE SCRAMBLE wide FROM sales METHOD uniform RATIO 0.5")
+        .unwrap();
+    let over_op = run(&mut s);
+    assert!(!over_op.cached && over_op.used_samples == ["op"]);
+    assert!(run(&mut s).cached);
+    s.execute("DROP SCRAMBLE wide").unwrap();
+    let after_drop = run(&mut s);
+    assert!(
+        !after_drop.cached,
+        "an answer cached before DROP SCRAMBLE was served"
+    );
+    assert_tables_bit_identical(&after_drop.table, &over_op.table, "over op");
+
+    s.execute("DROP SCRAMBLE op").unwrap();
+    let exact_again = run(&mut s);
+    assert!(exact_again.exact && !exact_again.cached);
+    assert_tables_bit_identical(&exact_again.table, &exact.table, "exact");
+}
+
+/// A response as text, bit for bit (a float prints as the shortest text
+/// that reads back to its bits), without `cached`, the elapsed time and
+/// `EXPLAIN`'s `cacheable` row.  The statements sent are compared by their
+/// canonical form: a hit carries those of the run that computed it, spelled
+/// as that run's text spelled them, and any spelling of the same canonical
+/// text may have been that run.
+fn render(response: &VerdictResult<VerdictResponse>) -> String {
+    let answer = match response {
+        Err(e) => return format!("error: {e}"),
+        Ok(VerdictResponse::Answer(answer)) => answer,
+        Ok(other) => return format!("{other:?}"),
+    };
+    let VerdictAnswer {
+        table,
+        exact,
+        cached: _,
+        errors,
+        rewritten_sql,
+        elapsed: _,
+        rows_scanned,
+        used_samples,
+    } = answer;
+    let sent: Vec<String> = rewritten_sql
+        .iter()
+        .map(|sql| verdictdb::sql::canonical_sql(sql).unwrap())
+        .collect();
+    let mut out = format!(
+        "exact={exact} rows_scanned={rows_scanned} sql={sent:?} \
+         samples={used_samples:?} errors={errors:?}\n{:?}\n",
+        table.schema
+    );
+    for r in 0..table.num_rows() {
+        let row: Vec<Value> = (0..table.num_columns())
+            .map(|c| table.value_at(r, c))
+            .collect();
+        if row[0] != Value::Str("cacheable".into()) {
+            out.push_str(&format!("{row:?}\n"));
+        }
+    }
+    out
+}
+
+/// Twin sessions over one context — one with the base configuration's
+/// answer cache, one with `SET cache = off` — take the same seeded random
+/// steps (`common::walk`): dashboard SELECTs in four spellings, `BYPASS`,
+/// `STREAM`, `EXPLAIN`, every other `SET`, shed tiers and, run once by
+/// either twin, `INSERT`, `REFRESH`, `CREATE` and `DROP SCRAMBLE`.  After
+/// every step both answer alike but for what [`render`] leaves out.  One
+/// context, not twin engines: every executed statement advances the
+/// engine's seed and a cache hit executes nothing, so twin engines would
+/// build different scrambles.
+#[test]
+fn a_cached_session_answers_like_an_uncached_twin() {
+    let engine = Arc::new(Engine::with_seed(47));
+    engine.register_table("sales", sales_table(4_000));
+    let mut config = VerdictConfig::for_testing();
+    config.io_budget = 0.25;
+    config.subsample_count = 25;
+    config.answer_cache_capacity = 32;
+    let ctx = Arc::new(VerdictContext::new(engine as Arc<dyn Backend>, config));
+    let mut twins = [
+        VerdictSession::new(Arc::clone(&ctx)),
+        VerdictSession::new(Arc::clone(&ctx)),
+    ];
+    twins[1].execute("SET cache = off").unwrap();
+    for sql in walk::SETUP {
+        twins[0].execute(sql).unwrap();
+    }
+    let (mut hits, mut approximate) = (0, 0);
+    for (i, step) in walk::walk(7, 800).into_iter().enumerate() {
+        match step {
+            Step::Both(sql) => {
+                let [cached, uncached] = twins.each_mut().map(|s| s.execute(&sql));
+                assert_eq!(render(&cached), render(&uncached), "step {i}: {sql}");
+                if let Ok(VerdictResponse::Answer(a)) = cached {
+                    hits += usize::from(a.cached);
+                    approximate += usize::from(!a.exact);
+                }
+            }
+            Step::Once { sql, on } => {
+                let _ = twins[on].execute(&sql);
+            }
+            Step::Shed(level) => {
+                for twin in &mut twins {
+                    twin.set_shed_tier(ShedTier::from_level(level));
+                }
+            }
+        }
+    }
+    assert!(
+        hits >= 50 && approximate >= 50,
+        "{hits} hits, {approximate} approximate"
+    );
 }
 
 #[test]
@@ -855,7 +1011,6 @@ fn sixty_four_interleaved_multiplexed_sessions_match_in_process_bit_for_bit() {
 
 #[test]
 fn shedding_a_session_without_a_target_never_reruns_exactly() {
-    use verdictdb::core::ShedTier;
     // 500 scramble rows over 10 groups: the estimated error is far above the
     // light tier's 2% floor.  A session that set no `target_error` has no
     // contract to miss, so the shed answer must stay the sampled one — a
